@@ -189,7 +189,7 @@ func main() {
 	}
 
 	var effects, conflicts, retries, aborts, queryNS, applyNS, triggerNS int64
-	var trigFired, trigRounds, trigEffects, trigConflicts int64
+	var trigFired, trigRounds, trigEffects, trigConflicts, trigCompiled int64
 	var fwd, remoteMerged, remoteInval int64
 	var feedCells int64
 	scriptErrors, scriptSkips := 0, 0
@@ -220,6 +220,7 @@ func main() {
 		trigRounds += int64(st.TriggerRounds)
 		trigEffects += int64(st.TriggerEffects)
 		trigConflicts += int64(st.TriggerConflicts)
+		trigCompiled += int64(st.TriggerCompiled)
 		fwd += int64(st.EffectsForwarded)
 		remoteMerged += int64(st.EffectsRemoteMerged)
 		remoteInval += int64(st.RemoteInvalidations)
@@ -315,6 +316,7 @@ func main() {
 				"trigger_rounds":        trigRounds,
 				"trigger_effects":       trigEffects,
 				"trigger_conflicts":     trigConflicts,
+				"trigger_compiled":      trigCompiled,
 				"query_ns_per_op":       float64(queryNS) / float64(*ticks),
 				"apply_ns_per_op":       float64(applyNS) / float64(*ticks),
 				"trigger_ns_per_op":     float64(triggerNS) / float64(*ticks),

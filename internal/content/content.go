@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"gamedb/internal/entity"
+	"gamedb/internal/gslplan"
 	"gamedb/internal/script"
 )
 
@@ -133,7 +134,14 @@ type CompiledScript struct {
 
 // CompiledTrigger is a trigger with parsed condition/action programs.
 // Cond is nil when no <when> was given. Both programs expose a single
-// function, "cond" and "act" respectively, taking (self, amount).
+// function, CondFn and ActFn respectively, taking (self, amount).
+//
+// CondPlan and ActPlan are the same two functions lowered onto gslplan
+// query plans, compiled once here so that every world (every shard)
+// loading the pack shares them and only binds per worker. A nil plan
+// means the body is outside the compilable subset — CondFallback /
+// ActFallback then name the first offending construct — and the world
+// runs that side on the interpreter.
 type CompiledTrigger struct {
 	Name     string
 	Event    string
@@ -141,7 +149,18 @@ type CompiledTrigger struct {
 	Once     bool
 	Cond     *script.Program
 	Act      *script.Program
+
+	CondPlan, ActPlan         *gslplan.Program
+	CondFallback, ActFallback string
 }
+
+// Entry points of a trigger's two programs, and how many arguments the
+// world passes them: (self, amount).
+const (
+	CondFn      = "cond"
+	ActFn       = "act"
+	TriggerArgs = 2
+)
 
 // Compiled is a fully validated content pack ready for the world to
 // instantiate.
@@ -156,9 +175,9 @@ type Compiled struct {
 	// Warnings are non-fatal lint findings (see lint.go): the pack
 	// loads, but something in it is a known hazard — set(x, get(x)…)
 	// accumulation in trigger bodies (last-write-wins under the
-	// effect-aware trigger drain), and behavior scripts whose on_tick
-	// cannot lower onto a set-at-a-time query plan (they stay on the
-	// per-entity interpreter when CompileBehaviors is on).
+	// effect-aware trigger drain), and behavior scripts or trigger
+	// bodies that cannot lower onto a set-at-a-time query plan (they
+	// stay on the per-invocation interpreter).
 	Warnings []Warning
 }
 
@@ -327,7 +346,7 @@ func Compile(p *Pack) (*Compiled, []error) {
 		}
 		okTrig := true
 		if strings.TrimSpace(td.When) != "" {
-			src := fmt.Sprintf("fn cond(self, amount) { return %s; }", strings.TrimSpace(td.When))
+			src := fmt.Sprintf("fn %s(self, amount) { return %s; }", CondFn, strings.TrimSpace(td.When))
 			prog, err := script.Parse(src)
 			if err != nil {
 				fail("content: trigger %q <when>: %v", td.Name, err)
@@ -336,7 +355,7 @@ func Compile(p *Pack) (*Compiled, []error) {
 				ct.Cond = prog
 			}
 		}
-		src := fmt.Sprintf("fn act(self, amount) { %s }", td.Do)
+		src := fmt.Sprintf("fn %s(self, amount) { %s }", ActFn, td.Do)
 		prog, err := script.Parse(src)
 		if err != nil {
 			fail("content: trigger %q <do>: %v", td.Name, err)
@@ -345,6 +364,13 @@ func Compile(p *Pack) (*Compiled, []error) {
 			ct.Act = prog
 		}
 		if okTrig {
+			var warns []Warning
+			if ct.Cond != nil {
+				ct.CondPlan, ct.CondFallback, warns = planTrigger(ct.Name, "<when>", ct.Cond, CondFn)
+				c.Warnings = append(c.Warnings, warns...)
+			}
+			ct.ActPlan, ct.ActFallback, warns = planTrigger(ct.Name, "<do>", ct.Act, ActFn)
+			c.Warnings = append(c.Warnings, warns...)
 			c.Triggers = append(c.Triggers, ct)
 			c.Warnings = append(c.Warnings, lintTrigger(ct)...)
 		}

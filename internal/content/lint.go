@@ -11,8 +11,8 @@ package content
 // migration hazard before it bites.
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 
 	"gamedb/internal/gslplan"
 	"gamedb/internal/script"
@@ -49,20 +49,54 @@ func lintScript(cs *CompiledScript) []Warning {
 	if cs.Prog.Fns[gslplan.EntryFn] == nil {
 		return nil
 	}
-	_, err := gslplan.Compile(cs.Name, cs.Prog)
+	_, err := gslplan.Compile(cs.Name, cs.Prog, gslplan.EntryFn, 1)
 	if err == nil {
 		return nil
 	}
-	var nc *gslplan.NotCompilable
-	if !errors.As(err, &nc) {
-		return []Warning{{Script: cs.Name, Msg: "not compilable: " + err.Error()}}
-	}
+	line, reason := gslplan.Reason(err)
 	return []Warning{{
 		Script: cs.Name,
-		Line:   nc.Line,
-		Msg: fmt.Sprintf("on_tick stays on the per-entity interpreter under compiled execution: %s",
-			nc.Construct),
+		Line:   line,
+		Msg:    fmt.Sprintf("on_tick stays on the per-entity interpreter under compiled execution: %s", reason),
 	}}
+}
+
+// planTrigger lowers one side of a trigger rule (element is "<when>" or
+// "<do>") onto a query plan. When the body is outside the compilable
+// subset it returns the first offending construct instead, plus the
+// advisory warning naming it — the trigger counterpart of lintScript.
+func planTrigger(rule, element string, prog *script.Program, entry string) (*gslplan.Program, string, []Warning) {
+	p, err := gslplan.Compile(rule, prog, entry, TriggerArgs)
+	if err == nil {
+		return p, "", nil
+	}
+	line, reason := gslplan.Reason(err)
+	return nil, reason, []Warning{{
+		Trigger: rule,
+		Line:    line,
+		Msg:     fmt.Sprintf("%s stays on the per-invocation interpreter: %s", element, reason),
+	}}
+}
+
+// ExplainPlans renders how the rule will execute. A rule has two sides,
+// so both results can be non-empty: explain joins the Explain text of
+// the sides that compiled (<when> first), fallback names the sides that
+// stay on the interpreter and the first construct that keeps them there.
+func (ct *CompiledTrigger) ExplainPlans() (explain, fallback string) {
+	var fails []string
+	if ct.Cond != nil {
+		if ct.CondPlan != nil {
+			explain += ct.CondPlan.Explain()
+		} else {
+			fails = append(fails, "<when>: "+ct.CondFallback)
+		}
+	}
+	if ct.ActPlan != nil {
+		explain += ct.ActPlan.Explain()
+	} else {
+		fails = append(fails, "<do>: "+ct.ActFallback)
+	}
+	return explain, strings.Join(fails, "; ")
 }
 
 // lintTrigger walks a compiled trigger's action program for

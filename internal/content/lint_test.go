@@ -123,3 +123,46 @@ fn pick(x) { return x; }
 		t.Fatalf("String() should carry the script name: %s", w.String())
 	}
 }
+
+func TestTriggersCompileOnceWithThePack(t *testing.T) {
+	// Both sides of a compilable rule carry their plan; a side outside
+	// the compilable subset carries the reason instead and one advisory
+	// warning naming it — the other side keeps its plan.
+	c := compilePack(t, lintPackHeader+`
+  <trigger name="lean" event="hit">
+    <when>amount &gt; 0</when>
+    <do>add(self, "hp", amount);</do>
+  </trigger>
+  <trigger name="always" event="hit">
+    <do>add(self, "mana", 1);</do>
+  </trigger>
+  <trigger name="spinner" event="hit">
+    <when>amount &gt; 0</when>
+    <do>let i = 0; while i &lt; amount { i = i + 1; }</do>
+  </trigger>
+</contentpack>`)
+	byName := map[string]*CompiledTrigger{}
+	for _, ct := range c.Triggers {
+		byName[ct.Name] = ct
+	}
+	if ct := byName["lean"]; ct.CondPlan == nil || ct.ActPlan == nil || ct.CondFallback+ct.ActFallback != "" {
+		t.Fatalf("lean: plans %v/%v fallbacks %q/%q", ct.CondPlan != nil, ct.ActPlan != nil, ct.CondFallback, ct.ActFallback)
+	}
+	if ct := byName["always"]; ct.Cond != nil || ct.CondPlan != nil || ct.ActPlan == nil {
+		t.Fatalf("always: cond %v cond plan %v act plan %v", ct.Cond != nil, ct.CondPlan != nil, ct.ActPlan != nil)
+	}
+	ct := byName["spinner"]
+	if ct.CondPlan == nil || ct.ActPlan != nil || !strings.Contains(ct.ActFallback, "while") {
+		t.Fatalf("spinner: cond plan %v act plan %v act fallback %q", ct.CondPlan != nil, ct.ActPlan != nil, ct.ActFallback)
+	}
+	if !strings.Contains(ct.CondPlan.Explain(), "cond(self, amount)") {
+		t.Fatalf("cond plan explains the wrong entry:\n%s", ct.CondPlan.Explain())
+	}
+	if len(c.Warnings) != 1 {
+		t.Fatalf("want 1 warning (spinner's <do>), got %d: %v", len(c.Warnings), c.Warnings)
+	}
+	w := c.Warnings[0]
+	if w.Trigger != "spinner" || !strings.Contains(w.Msg, "<do>") || !strings.Contains(w.Msg, "while") {
+		t.Fatalf("warning should name the rule, the element and the construct: %+v", w)
+	}
+}

@@ -1,6 +1,7 @@
 package gslplan
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -9,7 +10,8 @@ import (
 	"gamedb/internal/script"
 )
 
-// EntryFn is the behavior entry point the compiler targets.
+// EntryFn is the entry point of a behavior script: the function the
+// world calls once per entity per tick with the entity's id.
 const EntryFn = "on_tick"
 
 // NotCompilable reports the first construct that kept a behavior body
@@ -22,6 +24,17 @@ type NotCompilable struct {
 
 func (e *NotCompilable) Error() string {
 	return fmt.Sprintf("gslplan: line %d: not compilable: %s", e.Line, e.Construct)
+}
+
+// Reason splits a Compile error into what a fallback report needs: the
+// source line and first offending construct of a *NotCompilable, or
+// line 0 and the error text for anything else.
+func Reason(err error) (line int, construct string) {
+	var nc *NotCompilable
+	if errors.As(err, &nc) {
+		return nc.Line, nc.Construct
+	}
+	return 0, err.Error()
 }
 
 func notCompilable(line int, format string, a ...any) error {
@@ -46,24 +59,32 @@ type compiler struct {
 	depth    int
 }
 
-// Compile lowers prog's on_tick body onto a set-at-a-time query plan.
-// The returned Program is immutable and safe to Bind from many
-// workers. A *NotCompilable error names the first unsupported
-// construct.
-func Compile(name string, prog *script.Program) (*Program, error) {
-	fn := prog.Fns[EntryFn]
+// Compile lowers the body of prog's entry function onto a set-at-a-time
+// query plan: a behavior's on_tick(self), or a trigger rule's
+// cond(self, amount) / act(self, amount). nargs is the number of scalar
+// arguments the host passes to every Run; a function declaring a
+// different number could only ever fail its call, so it is rejected
+// here. The returned Program is immutable and safe to Bind from many
+// workers and many worlds. A *NotCompilable error names the first
+// unsupported construct.
+func Compile(name string, prog *script.Program, entry string, nargs int) (*Program, error) {
+	fn := prog.Fns[entry]
 	if fn == nil {
-		return nil, notCompilable(0, "no %q function", EntryFn)
+		return nil, notCompilable(0, "no %q function", entry)
 	}
-	if len(fn.Params) != 1 {
-		return nil, notCompilable(fn.Line(), "%s must take exactly one parameter, has %d", EntryFn, len(fn.Params))
+	if len(fn.Params) != nargs {
+		return nil, notCompilable(fn.Line(), "%s declares %d parameters, the host passes %d", entry, len(fn.Params), nargs)
 	}
 	c := &compiler{
 		prog:   prog,
 		scopes: []map[string]varRef{{}},
 		used:   map[string]bool{},
 	}
-	self := c.declare(fn.Params[0], false)
+	// Parameters take scalar slots 0..nargs-1 in declaration order, which
+	// is where Run copies its arguments.
+	for _, p := range fn.Params {
+		c.declare(p, false)
+	}
 	c.depth = 1
 	body, err := c.compileStmts(fn.Body.Stmts)
 	if err != nil {
@@ -75,14 +96,17 @@ func Compile(name string, prog *script.Program) (*Program, error) {
 			return nil, fmt.Errorf("gslplan: internal bind error: %w", err)
 		}
 	}
-	header := fmt.Sprintf("behavior %q: compiled plan for %s(%s)\n"+
-		"  driver: set-at-a-time roster scan, one pass per tick chunked across workers\n"+
+	kind, driver := "behavior", "set-at-a-time roster scan, one pass per tick chunked across workers"
+	if entry != EntryFn {
+		kind, driver = "rule", "set-at-a-time scan of one cascade round's matches, chunked across workers"
+	}
+	header := fmt.Sprintf("%s %q: compiled plan for %s(%s)\n"+
+		"  driver: %s\n"+
 		"  frame: %d scalar slots, %d list slots; pure fragments lowered to query exprs\n",
-		name, EntryFn, fn.Params[0], len(c.slotName), len(c.listName))
+		kind, name, entry, strings.Join(fn.Params, ", "), driver, len(c.slotName), len(c.listName))
 	return &Program{
 		name:     name,
-		param:    fn.Params[0],
-		selfSlot: self.slot,
+		nParams:  nargs,
 		nScalars: len(c.slotName),
 		nLists:   len(c.listName),
 		body:     body,

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"gamedb/internal/entity"
 	"gamedb/internal/script"
 )
 
@@ -32,7 +33,7 @@ func interpFuel(t *testing.T, prog *script.Program, cap int64) (int64, error) {
 func checkParity(t *testing.T, src string) {
 	t.Helper()
 	prog := mustParse(t, src)
-	cp, err := Compile("test", prog)
+	cp, err := Compile("test", prog, EntryFn, 1)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -43,7 +44,7 @@ func checkParity(t *testing.T, src string) {
 	if ferr != nil {
 		// The program errors mid-run; the compiled run must error too
 		// (fuel totals are then the interpreter's business on re-run).
-		if _, cerr := plan.Run(7, 1<<40); cerr == nil {
+		if _, _, cerr := plan.Run(1<<40, entity.Int(7)); cerr == nil {
 			t.Fatalf("interp errored (%v) but compiled run succeeded", ferr)
 		}
 		return
@@ -51,7 +52,7 @@ func checkParity(t *testing.T, src string) {
 	// Start at 1: Options.Fuel <= 0 means "default cap", not zero.
 	for cap := int64(1); cap <= full+2; cap++ {
 		iFuel, iErr := interpFuel(t, prog, cap)
-		cFuel, cErr := plan.Run(7, cap)
+		_, cFuel, cErr := plan.Run(cap, entity.Int(7))
 		if (iErr == nil) != (cErr == nil) {
 			t.Fatalf("cap %d: interp err=%v compiled err=%v", cap, iErr, cErr)
 		}
@@ -163,7 +164,7 @@ fn on_tick(self) {
 func notCompilableReason(t *testing.T, src string) string {
 	t.Helper()
 	prog := mustParse(t, src)
-	_, err := Compile("test", prog)
+	_, err := Compile("test", prog, EntryFn, 1)
 	if err == nil {
 		t.Fatalf("expected NotCompilable, got nil")
 	}
@@ -190,7 +191,7 @@ func TestNotCompilableReasons(t *testing.T) {
 		{`fn on_tick(self) { for x in nearby(self, 2.0) { break; } }`, "break"},
 		{`fn on_tick(self) { for x in nearby(self, 2.0) { continue; } }`, "continue"},
 		{`fn on_tick(self) { let a = get(self); }`, "argument count"},
-		{`fn on_tick(self, other) { }`, "exactly one parameter"},
+		{`fn on_tick(self, other) { }`, "declares 2 parameters, the host passes 1"},
 	}
 	for _, tc := range cases {
 		got := notCompilableReason(t, tc.src)
@@ -231,7 +232,7 @@ fn on_tick(self) {
 }`,
 	}
 	for name, src := range bodies {
-		p, err := Compile(name, mustParse(t, src))
+		p, err := Compile(name, mustParse(t, src), EntryFn, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -252,7 +253,7 @@ fn on_tick(self) {
   for id in ns {
     add(self, "met", 1);
   }
-}`))
+}`), EntryFn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

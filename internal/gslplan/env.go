@@ -12,6 +12,13 @@
 // identical per-entity rand draws, and fuel accounting that matches
 // the interpreter burn-for-burn on every successful invocation.
 //
+// Behaviors are one client; trigger rules are the other. Compile takes
+// the entry function and its argument count, and a run returns the
+// value of its return statement, so a rule's cond(self, amount) and
+// act(self, amount) lower onto the same Program / Plan / Env and the
+// trigger drain batches them over a cascade round's matches the way the
+// query phase batches on_tick over the roster.
+//
 // The compiler is deliberately conservative: any construct outside the
 // compilable shapes (while loops, break/continue, user function calls,
 // list-valued expressions beyond nearby results, spawn/despawn, ...)

@@ -10,9 +10,9 @@ import (
 	"gamedb/internal/query"
 )
 
-// ErrFuel reports that a completed compiled run burned more fuel than
-// the budget allows; the caller rolls back and lets the interpreter
-// reproduce the exact exhaustion point and error.
+// ErrFuel reports that a compiled run burned more fuel than the budget
+// allows; the caller rolls back and lets the interpreter reproduce the
+// exact exhaustion point and error.
 var ErrFuel = errors.New("gslplan: fuel budget exhausted")
 
 // ctrl is the non-error control-flow signal a statement can raise.
@@ -33,22 +33,24 @@ type runner struct {
 	scalars []entity.Value
 	lists   [][]entity.ID
 	fuel    int64
+	fuelCap int64
+	ret     entity.Value // the value of the return statement that ended the run
 }
 
-// Program is an immutable compiled behavior. It is shared across
-// workers; each worker calls Bind with its own Env to get a runnable
-// Plan.
+// Program is an immutable compiled entry function — a behavior's
+// on_tick or one side of a trigger rule. It is shared across workers
+// (and across the worlds that load one content pack); each worker calls
+// Bind with its own Env to get a runnable Plan.
 type Program struct {
 	name     string
-	param    string
-	selfSlot int
+	nParams  int // arguments occupy scalar slots 0..nParams-1
 	nScalars int
 	nLists   int
 	body     []stmtNode
 	explain  string
 }
 
-// Name returns the behavior name the program was compiled from.
+// Name returns the behavior or rule name the program was compiled from.
 func (p *Program) Name() string { return p.name }
 
 // Explain renders the compiled operator plan as indented text — the
@@ -74,29 +76,25 @@ type Plan struct {
 	r    runner
 }
 
-// Run executes the plan for one entity. A nil error guarantees the
-// invocation behaved exactly like the interpreter would have — same
+// Run executes the plan for one invocation and returns the value its
+// return statement produced (null when it returned bare or fell off
+// the end) with the fuel burned. A nil error guarantees the invocation
+// behaved exactly like the interpreter would have — same value, same
 // effects, same read-set, same rand draws, and fuel ≤ fuelCap with the
-// identical total. On any error the caller must discard the
-// invocation (rollback) and re-run it on the interpreter, whose
-// outcome — value, error, or fuel exhaustion — is authoritative.
-func (p *Plan) Run(self entity.ID, fuelCap int64) (int64, error) {
+// identical total. On any error the caller must discard the invocation
+// (rollback) and re-run it on the interpreter, whose outcome — value,
+// error, or fuel exhaustion — is authoritative.
+func (p *Plan) Run(fuelCap int64, args ...entity.Value) (entity.Value, int64, error) {
 	r := &p.r
-	r.fuel = 0
-	r.scalars[p.prog.selfSlot] = entity.Int(int64(self))
-	for _, st := range p.prog.body {
-		c, err := st.exec(r)
-		if err != nil {
-			return r.fuel, err
-		}
-		if c != ctrlNone {
-			break
-		}
+	if len(args) != p.prog.nParams {
+		return entity.Null(), 0, fmt.Errorf("gslplan: %s takes %d arguments, got %d", p.prog.name, p.prog.nParams, len(args))
 	}
-	if r.fuel > fuelCap {
-		return r.fuel, ErrFuel
+	r.fuel, r.fuelCap, r.ret = 0, fuelCap, entity.Null()
+	copy(r.scalars, args)
+	if _, err := execList(r, p.prog.body); err != nil {
+		return entity.Null(), r.fuel, err
 	}
-	return r.fuel, nil
+	return r.ret, r.fuel, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -464,11 +462,21 @@ type stmtNode interface {
 	exec(r *runner) (ctrl, error)
 }
 
+// execList runs a statement list. Fuel is checked after every
+// statement rather than once at the end of the run, so an over-budget
+// invocation stops within one statement of the cap instead of running
+// to completion first; the caller falls back either way.
 func execList(r *runner, body []stmtNode) (ctrl, error) {
 	for _, st := range body {
 		c, err := st.exec(r)
-		if err != nil || c != ctrlNone {
-			return c, err
+		if err != nil {
+			return ctrlNone, err
+		}
+		if r.fuel > r.fuelCap {
+			return ctrlNone, ErrFuel
+		}
+		if c != ctrlNone {
+			return c, nil
 		}
 	}
 	return ctrlNone, nil
@@ -588,9 +596,11 @@ type returnStmt struct {
 func (s *returnStmt) exec(r *runner) (ctrl, error) {
 	r.fuel++ // the return node
 	if s.v != nil {
-		if _, err := s.v.eval(r); err != nil {
+		v, err := s.v.eval(r)
+		if err != nil {
 			return ctrlNone, err
 		}
+		r.ret = v
 	}
 	return ctrlReturn, nil
 }

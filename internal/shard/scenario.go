@@ -94,6 +94,12 @@ func SeedCascadeCrowd(rt *Runtime, units int, side float64, seed int64, speed fl
 	if err := rt.LoadPack(c); err != nil {
 		return err
 	}
+	return spawnCascadeCrowd(rt, units, side, seed, speed)
+}
+
+// spawnCascadeCrowd is SeedCascadeCrowd's spawn stream and initial
+// sync, for a runtime whose cascade pack is already loaded.
+func spawnCascadeCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < units; i++ {
 		pos := spatial.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}

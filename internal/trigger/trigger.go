@@ -28,17 +28,24 @@ import (
 )
 
 // Event is one occurrence in the simulation: a named happening with an
-// optional subject entity and payload fields.
+// optional subject entity and payload fields. Amount is the typed slot
+// for the one payload GSL's emit carries, so the world posts events
+// without allocating a Fields map each; it reads as the "amount" field.
 type Event struct {
 	Name   string
 	Entity entity.ID
+	Amount entity.Value
 	Fields map[string]entity.Value
 }
 
-// Field returns a payload field, or null when absent.
+// Field returns a payload field, or null when absent. "amount" falls
+// back to the Amount slot when Fields does not carry it.
 func (e Event) Field(name string) entity.Value {
 	if v, ok := e.Fields[name]; ok {
 		return v
+	}
+	if name == "amount" {
+		return e.Amount
 	}
 	return entity.Null()
 }
@@ -74,9 +81,11 @@ type Engine struct {
 	nextSeq  int
 	queue    []Event
 	maxDepth int
-	// fired counts rule activations since construction (or the last
-	// Reset), by rule name.
-	fired map[string]int64
+	// retired keeps the activation counts of explicitly unregistered
+	// rules, by name, so FiredCount still reports them. Live and
+	// consumed registrations count on themselves (registered.fired):
+	// activation is the hot path and must not hash the rule name.
+	retired map[string]int64
 	// dropped counts queued events abandoned by cascade-depth overflows
 	// — events that were posted but never delivered to any rule.
 	dropped int64
@@ -85,7 +94,10 @@ type Engine struct {
 type registered struct {
 	rule *Rule
 	seq  int
-	dead bool
+	// fired counts this registration's activations since it was
+	// registered (or the last Reset).
+	fired int64
+	dead  bool
 	// consumed distinguishes a Once rule that fired (runtime state,
 	// resurrected by Reset) from an explicit Unregister (a content
 	// decision that outlives resets).
@@ -101,7 +113,6 @@ func NewEngine(maxCascade int) *Engine {
 	return &Engine{
 		byEvent:  make(map[string][]*registered),
 		maxDepth: maxCascade,
-		fired:    make(map[string]int64),
 	}
 }
 
@@ -164,11 +175,17 @@ func (en *Engine) Unregister(name string) int {
 	}
 	if n > 0 {
 		// Unregistered rules leave the resurrection roster for good —
-		// only Once consumption comes back on Reset.
+		// only Once consumption comes back on Reset. Their counts move
+		// to the retired tally.
 		kept := make([]*registered, 0, len(en.all))
 		for _, reg := range en.all {
 			if !reg.dead || reg.consumed {
 				kept = append(kept, reg)
+			} else if reg.fired != 0 {
+				if en.retired == nil {
+					en.retired = make(map[string]int64)
+				}
+				en.retired[name] += reg.fired
 			}
 		}
 		en.all = kept
@@ -205,9 +222,19 @@ func (en *Engine) Rules() int {
 	return n
 }
 
-// FiredCount reports how many times the named rule has been activated
-// (condition passed and action attempted).
-func (en *Engine) FiredCount(name string) int64 { return en.fired[name] }
+// FiredCount reports how many times rules of the given name have been
+// activated (condition passed and action attempted) since construction
+// or the last Reset — summed over every registration that ever carried
+// the name, unregistered ones included.
+func (en *Engine) FiredCount(name string) int64 {
+	n := en.retired[name]
+	for _, reg := range en.all {
+		if reg.rule.Name == name {
+			n += reg.fired
+		}
+	}
+	return n
+}
 
 // Dropped reports the total number of queued events abandoned by
 // cascade-depth overflows since construction (or the last Reset).
@@ -246,7 +273,7 @@ func (en *Engine) Fire(ev Event) (int, error) {
 			}
 		}
 		fired++
-		en.fired[r.Name]++
+		reg.fired++
 		if r.Once {
 			reg.dead, reg.consumed = true, true
 			dead = true
@@ -308,9 +335,10 @@ func (en *Engine) Drain() (int, error) {
 func (en *Engine) Reset() {
 	en.queue = nil
 	en.dropped = 0
-	clear(en.fired)
+	clear(en.retired)
 	resurrected := false
 	for _, reg := range en.all {
+		reg.fired = 0
 		if reg.consumed {
 			reg.dead, reg.consumed = false, false
 			resurrected = true
@@ -387,7 +415,7 @@ func (en *Engine) Activate(m Match) bool {
 	if m.reg.dead {
 		return false
 	}
-	en.fired[m.Rule.Name]++
+	m.reg.fired++
 	if m.Rule.Once {
 		m.reg.dead, m.reg.consumed = true, true
 		en.compactEvent(m.Rule.Event)

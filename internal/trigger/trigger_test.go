@@ -87,6 +87,25 @@ func TestEventFieldsAndSubject(t *testing.T) {
 	}
 }
 
+func TestEventAmountSlot(t *testing.T) {
+	// The typed Amount slot reads as the "amount" field, a Fields entry
+	// of that name wins over it, and it answers for no other name.
+	ev := Event{Name: "damage", Amount: entity.Int(9)}
+	if got := ev.Field("amount"); got.Int() != 9 {
+		t.Fatalf(`Field("amount") = %v, want the Amount slot`, got)
+	}
+	if !ev.Field("other").IsNull() {
+		t.Fatal("Amount must only answer for the amount field")
+	}
+	ev.Fields = map[string]entity.Value{"amount": entity.Int(3)}
+	if got := ev.Field("amount"); got.Int() != 3 {
+		t.Fatalf(`Field("amount") = %v, want the Fields entry`, got)
+	}
+	if !(Event{}).Field("amount").IsNull() {
+		t.Fatal("unset Amount should be null")
+	}
+}
+
 func TestOnceRules(t *testing.T) {
 	en := NewEngine(0)
 	count := 0
@@ -351,6 +370,44 @@ func TestResetResurrectsConsumedOnceRules(t *testing.T) {
 	}
 	if en.Rules() != 0 {
 		t.Fatal("re-fired once rule must re-consume")
+	}
+}
+
+func TestFiredCountFollowsTheName(t *testing.T) {
+	// Counts live on registrations, but FiredCount is by name: it keeps
+	// an unregistered rule's activations, adds those of a later rule
+	// registered under the same name, counts a Once rule before and
+	// after Reset resurrects it, and Reset zeroes all of it.
+	en := NewEngine(0)
+	act := func(Event) error { return nil }
+	en.Register(&Rule{Name: "r", Event: "e", Action: act})
+	en.Register(&Rule{Name: "once", Event: "e", Once: true, Action: act})
+	en.Fire(Event{Name: "e"})
+	en.Fire(Event{Name: "e"})
+	if en.FiredCount("r") != 2 || en.FiredCount("once") != 1 {
+		t.Fatalf("fired r=%d once=%d, want 2 and 1", en.FiredCount("r"), en.FiredCount("once"))
+	}
+	if n := en.Unregister("r"); n != 1 {
+		t.Fatalf("Unregister removed %d, want 1", n)
+	}
+	if en.FiredCount("r") != 2 {
+		t.Fatalf("FiredCount after Unregister = %d, want 2", en.FiredCount("r"))
+	}
+	en.Register(&Rule{Name: "r", Event: "e", Action: act})
+	en.Post(Event{Name: "e"})
+	for _, m := range en.MatchRound(nil, en.TakeRound(nil)) {
+		en.Activate(m)
+	}
+	if en.FiredCount("r") != 3 {
+		t.Fatalf("FiredCount after re-Register = %d, want 3", en.FiredCount("r"))
+	}
+	en.Reset()
+	if en.FiredCount("r") != 0 || en.FiredCount("once") != 0 {
+		t.Fatalf("Reset left counts r=%d once=%d", en.FiredCount("r"), en.FiredCount("once"))
+	}
+	en.Fire(Event{Name: "e"})
+	if en.FiredCount("r") != 1 || en.FiredCount("once") != 1 {
+		t.Fatalf("after Reset: fired r=%d once=%d, want 1 and 1", en.FiredCount("r"), en.FiredCount("once"))
 	}
 }
 

@@ -1,17 +1,18 @@
 package world
 
 import (
-	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/gslplan"
 	"gamedb/internal/script"
 )
 
-// This file hosts the world side of compiled behavior execution
-// (Config.CompileBehaviors = CompileOn): the gslplan.Env implementation
+// This file hosts the world side of compiled execution — behaviors
+// under Config.CompileBehaviors = CompileOn, content-pack trigger rules
+// always (trigger_phase.go): the gslplan.Env implementation
 // that routes a compiled plan's reads and effects through the same
 // frozen-state accessors and EffectBuffer entry points the effect-mode
 // builtins use — same read-set logging, same effect records, same
@@ -130,14 +131,9 @@ func (w *World) compileBehavior(name string, prog *script.Program) {
 		w.planProgs = make(map[string]*gslplan.Program)
 		w.planFails = make(map[string]string)
 	}
-	p, err := gslplan.Compile(name, prog)
+	p, err := gslplan.Compile(name, prog, gslplan.EntryFn, 1)
 	if err != nil {
-		var nc *gslplan.NotCompilable
-		if errors.As(err, &nc) {
-			w.planFails[name] = nc.Construct
-		} else {
-			w.planFails[name] = err.Error()
-		}
+		_, w.planFails[name] = gslplan.Reason(err)
 		return
 	}
 	w.planProgs[name] = p
@@ -166,7 +162,21 @@ func (w *World) behaviorPlan(plans []map[string]*gslplan.Plan, wi int, name stri
 // plan's Explain text when it compiled, or the first non-compilable
 // construct when it fell back. ok is false when the script is unknown
 // or compilation is disabled.
+//
+// "trigger/<rule>" (the rule's profile-entry name) reports a content
+// pack rule instead, as content.CompiledTrigger.ExplainPlans renders
+// it: a rule has two sides, so both results can be non-empty. Rules
+// compile regardless of Config.CompileBehaviors.
 func (w *World) PlanFor(name string) (explain string, fallback string, ok bool) {
+	if rule, isRule := strings.CutPrefix(name, "trigger/"); isRule {
+		for _, bt := range w.trigList {
+			if bt.name == rule {
+				explain, fallback = bt.src.ExplainPlans()
+				return explain, fallback, true
+			}
+		}
+		return "", "", false
+	}
 	if p, found := w.planProgs[name]; found {
 		return p.Explain(), "", true
 	}

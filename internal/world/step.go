@@ -195,7 +195,7 @@ func (w *World) runWorker(wi, workers int) {
 				reads0 := len(buf.reads)
 				mark := buf.begin(id)
 				start, sampling := cpe.BeginSample()
-				fuel, err := p.Run(id, w.cfg.ScriptFuel)
+				_, fuel, err := p.Run(w.cfg.ScriptFuel, entity.Int(int64(id)))
 				cpe.EndSample(start, sampling)
 				if err == nil {
 					ws.calls++

@@ -23,36 +23,72 @@ package world
 // keyed by (event seq, rule seq) — never by worker — the same seed
 // yields an identical world for any Shards × Workers combination, and
 // trigger-heavy cascades batch and parallelize exactly like behaviors.
+//
+// They also execute like compiled behaviors: a content-pack rule's
+// condition and action are gslplan query plans (compiled once per pack
+// by content.Compile, bound here per worker slot), and every
+// invocation — cond pass, act pass, OCC re-run — goes through
+// runTrigger, which falls back to the interpreter per invocation.
 
 import (
 	"errors"
 	"fmt"
 	"time"
 
+	"gamedb/internal/content"
 	"gamedb/internal/entity"
+	"gamedb/internal/gslplan"
 	"gamedb/internal/obs"
 	"gamedb/internal/script"
 	"gamedb/internal/trigger"
 )
 
-// boundTrigger is a content-pack rule's compiled programs plus its
-// per-worker effect-mode interpreter clones. Clones grow lazily (on the
-// coordinating goroutine) to the tick's worker count; each binds the
-// matching worker's effect buffer, so clone wi may only ever run on
-// worker slot wi.
+// boundTrigger is a content-pack rule as the effect-aware drain runs
+// it: its two sides plus the rule's profile entry.
 type boundTrigger struct {
 	name string
-	cond *script.Program // nil = unconditional
-	act  *script.Program
-
-	condIns []*script.Interp
-	actIns  []*script.Interp
+	src  *content.CompiledTrigger
+	cond *trigFn // nil = unconditional
+	act  *trigFn
 
 	// prof is the rule's "trigger/<name>" profile entry, resolved once
-	// when clones first grow (nil with profiling off — every use is
-	// nil-safe). Caching it here keeps the act fan-out free of profiler
-	// map lookups.
+	// when the rule is first matched (nil with profiling off — every use
+	// is nil-safe). Caching it here keeps the act fan-out free of
+	// profiler map lookups.
 	prof *obs.ProfEntry
+}
+
+// trigFn is one side of a content-pack rule — its condition or its
+// action: the parsed program, the query plan the content pack compiled
+// from it (nil when the body is outside the compilable subset; shared
+// by every world that loaded the pack), and the per-worker-slot
+// executors. Slot wi's plan and interpreter clone emit into
+// workerBufs[wi], so they may only ever run on worker slot wi.
+type trigFn struct {
+	entry string
+	prog  *script.Program
+	plan  *gslplan.Program
+
+	// plans[wi] is bound when the rule is first matched (grow); ins[wi]
+	// is built by slot wi itself the first time it needs the interpreter
+	// — there is no plan, or a plan invocation fell back — so a rule
+	// that stays on its plan never builds a clone.
+	plans []*gslplan.Plan
+	ins   []*script.Interp
+}
+
+// grow sizes the side's per-slot executors to n workers, binding the
+// new slots' plans. Runs on the coordinating goroutine before any
+// fan-out; the worker buffers must already exist (ensureWorkers).
+func (f *trigFn) grow(w *World, n int) {
+	for len(f.ins) < n {
+		var p *gslplan.Plan
+		if f.plan != nil {
+			p = f.plan.Bind(planEnv{w: w, buf: w.workerBufs[len(f.ins)]})
+		}
+		f.plans = append(f.plans, p)
+		f.ins = append(f.ins, nil)
+	}
 }
 
 // triggerRoundStride separates the per-round source-id ranges of the
@@ -67,32 +103,52 @@ func triggerSrc(round, mi int) entity.ID {
 	return entity.ID(round+1)*triggerRoundStride + entity.ID(mi)
 }
 
-// ensureTriggerClones grows one bound rule's interpreter clones to n
-// workers. Runs on the coordinating goroutine before any fan-out; the
-// worker buffers must already exist (ensureWorkers). Creation is
-// demand-driven — only rules actually matched in a round grow clones,
-// so dead (Once-consumed, unregistered) rules never allocate.
-func (w *World) ensureTriggerClones(bt *boundTrigger, n int) {
+// ensureTriggerSlots grows one bound rule's per-slot executors to n
+// workers. Creation is demand-driven — only rules actually matched in a
+// round grow, so dead (Once-consumed, unregistered) rules never
+// allocate.
+func (w *World) ensureTriggerSlots(bt *boundTrigger, n int) {
 	if w.prof != nil && bt.prof == nil {
 		bt.prof = w.prof.Entry("trigger/" + bt.name)
 	}
-	for len(bt.actIns) < n {
-		wi := len(bt.actIns)
-		bt.actIns = append(bt.actIns, script.NewInterp(bt.act, script.Options{
+	bt.act.grow(w, n)
+	if bt.cond != nil {
+		bt.cond.grow(w, n)
+	}
+}
+
+// runTrigger executes one side of a content rule for one matched event
+// on worker slot wi, inside the invocation the caller opened with
+// workerBufs[wi].begin(src), which returned mark. Exactly like
+// runWorker does for behaviors, it runs the slot's bound plan first and
+// on any plan error rolls the invocation back to mark, re-opens it —
+// begin reseeds the rand stream from (seed, tick, src), so the re-run
+// replays identical draws — and runs the slot's interpreter clone
+// instead, whose value, error or fuel exhaustion is authoritative. A
+// clean plan run is, by gslplan's contract, the interpreter's run:
+// same value, effects, read-set, draws and fuel. onPlan reports which
+// of the two produced the result.
+func (w *World) runTrigger(f *trigFn, wi, mark int, src entity.ID, ev *trigger.Event) (v script.Value, fuel int64, onPlan bool, err error) {
+	amount := ev.Field("amount")
+	if p := f.plans[wi]; p != nil {
+		pv, fuel, err := p.Run(w.cfg.ScriptFuel, entity.Int(int64(ev.Entity)), amount)
+		if err == nil {
+			return script.FromEntity(pv), fuel, true, nil
+		}
+		buf := w.workerBufs[wi]
+		buf.rollback(mark)
+		buf.begin(src)
+	}
+	in := f.ins[wi]
+	if in == nil {
+		in = script.NewInterp(f.prog, script.Options{
 			Fuel:     w.cfg.ScriptFuel,
 			Builtins: w.effectBuiltins(w.workerBufs[wi]),
-		}))
+		})
+		f.ins[wi] = in
 	}
-	if bt.cond == nil {
-		return
-	}
-	for len(bt.condIns) < n {
-		wi := len(bt.condIns)
-		bt.condIns = append(bt.condIns, script.NewInterp(bt.cond, script.Options{
-			Fuel:     w.cfg.ScriptFuel,
-			Builtins: w.effectBuiltins(w.workerBufs[wi]),
-		}))
-	}
+	v, err = in.Call(f.entry, script.Int(int64(ev.Entity)), script.FromEntity(amount))
+	return v, in.FuelUsed(), false, err
 }
 
 // drainTriggers runs the tick's trigger phase. In DirectTriggers mode
@@ -144,6 +200,20 @@ func (w *World) drainTriggers(st *TickStats) error {
 	return errors.Join(errs...)
 }
 
+// trigTally is one worker slot's share of a round's accounting, so the
+// parallel passes touch no shared counters.
+type trigTally struct {
+	fuel   int64
+	onPlan int // invocations that completed on a compiled plan
+}
+
+func (t *trigTally) add(fuel int64, onPlan bool) {
+	t.fuel += fuel
+	if onPlan {
+		t.onPlan++
+	}
+}
+
 // condResult is one match's condition outcome from the parallel pass.
 type condResult struct {
 	ok   bool
@@ -162,30 +232,35 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 	for _, buf := range bufs {
 		buf.reset()
 	}
+	// bound[mi] is match mi's content rule (nil for a host Go rule),
+	// resolved once here so the passes below index instead of hashing.
+	bound := w.boundBuf[:0]
 	for _, m := range matches {
-		if bt := w.trigBound[m.Rule]; bt != nil {
-			w.ensureTriggerClones(bt, workers)
+		bt := w.trigBound[m.Rule]
+		if bt != nil {
+			w.ensureTriggerSlots(bt, workers)
 		}
+		bound = append(bound, bt)
 	}
+	w.boundBuf = bound
 
 	// Cond: parallel read-only queries over the round-start state.
 	// Each match index is written by exactly one worker. The result and
-	// fuel buffers are World scratch reused across rounds.
+	// tally buffers are World scratch reused across rounds.
 	conds := w.condsBuf[:0]
 	for range matches {
 		conds = append(conds, condResult{})
 	}
 	w.condsBuf = conds
-	fuels := w.fuelsBuf[:0]
+	tallies := w.tallyBuf[:0]
 	for i := 0; i < workers; i++ {
-		fuels = append(fuels, 0)
+		tallies = append(tallies, trigTally{})
 	}
-	w.fuelsBuf = fuels
+	w.tallyBuf = tallies
 	w.fanOut(workers, len(matches), func(wi, lo, hi int) {
 		buf := w.workerBufs[wi]
 		for mi := lo; mi < hi; mi++ {
-			m := matches[mi]
-			bt := w.trigBound[m.Rule]
+			bt := bound[mi]
 			if bt == nil {
 				continue // host Go rule: resolved serially below
 			}
@@ -193,17 +268,16 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 				conds[mi].ok = true
 				continue
 			}
-			in := bt.condIns[wi]
-			mark := buf.begin(triggerSrc(round, mi))
+			src := triggerSrc(round, mi)
+			mark := buf.begin(src)
 			// Conditions contribute sampled wall time to the rule's
 			// profile (they are queries — effects roll back, so the
 			// exact counters come from the act pass alone).
 			tSample, sampling := bt.prof.BeginSample()
-			v, err := in.Call("cond",
-				script.Int(int64(m.Ev.Entity)), script.FromEntity(m.Ev.Field("amount")))
+			v, fuel, onPlan, err := w.runTrigger(bt.cond, wi, mark, src, &matches[mi].Ev)
 			bt.prof.EndSample(tSample, sampling)
 			buf.rollback(mark) // conditions are queries: discard any emission
-			fuels[wi] += in.FuelUsed()
+			tallies[wi].add(fuel, onPlan)
 			if err != nil {
 				if isFuelErr(err) {
 					conds[mi].skip = true
@@ -229,7 +303,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 	var errs []error
 	fires := w.firesBuf[:0]
 	for mi, m := range matches {
-		bt := w.trigBound[m.Rule]
+		bt := bound[mi]
 		if bt == nil {
 			if !w.trig.Alive(m) {
 				continue
@@ -299,16 +373,14 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		buf := w.workerBufs[wi]
 		for fi := lo; fi < hi; fi++ {
 			mi := fires[fi]
-			m := matches[mi]
-			bt := w.trigBound[m.Rule]
-			in := bt.actIns[wi]
+			bt := bound[mi]
+			src := triggerSrc(round, mi)
 			reads0 := len(buf.reads)
-			mark := buf.begin(triggerSrc(round, mi))
+			mark := buf.begin(src)
 			tSample, sampling := bt.prof.BeginSample()
-			_, err := in.Call("act",
-				script.Int(int64(m.Ev.Entity)), script.FromEntity(m.Ev.Field("amount")))
+			_, fuel, onPlan, err := w.runTrigger(bt.act, wi, mark, src, &matches[mi].Ev)
 			bt.prof.EndSample(tSample, sampling)
-			fuels[wi] += in.FuelUsed()
+			tallies[wi].add(fuel, onPlan)
 			if err != nil {
 				buf.rollback(mark)
 				if isFuelErr(err) {
@@ -319,7 +391,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 			}
 			if bt.prof != nil {
 				// Counted after rollback handling, like runWorker.
-				bt.prof.AddCall(in.FuelUsed(), int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
+				bt.prof.AddCall(fuel, int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
 				if err != nil {
 					if isFuelErr(err) {
 						bt.prof.AddSkip()
@@ -339,15 +411,16 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 			errs = append(errs, actErrs[fi])
 		}
 	}
-	for _, f := range fuels {
-		st.FuelUsed += f
+	for _, t := range tallies {
+		st.FuelUsed += t.fuel
+		st.TriggerCompiled += t.onPlan
 	}
 
 	// Apply: one deterministic merge ends the round; the events it
 	// posts become the next round's batch. Under the OCC conflict
 	// policy, losing trigger actions that read cells the winning set
-	// wrote re-run on worker slot 0's clones, looked up by the match's
-	// deterministic source id.
+	// wrote re-run on worker slot 0's executors, looked up by the
+	// match's deterministic source id.
 	if w.prof != nil {
 		// Round sources map back to their rule for conflict / retry /
 		// abort attribution, by the same arithmetic the OCC re-run uses.
@@ -355,7 +428,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		w.profOf = func(src entity.ID) *obs.ProfEntry {
 			mi := int(src - base)
 			if mi >= 0 && mi < len(matches) {
-				if bt := w.trigBound[matches[mi].Rule]; bt != nil {
+				if bt := bound[mi]; bt != nil {
 					return bt.prof
 				}
 			}
@@ -368,17 +441,20 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 			if mi < 0 || mi >= len(matches) {
 				return 0, fmt.Errorf("world: re-run source %d outside trigger round %d", src, round)
 			}
-			m := matches[mi]
-			bt := w.trigBound[m.Rule]
+			bt := bound[mi]
 			if bt == nil {
 				// Host Go rules run direct — their writes are never
 				// effects, so they can never lose a merge; defensive.
-				return 0, fmt.Errorf("world: host rule %q cannot re-run", m.Rule.Name)
+				return 0, fmt.Errorf("world: host rule %q cannot re-run", matches[mi].Rule.Name)
 			}
-			in := bt.actIns[0]
-			_, err := in.Call("act",
-				script.Int(int64(m.Ev.Entity)), script.FromEntity(m.Ev.Field("amount")))
-			return in.FuelUsed(), err
+			// The OCC loop has just opened the invocation on slot 0's
+			// buffer with nothing emitted yet, so its mark is the buffer's
+			// current length.
+			_, fuel, onPlan, err := w.runTrigger(bt.act, 0, len(bufs[0].effects), src, &matches[mi].Ev)
+			if onPlan {
+				st.TriggerCompiled++
+			}
+			return fuel, err
 		}
 		w.applyEffectsOCC(bufs, &st.TriggerEffects, &st.TriggerConflicts, st, rerun)
 	} else {

@@ -179,11 +179,14 @@ type World struct {
 	index *spatial.Grid
 	trig  *trigger.Engine
 
-	// trigBound maps content-pack rules to their compiled GSL programs
-	// and per-worker effect-mode interpreter clones. Rules absent from
-	// the map (host-registered Go rules) fall back to direct serial
+	// trigBound maps content-pack rules to their GSL programs, compiled
+	// plans and per-worker effect-mode executors. Rules absent from the
+	// map (host-registered Go rules) fall back to direct serial
 	// execution inside the round drain.
 	trigBound map[*trigger.Rule]*boundTrigger
+	// trigList holds the same bound rules in load order, for lookups by
+	// name (PlanFor).
+	trigList []*boundTrigger
 
 	nextID   entity.ID
 	idStride entity.ID
@@ -217,10 +220,10 @@ type World struct {
 	planProgs   map[string]*gslplan.Program
 	planFails   map[string]string
 	workerPlans []map[string]*gslplan.Plan
-	rosterBuf     []entity.ID
-	physTabs      []*entity.Table
-	physIDs       [][]entity.ID
-	mergeBuf      []Effect
+	rosterBuf   []entity.ID
+	physTabs    []*entity.Table
+	physIDs     [][]entity.ID
+	mergeBuf    []Effect
 
 	// Columnar-apply scratch (apply_batch.go), reused tick-to-tick.
 	setBatches []colBatch
@@ -234,7 +237,8 @@ type World struct {
 	// TakeRound/MatchRound fill, so popping and matching a cascade
 	// round allocates nothing in steady state.
 	condsBuf     []condResult
-	fuelsBuf     []int64
+	tallyBuf     []trigTally
+	boundBuf     []*boundTrigger
 	firesBuf     []int
 	actErrBuf    []error
 	actSkipBuf   []bool
@@ -320,8 +324,8 @@ type TickStats struct {
 	// discarded because the invocation exhausted its fuel budget (a
 	// skipped query, not an error — one greedy designer script must not
 	// stop the shard).
-	ScriptSkips  int
-	FuelUsed     int64
+	ScriptSkips int
+	FuelUsed    int64
 	// CompiledCalls counts behavior invocations that committed on the
 	// compiled query-plan path this tick (the rest of ScriptCalls ran on
 	// the interpreter, by fallback or because CompileBehaviors is off).
@@ -345,6 +349,14 @@ type TickStats struct {
 	// skipped query rather than an error.
 	TriggerErrors int
 	TriggerSkips  int
+	// TriggerCompiled counts trigger condition and action invocations
+	// that completed on a compiled query plan this tick (OCC re-runs
+	// included); the rest ran on the interpreter, because the body is
+	// not compilable or the plan invocation fell back. Content-pack
+	// rules compile unconditionally — Config.CompileBehaviors governs
+	// behaviors only, and CompiledCalls / ScriptCalls stay behavior
+	// counts.
+	TriggerCompiled int
 	// Effects is the number of effect records merged in the apply
 	// phase; EffectConflicts counts records dropped by deterministic
 	// conflict resolution (e.g. a set against an entity another
@@ -609,11 +621,11 @@ func (w *World) LoadContent(c *content.Compiled) error {
 }
 
 // bindTrigger wraps a compiled trigger's GSL programs as a trigger.Rule.
-// The rule carries direct-execution closures (used by Config
-// DirectTriggers mode and by hosts calling Fire/Drain on the engine
-// directly), and the compiled programs are also recorded in trigBound
-// so the effect-aware drain can run them on per-worker interpreter
-// clones emitting into effect buffers.
+// The rule carries direct-execution interpreter closures (used by
+// Config DirectTriggers mode and by hosts calling Fire/Drain on the
+// engine directly), and the programs and their query plans are also
+// recorded in trigBound so the effect-aware drain can run them per
+// worker slot, emitting into effect buffers.
 func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 	actIn := script.NewInterp(ct.Act, script.Options{
 		Fuel:     w.cfg.ScriptFuel,
@@ -625,7 +637,7 @@ func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 		Priority: ct.Priority,
 		Once:     ct.Once,
 		Action: func(ev trigger.Event) error {
-			_, err := actIn.Call("act",
+			_, err := actIn.Call(content.ActFn,
 				script.Int(int64(ev.Entity)), script.FromEntity(ev.Field("amount")))
 			return err
 		},
@@ -636,7 +648,7 @@ func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 			Builtins: w.builtins(),
 		})
 		rule.Cond = func(ev trigger.Event) (bool, error) {
-			v, err := condIn.Call("cond",
+			v, err := condIn.Call(content.CondFn,
 				script.Int(int64(ev.Entity)), script.FromEntity(ev.Field("amount")))
 			if err != nil {
 				return false, err
@@ -651,7 +663,16 @@ func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 	if err := w.trig.Register(rule); err != nil {
 		return err
 	}
-	w.trigBound[rule] = &boundTrigger{name: ct.Name, cond: ct.Cond, act: ct.Act}
+	bt := &boundTrigger{
+		name: ct.Name,
+		src:  ct,
+		act:  &trigFn{entry: content.ActFn, prog: ct.Act, plan: ct.ActPlan},
+	}
+	if ct.Cond != nil {
+		bt.cond = &trigFn{entry: content.CondFn, prog: ct.Cond, plan: ct.CondPlan}
+	}
+	w.trigBound[rule] = bt
+	w.trigList = append(w.trigList, bt)
 	return nil
 }
 
@@ -854,10 +875,7 @@ func (w *World) Nearby(id entity.ID, radius float64) []entity.ID {
 
 // Post queues an event for the tick's trigger drain.
 func (w *World) Post(name string, id entity.ID, amount entity.Value) {
-	w.trig.Post(trigger.Event{
-		Name: name, Entity: id,
-		Fields: map[string]entity.Value{"amount": amount},
-	})
+	w.trig.Post(trigger.Event{Name: name, Entity: id, Amount: amount})
 }
 
 // Entities returns the total entity count, ghosts included.
