@@ -340,16 +340,33 @@ func (t *Table) setColumnBatch(col string, ids []ID, vals []Value, rows []int, t
 // skips every row. Like SetColumnBatch, change listeners are not
 // invoked — callers reconcile derived state after the batch.
 func (t *Table) AddColumnBatch(col string, ids []ID, deltas []Value) (int, error) {
+	skipped, _, err := t.addColumnBatch(col, ids, deltas, nil, false)
+	return skipped, err
+}
+
+// AddColumnBatchRows is AddColumnBatch that additionally appends each
+// id's row index to rows (-1 when the delta was skipped), under the same
+// contract as SetColumnBatchRows.
+func (t *Table) AddColumnBatchRows(col string, ids []ID, deltas []Value, rows []int) (int, []int, error) {
+	return t.addColumnBatch(col, ids, deltas, rows, true)
+}
+
+func (t *Table) addColumnBatch(col string, ids []ID, deltas []Value, rows []int, trackRows bool) (int, []int, error) {
 	if len(ids) != len(deltas) {
-		return 0, fmt.Errorf("entity: batch length mismatch: %d ids, %d deltas", len(ids), len(deltas))
+		return 0, rows, fmt.Errorf("entity: batch length mismatch: %d ids, %d deltas", len(ids), len(deltas))
 	}
 	ci, ok := t.schema.Col(col)
 	if !ok {
-		return 0, fmt.Errorf("%w: %q in %q", ErrNoColumn, col, t.name)
+		return 0, rows, fmt.Errorf("%w: %q in %q", ErrNoColumn, col, t.name)
 	}
 	kind := t.schema.ColAt(ci).Kind
 	if kind != KindInt && kind != KindFloat {
-		return len(ids), nil
+		if trackRows {
+			for range ids {
+				rows = append(rows, -1)
+			}
+		}
+		return len(ids), rows, nil
 	}
 	column := t.cols[ci]
 	hashIx := t.hash[col]
@@ -357,27 +374,21 @@ func (t *Table) AddColumnBatch(col string, ids []ID, deltas []Value) (int, error
 	skipped := 0
 	for i, id := range ids {
 		r, has := t.rowOf[id]
+		var v Value
+		if has {
+			v, has = addDelta(kind, column[r], deltas[i])
+		}
 		if !has {
 			skipped++
+			if trackRows {
+				rows = append(rows, -1)
+			}
 			continue
 		}
-		old := column[r]
-		var v Value
-		if kind == KindInt {
-			d, okI := deltas[i].AsInt()
-			if !okI {
-				skipped++
-				continue
-			}
-			v = Int(old.Int() + d)
-		} else {
-			d, okF := deltas[i].AsFloat()
-			if !okF {
-				skipped++
-				continue
-			}
-			v = Float(old.Float() + d)
+		if trackRows {
+			rows = append(rows, r)
 		}
+		old := column[r]
 		if old == v {
 			continue
 		}
@@ -391,7 +402,18 @@ func (t *Table) AddColumnBatch(col string, ids []ID, deltas []Value) (int, error
 			orderedIx.Insert(v, id)
 		}
 	}
-	return skipped, nil
+	return skipped, rows, nil
+}
+
+// addDelta returns old + d for a numeric column of the given kind, or
+// false when d cannot coerce to it.
+func addDelta(kind Kind, old, d Value) (Value, bool) {
+	if kind == KindInt {
+		di, ok := d.AsInt()
+		return Int(old.Int() + di), ok
+	}
+	df, ok := d.AsFloat()
+	return Float(old.Float() + df), ok
 }
 
 // Row returns a copy of the entity's row in schema column order.

@@ -3,6 +3,7 @@ package gslplan
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gamedb/internal/entity"
@@ -52,6 +53,7 @@ type compiler struct {
 	scopes   []map[string]varRef
 	slotName []string // scalar slot → unique display name (the query Desc)
 	listName []string // list slot → display name
+	ranging  []int    // list slots the enclosing for-in statements range over
 	exprs    []query.Expr
 	used     map[string]bool
 	ntmp     int
@@ -325,7 +327,9 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 		f.varSlot = loopVar.slot
 		c.line("for %s in %s:  -- scan neighbor list", c.slotName[loopVar.slot], seqText)
 		c.depth++
+		c.ranging = append(c.ranging, f.seqSlot)
 		body, err := c.compileStmts(st.Body.Stmts)
+		c.ranging = c.ranging[:len(c.ranging)-1]
 		c.depth--
 		c.pop()
 		if err != nil {
@@ -396,6 +400,7 @@ func (c *compiler) compileNearby(call *script.CallExpr, name string, dest int) (
 	}
 	op := &nearbyOp{
 		dest:   dest,
+		fresh:  slices.Contains(c.ranging, dest),
 		idArg:  idArg,
 		radArg: radArg,
 		text:   fmt.Sprintf("nearby(%s, %s)  -- spatial-index probe, reads (id.x, id.y)", idArg.render(), radArg.render()),

@@ -42,10 +42,10 @@ type Env interface {
 	// Get reads a column of any entity, logging (id, col) into the
 	// invocation read-set after a successful read.
 	Get(id entity.ID, col string) (entity.Value, error)
-	// Nearby returns ids within radius of the entity (excluding it,
-	// sorted), logging the query center's (id, x) and (id, y) cells
-	// before the spatial probe.
-	Nearby(id entity.ID, radius float64) []entity.ID
+	// AppendNearby appends to dst the ids within radius of the entity
+	// (excluding it, sorted) and returns the extended slice, logging the
+	// query center's (id, x) and (id, y) cells before the spatial probe.
+	AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID
 	// Dist returns the distance between two entities' indexed
 	// positions (+Inf when either has none), logging each present
 	// entity's x/y cells.

@@ -3,7 +3,7 @@ package gslplan
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,22 +59,22 @@ func (h *fakeHost) Get(id entity.ID, col string) (entity.Value, error) {
 	return v, nil
 }
 
-func (h *fakeHost) Nearby(id entity.ID, radius float64) []entity.ID {
+func (h *fakeHost) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID {
 	h.logf("read %d.x", id)
 	h.logf("read %d.y", id)
 	p, ok := h.pos[id]
 	if !ok {
-		return nil
+		return dst
 	}
-	var out []entity.ID
+	base := len(dst)
 	for other, q := range h.pos {
 		if other != id && math.Hypot(p[0]-q[0], p[1]-q[1]) <= radius {
-			out = append(out, other)
+			dst = append(dst, other)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	h.logf("probe %d r=%v -> %v", id, radius, out)
-	return out
+	slices.Sort(dst[base:])
+	h.logf("probe %d r=%v -> %v", id, radius, dst[base:])
+	return dst
 }
 
 func (h *fakeHost) Dist(a, b entity.ID) float64 {
@@ -219,7 +219,7 @@ func (h *fakeHost) builtins() []script.Builtin {
 			if !ok {
 				return null, fmt.Errorf("fake: radius must be numeric")
 			}
-			ids := h.Nearby(id, r)
+			ids := h.AppendNearby(nil, id, r)
 			out := make([]script.Value, len(ids))
 			for i, got := range ids {
 				out[i] = script.Int(int64(got))

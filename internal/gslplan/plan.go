@@ -208,9 +208,14 @@ func (o *hoistOp) run(r *runner) error {
 func (o *hoistOp) str() string { return o.text }
 
 // nearbyOp runs the spatial-index probe for a nearby(...) call and
-// stores the resulting id list into a list slot.
+// stores the resulting id list into a list slot, refilling the slot's
+// own backing array: slots are only ever assigned by nearby ops, so no
+// other slot aliases it. The one reader that can outlive a refill is an
+// enclosing for-in ranging over this very slot; the compiler marks such
+// ops fresh and they get a new array instead.
 type nearbyOp struct {
 	dest   int
+	fresh  bool
 	idArg  valPlan
 	radArg valPlan
 	text   string
@@ -234,7 +239,11 @@ func (o *nearbyOp) run(r *runner) error {
 	if !ok {
 		return fmt.Errorf("gslplan: nearby radius must be a number, got %s", radv.Kind())
 	}
-	r.lists[o.dest] = r.env.Nearby(id, rad)
+	var dst []entity.ID
+	if !o.fresh {
+		dst = r.lists[o.dest][:0]
+	}
+	r.lists[o.dest] = r.env.AppendNearby(dst, id, rad)
 	return nil
 }
 

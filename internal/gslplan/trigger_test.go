@@ -50,6 +50,12 @@ var coverageTriggerBodies = []struct{ entry, body string }{
 		}
 		for a in ns { for b in nearby(a, 4.0) { add(b, "boom", 1); } }
 		return "done";`},
+	// The loop body refills the list the loop ranges over: the loop must
+	// keep walking the list it started on.
+	{"act", `
+		let ns = nearby(self, 20.0);
+		for a in ns { ns = nearby(a, 7.0); add(a, "boom", len(ns)); }
+		return len(ns);`},
 }
 
 // sweepFuel pins one trigger body against the interpreter at every fuel

@@ -1,0 +1,84 @@
+package shard
+
+import (
+	"runtime"
+	"testing"
+
+	"gamedb/internal/spatial"
+	"gamedb/internal/world"
+)
+
+// Allocation budgets: the benchmark's crowds (bench/workloads.go — same
+// sizes, shards, one worker each, seed 2009), each held to about twice
+// the heap objects per tick it measures after 20 warm-up ticks. A
+// regression that doubles a tick's allocations fails here, in tier-1,
+// not only in the benchmark.
+
+func benchConfig(shards int) Config {
+	return Config{
+		Seed: 2009, Shards: shards, World: spatial.NewRect(0, 0, 2000, 2000),
+		CellSize: 16, TickDT: 0.5, GhostBand: 24, Workers: 1,
+	}
+}
+
+func checkAllocBudget(t *testing.T, name string, budget float64, cfg Config, seed func(*Runtime) error, ticks int) {
+	t.Helper()
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if err := seed(rt); err != nil {
+		t.Fatal(err)
+	}
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := rt.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	step(20)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	step(ticks)
+	runtime.ReadMemStats(&after)
+	perTick := float64(after.Mallocs-before.Mallocs) / float64(ticks)
+	if perTick > budget {
+		t.Fatalf("%s tick allocates %.0f objects, budget %.0f", name, perTick, budget)
+	}
+	t.Logf("%s tick allocates %.0f objects (budget %.0f)", name, perTick, budget)
+}
+
+// TestCascadeAllocBudget: 1000 pulsers, 4 shards. Interpreted triggers
+// cost about 78 000 mallocs per tick here; on plans the tick is left
+// with the interpreted pulse behavior and the barrier, about 5 200.
+func TestCascadeAllocBudget(t *testing.T) {
+	checkAllocBudget(t, "cascade", 10_000, benchConfig(4), func(rt *Runtime) error {
+		return SeedCascadeCrowd(rt, 1000, 2000, 2009, 30)
+	}, 50)
+}
+
+// TestDriftAllocBudget: 8000 drifting units, 8 shards, a rebalance every
+// 50 ticks. With a bucket re-created for nearly every move the tick cost
+// about 7 500 mallocs; recycled buckets leave the barrier's, about 1 200.
+func TestDriftAllocBudget(t *testing.T) {
+	cfg := benchConfig(8)
+	cfg.RebalanceEvery = 50
+	checkAllocBudget(t, "drift", 2_500, cfg, func(rt *Runtime) error {
+		return SeedDriftingCrowd(rt, 8000, 2000, 2009, 40)
+	}, 100)
+}
+
+// TestMingleAllocBudget: 8000 minglers on compiled behaviors, 4 shards,
+// the world widened like the benchmark's so no unit leaves it.
+func TestMingleAllocBudget(t *testing.T) {
+	cfg := benchConfig(4)
+	cfg.World = spatial.NewRect(-2000, -2000, 4000, 4000)
+	cfg.GhostBand = 20
+	cfg.GhostFields = MingleGhostFields()
+	cfg.CompileBehaviors = world.CompileOn
+	checkAllocBudget(t, "mingle", 2_500, cfg, func(rt *Runtime) error {
+		return SeedMingleCrowd(rt, 8000, 2000, 2009, 30)
+	}, 30)
+}

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -336,6 +337,11 @@ type Runtime struct {
 	byShardBuf map[int][]world.ForeignInvalidation
 	shardsBuf  []int
 	countsBuf  []int64
+
+	// desiredBuf is collectBarrier's per-destination candidate maps,
+	// cleared and refilled every barrier; reconcileGhosts only reads them
+	// and nothing keeps them past it.
+	desiredBuf []map[entity.ID]ghostCandidate
 
 	// coordSpans is the coordinator's span context (parallel phase and
 	// barrier), nil when tracing is off.
@@ -803,9 +809,12 @@ func (rt *Runtime) collectBarrier() ([]migration, []map[entity.ID]ghostCandidate
 	ghostsOn := rt.cfg.GhostBand > 0 && n > 1
 	band2 := rt.cfg.GhostBand * rt.cfg.GhostBand
 	regions := rt.part.Regions()
-	desired := make([]map[entity.ID]ghostCandidate, n)
-	for i := range desired {
-		desired[i] = make(map[entity.ID]ghostCandidate)
+	for len(rt.desiredBuf) < n {
+		rt.desiredBuf = append(rt.desiredBuf, make(map[entity.ID]ghostCandidate))
+	}
+	desired := rt.desiredBuf[:n]
+	for _, m := range desired {
+		clear(m)
 	}
 	var migs []migration
 	for si, w := range rt.worlds {
@@ -852,7 +861,7 @@ func (rt *Runtime) collectBarrier() ([]migration, []map[entity.ID]ghostCandidate
 // intact on its source.
 func (rt *Runtime) applyHandoff(migs []migration) error {
 	rt.routeDirty = len(migs) > 0
-	sort.Slice(migs, func(i, j int) bool { return migs[i].id < migs[j].id })
+	slices.SortFunc(migs, func(a, b migration) int { return cmp.Compare(a.id, b.id) })
 	for _, m := range migs {
 		dst := rt.worlds[m.dst]
 		// The destination may hold a ghost mirror of this entity; the

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -101,42 +100,4 @@ func TestCompiledTriggerHashTrajectoryAcrossGrid(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestCascadeAllocBudget holds the cascade tick to an allocation
-// budget: the benchmark's cascade workload (1000 pulsers, 4 shards, one
-// worker each) after 20 warm-up ticks. Interpreted triggers cost about
-// 78 000 mallocs per tick here; on plans the tick is left with the
-// interpreted pulse behavior and the barrier, about 6 000.
-func TestCascadeAllocBudget(t *testing.T) {
-	const budget = 20_000
-	rt, err := New(Config{
-		Seed: 2009, Shards: 4, World: spatial.NewRect(0, 0, 2000, 2000),
-		CellSize: 16, TickDT: 0.5, GhostBand: 24, Workers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	if err := SeedCascadeCrowd(rt, 1000, 2000, 2009, 30); err != nil {
-		t.Fatal(err)
-	}
-	step := func(n int) {
-		for i := 0; i < n; i++ {
-			if _, err := rt.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	step(20)
-	const ticks = 50
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	step(ticks)
-	runtime.ReadMemStats(&after)
-	perTick := float64(after.Mallocs-before.Mallocs) / ticks
-	if perTick > budget {
-		t.Fatalf("cascade tick allocates %.0f objects, budget %d", perTick, budget)
-	}
-	t.Logf("cascade tick allocates %.0f objects (budget %d)", perTick, budget)
 }

@@ -7,10 +7,55 @@ import "math"
 // The paper's Performance section names it implicitly ("traditional
 // spatial indices"); the band-join operator in the query package builds
 // on it.
+//
+// Each entity owns one slot and one bucket entry. Three structures
+// address them:
+//
+//   - slotOf maps an id to its slot, the only per-entity hash lookup; a
+//     slot records the entity's position, the cell key it falls in, the
+//     bucket holding it and its index there, so Pos and a same-cell Move
+//     never touch the directory.
+//   - dir maps an occupied cell to its bucket (the directory).
+//   - a bucket holds the cell's points (what queries scan) and, parallel
+//     to them, each point's slot, so a swap-remove can re-point the entry
+//     it moved without hashing its id.
+//
+// Invariants (checked after every operation by the model test):
+//
+//   - every id in slotOf sits in exactly one bucket, the one dir holds
+//     under CellAt of its position, at the index its slot records; that
+//     entry carries the same id and position and names the slot back;
+//   - dir reaches exactly the non-empty buckets;
+//   - a bucket that empties leaves dir and joins freeBuckets with its
+//     capacity kept, so a crowd that drifts across cells allocates no
+//     buckets in steady state; a removed id's slot joins freeSlots; the
+//     free lists and the live slots and buckets are disjoint.
+//
+// Bucket order is append on entry, swap-with-last on exit.
 type Grid struct {
-	cell  float64
-	cells map[CellKey][]Point
-	pos   map[ID]Vec2
+	cell float64
+
+	slotOf    map[ID]int32
+	slots     []gridSlot
+	freeSlots []int32
+
+	dir         map[CellKey]int32
+	buckets     []gridBucket
+	freeBuckets []int32
+}
+
+// gridSlot locates one entity: it is buckets[bucket].pts[idx], in cell
+// key, at pos.
+type gridSlot struct {
+	pos         Vec2
+	key         CellKey
+	bucket, idx int32
+}
+
+// gridBucket is one occupied cell; slots[i] is the slot of pts[i].
+type gridBucket struct {
+	pts   []Point
+	slots []int32
 }
 
 // CellKey identifies one cell of a uniform grid in cell coordinates.
@@ -70,9 +115,9 @@ func NewGrid(cellSize float64) *Grid {
 		panic("spatial: grid cell size must be positive")
 	}
 	return &Grid{
-		cell:  cellSize,
-		cells: make(map[CellKey][]Point),
-		pos:   make(map[ID]Vec2),
+		cell:   cellSize,
+		slotOf: make(map[ID]int32),
+		dir:    make(map[CellKey]int32),
 	}
 }
 
@@ -85,78 +130,112 @@ func (g *Grid) keyFor(p Vec2) CellKey { return CellAt(p, g.cell) }
 // cell size.
 func (g *Grid) CellOf(p Vec2) CellKey { return g.keyFor(p) }
 
+// cellPts returns the points stored in cell k (nil when unoccupied).
+func (g *Grid) cellPts(k CellKey) []Point {
+	b, ok := g.dir[k]
+	if !ok {
+		return nil
+	}
+	return g.buckets[b].pts
+}
+
 // ForEachInCell visits every point stored in cell k (unspecified
 // order). Iteration stops early if fn returns false.
 func (g *Grid) ForEachInCell(k CellKey, fn func(id ID, p Vec2) bool) {
-	for _, pt := range g.cells[k] {
+	for _, pt := range g.cellPts(k) {
 		if !fn(pt.ID, pt.Pos) {
 			return
 		}
 	}
 }
 
-// Insert implements Index.
-func (g *Grid) Insert(id ID, p Vec2) {
-	if old, ok := g.pos[id]; ok {
-		ok2 := g.removeFromCell(g.keyFor(old), id)
-		_ = ok2
-	}
+// link appends slot s (holding id) to the bucket of p's cell, taking a
+// recycled bucket when the cell was unoccupied.
+func (g *Grid) link(s int32, id ID, p Vec2) {
 	k := g.keyFor(p)
-	g.cells[k] = append(g.cells[k], Point{ID: id, Pos: p})
-	g.pos[id] = p
+	b, ok := g.dir[k]
+	if !ok {
+		if n := len(g.freeBuckets); n > 0 {
+			b = g.freeBuckets[n-1]
+			g.freeBuckets = g.freeBuckets[:n-1]
+		} else {
+			b = int32(len(g.buckets))
+			g.buckets = append(g.buckets, gridBucket{})
+		}
+		g.dir[k] = b
+	}
+	bk := &g.buckets[b]
+	g.slots[s] = gridSlot{pos: p, key: k, bucket: b, idx: int32(len(bk.pts))}
+	bk.pts = append(bk.pts, Point{ID: id, Pos: p})
+	bk.slots = append(bk.slots, s)
 }
 
-func (g *Grid) removeFromCell(k CellKey, id ID) bool {
-	pts := g.cells[k]
-	for i := range pts {
-		if pts[i].ID == id {
-			pts[i] = pts[len(pts)-1]
-			pts = pts[:len(pts)-1]
-			if len(pts) == 0 {
-				delete(g.cells, k)
-			} else {
-				g.cells[k] = pts
-			}
-			return true
-		}
+// unlink swap-removes slot s's entry from its bucket, retiring the
+// bucket when it empties.
+func (g *Grid) unlink(s int32) {
+	sl := &g.slots[s]
+	bk := &g.buckets[sl.bucket]
+	last := int32(len(bk.pts) - 1)
+	if sl.idx != last {
+		moved := bk.slots[last]
+		bk.pts[sl.idx] = bk.pts[last]
+		bk.slots[sl.idx] = moved
+		g.slots[moved].idx = sl.idx
 	}
-	return false
+	bk.pts = bk.pts[:last]
+	bk.slots = bk.slots[:last]
+	if last == 0 {
+		delete(g.dir, sl.key)
+		g.freeBuckets = append(g.freeBuckets, sl.bucket)
+	}
+}
+
+// Insert implements Index.
+func (g *Grid) Insert(id ID, p Vec2) {
+	s, ok := g.slotOf[id]
+	if ok {
+		g.unlink(s)
+	} else {
+		if n := len(g.freeSlots); n > 0 {
+			s = g.freeSlots[n-1]
+			g.freeSlots = g.freeSlots[:n-1]
+		} else {
+			s = int32(len(g.slots))
+			g.slots = append(g.slots, gridSlot{})
+		}
+		g.slotOf[id] = s
+	}
+	g.link(s, id, p)
 }
 
 // Remove implements Index.
 func (g *Grid) Remove(id ID) bool {
-	p, ok := g.pos[id]
+	s, ok := g.slotOf[id]
 	if !ok {
 		return false
 	}
-	g.removeFromCell(g.keyFor(p), id)
-	delete(g.pos, id)
+	g.unlink(s)
+	delete(g.slotOf, id)
+	g.freeSlots = append(g.freeSlots, s)
 	return true
 }
 
-// Move implements Index. Moves within a cell only update the stored
-// position, which keeps the common small-step case cheap.
+// Move implements Index. A move within a cell is one lookup and two
+// stores; a move across cells is an O(1) swap-remove plus one directory
+// lookup.
 func (g *Grid) Move(id ID, p Vec2) {
-	old, ok := g.pos[id]
+	s, ok := g.slotOf[id]
 	if !ok {
 		g.Insert(id, p)
 		return
 	}
-	ok1, k1 := g.keyFor(old), g.keyFor(p)
-	if ok1 == k1 {
-		pts := g.cells[k1]
-		for i := range pts {
-			if pts[i].ID == id {
-				pts[i].Pos = p
-				break
-			}
-		}
-		g.pos[id] = p
+	if sl := &g.slots[s]; sl.key == g.keyFor(p) {
+		sl.pos = p
+		g.buckets[sl.bucket].pts[sl.idx].Pos = p
 		return
 	}
-	g.removeFromCell(ok1, id)
-	g.cells[k1] = append(g.cells[k1], Point{ID: id, Pos: p})
-	g.pos[id] = p
+	g.unlink(s)
+	g.link(s, id, p)
 }
 
 // MoveBatch applies a batch of position updates in one pass, the flush
@@ -175,12 +254,15 @@ func (g *Grid) MoveBatch(pts []Point) {
 
 // Pos implements Index.
 func (g *Grid) Pos(id ID) (Vec2, bool) {
-	p, ok := g.pos[id]
-	return p, ok
+	s, ok := g.slotOf[id]
+	if !ok {
+		return Vec2{}, false
+	}
+	return g.slots[s].pos, true
 }
 
 // Len implements Index.
-func (g *Grid) Len() int { return len(g.pos) }
+func (g *Grid) Len() int { return len(g.slotOf) }
 
 // QueryRect implements Index.
 func (g *Grid) QueryRect(r Rect, fn func(id ID, p Vec2) bool) {
@@ -188,7 +270,7 @@ func (g *Grid) QueryRect(r Rect, fn func(id ID, p Vec2) bool) {
 	hi := g.keyFor(r.Max)
 	for cy := lo.Y; cy <= hi.Y; cy++ {
 		for cx := lo.X; cx <= hi.X; cx++ {
-			for _, pt := range g.cells[CellKey{cx, cy}] {
+			for _, pt := range g.cellPts(CellKey{cx, cy}) {
 				if r.Contains(pt.Pos) {
 					if !fn(pt.ID, pt.Pos) {
 						return
@@ -207,7 +289,7 @@ func (g *Grid) QueryCircle(c Vec2, radius float64, fn func(id ID, p Vec2) bool) 
 	hi := g.keyFor(bound.Max)
 	for cy := lo.Y; cy <= hi.Y; cy++ {
 		for cx := lo.X; cx <= hi.X; cx++ {
-			for _, pt := range g.cells[CellKey{cx, cy}] {
+			for _, pt := range g.cellPts(CellKey{cx, cy}) {
 				if pt.Pos.Dist2(c) <= r2 {
 					if !fn(pt.ID, pt.Pos) {
 						return
@@ -223,12 +305,12 @@ func (g *Grid) QueryCircle(c Vec2, radius float64, fn func(id ID, p Vec2) bool) 
 // the kth-best candidate.
 func (g *Grid) KNN(c Vec2, k int) []Neighbor {
 	acc := newKNNAcc(k)
-	if k <= 0 || len(g.pos) == 0 {
+	if k <= 0 || len(g.slotOf) == 0 {
 		return nil
 	}
 	center := g.keyFor(c)
 	scanCell := func(ck CellKey) {
-		for _, pt := range g.cells[ck] {
+		for _, pt := range g.cellPts(ck) {
 			acc.offer(pt.ID, pt.Pos, pt.Pos.Dist2(c))
 		}
 	}
@@ -236,7 +318,7 @@ func (g *Grid) KNN(c Vec2, k int) []Neighbor {
 	// maxRing bounds the walk for sparse grids: the ring at which every
 	// occupied cell must have been visited.
 	maxRing := int32(1)
-	for ck := range g.cells {
+	for ck := range g.dir {
 		dx := ck.X - center.X
 		if dx < 0 {
 			dx = -dx

@@ -104,3 +104,38 @@ func TestMoveBatchDuplicateIDsLastWins(t *testing.T) {
 		t.Fatalf("duplicate moves left %d grid entries, want 1", count)
 	}
 }
+
+// BenchmarkGridMoveBatch moves 8000 points per batch: "same-cell" jitters
+// each inside its cell (one lookup and two stores per move), "cross-cell"
+// sends each to a neighboring cell and back (unlink, directory lookup,
+// link — on a sparse grid, where most cells empty and refill), "mixed"
+// crosses with one point in eight.
+func BenchmarkGridMoveBatch(b *testing.B) {
+	const n, cell = 8000, 16.0
+	for _, bc := range []struct {
+		name  string
+		cross int // every cross-th point changes cell; 0 = none
+	}{{"same-cell", 0}, {"mixed", 8}, {"cross-cell", 1}} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(5))
+			g := NewGrid(cell)
+			home := make([]Point, n)
+			away := make([]Point, n)
+			for i := range home {
+				p := Vec2{X: rng.Float64() * 2000, Y: rng.Float64() * 2000}
+				home[i] = Point{ID: ID(i + 1), Pos: p}
+				away[i] = Point{ID: ID(i + 1), Pos: Vec2{X: p.X + 0.01, Y: p.Y}}
+				if bc.cross > 0 && i%bc.cross == 0 {
+					away[i].Pos.X = p.X + cell
+				}
+				g.Insert(home[i].ID, p)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.MoveBatch(away)
+				g.MoveBatch(home)
+			}
+		})
+	}
+}

@@ -21,6 +21,8 @@ package world
 // which no hashed state observes.
 
 import (
+	"slices"
+
 	"gamedb/internal/entity"
 	"gamedb/internal/spatial"
 )
@@ -36,6 +38,9 @@ type colBatch struct {
 	pos  bool
 	ids  []entity.ID
 	vals []entity.Value
+	// rows[i] is the row the batch write resolved ids[i] to, -1 when the
+	// write was skipped; flushMoves reads positions through it.
+	rows []int
 }
 
 // resetBatches empties the group list while keeping the per-group
@@ -47,6 +52,7 @@ func resetBatches(bs []colBatch) []colBatch {
 		bs[i].tab = nil
 		bs[i].ids = bs[i].ids[:0]
 		bs[i].vals = bs[i].vals[:0]
+		bs[i].rows = bs[i].rows[:0]
 	}
 	return bs[:0]
 }
@@ -143,24 +149,8 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 	// the aggregate conflict tally only: the batch entry points report
 	// how many records skipped, not which, so per-unit profiling
 	// attribution covers the per-record sites above instead.
-	for i := range w.setBatches {
-		g := &w.setBatches[i]
-		skipped, err := g.tab.SetColumnBatch(g.col, g.ids, g.vals)
-		if err != nil {
-			*conflicts += len(g.ids)
-			continue
-		}
-		*conflicts += skipped
-	}
-	for i := range w.addBatches {
-		g := &w.addBatches[i]
-		skipped, err := g.tab.AddColumnBatch(g.col, g.ids, g.vals)
-		if err != nil {
-			*conflicts += len(g.ids)
-			continue
-		}
-		*conflicts += skipped
-	}
+	w.writeBatches(w.setBatches, (*entity.Table).SetColumnBatchRows, conflicts)
+	w.writeBatches(w.addBatches, (*entity.Table).AddColumnBatchRows, conflicts)
 
 	if posDirty {
 		w.flushMoves()
@@ -169,50 +159,91 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 	w.addBatches = resetBatches(w.addBatches)
 }
 
+// writeBatches writes every group through one batch entry point, keeping
+// the row index each id resolved to (-1 when skipped) for flushMoves.
+func (w *World) writeBatches(bs []colBatch, write func(*entity.Table, string, []entity.ID, []entity.Value, []int) (int, []int, error), conflicts *int) {
+	for i := range bs {
+		g := &bs[i]
+		skipped, rows, err := write(g.tab, g.col, g.ids, g.vals, g.rows)
+		if err != nil {
+			*conflicts += len(g.ids)
+			continue
+		}
+		g.rows = rows
+		*conflicts += skipped
+	}
+}
+
 // flushMoves re-syncs the spatial index after the columnar passes: one
 // sweep over the position groups reading each touched entity's final
-// (x, y), then one grid MoveBatch. An entity typically sits in several
+// (x, y) at the row its batch write resolved, then one grid MoveBatch.
+// No insert or delete lands between the writes and the flush, so the
+// row indices are still valid. An entity typically sits in several
 // position groups (set-x and set-y from move_toward, add-x and add-y
-// from physics), so a seen-set dedupes the flush to one entry per
-// moved entity. Entities whose row vanished (a skipped write against a
-// previously despawned id) never moved, so they are simply not
-// flushed; moves to an unchanged position are no-ops inside the grid.
+// from physics), so the flush dedupes to one entry per moved entity —
+// its first occurrence in group order — by stamping the row with this
+// flush's epoch. A skipped write (row -1: a vanished row, a kind
+// mismatch) moved nothing and is not flushed; moves to an unchanged
+// position are no-ops inside the grid.
 func (w *World) flushMoves() {
-	if w.moveSeen == nil {
-		w.moveSeen = make(map[entity.ID]struct{})
-	}
+	w.moveEpoch++
 	moves := w.moveBuf[:0]
 	collect := func(bs []colBatch) {
 		for i := range bs {
 			g := &bs[i]
-			if !g.pos || len(g.ids) == 0 {
+			if !g.pos || len(g.rows) == 0 {
 				continue
 			}
-			s := g.tab.Schema()
-			xci, _ := s.Col("x")
-			yci, _ := s.Col("y")
-			for _, id := range g.ids {
-				if _, dup := w.moveSeen[id]; dup {
+			seen := w.stampsFor(g.tab)
+			xci, yci := posCols(g.tab)
+			for j, r := range g.rows {
+				if r < 0 || seen[r] == w.moveEpoch {
 					continue
 				}
-				r, ok := g.tab.RowIndex(id)
-				if !ok {
-					continue
-				}
-				w.moveSeen[id] = struct{}{}
-				moves = append(moves, spatial.Point{
-					ID: spatial.ID(id),
-					Pos: spatial.Vec2{
-						X: g.tab.ValueAt(xci, r).Float(),
-						Y: g.tab.ValueAt(yci, r).Float(),
-					},
-				})
+				seen[r] = w.moveEpoch
+				moves = append(moves, pointAt(g.tab, xci, yci, g.ids[j], r))
 			}
 		}
 	}
 	collect(w.setBatches)
 	collect(w.addBatches)
-	clear(w.moveSeen)
 	w.moveBuf = moves
 	w.index.MoveBatch(moves)
+}
+
+// rowStamps is one spatial table's row-indexed flush stamps, kept by
+// table name so they survive (harmlessly stale) a ResetState.
+type rowStamps struct {
+	table string
+	seen  []uint64
+}
+
+// stampsFor returns tab's stamps, covering every current row. A world
+// has a spatial table or two, so a linear scan beats a map.
+func (w *World) stampsFor(tab *entity.Table) []uint64 {
+	i := slices.IndexFunc(w.moveStamps, func(m rowStamps) bool { return m.table == tab.Name() })
+	if i < 0 {
+		i = len(w.moveStamps)
+		w.moveStamps = append(w.moveStamps, rowStamps{table: tab.Name()})
+	}
+	m := &w.moveStamps[i]
+	if n := tab.Len(); len(m.seen) < n {
+		m.seen = make([]uint64, n+n/4)
+	}
+	return m.seen
+}
+
+// posCols resolves a spatial table's x and y column indices.
+func posCols(t *entity.Table) (xci, yci int) {
+	xci, _ = t.Schema().Col("x")
+	yci, _ = t.Schema().Col("y")
+	return xci, yci
+}
+
+// pointAt reads id's indexed position from row r of its table.
+func pointAt(t *entity.Table, xci, yci int, id entity.ID, r int) spatial.Point {
+	return spatial.Point{ID: spatial.ID(id), Pos: spatial.Vec2{
+		X: t.ValueAt(xci, r).Float(),
+		Y: t.ValueAt(yci, r).Float(),
+	}}
 }

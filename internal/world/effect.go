@@ -11,7 +11,7 @@ package world
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/spatial"
@@ -416,7 +416,7 @@ func (w *World) applyEffects(bufs []*EffectBuffer, effects, conflicts *int) {
 }
 
 // collectMerge concatenates the workers' buffers into the world's merge
-// scratch and sorts the result into the deterministic (source id,
+// scratch and orders the result into the deterministic (source id,
 // source order) apply sequence. The returned slice aliases w.mergeBuf;
 // it is valid until the next collectMerge.
 func (w *World) collectMerge(bufs []*EffectBuffer) []Effect {
@@ -432,19 +432,96 @@ func (w *World) collectMerge(bufs []*EffectBuffer) []Effect {
 		merged = append(merged, b.effects...)
 	}
 	w.mergeBuf = merged[:0]
-	sortEffects(merged)
+	w.sortEffects(merged)
 	return merged
 }
 
+// effKey is one record's place in the merge order — its (source id,
+// source order) plus its index in the unordered sequence — so ordering
+// moves 16-byte keys, not 128-byte records.
+type effKey struct {
+	src entity.ID
+	seq int32
+	idx int32
+}
+
+func (a effKey) before(b effKey) bool {
+	return a.src < b.src || (a.src == b.src && a.seq < b.seq)
+}
+
 // sortEffects orders records by (source id, source order) — the one
-// total order every apply pass consumes.
-func sortEffects(merged []Effect) {
-	sort.Slice(merged, func(i, j int) bool {
-		if merged[i].Src != merged[j].Src {
-			return merged[i].Src < merged[j].Src
+// total order every apply pass consumes — as a natural merge sort.
+// Producers walk their sources ascending (the sorted roster, each
+// physics table's sorted ids, a trigger round's match indices, serial
+// re-runs), so a sequence is a few ascending runs per worker: one pass
+// builds the keys and finds the runs, a single run returns at once,
+// otherwise adjacent runs merge pairwise through the world's key scratch
+// and one permutation pass moves each record to its place. (Src, Seq) is
+// unique within a behavior phase and within a trigger round; barrier
+// re-runs of one source at two generations can tie, and ties keep their
+// input order (runs are non-descending, the merge prefers the left run).
+func (w *World) sortEffects(merged []Effect) {
+	keys, runs := w.sortKeys[:0], w.sortRuns[:0]
+	for i := range merged {
+		k := effKey{src: merged[i].Src, seq: merged[i].Seq, idx: int32(i)}
+		if i == 0 || k.before(keys[i-1]) {
+			runs = append(runs, int32(i))
 		}
-		return merged[i].Seq < merged[j].Seq
-	})
+		keys = append(keys, k)
+	}
+	w.sortKeys, w.sortRuns = keys, runs
+	if len(runs) <= 1 {
+		return
+	}
+	n := int32(len(keys))
+	runs = append(runs, n) // every run's start, then the end sentinel
+	spare := slices.Grow(w.sortSpare[:0], len(keys))[:n]
+	for ; len(runs) > 2; keys, spare = spare, keys {
+		// One pass merges runs (lo, mid) and (mid, hi) pairwise into spare,
+		// halving the run list in place; an odd last run has mid == hi == n
+		// and is copied.
+		out := runs[:0]
+		for r := 0; r+1 < len(runs); r += 2 {
+			lo, mid, hi := runs[r], runs[r+1], runs[min(r+2, len(runs)-1)]
+			mergeKeys(spare[lo:hi], keys[lo:mid], keys[mid:hi])
+			out = append(out, lo)
+		}
+		runs = append(out, n)
+	}
+	w.sortKeys, w.sortSpare, w.sortRuns = keys, spare, runs
+	// keys[i].idx is the record that belongs at i: follow each cycle of
+	// that permutation once, so every displaced record moves exactly once.
+	for i := range keys {
+		if int(keys[i].idx) == i {
+			continue
+		}
+		held := merged[i]
+		for j := i; ; {
+			k := int(keys[j].idx)
+			keys[j].idx = int32(j)
+			if k == i {
+				merged[j] = held
+				break
+			}
+			merged[j] = merged[k]
+			j = k
+		}
+	}
+}
+
+// mergeKeys merges the ordered runs a and b into dst (len(a)+len(b)),
+// taking from a on ties.
+func mergeKeys(dst, a, b []effKey) {
+	i, j := 0, 0
+	for k := range dst {
+		if j == len(b) || (i < len(a) && !b[j].before(a[i])) {
+			dst[k] = a[i]
+			i++
+		} else {
+			dst[k] = b[j]
+			j++
+		}
+	}
 }
 
 // applyMerged runs the five apply passes over one sorted merged

@@ -37,10 +37,10 @@ func (e planEnv) Get(id entity.ID, col string) (entity.Value, error) {
 	return v, nil
 }
 
-func (e planEnv) Nearby(id entity.ID, radius float64) []entity.ID {
+func (e planEnv) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID {
 	e.buf.noteRead(id, "x")
 	e.buf.noteRead(id, "y")
-	return e.w.Nearby(id, radius)
+	return e.w.AppendNearby(dst, id, radius)
 }
 
 func (e planEnv) Dist(a, b entity.ID) float64 {

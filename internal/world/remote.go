@@ -32,7 +32,8 @@ package world
 // users pay nothing.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/txn"
@@ -56,6 +57,12 @@ type ForeignKey struct {
 	Shard int
 	Src   entity.ID
 	Gen   int64
+}
+
+// compare orders keys by (generation, source shard, source id) — the
+// barrier's validation and re-run order.
+func (k ForeignKey) compare(o ForeignKey) int {
+	return cmp.Or(cmp.Compare(k.Gen, o.Gen), cmp.Compare(k.Shard, o.Shard), cmp.Compare(k.Src, o.Src))
 }
 
 // ForeignInvalidation is one owner-side validation verdict: the
@@ -266,7 +273,7 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 			for o := range w.fwdOwnerSet {
 				owners = append(owners, o)
 			}
-			sort.Ints(owners)
+			slices.Sort(owners)
 			reads := w.occReadIdx[src]
 			for _, owner := range owners {
 				var fr []readCell
@@ -318,18 +325,13 @@ func (w *World) QueueForeign(srcShard int, b *RemoteEffectBatch) {
 // sortForeignRecs orders barrier records by (generation, source shard,
 // source id, emission order) — the one deterministic exchange order.
 func sortForeignRecs(recs []foreignRec) {
-	sort.Slice(recs, func(i, j int) bool {
-		a, b := &recs[i], &recs[j]
-		if a.gen != b.gen {
-			return a.gen < b.gen
-		}
-		if a.shard != b.shard {
-			return a.shard < b.shard
-		}
-		if a.e.Src != b.e.Src {
-			return a.e.Src < b.e.Src
-		}
-		return a.e.Seq < b.e.Seq
+	slices.SortFunc(recs, func(a, b foreignRec) int {
+		return cmp.Or(
+			cmp.Compare(a.gen, b.gen),
+			cmp.Compare(a.shard, b.shard),
+			cmp.Compare(a.e.Src, b.e.Src),
+			cmp.Compare(a.e.Seq, b.e.Seq),
+		)
 	})
 }
 
@@ -373,16 +375,7 @@ func (w *World) ValidateForeign() []ForeignInvalidation {
 			ws.Note(readCell{id: e.Target, col: e.Col}, fwdOwner{shard: recs[i].shard, src: e.Src})
 		}
 	}
-	sort.Slice(w.inInvocs, func(i, j int) bool {
-		a, b := &w.inInvocs[i].key, &w.inInvocs[j].key
-		if a.Gen != b.Gen {
-			return a.Gen < b.Gen
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Src < b.Src
-	})
+	slices.SortFunc(w.inInvocs, func(a, b foreignInvoc) int { return a.key.compare(b.key) })
 	var out []ForeignInvalidation
 	for i := range w.inInvocs {
 		inv := &w.inInvocs[i]
@@ -451,16 +444,7 @@ func (w *World) RerunForeign(reruns []ForeignInvalidation) {
 	if len(reruns) == 0 {
 		return
 	}
-	sort.Slice(reruns, func(i, j int) bool {
-		a, b := &reruns[i].Key, &reruns[j].Key
-		if a.Gen != b.Gen {
-			return a.Gen < b.Gen
-		}
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Src < b.Src
-	})
+	slices.SortFunc(reruns, func(a, b ForeignInvalidation) int { return a.Key.compare(b.Key) })
 	w.ensureWorkers(1)
 	buf := w.workerBufs[0]
 	buf.reset()
@@ -497,7 +481,7 @@ func (w *World) RerunForeign(reruns []ForeignInvalidation) {
 	if len(merged) == 0 {
 		return
 	}
-	sortEffects(merged)
+	w.sortEffects(merged)
 	// Local writes committed here land after this barrier's re-ship, so
 	// next tick's foreign readers of these cells see pre-re-run mirrors;
 	// carry the cells into the next tick's committed-write set so those

@@ -3,7 +3,7 @@ package world
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/spatial"
@@ -52,7 +52,7 @@ func (w *World) Snapshot() ([]byte, error) {
 	for id := range w.ghosts {
 		doc.Ghosts = append(doc.Ghosts, id)
 	}
-	sort.Slice(doc.Ghosts, func(i, j int) bool { return doc.Ghosts[i] < doc.Ghosts[j] })
+	slices.Sort(doc.Ghosts)
 	for _, name := range w.tableNames() {
 		t := w.tables[name]
 		td := tableDoc{Name: name}

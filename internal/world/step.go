@@ -3,13 +3,20 @@ package world
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/obs"
 	"gamedb/internal/script"
 )
+
+// physTable is one entry of the tick's physics work list: a spatial
+// table with velocity columns, their indices resolved once per tick.
+type physTable struct {
+	tab    *entity.Table
+	vx, vy int
+}
 
 // workerStats accumulates one worker's share of the tick accounting so
 // the parallel phase touches no shared counters. firstErr/errID record
@@ -62,12 +69,15 @@ func (w *World) Step() (TickStats, error) {
 			roster = append(roster, id)
 		}
 	}
-	sort.Slice(roster, func(i, j int) bool { return roster[i] < roster[j] })
+	slices.Sort(roster)
 	w.rosterBuf = roster
 
 	// Physics work list: spatial tables carrying velocity columns. The
-	// id snapshots are taken once so every worker chunks the same view;
-	// snapshot buffers are reused tick-to-tick (AppendIDs, not IDs).
+	// id snapshots are taken once so every worker chunks the same view,
+	// and sorted (storage order drifts as handoffs and despawns swap rows)
+	// so each chunk's deltas leave the worker as one ascending run for
+	// sortEffects; snapshot buffers are reused tick-to-tick (AppendIDs,
+	// not IDs).
 	physTabs := w.physTabs[:0]
 	physIDs := w.physIDs[:0]
 	for _, name := range w.tableNames() {
@@ -76,13 +86,12 @@ func (w *World) Step() (TickStats, error) {
 		if !isSpatial(s) {
 			continue
 		}
-		if _, hasVX := s.Col("vx"); !hasVX {
+		vx, hasVX := s.Col("vx")
+		vy, hasVY := s.Col("vy")
+		if !hasVX || !hasVY {
 			continue
 		}
-		if _, hasVY := s.Col("vy"); !hasVY {
-			continue
-		}
-		physTabs = append(physTabs, t)
+		physTabs = append(physTabs, physTable{tab: t, vx: vx, vy: vy})
 		if len(physIDs) < cap(physIDs) {
 			physIDs = physIDs[:len(physIDs)+1]
 		} else {
@@ -90,6 +99,7 @@ func (w *World) Step() (TickStats, error) {
 		}
 		last := len(physIDs) - 1
 		physIDs[last] = t.AppendIDs(physIDs[last][:0])
+		slices.Sort(physIDs[last])
 	}
 	w.physTabs, w.physIDs = physTabs, physIDs
 
@@ -244,15 +254,16 @@ func (w *World) runWorker(wi, workers int) {
 	}
 
 	dt := w.cfg.TickDT
-	for ti, t := range w.physTabs {
+	for ti, pt := range w.physTabs {
 		ids := w.physIDs[ti]
 		lo, hi := chunkRange(len(ids), workers, wi)
 		for _, id := range ids[lo:hi] {
 			if w.ghosts[id] {
 				continue // mirrors move only when their owner re-ships them
 			}
-			vx := t.MustGet(id, "vx").Float()
-			vy := t.MustGet(id, "vy").Float()
+			r, _ := pt.tab.RowIndex(id)
+			vx := pt.tab.ValueAt(pt.vx, r).Float()
+			vy := pt.tab.ValueAt(pt.vy, r).Float()
 			if vx == 0 && vy == 0 {
 				continue
 			}

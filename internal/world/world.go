@@ -10,6 +10,7 @@ package world
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gamedb/internal/content"
@@ -221,15 +222,20 @@ type World struct {
 	planFails   map[string]string
 	workerPlans []map[string]*gslplan.Plan
 	rosterBuf   []entity.ID
-	physTabs    []*entity.Table
+	physTabs    []physTable
 	physIDs     [][]entity.ID
 	mergeBuf    []Effect
+	// sortEffects' key scratch (effect.go): the keys, the buffer they
+	// merge through, and the run boundaries.
+	sortKeys, sortSpare []effKey
+	sortRuns            []int32
 
 	// Columnar-apply scratch (apply_batch.go), reused tick-to-tick.
 	setBatches []colBatch
 	addBatches []colBatch
 	moveBuf    []spatial.Point
-	moveSeen   map[entity.ID]struct{}
+	moveStamps []rowStamps
+	moveEpoch  uint64
 
 	// Trigger-round scratch (trigger_phase.go), reused round-to-round
 	// so cascade draining stops allocating per round. trigEvBuf and
@@ -828,7 +834,7 @@ func (w *World) GhostIDs() []entity.ID {
 	for id := range w.ghosts {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -858,19 +864,25 @@ func (w *World) Pos(id entity.ID) (spatial.Vec2, bool) {
 // Nearby returns ids within radius of the entity, excluding it, sorted
 // by id for determinism.
 func (w *World) Nearby(id entity.ID, radius float64) []entity.ID {
+	return w.AppendNearby(nil, id, radius)
+}
+
+// AppendNearby appends Nearby's result to dst and returns the extended
+// slice — the allocation-free form for callers that refill a buffer.
+func (w *World) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID {
 	p, ok := w.Pos(id)
 	if !ok {
-		return nil
+		return dst
 	}
-	var out []entity.ID
+	base := len(dst)
 	w.index.QueryCircle(p, radius, func(got spatial.ID, _ spatial.Vec2) bool {
 		if entity.ID(got) != id {
-			out = append(out, entity.ID(got))
+			dst = append(dst, entity.ID(got))
 		}
 		return true
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // Post queues an event for the tick's trigger drain.
@@ -921,62 +933,24 @@ func (w *World) AppendGhostIDs(dst []entity.ID) []entity.ID {
 	return dst
 }
 
-// ReindexPositions re-syncs the spatial index for ids whose x/y may
-// have been written through a batch entry point (which skips change
-// listeners), reading each id's final position from t. Ids without a
-// row are skipped. It is the ghost-reconcile counterpart of the apply
-// phase's flushMoves.
-func (w *World) ReindexPositions(t *entity.Table, ids []entity.ID) {
-	if len(ids) == 0 || !isSpatial(t.Schema()) {
-		return
-	}
-	s := t.Schema()
-	xci, _ := s.Col("x")
-	yci, _ := s.Col("y")
-	moves := w.moveBuf[:0]
-	for _, id := range ids {
-		r, ok := t.RowIndex(id)
-		if !ok {
-			continue
-		}
-		moves = append(moves, spatial.Point{
-			ID: spatial.ID(id),
-			Pos: spatial.Vec2{
-				X: t.ValueAt(xci, r).Float(),
-				Y: t.ValueAt(yci, r).Float(),
-			},
-		})
-	}
-	w.moveBuf = moves
-	w.index.MoveBatch(moves)
-}
-
-// ReindexPositionsRows is ReindexPositions with the row indices already
-// in hand — as returned by entity.Table.SetColumnBatchRows for the same
-// ids — skipping the per-id row-map lookup. rows[i] < 0 marks an id
-// whose batch write was skipped; it is skipped here too. The indices
+// ReindexPositionsRows re-syncs the spatial index for ids whose x/y were
+// written through a batch entry point (which skips change listeners),
+// reading each id's final position from t at the row index
+// entity.Table.SetColumnBatchRows returned for it. rows[i] < 0 marks an
+// id whose batch write was skipped; it is skipped here too. The indices
 // must still be valid: no insert or delete may land between the batch
-// write and this call.
+// write and this call. It is the ghost-reconcile counterpart of the
+// apply phase's flushMoves.
 func (w *World) ReindexPositionsRows(t *entity.Table, ids []entity.ID, rows []int) {
 	if len(ids) == 0 || len(ids) != len(rows) || !isSpatial(t.Schema()) {
 		return
 	}
-	s := t.Schema()
-	xci, _ := s.Col("x")
-	yci, _ := s.Col("y")
+	xci, yci := posCols(t)
 	moves := w.moveBuf[:0]
 	for i, id := range ids {
-		r := rows[i]
-		if r < 0 {
-			continue
+		if r := rows[i]; r >= 0 {
+			moves = append(moves, pointAt(t, xci, yci, id, r))
 		}
-		moves = append(moves, spatial.Point{
-			ID: spatial.ID(id),
-			Pos: spatial.Vec2{
-				X: t.ValueAt(xci, r).Float(),
-				Y: t.ValueAt(yci, r).Float(),
-			},
-		})
 	}
 	w.moveBuf = moves
 	w.index.MoveBatch(moves)
