@@ -24,15 +24,16 @@ package replica
 //
 // Concurrency contract: BeginTick / Spawn / Update / Despawn /
 // MoveClient / AddClient run single-threaded between flushes; FlushTick
-// fans per-client work across the worker pool, reading the shared
-// per-cell lists immutably. Aggregate totals are deterministic for a
-// deterministic call sequence: per-client streams are independent, and
-// the only unordered work (snapshot batches from cell-set iteration)
-// consists of indistinguishable messages (same bytes, same tick), so
-// queue drains, drops and staleness samples cannot observe the order.
+// fans per-client work across the worker pool, reading the shared cell
+// directory immutably. Per-client streams are independent and every
+// pass a flush makes is over a slice in intake order (a cell's events,
+// its updates, its population), so two runs of one call sequence agree
+// exactly on every Conn's tallies and on every TickReport, whatever the
+// pool size.
 
 import (
-	"sort"
+	"math"
+	"slices"
 
 	"gamedb/internal/metrics"
 	"gamedb/internal/sched"
@@ -99,9 +100,9 @@ type HubConfig struct {
 	// the internal/wire codec (the shard barrier's frame codec) instead
 	// of the fixed modeled constants: varint-length ids and real float
 	// payloads, so byte budgets and tier watermarks respond to actual
-	// encoded sizes. Totals are deterministic (sizes depend only on
-	// message content); which specific messages drop past MaxQueue can
-	// vary with cell-map iteration order, as in the modeled sizing.
+	// encoded sizes. Sizes depend only on message content and queues
+	// fill in intake order, so totals, drains that cut mid-backlog and
+	// drops past MaxQueue all repeat exactly, as in the modeled sizing.
 	WireSizing bool
 	// Pool runs the per-client flush fan-out (default sched.Shared()).
 	Pool *sched.Pool
@@ -137,19 +138,23 @@ func (c *HubConfig) defaults() {
 // entState is the hub's authoritative view of one replicated entity:
 // current values, the globally last-shipped baseline (shared across
 // clients — the hub evaluates each (entity, field) once per tick, not
-// once per client), and its interest cell.
+// once per client), its interest cell and its slot in that cell's
+// population.
 type entState struct {
 	pos      spatial.Vec2
 	cell     spatial.CellKey
+	idx      int32 // dir[cell].pop[idx] is this entity
 	cur      []float64
 	sent     []float64
 	sentTick []int64
+	// due is the earliest tick this entity is registered in dueAt for;
+	// a value at or before the hub's tick means nothing is pending.
+	due int64
 }
 
 // update is one shipped field delta, fanned to the cell's subscribers.
-// bytes is the wire-encoded size, computed once at creation (on the
-// single-threaded intake path) when WireSizing is on; 0 means "use the
-// modeled constant".
+// bytes is its queued size, fixed at creation on the single-threaded
+// intake path: wire-encoded under WireSizing, else the modeled constant.
 type update struct {
 	id    ID
 	fi    int32
@@ -167,7 +172,7 @@ const (
 )
 
 // event is one membership change in a cell's per-tick list. bytes as
-// in update: creation-time wire-encoded size, 0 = modeled constant.
+// in update.
 type event struct {
 	kind  eventKind
 	id    ID
@@ -175,10 +180,26 @@ type event struct {
 	bytes int32
 }
 
-// cellTick accumulates one cell's current-tick traffic.
-type cellTick struct {
+// member is one entity of a cell's population with the sizes of the two
+// messages a membership change or a window move ships for it: a
+// snapshot on the way in, a removal on the way out. Both depend only on
+// the id and len(Specs), so they are priced once, when the entity
+// spawns, and travel with it from cell to cell.
+type member struct {
+	id          ID
+	snapBytes   int32
+	removeBytes int32
+}
+
+// cell is one interest cell: this tick's traffic and the resident
+// population. events and updates count only while epoch equals the
+// hub's; BeginTick empties every cell by advancing that, and cellFor
+// truncates a stale cell's lists before the first write of the tick.
+type cell struct {
+	epoch   uint64
 	events  []event
 	updates []update
+	pop     []member
 }
 
 // qmsg is one queued outbound message: modeled size plus the tick whose
@@ -204,7 +225,11 @@ type Conn struct {
 	scratch    []spatial.CellKey
 	fresh      []spatial.CellKey
 
+	// queue[qHead:] is the backlog, oldest first. Draining advances
+	// qHead instead of re-slicing, so the backing array and its
+	// capacity survive from tick to tick.
 	queue     []qmsg
+	qHead     int
 	qBytes    int
 	sampleCtr int
 
@@ -232,84 +257,91 @@ type TickReport struct {
 	Tiers [3]int
 }
 
+// maxDirCells caps the cell directory (about 300 MB of empty cells): a
+// position that would grow it further is refused, see Hub.StrayTotal.
+const maxDirCells = 1 << 22
+
 // Hub fans authoritative per-tick deltas out to subscribed clients.
 type Hub struct {
 	cfg   HubConfig
 	specs []FieldSpec
 	tick  int64
+	epoch uint64 // advanced by BeginTick; see cell
 
-	ents     map[ID]*entState
-	cellEnts map[spatial.CellKey]map[ID]struct{}
-	cells    map[spatial.CellKey]*cellTick
+	ents map[ID]*entState
+
+	// dir is the dense cell directory: row-major over the box of cells
+	// [dirX, dirX+dirW) × [dirY, dirY+dirH), which holds every cell an
+	// entity has occupied. Only the intake path (cellFor) grows it; the
+	// parallel flush reads it through lookup, which answers none — the
+	// empty cell, never written — for any key outside the box.
+	dir                    []cell
+	dirX, dirY, dirW, dirH int
+	none                   cell
+
+	// dueAt lists, per future tick, the entities to re-evaluate then;
+	// dueFree recycles the lists BeginTick has consumed. dueEvals counts
+	// the last BeginTick's evaluations.
 	dueAt    map[int64][]ID
+	dueFree  [][]ID
+	dueEvals int
 
-	conns []*Conn
+	conns   []*Conn
+	tallies []flushTally // per flush worker, reused
 
 	// MsgsTotal / BytesTotal / SnapshotTotal / DropTotal accumulate
-	// across the run; Staleness samples delivery delay in ticks;
+	// across the run; StrayTotal counts positions the hub refused —
+	// non-finite, or far enough out to grow the cell directory past its
+	// cap — each handled as a despawn until the entity reports a sane
+	// position again. Staleness samples delivery delay in ticks;
 	// DegradeTotal / UpgradeTotal count tier transitions.
 	MsgsTotal     metrics.Counter
 	BytesTotal    metrics.Counter
 	SnapshotTotal metrics.Counter
 	DropTotal     metrics.Counter
+	StrayTotal    metrics.Counter
 	DegradeTotal  metrics.Counter
 	UpgradeTotal  metrics.Counter
 	Staleness     metrics.Histogram
 
-	// sizeEnc is the intake-path encoder scratch for WireSizing; flush
-	// workers use their own (the intake is single-threaded, flush is
-	// not).
+	// sizeEnc is the encoder scratch WireSizing prices messages with.
 	sizeEnc wire.Enc
 }
 
-// updateSize prices one field-update message at creation time.
+// updateSize prices one field-update message.
 func (h *Hub) updateSize(id ID, fi int32, val float64) int32 {
 	if !h.cfg.WireSizing {
-		return 0
+		return msgBytes
 	}
 	h.sizeEnc.Reset()
 	AppendUpdateMsg(&h.sizeEnc, id, fi, val)
 	return int32(h.sizeEnc.Len())
 }
 
-// removeSize prices one removal message at creation time.
-func (h *Hub) removeSize(id ID) int32 {
-	return h.removeSizeInto(&h.sizeEnc, id)
-}
-
-// removeSizeInto is removeSize with the caller's encoder scratch, for
-// the parallel flush workers.
-func (h *Hub) removeSizeInto(e *wire.Enc, id ID) int32 {
+// memberFor prices an entity's snapshot and removal messages.
+func (h *Hub) memberFor(id ID, vals []float64) member {
 	if !h.cfg.WireSizing {
-		return 0
+		return member{id: id, snapBytes: int32(len(h.specs) * snapshotBytesPer), removeBytes: removeBytes}
 	}
-	e.Reset()
-	AppendRemoveMsg(e, id)
-	return int32(e.Len())
-}
-
-// snapSizeInto prices one full-entity snapshot with the caller's
-// encoder scratch (flush workers pass their own; the intake passes
-// h.sizeEnc).
-func (h *Hub) snapSizeInto(e *wire.Enc, id ID, vals []float64) int32 {
-	if !h.cfg.WireSizing {
-		return 0
-	}
-	e.Reset()
-	AppendSnapshotMsg(e, id, vals)
-	return int32(e.Len())
+	m := member{id: id}
+	h.sizeEnc.Reset()
+	AppendSnapshotMsg(&h.sizeEnc, id, vals)
+	m.snapBytes = int32(h.sizeEnc.Len())
+	h.sizeEnc.Reset()
+	AppendRemoveMsg(&h.sizeEnc, id)
+	m.removeBytes = int32(h.sizeEnc.Len())
+	return m
 }
 
 // NewHub builds a hub replicating cfg.Specs.
 func NewHub(cfg HubConfig) *Hub {
 	cfg.defaults()
 	return &Hub{
-		cfg:      cfg,
-		specs:    cfg.Specs,
-		ents:     make(map[ID]*entState),
-		cellEnts: make(map[spatial.CellKey]map[ID]struct{}),
-		cells:    make(map[spatial.CellKey]*cellTick),
-		dueAt:    make(map[int64][]ID),
+		cfg:   cfg,
+		specs: cfg.Specs,
+		epoch: 1, // none.epoch stays 0: the empty cell is stale forever
+		ents:  make(map[ID]*entState),
+		dueAt: make(map[int64][]ID),
 	}
 }
 
@@ -343,24 +375,24 @@ func (h *Hub) MoveClient(c *Conn, focus spatial.Vec2) {
 // index).
 func (h *Hub) BeginTick(tick int64) {
 	h.tick = tick
-	for _, ct := range h.cells {
-		ct.events = ct.events[:0]
-		ct.updates = ct.updates[:0]
-	}
-	due := h.dueAt[tick]
-	if len(due) == 0 {
-		delete(h.dueAt, tick)
+	h.epoch++
+	h.dueEvals = 0
+	due, ok := h.dueAt[tick]
+	if !ok {
 		return
 	}
-	sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-	for _, id := range due {
-		es, ok := h.ents[id]
-		if !ok {
-			continue
-		}
-		h.evalFields(id, es)
-	}
 	delete(h.dueAt, tick)
+	slices.Sort(due)
+	for i, id := range due {
+		if i > 0 && due[i-1] == id {
+			continue // evaluated just now; a second pass cannot ship
+		}
+		if es, ok := h.ents[id]; ok {
+			h.dueEvals++
+			h.evalFields(id, es, h.cellFor(es.cell))
+		}
+	}
+	h.dueFree = append(h.dueFree, due[:0])
 }
 
 // SpawnEntity registers (or re-registers) an entity; subscribed clients
@@ -370,9 +402,14 @@ func (h *Hub) SpawnEntity(id ID, pos spatial.Vec2, vals []float64) {
 		h.UpdateEntity(id, pos, vals)
 		return
 	}
+	k, c := h.place(pos)
+	if c == nil {
+		h.StrayTotal.Add(1)
+		return
+	}
 	es := &entState{
 		pos:      pos,
-		cell:     spatial.CellAt(pos, h.cfg.Cell),
+		cell:     k,
 		cur:      append([]float64(nil), vals...),
 		sent:     append([]float64(nil), vals...),
 		sentTick: make([]int64, len(vals)),
@@ -381,9 +418,9 @@ func (h *Hub) SpawnEntity(id ID, pos spatial.Vec2, vals []float64) {
 		es.sentTick[i] = h.tick
 	}
 	h.ents[id] = es
-	h.cellAdd(es.cell, id)
-	h.cellFor(es.cell).events = append(h.cellFor(es.cell).events,
-		event{kind: evSpawn, id: id, bytes: h.snapSizeInto(&h.sizeEnc, id, es.cur)})
+	m := h.memberFor(id, vals)
+	join(c, es, m)
+	c.events = append(c.events, event{kind: evSpawn, id: id, bytes: m.snapBytes})
 }
 
 // DespawnEntity removes an entity; subscribed clients get a removal.
@@ -392,41 +429,49 @@ func (h *Hub) DespawnEntity(id ID) {
 	if !ok {
 		return
 	}
-	h.cellFor(es.cell).events = append(h.cellFor(es.cell).events,
-		event{kind: evDespawn, id: id, bytes: h.removeSize(id)})
-	h.cellDel(es.cell, id)
+	c := h.cellFor(es.cell)
+	m := h.leave(c, es)
+	c.events = append(c.events, event{kind: evDespawn, id: id, bytes: m.removeBytes})
 	delete(h.ents, id)
 }
 
 // UpdateEntity feeds one dirtied entity's current position and values:
 // cell transitions become enter/leave events, and each field evaluates
-// ShouldShip once against the global baseline (unknown ids spawn).
+// ShouldShip once against the global baseline (unknown ids spawn). A
+// position the hub cannot place (see StrayTotal) despawns the entity.
 func (h *Hub) UpdateEntity(id ID, pos spatial.Vec2, vals []float64) {
 	es, ok := h.ents[id]
 	if !ok {
 		h.SpawnEntity(id, pos, vals)
 		return
 	}
-	newCell := spatial.CellAt(pos, h.cfg.Cell)
-	if newCell != es.cell {
-		h.cellFor(es.cell).events = append(h.cellFor(es.cell).events,
-			event{kind: evLeave, id: id, other: newCell, bytes: h.removeSize(id)})
-		h.cellFor(newCell).events = append(h.cellFor(newCell).events,
-			event{kind: evEnter, id: id, other: es.cell, bytes: h.snapSizeInto(&h.sizeEnc, id, es.cur)})
-		h.cellDel(es.cell, id)
-		h.cellAdd(newCell, id)
-		es.cell = newCell
+	k, dst := h.place(pos)
+	if dst == nil {
+		h.StrayTotal.Add(1)
+		h.DespawnEntity(id)
+		return
+	}
+	if k != es.cell {
+		src := h.cellFor(es.cell) // after place: growing moves every cell
+		m := h.leave(src, es)
+		src.events = append(src.events, event{kind: evLeave, id: id, other: k, bytes: m.removeBytes})
+		dst.events = append(dst.events, event{kind: evEnter, id: id, other: es.cell, bytes: m.snapBytes})
+		join(dst, es, m)
+		es.cell = k
 	}
 	es.pos = pos
 	copy(es.cur, vals)
-	h.evalFields(id, es)
+	h.evalFields(id, es, dst)
 }
 
 // evalFields runs the delta gate for every field of one entity,
-// emitting ships into the entity's cell and registering dues for
-// declined-but-diverged values.
-func (h *Hub) evalFields(id ID, es *entState) {
-	ct := h.cellFor(es.cell)
+// emitting ships into ct, the entity's cell, and registering the entity
+// for the earliest tick a declined-but-diverged value comes due. One
+// registration serves every pending field: the evaluation it triggers
+// registers whatever still pends then, so an entity sits in dueAt once
+// per due tick however often it is evaluated in between.
+func (h *Hub) evalFields(id ID, es *entState, ct *cell) {
+	next, pending := int64(0), false
 	for fi, spec := range h.specs {
 		cur := es.cur[fi]
 		if spec.ShouldShip(cur, es.sent[fi], h.tick, es.sentTick[fi]) {
@@ -437,41 +482,136 @@ func (h *Hub) evalFields(id ID, es *entState) {
 			continue
 		}
 		if cur != es.sent[fi] {
-			if due, ok := spec.NextDue(h.tick, es.sentTick[fi]); ok {
-				h.dueAt[due] = append(h.dueAt[due], id)
+			if due, ok := spec.NextDue(h.tick, es.sentTick[fi]); ok && (!pending || due < next) {
+				next, pending = due, true
 			}
 		}
 	}
+	if !pending || (es.due > h.tick && es.due <= next) {
+		return
+	}
+	es.due = next
+	list, ok := h.dueAt[next]
+	if !ok && len(h.dueFree) > 0 {
+		list = h.dueFree[len(h.dueFree)-1]
+		h.dueFree = h.dueFree[:len(h.dueFree)-1]
+	}
+	h.dueAt[next] = append(list, id)
 }
 
-func (h *Hub) cellFor(k spatial.CellKey) *cellTick {
-	ct := h.cells[k]
-	if ct == nil {
-		ct = &cellTick{}
-		h.cells[k] = ct
+// place maps a position to its interest cell and that cell's slot in
+// the directory, growing the directory to hold it. It returns a nil
+// cell for a non-finite position and for one so far out that the
+// directory would pass maxDirCells.
+func (h *Hub) place(pos spatial.Vec2) (spatial.CellKey, *cell) {
+	// Keys are int32 and a NaN fails every comparison.
+	const lim = 1 << 30
+	if x, y := pos.X/h.cfg.Cell, pos.Y/h.cfg.Cell; !(math.Abs(x) < lim && math.Abs(y) < lim) {
+		return spatial.CellKey{}, nil
 	}
-	return ct
+	k := spatial.CellAt(pos, h.cfg.Cell)
+	if _, ok := h.index(k); !ok && !h.grow(k) {
+		return k, nil
+	}
+	return k, h.cellFor(k)
 }
 
-func (h *Hub) cellAdd(k spatial.CellKey, id ID) {
-	s := h.cellEnts[k]
-	if s == nil {
-		s = make(map[ID]struct{})
-		h.cellEnts[k] = s
+// index is the directory's addressing: k's offset in dir, false outside
+// the box.
+func (h *Hub) index(k spatial.CellKey) (int, bool) {
+	x, y := int(k.X)-h.dirX, int(k.Y)-h.dirY
+	if uint(x) >= uint(h.dirW) || uint(y) >= uint(h.dirH) {
+		return 0, false
 	}
-	s[id] = struct{}{}
+	return y*h.dirW + x, true
 }
 
-func (h *Hub) cellDel(k spatial.CellKey, id ID) {
-	if s := h.cellEnts[k]; s != nil {
-		delete(s, id)
+// lookup is the flush's read-only view of cell k.
+func (h *Hub) lookup(k spatial.CellKey) *cell {
+	if i, ok := h.index(k); ok {
+		return &h.dir[i]
 	}
+	return &h.none
+}
+
+// cellFor returns cell k, which is inside the box, ready for this
+// tick's traffic. The pointer is good until the directory next grows.
+func (h *Hub) cellFor(k spatial.CellKey) *cell {
+	i, _ := h.index(k)
+	c := &h.dir[i]
+	if c.epoch != h.epoch {
+		c.epoch = h.epoch
+		c.events = c.events[:0]
+		c.updates = c.updates[:0]
+	}
+	return c
+}
+
+// grow re-lays the directory over the smallest box holding the old one
+// and k, padded on each side that moved by half the old extent (so a
+// crowd spreading out re-lays O(log) times), or unpadded when only that
+// fits under maxDirCells. It reports false, changing nothing, when not
+// even that does.
+func (h *Hub) grow(k spatial.CellKey) bool {
+	span := func(lo, n, at, pad int) (int, int) {
+		hi := lo + n
+		if n == 0 {
+			lo, hi = at, at+1
+		}
+		if at < lo {
+			lo = at - pad
+		}
+		if at >= hi {
+			hi = at + 1 + pad
+		}
+		return lo, hi - lo
+	}
+	x, w := span(h.dirX, h.dirW, int(k.X), max(h.dirW/2, 4))
+	y, ht := span(h.dirY, h.dirH, int(k.Y), max(h.dirH/2, 4))
+	if w*ht > maxDirCells {
+		x, w = span(h.dirX, h.dirW, int(k.X), 0)
+		y, ht = span(h.dirY, h.dirH, int(k.Y), 0)
+		if w*ht > maxDirCells {
+			return false
+		}
+	}
+	dir := make([]cell, w*ht)
+	for row := 0; row < h.dirH; row++ {
+		copy(dir[(row+h.dirY-y)*w+h.dirX-x:], h.dir[row*h.dirW:(row+1)*h.dirW])
+	}
+	h.dir, h.dirX, h.dirY, h.dirW, h.dirH = dir, x, y, w, ht
+	return true
+}
+
+// join appends es to c's population.
+func join(c *cell, es *entState, m member) {
+	es.idx = int32(len(c.pop))
+	c.pop = append(c.pop, m)
+}
+
+// leave swap-removes es from c's population and returns its entry.
+func (h *Hub) leave(c *cell, es *entState) member {
+	m := c.pop[es.idx]
+	last := len(c.pop) - 1
+	if moved := c.pop[last]; moved.id != m.id {
+		c.pop[es.idx] = moved
+		h.ents[moved.id].idx = es.idx
+	}
+	c.pop = c.pop[:last]
+	return m
 }
 
 // subscribed reports whether a client window covers cell k — the exact
 // predicate CellCover uses, so membership tests agree with the cover.
 func subscribed(focus spatial.Vec2, aoi, cell float64, k spatial.CellKey) bool {
 	return k.Rect(cell).Dist2(focus) <= aoi*aoi
+}
+
+// flushTally is one flush worker's running totals.
+type flushTally struct {
+	stats   flushStats
+	tiers   [3]int
+	samples []float64
 }
 
 // FlushTick fans the tick's accumulated traffic to every client (over
@@ -484,27 +624,17 @@ func (h *Hub) FlushTick() TickReport {
 		return rep
 	}
 	pool := h.cfg.Pool
-	workers := pool.Size() + 1
-	if workers > n {
-		workers = n
+	workers := min(pool.Size()+1, n)
+	if len(h.tallies) < workers {
+		h.tallies = make([]flushTally, workers)
 	}
-	type tally struct {
-		stats   flushStats
-		tiers   [3]int
-		samples []float64
-	}
-	tallies := make([]tally, workers)
+	tallies := h.tallies[:workers]
 	chunk := (n + workers - 1) / workers
 	pool.Par(workers, func(wi int) {
-		lo, hi := wi*chunk, (wi+1)*chunk
-		if hi > n {
-			hi = n
-		}
 		tl := &tallies[wi]
-		var enc wire.Enc // per-worker sizing scratch; h.sizeEnc is intake-only
-		for _, c := range h.conns[lo:hi] {
-			fs := h.flushConn(c, &tl.samples, &enc)
-			tl.stats.add(fs)
+		tl.stats, tl.tiers, tl.samples = flushStats{}, [3]int{}, tl.samples[:0]
+		for _, c := range h.conns[min(wi*chunk, n):min((wi+1)*chunk, n)] {
+			h.flushConn(c, tl)
 			tl.tiers[c.tier]++
 		}
 	})
@@ -554,14 +684,14 @@ func cellLess(a, b spatial.CellKey) bool {
 	return a.X < b.X
 }
 
-// enqueue appends one modeled message to the client's FIFO, dropping
-// oldest messages past the backlog cap.
+// enqueue appends one message to the client's FIFO, dropping oldest
+// messages past the backlog cap.
 func (h *Hub) enqueue(c *Conn, bytes int32, fs *flushStats) {
 	c.queue = append(c.queue, qmsg{bytes: bytes, tick: h.tick})
 	c.qBytes += int(bytes)
-	for c.qBytes > h.cfg.MaxQueue && len(c.queue) > 0 {
-		c.qBytes -= int(c.queue[0].bytes)
-		c.queue = c.queue[1:]
+	for c.qBytes > h.cfg.MaxQueue && c.qHead < len(c.queue) {
+		c.qBytes -= int(c.queue[c.qHead].bytes)
+		c.qHead++
 		fs.drops++
 	}
 }
@@ -569,26 +699,9 @@ func (h *Hub) enqueue(c *Conn, bytes int32, fs *flushStats) {
 // flushConn runs one client's tick: window maintenance (cover diff →
 // snapshots and removals), traffic collection from covered cells under
 // the tier filter, then a budgeted FIFO drain and the tier watermarks.
-func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
+func (h *Hub) flushConn(c *Conn, tl *flushTally) {
 	var fs flushStats
 	cell := h.cfg.Cell
-	snapBytes := int32(len(h.specs) * snapshotBytesPer)
-	// Cover-diff messages are sized here rather than at creation: the
-	// window move invents them, no intake event carries their bytes.
-	// Entities in cells left behind are still alive (still in h.ents) —
-	// only this client's window moved, nothing despawned.
-	snapSize := func(id ID) int32 {
-		if b := h.snapSizeInto(enc, id, h.ents[id].cur); b != 0 {
-			return b
-		}
-		return snapBytes
-	}
-	remSize := func(id ID) int32 {
-		if b := h.removeSizeInto(enc, id); b != 0 {
-			return b
-		}
-		return removeBytes
-	}
 
 	// fresh lists this flush's newly covered cells: their end-of-tick
 	// population snapshots wholesale below, so their per-tick event and
@@ -599,20 +712,22 @@ func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
 		fresh = c.fresh[:0]
 		// Merge-walk old vs new cover (both row-major): cells only in
 		// the new cover snapshot their population, cells only in the
-		// old one queue removals for theirs.
+		// old one queue removals for theirs. Entities in cells left
+		// behind are still alive — only this client's window moved.
 		i, j := 0, 0
 		for i < len(c.cover) || j < len(newCover) {
 			switch {
 			case j == len(newCover) || (i < len(c.cover) && cellLess(c.cover[i], newCover[j])):
-				for id := range h.cellEnts[c.cover[i]] {
-					h.enqueue(c, remSize(id), &fs)
+				for _, m := range h.lookup(c.cover[i]).pop {
+					h.enqueue(c, m.removeBytes, &fs)
 				}
 				i++
 			case i == len(c.cover) || cellLess(newCover[j], c.cover[i]):
-				for id := range h.cellEnts[newCover[j]] {
-					h.enqueue(c, snapSize(id), &fs)
-					fs.snaps++
+				pop := h.lookup(newCover[j]).pop
+				for _, m := range pop {
+					h.enqueue(c, m.snapBytes, &fs)
 				}
+				fs.snaps += int64(len(pop))
 				fresh = append(fresh, newCover[j])
 				j++
 			default:
@@ -626,6 +741,7 @@ func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
 		c.coverDirty = false
 	}
 
+	thinCoarse := c.tier == TierCosmetic && h.tick%h.cfg.CoarseThinning != 0
 	fn := 0
 	for _, k := range c.cover {
 		if fn < len(fresh) && fresh[fn] == k {
@@ -635,42 +751,27 @@ func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
 			fn++
 			continue
 		}
-		ct := h.cells[k]
-		if ct == nil {
-			continue
+		ct := h.lookup(k)
+		if ct.epoch != h.epoch {
+			continue // nothing happened here this tick
 		}
 		for _, ev := range ct.events {
-			// An event sized at creation carries its bytes; zero means
-			// modeled sizing was in force when it was queued.
-			b := ev.bytes
 			switch ev.kind {
 			case evSpawn:
-				if b == 0 {
-					b = snapBytes
-				}
-				h.enqueue(c, b, &fs)
+				h.enqueue(c, ev.bytes, &fs)
 				fs.snaps++
 			case evDespawn:
-				if b == 0 {
-					b = removeBytes
-				}
-				h.enqueue(c, b, &fs)
+				h.enqueue(c, ev.bytes, &fs)
 			case evEnter:
 				// Came from a cell this window also covers: already
 				// visible, the deltas carry it.
 				if !subscribed(c.Focus, c.AOI, cell, ev.other) {
-					if b == 0 {
-						b = snapBytes
-					}
-					h.enqueue(c, b, &fs)
+					h.enqueue(c, ev.bytes, &fs)
 					fs.snaps++
 				}
 			case evLeave:
 				if !subscribed(c.Focus, c.AOI, cell, ev.other) {
-					if b == 0 {
-						b = removeBytes
-					}
-					h.enqueue(c, b, &fs)
+					h.enqueue(c, ev.bytes, &fs)
 				}
 			}
 		}
@@ -681,15 +782,11 @@ func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
 					continue
 				}
 			case Coarse:
-				if c.tier == TierCosmetic && h.tick%h.cfg.CoarseThinning != 0 {
+				if thinCoarse {
 					continue
 				}
 			}
-			if u.bytes != 0 {
-				h.enqueue(c, u.bytes, &fs)
-			} else {
-				h.enqueue(c, msgBytes, &fs)
-			}
+			h.enqueue(c, u.bytes, &fs)
 		}
 	}
 
@@ -699,21 +796,31 @@ func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
 	if budget <= 0 {
 		budget = h.cfg.ByteBudget
 	}
-	for len(c.queue) > 0 && budget > 0 {
-		m := c.queue[0]
-		c.queue = c.queue[1:]
+	q, at := c.queue, c.qHead
+	for ; at < len(q) && budget > 0; at++ {
+		m := q[at]
 		c.qBytes -= int(m.bytes)
 		budget -= int(m.bytes)
 		fs.msgs++
 		fs.bytes += int64(m.bytes)
-		c.sampleCtr++
-		if c.sampleCtr%h.cfg.StalenessSample == 0 {
-			*samples = append(*samples, float64(h.tick-m.tick))
+		if c.sampleCtr++; c.sampleCtr == h.cfg.StalenessSample {
+			c.sampleCtr = 0
+			tl.samples = append(tl.samples, float64(h.tick-m.tick))
 		}
 	}
-	if len(c.queue) == 0 && cap(c.queue) > 1024 {
-		c.queue = nil // reclaim a drained backlog's slid backing array
+	switch live := len(q) - at; {
+	case live == 0:
+		at, c.queue = 0, q[:0]
+		if cap(q) > 1024 {
+			c.queue = nil // a drained backlog gives its array back
+		}
+	case at >= live:
+		// The delivered prefix has outgrown the backlog: slide the
+		// backlog down over it, each message moved at most once per
+		// message delivered.
+		at, c.queue = 0, q[:copy(q, q[at:])]
 	}
+	c.qHead = at
 
 	if c.qBytes > h.cfg.DegradeAt && c.tier < TierCosmetic {
 		c.tier++
@@ -727,5 +834,5 @@ func (h *Hub) flushConn(c *Conn, samples *[]float64, enc *wire.Enc) flushStats {
 	c.Bytes += fs.bytes
 	c.Snapshots += fs.snaps
 	c.Drops += fs.drops
-	return fs
+	tl.stats.add(fs)
 }

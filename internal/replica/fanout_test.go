@@ -1,8 +1,11 @@
 package replica
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"gamedb/internal/sched"
 	"gamedb/internal/spatial"
 )
 
@@ -247,33 +250,183 @@ func TestHubEntityCellTransition(t *testing.T) {
 	}
 }
 
-// TestHubFlushDeterministicAcrossWorkers: per-tick totals are
-// independent of the worker pool's chunking — rerunning the same call
-// sequence against many clients must reproduce byte-identical totals.
+// TestHubFlushDeterministicAcrossWorkers: two runs of one call sequence
+// agree on every client's tallies and on every TickReport, whatever the
+// pool size — under wire sizing, with ids on both sides of a varint
+// boundary (so a cell's snapshots differ in size and the order of its
+// population shows), windows that move, and a budget tight enough that
+// every drain cuts mid-backlog and the queue cap drops messages.
 func TestHubFlushDeterministicAcrossWorkers(t *testing.T) {
-	run := func() (int64, int64, int64, int64) {
-		h := newTestHub(40) // tight budget: queues carry across ticks
+	type connTally struct{ msgs, bytes, snaps, drops int64 }
+	type outcome struct {
+		reports []TickReport
+		conns   []connTally
+	}
+	run := func(pool *sched.Pool) outcome {
+		h := NewHub(HubConfig{
+			Specs: hubSpecs(), Cell: 32, ByteBudget: 40, MaxQueue: 600,
+			WireSizing: true, Pool: pool,
+		})
+		var conns []*Conn
 		for i := 0; i < 64; i++ {
-			h.AddClient(i, spatial.Vec2{X: float64(i * 13 % 300), Y: float64(i * 29 % 300)}, 48, 0)
+			conns = append(conns, h.AddClient(i, spatial.Vec2{X: float64(i * 13 % 300), Y: float64(i * 29 % 300)}, 48, 0))
 		}
-		for tick := int64(1); tick <= 12; tick++ {
+		var out outcome
+		for tick := int64(1); tick <= 24; tick++ {
 			h.BeginTick(tick)
-			for id := ID(1); id <= 40; id++ {
+			for id := ID(100); id < 160; id++ {
+				if (int64(id)+tick)%11 == 0 {
+					h.DespawnEntity(id)
+					continue
+				}
 				x := float64((int64(id)*17 + tick*31) % 300)
 				y := float64((int64(id)*23 + tick*7) % 300)
 				h.UpdateEntity(id, spatial.Vec2{X: x, Y: y}, []float64{float64(tick), x, y})
 			}
-			h.FlushTick()
+			for i, c := range conns {
+				if (int64(i)+tick)%5 == 0 {
+					h.MoveClient(c, spatial.Vec2{X: float64((int64(i)*13 + tick*19) % 300), Y: c.Focus.Y})
+				}
+			}
+			out.reports = append(out.reports, h.FlushTick())
 		}
-		return h.MsgsTotal.Load(), h.BytesTotal.Load(), h.SnapshotTotal.Load(), h.DropTotal.Load()
+		for _, c := range conns {
+			out.conns = append(out.conns, connTally{c.Msgs, c.Bytes, c.Snapshots, c.Drops})
+		}
+		return out
 	}
-	m1, b1, s1, d1 := run()
-	m2, b2, s2, d2 := run()
-	if m1 != m2 || b1 != b2 || s1 != s2 || d1 != d2 {
-		t.Fatalf("totals not reproducible: (%d %d %d %d) vs (%d %d %d %d)",
-			m1, b1, s1, d1, m2, b2, s2, d2)
+	pool4 := sched.NewPool(4)
+	base := run(sched.NewPool(1))
+	for name, pool := range map[string]*sched.Pool{"pool 1 again": sched.NewPool(1), "pool 4": pool4, "pool 4 again": pool4} {
+		got := run(pool)
+		if !slices.Equal(got.reports, base.reports) {
+			t.Errorf("%s: tick reports differ from the first run's", name)
+		}
+		for i := range got.conns {
+			if got.conns[i] != base.conns[i] {
+				t.Errorf("%s: client %d tallied %+v, first run %+v", name, i, got.conns[i], base.conns[i])
+			}
+		}
 	}
-	if m1 == 0 || b1 == 0 {
-		t.Fatal("scenario shipped nothing")
+	last := base.reports[len(base.reports)-1]
+	var msgs, drops int64
+	for _, r := range base.reports {
+		msgs += r.Msgs
+		drops += r.Drops
 	}
+	if msgs == 0 || drops == 0 || last.Tiers[TierExact] == 64 {
+		t.Fatalf("scenario too gentle: %d msgs, %d drops, tiers %v", msgs, drops, last.Tiers)
+	}
+}
+
+// tickUpdates counts the field updates the hub shipped this tick.
+func tickUpdates(h *Hub) int {
+	n := 0
+	for i := range h.dir {
+		if c := &h.dir[i]; c.epoch == h.epoch {
+			n += len(c.updates)
+		}
+	}
+	return n
+}
+
+// TestHubDueIndexStaysBounded: 2 000 entities drift under epsilon for
+// 300 ticks, written on two ticks in three, so nearly every evaluation
+// declines and leaves something pending. An entity is registered once
+// per due tick, not once per declined evaluation: the index never holds
+// more than entities × fields entries, BeginTick never evaluates more
+// than every entity once, and each tick ships what refHub's scan of
+// every field of every entity ships.
+func TestHubDueIndexStaysBounded(t *testing.T) {
+	const ents = 2000
+	cfg := HubConfig{Specs: hubSpecs(), Cell: 32}
+	h, ref := NewHub(cfg), newRefHub(cfg)
+	shipped := 0
+	for tick := int64(1); tick <= 300; tick++ {
+		h.BeginTick(tick)
+		ref.beginTick(tick)
+		if h.dueEvals > ents {
+			t.Fatalf("tick %d: BeginTick evaluated %d times for %d entities", tick, h.dueEvals, ents)
+		}
+		for id := ID(1); id <= ents; id++ {
+			if tick > 1 && (int64(id)+tick)%3 == 0 {
+				continue
+			}
+			pos := spatial.Vec2{X: float64(id % 50 * 20), Y: float64(id / 50 * 20)}
+			vals := []float64{7, pos.X + 0.001*float64(tick*(int64(id)%7)), float64(tick)}
+			h.UpdateEntity(id, pos, vals)
+			ref.update(id, pos, vals)
+		}
+		pending := 0
+		for _, ids := range h.dueAt {
+			pending += len(ids)
+		}
+		if pending > ents*len(cfg.Specs) {
+			t.Fatalf("tick %d: %d due entries for %d entities × %d fields", tick, pending, ents, len(cfg.Specs))
+		}
+		want := 0
+		for _, it := range ref.log {
+			if it.update {
+				want++
+			}
+		}
+		if got := tickUpdates(h); got != want {
+			t.Fatalf("tick %d: shipped %d updates, a scan of every field ships %d", tick, got, want)
+		}
+		shipped += want
+	}
+	if shipped < 100*ents {
+		t.Fatalf("only %d updates in 300 ticks: the due index was not exercised", shipped)
+	}
+}
+
+// TestHubStrayPositions: a position no cell can hold — non-finite, or
+// so far out that the directory would pass its cap — is a despawn for
+// every subscriber, counted, and costs no memory; the entity is back
+// with the next sane update.
+func TestHubStrayPositions(t *testing.T) {
+	h := newTestHub(0)
+	c := h.AddClient(1, spatial.Vec2{X: 100, Y: 100}, 50, 0)
+	home := spatial.Vec2{X: 110, Y: 100}
+	vals := []float64{1, 1, 1}
+	flush(h, 1, func() { h.SpawnEntity(10, home, vals) })
+	cells := len(h.dir)
+	tick := int64(2)
+	for _, v := range []float64{1e12, -1e12, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []spatial.Vec2{{X: v, Y: 100}, {X: 100, Y: v}} {
+			strays, msgs, bytes := h.StrayTotal.Load(), c.Msgs, c.Bytes
+			flush(h, tick, func() { h.UpdateEntity(10, at, vals) })
+			if h.Entities() != 0 || h.StrayTotal.Load() != strays+1 {
+				t.Fatalf("update to %v: %d entities, %d strays counted", at, h.Entities(), h.StrayTotal.Load()-strays)
+			}
+			if c.Msgs != msgs+1 || c.Bytes != bytes+removeBytes {
+				t.Fatalf("update to %v shipped %d messages, %d bytes; want one removal", at, c.Msgs-msgs, c.Bytes-bytes)
+			}
+			// Unknown and still astray: refused again, nothing to remove.
+			flush(h, tick+1, func() { h.SpawnEntity(10, at, vals) })
+			if h.Entities() != 0 || h.StrayTotal.Load() != strays+2 || c.Msgs != msgs+1 {
+				t.Fatalf("spawn at %v: %d entities, %d strays, %d messages", at, h.Entities(), h.StrayTotal.Load()-strays, c.Msgs-msgs-1)
+			}
+			snaps := c.Snapshots
+			flush(h, tick+2, func() { h.UpdateEntity(10, home, vals) })
+			if h.Entities() != 1 || c.Snapshots != snaps+1 {
+				t.Fatalf("after %v: %d entities, %d snapshots on return", at, h.Entities(), c.Snapshots-snaps)
+			}
+			tick += 3
+		}
+	}
+	if len(h.dir) != cells {
+		t.Fatalf("strays grew the directory from %d to %d cells", cells, len(h.dir))
+	}
+	checkHubInvariants(t, h)
+
+	// The cap is on the box, not on distance: a far entity is fine on
+	// its own, two far apart are not.
+	far := NewHub(HubConfig{Specs: hubSpecs(), Cell: 32})
+	far.SpawnEntity(1, spatial.Vec2{X: 1e6, Y: 1e6}, vals)
+	far.SpawnEntity(2, spatial.Vec2{X: -1e6, Y: -1e6}, vals)
+	if far.Entities() != 1 || far.StrayTotal.Load() != 1 || len(far.dir) > maxDirCells {
+		t.Fatalf("two entities 2e6 apart: %d placed, %d strays, %d cells", far.Entities(), far.StrayTotal.Load(), len(far.dir))
+	}
+	checkHubInvariants(t, far)
 }

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
+	"gamedb/internal/replica"
 	"gamedb/internal/spatial"
 	"gamedb/internal/world"
 )
@@ -81,4 +83,77 @@ func TestMingleAllocBudget(t *testing.T) {
 	checkAllocBudget(t, "mingle", 2_500, cfg, func(rt *Runtime) error {
 		return SeedMingleCrowd(rt, 8000, 2000, 2009, 30)
 	}, 30)
+}
+
+// TestHubFlushAllocBudget: the benchmark's fan-out tail (fanout.border:
+// 2 000 border units → FeedPump → a wire-sizing hub → 10 000 clients,
+// here all unthrottled and standing still), 100 ticks in. The pump and
+// the hub keep their scratch, so what a tick still allocates is
+// high-water growth — a client queue, a cell's list or its population
+// passing its previous maximum as the crowd wanders — about 240 objects
+// in the flush and 150 in BeginTick plus intake, falling with every
+// tick. With a map probed per (client, cell) and queues that gave their
+// capacity away on every drain the flush allocated 7 000 here. The
+// world's own tick is not counted; replica's TestHubSteadyStateAllocs
+// holds a crowd that repeats itself to a flush that allocates per
+// worker and an intake that allocates nothing.
+func TestHubFlushAllocBudget(t *testing.T) {
+	cfg := benchConfig(4)
+	cfg.World = spatial.NewRect(-400, -400, 2400, 2400)
+	cfg.GhostFields = BorderGhostFields()
+	cfg.ChangeFeed = true
+	rt, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if err := SeedBorderCrowd(rt, 2000, 2000, 2009, 6); err != nil {
+		t.Fatal(err)
+	}
+	hub := replica.NewHub(replica.HubConfig{
+		Specs: []replica.FieldSpec{
+			{Name: "x", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
+			{Name: "y", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
+			{Name: "hp", Class: replica.Exact},
+			{Name: "kb", Class: replica.Cosmetic, Period: 4},
+		},
+		Cell: 32, ByteBudget: 1500, WireSizing: true, MaxQueue: 1 << 30,
+	})
+	rng := rand.New(rand.NewSource(2009))
+	for i := 0; i < 10000; i++ {
+		hub.AddClient(i, spatial.Vec2{X: rng.Float64() * 2000, Y: rng.Float64() * 2000}, 64, 0)
+	}
+	pump := NewFeedPump(rt, hub)
+	pump.Pump()
+	hub.FlushTick()
+
+	var intake, flush uint64
+	var ms runtime.MemStats
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	const warm, ticks = 100, 20
+	for i := 0; i < warm+ticks; i++ {
+		if _, err := rt.Step(); err != nil {
+			t.Fatal(err)
+		}
+		m0 := mallocs()
+		pump.Pump()
+		m1 := mallocs()
+		hub.FlushTick()
+		m2 := mallocs()
+		if i >= warm {
+			intake += m1 - m0
+			flush += m2 - m1
+		}
+	}
+	perIntake, perFlush := float64(intake)/ticks, float64(flush)/ticks
+	t.Logf("intake allocates %.1f objects a tick, flush %.1f", perIntake, perFlush)
+	if perFlush > 500 {
+		t.Fatalf("FlushTick allocates %.0f objects for 10 000 clients, budget 500", perFlush)
+	}
+	if perIntake > 300 {
+		t.Fatalf("BeginTick and intake allocate %.0f objects a tick, budget 300", perIntake)
+	}
 }

@@ -8,7 +8,7 @@ package shard
 // that owns it.
 
 import (
-	"sort"
+	"slices"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/replica"
@@ -26,6 +26,11 @@ type FeedPump struct {
 	ids  []entity.ID
 	vals []float64
 	seen map[entity.ID]struct{}
+	// names and cols are per-call scratch: a feed's table names in
+	// sorted order, and the replicated fields' column indices in the
+	// table being pushed.
+	names []string
+	cols  []int
 }
 
 // NewFeedPump wires rt (whose worlds must record change feeds — build
@@ -87,12 +92,12 @@ func (p *FeedPump) Pump() {
 		if f == nil {
 			continue
 		}
-		names := make([]string, 0, len(f.Tables()))
+		p.names = p.names[:0]
 		for name := range f.Tables() {
-			names = append(names, name)
+			p.names = append(p.names, name)
 		}
-		sort.Strings(names)
-		for _, name := range names {
+		slices.Sort(p.names)
+		for _, name := range p.names {
 			tc := f.Table(name)
 			ids := p.ids[:0]
 			for _, id := range tc.Spawned {
@@ -127,7 +132,7 @@ func (p *FeedPump) Pump() {
 				}
 			}
 			clear(p.seen)
-			sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
+			slices.Sort(ids)
 			p.ids = ids
 			t, _ := w.Table(name)
 			p.pushRows(t, w, ids)
@@ -143,14 +148,15 @@ func (p *FeedPump) pushRows(t *entity.Table, w worldRef, ids []entity.ID) {
 	}
 	specs := p.hub.Specs()
 	s := t.Schema()
-	cols := make([]int, len(specs))
-	for fi, sp := range specs {
+	cols := p.cols[:0]
+	for _, sp := range specs {
 		ci, ok := s.Col(sp.Name)
 		if !ok {
 			ci = -1
 		}
-		cols[fi] = ci
+		cols = append(cols, ci)
 	}
+	p.cols = cols
 	for _, id := range ids {
 		if w.IsGhost(id) {
 			continue
