@@ -555,184 +555,6 @@ func BenchmarkE14ParallelTick(b *testing.B) {
 	}
 }
 
-// cascadeBenchWorld builds the E15 scenario: a crowd whose every entity
-// fires a 3-round self-targeted trigger cascade each tick (the shared
-// shard.CascadePackXML scenario, so bench and the shard grid test race
-// the same workload).
-func cascadeBenchWorld(b *testing.B, n, workers int, direct, rowApply bool, compile string) *world.World {
-	b.Helper()
-	c, errs := content.LoadAndCompile(strings.NewReader(shard.CascadePackXML))
-	if len(errs) > 0 {
-		b.Fatal(errs)
-	}
-	w := world.New(world.Config{
-		Seed: 42, CellSize: 16, ScriptFuel: 1 << 40, TickDT: 0.5,
-		Workers: workers, DirectTriggers: direct, RowApply: rowApply,
-		CompileBehaviors: compile,
-	})
-	if err := w.LoadPack(c); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	side := 1000.0
-	for i := 0; i < n; i++ {
-		p := spatial.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
-		id, err := w.Spawn("pulser", p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Set(id, "vx", entity.Float((rng.Float64()*2-1)*10)); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Set(id, "vy", entity.Float((rng.Float64()*2-1)*10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return w
-}
-
-// BenchmarkE15TriggerCascade: one tick of a trigger-cascade-heavy crowd
-// (every entity fires 3 rounds of matched trigger actions per tick) —
-// the legacy direct single-threaded drain vs the effect-aware round
-// drain at 1/2/4/8 workers. The effect drain's state is identical at
-// every width (and identical to direct execution on this per-entity
-// workload); trigger-ns/op isolates the drain cost the comparison is
-// about. (Speedup needs cores: GOMAXPROCS caps what any worker count
-// can deliver.)
-func BenchmarkE15TriggerCascade(b *testing.B) {
-	const units = 2000
-	run := func(b *testing.B, w *world.World) {
-		b.ResetTimer()
-		var trigNS int64
-		fired := 0
-		for i := 0; i < b.N; i++ {
-			st, err := w.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.ScriptErrors > 0 || st.TriggerErrors > 0 {
-				b.Fatalf("errors during bench: %v", w.LastScriptError)
-			}
-			trigNS += st.TriggerNS
-			fired += st.TriggerFired
-		}
-		b.ReportMetric(float64(units)*float64(b.N)/b.Elapsed().Seconds(), "entities/sec")
-		b.ReportMetric(float64(trigNS)/float64(b.N), "trigger-ns/op")
-		b.ReportMetric(float64(fired)/float64(b.N), "fired/tick")
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("direct-w%d", workers), func(b *testing.B) {
-			run(b, cascadeBenchWorld(b, units, workers, true, false, ""))
-		})
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("effect-w%d", workers), func(b *testing.B) {
-			run(b, cascadeBenchWorld(b, units, workers, false, false, ""))
-		})
-	}
-}
-
-// applyBenchWorld builds the E16 apply-heavy scenario: the shared
-// shard.MinglePackXML crowd (neighbor scan + two position sets + an int
-// add per entity, velocity physics adding x/y deltas), the workload
-// whose tick cost concentrates in the effect-apply phase.
-func applyBenchWorld(b *testing.B, n, workers int, rowApply bool, compile string) *world.World {
-	b.Helper()
-	c, errs := content.LoadAndCompile(strings.NewReader(shard.MinglePackXML))
-	if len(errs) > 0 {
-		b.Fatal(errs)
-	}
-	w := world.New(world.Config{
-		Seed: 42, CellSize: 8, ScriptFuel: 1 << 40, TickDT: 0.5,
-		Workers: workers, RowApply: rowApply,
-		CompileBehaviors: compile,
-	})
-	if err := w.LoadPack(c); err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	side := 160 * math.Sqrt(float64(n)/2000)
-	for i := 0; i < n; i++ {
-		p := spatial.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
-		id, err := w.Spawn("unit", p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Set(id, "vx", entity.Float((rng.Float64()*2-1)*4)); err != nil {
-			b.Fatal(err)
-		}
-		if err := w.Set(id, "vy", entity.Float((rng.Float64()*2-1)*4)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return w
-}
-
-// BenchmarkE16ApplyBatch: the columnar batch apply vs the legacy
-// row-at-a-time apply (Config.RowApply) on the two apply-bound
-// workloads — the E14-shaped mingle crowd (apply-ns/op isolates the
-// phase the batching rebuilt) and the E15 trigger cascade (whose
-// per-round applies ride the same path, surfaced as trigger-ns/op).
-// Both modes produce bit-identical state (the grid equivalence tests
-// pin it), so the delta is pure apply-path cost.
-func BenchmarkE16ApplyBatch(b *testing.B) {
-	const units = 2500
-	runApply := func(b *testing.B, rowApply bool, workers int) {
-		w := applyBenchWorld(b, units, workers, rowApply, "")
-		b.ReportAllocs()
-		b.ResetTimer()
-		var applyNS, queryNS int64
-		for i := 0; i < b.N; i++ {
-			st, err := w.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.ScriptErrors > 0 {
-				b.Fatal(w.LastScriptError)
-			}
-			applyNS += st.ApplyNS
-			queryNS += st.QueryNS
-		}
-		b.ReportMetric(float64(units)*float64(b.N)/b.Elapsed().Seconds(), "entities/sec")
-		b.ReportMetric(float64(applyNS)/float64(b.N), "apply-ns/op")
-		b.ReportMetric(float64(queryNS)/float64(b.N), "query-ns/op")
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("apply-heavy/batch-w%d", workers), func(b *testing.B) {
-			runApply(b, false, workers)
-		})
-		b.Run(fmt.Sprintf("apply-heavy/row-w%d", workers), func(b *testing.B) {
-			runApply(b, true, workers)
-		})
-	}
-	runCascadeMode := func(b *testing.B, rowApply bool, workers int) {
-		w := cascadeBenchWorld(b, 2000, workers, false, rowApply, "")
-		b.ReportAllocs()
-		b.ResetTimer()
-		var trigNS int64
-		for i := 0; i < b.N; i++ {
-			st, err := w.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.ScriptErrors > 0 || st.TriggerErrors > 0 {
-				b.Fatalf("errors during bench: %v", w.LastScriptError)
-			}
-			trigNS += st.TriggerNS
-		}
-		b.ReportMetric(float64(2000)*float64(b.N)/b.Elapsed().Seconds(), "entities/sec")
-		b.ReportMetric(float64(trigNS)/float64(b.N), "trigger-ns/op")
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("cascade/batch-w%d", workers), func(b *testing.B) {
-			runCascadeMode(b, false, workers)
-		})
-		b.Run(fmt.Sprintf("cascade/row-w%d", workers), func(b *testing.B) {
-			runCascadeMode(b, true, workers)
-		})
-	}
-}
-
 // conflictBenchWorld builds the E17 scenario: the shared
 // shard.ConflictPackXML crowd — drifting claimers racing to stamp
 // shared beacon rows (one blind write-write race plus one
@@ -791,57 +613,6 @@ func BenchmarkE17ConflictPolicy(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("occ-w%d", workers), func(b *testing.B) {
 			run(b, world.ConflictOCC, workers)
-		})
-	}
-}
-
-// BenchmarkE21CompiledBehaviors: per-entity interpretation vs compiled
-// set-at-a-time query plans (Config.CompileBehaviors) on the two
-// tick-pipeline workloads — the E16 apply-heavy mingle crowd and the
-// E15 trigger cascade — at 1/4 workers. Both modes produce bit-identical
-// state (TestCompiledBehaviorsHashInvariantAcrossGrid pins it), so the
-// delta is pure behavior-execution cost: query-ns/op isolates the phase
-// the compiler rebuilt and coverage reports the compiled share of
-// behavior invocations (1.0 = every on_tick ran as a plan).
-func BenchmarkE21CompiledBehaviors(b *testing.B) {
-	run := func(b *testing.B, w *world.World, units int) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		var queryNS int64
-		calls, compiled := 0, 0
-		for i := 0; i < b.N; i++ {
-			st, err := w.Step()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if st.ScriptErrors > 0 || st.TriggerErrors > 0 {
-				b.Fatalf("errors during bench: %v", w.LastScriptError)
-			}
-			queryNS += st.QueryNS
-			calls += st.ScriptCalls
-			compiled += st.CompiledCalls
-		}
-		b.ReportMetric(float64(units)*float64(b.N)/b.Elapsed().Seconds(), "entities/sec")
-		b.ReportMetric(float64(queryNS)/float64(b.N), "query-ns/op")
-		if calls > 0 {
-			b.ReportMetric(float64(compiled)/float64(calls), "coverage")
-		}
-	}
-	const mingleUnits, cascadeUnits = 2500, 2000
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("apply-heavy/interp-w%d", workers), func(b *testing.B) {
-			run(b, applyBenchWorld(b, mingleUnits, workers, false, world.CompileOff), mingleUnits)
-		})
-		b.Run(fmt.Sprintf("apply-heavy/compiled-w%d", workers), func(b *testing.B) {
-			run(b, applyBenchWorld(b, mingleUnits, workers, false, world.CompileOn), mingleUnits)
-		})
-	}
-	for _, workers := range []int{1, 4} {
-		b.Run(fmt.Sprintf("cascade/interp-w%d", workers), func(b *testing.B) {
-			run(b, cascadeBenchWorld(b, cascadeUnits, workers, false, false, world.CompileOff), cascadeUnits)
-		})
-		b.Run(fmt.Sprintf("cascade/compiled-w%d", workers), func(b *testing.B) {
-			run(b, cascadeBenchWorld(b, cascadeUnits, workers, false, false, world.CompileOn), cascadeUnits)
 		})
 	}
 }
@@ -955,21 +726,16 @@ func BenchmarkE23WireTransport(b *testing.B) {
 	}
 }
 
-// BenchmarkE19ReplicaFanout: the two change-feed consumers. reconcile
-// compares the barrier's ghost-refresh strategies on the border crowd
-// at 4 shards — the legacy full band sweep vs the dirty-set driven
-// incremental path — with reconcile-ns/op isolating the phase the feed
-// rebuilt (TestIncrementalReconcileShipEquivalence pins both strategies
-// ship-for-ship identical, so the delta is pure evaluation cost).
-// fanout pumps the sealed feeds through the replica hub into 1k/10k
-// delta-encoded client windows and prices the outward bytes per tick.
+// BenchmarkE19ReplicaFanout pumps the border crowd's sealed change feeds
+// through the replica hub into 1k/10k delta-encoded client windows and
+// prices the outward bytes per tick.
 func BenchmarkE19ReplicaFanout(b *testing.B) {
 	const units, side = 1500, 800.0
-	newRuntime := func(b *testing.B, mode string, feed bool) *shard.Runtime {
+	newRuntime := func(b *testing.B) *shard.Runtime {
 		rt, err := shard.New(shard.Config{
 			Seed: 42, Shards: 4, World: spatial.NewRect(0, 0, side, side),
 			TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-			GhostFields: shard.BorderGhostFields(), Reconcile: mode, ChangeFeed: feed,
+			GhostFields: shard.BorderGhostFields(), ChangeFeed: true,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -980,26 +746,9 @@ func BenchmarkE19ReplicaFanout(b *testing.B) {
 		}
 		return rt
 	}
-	for _, mode := range []string{shard.ReconcileFullScan, shard.ReconcileIncremental} {
-		b.Run("reconcile/"+mode, func(b *testing.B) {
-			rt := newRuntime(b, mode, false)
-			b.ReportAllocs()
-			b.ResetTimer()
-			var recNS int64
-			for i := 0; i < b.N; i++ {
-				st, err := rt.Step()
-				if err != nil {
-					b.Fatal(err)
-				}
-				recNS += st.ReconcileNS
-			}
-			b.ReportMetric(float64(recNS)/float64(b.N), "reconcile-ns/op")
-			b.ReportMetric(float64(rt.GhostShipTotal.Load())/float64(b.N), "ships/tick")
-		})
-	}
 	for _, clients := range []int{1000, 10000} {
 		b.Run(fmt.Sprintf("fanout/%dclients", clients), func(b *testing.B) {
-			rt := newRuntime(b, shard.ReconcileFullScan, true)
+			rt := newRuntime(b)
 			hub := replica.NewHub(replica.HubConfig{
 				Specs: []replica.FieldSpec{
 					{Name: "x", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},

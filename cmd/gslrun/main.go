@@ -58,10 +58,13 @@ func planPack(src string) bool {
 		}
 	}
 	sort.Strings(names)
-	ok := true
 	for _, name := range names {
 		fmt.Printf("script %q: ", name)
-		ok = planScript(name, c.Scripts[name].Prog) && ok
+		if cs := c.Scripts[name]; cs.Plan != nil {
+			fmt.Print(cs.Plan.Explain())
+		} else {
+			fmt.Printf("interpreter fallback: %s\n", cs.Fallback)
+		}
 	}
 	for _, ct := range c.Triggers {
 		explain, fallback := ct.ExplainPlans()
@@ -70,7 +73,7 @@ func planPack(src string) bool {
 			fmt.Printf("rule %q: interpreter fallback: %s\n", ct.Name, fallback)
 		}
 	}
-	return ok
+	return true
 }
 
 func main() {

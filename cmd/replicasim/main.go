@@ -11,7 +11,7 @@
 //	replicasim -clients 100000 -ticks 100       # the 100k regime
 //	replicasim -slow-frac 0.2                   # 20% throttled clients:
 //	                                            # watch tiers degrade
-//	replicasim -scenario mingle -reconcile fullscan
+//	replicasim -scenario mingle                 # the neighbourhood crowd
 //	replicasim -json > BENCH_replica.json       # machine-readable record
 package main
 
@@ -64,17 +64,12 @@ func main() {
 	budget := flag.Int("budget", 1500, "per-client per-tick drain budget in modeled bytes")
 	slowFrac := flag.Float64("slow-frac", 0.05, "fraction of clients throttled to budget/8 (induces backpressure and tier degradation)")
 	drift := flag.Float64("drift", 0.02, "fraction of clients whose focus moves each tick")
-	reconcile := flag.String("reconcile", shard.ReconcileIncremental, "ghost refresh strategy: incremental | fullscan (fan-out works under both; hash identical)")
 	wireSizing := flag.Bool("wire", false, "price fan-out messages by wire-encoding them (internal/wire codec) instead of modeled byte constants")
 	report := flag.Int("report", 0, "print per-tick fan-out stats every N ticks (0 = off)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable benchmark record on stdout")
 	flag.Parse()
 	if *scenario != "border" && *scenario != "mingle" {
 		fmt.Fprintf(os.Stderr, "replicasim: unknown -scenario %q (want border or mingle)\n", *scenario)
-		os.Exit(2)
-	}
-	if *reconcile != shard.ReconcileIncremental && *reconcile != shard.ReconcileFullScan {
-		fmt.Fprintf(os.Stderr, "replicasim: unknown -reconcile %q (want incremental or fullscan)\n", *reconcile)
 		os.Exit(2)
 	}
 
@@ -86,9 +81,8 @@ func main() {
 		CellSize:  16,
 		TickDT:    0.5,
 		GhostBand: 24,
-		Reconcile: *reconcile,
-		// The hub consumes the feeds, so they must record even under
-		// -reconcile fullscan.
+		// The hub consumes the feeds, so they must record even on one
+		// shard, where ghost reconcile would not turn them on.
 		ChangeFeed: true,
 	}
 	if *scenario == "border" {
@@ -187,7 +181,6 @@ func main() {
 			EntitiesPerSec: float64(*clients) * float64(*ticks) / elapsed.Seconds(),
 			Extra: map[string]any{
 				"scenario":          *scenario,
-				"reconcile":         *reconcile,
 				"wire_sizing":       *wireSizing,
 				"clients":           *clients,
 				"units":             *units,
@@ -229,7 +222,7 @@ func main() {
 	fmt.Printf("tiers: exact=%d coarse=%d cosmetic=%d (degrades=%d upgrades=%d)\n",
 		lastRep.Tiers[0], lastRep.Tiers[1], lastRep.Tiers[2],
 		hub.DegradeTotal.Load(), hub.UpgradeTotal.Load())
-	fmt.Printf("world hash %016x (identical for any -shards/-workers/-reconcile)\n", hash)
+	fmt.Printf("world hash %016x (identical for any -shards/-workers)\n", hash)
 }
 
 func clampf(v, lo, hi float64) float64 {

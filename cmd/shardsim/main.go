@@ -60,43 +60,41 @@ func parseShardList(s string) ([]int, error) {
 	return out, nil
 }
 
-// raceConfig builds the shard config one (scenario, shard count) race
-// runs under. It is the single source of scenario-forced settings —
-// the in-process race, the wire clusters and the -net worker processes
-// all call it, which is what makes their hashes comparable.
-func raceConfig(scenario string, shards, workers int, seed int64, side, band float64, rebalance int64, rowApply bool, conflict, compile, reconcile string) shard.Config {
-	cfg := shard.Config{
-		Seed:           seed,
-		Shards:         shards,
-		Workers:        workers,
-		World:          spatial.NewRect(0, 0, side, side),
-		CellSize:       16,
-		TickDT:         0.5,
-		GhostBand:      band,
-		RebalanceEvery: rebalance,
-		RowApply:       rowApply,
-		ConflictPolicy: conflict,
-		Reconcile:      reconcile,
+// raceSpec is one race: the shard config it runs under plus the crowd
+// seeded into it (whose map side and seed are the config's World width
+// and Seed). The in-process race, the wire clusters and the -net
+// worker processes all build theirs through newRaceSpec from the same
+// flags, which is what makes their hashes comparable.
+type raceSpec struct {
+	cfg      shard.Config
+	scenario string
+	entities int
+	ticks    int
+}
 
-		CompileBehaviors: compile,
-	}
-	switch scenario {
+// newRaceSpec completes a flag-built spec with the scenario-forced
+// settings. Applying it to its own result changes nothing, so a -net
+// worker handed the forced band arrives at the same config.
+func newRaceSpec(spec raceSpec) raceSpec {
+	spec.cfg.CellSize = 16
+	spec.cfg.TickDT = 0.5
+	switch spec.scenario {
 	case "border":
 		// Border writes are exact only when the read fields mirror
 		// Exactly and the band covers the 9.0 interaction radius.
-		cfg.GhostFields = shard.BorderGhostFields()
-		if cfg.GhostBand < 9 {
-			cfg.GhostBand = 20
+		spec.cfg.GhostFields = shard.BorderGhostFields()
+		if spec.cfg.GhostBand < 9 {
+			spec.cfg.GhostBand = 20
 		}
 	case "mingle":
 		// Mingle reads neighbors' positions through mirrors (8.0
 		// radius), so x/y must ship Exact and the band must cover it.
-		cfg.GhostFields = shard.MingleGhostFields()
-		if cfg.GhostBand < 8 {
-			cfg.GhostBand = 20
+		spec.cfg.GhostFields = shard.MingleGhostFields()
+		if spec.cfg.GhostBand < 8 {
+			spec.cfg.GhostBand = 20
 		}
 	}
-	return cfg
+	return spec
 }
 
 // scenarioSpeed is each scenario's drift speed (part of the workload
@@ -161,7 +159,8 @@ func (g runtimeGrid) Step() (shard.StepStats, error) { return g.rt.Step() }
 func (g runtimeGrid) Hash() (uint64, error)          { return g.rt.Hash(), nil }
 func (g runtimeGrid) Close() error                   { g.rt.Close(); return nil }
 
-func seedScenario(g grid, scenario string, entities int, side float64, seed int64) error {
+func seedScenario(g grid, spec raceSpec) error {
+	scenario, entities, side, seed := spec.scenario, spec.entities, spec.cfg.World.Width(), spec.cfg.Seed
 	speed := scenarioSpeed(scenario)
 	switch t := g.(type) {
 	case runtimeGrid:
@@ -186,8 +185,8 @@ func seedScenario(g grid, scenario string, entities int, side float64, seed int6
 	return fmt.Errorf("shardsim: unknown grid type %T", g)
 }
 
-func runRace(scenario, wireMode string, shards, workers, entities, ticks int, seed int64, side, band float64, rebalance int64, rowApply bool, conflict, compile, reconcile string, ro raceObs) (raceResult, error) {
-	cfg := raceConfig(scenario, shards, workers, seed, side, band, rebalance, rowApply, conflict, compile, reconcile)
+func runRace(spec raceSpec, wireMode string, ro raceObs) (raceResult, error) {
+	cfg, shards, entities, ticks := spec.cfg, spec.cfg.Shards, spec.entities, spec.ticks
 	cfg.Tracer = ro.tracer
 	cfg.Profile = ro.prof
 	var g grid
@@ -209,7 +208,7 @@ func runRace(scenario, wireMode string, shards, workers, entities, ticks int, se
 	}
 	defer g.Close()
 
-	if err := seedScenario(g, scenario, entities, side, seed); err != nil {
+	if err := seedScenario(g, spec); err != nil {
 		return raceResult{}, err
 	}
 
@@ -325,13 +324,13 @@ type netWorkerReport struct {
 // runNetWorker is one shard process of a -net grid: build the TCP mesh
 // endpoint, seed the shared scenario in lockstep, run the ticks, and
 // (worker 0 only) print the gathered world hash as JSON.
-func runNetWorker(self int, addrs []string, scenario string, entities, ticks, workers int, seed int64, side, band float64, rebalance int64, rowApply bool, conflict, compile, reconcile string) error {
-	cfg := raceConfig(scenario, len(addrs), workers, seed, side, band, rebalance, rowApply, conflict, compile, reconcile)
+func runNetWorker(self int, addrs []string, spec raceSpec) error {
+	scenario, entities, ticks, side, seed := spec.scenario, spec.entities, spec.ticks, spec.cfg.World.Width(), spec.cfg.Seed
 	mesh, err := wire.NewTCPMesh(self, addrs)
 	if err != nil {
 		return err
 	}
-	p, err := shard.NewPeer(cfg, mesh)
+	p, err := shard.NewPeer(spec.cfg, mesh)
 	if err != nil {
 		mesh.Close()
 		return err
@@ -374,8 +373,9 @@ func runNetWorker(self int, addrs []string, scenario string, entities, ticks, wo
 // runNetRace is the -net parent: run the reference in-process race,
 // then launch one OS process per shard meshed over loopback TCP, and
 // compare hashes. Exits the process on mismatch.
-func runNetRace(netShards int, scenario string, entities, ticks, workers int, seed int64, side, band float64, rebalance int64, rowApply bool, conflict, compile, reconcile string, jsonOut bool) {
-	ref, err := runRace(scenario, "", netShards, workers, entities, ticks, seed, side, band, rebalance, rowApply, conflict, compile, reconcile, raceObs{})
+func runNetRace(spec raceSpec, jsonOut bool) {
+	netShards, scenario, ticks, conflict := spec.cfg.Shards, spec.scenario, spec.ticks, spec.cfg.ConflictPolicy
+	ref, err := runRace(spec, "", raceObs{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shardsim: -net reference run: %v\n", err)
 		os.Exit(1)
@@ -394,17 +394,14 @@ func runNetRace(netShards int, scenario string, entities, ticks, workers int, se
 		"-net-worker",
 		"-net-addrs", strings.Join(addrs, ","),
 		"-scenario", scenario,
-		"-entities", strconv.Itoa(entities),
+		"-entities", strconv.Itoa(spec.entities),
 		"-ticks", strconv.Itoa(ticks),
-		"-workers", strconv.Itoa(workers),
-		"-seed", strconv.FormatInt(seed, 10),
-		"-side", strconv.FormatFloat(side, 'g', -1, 64),
-		"-band", strconv.FormatFloat(band, 'g', -1, 64),
-		"-rebalance", strconv.FormatInt(rebalance, 10),
-		"-row-apply=" + strconv.FormatBool(rowApply),
+		"-workers", strconv.Itoa(spec.cfg.Workers),
+		"-seed", strconv.FormatInt(spec.cfg.Seed, 10),
+		"-side", strconv.FormatFloat(spec.cfg.World.Width(), 'g', -1, 64),
+		"-band", strconv.FormatFloat(spec.cfg.GhostBand, 'g', -1, 64),
+		"-rebalance", strconv.FormatInt(spec.cfg.RebalanceEvery, 10),
 		"-conflict", conflict,
-		"-compile", compile,
-		"-reconcile", reconcile,
 	}
 	start := time.Now()
 	cmds := make([]*exec.Cmd, netShards)
@@ -482,10 +479,7 @@ func main() {
 	band := flag.Float64("band", 24, "ghost border band width (negative disables ghosts)")
 	rebalance := flag.Int64("rebalance", 50, "rebalance boundaries every N ticks (0 = static)")
 	workers := flag.Int("workers", 1, "per-shard query-phase workers (hash is identical for any value)")
-	rowApply := flag.Bool("row-apply", false, "use the legacy row-at-a-time effect apply (hash is identical either way)")
 	conflict := flag.String("conflict", world.ConflictLastWrite, "conflict policy for conflicting assignments: lastwrite | occ (hash is identical across shard counts under either)")
-	compile := flag.String("compile", world.CompileOff, "behavior execution on every shard world: off (interpret) | on (compile to set-at-a-time query plans, hash identical either way)")
-	reconcile := flag.String("reconcile", shard.ReconcileIncremental, "ghost refresh at the barrier: incremental (dirty-set driven off per-tick change feeds) | fullscan (legacy band sweep; ship-for-ship and hash identical either way)")
 	wireMode := flag.String("wire", "inprocess", "barrier transport: inprocess (coordinator runtime) | pipe (wire peers on an in-process pipe mesh) | tcp (wire peers over loopback sockets); hash is identical across all three")
 	netShards := flag.Int("net", 0, "launch N separate shard PROCESSES meshed over loopback TCP and assert their hash equals the in-process run (ignores -shards/-wire)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable benchmark JSON on stdout")
@@ -502,14 +496,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shardsim: unknown -conflict %q (want lastwrite or occ)\n", *conflict)
 		os.Exit(2)
 	}
-	if *compile != world.CompileOff && *compile != world.CompileOn {
-		fmt.Fprintf(os.Stderr, "shardsim: unknown -compile %q (want on or off)\n", *compile)
-		os.Exit(2)
-	}
-	if *reconcile != shard.ReconcileIncremental && *reconcile != shard.ReconcileFullScan {
-		fmt.Fprintf(os.Stderr, "shardsim: unknown -reconcile %q (want incremental or fullscan)\n", *reconcile)
-		os.Exit(2)
-	}
 	if *scenario != "drift" && *scenario != "border" && *scenario != "mingle" {
 		fmt.Fprintf(os.Stderr, "shardsim: unknown -scenario %q (want drift, border or mingle)\n", *scenario)
 		os.Exit(2)
@@ -519,16 +505,30 @@ func main() {
 		os.Exit(2)
 	}
 
+	spec := newRaceSpec(raceSpec{
+		scenario: *scenario, entities: *entities, ticks: *ticks,
+		cfg: shard.Config{
+			Seed:           *seed,
+			Workers:        *workers,
+			World:          spatial.NewRect(0, 0, *side, *side),
+			GhostBand:      *band,
+			RebalanceEvery: *rebalance,
+			ConflictPolicy: *conflict,
+		},
+	})
+
 	if *netWorker {
 		addrs := strings.Split(*netAddrs, ",")
-		if err := runNetWorker(*netSelf, addrs, *scenario, *entities, *ticks, *workers, *seed, *side, *band, *rebalance, *rowApply, *conflict, *compile, *reconcile); err != nil {
+		spec.cfg.Shards = len(addrs)
+		if err := runNetWorker(*netSelf, addrs, spec); err != nil {
 			fmt.Fprintf(os.Stderr, "shardsim: net worker %d: %v\n", *netSelf, err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *netShards > 0 {
-		runNetRace(*netShards, *scenario, *entities, *ticks, *workers, *seed, *side, *band, *rebalance, *rowApply, *conflict, *compile, *reconcile, *jsonOut)
+		spec.cfg.Shards = *netShards
+		runNetRace(spec, *jsonOut)
 		return
 	}
 
@@ -580,7 +580,8 @@ func main() {
 		if i == len(counts)-1 {
 			ro.tracer, ro.prof = tracer, prof
 		}
-		res, err := runRace(*scenario, *wireMode, n, *workers, *entities, *ticks, *seed, *side, *band, *rebalance, *rowApply, *conflict, *compile, *reconcile, ro)
+		spec.cfg.Shards = n
+		res, err := runRace(spec, *wireMode, ro)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "shardsim: %d shards: %v\n", n, err)
 			os.Exit(1)
@@ -602,7 +603,6 @@ func main() {
 				"workers":               *workers,
 				"wire":                  *wireMode,
 				"conflict_policy":       *conflict,
-				"compile_behaviors":     *compile,
 				"compiled_calls":        res.compiledCalls,
 				"script_calls":          res.scriptCalls,
 				"ticks_per_sec":         res.ticksPerSec,
@@ -610,7 +610,6 @@ func main() {
 				"ghosts":                res.ghosts,
 				"ghost_ships":           res.ghostShips,
 				"ghost_field_skips":     res.ghostSkips,
-				"reconcile":             *reconcile,
 				"reconcile_ns_per_tick": float64(res.reconcileNS) / float64(*ticks),
 				"feed_cells":            res.feedCells,
 				"effects_forwarded":     res.forwarded,

@@ -82,10 +82,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "world seed")
 	every := flag.Int("report", 10, "print stats every N ticks")
 	workers := flag.Int("workers", 1, "query-phase and trigger-round worker goroutines (state is identical for any value)")
-	directTriggers := flag.Bool("direct-triggers", false, "use the legacy single-threaded direct-write trigger drain")
-	rowApply := flag.Bool("row-apply", false, "use the legacy row-at-a-time effect apply (state is identical either way)")
 	conflict := flag.String("conflict", world.ConflictLastWrite, "conflict policy for conflicting assignments: lastwrite | occ")
-	compile := flag.String("compile", world.CompileOff, "behavior execution: off (interpret) | on (compile to set-at-a-time query plans, state identical either way)")
 	feed := flag.Bool("feed", false, "record a per-tick change feed (dirty (table, column, id) cells; state identical either way)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable benchmark record on stdout")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the run's tick spans to this file")
@@ -95,10 +92,6 @@ func main() {
 	flag.Parse()
 	if *conflict != world.ConflictLastWrite && *conflict != world.ConflictOCC {
 		fmt.Fprintf(os.Stderr, "worldsim: unknown -conflict %q (want lastwrite or occ)\n", *conflict)
-		os.Exit(2)
-	}
-	if *compile != world.CompileOff && *compile != world.CompileOn {
-		fmt.Fprintf(os.Stderr, "worldsim: unknown -compile %q (want on or off)\n", *compile)
 		os.Exit(2)
 	}
 
@@ -146,8 +139,7 @@ func main() {
 	}
 
 	w := world.New(world.Config{
-		Seed: *seed, Workers: *workers, DirectTriggers: *directTriggers,
-		RowApply: *rowApply, ConflictPolicy: *conflict, CompileBehaviors: *compile,
+		Seed: *seed, Workers: *workers, ConflictPolicy: *conflict,
 		ChangeFeed: *feed, Trace: tracer.Context(0), Profile: prof,
 	})
 	if *scenario == "border" {
@@ -284,10 +276,6 @@ func main() {
 	}
 
 	if *jsonOut {
-		drain := "effect"
-		if *directTriggers {
-			drain = "direct"
-		}
 		rep := metrics.BenchReport{Suite: "worldsim"}
 		rep.Records = append(rep.Records, metrics.BenchRecord{
 			Name:           fmt.Sprintf("worldsim/workers-%d", *workers),
@@ -296,9 +284,7 @@ func main() {
 			Extra: map[string]any{
 				"workers":               *workers,
 				"ticks":                 *ticks,
-				"trigger_drain":         drain,
 				"conflict_policy":       *conflict,
-				"compile_behaviors":     *compile,
 				"compiled_calls":        compiledCalls,
 				"compiled_coverage":     coverage(compiledCalls, scriptCalls),
 				"effects_per_tick":      float64(effects) / float64(*ticks),

@@ -100,16 +100,6 @@ const (
 	Cosmetic = replica.Cosmetic
 )
 
-// Compiled-behavior modes for Options.CompileBehaviors /
-// ShardedOptions.CompileBehaviors: CompileOn lowers compilable behavior
-// scripts onto set-at-a-time query plans at pack load (non-compilable
-// bodies fall back to the interpreter per entity), CompileOff (and "")
-// interprets everything. World state is bit-identical either way.
-const (
-	CompileOn  = world.CompileOn
-	CompileOff = world.CompileOff
-)
-
 // Checkpoint policies for Options.Checkpoint.
 type (
 	// Periodic checkpoints on a fixed tick interval.

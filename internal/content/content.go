@@ -125,11 +125,19 @@ type Archetype struct {
 	Values map[string]entity.Value
 }
 
-// CompiledScript is a parsed, checked behavior script.
+// CompiledScript is a parsed, checked behavior script. Plan is its
+// on_tick lowered onto a gslplan query plan, compiled once here and
+// shared by every world (every shard) that loads the pack; nil means
+// the script has no on_tick or its body is outside the compilable
+// subset — Fallback then names the first offending construct — and the
+// world runs it on the interpreter.
 type CompiledScript struct {
 	Name       string
 	Restricted bool
 	Prog       *script.Program
+
+	Plan     *gslplan.Program
+	Fallback string
 }
 
 // CompiledTrigger is a trigger with parsed condition/action programs.
@@ -329,7 +337,7 @@ func Compile(p *Pack) (*Compiled, []error) {
 		}
 		cs := &CompiledScript{Name: sd.Name, Restricted: restricted, Prog: prog}
 		c.Scripts[sd.Name] = cs
-		c.Warnings = append(c.Warnings, lintScript(cs)...)
+		c.Warnings = append(c.Warnings, planScript(cs)...)
 	}
 
 	for _, td := range p.Triggers {

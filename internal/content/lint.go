@@ -40,31 +40,34 @@ func (w Warning) String() string {
 	return fmt.Sprintf("trigger %q: line %d: %s", w.Trigger, w.Line, w.Msg)
 }
 
-// lintScript checks whether a behavior script's on_tick lowers onto a
-// set-at-a-time query plan and, when it does not, names the first
-// non-compilable construct. Purely advisory: the interpreter runs every
-// body, compiled or not, but a world with CompileBehaviors on will run
-// this script per-entity — authors chasing tick time want to know.
-func lintScript(cs *CompiledScript) []Warning {
+// planScript lowers a behavior script's on_tick onto a set-at-a-time
+// query plan (cs.Plan). When the body is outside the compilable subset
+// it records the first offending construct in cs.Fallback and returns
+// the advisory warning naming it: the script runs on the per-entity
+// interpreter — authors chasing tick time want to know. Scripts without
+// an on_tick never run as behaviors and are left alone.
+func planScript(cs *CompiledScript) []Warning {
 	if cs.Prog.Fns[gslplan.EntryFn] == nil {
 		return nil
 	}
-	_, err := gslplan.Compile(cs.Name, cs.Prog, gslplan.EntryFn, 1)
+	p, err := gslplan.Compile(cs.Name, cs.Prog, gslplan.EntryFn, 1)
 	if err == nil {
+		cs.Plan = p
 		return nil
 	}
-	line, reason := gslplan.Reason(err)
+	var line int
+	line, cs.Fallback = gslplan.Reason(err)
 	return []Warning{{
 		Script: cs.Name,
 		Line:   line,
-		Msg:    fmt.Sprintf("on_tick stays on the per-entity interpreter under compiled execution: %s", reason),
+		Msg:    fmt.Sprintf("on_tick stays on the per-entity interpreter: %s", cs.Fallback),
 	}}
 }
 
 // planTrigger lowers one side of a trigger rule (element is "<when>" or
 // "<do>") onto a query plan. When the body is outside the compilable
 // subset it returns the first offending construct instead, plus the
-// advisory warning naming it — the trigger counterpart of lintScript.
+// advisory warning naming it — the trigger counterpart of planScript.
 func planTrigger(rule, element string, prog *script.Program, entry string) (*gslplan.Program, string, []Warning) {
 	p, err := gslplan.Compile(rule, prog, entry, TriggerArgs)
 	if err == nil {

@@ -19,7 +19,11 @@ import (
 )
 
 // Options configures an Engine. The zero value is usable: a world with
-// default sizes, no persistence, no replication.
+// default sizes, no persistence, no replication. The tick has one
+// pipeline and no option selects another: behaviors and trigger rules
+// run on the query plans their content pack compiled (the interpreter
+// takes over per invocation when a plan cannot), effects apply
+// columnar, and triggers drain in effect-aware rounds.
 type Options struct {
 	// Seed drives all engine randomness.
 	Seed int64
@@ -34,14 +38,6 @@ type Options struct {
 	// trigger rounds across that many goroutines (default 1); world
 	// state is identical for any value.
 	Workers int
-	// DirectTriggers selects the legacy single-threaded direct-write
-	// trigger drain instead of the effect-aware round drain (see
-	// world.Config.DirectTriggers).
-	DirectTriggers bool
-	// RowApply selects the legacy row-at-a-time effect apply instead of
-	// the columnar batch apply (see world.Config.RowApply; both produce
-	// bit-identical state).
-	RowApply bool
 	// Pool overrides the worker pool tick-parallel phases run on
 	// (default: the process-wide sched.Shared() pool).
 	Pool *sched.Pool
@@ -51,11 +47,6 @@ type Options struct {
 	ConflictPolicy string
 	// EffectRetryCap bounds OCC re-run rounds (see world.Config).
 	EffectRetryCap int
-	// CompileBehaviors selects set-at-a-time compiled behavior execution:
-	// world.CompileOn compiles behavior scripts onto query plans at load
-	// (per-entity interpreter fallback for non-compilable bodies); "" or
-	// world.CompileOff interprets everything. Bit-identical either way.
-	CompileBehaviors string
 	// Tracer records span-based tick traces (nil = off); the engine's
 	// world records onto the tracer's shard-0 context. Profile is the
 	// per-behavior / per-rule profiler (nil = off). Both are inert with
@@ -105,15 +96,11 @@ func New(opts Options) (*Engine, error) {
 			ScriptFuel:     opts.ScriptFuel,
 			TickDT:         opts.TickDT,
 			Workers:        opts.Workers,
-			DirectTriggers: opts.DirectTriggers,
-			RowApply:       opts.RowApply,
 			Pool:           opts.Pool,
 			ConflictPolicy: opts.ConflictPolicy,
 			EffectRetryCap: opts.EffectRetryCap,
 			Trace:          opts.Tracer.Context(0),
 			Profile:        opts.Profile,
-
-			CompileBehaviors: opts.CompileBehaviors,
 		}),
 	}
 	if opts.Checkpoint != nil {

@@ -15,7 +15,9 @@ import (
 )
 
 // ShardedOptions configures OpenSharded. World and Shards are required;
-// everything else defaults like Options.
+// everything else defaults like Options. Every shard world runs the one
+// tick pipeline Options describes, and the barrier refreshes ghosts
+// incrementally off each world's per-tick change feed.
 type ShardedOptions struct {
 	// Seed drives all randomness, reproducibly across shard counts.
 	Seed int64
@@ -33,12 +35,6 @@ type ShardedOptions struct {
 	// Shards × Workers, and the world hash stays identical for any
 	// combination.
 	Workers int
-	// DirectTriggers selects the legacy single-threaded direct-write
-	// trigger drain on every shard world.
-	DirectTriggers bool
-	// RowApply selects the legacy row-at-a-time effect apply on every
-	// shard world instead of the columnar batch apply.
-	RowApply bool
 	// Pool overrides the worker pool shard ticks and world phases run
 	// on (default: the process-wide sched.Shared() pool).
 	Pool *sched.Pool
@@ -48,10 +44,6 @@ type ShardedOptions struct {
 	ConflictPolicy string
 	// EffectRetryCap bounds OCC re-run rounds (see world.Config).
 	EffectRetryCap int
-	// CompileBehaviors selects set-at-a-time compiled behavior execution
-	// on every shard world (world.CompileOn / world.CompileOff; see
-	// world.Config.CompileBehaviors). Bit-identical either way.
-	CompileBehaviors string
 	// Tracer records span-based tick traces across all shards plus the
 	// coordinator barrier (nil = off); Profile is the per-behavior /
 	// per-rule profiler shared by every shard world (nil = off). See
@@ -70,14 +62,10 @@ type ShardedOptions struct {
 	// that many ticks (0 = static partition).
 	RebalanceEvery int64
 
-	// Reconcile selects the ghost-refresh strategy at the tick barrier:
-	// shard.ReconcileIncremental (default — dirty-set driven off each
-	// world's change feed) or shard.ReconcileFullScan (the legacy
-	// per-field band sweep). Ship-for-ship identical either way.
-	Reconcile string
 	// ChangeFeed forces per-tick change-feed recording on every shard
-	// world even under full-scan reconcile, for external consumers such
-	// as the replica fan-out hub.
+	// world even when the barrier's ghost refresh would not turn it on
+	// itself (one shard, or ghosts disabled), for external consumers
+	// such as the replica fan-out hub.
 	ChangeFeed bool
 }
 
@@ -101,8 +89,6 @@ func NewSharded(opts ShardedOptions) (*ShardedEngine, error) {
 		ScriptFuel:     opts.ScriptFuel,
 		TickDT:         opts.TickDT,
 		Workers:        opts.Workers,
-		DirectTriggers: opts.DirectTriggers,
-		RowApply:       opts.RowApply,
 		Pool:           opts.Pool,
 		ConflictPolicy: opts.ConflictPolicy,
 		EffectRetryCap: opts.EffectRetryCap,
@@ -111,10 +97,7 @@ func NewSharded(opts ShardedOptions) (*ShardedEngine, error) {
 		GhostBand:      opts.GhostBand,
 		GhostFields:    opts.GhostFields,
 		RebalanceEvery: opts.RebalanceEvery,
-		Reconcile:      opts.Reconcile,
 		ChangeFeed:     opts.ChangeFeed,
-
-		CompileBehaviors: opts.CompileBehaviors,
 	})
 	if err != nil {
 		return nil, err

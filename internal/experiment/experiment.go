@@ -37,8 +37,7 @@ func All() []Driver {
 		{"E12", "T5: navigation mesh vs grid A*; annotated queries", E12NavMesh},
 		{"E17", "conflict policies: last-write-wins vs serializable OCC re-runs", E17ConflictPolicy},
 		{"E18", "observability overhead: tracing + profiling on vs off", E18ObservabilityOverhead},
-		{"E19", "change-feed replication: incremental ghost refresh + client fan-out", E19ChangeFeedReplication},
-		{"E21", "compiled behaviors: per-entity interpreter vs set-at-a-time plans", E21CompiledBehaviors},
+		{"E19", "change-feed replication: client fan-out", E19ChangeFeedReplication},
 		{"E22", "cross-shard effects: ghost writes forwarded through the tick barrier", E22CrossShardEffects},
 		{"E23", "wire-protocol tick barrier: in-process vs pipe vs TCP transport", E23WireTransport},
 		{"A1", "ablation: causality-bubble prediction horizon", A1BubbleHorizon},

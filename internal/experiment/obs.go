@@ -16,9 +16,7 @@ import (
 )
 
 // obsScenario is one workload the observability overhead is priced on:
-// a content pack plus the spawn parameters the E15/E16 benchmarks use,
-// so the overhead numbers describe the same worlds those benchmarks
-// measure.
+// a content pack plus its spawn parameters.
 type obsScenario struct {
 	name     string
 	packXML  string
@@ -30,8 +28,7 @@ type obsScenario struct {
 	workers  int
 }
 
-// buildObsWorld replicates the bench_test.go scenario construction
-// (seed-fixed spawn stream: position in [0,side)², velocity in
+// buildObsWorld builds the scenario's world (seed-fixed spawn stream: position in [0,side)², velocity in
 // [-speed,speed)) with the observability hooks optionally attached.
 func buildObsWorld(sc obsScenario, trace *obs.SpanCtx, prof *obs.Profiler) *world.World {
 	c, errs := content.LoadAndCompile(strings.NewReader(sc.packXML))
@@ -62,8 +59,8 @@ func buildObsWorld(sc obsScenario, trace *obs.SpanCtx, prof *obs.Profiler) *worl
 	return w
 }
 
-// E18ObservabilityOverhead prices the observability layer: the E15
-// trigger-cascade crowd and the E16 apply-heavy mingle crowd are ticked
+// E18ObservabilityOverhead prices the observability layer: the
+// trigger-cascade crowd and the apply-heavy mingle crowd are ticked
 // with observability off and with the full rig on (span tracer attached
 // plus sampled per-behavior/per-rule profiler), and the table reports
 // the tick-time delta. Each mode runs `reps` fresh worlds and keeps the

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"gamedb/internal/metrics"
 	"gamedb/internal/replica"
@@ -11,104 +10,18 @@ import (
 	"gamedb/internal/spatial"
 )
 
-// E19ChangeFeedReplication measures the two consumers of the per-tick
-// change feed.
-//
-// Reconcile rows: the border crowd at 1/2/4 shards under the legacy
-// full band sweep (every ghost × every field, every barrier) vs the
-// dirty-set-driven incremental path (feed candidates plus the due-tick
-// index). Identical hashes down each shard row are the exactness claim;
-// the reconcile/tick column is the perf claim — the incremental path
-// prices evaluation at O(dirty + due) instead of O(band × fields).
-//
-// Fan-out rows: the same feed pumped into the replica hub and fanned to
-// 1k/10k/100k synthetic clients with per-client interest windows, delta
-// encoding and tier degradation; bytes/tick and staleness percentiles
-// size the outward bandwidth the paper's consistency tiers buy.
+// E19ChangeFeedReplication measures the client-facing consumer of the
+// per-tick change feed: the border crowd's sealed feeds pumped into the
+// replica hub and fanned to 1k/10k/100k synthetic clients with
+// per-client interest windows, delta encoding and tier degradation;
+// bytes/tick and staleness percentiles size the outward bandwidth the
+// paper's consistency tiers buy. (The feed's other consumer, the
+// barrier's incremental ghost refresh, is measured by bench/'s
+// shard.reconcile_ms.)
 func E19ChangeFeedReplication(quick bool) *metrics.Table {
-	t := metrics.NewTable("E19 — change-feed replication: incremental ghost refresh + client fan-out",
-		"phase", "config", "tick", "reconcile p50", "ships/tick", "bytes/tick", "stale p50/p99", "hash")
-	t.Note = "reconcile: identical hashes per shard count = feed-driven refresh is exact; reconcile p50 is the median over ticks of the element-wise minimum across alternating repetitions per mode (same seed => identical per-tick workload, so the per-tick min strips scheduler noise on shared hosts; mass-snapshot barriers cost both strategies the same and would mask the steady-state gap); fan-out: bytes/tick grows sublinearly in clients (interest windows)"
-
-	units := pick(quick, 300, 1500)
-	side := pick(quick, 400.0, 800.0)
-	ticks := pick(quick, 12, 60)
-	reps := pick(quick, 1, 5)
-	modes := []string{shard.ReconcileFullScan, shard.ReconcileIncremental}
-	for _, shards := range []int{1, 2, 4} {
-		type modeRun struct {
-			minNS  []float64 // element-wise min across reps, per tick
-			wallNS float64   // fastest rep's wall time for the tick loop
-			hash   uint64
-			ships  int64
-		}
-		runs := map[string]*modeRun{}
-		// Alternate modes within each rep so slow stretches of the host
-		// (GC on a neighbor tenant, scheduler churn) hit both modes
-		// equally rather than biasing whichever ran during the stretch.
-		for rep := 0; rep < reps; rep++ {
-			for _, mode := range modes {
-				rt, err := shard.New(shard.Config{
-					Seed: 42, Shards: shards, World: spatial.NewRect(0, 0, side, side),
-					TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-					GhostFields: shard.BorderGhostFields(), Reconcile: mode,
-				})
-				if err != nil {
-					panic(fmt.Sprintf("E19: %v", err))
-				}
-				if err := shard.SeedBorderCrowd(rt, units, side, 7, 6); err != nil {
-					panic(fmt.Sprintf("E19: %v", err))
-				}
-				recNS := make([]float64, 0, ticks)
-				elapsed := timeOp(func() {
-					for i := 0; i < ticks; i++ {
-						st, err := rt.Step()
-						if err != nil {
-							panic(fmt.Sprintf("E19: tick %d: %v", i, err))
-						}
-						recNS = append(recNS, float64(st.ReconcileNS))
-					}
-				})
-				hash := rt.Hash()
-				ships := rt.GhostShipTotal.Load()
-				rt.Close()
-				mr := runs[mode]
-				if mr == nil {
-					runs[mode] = &modeRun{
-						minNS: recNS, wallNS: float64(elapsed.Nanoseconds()),
-						hash: hash, ships: ships,
-					}
-					continue
-				}
-				if hash != mr.hash || ships != mr.ships {
-					panic(fmt.Sprintf("E19: %s/%dsh rep %d diverged: hash %016x vs %016x, ships %d vs %d",
-						mode, shards, rep, hash, mr.hash, ships, mr.ships))
-				}
-				for i, ns := range recNS {
-					if ns < mr.minNS[i] {
-						mr.minNS[i] = ns
-					}
-				}
-				if w := float64(elapsed.Nanoseconds()); w < mr.wallNS {
-					mr.wallNS = w
-				}
-			}
-		}
-		for _, mode := range modes {
-			mr := runs[mode]
-			sort.Float64s(mr.minNS)
-			t.AddRow(
-				"reconcile",
-				fmt.Sprintf("%s/%dsh", mode, shards),
-				metrics.Fdur(mr.wallNS/float64(ticks)),
-				metrics.Fdur(mr.minNS[len(mr.minNS)/2]),
-				metrics.Fnum(float64(mr.ships)/float64(ticks)),
-				"—",
-				"—",
-				fmt.Sprintf("%016x", mr.hash),
-			)
-		}
-	}
+	t := metrics.NewTable("E19 — change-feed replication: client fan-out",
+		"config", "tick", "bytes/tick", "stale p50/p99", "hash")
+	t.Note = "bytes/tick grows sublinearly in clients (interest windows)"
 
 	clientScales := pick(quick, []int{200, 1000}, []int{1000, 10000, 100000})
 	fanUnits := pick(quick, 300, 2000)
@@ -164,11 +77,8 @@ func E19ChangeFeedReplication(quick bool) *metrics.Table {
 			label = fmt.Sprintf("%dk clients", clients/1000)
 		}
 		t.AddRow(
-			"fanout",
 			label,
 			metrics.Fdur(float64(elapsed.Nanoseconds())/float64(fanTicks)),
-			"—",
-			"—",
 			metrics.Fnum(float64(bytes)/float64(fanTicks)),
 			fmt.Sprintf("%.0f/%.0f", hub.Staleness.Quantile(0.50), hub.Staleness.Quantile(0.99)),
 			fmt.Sprintf("%016x", hash),

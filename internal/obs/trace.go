@@ -39,8 +39,7 @@ const (
 	// cross-shard OCC re-runs the verdicts request).
 	SpanForward     = "forward"
 	SpanRemoteMerge = "remote-merge"
-	// SpanReconcile is the barrier's ghost-refresh phase (dirty-set
-	// driven or full-scan, per shard.Config.Reconcile); SpanFanout is
+	// SpanReconcile is the barrier's ghost-refresh phase; SpanFanout is
 	// the replica hub's per-tick client fan-out (outside the barrier).
 	SpanReconcile = "reconcile"
 	SpanFanout    = "fanout"

@@ -53,10 +53,11 @@ func checkAllocBudget(t *testing.T, name string, budget float64, cfg Config, see
 }
 
 // TestCascadeAllocBudget: 1000 pulsers, 4 shards. Interpreted triggers
-// cost about 78 000 mallocs per tick here; on plans the tick is left
-// with the interpreted pulse behavior and the barrier, about 5 200.
+// cost about 78 000 mallocs per tick here and the interpreted pulse
+// behavior another 5 000; with both on plans the tick is left with the
+// barrier's, about 160.
 func TestCascadeAllocBudget(t *testing.T) {
-	checkAllocBudget(t, "cascade", 10_000, benchConfig(4), func(rt *Runtime) error {
+	checkAllocBudget(t, "cascade", 320, benchConfig(4), func(rt *Runtime) error {
 		return SeedCascadeCrowd(rt, 1000, 2000, 2009, 30)
 	}, 50)
 }
@@ -72,17 +73,74 @@ func TestDriftAllocBudget(t *testing.T) {
 	}, 100)
 }
 
-// TestMingleAllocBudget: 8000 minglers on compiled behaviors, 4 shards,
-// the world widened like the benchmark's so no unit leaves it.
+// TestMingleAllocBudget: 8000 minglers, 4 shards, the world widened
+// like the benchmark's so no unit leaves it.
 func TestMingleAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-2000, -2000, 4000, 4000)
 	cfg.GhostBand = 20
 	cfg.GhostFields = MingleGhostFields()
-	cfg.CompileBehaviors = world.CompileOn
 	checkAllocBudget(t, "mingle", 2_500, cfg, func(rt *Runtime) error {
 		return SeedMingleCrowd(rt, 8000, 2000, 2009, 30)
 	}, 30)
+}
+
+// TestBorderAllocBudget: the benchmark's border crowd (border.tcp and
+// fanout.border: 2 000 raiders and medics writing each other across
+// region boundaries) in process, under occ, 4 shards. raid and mend use
+// only nearby / for / if / get / set / add, so on plans — re-runs
+// included — the tick is left with the barrier's allocations, about
+// 160; one of them slipping back onto the interpreter costs tens of
+// thousands and fails here, not in a benchmark three changes later.
+func TestBorderAllocBudget(t *testing.T) {
+	cfg := benchConfig(4)
+	cfg.World = spatial.NewRect(-400, -400, 2400, 2400)
+	cfg.GhostFields = BorderGhostFields()
+	cfg.ConflictPolicy = world.ConflictOCC
+	checkAllocBudget(t, "border", 320, cfg, func(rt *Runtime) error {
+		return SeedBorderCrowd(rt, 2000, 2000, 2009, 6)
+	}, 50)
+}
+
+// TestCompileBehaviorsFieldIsInert: Config.CompileBehaviors is declared
+// only because bench/ still assigns it. Whatever it holds, the crowd
+// lands on the same hash with the same number of behavior calls
+// completed on plans.
+func TestCompileBehaviorsFieldIsInert(t *testing.T) {
+	run := func(v string) (uint64, int) {
+		cfg := Config{
+			Seed: 7, Shards: 2, World: spatial.NewRect(0, 0, 400, 400),
+			TickDT: 0.5, GhostBand: 25, ScriptFuel: 1 << 20, CompileBehaviors: v,
+		}
+		rt, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(rt.Close)
+		if err := SeedMingleCrowd(rt, 250, 400, 77, 30); err != nil {
+			t.Fatal(err)
+		}
+		compiled := 0
+		for i := 0; i < 10; i++ {
+			st, err := rt.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ws := range st.Shards {
+				compiled += ws.CompiledCalls
+			}
+		}
+		return rt.Hash(), compiled
+	}
+	wantHash, wantCompiled := run("")
+	if wantCompiled == 0 {
+		t.Fatal("no behavior call completed on a plan")
+	}
+	for _, v := range []string{world.CompileOn, "off"} {
+		if h, c := run(v); h != wantHash || c != wantCompiled {
+			t.Fatalf("CompileBehaviors=%q: hash %x compiled %d, want %x %d", v, h, c, wantHash, wantCompiled)
+		}
+	}
 }
 
 // TestHubFlushAllocBudget: the benchmark's fan-out tail (fanout.border:

@@ -15,13 +15,22 @@ import (
 	"gamedb/internal/spatial"
 )
 
-// feedRun drives one scenario under one reconcile mode and returns the
-// final hash.
-func feedRun(t *testing.T, scenario, reconcile string, shards, workers int) uint64 {
+// reconcileName labels a refresh strategy in failure messages.
+func reconcileName(fullScan bool) string {
+	if fullScan {
+		return "fullscan"
+	}
+	return "incremental"
+}
+
+// feedRun drives one scenario under the incremental refresh or —
+// fullScan, the unexported Runtime field only these tests set — the
+// full band sweep, and returns the final hash.
+func feedRun(t *testing.T, scenario string, fullScan bool, shards, workers int) uint64 {
 	t.Helper()
 	cfg := Config{
 		Seed: 7, Shards: shards, World: spatial.NewRect(0, 0, 400, 400),
-		TickDT: 0.5, GhostBand: 20, Workers: workers, Reconcile: reconcile,
+		TickDT: 0.5, GhostBand: 20, Workers: workers,
 	}
 	if scenario == "border" {
 		cfg.GhostFields = BorderGhostFields()
@@ -31,6 +40,7 @@ func feedRun(t *testing.T, scenario, reconcile string, shards, workers int) uint
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	rt.fullScan = fullScan
 	if scenario == "border" {
 		err = SeedBorderCrowd(rt, 240, 400, 77, 6)
 	} else {
@@ -42,7 +52,7 @@ func feedRun(t *testing.T, scenario, reconcile string, shards, workers int) uint
 	for i := 0; i < 20; i++ {
 		if st, err := rt.Step(); err != nil {
 			t.Fatalf("%s/%s shards=%d workers=%d tick %d: %v",
-				scenario, reconcile, shards, workers, st.Tick, err)
+				scenario, reconcileName(fullScan), shards, workers, st.Tick, err)
 		}
 	}
 	return rt.Hash()
@@ -50,19 +60,19 @@ func feedRun(t *testing.T, scenario, reconcile string, shards, workers int) uint
 
 // TestFeedReconcileHashInvariantAcrossGrid pins the tentpole inertness
 // claim: at every scenario × shards × workers grid point, switching the
-// ghost refresh from the legacy full band sweep to the dirty-set-driven
+// ghost refresh from the full band sweep to the dirty-set-driven
 // incremental path must not move the world hash. The feed is an index,
 // never an input. Border (all-Exact ghost fields) additionally stays on
 // the single-shard hash at every shard count; mingle's default Coarse
 // mirrors are deliberately shard-count-dependent (the paper's weakened
 // consistency), so there only the mode equivalence is asserted.
 func TestFeedReconcileHashInvariantAcrossGrid(t *testing.T) {
-	borderBase := feedRun(t, "border", ReconcileFullScan, 1, 1)
+	borderBase := feedRun(t, "border", true, 1, 1)
 	for _, scenario := range []string{"border", "mingle"} {
 		for _, workers := range []int{1, 4} {
 			for _, shards := range []int{1, 2, 4} {
-				full := feedRun(t, scenario, ReconcileFullScan, shards, workers)
-				inc := feedRun(t, scenario, ReconcileIncremental, shards, workers)
+				full := feedRun(t, scenario, true, shards, workers)
+				inc := feedRun(t, scenario, false, shards, workers)
 				if inc != full {
 					t.Fatalf("%s: incremental hash diverged from fullscan at shards=%d workers=%d: %x vs %x",
 						scenario, shards, workers, inc, full)
@@ -99,20 +109,21 @@ func equivSpecs() []replica.FieldSpec {
 	}
 }
 
-// shipLog runs the border crowd for 25 ticks under one reconcile mode,
+// shipLog runs the border crowd for 25 ticks under one refresh strategy,
 // recording every ghost field ship the barrier performs plus per-tick
 // ship/snapshot counts, and the final hash.
-func shipLog(t *testing.T, reconcile string) (log []shipEvt, counts [][2]int, hash uint64) {
+func shipLog(t *testing.T, fullScan bool) (log []shipEvt, counts [][2]int, hash uint64) {
 	t.Helper()
 	rt, err := New(Config{
 		Seed: 7, Shards: 4, World: spatial.NewRect(0, 0, 400, 400),
 		TickDT: 0.5, GhostBand: 20, Workers: 2,
-		GhostFields: equivSpecs(), Reconcile: reconcile,
+		GhostFields: equivSpecs(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	rt.fullScan = fullScan
 	rt.onShip = func(di int, id entity.ID, fi int) {
 		log = append(log, shipEvt{tick: rt.Tick(), di: di, id: id, fi: fi})
 	}
@@ -122,7 +133,7 @@ func shipLog(t *testing.T, reconcile string) (log []shipEvt, counts [][2]int, ha
 	for i := 0; i < 25; i++ {
 		st, err := rt.Step()
 		if err != nil {
-			t.Fatalf("reconcile=%s tick %d: %v", reconcile, st.Tick, err)
+			t.Fatalf("reconcile=%s tick %d: %v", reconcileName(fullScan), st.Tick, err)
 		}
 		counts = append(counts, [2]int{st.GhostShips, st.GhostSnapshots})
 	}
@@ -138,8 +149,8 @@ func shipLog(t *testing.T, reconcile string) (log []shipEvt, counts [][2]int, ha
 // load-bearing: drop the due index and declined-but-diverged values
 // never surface, which this test catches as a missing log entry.
 func TestIncrementalReconcileShipEquivalence(t *testing.T) {
-	fullLog, fullCounts, fullHash := shipLog(t, ReconcileFullScan)
-	incLog, incCounts, incHash := shipLog(t, ReconcileIncremental)
+	fullLog, fullCounts, fullHash := shipLog(t, true)
+	incLog, incCounts, incHash := shipLog(t, false)
 	if len(fullLog) == 0 {
 		t.Fatal("full scan performed no ghost ships — scenario not exercising the band")
 	}
@@ -163,11 +174,11 @@ func TestIncrementalReconcileShipEquivalence(t *testing.T) {
 // raw table holding string columns, an entity just inside the border
 // band, and string fields in the ghost specs: label as Exact, mood as
 // Coarse (unshippable — no numeric distance).
-func nonNumericWorld(t *testing.T, reconcile string) (*Runtime, entity.ID) {
+func nonNumericWorld(t *testing.T, fullScan bool) (*Runtime, entity.ID) {
 	t.Helper()
 	rt, err := New(Config{
 		Seed: 3, Shards: 2, World: spatial.NewRect(0, 0, 200, 100),
-		CellSize: 16, TickDT: 0.5, GhostBand: 40, Reconcile: reconcile,
+		CellSize: 16, TickDT: 0.5, GhostBand: 40,
 		GhostFields: []replica.FieldSpec{
 			{Name: "x", Class: replica.Coarse, Epsilon: 0.1, MaxAge: 5},
 			{Name: "label", Class: replica.Exact},
@@ -178,6 +189,7 @@ func nonNumericWorld(t *testing.T, reconcile string) (*Runtime, entity.ID) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
+	rt.fullScan = fullScan
 	schema := entity.MustSchema(
 		entity.Column{Name: "x", Kind: entity.KindFloat},
 		entity.Column{Name: "y", Kind: entity.KindFloat},
@@ -206,10 +218,11 @@ func nonNumericWorld(t *testing.T, reconcile string) (*Runtime, entity.ID) {
 // under an Exact spec ships by equality instead of being silently
 // skipped, while non-Exact classes on non-numeric columns (no distance
 // to compare against an epsilon) count into GhostFieldSkips rather
-// than wedging or clobbering. Runs under both reconcile modes.
+// than wedging or clobbering. Runs under both refresh strategies.
 func TestNonNumericGhostFieldShips(t *testing.T) {
-	for _, reconcile := range []string{ReconcileIncremental, ReconcileFullScan} {
-		rt, id := nonNumericWorld(t, reconcile)
+	for _, fullScan := range []bool{false, true} {
+		reconcile := reconcileName(fullScan)
+		rt, id := nonNumericWorld(t, fullScan)
 		w0, w1 := rt.ShardWorld(0), rt.ShardWorld(1)
 		if !w1.IsGhost(id) {
 			t.Fatalf("reconcile=%s: entity at x=95 has no ghost mirror on shard 1", reconcile)
@@ -255,16 +268,17 @@ func TestNonNumericGhostFieldShips(t *testing.T) {
 // back to a full sweep for it — run to the same hash the full scan
 // produces across the same perturbation.
 func TestReconcileRestoreTaintFallback(t *testing.T) {
-	run := func(reconcile string) uint64 {
+	run := func(fullScan bool) uint64 {
 		rt, err := New(Config{
 			Seed: 7, Shards: 4, World: spatial.NewRect(0, 0, 400, 400),
 			TickDT: 0.5, GhostBand: 20, Workers: 2,
-			GhostFields: BorderGhostFields(), Reconcile: reconcile,
+			GhostFields: BorderGhostFields(),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(rt.Close)
+		rt.fullScan = fullScan
 		if err := SeedBorderCrowd(rt, 160, 400, 77, 6); err != nil {
 			t.Fatal(err)
 		}
@@ -292,8 +306,8 @@ func TestReconcileRestoreTaintFallback(t *testing.T) {
 		}
 		return rt.Hash()
 	}
-	inc := run(ReconcileIncremental)
-	full := run(ReconcileFullScan)
+	inc := run(false)
+	full := run(true)
 	if inc != full {
 		t.Fatalf("post-restore hash diverged: incremental %x vs fullscan %x", inc, full)
 	}

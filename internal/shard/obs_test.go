@@ -82,7 +82,7 @@ func obsMingleRun(t *testing.T, shards, workers int) (uint64, int) {
 // point must match the single plain baseline; mingle state depends on
 // the shard count, so each instrumented point races its own plain run.
 func TestObservabilityHashInvariantAcrossGrid(t *testing.T) {
-	baseHash, baseFired := cascadeRun(t, 1, 1, false, false, "")
+	baseHash, baseFired := cascadeRun(t, 1, 1, "")
 	for _, workers := range []int{1, 4} {
 		for _, shards := range []int{1, 2, 4} {
 			h, fired, tracer, prof := obsCascadeRun(t, shards, workers)
@@ -98,7 +98,7 @@ func TestObservabilityHashInvariantAcrossGrid(t *testing.T) {
 			// recorded real spans and real attribution.
 			assertObsRecorded(t, shards, tracer, prof)
 
-			mh, me := mingleRun(t, shards, workers, false, "")
+			mh, me := mingleRun(t, shards, workers, "")
 			oh, oe := obsMingleRun(t, shards, workers)
 			if oh != mh {
 				t.Fatalf("mingle: obs-on hash diverged at shards=%d workers=%d: %x vs %x",
@@ -213,17 +213,23 @@ func TestObservabilityInertUnderOCC(t *testing.T) {
 	if occSpans == 0 {
 		t.Fatal("no occ.retry spans recorded")
 	}
-	var claim obs.ProfRow
+	// claim is fully compilable: its calls and its retries belong on
+	// the same row, the compiled one, and the interpreter twin — which
+	// would mean some invocation fell back — must not exist.
+	var claim []obs.ProfRow
 	for _, r := range prof.Rows() {
 		if r.Name == "behavior/claim" {
-			claim = r
+			claim = append(claim, r)
 		}
 	}
-	if claim.Calls == 0 {
+	if len(claim) != 1 || !claim[0].Compiled {
+		t.Fatalf("behavior/claim rows = %+v, want exactly the compiled one", claim)
+	}
+	if claim[0].Calls == 0 {
 		t.Fatal("profiler attributed no calls to behavior/claim")
 	}
-	if claim.Retries == 0 {
-		t.Fatal("profiler attributed no OCC retries to behavior/claim")
+	if claim[0].Retries == 0 {
+		t.Fatal("profiler attributed no OCC retries to the row that counted the calls")
 	}
 	// No Conflicts assertion: conflicting assignments resolve inside the
 	// merge here, and every record still targets a live beacon — the

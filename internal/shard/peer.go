@@ -34,10 +34,9 @@ import (
 // coordinator makes, relocated to where the bookkeeping lives, so no
 // per-mirror state ever has to migrate.
 //
-// The peer always runs the full-scan-equivalent ghost refresh (the
-// repo's feed-equivalence tests pin full-scan ≡ incremental ship
-// sequences), so its hashes match in-process runs under either
-// reconcile strategy.
+// The peer always runs the full-scan-equivalent ghost refresh; the
+// feed-equivalence tests pin full-scan ≡ incremental ship sequences, so
+// its hashes match the in-process runtime's.
 type Peer struct {
 	cfg   Config
 	self  int
@@ -116,27 +115,9 @@ func NewPeer(cfg Config, tr wire.Transport) (*Peer, error) {
 		pool = sched.Shared()
 	}
 	n := cfg.Shards
-	w := world.New(world.Config{
-		Seed:           cfg.Seed + int64(self)*7919,
-		CellSize:       cfg.CellSize,
-		ScriptFuel:     cfg.ScriptFuel,
-		TickDT:         cfg.TickDT,
-		Workers:        cfg.Workers,
-		DirectTriggers: cfg.DirectTriggers,
-		RowApply:       cfg.RowApply,
-		Pool:           pool,
-		ConflictPolicy: cfg.ConflictPolicy,
-		EffectRetryCap: cfg.EffectRetryCap,
-		Trace:          cfg.Tracer.Context(self),
-		Profile:        cfg.Profile,
-
-		CompileBehaviors: cfg.CompileBehaviors,
-		// The peer's refresh is receiver-evaluated full scan; it never
-		// consumes change feeds.
-		ChangeFeed: cfg.ChangeFeed,
-	})
-	w.SetIDAllocator(scriptIDBase+entity.ID(self+1), uint64(n))
-	w.SetShardIndex(self)
+	// The peer's refresh is receiver-evaluated full scan; it never
+	// consumes change feeds, so they record only when the host asks.
+	w := newShardWorld(cfg, self, n, pool, cfg.ChangeFeed)
 	p := &Peer{
 		cfg:         cfg,
 		self:        self,
@@ -524,9 +505,7 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 	}
 	clear(p.migratedOut)
 	p.outIDs = p.outIDs[:0]
-	ghostsOn := p.cfg.GhostBand > 0 && p.n > 1
-	band2 := p.cfg.GhostBand * p.cfg.GhostBand
-	regions := p.part.Regions()
+	band := newGhostBand(p.cfg.GhostBand, p.part)
 	for _, name := range p.w.TableNames() {
 		t, _ := p.w.Table(name)
 		for _, id := range t.IDs() {
@@ -550,14 +529,11 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 				p.migratedOut[id] = struct{}{}
 				p.outIDs = append(p.outIDs, id)
 			}
-			if !ghostsOn {
+			if !band.on {
 				continue
 			}
 			for di := 0; di < p.n; di++ {
-				if di == owner {
-					continue
-				}
-				if regions[di].Dist2(pos) <= band2 {
+				if band.mirrors(di, owner, pos) {
 					lo := len(p.arena)
 					arena, err := t.AppendRow(id, p.arena)
 					if err != nil {

@@ -26,13 +26,6 @@ import (
 // cannot collide in any realistic run.
 const scriptIDBase = entity.ID(1) << 32
 
-// Config.Reconcile values. Incremental is the default: anything other
-// than ReconcileFullScan (including "") selects it.
-const (
-	ReconcileIncremental = "incremental"
-	ReconcileFullScan    = "fullscan"
-)
-
 // Config parameterizes a sharded runtime.
 type Config struct {
 	// Seed drives every random decision (pack spawn jitter, per-shard
@@ -54,14 +47,6 @@ type Config struct {
 	// state-effect pipeline keeps the hash identical for any
 	// (Shards, Workers) combination.
 	Workers int
-	// DirectTriggers passes through to world.Config.DirectTriggers: the
-	// legacy single-threaded direct-write trigger drain instead of the
-	// effect-aware round drain.
-	DirectTriggers bool
-	// RowApply passes through to world.Config.RowApply on every shard
-	// world: the legacy row-at-a-time effect apply instead of the
-	// columnar batch apply (both bit-identical; see world.Config).
-	RowApply bool
 	// Pool is the worker pool shard ticks and every shard world's
 	// tick-parallel phases run on. Nil means the process-wide
 	// sched.Shared() pool, so Shards × Workers shares GOMAXPROCS
@@ -78,11 +63,10 @@ type Config struct {
 	ConflictPolicy string
 	// EffectRetryCap passes through to world.Config.EffectRetryCap.
 	EffectRetryCap int
-	// CompileBehaviors passes through to world.Config.CompileBehaviors
-	// on every shard world: world.CompileOn lowers compilable behavior
-	// scripts onto set-at-a-time query plans at load, with per-entity
-	// interpreter fallback; "" or world.CompileOff interprets everything.
-	// Both modes are bit-identical for any Shards × Workers combination.
+	// CompileBehaviors is inert: nothing reads it. Behaviors always run
+	// plan-first with per-invocation interpreter fallback; the field is
+	// still declared only because bench/workloads.go assigns it and this
+	// change may not edit bench/ (ROADMAP 1(g) deletes both together).
 	CompileBehaviors string
 
 	// GhostBand is the width of the border strip mirrored into
@@ -95,24 +79,10 @@ type Config struct {
 	// ships. Defaults to x and y as Coarse fields (epsilon = 1% of a
 	// cell, MaxAge 20 ticks). Ghost creation always ships the full row.
 	GhostFields []replica.FieldSpec
-	// Reconcile selects the barrier's ghost-refresh strategy.
-	// ReconcileIncremental (the default; "" and unknown values behave
-	// identically) turns on per-tick change feeds in every shard world
-	// and evaluates GhostFields ship policies only for (id, field)
-	// pairs the tick actually dirtied, plus a due-tick index covering
-	// the time-driven ships (Coarse MaxAge deadlines, Cosmetic
-	// schedules) — O(dirty + due) instead of O(band × fields).
-	// ReconcileFullScan is the legacy per-(id, field) sweep of the
-	// whole border band, kept as the equivalence baseline. Both
-	// strategies ship the identical (ships, snapshots) sequence and
-	// keep the runtime hash invariant across any Shards × Workers
-	// combination (the feed tests pin both).
-	Reconcile string
 	// ChangeFeed forces change-feed recording on every shard world even
-	// under ReconcileFullScan (incremental reconcile enables feeds on
-	// its own). The replica fan-out layer consumes the sealed feeds
-	// after each Step, so hosts serving clients from a full-scan
-	// runtime set this.
+	// when ghost reconcile would not turn it on itself (one shard, or
+	// ghosts disabled). The replica fan-out layer consumes the sealed
+	// feeds after each Step, so hosts serving clients set this.
 	ChangeFeed bool
 
 	// Tracer records span-based tick traces (nil = tracing off): each
@@ -323,9 +293,13 @@ type Runtime struct {
 	// scan. Entries are supersets: evaluation re-checks ShouldShip, and
 	// ids whose mirrors expired are dropped at processing.
 	dueAt []map[int64][]entity.ID
-	// onShip observes every ghost field ship in apply order (test hook
-	// pinning full-scan ≡ incremental ship sequences).
-	onShip func(di int, id entity.ID, fi int)
+	// onShip observes every ghost field ship in apply order, and
+	// fullScan makes every barrier refresh through refreshFull — the
+	// reference the incremental path is held to, ship for ship. Only the
+	// feed tests set either; refreshFull itself also runs in production,
+	// as the fallback for a tainted feed window or more than 64 shards.
+	onShip   func(di int, id entity.ID, fi int)
+	fullScan bool
 
 	// Exchange scratch, reused across barriers so effect forwarding
 	// stops allocating per tick: destination-sort buffer, verdict dedup
@@ -401,6 +375,56 @@ func withDefaults(cfg Config) Config {
 	return cfg
 }
 
+// newShardWorld builds shard i's world of an n-shard grid. Both
+// barriers (Runtime and Peer) construct theirs here, so a shard's world
+// is configured identically whichever one drives it.
+func newShardWorld(cfg Config, i, n int, pool *sched.Pool, feeds bool) *world.World {
+	w := world.New(world.Config{
+		// Shard worlds share the seed lineage but must not share a
+		// stream: offset by shard index.
+		Seed:           cfg.Seed + int64(i)*7919,
+		CellSize:       cfg.CellSize,
+		ScriptFuel:     cfg.ScriptFuel,
+		TickDT:         cfg.TickDT,
+		Workers:        cfg.Workers,
+		Pool:           pool,
+		ConflictPolicy: cfg.ConflictPolicy,
+		EffectRetryCap: cfg.EffectRetryCap,
+		Trace:          cfg.Tracer.Context(i),
+		Profile:        cfg.Profile,
+		ChangeFeed:     feeds,
+	})
+	// Script-driven spawns allocate from disjoint residue classes so
+	// ids never collide across shards (or with coordinator ids).
+	w.SetIDAllocator(scriptIDBase+entity.ID(i+1), uint64(n))
+	w.SetShardIndex(i)
+	return w
+}
+
+// ghostBand is the rule deciding which shards mirror an entity: every
+// shard other than its owner whose region rectangle lies within
+// GhostBand of the entity's position. Both barriers ask it, so the
+// rule has one home.
+type ghostBand struct {
+	regions []spatial.Rect
+	band2   float64
+	on      bool // false: ghosts disabled or a single shard
+}
+
+func newGhostBand(width float64, part *Partitioner) ghostBand {
+	return ghostBand{
+		regions: part.Regions(),
+		band2:   width * width,
+		on:      width > 0 && part.N() > 1,
+	}
+}
+
+// mirrors reports whether shard di mirrors an entity at pos owned by
+// shard owner.
+func (b ghostBand) mirrors(di, owner int, pos spatial.Vec2) bool {
+	return di != owner && b.regions[di].Dist2(pos) <= b.band2
+}
+
 // New builds a sharded runtime. Shard ticks run on the shared worker
 // pool at Step time; the runtime itself owns no goroutines.
 func New(cfg Config) (*Runtime, error) {
@@ -434,33 +458,9 @@ func New(cfg Config) (*Runtime, error) {
 	// Incremental reconcile needs the shard worlds recording change
 	// feeds; cfg.ChangeFeed forces them on for external consumers (the
 	// replica fan-out hub) even when reconcile itself doesn't need them.
-	feeds := cfg.ChangeFeed ||
-		(cfg.Reconcile != ReconcileFullScan && cfg.GhostBand > 0 && n > 1)
+	feeds := cfg.ChangeFeed || (cfg.GhostBand > 0 && n > 1)
 	for i := 0; i < n; i++ {
-		w := world.New(world.Config{
-			// Shard worlds share the seed lineage but must not share a
-			// stream: offset by shard index.
-			Seed:           cfg.Seed + int64(i)*7919,
-			CellSize:       cfg.CellSize,
-			ScriptFuel:     cfg.ScriptFuel,
-			TickDT:         cfg.TickDT,
-			Workers:        cfg.Workers,
-			DirectTriggers: cfg.DirectTriggers,
-			RowApply:       cfg.RowApply,
-			Pool:           pool,
-			ConflictPolicy: cfg.ConflictPolicy,
-			EffectRetryCap: cfg.EffectRetryCap,
-			Trace:          cfg.Tracer.Context(i),
-			Profile:        cfg.Profile,
-
-			CompileBehaviors: cfg.CompileBehaviors,
-			ChangeFeed:       feeds,
-		})
-		// Script-driven spawns allocate from disjoint residue classes so
-		// ids never collide across shards (or with coordinator ids).
-		w.SetIDAllocator(scriptIDBase+entity.ID(i+1), uint64(n))
-		w.SetShardIndex(i)
-		rt.worlds[i] = w
+		rt.worlds[i] = newShardWorld(cfg, i, n, pool, feeds)
 		rt.ghostRecs[i] = make(map[entity.ID]*ghostRec)
 	}
 	return rt, nil
@@ -806,9 +806,7 @@ type ghostCandidate struct {
 // migrations apply without rescanning.
 func (rt *Runtime) collectBarrier() ([]migration, []map[entity.ID]ghostCandidate, error) {
 	n := rt.part.N()
-	ghostsOn := rt.cfg.GhostBand > 0 && n > 1
-	band2 := rt.cfg.GhostBand * rt.cfg.GhostBand
-	regions := rt.part.Regions()
+	band := newGhostBand(rt.cfg.GhostBand, rt.part)
 	for len(rt.desiredBuf) < n {
 		rt.desiredBuf = append(rt.desiredBuf, make(map[entity.ID]ghostCandidate))
 	}
@@ -837,14 +835,11 @@ func (rt *Runtime) collectBarrier() ([]migration, []map[entity.ID]ghostCandidate
 					beh, _ := w.Behavior(id)
 					migs = append(migs, migration{id: id, src: si, dst: owner, table: name, row: row, behavior: beh})
 				}
-				if !ghostsOn {
+				if !band.on {
 					continue
 				}
 				for di := 0; di < n; di++ {
-					if di == owner {
-						continue
-					}
-					if regions[di].Dist2(pos) <= band2 {
+					if band.mirrors(di, owner, pos) {
 						desired[di][id] = ghostCandidate{id: id, owner: owner, table: name}
 					}
 				}
@@ -898,10 +893,6 @@ type recStats struct {
 	ships, snaps, skips int
 }
 
-// incremental reports whether the config selects the dirty-set driven
-// reconcile strategy (the default).
-func (rt *Runtime) incremental() bool { return rt.cfg.Reconcile != ReconcileFullScan }
-
 // rotateFeeds seals every shard world's change window exactly once per
 // barrier, whether or not refresh consumes it: the sealed window then
 // covers [previous barrier, this barrier) and the accumulating one
@@ -934,20 +925,20 @@ func (rt *Runtime) rotateFeeds() {
 // class (Coarse position updates ship when drift exceeds epsilon or the
 // mirror grows stale).
 //
-// Two refresh strategies produce the identical ship sequence (the
-// equivalence test pins this): the legacy full scan evaluates every
-// (ghost, field) pair in the band, while the incremental path consumes
-// the per-tick change feeds rotated here and evaluates only dirty
-// pairs plus the due-tick index (see dueAt). A tainted window (a
-// Restore replaced state wholesale) forces one full sweep before
-// incremental resumes.
+// The refresh is incremental: it consumes the per-tick change feeds
+// rotated here and evaluates only dirty (ghost, field) pairs plus the
+// due-tick index (see dueAt). The full scan of every pair in the band
+// produces the identical ship sequence (the equivalence test pins
+// this) and is the fallback: a tainted window (a Restore replaced state
+// wholesale) forces one full sweep before incremental resumes, and so
+// do feeds being off or more than 64 shards.
 func (rt *Runtime) reconcileGhosts(desired []map[entity.ID]ghostCandidate) (recStats, error) {
 	n := rt.part.N()
 	var st recStats
 	feedsOn, tainted, feeds := rt.feedsOn, rt.feedsTainted, rt.feedBuf
 	// mirrorMask routes dirty ids by bit index, so incremental collection
 	// caps at 64 shards; beyond that the full scan takes over.
-	useInc := rt.incremental() && feedsOn && !tainted && n <= 64
+	useInc := !rt.fullScan && feedsOn && !tainted && n <= 64
 	if useInc {
 		rt.collectCandidates(feeds, desired, n)
 	}
@@ -962,9 +953,8 @@ func (rt *Runtime) reconcileGhosts(desired []map[entity.ID]ghostCandidate) (recS
 			continue
 		}
 		// registerDue keeps the due index warm while a tainted window
-		// forces full sweeps in incremental mode, so the switch back is
-		// seamless; pure full-scan configs never consult it.
-		if err := rt.refreshFull(di, desired[di], rt.incremental() && feedsOn, &st); err != nil {
+		// forces full sweeps, so the switch back is seamless.
+		if err := rt.refreshFull(di, desired[di], !rt.fullScan && feedsOn, &st); err != nil {
 			return st, err
 		}
 		if rt.dueAt[di] != nil {
@@ -1289,10 +1279,10 @@ func (rt *Runtime) registerDue(di int, tick int64, id entity.ID) {
 	m[tick] = append(m[tick], id)
 }
 
-// refreshFull is the legacy O(band × fields) refresh: create or
-// re-evaluate every desired mirror in id order. Per-spec column
-// resolution is hoisted to the specInfo cache and the id scratch is
-// reused across shards, so the baseline got cheaper too; ships still go
+// refreshFull is the O(band × fields) refresh: create or re-evaluate
+// every desired mirror in id order. Per-spec column resolution is
+// hoisted to the specInfo cache and the id scratch is reused across
+// shards; ships still go
 // through per-row World.Set (preserving change-notification semantics
 // for feed consumers watching mirror writes).
 func (rt *Runtime) refreshFull(di int, desired map[entity.ID]ghostCandidate, registerDue bool, st *recStats) error {

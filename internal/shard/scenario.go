@@ -48,7 +48,7 @@ func ForEachCrowdSpawn(units int, side float64, seed int64, speed float64, fn fu
 }
 
 // CascadePackXML is the trigger-cascade-heavy content pack behind the
-// grid-invariance tests and BenchmarkE15TriggerCascade: every entity's
+// grid-invariance tests and bench/'s cascade workload: every entity's
 // behavior emits a self-targeted "pulse" each tick, a chained trigger
 // re-emits it with a decremented amount (three cascade rounds of
 // matched actions per tick), and a final trigger fires on amount 0 —
@@ -126,7 +126,7 @@ func spawnCascadeCrowd(rt *Runtime, units int, side float64, seed int64, speed f
 // encounters (an int add), while velocity physics contributes additive
 // x/y deltas. One tick therefore floods the apply phase with set and
 // add effects across four columns — the workload the columnar apply
-// path (BenchmarkE16ApplyBatch) is measured on.
+// path is measured on (bench/'s mingle).
 const MinglePackXML = `
 <contentpack name="mingle-crowd">
   <schema table="units">

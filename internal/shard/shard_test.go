@@ -344,36 +344,13 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 	}
 }
 
-// cascadeRun drives the trigger-cascade scenario on an n-shard runtime
-// and returns the final hash plus total trigger activations.
-func cascadeRun(t *testing.T, shards, workers int, direct, rowApply bool, conflict string) (uint64, int) {
+// cascadeRun drives the trigger-cascade crowd (runGoldenCrowd's) on an
+// n-shard runtime and returns the final hash plus total trigger
+// activations.
+func cascadeRun(t *testing.T, shards, workers int, conflict string) (uint64, int) {
 	t.Helper()
-	rt, err := New(Config{
-		Seed: 7, Shards: shards, World: spatial.NewRect(0, 0, 1000, 1000),
-		TickDT: 0.5, GhostBand: 25, Workers: workers, DirectTriggers: direct,
-		RowApply: rowApply, ConflictPolicy: conflict,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	if err := SeedCascadeCrowd(rt, 200, 1000, 77, 30); err != nil {
-		t.Fatal(err)
-	}
-	fired := 0
-	for i := 0; i < 40; i++ {
-		st, err := rt.Step()
-		if err != nil {
-			t.Fatalf("shards=%d workers=%d tick %d: %v", shards, workers, st.Tick, err)
-		}
-		for _, ws := range st.Shards {
-			fired += ws.TriggerFired
-		}
-	}
-	if shards > 1 && rt.HandoffTotal.Load() == 0 {
-		t.Fatalf("%d shards: no handoffs — cascade scenario not exercising boundaries", shards)
-	}
-	return rt.Hash(), fired
+	run := runGoldenCrowd(t, "cascade", shards, workers, conflict)
+	return run.final, run.fired
 }
 
 func TestTriggerCascadeHashInvariantAcrossGrid(t *testing.T) {
@@ -381,7 +358,7 @@ func TestTriggerCascadeHashInvariantAcrossGrid(t *testing.T) {
 	// bit-identical across the whole Shards × Workers grid: cascades
 	// batch per round, actions fan across workers, and the per-round
 	// apply is keyed by (event seq, rule seq) — never by partitioning.
-	baseHash, baseFired := cascadeRun(t, 1, 1, false, false, "")
+	baseHash, baseFired := cascadeRun(t, 1, 1, "")
 	if baseFired == 0 {
 		t.Fatal("scenario fired no triggers")
 	}
@@ -390,7 +367,7 @@ func TestTriggerCascadeHashInvariantAcrossGrid(t *testing.T) {
 			if shards == 1 && workers == 1 {
 				continue
 			}
-			h, fired := cascadeRun(t, shards, workers, false, false, "")
+			h, fired := cascadeRun(t, shards, workers, "")
 			if h != baseHash {
 				t.Fatalf("hash diverged at shards=%d workers=%d: %x vs %x", shards, workers, h, baseHash)
 			}
@@ -400,12 +377,12 @@ func TestTriggerCascadeHashInvariantAcrossGrid(t *testing.T) {
 			}
 		}
 	}
-	// The legacy direct-execution drain is the semantic baseline: on a
-	// strictly per-entity cascade it must produce the identical world.
-	directHash, directFired := cascadeRun(t, 1, 1, true, false, "")
-	if directHash != baseHash || directFired != baseFired {
-		t.Fatalf("effect drain diverged from direct execution: hash %x vs %x, fired %d vs %d",
-			baseHash, directHash, baseFired, directFired)
+	// The direct-execution drain is the semantic baseline: on a strictly
+	// per-entity cascade it produces the identical world. Its hash and
+	// activation count are the recorded ones (golden_test.go).
+	if baseHash != cascadeGoldenFinal || baseFired != cascadeGoldenFired {
+		t.Fatalf("effect drain diverged from the recorded direct execution: hash %x vs %x, fired %d vs %d",
+			baseHash, uint64(cascadeGoldenFinal), baseFired, cascadeGoldenFired)
 	}
 }
 
@@ -600,72 +577,48 @@ func TestScriptIDAllocatorsDisjoint(t *testing.T) {
 	}
 }
 
-// mingleRun drives the apply-heavy mingle scenario (the E14 workload
-// shape) on an n-shard runtime and returns the final hash plus total
-// applied effects.
-func mingleRun(t *testing.T, shards, workers int, rowApply bool, conflict string) (uint64, int) {
+// mingleRun drives the apply-heavy mingle crowd (runGoldenCrowd's) on an
+// n-shard runtime and returns the final hash plus total applied
+// effects.
+func mingleRun(t *testing.T, shards, workers int, conflict string) (uint64, int) {
 	t.Helper()
-	rt, err := New(Config{
-		Seed: 7, Shards: shards, World: spatial.NewRect(0, 0, 400, 400),
-		TickDT: 0.5, GhostBand: 25, Workers: workers,
-		ScriptFuel: 1 << 20, RowApply: rowApply, ConflictPolicy: conflict,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	if err := SeedMingleCrowd(rt, 250, 400, 77, 30); err != nil {
-		t.Fatal(err)
-	}
-	effects := 0
-	for i := 0; i < 25; i++ {
-		st, err := rt.Step()
-		if err != nil {
-			t.Fatalf("shards=%d workers=%d tick %d: %v", shards, workers, st.Tick, err)
-		}
-		for _, ws := range st.Shards {
-			effects += ws.Effects
-		}
-	}
-	if effects == 0 {
+	run := runGoldenCrowd(t, "mingle", shards, workers, conflict)
+	if run.effects == 0 {
 		t.Fatalf("shards=%d workers=%d: scenario applied no effects", shards, workers)
 	}
-	if shards > 1 && rt.HandoffTotal.Load() == 0 {
-		t.Fatalf("%d shards: no handoffs — mingle scenario not exercising boundaries", shards)
-	}
-	return rt.Hash(), effects
+	return run.final, run.effects
 }
 
 // TestBatchedApplyHashInvariantAcrossGrid pins the columnar apply to
-// the legacy row-at-a-time apply bit-for-bit across the whole
-// Shards × Workers grid, on both tick-pipeline workloads: the
-// apply-heavy E14 mingle crowd (set + add floods over four columns plus
-// physics deltas) and the E15 trigger cascade (per-round applies inside
-// the trigger drain). Grouping by (table, column) must never show in
-// the world state — only in the profile.
+// the row-at-a-time apply bit-for-bit across the whole Shards × Workers
+// grid, on both tick-pipeline workloads: the apply-heavy mingle crowd
+// (set + add floods over four columns plus physics deltas) and the
+// trigger cascade (per-round applies inside the trigger drain). The row
+// apply's hashes and counts are the recorded ones (golden_test.go);
+// world's TestBatchedApplyMatchesRowApply still runs it live. Grouping
+// by (table, column) must never show in the world state — only in the
+// profile.
 func TestBatchedApplyHashInvariantAcrossGrid(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, shards := range []int{1, 2, 4} {
-			bh, be := mingleRun(t, shards, workers, false, "")
-			rh, re := mingleRun(t, shards, workers, true, "")
-			if bh != rh {
+			bh, be := mingleRun(t, shards, workers, "")
+			if rh, _ := mingleGolden(shards); bh != rh {
 				t.Fatalf("mingle: batched hash diverged from row apply at shards=%d workers=%d: %x vs %x",
 					shards, workers, bh, rh)
 			}
-			if be != re {
+			if be != mingleGoldenEffects {
 				t.Fatalf("mingle: effect counts diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, be, re)
+					shards, workers, be, mingleGoldenEffects)
 			}
 
-			ch, cf := cascadeRun(t, shards, workers, false, false, "")
-			crh, crf := cascadeRun(t, shards, workers, false, true, "")
-			if ch != crh {
+			ch, cf := cascadeRun(t, shards, workers, "")
+			if ch != cascadeGoldenFinal {
 				t.Fatalf("cascade: batched hash diverged from row apply at shards=%d workers=%d: %x vs %x",
-					shards, workers, ch, crh)
+					shards, workers, ch, uint64(cascadeGoldenFinal))
 			}
-			if cf != crf {
+			if cf != cascadeGoldenFired {
 				t.Fatalf("cascade: activations diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, cf, crf)
+					shards, workers, cf, cascadeGoldenFired)
 			}
 		}
 	}
@@ -684,11 +637,11 @@ func TestBatchedApplyHashInvariantAcrossGrid(t *testing.T) {
 // so its occ hash is pinned to the lastwrite hash at the same grid
 // point instead.
 func TestOCCConflictPolicyHashInvariantAcrossGrid(t *testing.T) {
-	cascadeBase, cascadeFired := cascadeRun(t, 1, 1, false, false, "")
+	cascadeBase, cascadeFired := cascadeRun(t, 1, 1, "")
 	for _, workers := range []int{1, 2, 4, 8} {
 		for _, shards := range []int{1, 2, 4} {
-			lh, le := mingleRun(t, shards, workers, false, "")
-			mh, me := mingleRun(t, shards, workers, false, world.ConflictOCC)
+			lh, le := mingleRun(t, shards, workers, "")
+			mh, me := mingleRun(t, shards, workers, world.ConflictOCC)
 			if mh != lh {
 				t.Fatalf("mingle: occ hash diverged from lastwrite at shards=%d workers=%d: %x vs %x",
 					shards, workers, mh, lh)
@@ -697,7 +650,7 @@ func TestOCCConflictPolicyHashInvariantAcrossGrid(t *testing.T) {
 				t.Fatalf("mingle: occ effect counts diverged at shards=%d workers=%d: %d vs %d",
 					shards, workers, me, le)
 			}
-			ch, cf := cascadeRun(t, shards, workers, false, false, world.ConflictOCC)
+			ch, cf := cascadeRun(t, shards, workers, world.ConflictOCC)
 			if ch != cascadeBase {
 				t.Fatalf("cascade: occ hash diverged from lastwrite baseline at shards=%d workers=%d: %x vs %x",
 					shards, workers, ch, cascadeBase)

@@ -11,9 +11,11 @@ import (
 
 // cascadeTrajectory runs the cascade crowd of the grid tests (200
 // pulsers, 40 ticks) and returns the world hash after every tick plus
-// the run's total of plan-completed trigger invocations. interpretOnly
-// loads the pack with its trigger plans removed — the compiled trigger
-// path switched off, which only a test can do.
+// the run's total of plan-completed invocations (behavior calls and
+// trigger sides). interpretOnly
+// loads the pack with every plan removed — the pulse behavior's and the
+// rules' — so the whole tick runs on the interpreter, which only a test
+// can arrange.
 func cascadeTrajectory(t *testing.T, shards, workers int, policy string, interpretOnly bool) ([]uint64, int) {
 	t.Helper()
 	rt, err := New(Config{
@@ -29,6 +31,9 @@ func cascadeTrajectory(t *testing.T, shards, workers int, policy string, interpr
 		t.Fatalf("cascade pack: %v", errs)
 	}
 	if interpretOnly {
+		for _, cs := range c.Scripts {
+			cs.Plan = nil
+		}
 		for _, ct := range c.Triggers {
 			ct.CondPlan, ct.ActPlan = nil, nil
 		}
@@ -47,7 +52,7 @@ func cascadeTrajectory(t *testing.T, shards, workers int, policy string, interpr
 			t.Fatalf("shards=%d workers=%d %s tick %d: %v", shards, workers, policy, st.Tick, err)
 		}
 		for _, ws := range st.Shards {
-			compiled += ws.TriggerCompiled
+			compiled += ws.TriggerCompiled + ws.CompiledCalls
 			if ws.TriggerErrors+ws.TriggerSkips+ws.ScriptErrors > 0 {
 				t.Fatalf("shards=%d workers=%d %s tick %d: failed invocations", shards, workers, policy, st.Tick)
 			}
@@ -59,7 +64,8 @@ func cascadeTrajectory(t *testing.T, shards, workers int, policy string, interpr
 
 // Recorded from the commit before trigger conditions and actions moved
 // onto gslplan plans (1 shard × 1 worker, both policies): the hash
-// after tick 40, and an FNV-style fold of all 40 per-tick hashes.
+// after tick 40, and an FNV-style fold of all 40 per-tick hashes. The
+// legacy modes' last commit reproduced both (golden_test.go).
 const (
 	cascadeGoldenFinal = 0x4aa13f695d915bed
 	cascadeGoldenFold  = 0x77b807f880a466bc
@@ -89,7 +95,7 @@ func TestCompiledTriggerHashTrajectoryAcrossGrid(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				got, compiled := cascadeTrajectory(t, shards, workers, policy, false)
 				if compiled == 0 {
-					t.Fatalf("shards=%d workers=%d %s: no trigger invocation completed on a plan", shards, workers, policy)
+					t.Fatalf("shards=%d workers=%d %s: no invocation completed on a plan", shards, workers, policy)
 				}
 				for i := range want {
 					if got[i] != want[i] {

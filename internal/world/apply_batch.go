@@ -2,20 +2,20 @@ package world
 
 // The columnar apply path: the set-oriented execution the declarative
 // model promises (Sowell et al., "From Declarative Languages to
-// Declarative Processing in Computer Games"). Where the legacy path
-// walks the merged effect sequence row-at-a-time — each record paying a
-// table lookup, a column lookup, a kind check and a change-notification
-// sweep — the columnar path groups the merged records by (table,
-// column) and writes each group through one batch call that resolves
-// everything once. Position changes are not chased through per-row
-// change notifications either: every entity whose x/y changed is
-// accumulated during the group passes and the spatial grid is
-// re-synced by a single MoveBatch flush.
+// Declarative Processing in Computer Games"). Where the reference path
+// (applyAssignRows) walks the merged effect sequence row-at-a-time —
+// each record paying a table lookup, a column lookup, a kind check and
+// a change-notification sweep — the columnar path groups the merged
+// records by (table, column) and writes each group through one batch
+// call that resolves everything once. Position changes are not chased
+// through per-row change notifications either: every entity whose x/y
+// changed is accumulated during the group passes and the spatial grid
+// is re-synced by a single MoveBatch flush.
 //
 // Determinism is inherited, not re-established: groups form in merged
 // (source id, source order) order and preserve it per (entity, column),
 // assignments still apply before deltas, and deltas still sum in merged
-// order — so the columnar result is bit-identical to Config.RowApply
+// order — so the columnar result is bit-identical to applyAssignRows
 // for any Shards × Workers combination (the equivalence tests pin
 // this). The one permitted divergence is spatial cell-bucket ordering,
 // which no hashed state observes.

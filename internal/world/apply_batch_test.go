@@ -14,7 +14,10 @@ import (
 // given apply mode and returns the final snapshot.
 func runChaosApply(t *testing.T, workers int, rowApply bool) (*World, []byte) {
 	t.Helper()
-	w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: workers, RowApply: rowApply}, chaosPack)
+	w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: workers}, chaosPack)
+	if rowApply {
+		w.UseRowApply()
+	}
 	for i := 0; i < 30; i++ {
 		st, err := w.Step()
 		if err != nil {
@@ -31,8 +34,8 @@ func runChaosApply(t *testing.T, workers int, rowApply bool) (*World, []byte) {
 	return w, snap
 }
 
-// TestBatchedApplyMatchesRowApply pins the columnar apply to the legacy
-// row-at-a-time apply on the chaos workload: same snapshot bytes for
+// TestBatchedApplyMatchesRowApply pins the columnar apply to the
+// row-at-a-time reference on the chaos workload: same snapshot bytes for
 // every worker count, so grouping effects by (table, column) and
 // flushing the spatial index in one MoveBatch is invisible in state.
 func TestBatchedApplyMatchesRowApply(t *testing.T) {
@@ -98,7 +101,10 @@ func TestSpatialIndexConsistencyAfterBatchedMoves(t *testing.T) {
 // just on state but on accounting: effects and conflicts per tick.
 func TestApplyStatsMatchAcrossModes(t *testing.T) {
 	run := func(rowApply bool) []TickStats {
-		w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 2, RowApply: rowApply}, chaosPack)
+		w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 2}, chaosPack)
+		if rowApply {
+			w.UseRowApply()
+		}
 		var out []TickStats
 		for i := 0; i < 20; i++ {
 			st, err := w.Step()

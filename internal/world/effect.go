@@ -396,8 +396,8 @@ func (b *EffectBuffer) physDelta(id entity.ID, seq int32, col string, delta floa
 // The assignment and delta passes run columnar by default: merged
 // effects group by (table, column) and write through the batch entry
 // points on entity.Table, with one spatial MoveBatch flush for position
-// changes (see apply_batch.go). Config.RowApply selects the legacy
-// row-at-a-time passes; both produce bit-identical world state.
+// changes (see apply_batch.go); applyAssignRows is the row-at-a-time
+// reference the tests hold them to.
 //
 // This is the ConflictLastWrite path. Config.ConflictPolicy == occ
 // routes applies through applyEffectsOCC (occ.go) instead, which wraps
@@ -564,7 +564,7 @@ func (w *World) applyMerged(merged []Effect, conflicts *int) {
 		return real, ok
 	}
 
-	if w.cfg.RowApply {
+	if w.rowApply {
 		w.applyAssignRows(merged, resolve, conflicts)
 	} else {
 		w.applyAssignColumnar(merged, resolve, conflicts)
@@ -609,11 +609,10 @@ func (w *World) applyMerged(merged []Effect, conflicts *int) {
 	}
 }
 
-// applyAssignRows is the legacy row-at-a-time assignment and delta
-// apply (Config.RowApply): every record goes through world.Set's
-// table-lookup → column-lookup → change-notification chain. Kept as the
-// semantic baseline the columnar path must match bit-for-bit, and for
-// hosts whose change listeners need per-row update notifications.
+// applyAssignRows is the row-at-a-time assignment and delta apply:
+// every record goes through world.Set's table-lookup → column-lookup →
+// change-notification chain. It is the semantic reference the columnar
+// path must match bit-for-bit; only the tests select it (World.rowApply).
 func (w *World) applyAssignRows(merged []Effect, resolve func(entity.ID) (entity.ID, bool), conflicts *int) {
 	// Assignments, in sorted order: last write wins.
 	for i := range merged {

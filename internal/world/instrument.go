@@ -12,42 +12,27 @@ import (
 	"gamedb/internal/obs"
 )
 
-// profFor returns the cached profile entry for behavior name from one
-// worker's cache, registering "behavior/<name>" with the profiler on
-// the first miss. Callers guarantee w.prof != nil.
-func (w *World) profFor(cache map[string]*obs.ProfEntry, name string) *obs.ProfEntry {
-	pe, ok := cache[name]
-	if !ok {
-		pe = w.prof.Entry("behavior/" + name)
-		cache[name] = pe
+// behaviorRow returns a behavior's profile row: "behavior/<name>", or
+// its compiled twin for the row of plan execution. Callers guarantee
+// w.prof != nil.
+func (w *World) behaviorRow(name string, compiled bool) *obs.ProfEntry {
+	if compiled {
+		return w.prof.CompiledEntry("behavior/" + name)
 	}
-	return pe
-}
-
-// compiledProfFor returns the cached compiled-execution twin of a
-// behavior's profile entry, registering "behavior/<name>" tagged
-// compiled=true on the first miss. It shares the per-worker cache with
-// profFor under a distinct key so the two never collide. Callers
-// guarantee w.prof != nil.
-func (w *World) compiledProfFor(cache map[string]*obs.ProfEntry, name string) *obs.ProfEntry {
-	key := "c:" + name
-	pe, ok := cache[key]
-	if !ok {
-		pe = w.prof.CompiledEntry("behavior/" + name)
-		cache[key] = pe
-	}
-	return pe
+	return w.prof.Entry("behavior/" + name)
 }
 
 // behaviorProf is the behavior-phase apply's source → entry mapping:
-// the source's behavior entry, or the shared "(physics)" entry for
-// sources running no behavior (pure-physics entities, whose deltas can
-// still drop when another invocation despawns them mid-apply). Runs on
-// the coordinator during the serial apply, so worker 0's cache is free
-// to borrow.
+// the row of the executor that ran the source's invocation, or the
+// shared "(physics)" entry for sources running no behavior
+// (pure-physics entities, whose deltas can still drop when another
+// invocation despawns them mid-apply). An invocation whose records
+// reached the apply ran on the behavior's plan when it has one: a plan
+// error is an interpreter error (gslplan's contract), and an errored
+// invocation contributes no records to drop, retry or abort.
 func (w *World) behaviorProf(src entity.ID) *obs.ProfEntry {
-	if name, ok := w.behaviors[src]; ok {
-		return w.profFor(w.workerProfs[0], name)
+	if b := w.scripts[w.behaviors[src]]; b != nil {
+		return b.prof
 	}
 	return w.otherProf
 }

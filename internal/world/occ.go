@@ -24,9 +24,10 @@ package world
 //	          withheld from the apply — re-running them later must not
 //	          double their side effects.
 //	re-run:   the invalidated invocations re-execute serially in
-//	          ascending source order on worker slot 0's fuel-metered
-//	          interpreter clones. Emissions buffer as effects, so every
-//	          re-run in a round reads the same post-apply state; the
+//	          ascending source order on worker slot 0's executors (plan
+//	          first, like every invocation). Emissions buffer as
+//	          effects, so every re-run in a round reads the same
+//	          post-apply state; the
 //	          round's buffer then feeds the same detect/validate/apply
 //	          pipeline, and any invocations invalidated *again* (three
 //	          writers racing one cell need two rounds) carry into the
@@ -50,10 +51,11 @@ import (
 
 // rerunFn re-executes one invocation (identified by its effect source
 // id) against current world state. Implementations must execute on
-// worker slot 0's interpreter clones — the OCC loop brackets each call
-// with begin/rollback on workerBufs[0], which those clones emit into.
-// It returns the fuel consumed and any execution error.
-type rerunFn func(src entity.ID) (int64, error)
+// worker slot 0's executors — the OCC loop brackets each call with
+// begin/rollback on workerBufs[0], which those emit into, and passes
+// the mark begin returned. It returns the fuel consumed and any
+// execution error.
+type rerunFn func(src entity.ID, mark int) (int64, error)
 
 // applyEffectsOCC is the ConflictOCC counterpart of applyEffects: one
 // deterministic merge, an OCC validate pass, and bounded serial re-run
@@ -97,7 +99,7 @@ func (w *World) applyEffectsOCC(bufs []*EffectBuffer, effects, conflicts *int, s
 		buf.reset()
 		for _, src := range invalid {
 			mark := buf.begin(src)
-			fuel, err := rerun(src)
+			fuel, err := rerun(src, mark)
 			st.FuelUsed += fuel
 			if err != nil {
 				// The invocation cannot re-run (script error, fuel

@@ -345,8 +345,9 @@ func TestOCCResolvesTriggerActionConflicts(t *testing.T) {
 	if retries != 3 || aborts != 0 {
 		t.Fatalf("occ trigger retries=%d aborts=%d, want 3/0", retries, aborts)
 	}
-	// And it matches the legacy serial direct drain exactly.
-	direct := loadPack(t, Config{Seed: 2, DirectTriggers: true}, conflictTriggerPack)
+	// And it matches the engine's serial direct drain exactly.
+	direct := loadPack(t, Config{Seed: 2}, conflictTriggerPack)
+	direct.UseDirectTriggers()
 	if _, err := direct.Spawn("u", spatial.Vec2{}); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package world
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
+	"gamedb/internal/entity"
 	"gamedb/internal/spatial"
 )
 
@@ -46,11 +48,59 @@ fn on_tick(self) {
   </script>
 </contentpack>`
 
-// runCompiledCrowd builds the crowd with the given compile mode, runs
-// it, and returns the snapshot plus summed tick stats.
-func runCompiledCrowd(t *testing.T, compile string, workers, ticks int) ([]byte, TickStats) {
+// behaviorStats is a tick's accounting with wall times and the
+// compiled-path counters — the only fields the executors may differ in —
+// cleared.
+func behaviorStats(st TickStats) TickStats {
+	st = plainStats(st)
+	st.CompiledCalls = 0
+	return st
+}
+
+// runCrowd steps w for ticks and returns every tick's snapshot,
+// accounting (wall times kept out), Step error text and LastScriptError
+// text, plus the run's total of CompiledCalls.
+func runCrowd(t *testing.T, w *World, ticks int) ([]mixTick, int) {
 	t.Helper()
-	w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: workers, CompileBehaviors: compile}, compiledCrowdPack)
+	var out []mixTick
+	compiled := 0
+	for i := 0; i < ticks; i++ {
+		st, err := w.Step()
+		snap, serr := w.Snapshot()
+		if serr != nil {
+			t.Fatal(serr)
+		}
+		compiled += st.CompiledCalls
+		out = append(out, mixTick{snap: snap, stats: behaviorStats(st),
+			err: fmt.Sprint(err, " / ", w.LastScriptError)})
+	}
+	return out, compiled
+}
+
+// requireSameRun fails unless got repeats want tick by tick: snapshot,
+// every TickStats counter but the compiled-path ones, and error text.
+func requireSameRun(t *testing.T, label string, got, want []mixTick) {
+	t.Helper()
+	for i := range want {
+		if !bytes.Equal(got[i].snap, want[i].snap) {
+			t.Fatalf("%s tick %d: world state diverged from the interpreter", label, i+1)
+		}
+		if got[i].stats != want[i].stats {
+			t.Fatalf("%s tick %d: accounting diverged:\ncompiled    %+v\ninterpreted %+v",
+				label, i+1, got[i].stats, want[i].stats)
+		}
+		if got[i].err != want[i].err {
+			t.Fatalf("%s tick %d: error text diverged:\ncompiled    %s\ninterpreted %s",
+				label, i+1, got[i].err, want[i].err)
+		}
+	}
+}
+
+// compiledCrowd builds the 24-unit crowd, every sixth unit chatty, on
+// plans or — interpret — with the pack's plans stripped.
+func compiledCrowd(t *testing.T, cfg Config, interpret bool) *World {
+	t.Helper()
+	w := loadPackInterp(t, cfg, compiledCrowdPack, interpret)
 	for i := 0; i < 24; i++ {
 		arch := "unit"
 		if i%6 == 0 {
@@ -60,187 +110,117 @@ func runCompiledCrowd(t *testing.T, compile string, workers, ticks int) ([]byte,
 			t.Fatal(err)
 		}
 	}
-	var sum TickStats
-	for i := 0; i < ticks; i++ {
-		st, err := w.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ScriptErrors > 0 {
-			t.Fatalf("compile=%q tick %d: %v", compile, st.Tick, w.LastScriptError)
-		}
-		sum.ScriptCalls += st.ScriptCalls
-		sum.ScriptSkips += st.ScriptSkips
-		sum.CompiledCalls += st.CompiledCalls
-		sum.FuelUsed += st.FuelUsed
-		sum.Effects += st.Effects
-	}
-	snap, err := w.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap, sum
+	return w
 }
 
-// TestCompiledMatchesInterpreted pins the compiled path to the
-// interpreter bit-for-bit on a compilable crowd, including fuel
-// accounting, across worker counts — and checks the coverage split:
-// mingle runs compiled, chatty (list/push are not compilable) falls
-// back.
+// TestCompiledMatchesInterpreted pins plan execution to the interpreter
+// tick by tick on a compilable crowd — snapshot, every counter, fuel —
+// across worker counts, and checks the coverage split: mingle runs on
+// its plan, chatty (list/push are not compilable) on the interpreter.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	const ticks = 12
-	base, baseStats := runCompiledCrowd(t, CompileOff, 1, ticks)
-	if baseStats.Effects == 0 {
+	want, wantCompiled := runCrowd(t, compiledCrowd(t, Config{Seed: 11, CellSize: 8, Workers: 1}, true), ticks)
+	if wantCompiled != 0 {
+		t.Fatalf("stripped pack counted %d compiled calls", wantCompiled)
+	}
+	effects, calls := 0, 0
+	for _, tk := range want {
+		effects += tk.stats.Effects
+		calls += tk.stats.ScriptCalls
+		if tk.stats.ScriptErrors > 0 {
+			t.Fatalf("crowd errored: %s", tk.err)
+		}
+	}
+	if effects == 0 {
 		t.Fatal("crowd emitted no effects — workload inert")
 	}
-	if baseStats.CompiledCalls != 0 {
-		t.Fatalf("compile-off counted %d compiled calls", baseStats.CompiledCalls)
-	}
 	for _, workers := range []int{1, 2, 4} {
-		snap, st := runCompiledCrowd(t, CompileOn, workers, ticks)
-		if !bytes.Equal(base, snap) {
-			t.Fatalf("compiled world diverged from interpreted at workers=%d", workers)
+		got, compiled := runCrowd(t, compiledCrowd(t, Config{Seed: 11, CellSize: 8, Workers: workers}, false), ticks)
+		requireSameRun(t, fmt.Sprintf("workers=%d", workers), got, want)
+		if compiled == 0 {
+			t.Fatalf("workers=%d: no behavior call completed on a plan", workers)
 		}
-		if st.ScriptCalls != baseStats.ScriptCalls || st.FuelUsed != baseStats.FuelUsed ||
-			st.Effects != baseStats.Effects {
-			t.Fatalf("workers=%d stats diverged: calls %d/%d fuel %d/%d effects %d/%d",
-				workers, st.ScriptCalls, baseStats.ScriptCalls,
-				st.FuelUsed, baseStats.FuelUsed, st.Effects, baseStats.Effects)
-		}
-		if st.CompiledCalls == 0 {
-			t.Fatalf("workers=%d: compile-on ran zero compiled calls", workers)
-		}
-		if st.CompiledCalls >= st.ScriptCalls {
-			t.Fatalf("workers=%d: chatty fallback missing (compiled %d of %d calls)",
-				workers, st.CompiledCalls, st.ScriptCalls)
+		if compiled >= calls {
+			t.Fatalf("workers=%d: chatty fallback missing (compiled %d of %d calls)", workers, compiled, calls)
 		}
 	}
 }
 
 // TestCompiledFallbackKeepsChaosIdentical: the chaos pack's scripts all
-// hit non-compilable constructs (spawn, despawn, break), so compile-on
-// must degrade to pure fallback with an identical world.
+// hit non-compilable constructs (spawn, despawn, break), so the pack
+// carries no behavior plan and the world must be the stripped world.
 func TestCompiledFallbackKeepsChaosIdentical(t *testing.T) {
-	run := func(compile string) ([]byte, int) {
-		w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 4, CompileBehaviors: compile}, chaosPack)
-		compiled := 0
-		for i := 0; i < 20; i++ {
-			st, err := w.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			compiled += st.CompiledCalls
-		}
-		snap, err := w.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap, compiled
-	}
-	base, _ := run(CompileOff)
-	snap, compiled := run(CompileOn)
+	cfg := Config{Seed: 9, CellSize: 8, Workers: 4}
+	want, _ := runCrowd(t, loadPackInterp(t, cfg, chaosPack, true), 20)
+	got, compiled := runCrowd(t, loadPack(t, cfg, chaosPack), 20)
 	if compiled != 0 {
 		t.Fatalf("chaos scripts compiled %d calls, want pure fallback", compiled)
 	}
-	if !bytes.Equal(base, snap) {
-		t.Fatal("fallback-only compile-on diverged from compile-off")
-	}
+	requireSameRun(t, "chaos", got, want)
 }
 
-// TestCompiledOCCEquivalence: under the OCC policy the compiled path
-// must log the same read-sets, so invalidation picks the same losers
-// and re-runs converge to the same serializable state with identical
-// retry/abort accounting.
+// TestCompiledOCCEquivalence: under the OCC policy plans log the same
+// read-sets, so invalidation picks the same losers, and the re-runs —
+// plan-first like every invocation — converge to the same serializable
+// state with identical retry/abort/fuel accounting.
 func TestCompiledOCCEquivalence(t *testing.T) {
-	run := func(compile string) ([]byte, TickStats) {
-		w := spawnConflictQuartet(t, Config{Seed: 1, Workers: 2, ConflictPolicy: ConflictOCC,
-			CompileBehaviors: compile}, 7)
-		var sum TickStats
-		for i := 0; i < 5; i++ {
-			st, err := w.Step()
-			if err != nil {
+	run := func(interpret bool) ([]mixTick, int) {
+		w := loadPackInterp(t, Config{Seed: 1, Workers: 2, ConflictPolicy: ConflictOCC}, twoWritersOneReaderPack, interpret)
+		for _, arch := range []string{"store", "wa", "wb", "rd"} {
+			if _, err := w.Spawn(arch, spatial.Vec2{}); err != nil {
 				t.Fatal(err)
 			}
-			sum.EffectRetries += st.EffectRetries
-			sum.EffectAborts += st.EffectAborts
-			sum.ScriptCalls += st.ScriptCalls
-			sum.CompiledCalls += st.CompiledCalls
-			sum.FuelUsed += st.FuelUsed
 		}
-		snap, err := w.Snapshot()
-		if err != nil {
+		if err := w.Set(1, "v", entity.Int(7)); err != nil {
 			t.Fatal(err)
 		}
-		return snap, sum
+		return runCrowd(t, w, 5)
 	}
-	base, off := run(CompileOff)
-	if off.EffectRetries == 0 {
+	want, _ := run(true)
+	retries := 0
+	for _, tk := range want {
+		retries += tk.stats.EffectRetries
+	}
+	if retries == 0 {
 		t.Fatal("quartet produced no retries — conflict machinery not exercised")
 	}
-	snap, on := run(CompileOn)
-	if !bytes.Equal(base, snap) {
-		t.Fatal("occ snapshot diverged between compile modes")
-	}
-	if on.EffectRetries != off.EffectRetries || on.EffectAborts != off.EffectAborts {
-		t.Fatalf("occ accounting diverged: retries %d/%d aborts %d/%d",
-			on.EffectRetries, off.EffectRetries, on.EffectAborts, off.EffectAborts)
-	}
-	if on.ScriptCalls != off.ScriptCalls || on.FuelUsed != off.FuelUsed {
-		t.Fatalf("stats diverged: calls %d/%d fuel %d/%d",
-			on.ScriptCalls, off.ScriptCalls, on.FuelUsed, off.FuelUsed)
-	}
-	if on.CompiledCalls == 0 {
-		t.Fatal("compile-on quartet ran zero compiled calls")
+	got, compiled := run(false)
+	requireSameRun(t, "occ quartet", got, want)
+	if compiled == 0 {
+		t.Fatal("quartet ran zero compiled calls")
 	}
 }
 
 // TestCompiledFuelSkipParity: a starved fuel budget must skip the same
-// invocations in either mode — a compiled overrun rolls back and the
-// interpreter rerun owns the skip accounting.
+// invocations on either executor — a plan overrun rolls back and the
+// interpreter re-run owns the skip accounting.
 func TestCompiledFuelSkipParity(t *testing.T) {
-	run := func(compile string) ([]byte, TickStats) {
-		w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18,
-			CompileBehaviors: compile}, compiledCrowdPack)
+	run := func(interpret bool) []mixTick {
+		w := loadPackInterp(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18}, compiledCrowdPack, interpret)
 		for i := 0; i < 16; i++ {
 			if _, err := w.Spawn("unit", spatial.Vec2{X: float64(i % 4), Y: float64(i / 4)}); err != nil {
 				t.Fatal(err)
 			}
 		}
-		var sum TickStats
-		for i := 0; i < 8; i++ {
-			st, err := w.Step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum.ScriptCalls += st.ScriptCalls
-			sum.ScriptSkips += st.ScriptSkips
-			sum.FuelUsed += st.FuelUsed
-		}
-		snap, err := w.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap, sum
+		out, _ := runCrowd(t, w, 8)
+		return out
 	}
-	base, off := run(CompileOff)
-	if off.ScriptSkips == 0 {
+	want := run(true)
+	skips := 0
+	for _, tk := range want {
+		skips += tk.stats.ScriptSkips
+	}
+	if skips == 0 {
 		t.Fatal("fuel budget did not starve any invocation — parity untested")
 	}
-	snap, on := run(CompileOn)
-	if !bytes.Equal(base, snap) {
-		t.Fatal("starved worlds diverged between compile modes")
-	}
-	if on.ScriptSkips != off.ScriptSkips || on.FuelUsed != off.FuelUsed {
-		t.Fatalf("skip accounting diverged: skips %d/%d fuel %d/%d",
-			on.ScriptSkips, off.ScriptSkips, on.FuelUsed, off.FuelUsed)
-	}
+	requireSameRun(t, "starved", run(false), want)
 }
 
 // TestPlanForReportsCompileState checks the introspection hook gslrun's
 // -plan flag rides on: explain text for compiled scripts, the first
 // offending construct for fallbacks, not-found otherwise.
 func TestPlanForReportsCompileState(t *testing.T) {
-	w := loadPack(t, Config{Seed: 1, CompileBehaviors: CompileOn}, compiledCrowdPack)
+	w := loadPack(t, Config{Seed: 1}, compiledCrowdPack)
 	explain, fallback, ok := w.PlanFor("mingle")
 	if !ok || explain == "" || fallback != "" {
 		t.Fatalf("mingle: explain=%q fallback=%q ok=%v", explain, fallback, ok)
@@ -251,9 +231,5 @@ func TestPlanForReportsCompileState(t *testing.T) {
 	}
 	if _, _, ok := w.PlanFor("nope"); ok {
 		t.Fatal("unknown script reported a plan")
-	}
-	woff := loadPack(t, Config{Seed: 1}, compiledCrowdPack)
-	if _, _, ok := woff.PlanFor("mingle"); ok {
-		t.Fatal("compile-off world reported a plan")
 	}
 }

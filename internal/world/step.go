@@ -2,7 +2,6 @@ package world
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"time"
 
@@ -43,8 +42,7 @@ type workerStats struct {
 //   - trigger phase: queued events drain in cascade rounds, each round
 //     its own mini tick — parallel read-only condition queries, actions
 //     fanned across the same worker pool into effect buffers, one
-//     deterministic apply (see trigger_phase.go). Config.DirectTriggers
-//     selects the legacy single-threaded direct-write drain instead.
+//     deterministic apply (see trigger_phase.go).
 //
 // Every phase reads only frozen state between applies and every merge
 // order is independent of the partitioning, so the same seed yields an
@@ -60,6 +58,15 @@ func (w *World) Step() (TickStats, error) {
 		workers = 1
 	}
 	w.ensureWorkers(workers)
+	for name, b := range w.scripts {
+		if b == nil {
+			continue
+		}
+		b.fn.grow(w, workers)
+		if w.prof != nil && b.prof == nil {
+			b.prof = w.behaviorRow(name, b.fn.plan != nil)
+		}
+	}
 
 	// Roster snapshot: behavior attach/detach and spawns land next tick;
 	// ghost mirrors run no behaviors.
@@ -171,86 +178,52 @@ func (w *World) Step() (TickStats, error) {
 func (w *World) runWorker(wi, workers int) {
 	buf := w.workerBufs[wi]
 	buf.reset()
-	interps := w.workerInterps[wi]
 	ws := &w.workerStats[wi]
-
-	var profs map[string]*obs.ProfEntry
-	if w.prof != nil {
-		profs = w.workerProfs[wi]
-	}
-
-	compileOn := w.compileEnabled()
 
 	lo, hi := chunkRange(len(w.rosterBuf), workers, wi)
 	for _, id := range w.rosterBuf[lo:hi] {
 		name := w.behaviors[id]
-		in := w.behaviorInterp(interps, wi, name)
-		if in == nil {
+		b := w.scripts[name]
+		if b == nil {
 			continue
 		}
-		// Compiled fast path: run the behavior's bound query plan when
-		// one exists. A clean, in-budget run commits exactly the records
-		// and reads the interpreter would have produced; any error or
-		// fuel overrun rolls back to the mark and falls through to the
-		// interpreter, whose verdict (effects, error, skip accounting) is
-		// authoritative. begin() reseeds the per-invocation rand stream
-		// deterministically from (seed, tick, id), so the rerun replays
-		// identical draws.
-		if compileOn {
-			if p := w.behaviorPlan(w.workerPlans, wi, name); p != nil {
-				var cpe *obs.ProfEntry
-				if profs != nil {
-					cpe = w.compiledProfFor(profs, name)
-				}
-				reads0 := len(buf.reads)
-				mark := buf.begin(id)
-				start, sampling := cpe.BeginSample()
-				_, fuel, err := p.Run(w.cfg.ScriptFuel, entity.Int(int64(id)))
-				cpe.EndSample(start, sampling)
-				if err == nil {
-					ws.calls++
-					ws.compiled++
-					ws.fuel += fuel
-					cpe.AddCall(fuel, int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
-					continue
-				}
-				buf.rollback(mark)
-			}
-		}
-		var pe *obs.ProfEntry
-		if profs != nil {
-			pe = w.profFor(profs, name)
-		}
+		// A clean, in-budget plan run commits exactly the records and
+		// reads the interpreter would have produced; anything else falls
+		// back inside invoke to the interpreter, whose verdict (effects,
+		// error, skip accounting) is authoritative.
 		reads0 := len(buf.reads)
 		mark := buf.begin(id)
-		start, sampling := pe.BeginSample()
-		_, err := in.Call("on_tick", script.Int(int64(id)))
+		start, sampling := b.prof.BeginSample()
+		_, fuel, onPlan, err := w.invoke(&b.fn, wi, mark, id, entity.Int(int64(id)))
+		pe := b.prof
+		if pe != nil && !onPlan && b.fn.plan != nil {
+			// A plan invocation that fell back: its cost belongs on the
+			// behavior's interpreter row, which exists only once this
+			// has happened.
+			pe = w.behaviorRow(name, false)
+		}
 		pe.EndSample(start, sampling)
 		ws.calls++
-		ws.fuel += in.FuelUsed()
+		ws.fuel += fuel
+		if onPlan {
+			ws.compiled++
+		}
 		if err != nil {
 			buf.rollback(mark)
 			if isFuelErr(err) {
 				ws.skips++
+				pe.AddSkip()
 			} else {
 				ws.errors++
+				pe.AddError()
 				if ws.firstErr == nil {
 					ws.firstErr, ws.errID = err, id
 				}
 			}
 		}
-		if pe != nil {
-			// Counted after rollback handling: an errored invocation is
-			// atomic and contributed no effects or reads.
-			pe.AddCall(in.FuelUsed(), int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
-			if err != nil {
-				if isFuelErr(err) {
-					pe.AddSkip()
-				} else {
-					pe.AddError()
-				}
-			}
-		}
+		// Counted after rollback handling: an errored invocation is
+		// atomic and contributed no effects or reads.
+		pe.AddCall(fuel, int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
 	}
 
 	dt := w.cfg.TickDT
@@ -277,39 +250,6 @@ func (w *World) runWorker(wi, workers int) {
 	}
 }
 
-// behaviorInterp returns worker slot wi's effect-mode clone of the
-// named script, building it on first use (nil when the script has no
-// on_tick). interps is w.workerInterps[wi]; the clone's builtins
-// capture w.workerBufs[wi], so a clone may only run on its own slot.
-func (w *World) behaviorInterp(interps map[string]*script.Interp, wi int, name string) *script.Interp {
-	in, cached := interps[name]
-	if !cached {
-		if base := w.scripts[name]; base != nil && base.Program().Fns["on_tick"] != nil {
-			in = base.Clone(w.effectBuiltins(w.workerBufs[wi]))
-		}
-		interps[name] = in
-	}
-	return in
-}
-
-// rerunBehavior re-executes entity src's behavior for the OCC conflict
-// policy: worker slot 0's clone, emitting into workerBufs[0] (the OCC
-// loop brackets the call with begin/rollback there). An entity that
-// lost its behavior mid-apply — despawned by the round just applied —
-// cannot re-run and aborts.
-func (w *World) rerunBehavior(src entity.ID) (int64, error) {
-	name, ok := w.behaviors[src]
-	if !ok {
-		return 0, fmt.Errorf("world: entity %d no longer runs a behavior", src)
-	}
-	in := w.behaviorInterp(w.workerInterps[0], 0, name)
-	if in == nil {
-		return 0, nil
-	}
-	_, err := in.Call("on_tick", script.Int(int64(src)))
-	return in.FuelUsed(), err
-}
-
 // chunkRange splits n items into contiguous per-worker ranges (the
 // partitioning idiom of query.CountInteractionsParallel).
 func chunkRange(n, workers, wi int) (int, int) {
@@ -325,25 +265,12 @@ func chunkRange(n, workers, wi int) (int, int) {
 	return lo, hi
 }
 
-// ensureWorkers sizes the per-worker effect buffers and script-clone
-// caches. Buffers persist across ticks (clone builtins capture them);
-// LoadContent clears the clone caches when new scripts arrive.
+// ensureWorkers sizes the per-worker effect buffers. Buffers persist
+// across ticks: the bound plans and script clones of every worker slot
+// capture theirs.
 func (w *World) ensureWorkers(n int) {
 	for len(w.workerBufs) < n {
 		w.workerBufs = append(w.workerBufs, newEffectBuffer(w))
-	}
-	for len(w.workerInterps) < n {
-		w.workerInterps = append(w.workerInterps, make(map[string]*script.Interp))
-	}
-	if w.prof != nil {
-		for len(w.workerProfs) < n {
-			w.workerProfs = append(w.workerProfs, make(map[string]*obs.ProfEntry))
-		}
-	}
-	if w.compileEnabled() {
-		for len(w.workerPlans) < n {
-			w.workerPlans = append(w.workerPlans, nil)
-		}
 	}
 }
 

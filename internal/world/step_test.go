@@ -16,9 +16,20 @@ import (
 
 func loadPack(t *testing.T, cfg Config, src string) *World {
 	t.Helper()
+	return loadPackInterp(t, cfg, src, false)
+}
+
+// loadPackInterp is loadPack with the pack's query plans optionally
+// stripped first, so every behavior and trigger rule runs on the
+// interpreter — the reference the compiled pipeline is held to.
+func loadPackInterp(t *testing.T, cfg Config, src string, interpret bool) *World {
+	t.Helper()
 	c, errs := content.LoadAndCompile(strings.NewReader(src))
 	if len(errs) > 0 {
 		t.Fatalf("pack: %v", errs)
+	}
+	if interpret {
+		StripPlans(c)
 	}
 	w := New(cfg)
 	if err := w.LoadPack(c); err != nil {

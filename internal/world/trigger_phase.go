@@ -24,11 +24,11 @@ package world
 // yields an identical world for any Shards × Workers combination, and
 // trigger-heavy cascades batch and parallelize exactly like behaviors.
 //
-// They also execute like compiled behaviors: a content-pack rule's
-// condition and action are gslplan query plans (compiled once per pack
-// by content.Compile, bound here per worker slot), and every
-// invocation — cond pass, act pass, OCC re-run — goes through
-// runTrigger, which falls back to the interpreter per invocation.
+// They also execute like behaviors: a content-pack rule's condition and
+// action are gslplan query plans (compiled once per pack by
+// content.Compile, bound here per worker slot), and every invocation —
+// cond pass, act pass, OCC re-run — goes through invoke (plan.go),
+// which falls back to the interpreter per invocation.
 
 import (
 	"errors"
@@ -37,7 +37,6 @@ import (
 
 	"gamedb/internal/content"
 	"gamedb/internal/entity"
-	"gamedb/internal/gslplan"
 	"gamedb/internal/obs"
 	"gamedb/internal/script"
 	"gamedb/internal/trigger"
@@ -48,47 +47,14 @@ import (
 type boundTrigger struct {
 	name string
 	src  *content.CompiledTrigger
-	cond *trigFn // nil = unconditional
-	act  *trigFn
+	cond *boundFn // nil = unconditional
+	act  *boundFn
 
 	// prof is the rule's "trigger/<name>" profile entry, resolved once
 	// when the rule is first matched (nil with profiling off — every use
 	// is nil-safe). Caching it here keeps the act fan-out free of
 	// profiler map lookups.
 	prof *obs.ProfEntry
-}
-
-// trigFn is one side of a content-pack rule — its condition or its
-// action: the parsed program, the query plan the content pack compiled
-// from it (nil when the body is outside the compilable subset; shared
-// by every world that loaded the pack), and the per-worker-slot
-// executors. Slot wi's plan and interpreter clone emit into
-// workerBufs[wi], so they may only ever run on worker slot wi.
-type trigFn struct {
-	entry string
-	prog  *script.Program
-	plan  *gslplan.Program
-
-	// plans[wi] is bound when the rule is first matched (grow); ins[wi]
-	// is built by slot wi itself the first time it needs the interpreter
-	// — there is no plan, or a plan invocation fell back — so a rule
-	// that stays on its plan never builds a clone.
-	plans []*gslplan.Plan
-	ins   []*script.Interp
-}
-
-// grow sizes the side's per-slot executors to n workers, binding the
-// new slots' plans. Runs on the coordinating goroutine before any
-// fan-out; the worker buffers must already exist (ensureWorkers).
-func (f *trigFn) grow(w *World, n int) {
-	for len(f.ins) < n {
-		var p *gslplan.Plan
-		if f.plan != nil {
-			p = f.plan.Bind(planEnv{w: w, buf: w.workerBufs[len(f.ins)]})
-		}
-		f.plans = append(f.plans, p)
-		f.ins = append(f.ins, nil)
-	}
 }
 
 // triggerRoundStride separates the per-round source-id ranges of the
@@ -119,44 +85,18 @@ func (w *World) ensureTriggerSlots(bt *boundTrigger, n int) {
 
 // runTrigger executes one side of a content rule for one matched event
 // on worker slot wi, inside the invocation the caller opened with
-// workerBufs[wi].begin(src), which returned mark. Exactly like
-// runWorker does for behaviors, it runs the slot's bound plan first and
-// on any plan error rolls the invocation back to mark, re-opens it —
-// begin reseeds the rand stream from (seed, tick, src), so the re-run
-// replays identical draws — and runs the slot's interpreter clone
-// instead, whose value, error or fuel exhaustion is authoritative. A
-// clean plan run is, by gslplan's contract, the interpreter's run:
-// same value, effects, read-set, draws and fuel. onPlan reports which
-// of the two produced the result.
-func (w *World) runTrigger(f *trigFn, wi, mark int, src entity.ID, ev *trigger.Event) (v script.Value, fuel int64, onPlan bool, err error) {
-	amount := ev.Field("amount")
-	if p := f.plans[wi]; p != nil {
-		pv, fuel, err := p.Run(w.cfg.ScriptFuel, entity.Int(int64(ev.Entity)), amount)
-		if err == nil {
-			return script.FromEntity(pv), fuel, true, nil
-		}
-		buf := w.workerBufs[wi]
-		buf.rollback(mark)
-		buf.begin(src)
-	}
-	in := f.ins[wi]
-	if in == nil {
-		in = script.NewInterp(f.prog, script.Options{
-			Fuel:     w.cfg.ScriptFuel,
-			Builtins: w.effectBuiltins(w.workerBufs[wi]),
-		})
-		f.ins[wi] = in
-	}
-	v, err = in.Call(f.entry, script.Int(int64(ev.Entity)), script.FromEntity(amount))
-	return v, in.FuelUsed(), false, err
+// workerBufs[wi].begin(src), which returned mark (see invoke).
+func (w *World) runTrigger(f *boundFn, wi, mark int, src entity.ID, ev *trigger.Event) (v script.Value, fuel int64, onPlan bool, err error) {
+	return w.invoke(f, wi, mark, src, entity.Int(int64(ev.Entity)), ev.Field("amount"))
 }
 
-// drainTriggers runs the tick's trigger phase. In DirectTriggers mode
-// it is the legacy serial drain; otherwise it loops effect-mode rounds
-// until the queue is empty or the cascade limit trips (the remaining
-// events are dropped and counted, and the engine stays usable).
+// drainTriggers runs the tick's trigger phase: effect-mode rounds until
+// the queue is empty or the cascade limit trips (the remaining events
+// are dropped and counted, and the engine stays usable). The
+// directTriggers test reference hands the queue to the engine's own
+// serial drain instead.
 func (w *World) drainTriggers(st *TickStats) error {
-	if w.cfg.DirectTriggers {
+	if w.directTriggers {
 		fired, err := w.trig.Drain()
 		st.TriggerFired += fired
 		return err
@@ -436,7 +376,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		}
 	}
 	if w.occEnabled() {
-		rerun := func(src entity.ID) (int64, error) {
+		rerun := func(src entity.ID, mark int) (int64, error) {
 			mi := int(src - entity.ID(round+1)*triggerRoundStride)
 			if mi < 0 || mi >= len(matches) {
 				return 0, fmt.Errorf("world: re-run source %d outside trigger round %d", src, round)
@@ -447,10 +387,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 				// effects, so they can never lose a merge; defensive.
 				return 0, fmt.Errorf("world: host rule %q cannot re-run", matches[mi].Rule.Name)
 			}
-			// The OCC loop has just opened the invocation on slot 0's
-			// buffer with nothing emitted yet, so its mark is the buffer's
-			// current length.
-			_, fuel, onPlan, err := w.runTrigger(bt.act, 0, len(bufs[0].effects), src, &matches[mi].Ev)
+			_, fuel, onPlan, err := w.runTrigger(bt.act, 0, mark, src, &matches[mi].Ev)
 			if onPlan {
 				st.TriggerCompiled++
 			}

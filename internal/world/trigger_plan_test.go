@@ -257,7 +257,7 @@ func TestTriggerInterpreterClonesAreLazy(t *testing.T) {
 		}
 	}
 	w.Step() // bad-payload errors for one of the three; that is the point
-	clones := func(f *trigFn) int {
+	clones := func(f *boundFn) int {
 		n := 0
 		for _, in := range f.ins {
 			if in != nil {

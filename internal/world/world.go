@@ -38,7 +38,7 @@ const (
 	// every invocation's read-set, the apply merge detects losing
 	// assignments, and losers that read a cell the winning set wrote are
 	// withheld and re-run serially (deterministic source order, worker
-	// slot 0's fuel-metered interpreter clones) against the post-apply
+	// slot 0's fuel-metered executors) against the post-apply
 	// state, round by round until a fixpoint or Config.EffectRetryCap.
 	// Invocations still conflicting at the cap abort: their effects are
 	// dropped and counted in TickStats.EffectAborts. State remains
@@ -50,19 +50,11 @@ const (
 // Config.EffectRetryCap is unset.
 const DefaultEffectRetryCap = 8
 
-// Compile policies for Config.CompileBehaviors.
-const (
-	// CompileOn compiles behavior bodies onto set-at-a-time query plans
-	// (internal/gslplan) executed per behavior over the roster; bodies
-	// outside the compilable subset — and any compiled invocation that
-	// errors or would exhaust its fuel budget — fall back to the
-	// per-entity interpreter, so world state stays bit-identical to
-	// interpreted execution.
-	CompileOn = "on"
-	// CompileOff runs every behavior on the tree-walking interpreter.
-	// This is the default ("" and unknown values behave identically).
-	CompileOff = "off"
-)
+// CompileOn is inert: it is the value bench/workloads.go still assigns
+// to the one shard.Config field nothing reads. Behaviors always run
+// plan-first with per-invocation interpreter fallback; the constant
+// goes when that field does (ROADMAP 1(g)).
+const CompileOn = "on"
 
 // Config parameterizes a world.
 type Config struct {
@@ -84,29 +76,6 @@ type Config struct {
 	// state-effect pipeline makes the resulting world state identical
 	// for any value, so Workers is purely a throughput knob.
 	Workers int
-	// DirectTriggers selects the legacy direct-execution trigger drain:
-	// single-threaded, writes applied immediately, cascading rules
-	// observing each other mid-round. The default (false) is the
-	// effect-aware drain, which runs each cascade round as its own mini
-	// tick — conditions evaluate as read-only queries over the round's
-	// frozen state, actions fan across the Workers pool into effect
-	// buffers, and one deterministic apply ends the round — so trigger
-	// cascades parallelize without giving up hash invariance. Direct
-	// mode remains as the baseline for BenchmarkE15TriggerCascade and
-	// for hosts whose Go rule actions must observe one another's writes
-	// within a single round.
-	DirectTriggers bool
-	// RowApply selects the legacy row-at-a-time effect apply: every
-	// merged record written through world.Set's table-lookup →
-	// change-notification chain, with the spatial index maintained one
-	// Move per position write. The default (false) is the columnar
-	// apply, which groups merged effects by (table, column), writes
-	// them through entity.Table's batch entry points, and re-syncs the
-	// spatial index in one MoveBatch flush. Both produce bit-identical
-	// world state (the equivalence tests pin this); row mode remains as
-	// the baseline for BenchmarkE16ApplyBatch and for hosts whose table
-	// change listeners need per-row update notifications during apply.
-	RowApply bool
 	// Pool is the worker pool tick-parallel phases run on. Nil means
 	// the process-wide sched.Shared() pool (sized to GOMAXPROCS), which
 	// every world and shard runtime shares by default so Shards ×
@@ -148,15 +117,6 @@ type Config struct {
 	// The shard runtime's incremental ghost reconcile and the replica
 	// fan-out consume the sealed feed; default off.
 	ChangeFeed bool
-	// CompileBehaviors selects the behavior execution engine for the
-	// query phase: CompileOn lowers compilable on_tick bodies onto
-	// set-at-a-time query plans with per-entity interpreter fallback,
-	// CompileOff (the default; "" and unknown values behave identically)
-	// interprets everything. Compiled execution preserves effect
-	// records, read-sets, rand streams and fuel accounting exactly, so
-	// both settings produce bit-identical worlds; TickStats.CompiledCalls
-	// reports how many invocations stayed on the compiled path.
-	CompileBehaviors string
 }
 
 // World is a running game shard.
@@ -168,8 +128,10 @@ type World struct {
 	tableOf    map[entity.ID]string
 	behaviors  map[entity.ID]string
 	archetypes map[string]*content.Archetype
-	scripts    map[string]*script.Interp
-	frames     []content.UIFrame
+	// scripts maps every loaded script name to its behavior executor; a
+	// script without an on_tick never runs as a behavior and maps to nil.
+	scripts map[string]*boundBehavior
+	frames  []content.UIFrame
 
 	// ghosts marks read-only mirror rows of entities owned by another
 	// shard (see internal/shard). Ghosts are visible to spatial queries
@@ -179,6 +141,14 @@ type World struct {
 
 	index *spatial.Grid
 	trig  *trigger.Engine
+
+	// rowApply and directTriggers select the reference bodies the
+	// differential tests compare against (export_test.go sets them):
+	// the row-at-a-time assignment apply instead of the columnar one,
+	// and the trigger engine's own serial direct-write drain instead of
+	// the round drain. Nothing outside the tests sets either.
+	rowApply       bool
+	directTriggers bool
 
 	// trigBound maps content-pack rules to their GSL programs, compiled
 	// plans and per-worker effect-mode executors. Rules absent from the
@@ -204,23 +174,11 @@ type World struct {
 	pool *sched.Pool
 
 	// Per-worker state for the parallel query phase. Buffers persist
-	// across ticks because each worker's script clones capture theirs;
-	// the clone caches reset when LoadContent brings new scripts. The
-	// remaining slices are scratch reused tick-to-tick.
-	workerBufs    []*EffectBuffer
-	workerInterps []map[string]*script.Interp
-	workerStats   []workerStats
-
-	// Compiled-behavior state (plan.go). planProgs holds the immutable
-	// compiled plan per script name (shared across workers), planFails
-	// the first non-compilable construct for scripts that stay on the
-	// interpreter; both are built eagerly in LoadContent when
-	// CompileBehaviors is on. workerPlans is each worker's bound-plan
-	// cache (plan + that worker's effect-buffer Env), invalidated
-	// alongside workerInterps.
-	planProgs   map[string]*gslplan.Program
-	planFails   map[string]string
-	workerPlans []map[string]*gslplan.Plan
+	// across ticks because each worker's bound plans and script clones
+	// capture theirs. The remaining slices are scratch reused
+	// tick-to-tick.
+	workerBufs  []*EffectBuffer
+	workerStats []workerStats
 	rosterBuf   []entity.ID
 	physTabs    []physTable
 	physIDs     [][]entity.ID
@@ -253,17 +211,16 @@ type World struct {
 
 	// Observability (instrument.go). trace/prof mirror Config.Trace /
 	// Config.Profile; nil means off, and every hook no-ops behind one
-	// nil check. workerProfs caches each worker's behavior-name → entry
-	// resolutions so the hot loop pays one map hit, not a profiler
-	// lock; otherProf attributes records whose source runs no behavior
-	// (pure-physics entities); profOf is the source-id → entry mapping
-	// of the apply currently in flight (set by the owning phase so
-	// conflict / retry / abort attribution knows whose record dropped).
-	trace       *obs.SpanCtx
-	prof        *obs.Profiler
-	workerProfs []map[string]*obs.ProfEntry
-	otherProf   *obs.ProfEntry
-	profOf      func(entity.ID) *obs.ProfEntry
+	// nil check. Behaviors and rules cache their profile rows on their
+	// bound executors; otherProf attributes records whose source runs no
+	// behavior (pure-physics entities); profOf is the source-id → entry
+	// mapping of the apply currently in flight (set by the owning phase
+	// so conflict / retry / abort attribution knows whose record
+	// dropped).
+	trace     *obs.SpanCtx
+	prof      *obs.Profiler
+	otherProf *obs.ProfEntry
+	profOf    func(entity.ID) *obs.ProfEntry
 
 	// OCC conflict-resolution scratch (occ.go), reused apply-to-apply.
 	occWrites    txn.WriteSet[readCell, entity.ID]
@@ -332,11 +289,11 @@ type TickStats struct {
 	// stop the shard).
 	ScriptSkips int
 	FuelUsed    int64
-	// CompiledCalls counts behavior invocations that committed on the
-	// compiled query-plan path this tick (the rest of ScriptCalls ran on
-	// the interpreter, by fallback or because CompileBehaviors is off).
-	// CompiledCalls / ScriptCalls is the coverage fraction the E21
-	// record and -json extras report.
+	// CompiledCalls counts behavior invocations that completed on their
+	// compiled query plan this tick (the rest of ScriptCalls ran on the
+	// interpreter: the body is not compilable, or the plan invocation
+	// fell back). CompiledCalls / ScriptCalls is the coverage fraction
+	// the -json extras report.
 	CompiledCalls int
 	TriggerFired  int
 	// TriggerRounds counts trigger cascade rounds drained this tick —
@@ -358,10 +315,8 @@ type TickStats struct {
 	// TriggerCompiled counts trigger condition and action invocations
 	// that completed on a compiled query plan this tick (OCC re-runs
 	// included); the rest ran on the interpreter, because the body is
-	// not compilable or the plan invocation fell back. Content-pack
-	// rules compile unconditionally — Config.CompileBehaviors governs
-	// behaviors only, and CompiledCalls / ScriptCalls stay behavior
-	// counts.
+	// not compilable or the plan invocation fell back. CompiledCalls /
+	// ScriptCalls stay behavior counts.
 	TriggerCompiled int
 	// Effects is the number of effect records merged in the apply
 	// phase; EffectConflicts counts records dropped by deterministic
@@ -394,7 +349,7 @@ type TickStats struct {
 	// QueryNS, ApplyNS and TriggerNS split the tick's wall time between
 	// the parallel read-only query phase, the sequential effect apply,
 	// and the trigger drain, so the merge overhead and cascade cost are
-	// measurable (BenchmarkE14ParallelTick, BenchmarkE15TriggerCascade).
+	// measurable.
 	QueryNS   int64
 	ApplyNS   int64
 	TriggerNS int64
@@ -423,7 +378,7 @@ func New(cfg Config) *World {
 		tableOf:    make(map[entity.ID]string),
 		behaviors:  make(map[entity.ID]string),
 		archetypes: make(map[string]*content.Archetype),
-		scripts:    make(map[string]*script.Interp),
+		scripts:    make(map[string]*boundBehavior),
 		ghosts:     make(map[entity.ID]bool),
 		index:      spatial.NewGrid(cfg.CellSize),
 		trig:       trigger.NewEngine(0),
@@ -462,11 +417,6 @@ func (w *World) Tick() int64 { return w.tick }
 // value other than ConflictOCC — including "" and ConflictLastWrite —
 // selects last-write-wins.
 func (w *World) occEnabled() bool { return w.cfg.ConflictPolicy == ConflictOCC }
-
-// compileEnabled reports whether behaviors execute on compiled query
-// plans. Any value other than CompileOn — including "" and CompileOff —
-// selects the interpreter.
-func (w *World) compileEnabled() bool { return w.cfg.CompileBehaviors == CompileOn }
 
 // effectRetryCap returns the bounded OCC re-run round count.
 func (w *World) effectRetryCap() int {
@@ -607,11 +557,11 @@ func (w *World) LoadContent(c *content.Compiled) error {
 		if _, dup := w.scripts[name]; dup {
 			return fmt.Errorf("world: script %q already loaded", name)
 		}
-		w.scripts[name] = script.NewInterp(cs.Prog, script.Options{
-			Fuel:     w.cfg.ScriptFuel,
-			Builtins: w.builtins(),
-		})
-		w.compileBehavior(name, cs.Prog)
+		var b *boundBehavior
+		if cs.Prog.Fns[gslplan.EntryFn] != nil {
+			b = &boundBehavior{src: cs, fn: boundFn{entry: gslplan.EntryFn, prog: cs.Prog, plan: cs.Plan}}
+		}
+		w.scripts[name] = b
 	}
 	for _, ct := range c.Triggers {
 		if err := w.bindTrigger(ct); err != nil {
@@ -619,19 +569,16 @@ func (w *World) LoadContent(c *content.Compiled) error {
 		}
 	}
 	w.frames = append(w.frames, c.Frames...)
-	// New scripts invalidate the per-worker behavior clones and bound
-	// plans; they rebuild lazily on the next Step.
-	w.workerInterps = nil
-	w.workerPlans = nil
 	return nil
 }
 
 // bindTrigger wraps a compiled trigger's GSL programs as a trigger.Rule.
-// The rule carries direct-execution interpreter closures (used by
-// Config DirectTriggers mode and by hosts calling Fire/Drain on the
-// engine directly), and the programs and their query plans are also
-// recorded in trigBound so the effect-aware drain can run them per
-// worker slot, emitting into effect buffers.
+// The rule carries direct-execution interpreter closures (for hosts
+// calling Fire/Drain on the engine directly — the serial semantics the
+// differential tests compare the round drain against), and the programs
+// and their query plans are also recorded in trigBound so the
+// effect-aware drain can run them per worker slot, emitting into effect
+// buffers.
 func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 	actIn := script.NewInterp(ct.Act, script.Options{
 		Fuel:     w.cfg.ScriptFuel,
@@ -672,10 +619,10 @@ func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 	bt := &boundTrigger{
 		name: ct.Name,
 		src:  ct,
-		act:  &trigFn{entry: content.ActFn, prog: ct.Act, plan: ct.ActPlan},
+		act:  &boundFn{entry: content.ActFn, prog: ct.Act, plan: ct.ActPlan},
 	}
 	if ct.Cond != nil {
-		bt.cond = &trigFn{entry: content.CondFn, prog: ct.Cond, plan: ct.CondPlan}
+		bt.cond = &boundFn{entry: content.CondFn, prog: ct.Cond, plan: ct.CondPlan}
 	}
 	w.trigBound[rule] = bt
 	w.trigList = append(w.trigList, bt)
