@@ -64,23 +64,25 @@ func TestCascadeAllocBudget(t *testing.T) {
 
 // TestDriftAllocBudget: 8000 drifting units, 8 shards, a rebalance every
 // 50 ticks. With a bucket re-created for nearly every move the tick cost
-// about 7 500 mallocs; recycled buckets leave the barrier's, about 1 200.
+// about 7 500 mallocs; recycled buckets left the barrier's, about 1 160,
+// and buckets that start with room for a few points (cells a directory
+// period apart share one once the crowd spreads) about 1 090.
 func TestDriftAllocBudget(t *testing.T) {
 	cfg := benchConfig(8)
 	cfg.RebalanceEvery = 50
-	checkAllocBudget(t, "drift", 2_500, cfg, func(rt *Runtime) error {
+	checkAllocBudget(t, "drift", 2_100, cfg, func(rt *Runtime) error {
 		return SeedDriftingCrowd(rt, 8000, 2000, 2009, 40)
 	}, 100)
 }
 
 // TestMingleAllocBudget: 8000 minglers, 4 shards, the world widened
-// like the benchmark's so no unit leaves it.
+// like the benchmark's so no unit leaves it; about 920 mallocs a tick.
 func TestMingleAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-2000, -2000, 4000, 4000)
 	cfg.GhostBand = 20
 	cfg.GhostFields = MingleGhostFields()
-	checkAllocBudget(t, "mingle", 2_500, cfg, func(rt *Runtime) error {
+	checkAllocBudget(t, "mingle", 1_800, cfg, func(rt *Runtime) error {
 		return SeedMingleCrowd(rt, 8000, 2000, 2009, 30)
 	}, 30)
 }

@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"fmt"
 	"testing"
 
 	"gamedb/internal/spatial"
+	"gamedb/internal/world"
 )
 
 // clusterCfg is the shared config of every wire-vs-in-process race in
@@ -19,7 +21,8 @@ func clusterCfg(shards int, conflict string) Config {
 
 // runtimeHashes seeds an in-process Runtime and returns its per-tick
 // hash trajectory (a hash after every step, not just the final one, so
-// a divergence pins the exact tick it appeared).
+// a divergence pins the exact tick it appeared), checking every shard
+// world's invariants after each step.
 func runtimeHashes(t *testing.T, cfg Config, seed func(*Runtime) error, ticks int) []uint64 {
 	t.Helper()
 	rt, err := New(cfg)
@@ -35,9 +38,27 @@ func runtimeHashes(t *testing.T, cfg Config, seed func(*Runtime) error, ticks in
 		if _, err := rt.Step(); err != nil {
 			t.Fatalf("runtime tick %d: %v", i+1, err)
 		}
+		checkWorlds(t, rt, fmt.Sprintf("runtime tick %d", i+1))
 		hashes = append(hashes, rt.Hash())
 	}
 	return hashes
+}
+
+// shardWorlds is what Runtime and Cluster share for invariant checks.
+type shardWorlds interface {
+	Shards() int
+	ShardWorld(i int) *world.World
+}
+
+// checkWorlds runs every shard world's invariant checker (the entity
+// directory's: rows, grid slots, ghost marks and routes, behaviors).
+func checkWorlds(t *testing.T, sw shardWorlds, when string) {
+	t.Helper()
+	for i := 0; i < sw.Shards(); i++ {
+		if err := sw.ShardWorld(i).Check(); err != nil {
+			t.Fatalf("%s, shard %d: %v", when, i, err)
+		}
+	}
 }
 
 // clusterHashes does the same over a wire cluster.
@@ -55,6 +76,7 @@ func clusterHashes(t *testing.T, cl *Cluster, seed func(*Cluster) error, ticks i
 			t.Fatalf("cluster tick %d: %v", i+1, err)
 		}
 		last = st
+		checkWorlds(t, cl, fmt.Sprintf("cluster tick %d", i+1))
 		h, err := cl.Hash()
 		if err != nil {
 			t.Fatalf("cluster hash at tick %d: %v", i+1, err)

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -51,8 +52,8 @@ type crowdRun struct {
 
 // runGoldenCrowd drives the mingle, cascade or border crowd exactly as
 // the goldens were recorded (mingleRun and cascadeRun are views of it,
-// borderRun seeds the same border crowd) and folds the hash after every
-// tick.
+// borderRun seeds the same border crowd), checks every shard world's
+// entity directory and folds the hash after every tick.
 func runGoldenCrowd(t *testing.T, crowd string, shards, workers int, policy string) crowdRun {
 	t.Helper()
 	cfg := Config{Seed: 7, Shards: shards, TickDT: 0.5, GhostBand: 25, Workers: workers, ConflictPolicy: policy}
@@ -100,6 +101,7 @@ func runGoldenCrowd(t *testing.T, crowd string, shards, workers int, policy stri
 				t.Fatalf("%s shards=%d workers=%d %s tick %d: failed invocations", crowd, shards, workers, policy, st.Tick)
 			}
 		}
+		checkWorlds(t, rt, fmt.Sprintf("%s shards=%d workers=%d %s tick %d", crowd, shards, workers, policy, st.Tick))
 		run.final = rt.Hash()
 		run.fold = (run.fold ^ run.final) * 1099511628211
 	}

@@ -9,40 +9,64 @@ import "math"
 // on it.
 //
 // Each entity owns one slot and one bucket entry. Three structures
-// address them:
+// address them, and the slot-addressed path hashes nothing:
 //
-//   - slotOf maps an id to its slot, the only per-entity hash lookup; a
-//     slot records the entity's position, the cell key it falls in, the
-//     bucket holding it and its index there, so Pos and a same-cell Move
-//     never touch the directory.
-//   - dir maps an occupied cell to its bucket (the directory).
-//   - a bucket holds the cell's points (what queries scan) and, parallel
+//   - a slot records the entity's position, the cell key it falls in,
+//     the bucket holding it and its index there, so PosSlot and a
+//     same-cell MoveSlot never touch the directory. Callers that keep
+//     their own entity directory (the world) address points by the slot
+//     InsertSlot returned; the id methods (Insert, Move, Pos, Remove) are
+//     thin wrappers over one id → slot map for everyone else.
+//   - dir is a fixed dirW×dirW array addressed by the cell key wrapped
+//     to (X mod dirW, Y mod dirW): entry r names the bucket of every
+//     occupied cell congruent to r, 0 when none is. Cells one period
+//     (dirW cells) apart share a bucket. Memory is fixed: a position of
+//     NaN, ±Inf or 1e12 lands in some bucket and grows nothing.
+//   - a bucket holds its cells' points (what queries scan) and, parallel
 //     to them, each point's slot, so a swap-remove can re-point the entry
-//     it moved without hashing its id.
+//     it moved without hashing its id. Because a bucket may hold aliased
+//     cells, every query filters by exact distance, containment or key,
+//     and clips its cell range to one period so no bucket is visited
+//     twice.
 //
 // Invariants (checked after every operation by the model test):
 //
-//   - every id in slotOf sits in exactly one bucket, the one dir holds
-//     under CellAt of its position, at the index its slot records; that
-//     entry carries the same id and position and names the slot back;
-//   - dir reaches exactly the non-empty buckets;
+//   - every live slot sits in exactly one bucket, the one dir holds under
+//     the wrapped CellAt of its position, at the index its slot records;
+//     that entry carries the same position and names the slot back;
+//   - dir reaches exactly the non-empty buckets, each under one entry;
+//     bucket 0 is a sentinel that stays empty, so an unoccupied entry
+//     reads as an empty bucket;
 //   - a bucket that empties leaves dir and joins freeBuckets with its
 //     capacity kept, so a crowd that drifts across cells allocates no
-//     buckets in steady state; a removed id's slot joins freeSlots; the
-//     free lists and the live slots and buckets are disjoint.
+//     buckets in steady state; a removed slot joins freeSlots; the free
+//     lists and the live slots and buckets are disjoint.
 //
 // Bucket order is append on entry, swap-with-last on exit.
 type Grid struct {
 	cell float64
 
-	slotOf    map[ID]int32
 	slots     []gridSlot
 	freeSlots []int32
+	// slotOf serves the id methods only; slot-addressed callers never
+	// touch it (it stays nil until the first Insert).
+	slotOf map[ID]int32
 
-	dir         map[CellKey]int32
+	dir         *[dirW * dirW]int32
 	buckets     []gridBucket
 	freeBuckets []int32
 }
+
+// dirW is the directory's period in cells per axis: a power of two, so
+// wrapping a key is a mask. 128 cells of the world's default 16 units
+// cover a 2048-unit square before two occupied cells share a bucket.
+const (
+	dirBits = 7
+	dirW    = 1 << dirBits
+	dirMask = dirW - 1
+	// bucketCap is a fresh bucket's initial capacity in points.
+	bucketCap = 4
+)
 
 // gridSlot locates one entity: it is buckets[bucket].pts[idx], in cell
 // key, at pos.
@@ -52,7 +76,8 @@ type gridSlot struct {
 	bucket, idx int32
 }
 
-// gridBucket is one occupied cell; slots[i] is the slot of pts[i].
+// gridBucket holds the points of the cells one directory entry covers;
+// slots[i] is the slot of pts[i].
 type gridBucket struct {
 	pts   []Point
 	slots []int32
@@ -115,9 +140,9 @@ func NewGrid(cellSize float64) *Grid {
 		panic("spatial: grid cell size must be positive")
 	}
 	return &Grid{
-		cell:   cellSize,
-		slotOf: make(map[ID]int32),
-		dir:    make(map[CellKey]int32),
+		cell:    cellSize,
+		dir:     new([dirW * dirW]int32),
+		buckets: make([]gridBucket, 1), // bucket 0: the empty sentinel
 	}
 }
 
@@ -130,39 +155,54 @@ func (g *Grid) keyFor(p Vec2) CellKey { return CellAt(p, g.cell) }
 // cell size.
 func (g *Grid) CellOf(p Vec2) CellKey { return g.keyFor(p) }
 
-// cellPts returns the points stored in cell k (nil when unoccupied).
-func (g *Grid) cellPts(k CellKey) []Point {
-	b, ok := g.dir[k]
-	if !ok {
-		return nil
-	}
-	return g.buckets[b].pts
+// entry returns the directory index of cell (x, y): its coordinates
+// wrapped to one period. Two's-complement wrapping keeps the residue
+// exact across int32 overflow, since dirW divides 2³².
+func entry(x, y int32) uint32 {
+	return (uint32(y)&dirMask)<<dirBits | uint32(x)&dirMask
+}
+
+// bucketAt returns the bucket dir holds under entry e (the empty
+// sentinel when none).
+func (g *Grid) bucketAt(e uint32) *gridBucket {
+	return &g.buckets[g.dir[e&(dirW*dirW-1)]]
 }
 
 // ForEachInCell visits every point stored in cell k (unspecified
 // order). Iteration stops early if fn returns false.
 func (g *Grid) ForEachInCell(k CellKey, fn func(id ID, p Vec2) bool) {
-	for _, pt := range g.cellPts(k) {
-		if !fn(pt.ID, pt.Pos) {
+	bk := g.bucketAt(entry(k.X, k.Y))
+	for i, s := range bk.slots {
+		if g.slots[s].key != k {
+			continue // an aliased cell sharing the bucket
+		}
+		if pt := bk.pts[i]; !fn(pt.ID, pt.Pos) {
 			return
 		}
 	}
 }
 
 // link appends slot s (holding id) to the bucket of p's cell, taking a
-// recycled bucket when the cell was unoccupied.
+// recycled bucket when its directory entry was unoccupied.
 func (g *Grid) link(s int32, id ID, p Vec2) {
 	k := g.keyFor(p)
-	b, ok := g.dir[k]
-	if !ok {
+	e := entry(k.X, k.Y)
+	b := g.dir[e]
+	if b == 0 {
 		if n := len(g.freeBuckets); n > 0 {
 			b = g.freeBuckets[n-1]
 			g.freeBuckets = g.freeBuckets[:n-1]
 		} else {
+			// A fresh bucket starts with room for a few points: aliased
+			// cells share it, so it fills past one point more often than
+			// a single cell's would.
 			b = int32(len(g.buckets))
-			g.buckets = append(g.buckets, gridBucket{})
+			g.buckets = append(g.buckets, gridBucket{
+				pts:   make([]Point, 0, bucketCap),
+				slots: make([]int32, 0, bucketCap),
+			})
 		}
-		g.dir[k] = b
+		g.dir[e] = b
 	}
 	bk := &g.buckets[b]
 	g.slots[s] = gridSlot{pos: p, key: k, bucket: b, idx: int32(len(bk.pts))}
@@ -185,70 +225,101 @@ func (g *Grid) unlink(s int32) {
 	bk.pts = bk.pts[:last]
 	bk.slots = bk.slots[:last]
 	if last == 0 {
-		delete(g.dir, sl.key)
+		g.dir[entry(sl.key.X, sl.key.Y)] = 0
 		g.freeBuckets = append(g.freeBuckets, sl.bucket)
+	}
+}
+
+// InsertSlot adds id at p in a fresh slot and returns the slot, the
+// handle MoveSlot, PosSlot and RemoveSlot take. The grid does not
+// check id for duplicates: a caller addressing points by slot keeps its
+// own id directory.
+func (g *Grid) InsertSlot(id ID, p Vec2) int32 {
+	var s int32
+	if n := len(g.freeSlots); n > 0 {
+		s = g.freeSlots[n-1]
+		g.freeSlots = g.freeSlots[:n-1]
+	} else {
+		s = int32(len(g.slots))
+		g.slots = append(g.slots, gridSlot{})
+	}
+	g.link(s, id, p)
+	return s
+}
+
+// MoveSlot moves the point in slot s to p. A move within a cell is two
+// stores; a move across cells is an O(1) swap-remove plus one
+// directory read.
+func (g *Grid) MoveSlot(s int32, p Vec2) {
+	sl := &g.slots[s]
+	if sl.key == g.keyFor(p) {
+		sl.pos = p
+		g.buckets[sl.bucket].pts[sl.idx].Pos = p
+		return
+	}
+	id := g.buckets[sl.bucket].pts[sl.idx].ID
+	g.unlink(s)
+	g.link(s, id, p)
+}
+
+// PosSlot returns the position of the point in slot s.
+func (g *Grid) PosSlot(s int32) Vec2 { return g.slots[s].pos }
+
+// RemoveSlot removes the point in slot s and frees the slot.
+func (g *Grid) RemoveSlot(s int32) {
+	g.unlink(s)
+	g.freeSlots = append(g.freeSlots, s)
+}
+
+// SlotMove is one slot-addressed position update of MoveSlots.
+type SlotMove struct {
+	Slot int32
+	Pos  Vec2
+}
+
+// MoveSlots applies a batch of slot-addressed position updates in one
+// pass, the flush side of the world's columnar effect apply: instead of
+// chasing each row write through a change notification, the apply phase
+// accumulates every entity whose x/y changed this tick, resolved to its
+// slot once, and hands the final positions over together. Entries apply
+// in slice order, so a batch naming one slot twice lands on the last.
+func (g *Grid) MoveSlots(moves []SlotMove) {
+	for i := range moves {
+		g.MoveSlot(moves[i].Slot, moves[i].Pos)
 	}
 }
 
 // Insert implements Index.
 func (g *Grid) Insert(id ID, p Vec2) {
-	s, ok := g.slotOf[id]
-	if ok {
-		g.unlink(s)
-	} else {
-		if n := len(g.freeSlots); n > 0 {
-			s = g.freeSlots[n-1]
-			g.freeSlots = g.freeSlots[:n-1]
-		} else {
-			s = int32(len(g.slots))
-			g.slots = append(g.slots, gridSlot{})
-		}
-		g.slotOf[id] = s
+	if s, ok := g.slotOf[id]; ok {
+		g.MoveSlot(s, p)
+		return
 	}
-	g.link(s, id, p)
+	if g.slotOf == nil {
+		g.slotOf = make(map[ID]int32)
+	}
+	g.slotOf[id] = g.InsertSlot(id, p)
 }
 
 // Remove implements Index.
 func (g *Grid) Remove(id ID) bool {
 	s, ok := g.slotOf[id]
-	if !ok {
-		return false
+	if ok {
+		g.RemoveSlot(s)
+		delete(g.slotOf, id)
 	}
-	g.unlink(s)
-	delete(g.slotOf, id)
-	g.freeSlots = append(g.freeSlots, s)
-	return true
+	return ok
 }
 
-// Move implements Index. A move within a cell is one lookup and two
-// stores; a move across cells is an O(1) swap-remove plus one directory
-// lookup.
-func (g *Grid) Move(id ID, p Vec2) {
-	s, ok := g.slotOf[id]
-	if !ok {
-		g.Insert(id, p)
-		return
-	}
-	if sl := &g.slots[s]; sl.key == g.keyFor(p) {
-		sl.pos = p
-		g.buckets[sl.bucket].pts[sl.idx].Pos = p
-		return
-	}
-	g.unlink(s)
-	g.link(s, id, p)
-}
+// Move implements Index; like Insert, it inserts an absent id.
+func (g *Grid) Move(id ID, p Vec2) { g.Insert(id, p) }
 
-// MoveBatch applies a batch of position updates in one pass, the flush
-// side of the world's columnar effect apply: instead of chasing each
-// row write through a change notification, the apply phase accumulates
-// every entity whose x/y changed this tick and hands the final
-// positions over together. Entries are processed in slice order with
-// Move semantics, so a batch containing duplicate ids lands on the
-// last entry — callers that need reproducible grids should order
-// batches deterministically, as applyEffects does.
+// MoveBatch applies a batch of id-addressed moves in slice order with
+// Move semantics, so a batch containing duplicate ids lands on the last
+// entry.
 func (g *Grid) MoveBatch(pts []Point) {
 	for i := range pts {
-		g.Move(pts[i].ID, pts[i].Pos)
+		g.Insert(pts[i].ID, pts[i].Pos)
 	}
 }
 
@@ -258,19 +329,31 @@ func (g *Grid) Pos(id ID) (Vec2, bool) {
 	if !ok {
 		return Vec2{}, false
 	}
-	return g.slots[s].pos, true
+	return g.PosSlot(s), true
 }
 
-// Len implements Index.
-func (g *Grid) Len() int { return len(g.slotOf) }
+// Len implements Index: the number of live slots, however addressed.
+func (g *Grid) Len() int { return len(g.slots) - len(g.freeSlots) }
+
+// cover returns the first cell of r's cell cover and the cover's width
+// and height in cells, each clipped to one directory period so the
+// scan visits every bucket at most once. An empty or inverted r covers
+// nothing.
+func (g *Grid) cover(r Rect) (lo CellKey, nx, ny int) {
+	lo, hi := g.keyFor(r.Min), g.keyFor(r.Max)
+	span := func(a, b int32) int {
+		return int(max(0, min(int64(b)-int64(a)+1, dirW)))
+	}
+	return lo, span(lo.X, hi.X), span(lo.Y, hi.Y)
+}
 
 // QueryRect implements Index.
 func (g *Grid) QueryRect(r Rect, fn func(id ID, p Vec2) bool) {
-	lo := g.keyFor(r.Min)
-	hi := g.keyFor(r.Max)
-	for cy := lo.Y; cy <= hi.Y; cy++ {
-		for cx := lo.X; cx <= hi.X; cx++ {
-			for _, pt := range g.cellPts(CellKey{cx, cy}) {
+	lo, nx, ny := g.cover(r)
+	for j := 0; j < ny; j++ {
+		cy := lo.Y + int32(j)
+		for i := 0; i < nx; i++ {
+			for _, pt := range g.bucketAt(entry(lo.X+int32(i), cy)).pts {
 				if r.Contains(pt.Pos) {
 					if !fn(pt.ID, pt.Pos) {
 						return
@@ -284,12 +367,11 @@ func (g *Grid) QueryRect(r Rect, fn func(id ID, p Vec2) bool) {
 // QueryCircle implements Index.
 func (g *Grid) QueryCircle(c Vec2, radius float64, fn func(id ID, p Vec2) bool) {
 	r2 := radius * radius
-	bound := RectAround(c, radius)
-	lo := g.keyFor(bound.Min)
-	hi := g.keyFor(bound.Max)
-	for cy := lo.Y; cy <= hi.Y; cy++ {
-		for cx := lo.X; cx <= hi.X; cx++ {
-			for _, pt := range g.cellPts(CellKey{cx, cy}) {
+	lo, nx, ny := g.cover(RectAround(c, radius))
+	for j := 0; j < ny; j++ {
+		cy := lo.Y + int32(j)
+		for i := 0; i < nx; i++ {
+			for _, pt := range g.bucketAt(entry(lo.X+int32(i), cy)).pts {
 				if pt.Pos.Dist2(c) <= r2 {
 					if !fn(pt.ID, pt.Pos) {
 						return
@@ -302,53 +384,48 @@ func (g *Grid) QueryCircle(c Vec2, radius float64, fn func(id ID, p Vec2) bool) 
 
 // KNN implements Index using expanding square rings of cells around the
 // query point, stopping once the ring's minimum possible distance exceeds
-// the kth-best candidate.
+// the kth-best candidate. Rings stop at half a period, where they have
+// offered every bucket exactly once; the bound stays sound under
+// aliasing, because a cell sharing a ring-r bucket lies at least r cells
+// away too.
 func (g *Grid) KNN(c Vec2, k int) []Neighbor {
-	acc := newKNNAcc(k)
-	if k <= 0 || len(g.slotOf) == 0 {
+	if k <= 0 || g.Len() == 0 {
 		return nil
 	}
+	acc := newKNNAcc(k)
 	center := g.keyFor(c)
-	scanCell := func(ck CellKey) {
-		for _, pt := range g.cellPts(ck) {
+	// scan offers the bucket at offset (dx, dy) from the centre cell;
+	// int32 offsets wrap, and so do directory entries.
+	scan := func(dx, dy int32) {
+		for _, pt := range g.bucketAt(entry(center.X+dx, center.Y+dy)).pts {
 			acc.offer(pt.ID, pt.Pos, pt.Pos.Dist2(c))
 		}
 	}
-	scanCell(center)
-	// maxRing bounds the walk for sparse grids: the ring at which every
-	// occupied cell must have been visited.
-	maxRing := int32(1)
-	for ck := range g.dir {
-		dx := ck.X - center.X
-		if dx < 0 {
-			dx = -dx
-		}
-		dy := ck.Y - center.Y
-		if dy < 0 {
-			dy = -dy
-		}
-		if dx > maxRing {
-			maxRing = dx
-		}
-		if dy > maxRing {
-			maxRing = dy
-		}
-	}
-	for ring := int32(1); ring <= maxRing; ring++ {
+	scan(0, 0)
+	for ring := int32(1); ring <= dirW/2; ring++ {
 		// A point in a ring-r cell is at least (r-1)*cell away.
 		minDist := float64(ring-1) * g.cell
 		if minDist*minDist > acc.worst() {
 			break
 		}
-		x0, x1 := center.X-ring, center.X+ring
-		y0, y1 := center.Y-ring, center.Y+ring
-		for cx := x0; cx <= x1; cx++ {
-			scanCell(CellKey{cx, y0})
-			scanCell(CellKey{cx, y1})
+		if ring == dirW/2 {
+			// The last ring's far row and column wrap onto its near ones:
+			// scan only the near ones.
+			for d := -ring; d < ring; d++ {
+				scan(d, -ring)
+			}
+			for d := -ring + 1; d < ring; d++ {
+				scan(-ring, d)
+			}
+			break
 		}
-		for cy := y0 + 1; cy <= y1-1; cy++ {
-			scanCell(CellKey{x0, cy})
-			scanCell(CellKey{x1, cy})
+		for d := -ring; d <= ring; d++ {
+			scan(d, -ring)
+			scan(d, ring)
+		}
+		for d := -ring + 1; d < ring; d++ {
+			scan(-ring, d)
+			scan(ring, d)
 		}
 	}
 	return acc.results()

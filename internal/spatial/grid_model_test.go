@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,10 +10,22 @@ import (
 // The grid model test: random Insert / Move / MoveBatch / Remove /
 // re-Insert sequences decoded from bytes, checked after every operation
 // against a brute-force map[ID]Vec2 oracle and against the structural
-// invariants Grid's doc comment states. TestGridModel feeds it seeded
-// random bytes; FuzzGridOps lets the fuzzer write them.
+// invariants Grid's doc comment states. Positions reach the directory's
+// wrap: points congruent modulo its period share buckets, NaN, ±Inf and
+// ±1e12 land wherever their keys wrap to, and some queries cover more
+// than a period. TestGridModel feeds it seeded random bytes;
+// FuzzGridOps lets the fuzzer write them.
 
-const modelCell = 25.0
+const (
+	modelCell = 25.0
+	// modelPeriod is the directory's period in world units: positions
+	// this far apart share a bucket.
+	modelPeriod = dirW * modelCell
+)
+
+// specials are the positions no map holds: every one keys to some cell
+// (platform-defined for NaN and overflow) and must never grow the grid.
+var specials = [...]float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e12, -1e12}
 
 // byteFeed hands out the input's bytes, then zeros.
 type byteFeed struct {
@@ -36,14 +49,55 @@ func (f *byteFeed) b() byte {
 func (f *byteFeed) id() ID { return ID(f.b()%48 + 1) }
 
 // pos draws a position on a ±115 map (about 9×9 cells of 25, so buckets
-// are shared), or — far — up to ±1.15e6, far off it.
-func (f *byteFeed) pos(far bool) Vec2 {
-	p := Vec2{X: float64(int8(f.b())) * 0.9, Y: float64(int8(f.b())) * 0.9}
-	if far {
-		p.X *= 1e4
-		p.Y *= 1e4
+// are shared).
+func (f *byteFeed) pos() Vec2 {
+	return Vec2{X: float64(int8(f.b())) * 0.9, Y: float64(int8(f.b())) * 0.9}
+}
+
+// far draws a position up to ±1.15e6, far off the map.
+func (f *byteFeed) far() Vec2 { return f.pos().Scale(1e4) }
+
+// alias draws a map position shifted by whole periods, so it shares a
+// bucket with the unshifted one.
+func (f *byteFeed) alias() Vec2 {
+	p := f.pos()
+	p.X += float64(int(f.b()%5)-2) * modelPeriod
+	p.Y += float64(int(f.b()%5)-2) * modelPeriod
+	return p
+}
+
+// special draws a map position with one or both coordinates replaced by
+// a special value.
+func (f *byteFeed) special() Vec2 {
+	p := f.pos()
+	switch v := specials[int(f.b())%len(specials)]; f.b() % 3 {
+	case 0:
+		p.X = v
+	case 1:
+		p.Y = v
+	default:
+		p = Vec2{X: v, Y: v}
 	}
 	return p
+}
+
+// anywhere draws from every kind of position.
+func (f *byteFeed) anywhere() Vec2 {
+	switch f.b() % 8 {
+	case 0:
+		return f.far()
+	case 1, 2:
+		return f.alias()
+	case 3:
+		return f.special()
+	default:
+		return f.pos()
+	}
+}
+
+// samePos compares positions bit for bit, so NaN equals itself.
+func samePos(a, b Vec2) bool {
+	return math.Float64bits(a.X) == math.Float64bits(b.X) && math.Float64bits(a.Y) == math.Float64bits(b.Y)
 }
 
 func checkGridOps(t *testing.T, data []byte) {
@@ -53,9 +107,9 @@ func checkGridOps(t *testing.T, data []byte) {
 	want := map[ID]Vec2{}
 	var batch []Point
 	for step := 0; !f.done(); step++ {
-		switch op := f.b() % 8; op {
+		switch op := f.b() % 10; op {
 		case 0, 1: // Move (inserts when absent), anywhere on the map
-			id, p := f.id(), f.pos(false)
+			id, p := f.id(), f.pos()
 			g.Move(id, p)
 			want[id] = p
 		case 2: // nudge: a small step, usually inside the cell
@@ -67,7 +121,7 @@ func checkGridOps(t *testing.T, data []byte) {
 			g.Move(id, p)
 			want[id] = p
 		case 3: // Insert: a new id, or an existing one (which moves it)
-			id, p := f.id(), f.pos(false)
+			id, p := f.id(), f.pos()
 			g.Insert(id, p)
 			want[id] = p
 		case 4: // Remove, present or not
@@ -78,20 +132,44 @@ func checkGridOps(t *testing.T, data []byte) {
 			}
 			delete(want, id)
 		case 5: // a move far off any map
-			id, p := f.id(), f.pos(true)
+			id, p := f.id(), f.far()
+			g.Move(id, p)
+			want[id] = p
+		case 6: // a move whole periods away: same bucket, another cell
+			id, p := f.id(), f.alias()
+			g.Move(id, p)
+			want[id] = p
+		case 7: // NaN, ±Inf, ±1e12
+			id, p := f.id(), f.special()
 			g.Move(id, p)
 			want[id] = p
 		default: // MoveBatch, duplicates included: the last entry wins
 			batch = batch[:0]
 			for n := int(f.b()%6) + 1; n > 0; n-- {
-				pt := Point{ID: f.id(), Pos: f.pos(f.b()%16 == 0)}
+				pt := Point{ID: f.id(), Pos: f.anywhere()}
 				batch = append(batch, pt)
 				want[pt.ID] = pt.Pos
 			}
 			g.MoveBatch(batch)
 		}
 		checkGridInvariants(t, step, g, want)
-		checkGridQueries(t, step, g, want, f.pos(false), float64(f.b())/4)
+		c := f.pos()
+		if f.b()%4 == 0 {
+			c = f.alias()
+		}
+		radius := float64(f.b()) / 4
+		if f.b()%8 == 0 {
+			radius += modelPeriod * float64(1+f.b()%3) / 2 // wider than a period
+		}
+		checkGridQueries(t, step, g, want, c, radius)
+		k, kc := int(f.b()%8), c
+		if f.b()%4 == 0 {
+			k = len(want) + int(f.b()%3) // more than the population, or all of it
+		}
+		if f.b()%4 == 0 {
+			kc = f.anywhere() // far outside the crowd, wrapped, or special
+		}
+		checkGridKNN(t, step, g, want, kc, k)
 	}
 }
 
@@ -99,16 +177,13 @@ func checkGridOps(t *testing.T, data []byte) {
 // comment) and compares Pos and Len with the oracle.
 func checkGridInvariants(t *testing.T, step int, g *Grid, want map[ID]Vec2) {
 	t.Helper()
-	if g.Len() != len(want) {
-		t.Fatalf("step %d: Len %d, oracle %d", step, g.Len(), len(want))
-	}
-	if len(g.slotOf) != len(want) {
-		t.Fatalf("step %d: %d ids in slotOf, oracle %d", step, len(g.slotOf), len(want))
+	if g.Len() != len(want) || len(g.slotOf) != len(want) {
+		t.Fatalf("step %d: Len %d, %d ids in slotOf, oracle %d", step, g.Len(), len(g.slotOf), len(want))
 	}
 	liveSlot := make([]bool, len(g.slots))
 	liveBucket := make([]bool, len(g.buckets))
 	for id, p := range want {
-		if got, ok := g.Pos(id); !ok || got != p {
+		if got, ok := g.Pos(id); !ok || !samePos(got, p) {
 			t.Fatalf("step %d: Pos(%d) = %v %v, oracle %v", step, id, got, ok, p)
 		}
 		s := g.slotOf[id]
@@ -120,29 +195,41 @@ func checkGridInvariants(t *testing.T, step int, g *Grid, want map[ID]Vec2) {
 		if sl.key != CellAt(p, modelCell) {
 			t.Fatalf("step %d: id %d at %v records cell %v, keys to %v", step, id, p, sl.key, CellAt(p, modelCell))
 		}
-		if b, ok := g.dir[sl.key]; !ok || b != sl.bucket {
-			t.Fatalf("step %d: id %d in bucket %d, directory holds %d (%v) under %v", step, id, sl.bucket, b, ok, sl.key)
+		if b := g.dir[entry(sl.key.X, sl.key.Y)]; b == 0 || b != sl.bucket {
+			t.Fatalf("step %d: id %d in bucket %d, its wrapped entry holds %d", step, id, sl.bucket, b)
 		}
 		bk := g.buckets[sl.bucket]
-		if int(sl.idx) >= len(bk.pts) || bk.pts[sl.idx] != (Point{ID: id, Pos: p}) || bk.slots[sl.idx] != s {
+		if int(sl.idx) >= len(bk.pts) || bk.pts[sl.idx].ID != id || !samePos(bk.pts[sl.idx].Pos, p) || bk.slots[sl.idx] != s {
 			t.Fatalf("step %d: id %d: bucket %d entry %d does not hold it", step, id, sl.bucket, sl.idx)
 		}
 	}
 	if _, ok := g.Pos(999); ok {
 		t.Fatalf("step %d: Pos of an id never inserted", step)
 	}
+	if len(g.buckets[0].pts) != 0 || len(g.buckets[0].slots) != 0 {
+		t.Fatalf("step %d: the sentinel bucket holds %d points", step, len(g.buckets[0].pts))
+	}
+	liveBucket[0] = true
 	// Every id was found at a distinct (bucket, index) above, so equal
 	// totals mean no bucket holds a stray or duplicate entry.
 	entries := 0
-	for k, b := range g.dir {
+	for e, b := range g.dir {
+		if b == 0 {
+			continue
+		}
 		bk := g.buckets[b]
 		if len(bk.pts) == 0 || len(bk.pts) != len(bk.slots) {
-			t.Fatalf("step %d: directory reaches bucket %d under %v with %d points, %d slots", step, b, k, len(bk.pts), len(bk.slots))
+			t.Fatalf("step %d: entry %d reaches bucket %d with %d points, %d slots", step, e, b, len(bk.pts), len(bk.slots))
 		}
 		if liveBucket[b] {
-			t.Fatalf("step %d: bucket %d reachable under two keys", step, b)
+			t.Fatalf("step %d: bucket %d reachable from two entries (or is the sentinel)", step, b)
 		}
 		liveBucket[b] = true
+		for _, s := range bk.slots {
+			if k := g.slots[s].key; entry(k.X, k.Y) != uint32(e) {
+				t.Fatalf("step %d: slot %d keyed %v sits under entry %d", step, s, k, e)
+			}
+		}
 		entries += len(bk.pts)
 	}
 	if entries != len(want) {
@@ -156,7 +243,7 @@ func checkGridInvariants(t *testing.T, step int, g *Grid, want map[ID]Vec2) {
 	}
 	for _, b := range g.freeBuckets {
 		if liveBucket[b] || len(g.buckets[b].pts) != 0 {
-			t.Fatalf("step %d: bucket %d is free but live, free twice, or not empty", step, b)
+			t.Fatalf("step %d: bucket %d is free but live, free twice, the sentinel, or not empty", step, b)
 		}
 		liveBucket[b] = true
 	}
@@ -166,7 +253,8 @@ func checkGridInvariants(t *testing.T, step int, g *Grid, want map[ID]Vec2) {
 }
 
 // checkGridQueries compares every query form around c with brute force
-// over the oracle, as sets.
+// over the oracle. Results compare as sorted lists, so a point visited
+// twice fails as surely as a point missed.
 func checkGridQueries(t *testing.T, step int, g *Grid, want map[ID]Vec2, c Vec2, radius float64) {
 	t.Helper()
 	brute := func(keep func(Vec2) bool) []ID {
@@ -181,7 +269,7 @@ func checkGridQueries(t *testing.T, step int, g *Grid, want map[ID]Vec2, c Vec2,
 	}
 	var got []ID
 	collect := func(id ID, p Vec2) bool {
-		if want[id] != p {
+		if !samePos(want[id], p) {
 			t.Fatalf("step %d: query visited %d at %v, oracle %v", step, id, p, want[id])
 		}
 		got = append(got, id)
@@ -191,7 +279,7 @@ func checkGridQueries(t *testing.T, step int, g *Grid, want map[ID]Vec2, c Vec2,
 		t.Helper()
 		slices.Sort(got)
 		if !slices.Equal(got, exp) {
-			t.Fatalf("step %d: %s = %v, brute force %v", step, what, got, exp)
+			t.Fatalf("step %d: %s around %v r=%v = %v, brute force %v", step, what, c, radius, got, exp)
 		}
 		got = got[:0]
 	}
@@ -206,27 +294,34 @@ func checkGridQueries(t *testing.T, step int, g *Grid, want map[ID]Vec2, c Vec2,
 	k := CellAt(c, modelCell)
 	g.ForEachInCell(k, collect)
 	same("ForEachInCell", brute(func(p Vec2) bool { return CellAt(p, modelCell) == k }))
+}
 
-	// KNN walks rings out to the farthest occupied cell, so it is only
-	// affordable (and only checked) while no id sits far off the map.
+// knnDist is the distance KNN ranks by: NaN counts as +Inf.
+func knnDist(p, c Vec2) float64 {
+	if d := p.Dist2(c); d == d {
+		return d
+	}
+	return math.Inf(1)
+}
+
+// checkGridKNN compares KNN(c, k) with a brute-force ranking of the
+// oracle.
+func checkGridKNN(t *testing.T, step int, g *Grid, want map[ID]Vec2, c Vec2, k int) {
+	t.Helper()
 	var dists []float64
 	for _, p := range want {
-		if p.X < -200 || p.X > 200 || p.Y < -200 || p.Y > 200 {
-			return
-		}
-		dists = append(dists, p.Dist2(c))
+		dists = append(dists, knnDist(p, c))
 	}
 	slices.Sort(dists)
-	n := int(radius) % 7
-	nn := g.KNN(c, n)
-	if len(nn) != min(n, len(want)) {
-		t.Fatalf("step %d: KNN(%d) returned %d of %d ids", step, n, len(nn), len(want))
+	nn := g.KNN(c, k)
+	if len(nn) != min(k, len(want)) {
+		t.Fatalf("step %d: KNN(%v, %d) returned %d of %d ids", step, c, k, len(nn), len(want))
 	}
 	seen := map[ID]bool{}
 	for i, nb := range nn {
 		// Ties at the kth distance may pick either id; distances may not.
-		if seen[nb.ID] || want[nb.ID] != nb.Pos || nb.Dist2 != nb.Pos.Dist2(c) || nb.Dist2 != dists[i] {
-			t.Fatalf("step %d: KNN[%d] = %+v, brute-force distance %v", step, i, nb, dists[i])
+		if seen[nb.ID] || !samePos(want[nb.ID], nb.Pos) || nb.Dist2 != knnDist(nb.Pos, c) || nb.Dist2 != dists[i] {
+			t.Fatalf("step %d: KNN(%v, %d)[%d] = %+v, brute-force distance %v", step, c, k, i, nb, dists[i])
 		}
 		seen[nb.ID] = true
 	}

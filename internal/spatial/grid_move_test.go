@@ -139,3 +139,72 @@ func BenchmarkGridMoveBatch(b *testing.B) {
 		})
 	}
 }
+
+// TestGridSteadyStateAllocs: a crowd drifting one cell a tick leaves
+// every bucket and enters another each tick, through MoveBatch and
+// through MoveSlots. Whole-cell steps keep the crowd's occupancy pattern
+// (wrapped included), so once warm-up has sized the recycled buckets a
+// tick allocates nothing.
+func TestGridSteadyStateAllocs(t *testing.T) {
+	const n, cell = 2000, 16.0
+	rng := rand.New(rand.NewSource(9))
+	home := make([]Vec2, n)
+	for i := range home {
+		// Multiples of 1/64: every drifted coordinate stays exact.
+		home[i] = Vec2{X: float64(rng.Intn(2000*64)) / 64, Y: float64(rng.Intn(2000*64)) / 64}
+	}
+	byID, bySlot := NewGrid(cell), NewGrid(cell)
+	pts := make([]Point, n)
+	moves := make([]SlotMove, n)
+	for i, p := range home {
+		byID.Insert(ID(i+1), p)
+		moves[i].Slot = bySlot.InsertSlot(ID(i+1), p)
+	}
+	tick := 0
+	step := func() {
+		tick++
+		d := Vec2{X: cell * float64(tick), Y: cell * float64(tick%3)}
+		for i, p := range home {
+			pts[i] = Point{ID: ID(i + 1), Pos: p.Add(d)}
+			moves[i].Pos = pts[i].Pos
+		}
+		byID.MoveBatch(pts)
+		bySlot.MoveSlots(moves)
+	}
+	for i := 0; i < 2*dirW; i++ { // two full trips round the directory
+		step()
+	}
+	if got := testing.AllocsPerRun(100, step); got != 0 {
+		t.Fatalf("a drifting tick allocates %.1f objects, want 0", got)
+	}
+	for i, p := range home {
+		want := p.Add(Vec2{X: cell * float64(tick), Y: cell * float64(tick%3)})
+		if got, _ := byID.Pos(ID(i + 1)); got != want || bySlot.PosSlot(moves[i].Slot) != want {
+			t.Fatalf("point %d drifted to %v / %v, want %v", i+1, got, bySlot.PosSlot(moves[i].Slot), want)
+		}
+	}
+}
+
+// BenchmarkGridQueryCircle probes at the mingle workload's density: one
+// region's 2 000 units on a 1000×1000 square, cell 16, each querying
+// radius 8 around itself — the nearby(self, 8) of every behavior.
+func BenchmarkGridQueryCircle(b *testing.B) {
+	const n, side, cell, radius = 2000, 1000.0, 16.0, 8.0
+	rng := rand.New(rand.NewSource(2009))
+	g := NewGrid(cell)
+	centres := make([]Vec2, n)
+	for i := range centres {
+		centres[i] = Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
+		g.Insert(ID(i+1), centres[i])
+	}
+	var found []ID
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		found = found[:0]
+		g.QueryCircle(centres[i%n], radius, func(id ID, _ Vec2) bool {
+			found = append(found, id)
+			return true
+		})
+	}
+}

@@ -22,10 +22,15 @@ type knnAcc struct {
 
 func newKNNAcc(k int) *knnAcc { return &knnAcc{k: k} }
 
-// offer considers a candidate.
+// offer considers a candidate. A NaN distance (a NaN coordinate in the
+// candidate or the centre) ranks as +Inf, so it never displaces a
+// comparable candidate.
 func (a *knnAcc) offer(id ID, p Vec2, d2 float64) {
 	if a.k <= 0 {
 		return
+	}
+	if d2 != d2 {
+		d2 = math.Inf(1)
 	}
 	if len(a.h) < a.k {
 		heap.Push(&a.h, Neighbor{ID: id, Pos: p, Dist2: d2})

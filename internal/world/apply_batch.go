@@ -10,7 +10,7 @@ package world
 // call that resolves everything once. Position changes are not chased
 // through per-row change notifications either: every entity whose x/y
 // changed is accumulated during the group passes and the spatial grid
-// is re-synced by a single MoveBatch flush.
+// is re-synced by a single MoveSlots flush.
 //
 // Determinism is inherited, not re-established: groups form in merged
 // (source id, source order) order and preserve it per (entity, column),
@@ -38,6 +38,9 @@ type colBatch struct {
 	pos  bool
 	ids  []entity.ID
 	vals []entity.Value
+	// slots[i] is ids[i]'s grid slot, kept for position groups only;
+	// flushMoves hands it to the grid with the final position.
+	slots []int32
 	// rows[i] is the row the batch write resolved ids[i] to, -1 when the
 	// write was skipped; flushMoves reads positions through it.
 	rows []int
@@ -52,6 +55,7 @@ func resetBatches(bs []colBatch) []colBatch {
 		bs[i].tab = nil
 		bs[i].ids = bs[i].ids[:0]
 		bs[i].vals = bs[i].vals[:0]
+		bs[i].slots = bs[i].slots[:0]
 		bs[i].rows = bs[i].rows[:0]
 	}
 	return bs[:0]
@@ -75,7 +79,7 @@ func batchFor(bs *[]colBatch, tab *entity.Table, col string) *colBatch {
 	g := &b[len(b)-1]
 	g.tab, g.col = tab, col
 	g.pos = (col == "x" || col == "y") && isSpatial(tab.Schema())
-	g.ids, g.vals = g.ids[:0], g.vals[:0]
+	g.ids, g.vals, g.slots = g.ids[:0], g.vals[:0], g.slots[:0]
 	*bs = b
 	return g
 }
@@ -83,18 +87,20 @@ func batchFor(bs *[]colBatch, tab *entity.Table, col string) *colBatch {
 // applyAssignColumnar is the batched replacement for the row-at-a-time
 // assignment and delta passes: one grouping sweep over the merged
 // sequence, one SetColumnBatch per written (table, column), one
-// AddColumnBatch per delta'd (table, column), one MoveBatch flush.
+// AddColumnBatch per delta'd (table, column), one MoveSlots flush.
 // Conflict accounting matches the row path record-for-record: a record
 // whose target cannot resolve, whose entity is unknown, or whose value
 // is skipped inside the batch counts exactly one conflict.
 func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (entity.ID, bool), conflicts *int) {
 	posDirty := false
 
-	// One-entry target → table memo: the merged sequence sorts by
-	// source entity and behaviors overwhelmingly target self, so
-	// consecutive records repeat the same tableOf/tables lookups.
+	// One-entry target → directory record memo: the merged sequence
+	// sorts by source entity and behaviors overwhelmingly target self,
+	// so consecutive records repeat the same lookup. The record yields
+	// the table and the grid slot at once.
 	var memoID entity.ID
 	var memoTab *entity.Table
+	var memoSlot int32
 	memoOK := false
 	for i := range merged {
 		e := &merged[i]
@@ -108,13 +114,13 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 			continue
 		}
 		if !memoOK || id != memoID {
-			name, okT := w.tableOf[id]
-			if !okT {
+			rec := w.dir.find(id)
+			if rec == nil {
 				*conflicts++
 				w.noteConflict(e.Src)
 				continue
 			}
-			memoID, memoTab, memoOK = id, w.tables[name], true
+			memoID, memoTab, memoSlot, memoOK = id, rec.tab, rec.slot, true
 		}
 		var g *colBatch
 		if e.Kind == EffectSet {
@@ -125,6 +131,7 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 		g.ids = append(g.ids, id)
 		g.vals = append(g.vals, e.Val)
 		if g.pos {
+			g.slots = append(g.slots, memoSlot)
 			posDirty = true
 		}
 	}
@@ -176,7 +183,8 @@ func (w *World) writeBatches(bs []colBatch, write func(*entity.Table, string, []
 
 // flushMoves re-syncs the spatial index after the columnar passes: one
 // sweep over the position groups reading each touched entity's final
-// (x, y) at the row its batch write resolved, then one grid MoveBatch.
+// (x, y) at the row its batch write resolved, then one grid MoveSlots
+// over the slots the grouping pass resolved.
 // No insert or delete lands between the writes and the flush, so the
 // row indices are still valid. An entity typically sits in several
 // position groups (set-x and set-y from move_toward, add-x and add-y
@@ -195,20 +203,20 @@ func (w *World) flushMoves() {
 				continue
 			}
 			seen := w.stampsFor(g.tab)
-			xci, yci := posCols(g.tab)
+			xci, yci, _ := spatialCols(g.tab.Schema())
 			for j, r := range g.rows {
 				if r < 0 || seen[r] == w.moveEpoch {
 					continue
 				}
 				seen[r] = w.moveEpoch
-				moves = append(moves, pointAt(g.tab, xci, yci, g.ids[j], r))
+				moves = append(moves, spatial.SlotMove{Slot: g.slots[j], Pos: posAt(g.tab, xci, yci, r)})
 			}
 		}
 	}
 	collect(w.setBatches)
 	collect(w.addBatches)
 	w.moveBuf = moves
-	w.index.MoveBatch(moves)
+	w.index.MoveSlots(moves)
 }
 
 // rowStamps is one spatial table's row-indexed flush stamps, kept by
@@ -233,17 +241,7 @@ func (w *World) stampsFor(tab *entity.Table) []uint64 {
 	return m.seen
 }
 
-// posCols resolves a spatial table's x and y column indices.
-func posCols(t *entity.Table) (xci, yci int) {
-	xci, _ = t.Schema().Col("x")
-	yci, _ = t.Schema().Col("y")
-	return xci, yci
-}
-
-// pointAt reads id's indexed position from row r of its table.
-func pointAt(t *entity.Table, xci, yci int, id entity.ID, r int) spatial.Point {
-	return spatial.Point{ID: spatial.ID(id), Pos: spatial.Vec2{
-		X: t.ValueAt(xci, r).Float(),
-		Y: t.ValueAt(yci, r).Float(),
-	}}
+// posAt reads the indexed position held in row r of a spatial table.
+func posAt(t *entity.Table, xci, yci, r int) spatial.Vec2 {
+	return spatial.Vec2{X: t.ValueAt(xci, r).Float(), Y: t.ValueAt(yci, r).Float()}
 }

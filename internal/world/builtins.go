@@ -147,8 +147,9 @@ func setArgs(args []script.Value) (entity.ID, string, entity.Value, error) {
 	return id, col, ev, nil
 }
 
-// moveTowardStep computes the frozen-state step of move_toward: the
-// new position after moving up to `step` toward (tx, ty).
+// moveTowardStep parses move_toward's arguments and computes its
+// frozen-state step: the new position after moving up to `step` toward
+// (tx, ty).
 func (w *World) moveTowardStep(args []script.Value) (entity.ID, spatial.Vec2, error) {
 	id, err := asID(args[0])
 	if err != nil {
@@ -162,14 +163,20 @@ func (w *World) moveTowardStep(args []script.Value) (entity.ID, spatial.Vec2, er
 	}
 	p, ok := w.Pos(id)
 	if !ok {
-		return 0, spatial.Vec2{}, fmt.Errorf("world: entity %d has no position", id)
+		return 0, spatial.Vec2{}, errNoPosition(id)
 	}
+	return id, stepToward(p, tx, ty, step), nil
+}
+
+// stepToward is move_toward's geometry: p moved up to step toward
+// (tx, ty), landing on the target when it is within reach.
+func stepToward(p spatial.Vec2, tx, ty, step float64) spatial.Vec2 {
 	to := spatial.Vec2{X: tx, Y: ty}.Sub(p)
 	d := to.Len()
 	if d <= step {
-		return id, spatial.Vec2{X: tx, Y: ty}, nil
+		return spatial.Vec2{X: tx, Y: ty}
 	}
-	return id, p.Add(to.Scale(step / d)), nil
+	return p.Add(to.Scale(step / d))
 }
 
 // builtins is the direct-execution set: reads plus immediate writes.
@@ -182,9 +189,9 @@ func (w *World) builtins() []script.Builtin {
 				return script.Null(), err
 			}
 			// Scripts write ints where columns want floats; coerce.
-			if table, okT := w.tableOf[id]; okT {
-				if ci, okC := w.tables[table].Schema().Col(col); okC {
-					if w.tables[table].Schema().ColAt(ci).Kind == entity.KindFloat {
+			if rec := w.dir.find(id); rec != nil {
+				if ci, okC := rec.tab.Schema().Col(col); okC {
+					if rec.tab.Schema().ColAt(ci).Kind == entity.KindFloat {
 						if f, okF := ev.AsFloat(); okF {
 							ev = entity.Float(f)
 						}

@@ -126,22 +126,30 @@ type EffectBuffer struct {
 	// reproducible for any worker count or partitioning.
 	rng uint64
 
-	// tinfos caches (table → table pointer, schema, column index, kind)
-	// resolution across emissions: tableFor/checkCol sit on the emission
-	// hot path, and without the cache every set/add re-does the tables
-	// map lookup, the schema column lookup and the kind fetch. Entries
-	// revalidate by pointer comparison, so schema migrations and
-	// ResetState/Restore (which build new Table objects) invalidate
-	// naturally.
-	tinfos map[string]*tableInfo
-	// memoID/memoTbl memoize the last target → table resolution within
+	// tinfos caches (table → schema, column index, kind) resolution
+	// across emissions: checkCol sits on the emission hot path, and
+	// without the cache every set/add re-does the schema column lookup
+	// and the kind fetch. Entries revalidate by schema pointer, so schema
+	// migrations invalidate naturally; ResetState/Restore build new Table
+	// objects and clear the map. lastInfo is the entry the previous
+	// emission used.
+	tinfos   map[*entity.Table]*tableInfo
+	lastInfo *tableInfo
+	// memoID/memoTab memoize the last target → table resolution within
 	// the current invocation (behaviors overwhelmingly target self, so
-	// consecutive emissions repeat the same tableOf lookup). begin
+	// consecutive emissions repeat the same directory lookup). begin
 	// invalidates the memo; within one invocation no effect despawns or
 	// moves rows, so it cannot go stale.
 	memoID  entity.ID
-	memoTbl string
+	memoTab *entity.Table
 	memoOK  bool
+	// selfSlot is the grid slot of the behavior subject src when selfOK:
+	// the query phase resolves the subject's directory record once per
+	// invocation (seedSelf), so nearby(self, r), pos_x(self) and
+	// move_toward(self, …) read its position without a second probe.
+	// begin clears it.
+	selfSlot int32
+	selfOK   bool
 }
 
 // tableInfo is one table's cached resolution state in an EffectBuffer.
@@ -162,7 +170,7 @@ func newEffectBuffer(w *World) *EffectBuffer {
 		w:          w,
 		trackReads: w.occEnabled(),
 		provTable:  make(map[entity.ID]string),
-		tinfos:     make(map[string]*tableInfo),
+		tinfos:     make(map[*entity.Table]*tableInfo),
 	}
 }
 
@@ -180,12 +188,33 @@ func (b *EffectBuffer) begin(src entity.ID) int {
 	b.seq = 0
 	b.spawnIdx = 0
 	b.memoOK = false
+	b.selfOK = false
 	b.rng = mix64(uint64(b.w.cfg.Seed)) ^ mix64(uint64(b.w.tick)) ^ mix64(uint64(src)*0x9e3779b97f4a7c15)
 	if b.trackReads {
 		b.closeInvoc()
 		b.invocs = append(b.invocs, invocRec{src: src, readLo: len(b.reads), open: true})
 	}
 	return len(b.effects)
+}
+
+// seedSelf records the subject of the invocation begin just opened from
+// its directory record: its table for the emission memo and its grid
+// slot for position reads.
+func (b *EffectBuffer) seedSelf(r *entRec) {
+	b.memoID, b.memoTab, b.memoOK = r.id, r.tab, true
+	b.selfSlot, b.selfOK = r.slot, true
+}
+
+// pos returns id's indexed position, reading the subject's from its
+// seeded slot.
+func (b *EffectBuffer) pos(id entity.ID) (spatial.Vec2, bool) {
+	if b.selfOK && id == b.src {
+		if b.selfSlot == noSlot {
+			return spatial.Vec2{}, false
+		}
+		return b.w.index.PosSlot(b.selfSlot), true
+	}
+	return b.w.Pos(id)
 }
 
 // closeInvoc seals the open invocation record, if any. Idempotent; the
@@ -251,33 +280,37 @@ func (b *EffectBuffer) push(e Effect) {
 // tableFor resolves the table holding target, following provisional
 // spawn ids through this invocation's bookkeeping. A one-entry memo
 // short-circuits the repeated-target case (self-targeted effect runs).
-func (b *EffectBuffer) tableFor(target entity.ID) (string, error) {
+func (b *EffectBuffer) tableFor(target entity.ID) (*entity.Table, error) {
 	if b.memoOK && target == b.memoID {
-		return b.memoTbl, nil
+		return b.memoTab, nil
 	}
-	var tbl string
-	var ok bool
+	var tab *entity.Table
 	if target >= provBase {
-		tbl, ok = b.provTable[target]
-	} else {
-		tbl, ok = b.w.tableOf[target]
+		if name, ok := b.provTable[target]; ok {
+			tab = b.w.tables[name]
+		}
+	} else if rec := b.w.dir.find(target); rec != nil {
+		tab = rec.tab
 	}
-	if !ok {
-		return "", fmt.Errorf("world: unknown entity %d", target)
+	if tab == nil {
+		return nil, fmt.Errorf("world: unknown entity %d", target)
 	}
-	b.memoID, b.memoTbl, b.memoOK = target, tbl, true
-	return tbl, nil
+	b.memoID, b.memoTab, b.memoOK = target, tab, true
+	return tab, nil
 }
 
-// tableInfo returns tbl's cached resolution entry, rebuilding it when
-// the table or its schema object changed (migration, ResetState).
-func (b *EffectBuffer) tableInfo(tbl string) *tableInfo {
-	tab := b.w.tables[tbl]
-	ti := b.tinfos[tbl]
-	if ti == nil || ti.tab != tab || ti.schema != tab.Schema() {
-		ti = &tableInfo{tab: tab, schema: tab.Schema(), cols: make(map[string]colInfo)}
-		b.tinfos[tbl] = ti
+// tableInfo returns tab's cached resolution entry, rebuilding it when
+// the table's schema object changed (migration).
+func (b *EffectBuffer) tableInfo(tab *entity.Table) *tableInfo {
+	ti := b.lastInfo
+	if ti == nil || ti.tab != tab {
+		ti = b.tinfos[tab]
 	}
+	if ti == nil || ti.schema != tab.Schema() {
+		ti = &tableInfo{tab: tab, schema: tab.Schema(), cols: make(map[string]colInfo)}
+		b.tinfos[tab] = ti
+	}
+	b.lastInfo = ti
 	return ti
 }
 
@@ -287,16 +320,16 @@ func (b *EffectBuffer) tableInfo(tbl string) *tableInfo {
 // buffer's cache; only the first emission touching a (table, column)
 // pays the schema map lookups.
 func (b *EffectBuffer) checkCol(target entity.ID, col string, v entity.Value) (entity.Value, error) {
-	tbl, err := b.tableFor(target)
+	tab, err := b.tableFor(target)
 	if err != nil {
 		return v, err
 	}
-	ti := b.tableInfo(tbl)
+	ti := b.tableInfo(tab)
 	info, ok := ti.cols[col]
 	if !ok {
 		ci, has := ti.schema.Col(col)
 		if !has {
-			return v, fmt.Errorf("world: no column %q in %q", col, tbl)
+			return v, fmt.Errorf("world: no column %q in %q", col, tab.Name())
 		}
 		info = colInfo{idx: ci, kind: ti.schema.ColAt(ci).Kind}
 		ti.cols[col] = info
@@ -582,7 +615,7 @@ func (w *World) applyMerged(merged []Effect, conflicts *int) {
 			w.noteConflict(e.Src)
 			continue
 		}
-		if _, exists := w.tableOf[id]; !exists {
+		if w.dir.find(id) == nil {
 			*conflicts++ // raced with another despawn
 			w.noteConflict(e.Src)
 			continue

@@ -31,8 +31,8 @@ func (w *World) behaviorRow(name string, compiled bool) *obs.ProfEntry {
 // error is an interpreter error (gslplan's contract), and an errored
 // invocation contributes no records to drop, retry or abort.
 func (w *World) behaviorProf(src entity.ID) *obs.ProfEntry {
-	if b := w.scripts[w.behaviors[src]]; b != nil {
-		return b.prof
+	if rec := w.dir.find(src); rec != nil && rec.beh != nil {
+		return rec.beh.prof
 	}
 	return w.otherProf
 }

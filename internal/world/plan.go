@@ -45,12 +45,16 @@ func (e planEnv) Get(id entity.ID, col string) (entity.Value, error) {
 func (e planEnv) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID {
 	e.buf.noteRead(id, "x")
 	e.buf.noteRead(id, "y")
-	return e.w.AppendNearby(dst, id, radius)
+	p, ok := e.buf.pos(id)
+	if !ok {
+		return dst
+	}
+	return e.w.appendNearbyAt(dst, id, p, radius)
 }
 
 func (e planEnv) Dist(a, b entity.ID) float64 {
-	pa, okA := e.w.Pos(a)
-	pb, okB := e.w.Pos(b)
+	pa, okA := e.buf.pos(a)
+	pb, okB := e.buf.pos(b)
 	if okA {
 		e.buf.noteRead(a, "x")
 		e.buf.noteRead(a, "y")
@@ -66,7 +70,7 @@ func (e planEnv) Dist(a, b entity.ID) float64 {
 }
 
 func (e planEnv) PosX(id entity.ID) (float64, error) {
-	p, ok := e.w.Pos(id)
+	p, ok := e.buf.pos(id)
 	if !ok {
 		return 0, errNoPosition(id)
 	}
@@ -75,7 +79,7 @@ func (e planEnv) PosX(id entity.ID) (float64, error) {
 }
 
 func (e planEnv) PosY(id entity.ID) (float64, error) {
-	p, ok := e.w.Pos(id)
+	p, ok := e.buf.pos(id)
 	if !ok {
 		return 0, errNoPosition(id)
 	}
@@ -102,19 +106,17 @@ func (e planEnv) EmitPost(name string, id entity.ID, amount entity.Value) {
 func (e planEnv) MoveToward(id entity.ID, tx, ty, step float64) error {
 	// Argument coercion already happened in the plan; replicate
 	// moveTowardStep's geometry and error order from here on.
-	args := []script.Value{
-		script.Int(int64(id)), script.Float(tx), script.Float(ty), script.Float(step),
+	p, ok := e.buf.pos(id)
+	if !ok {
+		return errNoPosition(id)
 	}
-	mid, np, err := e.w.moveTowardStep(args)
-	if err != nil {
+	np := stepToward(p, tx, ty, step)
+	e.buf.noteRead(id, "x")
+	e.buf.noteRead(id, "y")
+	if err := e.buf.emitSet(id, "x", entity.Float(np.X)); err != nil {
 		return err
 	}
-	e.buf.noteRead(mid, "x")
-	e.buf.noteRead(mid, "y")
-	if err := e.buf.emitSet(mid, "x", entity.Float(np.X)); err != nil {
-		return err
-	}
-	return e.buf.emitSet(mid, "y", entity.Float(np.Y))
+	return e.buf.emitSet(id, "y", entity.Float(np.Y))
 }
 
 func errNoPosition(id entity.ID) error {
@@ -207,14 +209,15 @@ type boundBehavior struct {
 // its behavior mid-apply — despawned by the round just applied —
 // cannot re-run and aborts.
 func (w *World) rerunBehavior(src entity.ID, mark int) (int64, error) {
-	name, ok := w.behaviors[src]
-	if !ok {
+	rec := w.dir.find(src)
+	if rec == nil || rec.script == "" {
 		return 0, fmt.Errorf("world: entity %d no longer runs a behavior", src)
 	}
-	b := w.scripts[name]
+	b := rec.beh
 	if b == nil {
 		return 0, nil
 	}
+	w.workerBufs[0].seedSelf(rec)
 	b.fn.grow(w, 1)
 	_, fuel, _, err := w.invoke(&b.fn, 0, mark, src, entity.Int(int64(src)))
 	return fuel, err

@@ -33,6 +33,7 @@ package world
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"gamedb/internal/entity"
@@ -131,37 +132,59 @@ func (w *World) SetShardIndex(i int) { w.shardIdx = i }
 // SetGhostRoute installs owner routing for a ghost mirror: effect
 // records targeting id will be forwarded to shard owner instead of
 // applied locally. The shard runtime refreshes routes at every barrier
-// alongside the mirrors themselves; Despawn removes the route with the
-// row.
-func (w *World) SetGhostRoute(id entity.ID, owner int) {
-	if w.ghostOwner == nil {
-		w.ghostOwner = make(map[entity.ID]int)
+// alongside the mirrors themselves; Despawn and SetGhost(id, false)
+// remove the route. It reports false, changing nothing, unless id is a
+// ghost mirror this world holds and owner is a shard index.
+func (w *World) SetGhostRoute(id entity.ID, owner int) bool {
+	rec := w.dir.find(id)
+	if rec == nil || !rec.ghost || owner < 0 || owner > math.MaxInt32 {
+		return false
 	}
-	w.ghostOwner[id] = owner
+	w.dir.setRoute(rec, int32(owner))
+	return true
 }
 
 // GhostRoute returns the owning shard a ghost mirror routes to, if a
 // route is installed.
 func (w *World) GhostRoute(id entity.ID) (int, bool) {
-	owner, ok := w.ghostOwner[id]
-	return owner, ok
+	if rec := w.dir.find(id); rec != nil && rec.owner != noRoute {
+		return int(rec.owner), true
+	}
+	return 0, false
 }
 
 // forwardingOn reports whether any ghost routes are installed. All
 // forwarding hooks are gated on it, so a world without routes runs the
 // pre-forwarding pipeline bit-identically.
-func (w *World) forwardingOn() bool { return len(w.ghostOwner) > 0 }
+func (w *World) forwardingOn() bool { return w.dir.routes > 0 }
+
+// routeMemo resolves records' owning shards for one pass over a
+// source-ordered sequence, remembering the last target probed.
+// ownSrc marks a sequence whose sources are entities this world owns —
+// the behavior phase's and the barrier re-runs' — so a record targeting
+// its own source needs no probe at all.
+type routeMemo struct {
+	w      *World
+	ownSrc bool
+	id     entity.ID
+	owner  int
+	ok     bool
+	valid  bool
+}
 
 // remoteOwner resolves the owning shard of a record's target. Spawns
 // always materialize locally, and provisional targets name entities
-// this invocation is spawning here; physics deltas target self, which
-// is never a routed ghost.
-func (w *World) remoteOwner(e *Effect) (int, bool) {
-	if e.Kind == EffectSpawn || e.Target >= provBase {
+// this invocation is spawning here; an owned source — physics deltas
+// included — is never a routed ghost.
+func (m *routeMemo) remoteOwner(e *Effect) (int, bool) {
+	if e.Kind == EffectSpawn || e.Target >= provBase || (m.ownSrc && e.Target == e.Src) {
 		return 0, false
 	}
-	owner, ok := w.ghostOwner[e.Target]
-	return owner, ok
+	if !m.valid || m.id != e.Target {
+		m.id, m.valid = e.Target, true
+		m.owner, m.ok = m.w.GhostRoute(e.Target)
+	}
+	return m.owner, m.ok
 }
 
 // outboundFor returns (creating on first use) the batch bound for owner.
@@ -183,9 +206,10 @@ func (w *World) outboundFor(owner int) *RemoteEffectBatch {
 // everything else stays. The returned slice aliases merged's prefix.
 func (w *World) partitionRemote(merged []Effect) []Effect {
 	out := merged[:0]
+	routes := routeMemo{w: w, ownSrc: w.applyRemoteRerun}
 	for i := range merged {
 		e := &merged[i]
-		if owner, ok := w.remoteOwner(e); ok {
+		if owner, ok := routes.remoteOwner(e); ok {
 			b := w.outboundFor(owner)
 			b.Recs = append(b.Recs, RemoteEffect{E: *e, Gen: w.tick})
 			w.statForwarded++
@@ -209,9 +233,12 @@ func (w *World) partitionRemote(merged []Effect) []Effect {
 // tag supplies the (generation, retries) stamp per source. The returned
 // slice aliases merged's prefix.
 func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, withMeta bool, tag func(entity.ID) (int64, int)) []Effect {
+	// The withMeta callers are exactly those whose sources are owned
+	// entities (trigger rounds key theirs by round and match).
+	routes := routeMemo{w: w, ownSrc: withMeta}
 	anyRemote := false
 	for i := range merged {
-		if _, ok := w.remoteOwner(&merged[i]); ok {
+		if _, ok := routes.remoteOwner(&merged[i]); ok {
 			anyRemote = true
 			break
 		}
@@ -236,7 +263,7 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 			if merged[k].Seq >= physicsSeq {
 				continue
 			}
-			if _, ok := w.remoteOwner(&merged[k]); ok {
+			if _, ok := routes.remoteOwner(&merged[k]); ok {
 				border = true
 				break
 			}
@@ -256,7 +283,7 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 				out = append(out, *e)
 				continue
 			}
-			if owner, ok := w.remoteOwner(e); ok {
+			if owner, ok := routes.remoteOwner(e); ok {
 				b := w.outboundFor(owner)
 				b.Recs = append(b.Recs, RemoteEffect{E: *e, Gen: gen})
 				w.fwdOwnerSet[owner] = struct{}{}
@@ -278,7 +305,7 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 			for _, owner := range owners {
 				var fr []readCell
 				for _, c := range reads {
-					if o, ok := w.ghostOwner[c.id]; ok && o == owner {
+					if o, ok := w.GhostRoute(c.id); ok && o == owner {
 						fr = append(fr, c)
 					}
 				}
@@ -530,11 +557,10 @@ func (w *World) foldPending(st *TickStats) {
 	w.pendFuel = 0
 }
 
-// resetForwarding clears every piece of forwarding state; ResetState
-// (and through it snapshot Restore) uses it — in-flight barrier records
-// are not part of a snapshot.
+// resetForwarding clears the forwarding state beside the routes (which
+// go with the directory); ResetState (and through it snapshot Restore)
+// uses it — in-flight barrier records are not part of a snapshot.
 func (w *World) resetForwarding() {
-	w.ghostOwner = nil
 	w.outbound = nil
 	w.inRecs = nil
 	w.inInvocs = nil

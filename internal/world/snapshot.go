@@ -21,6 +21,10 @@ type snapshotDoc struct {
 	// owned by another shard; restoring must re-mark them or a shard
 	// world would claim its neighbors' entities as its own.
 	Ghosts []entity.ID `json:"ghosts,omitempty"`
+	// Routes maps each routed ghost to the shard its writes forward to,
+	// so the first tick after a restore forwards them as the snapshotted
+	// world did instead of applying them to the mirror.
+	Routes map[entity.ID]int `json:"routes,omitempty"`
 	// IDStride preserves the shard world's id-allocator residue class;
 	// without it a restored shard would hand script spawns ids that
 	// collide with other shards. 0 (old snapshots) means 1.
@@ -41,18 +45,32 @@ type colDoc struct {
 }
 
 // Snapshot serializes the world's persistent state (tick, tables,
-// behavior roster) for checkpointing.
+// behavior roster, ghost marks and routes) for checkpointing.
 func (w *World) Snapshot() ([]byte, error) {
 	doc := snapshotDoc{
 		Tick:      w.tick,
 		NextID:    w.nextID,
 		IDStride:  w.idStride,
-		Behaviors: w.behaviors,
+		Behaviors: make(map[entity.ID]string),
 	}
-	for id := range w.ghosts {
-		doc.Ghosts = append(doc.Ghosts, id)
+	for i := range w.dir.recs {
+		rec := &w.dir.recs[i]
+		if rec.tab == nil {
+			continue
+		}
+		if rec.script != "" {
+			doc.Behaviors[rec.id] = rec.script
+		}
+		if rec.owner != noRoute {
+			if doc.Routes == nil {
+				doc.Routes = make(map[entity.ID]int)
+			}
+			doc.Routes[rec.id] = int(rec.owner)
+		}
 	}
-	slices.Sort(doc.Ghosts)
+	if w.dir.ghosts > 0 {
+		doc.Ghosts = w.GhostIDs()
+	}
 	for _, name := range w.tableNames() {
 		t := w.tables[name]
 		td := tableDoc{Name: name}
@@ -71,8 +89,28 @@ func (w *World) Snapshot() ([]byte, error) {
 	return json.Marshal(doc)
 }
 
+// RosterError reports a snapshot whose behavior roster or ghost list
+// names an entity none of its tables holds a row for, or whose route
+// list names one that is not a ghost: a mark with no row (a route with
+// no mirror) is state no world can carry.
+type RosterError struct {
+	Roster string // "behaviors", "ghosts" or "routes"
+	ID     entity.ID
+}
+
+func (e *RosterError) Error() string {
+	if e.Roster == "routes" {
+		return fmt.Sprintf("world: corrupt snapshot: routes name entity %d, which is not a ghost", e.ID)
+	}
+	return fmt.Sprintf("world: corrupt snapshot: %s name entity %d, which has no row", e.Roster, e.ID)
+}
+
 // Restore replaces the world's persistent state from a snapshot. Loaded
-// content (scripts, triggers, archetypes, frames) is retained.
+// content (scripts, triggers, archetypes, frames) is retained. A
+// snapshot that fails to decode leaves the world untouched; one that
+// decodes but is inconsistent (a roster naming no row: *RosterError)
+// fails part-way, leaving the world reset to whatever loaded before the
+// inconsistency.
 func (w *World) Restore(snap []byte) error {
 	var doc snapshotDoc
 	if err := json.Unmarshal(snap, &doc); err != nil {
@@ -96,10 +134,9 @@ func (w *World) Restore(snap []byte) error {
 			return fmt.Errorf("world: snapshot table %q: %d ids, %d rows", td.Name, len(td.IDs), len(td.Rows))
 		}
 		for i, id := range td.IDs {
-			if err := t.InsertRow(id, td.Rows[i]); err != nil {
+			if err := w.InsertRow(id, t.Name(), td.Rows[i]); err != nil {
 				return err
 			}
-			w.tableOf[id] = td.Name
 		}
 	}
 	w.tick = doc.Tick
@@ -108,13 +145,32 @@ func (w *World) Restore(snap []byte) error {
 	if w.idStride == 0 {
 		w.idStride = 1
 	}
-	for id, s := range doc.Behaviors {
-		w.behaviors[id] = s
+	// Rosters in id order, so an error names the lowest offender.
+	for _, id := range sortedKeys(doc.Behaviors) {
+		if !w.SetBehavior(id, doc.Behaviors[id]) {
+			return &RosterError{Roster: "behaviors", ID: id}
+		}
 	}
 	for _, id := range doc.Ghosts {
-		w.ghosts[id] = true
+		if !w.SetGhost(id, true) {
+			return &RosterError{Roster: "ghosts", ID: id}
+		}
+	}
+	for _, id := range sortedKeys(doc.Routes) {
+		if !w.SetGhostRoute(id, doc.Routes[id]) {
+			return &RosterError{Roster: "routes", ID: id}
+		}
 	}
 	return nil
+}
+
+func sortedKeys[V any](m map[entity.ID]V) []entity.ID {
+	ids := make([]entity.ID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // ResetState clears tables, index and rosters (a crash), keeping loaded
@@ -123,9 +179,7 @@ func (w *World) Restore(snap []byte) error {
 // pre-crash state must not drain into whatever state comes next.
 func (w *World) ResetState() {
 	w.tables = make(map[string]*entity.Table)
-	w.tableOf = make(map[entity.ID]string)
-	w.behaviors = make(map[entity.ID]string)
-	w.ghosts = make(map[entity.ID]bool)
+	w.dir = newDirectory()
 	w.index = spatial.NewGrid(w.cfg.CellSize)
 	w.tableList = nil
 	w.tick = 0
@@ -138,11 +192,11 @@ func (w *World) ResetState() {
 	if w.feed != nil {
 		w.feed.Taint()
 	}
-	// The per-worker emission caches hold (table, schema) pointers from
-	// the pre-reset epoch; drop them so the replaced tables are not
-	// pinned (entries would otherwise only refresh on a same-name
-	// lookup, which may never come).
+	// The per-worker emission caches are keyed by the pre-reset epoch's
+	// table pointers, which no lookup will name again; drop them so the
+	// replaced tables are not pinned.
 	for _, b := range w.workerBufs {
 		clear(b.tinfos)
+		b.lastInfo, b.memoTab = nil, nil
 	}
 }

@@ -49,7 +49,7 @@ type workerStats struct {
 // identical world for any Workers value.
 func (w *World) Step() (TickStats, error) {
 	w.tick++
-	st := TickStats{Tick: w.tick, Entities: len(w.tableOf)}
+	st := TickStats{Tick: w.tick, Entities: len(w.dir.at)}
 	w.foldPending(&st)
 
 	t0 := time.Now()
@@ -68,23 +68,7 @@ func (w *World) Step() (TickStats, error) {
 		}
 	}
 
-	// Roster snapshot: behavior attach/detach and spawns land next tick;
-	// ghost mirrors run no behaviors.
-	roster := w.rosterBuf[:0]
-	for id := range w.behaviors {
-		if !w.ghosts[id] {
-			roster = append(roster, id)
-		}
-	}
-	slices.Sort(roster)
-	w.rosterBuf = roster
-
-	// Physics work list: spatial tables carrying velocity columns. The
-	// id snapshots are taken once so every worker chunks the same view,
-	// and sorted (storage order drifts as handoffs and despawns swap rows)
-	// so each chunk's deltas leave the worker as one ascending run for
-	// sortEffects; snapshot buffers are reused tick-to-tick (AppendIDs,
-	// not IDs).
+	// Physics work list: spatial tables carrying velocity columns.
 	physTabs := w.physTabs[:0]
 	physIDs := w.physIDs[:0]
 	for _, name := range w.tableNames() {
@@ -104,10 +88,37 @@ func (w *World) Step() (TickStats, error) {
 		} else {
 			physIDs = append(physIDs, nil)
 		}
-		last := len(physIDs) - 1
-		physIDs[last] = t.AppendIDs(physIDs[last][:0])
-		slices.Sort(physIDs[last])
+		physIDs[len(physIDs)-1] = physIDs[len(physIDs)-1][:0]
 	}
+
+	// Roster and physics id snapshots, in one directory sweep: behavior
+	// attach/detach and spawns land next tick, entities whose behavior
+	// names no loaded on_tick run nothing, and ghost mirrors run no
+	// behaviors and no physics (they move only when their owner re-ships
+	// them). The snapshots are taken once so every worker chunks the same
+	// view, and sorted so each chunk's effects leave the worker as one
+	// ascending run for sortEffects; the buffers are reused tick-to-tick.
+	roster := w.rosterBuf[:0]
+	for i := range w.dir.recs {
+		rec := &w.dir.recs[i]
+		if rec.tab == nil || rec.ghost {
+			continue
+		}
+		if rec.beh != nil {
+			roster = append(roster, rec.id)
+		}
+		for ti := range physTabs {
+			if physTabs[ti].tab == rec.tab {
+				physIDs[ti] = append(physIDs[ti], rec.id)
+				break
+			}
+		}
+	}
+	slices.Sort(roster)
+	for _, ids := range physIDs {
+		slices.Sort(ids)
+	}
+	w.rosterBuf = roster
 	w.physTabs, w.physIDs = physTabs, physIDs
 
 	stats := w.workerStats[:0]
@@ -182,17 +193,17 @@ func (w *World) runWorker(wi, workers int) {
 
 	lo, hi := chunkRange(len(w.rosterBuf), workers, wi)
 	for _, id := range w.rosterBuf[lo:hi] {
-		name := w.behaviors[id]
-		b := w.scripts[name]
-		if b == nil {
-			continue
-		}
+		// The one directory probe of the invocation: its executor, and
+		// the subject's table and grid slot for seedSelf.
+		rec := w.dir.find(id)
+		b := rec.beh
 		// A clean, in-budget plan run commits exactly the records and
 		// reads the interpreter would have produced; anything else falls
 		// back inside invoke to the interpreter, whose verdict (effects,
 		// error, skip accounting) is authoritative.
 		reads0 := len(buf.reads)
 		mark := buf.begin(id)
+		buf.seedSelf(rec)
 		start, sampling := b.prof.BeginSample()
 		_, fuel, onPlan, err := w.invoke(&b.fn, wi, mark, id, entity.Int(int64(id)))
 		pe := b.prof
@@ -200,7 +211,7 @@ func (w *World) runWorker(wi, workers int) {
 			// A plan invocation that fell back: its cost belongs on the
 			// behavior's interpreter row, which exists only once this
 			// has happened.
-			pe = w.behaviorRow(name, false)
+			pe = w.behaviorRow(rec.script, false)
 		}
 		pe.EndSample(start, sampling)
 		ws.calls++
@@ -231,9 +242,6 @@ func (w *World) runWorker(wi, workers int) {
 		ids := w.physIDs[ti]
 		lo, hi := chunkRange(len(ids), workers, wi)
 		for _, id := range ids[lo:hi] {
-			if w.ghosts[id] {
-				continue // mirrors move only when their owner re-ships them
-			}
 			r, _ := pt.tab.RowIndex(id)
 			vx := pt.tab.ValueAt(pt.vx, r).Float()
 			vy := pt.tab.ValueAt(pt.vy, r).Float()

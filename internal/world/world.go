@@ -1,6 +1,6 @@
 // Package world is the tick-based game server that integrates every
 // substrate: the entity store holds state, a spatial grid indexes
-// positions (kept in sync through table change notifications, the way a
+// positions (kept in sync as rows enter, move and leave, the way a
 // database maintains indexes), GSL scripts drive per-entity behavior
 // under a per-invocation fuel budget, triggers route events, and content packs
 // populate all of it. The persistence, replication and concurrency
@@ -124,21 +124,18 @@ type World struct {
 	cfg Config
 	rng *rand.Rand
 
-	tables     map[string]*entity.Table
-	tableOf    map[entity.ID]string
-	behaviors  map[entity.ID]string
+	tables map[string]*entity.Table
+	// dir is the entity directory (directory.go): each entity's table,
+	// grid slot, behavior, ghost mark and ghost route behind one probe.
+	dir        directory
 	archetypes map[string]*content.Archetype
 	// scripts maps every loaded script name to its behavior executor; a
 	// script without an on_tick never runs as a behavior and maps to nil.
 	scripts map[string]*boundBehavior
 	frames  []content.UIFrame
 
-	// ghosts marks read-only mirror rows of entities owned by another
-	// shard (see internal/shard). Ghosts are visible to spatial queries
-	// and reads but run no behaviors and are skipped by physics; the
-	// shard runtime refreshes them at each tick barrier.
-	ghosts map[entity.ID]bool
-
+	// index is the spatial grid over every spatial table's rows, addressed
+	// by the slots the directory records hold.
 	index *spatial.Grid
 	trig  *trigger.Engine
 
@@ -191,7 +188,7 @@ type World struct {
 	// Columnar-apply scratch (apply_batch.go), reused tick-to-tick.
 	setBatches []colBatch
 	addBatches []colBatch
-	moveBuf    []spatial.Point
+	moveBuf    []spatial.SlotMove
 	moveStamps []rowStamps
 	moveEpoch  uint64
 
@@ -230,9 +227,9 @@ type World struct {
 	occInvalid   []entity.ID
 	occFilterBuf []Effect
 
-	// Cross-shard effect-forwarding state (remote.go). ghostOwner routes
-	// ghost-targeted records to their owning shard; a nil/empty map makes
-	// every forwarding hook inert. outbound accumulates the per-owner
+	// Cross-shard effect-forwarding state (remote.go). Ghost routes live
+	// on the directory records (SetGhostRoute); with none installed every
+	// forwarding hook is inert. outbound accumulates the per-owner
 	// batches of one tick; inRecs/inInvocs queue the foreign records and
 	// OCC metadata delivered for the current barrier; heldLocal withholds
 	// the local halves of border invocations until the barrier commit.
@@ -242,7 +239,6 @@ type World struct {
 	// counters fold barrier-time accounting into the next tick's
 	// TickStats; statForwarded tallies records sealed outbound.
 	shardIdx         int
-	ghostOwner       map[entity.ID]int
 	outbound         map[int]*RemoteEffectBatch
 	inRecs           []foreignRec
 	inInvocs         []foreignInvoc
@@ -375,11 +371,9 @@ func New(cfg Config) *World {
 		pool:       pool,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		tables:     make(map[string]*entity.Table),
-		tableOf:    make(map[entity.ID]string),
-		behaviors:  make(map[entity.ID]string),
+		dir:        newDirectory(),
 		archetypes: make(map[string]*content.Archetype),
 		scripts:    make(map[string]*boundBehavior),
-		ghosts:     make(map[entity.ID]bool),
 		index:      spatial.NewGrid(cfg.CellSize),
 		trig:       trigger.NewEngine(0),
 		trigBound:  make(map[*trigger.Rule]*boundTrigger),
@@ -432,19 +426,20 @@ func (w *World) Triggers() *trigger.Engine { return w.trig }
 // Frames returns UI frames loaded from content packs.
 func (w *World) Frames() []content.UIFrame { return w.frames }
 
-// Index exposes the spatial index (read-only use).
+// Index exposes the spatial index for queries. The world addresses its
+// points by slot, so the grid's id methods (Pos, Move, Remove) know
+// none of them: read positions through World.Pos.
 func (w *World) Index() *spatial.Grid { return w.index }
 
 // isSpatial reports whether a schema carries float x and y columns.
 func isSpatial(s *entity.Schema) bool {
-	xi, okX := s.Col("x")
-	yi, okY := s.Col("y")
-	return okX && okY &&
-		s.ColAt(xi).Kind == entity.KindFloat && s.ColAt(yi).Kind == entity.KindFloat
+	_, _, ok := spatialCols(s)
+	return ok
 }
 
-// CreateTable registers a table. Tables with float x/y columns are
-// spatially indexed automatically via change notifications.
+// CreateTable registers a table. Rows of tables with float x/y columns
+// are spatially indexed: the world enters each spawned row into the
+// grid, and a change listener follows row writes to x or y.
 func (w *World) CreateTable(name string, s *entity.Schema) (*entity.Table, error) {
 	if _, dup := w.tables[name]; dup {
 		return nil, fmt.Errorf("world: table %q already exists", name)
@@ -459,17 +454,14 @@ func (w *World) CreateTable(name string, s *entity.Schema) (*entity.Table, error
 	}
 	if isSpatial(s) {
 		t.OnChange(func(c entity.Change) {
-			switch c.Kind {
-			case entity.ChangeInsert:
-				p := spatial.Vec2{X: t.MustGet(c.ID, "x").Float(), Y: t.MustGet(c.ID, "y").Float()}
-				w.index.Insert(spatial.ID(c.ID), p)
-			case entity.ChangeUpdate:
-				if c.Col == "x" || c.Col == "y" {
-					p := spatial.Vec2{X: t.MustGet(c.ID, "x").Float(), Y: t.MustGet(c.ID, "y").Float()}
-					w.index.Move(spatial.ID(c.ID), p)
-				}
-			case entity.ChangeDelete:
-				w.index.Remove(spatial.ID(c.ID))
+			if c.Kind != entity.ChangeUpdate || (c.Col != "x" && c.Col != "y") {
+				return
+			}
+			rec := w.dir.find(c.ID)
+			xci, yci, ok := spatialCols(t.Schema())
+			if rec != nil && rec.slot != noSlot && ok {
+				r, _ := t.RowIndex(c.ID)
+				w.index.MoveSlot(rec.slot, posAt(t, xci, yci, r))
 			}
 		})
 	}
@@ -563,6 +555,9 @@ func (w *World) LoadContent(c *content.Compiled) error {
 		}
 		w.scripts[name] = b
 	}
+	if len(c.Scripts) > 0 {
+		w.bindBehaviors()
+	}
 	for _, ct := range c.Triggers {
 		if err := w.bindTrigger(ct); err != nil {
 			return err
@@ -648,21 +643,22 @@ func (w *World) SpawnAt(id entity.ID, archetype string, pos spatial.Vec2) error 
 	if !ok {
 		return fmt.Errorf("world: unknown archetype %q", archetype)
 	}
+	t, err := w.admit(id, a.Table)
+	if err != nil {
+		return err
+	}
 	vals := make(map[string]entity.Value, len(a.Values)+2)
 	for k, v := range a.Values {
 		vals[k] = v
 	}
-	t := w.tables[a.Table]
 	if _, has := t.Schema().Col("x"); has {
 		vals["x"] = entity.Float(pos.X)
 		vals["y"] = entity.Float(pos.Y)
 	}
-	if err := w.SpawnRawAt(id, a.Table, vals); err != nil {
+	if err := t.Insert(id, vals); err != nil {
 		return err
 	}
-	if a.Script != "" {
-		w.behaviors[id] = a.Script
-	}
+	w.attach(w.enter(id, t), a.Script)
 	return nil
 }
 
@@ -677,23 +673,32 @@ func (w *World) SpawnRaw(table string, vals map[string]entity.Value) (entity.ID,
 	return id, nil
 }
 
-// SpawnRawAt inserts a new entity with explicit values and a
-// caller-chosen id into a table. The id must be globally fresh: a table
-// only detects duplicates within itself, so without this check a
-// cross-table collision would silently repoint the entity and orphan
-// the old row.
-func (w *World) SpawnRawAt(id entity.ID, table string, vals map[string]entity.Value) error {
-	if prev, exists := w.tableOf[id]; exists {
-		return fmt.Errorf("world: entity %d already exists in table %q", id, prev)
+// admit returns the table a new entity id is to be inserted into. The
+// id must be globally fresh: a table only detects duplicates within
+// itself, so without this check a cross-table collision would silently
+// repoint the entity and orphan the old row.
+func (w *World) admit(id entity.ID, table string) (*entity.Table, error) {
+	if rec := w.dir.find(id); rec != nil {
+		return nil, fmt.Errorf("world: entity %d already exists in table %q", id, rec.tab.Name())
 	}
 	t, ok := w.tables[table]
 	if !ok {
-		return fmt.Errorf("world: unknown table %q", table)
+		return nil, fmt.Errorf("world: unknown table %q", table)
+	}
+	return t, nil
+}
+
+// SpawnRawAt inserts a new entity with explicit values and a
+// caller-chosen, globally fresh id into a table.
+func (w *World) SpawnRawAt(id entity.ID, table string, vals map[string]entity.Value) error {
+	t, err := w.admit(id, table)
+	if err != nil {
+		return err
 	}
 	if err := t.Insert(id, vals); err != nil {
 		return err
 	}
-	w.tableOf[id] = table
+	w.enter(id, t)
 	return nil
 }
 
@@ -702,110 +707,124 @@ func (w *World) SpawnRawAt(id entity.ID, table string, vals map[string]entity.Va
 // serialized entity exactly. Like SpawnRawAt, the id must be globally
 // fresh.
 func (w *World) InsertRow(id entity.ID, table string, row []entity.Value) error {
-	if prev, exists := w.tableOf[id]; exists {
-		return fmt.Errorf("world: entity %d already exists in table %q", id, prev)
-	}
-	t, ok := w.tables[table]
-	if !ok {
-		return fmt.Errorf("world: unknown table %q", table)
+	t, err := w.admit(id, table)
+	if err != nil {
+		return err
 	}
 	if err := t.InsertRow(id, row); err != nil {
 		return err
 	}
-	w.tableOf[id] = table
+	w.enter(id, t)
 	return nil
 }
 
-// Despawn removes an entity from its table, the spatial index and the
-// behavior roster.
+// Despawn removes an entity from its table and the spatial index, and
+// drops its behavior, ghost mark and ghost route.
 func (w *World) Despawn(id entity.ID) error {
-	table, ok := w.tableOf[id]
-	if !ok {
+	rec := w.dir.find(id)
+	if rec == nil {
 		return fmt.Errorf("world: unknown entity %d", id)
 	}
-	if err := w.tables[table].Delete(id); err != nil {
+	if err := rec.tab.Delete(id); err != nil {
 		return err
 	}
-	delete(w.tableOf, id)
-	delete(w.behaviors, id)
-	delete(w.ghosts, id)
-	delete(w.ghostOwner, id)
+	if rec.slot != noSlot {
+		w.index.RemoveSlot(rec.slot)
+	}
+	w.dir.remove(id)
 	return nil
+}
+
+// attach sets r's behavior script ("" detaches) and its executor.
+func (w *World) attach(r *entRec, script string) {
+	r.script, r.beh = script, w.scripts[script]
 }
 
 // SetBehavior attaches (or, with script "", detaches) a behavior script
-// to an entity. Handoff uses it to carry behaviors across shards.
-func (w *World) SetBehavior(id entity.ID, script string) {
-	if script == "" {
-		delete(w.behaviors, id)
-		return
+// to an entity. Handoff uses it to carry behaviors across shards. It
+// reports false, changing nothing, when the world holds no such entity.
+func (w *World) SetBehavior(id entity.ID, script string) bool {
+	rec := w.dir.find(id)
+	if rec == nil {
+		return false
 	}
-	w.behaviors[id] = script
+	w.attach(rec, script)
+	return true
 }
 
 // Behavior returns the entity's behavior script name, if any.
 func (w *World) Behavior(id entity.ID) (string, bool) {
-	s, ok := w.behaviors[id]
-	return s, ok
+	if rec := w.dir.find(id); rec != nil && rec.script != "" {
+		return rec.script, true
+	}
+	return "", false
 }
 
 // TableOf returns the name of the table holding the entity.
 func (w *World) TableOf(id entity.ID) (string, bool) {
-	t, ok := w.tableOf[id]
-	return t, ok
+	if rec := w.dir.find(id); rec != nil {
+		return rec.tab.Name(), true
+	}
+	return "", false
 }
 
 // SetGhost marks or unmarks an entity as a ghost: a read-only mirror of
 // an entity owned by a neighboring shard. Ghosts participate in spatial
 // queries and reads but run no behaviors and are not integrated by
 // physics — their state only changes when the shard runtime re-ships it.
-func (w *World) SetGhost(id entity.ID, ghost bool) {
-	if ghost {
-		w.ghosts[id] = true
-	} else {
-		delete(w.ghosts, id)
+// Unmarking drops the ghost's route. It reports false, changing nothing,
+// when the world holds no such entity.
+func (w *World) SetGhost(id entity.ID, ghost bool) bool {
+	rec := w.dir.find(id)
+	if rec == nil {
+		return false
 	}
+	w.dir.setGhost(rec, ghost)
+	return true
 }
 
 // IsGhost reports whether the entity is a ghost mirror.
-func (w *World) IsGhost(id entity.ID) bool { return w.ghosts[id] }
+func (w *World) IsGhost(id entity.ID) bool {
+	rec := w.dir.find(id)
+	return rec != nil && rec.ghost
+}
 
 // GhostCount returns the number of ghost mirrors present.
-func (w *World) GhostCount() int { return len(w.ghosts) }
+func (w *World) GhostCount() int { return w.dir.ghosts }
 
 // GhostIDs returns the ids of all ghost mirrors, sorted. The shard
 // runtime uses it to reconcile mirrors that exist in the world but not
 // in its own bookkeeping (e.g. resurrected by a snapshot Restore).
 func (w *World) GhostIDs() []entity.ID {
-	out := make([]entity.ID, 0, len(w.ghosts))
-	for id := range w.ghosts {
-		out = append(out, id)
-	}
+	out := w.AppendGhostIDs(make([]entity.ID, 0, w.dir.ghosts))
 	slices.Sort(out)
 	return out
 }
 
 // Get reads a column of any entity.
 func (w *World) Get(id entity.ID, col string) (entity.Value, error) {
-	table, ok := w.tableOf[id]
-	if !ok {
+	rec := w.dir.find(id)
+	if rec == nil {
 		return entity.Null(), fmt.Errorf("world: unknown entity %d", id)
 	}
-	return w.tables[table].Get(id, col)
+	return rec.tab.Get(id, col)
 }
 
 // Set writes a column of any entity.
 func (w *World) Set(id entity.ID, col string, v entity.Value) error {
-	table, ok := w.tableOf[id]
-	if !ok {
+	rec := w.dir.find(id)
+	if rec == nil {
 		return fmt.Errorf("world: unknown entity %d", id)
 	}
-	return w.tables[table].Set(id, col, v)
+	return rec.tab.Set(id, col, v)
 }
 
 // Pos returns an entity's indexed position.
 func (w *World) Pos(id entity.ID) (spatial.Vec2, bool) {
-	return w.index.Pos(spatial.ID(id))
+	if rec := w.dir.find(id); rec != nil && rec.slot != noSlot {
+		return w.index.PosSlot(rec.slot), true
+	}
+	return spatial.Vec2{}, false
 }
 
 // Nearby returns ids within radius of the entity, excluding it, sorted
@@ -821,6 +840,11 @@ func (w *World) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []en
 	if !ok {
 		return dst
 	}
+	return w.appendNearbyAt(dst, id, p, radius)
+}
+
+// appendNearbyAt is AppendNearby around id's already-resolved position p.
+func (w *World) appendNearbyAt(dst []entity.ID, id entity.ID, p spatial.Vec2, radius float64) []entity.ID {
 	base := len(dst)
 	w.index.QueryCircle(p, radius, func(got spatial.ID, _ spatial.Vec2) bool {
 		if entity.ID(got) != id {
@@ -838,11 +862,11 @@ func (w *World) Post(name string, id entity.ID, amount entity.Value) {
 }
 
 // Entities returns the total entity count, ghosts included.
-func (w *World) Entities() int { return len(w.tableOf) }
+func (w *World) Entities() int { return len(w.dir.at) }
 
 // LocalEntities returns the count of entities this world owns (total
 // minus ghost mirrors).
-func (w *World) LocalEntities() int { return len(w.tableOf) - len(w.ghosts) }
+func (w *World) LocalEntities() int { return len(w.dir.at) - w.dir.ghosts }
 
 // FeedEnabled reports whether per-tick change-feed recording is on.
 func (w *World) FeedEnabled() bool { return w.feed != nil }
@@ -874,8 +898,13 @@ func (w *World) SealedFeed() *entity.ChangeFeed { return w.sealedFeed }
 // — the allocation-free variant of GhostIDs for per-barrier sweeps
 // that reuse their buffers and order the result themselves.
 func (w *World) AppendGhostIDs(dst []entity.ID) []entity.ID {
-	for id := range w.ghosts {
-		dst = append(dst, id)
+	if w.dir.ghosts == 0 {
+		return dst
+	}
+	for i := range w.dir.recs {
+		if rec := &w.dir.recs[i]; rec.ghost {
+			dst = append(dst, rec.id)
+		}
 	}
 	return dst
 }
@@ -889,16 +918,18 @@ func (w *World) AppendGhostIDs(dst []entity.ID) []entity.ID {
 // write and this call. It is the ghost-reconcile counterpart of the
 // apply phase's flushMoves.
 func (w *World) ReindexPositionsRows(t *entity.Table, ids []entity.ID, rows []int) {
-	if len(ids) == 0 || len(ids) != len(rows) || !isSpatial(t.Schema()) {
+	xci, yci, ok := spatialCols(t.Schema())
+	if len(ids) == 0 || len(ids) != len(rows) || !ok {
 		return
 	}
-	xci, yci := posCols(t)
 	moves := w.moveBuf[:0]
 	for i, id := range ids {
 		if r := rows[i]; r >= 0 {
-			moves = append(moves, pointAt(t, xci, yci, id, r))
+			if rec := w.dir.find(id); rec != nil && rec.slot != noSlot {
+				moves = append(moves, spatial.SlotMove{Slot: rec.slot, Pos: posAt(t, xci, yci, r)})
+			}
 		}
 	}
 	w.moveBuf = moves
-	w.index.MoveBatch(moves)
+	w.index.MoveSlots(moves)
 }
