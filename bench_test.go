@@ -660,72 +660,6 @@ func BenchmarkE22CrossShardEffects(b *testing.B) {
 	}
 }
 
-// BenchmarkE23WireTransport: one tick of the border-write crowd with
-// the barrier serialized over a transport — the in-process Runtime
-// (barriers are function calls) vs the lockstep peer cluster over the
-// in-process pipe vs real loopback TCP, at 2 and 4 shards. The delta
-// over in-process prices encode + frame + transport + decode for every
-// exchange the barrier performs; wire-KB/tick and frames/tick size the
-// coalesced per-peer traffic.
-func BenchmarkE23WireTransport(b *testing.B) {
-	const units, side = 1500, 800.0
-	cfg := func(shards int) shard.Config {
-		return shard.Config{
-			Seed: 42, Shards: shards, World: spatial.NewRect(0, 0, side, side),
-			TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-			GhostFields: shard.BorderGhostFields(),
-		}
-	}
-	runCluster := func(b *testing.B, cl *shard.Cluster, err error) {
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { cl.Close() })
-		if err := shard.SeedBorderCluster(cl, units, side, 7, 6); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cl.Step(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		ws := cl.WireStats()
-		b.ReportMetric(float64(units)*float64(b.N)/b.Elapsed().Seconds(), "entities/sec")
-		b.ReportMetric(float64(ws.BytesOut)/1024/float64(b.N), "wire-KB/tick")
-		b.ReportMetric(float64(ws.FramesOut)/float64(b.N), "frames/tick")
-	}
-	for _, shards := range []int{2, 4} {
-		b.Run(fmt.Sprintf("inprocess-s%d", shards), func(b *testing.B) {
-			rt, err := shard.New(cfg(shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(rt.Close)
-			if err := shard.SeedBorderCrowd(rt, units, side, 7, 6); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := rt.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(units)*float64(b.N)/b.Elapsed().Seconds(), "entities/sec")
-		})
-		b.Run(fmt.Sprintf("pipe-s%d", shards), func(b *testing.B) {
-			cl, err := shard.NewPipeCluster(cfg(shards))
-			runCluster(b, cl, err)
-		})
-		b.Run(fmt.Sprintf("tcp-s%d", shards), func(b *testing.B) {
-			cl, err := shard.NewTCPCluster(cfg(shards))
-			runCluster(b, cl, err)
-		})
-	}
-}
-
 // BenchmarkE19ReplicaFanout pumps the border crowd's sealed change feeds
 // through the replica hub into 1k/10k delta-encoded client windows and
 // prices the outward bytes per tick.

@@ -29,7 +29,7 @@ func main() {
 	if *only != "" {
 		d, ok := experiment.ByID(*only)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "gamebench: unknown experiment %q; have E1..E12, E17..E19, E22, E23, A1..A3\n", *only)
+			fmt.Fprintf(os.Stderr, "gamebench: unknown experiment %q; have E1..E12, E17..E19, E22, A1..A3\n", *only)
 			os.Exit(2)
 		}
 		drivers = []experiment.Driver{d}

@@ -5,7 +5,7 @@
 // budgets — reporting fan-out bytes/tick, staleness percentiles and
 // tier degradation. The point is the scaling shape: per-tick fan-out
 // work is O(dirty rows + clients touched), so six-figure client counts
-// ride on the same feed the ghost reconcile already pays for.
+// ride on the shard worlds' per-tick change feeds.
 //
 //	replicasim                                  # 10k clients, border crowd
 //	replicasim -clients 100000 -ticks 100       # the 100k regime
@@ -81,8 +81,8 @@ func main() {
 		CellSize:  16,
 		TickDT:    0.5,
 		GhostBand: 24,
-		// The hub consumes the feeds, so they must record even on one
-		// shard, where ghost reconcile would not turn them on.
+		// The hub consumes the feeds; shard worlds record them only
+		// when asked.
 		ChangeFeed: true,
 	}
 	if *scenario == "border" {
@@ -198,7 +198,6 @@ func main() {
 				"tiers_cosmetic":    lastRep.Tiers[2],
 				"tier_degrades":     hub.DegradeTotal.Load(),
 				"tier_upgrades":     hub.UpgradeTotal.Load(),
-				"feed_cells":        rt.FeedCellTotal.Load(),
 				"ghost_ships":       rt.GhostShipTotal.Load(),
 				"ghost_field_skips": rt.GhostFieldSkipTotal.Load(),
 				"hash":              fmt.Sprintf("%016x", hash),

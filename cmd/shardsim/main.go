@@ -6,11 +6,11 @@
 // preserve physics-driven state bit-exactly, and writes targeting ghost
 // mirrors forward to their owning shard through the tick barrier).
 //
-// The same race can run over the wire: -wire pipe swaps the in-process
-// barrier for frame-exchanging Peers on an in-process pipe mesh, -wire
-// tcp for loopback sockets, and -net N launches N actual OS processes —
-// one shard each, meshed over TCP — and asserts their world hash equals
-// the in-process run's bit for bit.
+// Every race runs the one barrier — lockstep Peers exchanging frames —
+// over an in-process pipe mesh by default; -wire tcp swaps the mesh for
+// loopback sockets, and -net N launches N actual OS processes — one
+// shard each, meshed over TCP — and asserts their world hash equals the
+// in-process run's bit for bit.
 //
 //	shardsim                          # race 1,2,4,8 shards
 //	shardsim -shards 1,4 -ticks 500   # custom race
@@ -18,7 +18,7 @@
 //	                                  # and medics writing each other
 //	                                  # across region boundaries
 //	shardsim -scenario mingle         # apply-heavy neighborhood crowd
-//	shardsim -wire pipe               # shards as wire peers, pipe mesh
+//	shardsim -wire tcp                # peers over loopback sockets
 //	shardsim -net 2 -ticks 50         # 2 shard processes over TCP vs
 //	                                  # the in-process barrier
 //	shardsim -workers 4               # W query-phase workers per shard;
@@ -119,7 +119,6 @@ type raceResult struct {
 	ghostShips     int64
 	ghostSkips     int64
 	reconcileNS    int64
-	feedCells      int64
 	forwarded      int64
 	remoteMerged   int64
 	remoteInval    int64
@@ -144,65 +143,37 @@ type raceObs struct {
 	report int           // print per-tick stats every N ticks (0 = off)
 }
 
-// grid abstracts the two barrier implementations a race can drive: the
-// in-process Runtime and the wire Cluster.
-type grid interface {
-	Step() (shard.StepStats, error)
-	Hash() (uint64, error)
-	Close() error
-}
-
-// runtimeGrid adapts *shard.Runtime to the grid interface.
-type runtimeGrid struct{ rt *shard.Runtime }
-
-func (g runtimeGrid) Step() (shard.StepStats, error) { return g.rt.Step() }
-func (g runtimeGrid) Hash() (uint64, error)          { return g.rt.Hash(), nil }
-func (g runtimeGrid) Close() error                   { g.rt.Close(); return nil }
-
-func seedScenario(g grid, spec raceSpec) error {
+func seedScenario(cl *shard.Cluster, spec raceSpec) error {
 	scenario, entities, side, seed := spec.scenario, spec.entities, spec.cfg.World.Width(), spec.cfg.Seed
 	speed := scenarioSpeed(scenario)
-	switch t := g.(type) {
-	case runtimeGrid:
-		switch scenario {
-		case "border":
-			return shard.SeedBorderCrowd(t.rt, entities, side, seed, speed)
-		case "mingle":
-			return shard.SeedMingleCrowd(t.rt, entities, side, seed, speed)
-		default:
-			return shard.SeedDriftingCrowd(t.rt, entities, side, seed, speed)
-		}
-	case *shard.Cluster:
-		switch scenario {
-		case "border":
-			return shard.SeedBorderCluster(t, entities, side, seed, speed)
-		case "mingle":
-			return shard.SeedMingleCluster(t, entities, side, seed, speed)
-		default:
-			return shard.SeedDriftingCluster(t, entities, side, seed, speed)
-		}
+	switch scenario {
+	case "border":
+		return shard.SeedBorderCluster(cl, entities, side, seed, speed)
+	case "mingle":
+		return shard.SeedMingleCluster(cl, entities, side, seed, speed)
+	default:
+		return shard.SeedDriftingCluster(cl, entities, side, seed, speed)
 	}
-	return fmt.Errorf("shardsim: unknown grid type %T", g)
+}
+
+// newGrid builds the race's cluster: peers on the in-process pipe mesh,
+// or on loopback TCP under -wire tcp.
+func newGrid(cfg shard.Config, wireMode string) (*shard.Cluster, error) {
+	if wireMode == "tcp" {
+		return shard.NewTCPCluster(cfg)
+	}
+	rt, err := shard.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return rt.Cluster, nil
 }
 
 func runRace(spec raceSpec, wireMode string, ro raceObs) (raceResult, error) {
 	cfg, shards, entities, ticks := spec.cfg, spec.cfg.Shards, spec.entities, spec.ticks
 	cfg.Tracer = ro.tracer
 	cfg.Profile = ro.prof
-	var g grid
-	var rt *shard.Runtime
-	var err error
-	switch wireMode {
-	case "pipe":
-		g, err = shard.NewPipeCluster(cfg)
-	case "tcp":
-		g, err = shard.NewTCPCluster(cfg)
-	default:
-		rt, err = shard.New(cfg)
-		if err == nil {
-			g = runtimeGrid{rt}
-		}
-	}
+	g, err := newGrid(cfg, wireMode)
 	if err != nil {
 		return raceResult{}, err
 	}
@@ -272,12 +243,7 @@ func runRace(spec raceSpec, wireMode string, ro raceObs) (raceResult, error) {
 	secs := res.elapsed.Seconds()
 	res.ticksPerSec = float64(ticks) / secs
 	res.entitiesPerSec = float64(ticks) * float64(entities) / secs
-	if rt != nil {
-		// Runtime-only tallies: feed bookkeeping and the step-latency
-		// sketch live on the in-process coordinator.
-		res.feedCells = rt.FeedCellTotal.Load()
-		res.stepP99NS = rt.StepNS.Quantile(0.99)
-	}
+	res.stepP99NS = g.StepNS.Quantile(0.99)
 	res.hash, err = g.Hash()
 	if err != nil {
 		return raceResult{}, err
@@ -375,7 +341,7 @@ func runNetWorker(self int, addrs []string, spec raceSpec) error {
 // compare hashes. Exits the process on mismatch.
 func runNetRace(spec raceSpec, jsonOut bool) {
 	netShards, scenario, ticks, conflict := spec.cfg.Shards, spec.scenario, spec.ticks, spec.cfg.ConflictPolicy
-	ref, err := runRace(spec, "", raceObs{})
+	ref, err := runRace(spec, "inprocess", raceObs{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shardsim: -net reference run: %v\n", err)
 		os.Exit(1)
@@ -480,7 +446,7 @@ func main() {
 	rebalance := flag.Int64("rebalance", 50, "rebalance boundaries every N ticks (0 = static)")
 	workers := flag.Int("workers", 1, "per-shard query-phase workers (hash is identical for any value)")
 	conflict := flag.String("conflict", world.ConflictLastWrite, "conflict policy for conflicting assignments: lastwrite | occ (hash is identical across shard counts under either)")
-	wireMode := flag.String("wire", "inprocess", "barrier transport: inprocess (coordinator runtime) | pipe (wire peers on an in-process pipe mesh) | tcp (wire peers over loopback sockets); hash is identical across all three")
+	wireMode := flag.String("wire", "inprocess", "barrier transport: inprocess (peers on an in-process pipe mesh) | tcp (peers over loopback sockets); the hash is identical across both")
 	netShards := flag.Int("net", 0, "launch N separate shard PROCESSES meshed over loopback TCP and assert their hash equals the in-process run (ignores -shards/-wire)")
 	jsonOut := flag.Bool("json", false, "emit machine-readable benchmark JSON on stdout")
 	report := flag.Int("report", 0, "print per-tick stats every N ticks during each race (0 = off; the final tick of a race always prints)")
@@ -500,8 +466,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shardsim: unknown -scenario %q (want drift, border or mingle)\n", *scenario)
 		os.Exit(2)
 	}
-	if *wireMode != "inprocess" && *wireMode != "pipe" && *wireMode != "tcp" {
-		fmt.Fprintf(os.Stderr, "shardsim: unknown -wire %q (want inprocess, pipe or tcp)\n", *wireMode)
+	if *wireMode != "inprocess" && *wireMode != "tcp" {
+		fmt.Fprintf(os.Stderr, "shardsim: unknown -wire %q (want inprocess or tcp)\n", *wireMode)
 		os.Exit(2)
 	}
 
@@ -611,7 +577,6 @@ func main() {
 				"ghost_ships":           res.ghostShips,
 				"ghost_field_skips":     res.ghostSkips,
 				"reconcile_ns_per_tick": float64(res.reconcileNS) / float64(*ticks),
-				"feed_cells":            res.feedCells,
 				"effects_forwarded":     res.forwarded,
 				"effects_remote_merged": res.remoteMerged,
 				"remote_invalidations":  res.remoteInval,

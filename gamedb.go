@@ -46,10 +46,9 @@ type Engine = core.Engine
 type Options = core.Options
 
 // ShardedEngine is a world partitioned into N region shards, ticking
-// in parallel on the process-wide worker pool under a tick-barrier
-// coordinator that performs cross-shard entity handoff and ghost
-// replication; see core.ShardedEngine and internal/shard for method
-// docs.
+// in parallel as lockstep peers whose tick barrier performs cross-shard
+// entity handoff and ghost replication; see core.ShardedEngine and
+// internal/shard for method docs.
 type ShardedEngine = core.ShardedEngine
 
 // ShardedOptions configures OpenSharded.

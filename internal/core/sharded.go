@@ -16,8 +16,7 @@ import (
 
 // ShardedOptions configures OpenSharded. World and Shards are required;
 // everything else defaults like Options. Every shard world runs the one
-// tick pipeline Options describes, and the barrier refreshes ghosts
-// incrementally off each world's per-tick change feed.
+// tick pipeline Options describes.
 type ShardedOptions struct {
 	// Seed drives all randomness, reproducibly across shard counts.
 	Seed int64
@@ -44,8 +43,8 @@ type ShardedOptions struct {
 	ConflictPolicy string
 	// EffectRetryCap bounds OCC re-run rounds (see world.Config).
 	EffectRetryCap int
-	// Tracer records span-based tick traces across all shards plus the
-	// coordinator barrier (nil = off); Profile is the per-behavior /
+	// Tracer records span-based tick traces across all shards and their
+	// barriers (nil = off); Profile is the per-behavior /
 	// per-rule profiler shared by every shard world (nil = off). See
 	// shard.Config.Tracer / Profile.
 	Tracer  *obs.Tracer
@@ -62,16 +61,14 @@ type ShardedOptions struct {
 	// that many ticks (0 = static partition).
 	RebalanceEvery int64
 
-	// ChangeFeed forces per-tick change-feed recording on every shard
-	// world even when the barrier's ghost refresh would not turn it on
-	// itself (one shard, or ghosts disabled), for external consumers
-	// such as the replica fan-out hub.
+	// ChangeFeed turns on per-tick change-feed recording on every shard
+	// world, for external consumers such as the replica fan-out hub.
 	ChangeFeed bool
 }
 
 // ShardedEngine is a sharded world runtime behind the same content and
 // tick surface as Engine: one world partitioned into region shards,
-// each ticking on its own goroutine under a barrier coordinator.
+// each ticking as one lockstep peer of an in-process cluster.
 type ShardedEngine struct {
 	Runtime *shard.Runtime
 }
@@ -141,5 +138,5 @@ func (e *ShardedEngine) Hash() uint64 { return e.Runtime.Hash() }
 // ShardWorld returns shard i's world for inspection.
 func (e *ShardedEngine) ShardWorld(i int) *world.World { return e.Runtime.ShardWorld(i) }
 
-// Close stops the shard goroutines.
+// Close stops the shard peers' goroutines.
 func (e *ShardedEngine) Close() { e.Runtime.Close() }

@@ -4,10 +4,9 @@ package entity
 // each table, the set of row ids whose value in a given column changed
 // (or may have changed) since the feed was last reset, plus the rows
 // inserted and deleted. It is the cheap record the columnar apply path
-// leaves behind so replication consumers — incremental ghost refresh at
-// the shard barrier, per-client fan-out encoding — can evaluate ship
-// policies over what the tick actually wrote instead of rescanning
-// everything that might have been written.
+// leaves behind so a replication consumer — the per-client fan-out —
+// can evaluate ship policies over what the tick actually wrote instead
+// of rescanning everything that might have been written.
 //
 // Dirty sets are supersets, never exact: a batched write that left the
 // stored value unchanged may still mark its row. Consumers re-check

@@ -148,9 +148,8 @@ func (t *Table) InsertRow(id ID, row []Value) error {
 				ErrKind, t.schema.ColAt(i).Name, t.schema.ColAt(i).Kind, v.Kind())
 		}
 	}
-	owned := make([]Value, len(row))
-	copy(owned, row)
-	return t.insertRow(id, owned)
+	// insertRow copies the values into the columns; row stays the caller's.
+	return t.insertRow(id, row)
 }
 
 func (t *Table) insertRow(id ID, row []Value) error {

@@ -39,7 +39,6 @@ func All() []Driver {
 		{"E18", "observability overhead: tracing + profiling on vs off", E18ObservabilityOverhead},
 		{"E19", "change-feed replication: client fan-out", E19ChangeFeedReplication},
 		{"E22", "cross-shard effects: ghost writes forwarded through the tick barrier", E22CrossShardEffects},
-		{"E23", "wire-protocol tick barrier: in-process vs pipe vs TCP transport", E23WireTransport},
 		{"A1", "ablation: causality-bubble prediction horizon", A1BubbleHorizon},
 		{"A2", "ablation: grid cell size vs query radius", A2GridCellSize},
 		{"A3", "ablation: WAL batch size under rare checkpoints", A3WALBatch},

@@ -15,9 +15,7 @@ import (
 // replica hub and fanned to 1k/10k/100k synthetic clients with
 // per-client interest windows, delta encoding and tier degradation;
 // bytes/tick and staleness percentiles size the outward bandwidth the
-// paper's consistency tiers buy. (The feed's other consumer, the
-// barrier's incremental ghost refresh, is measured by bench/'s
-// shard.reconcile_ms.)
+// paper's consistency tiers buy.
 func E19ChangeFeedReplication(quick bool) *metrics.Table {
 	t := metrics.NewTable("E19 — change-feed replication: client fan-out",
 		"config", "tick", "bytes/tick", "stale p50/p99", "hash")

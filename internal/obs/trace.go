@@ -51,8 +51,9 @@ const (
 	SpanWireRecv = "wire.recv"
 )
 
-// CoordShard is the shard index spans recorded by the coordinator (the
-// shard runtime's barrier, outside any one shard world) carry.
+// CoordShard is the shard index of spans recorded outside any one shard
+// world's track. The shard runtime records none (each peer records its
+// barrier on its own shard's track); a host can use it for its own.
 const CoordShard = -1
 
 // DefaultSpanCap is the per-shard ring capacity when NewTracer is given

@@ -3,16 +3,16 @@ package replica
 import "testing"
 
 // TestShouldShipEdges pins the policy's boundary behavior — the cases
-// the incremental reconcile's due index depends on being exact.
+// the hub's due index depends on being exact.
 func TestShouldShipEdges(t *testing.T) {
 	tests := []struct {
-		name string
-		spec FieldSpec
-		cur  float64
-		sent float64
-		tick int64
+		name     string
+		spec     FieldSpec
+		cur      float64
+		sent     float64
+		tick     int64
 		sentTick int64
-		want bool
+		want     bool
 	}{
 		// Unchanged never ships, whatever the class or age.
 		{"exact unchanged", FieldSpec{Class: Exact}, 5, 5, 100, 0, false},

@@ -1,7 +1,7 @@
 package shard
 
-// FeedPump bridges a sharded runtime's sealed change feeds into a
-// replica fan-out hub: the feed's dirty sets name exactly the rows that
+// FeedPump bridges a cluster's sealed change feeds into a replica
+// fan-out hub: the feed's dirty sets name exactly the rows that
 // could need client shipping this tick, so the hub's per-tick input is
 // O(dirty), not O(entities). Ghost mirrors are derived state and are
 // skipped — every entity reaches the hub exactly once, from the shard
@@ -12,15 +12,15 @@ import (
 
 	"gamedb/internal/entity"
 	"gamedb/internal/replica"
-	"gamedb/internal/spatial"
+	"gamedb/internal/world"
 )
 
-// FeedPump feeds one Runtime's change feeds to one Hub. Construct with
-// NewFeedPump, then call Pump after every Runtime.Step (and once after
-// the initial Sync, to publish the seeded population); FlushTick on the
-// hub remains the caller's, so it can interleave client movement.
+// FeedPump feeds one cluster's change feeds to one Hub. Construct with
+// NewFeedPump, then call Pump after every Step (and once after the
+// initial Sync, to publish the seeded population); FlushTick on the hub
+// remains the caller's, so it can interleave client movement.
 type FeedPump struct {
-	rt  *Runtime
+	cl  *Cluster
 	hub *replica.Hub
 
 	ids  []entity.ID
@@ -33,11 +33,12 @@ type FeedPump struct {
 	cols  []int
 }
 
-// NewFeedPump wires rt (whose worlds must record change feeds — build
-// the runtime with Config.ChangeFeed or incremental reconcile) to hub.
-func NewFeedPump(rt *Runtime, hub *replica.Hub) *FeedPump {
+// NewFeedPump wires g — a *Cluster, in-process or over TCP, or the
+// *Runtime wrapping one — to hub. Build it with Config.ChangeFeed: shard
+// worlds record change feeds only then.
+func NewFeedPump(g interface{ cluster() *Cluster }, hub *replica.Hub) *FeedPump {
 	return &FeedPump{
-		rt:   rt,
+		cl:   g.cluster(),
 		hub:  hub,
 		vals: make([]float64, len(hub.Specs())),
 		seen: make(map[entity.ID]struct{}),
@@ -59,18 +60,18 @@ func (p *FeedPump) relevant(col string) bool {
 	return false
 }
 
-// Pump opens the hub tick at the runtime's current tick and forwards
+// Pump opens the hub tick at the cluster's current tick and forwards
 // the sealed windows: despawns first across all shards (skipping ids
 // that merely migrated — still owned somewhere), then per shard the
 // spawned ∪ dirtied rows in sorted id order. A tainted window (post-
 // Restore) falls back to pushing every owned row.
 func (p *FeedPump) Pump() {
-	rt, hub := p.rt, p.hub
-	hub.BeginTick(rt.Tick())
-	n := rt.Shards()
+	cl, hub := p.cl, p.hub
+	hub.BeginTick(cl.Tick())
+	n := cl.Shards()
 	tainted := false
 	for i := 0; i < n; i++ {
-		f := rt.ShardWorld(i).SealedFeed()
+		f := cl.ShardWorld(i).SealedFeed()
 		if f == nil {
 			continue
 		}
@@ -79,7 +80,7 @@ func (p *FeedPump) Pump() {
 		}
 		for _, tc := range f.Tables() {
 			for _, id := range tc.Despawned {
-				if rt.Owner(id) >= 0 {
+				if cl.Owner(id) >= 0 {
 					continue // handoff: the new owner's spawn mark carries it
 				}
 				hub.DespawnEntity(replica.ID(id))
@@ -87,7 +88,7 @@ func (p *FeedPump) Pump() {
 		}
 	}
 	for i := 0; i < n; i++ {
-		w := rt.ShardWorld(i)
+		w := cl.ShardWorld(i)
 		f := w.SealedFeed()
 		if f == nil {
 			continue
@@ -142,7 +143,7 @@ func (p *FeedPump) Pump() {
 
 // pushRows reads each owned row's position and replicated fields and
 // hands them to the hub.
-func (p *FeedPump) pushRows(t *entity.Table, w worldRef, ids []entity.ID) {
+func (p *FeedPump) pushRows(t *entity.Table, w *world.World, ids []entity.ID) {
 	if t == nil {
 		return
 	}
@@ -179,11 +180,4 @@ func (p *FeedPump) pushRows(t *entity.Table, w worldRef, ids []entity.ID) {
 		}
 		p.hub.UpdateEntity(replica.ID(id), pos, p.vals)
 	}
-}
-
-// worldRef is the slice of the world API pushRows needs (keeps the
-// helper testable without a full world).
-type worldRef interface {
-	IsGhost(id entity.ID) bool
-	Pos(id entity.ID) (spatial.Vec2, bool)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // obsCascadeRun is cascadeRun with the full observability rig attached:
-// a span tracer across every shard plus the coordinator, and the
+// a span tracer across every shard and its barrier, and the
 // sampled per-behavior / per-rule profiler. Returns the rig so callers
 // can assert it actually recorded something.
 func obsCascadeRun(t *testing.T, shards, workers int) (uint64, int, *obs.Tracer, *obs.Profiler) {
@@ -112,8 +112,8 @@ func TestObservabilityHashInvariantAcrossGrid(t *testing.T) {
 	}
 }
 
-// assertObsRecorded fails unless the tracer holds tick and trigger-round
-// spans for every shard plus coordinator barrier spans (when sharded),
+// assertObsRecorded fails unless the tracer holds tick, trigger-round,
+// parallel-phase and barrier spans on every shard's track,
 // and the profiler attributed calls to the scenario's behavior and at
 // least one of its trigger rules.
 func assertObsRecorded(t *testing.T, shards int, tracer *obs.Tracer, prof *obs.Profiler) {
@@ -139,7 +139,7 @@ func assertObsRecorded(t *testing.T, shards int, tracer *obs.Tracer, prof *obs.P
 		t.Fatalf("shards=%d: no trigger-round spans recorded", shards)
 	}
 	if barriers == 0 {
-		t.Fatalf("shards=%d: no coordinator barrier spans recorded", shards)
+		t.Fatalf("shards=%d: no barrier spans recorded", shards)
 	}
 	behaviorCalls, ruleCalls := int64(0), int64(0)
 	for _, r := range prof.Rows() {

@@ -1,10 +1,10 @@
 package shard
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"gamedb/internal/content"
@@ -17,43 +17,45 @@ import (
 	"gamedb/internal/world"
 )
 
-// Peer is one shard of a wire-connected grid: it owns exactly one
-// world and talks to every other shard through frames on a
-// wire.Transport, so the grid can live in one process (pipe transport,
-// see Cluster), across processes, or across hosts (TCP) — with
-// bit-identical results to the in-process Runtime on the same seed.
+// Peer is one shard of the grid: it owns exactly one world and talks to
+// every other shard through frames on a wire.Transport, so the grid can
+// live in one process (a Cluster over the pipe or loopback TCP), across
+// processes, or across hosts — with bit-identical results on the same
+// seed.
 //
 // The design is a lockstep replicated coordinator: there is no central
-// barrier process. Every coordination decision — who rebalances where,
-// which invocations re-run, which mirrors refresh — is a pure function
-// of the peer's own state plus the frames every peer exchanges each
-// barrier, evaluated identically everywhere. Ghost-ship policy runs at
-// the RECEIVER: barrier frames carry each border candidate's full row,
-// and the mirror host evaluates ship policy against its own
-// last-shipped bookkeeping — the same decision the in-process
-// coordinator makes, relocated to where the bookkeeping lives, so no
-// per-mirror state ever has to migrate.
-//
-// The peer always runs the full-scan-equivalent ghost refresh; the
-// feed-equivalence tests pin full-scan ≡ incremental ship sequences, so
-// its hashes match the in-process runtime's.
+// barrier process. Under the state-effect pattern every barrier decision
+// — who rebalances where, which invocations re-run, which mirrors
+// refresh — is a pure function of merged effects, so each peer evaluates
+// it from its own state plus the frames every peer exchanges each
+// barrier, identically everywhere. Ghost-ship policy runs at the
+// RECEIVER: barrier frames carry each border candidate's full row, and
+// the mirror host evaluates ship policy against its own last-shipped
+// bookkeeping, so no per-mirror state ever has to migrate.
 type Peer struct {
-	cfg   Config
-	self  int
-	n     int
-	part  *Partitioner
-	w     *world.World
-	tr    wire.Transport
-	rng   *rand.Rand // replicated coordinator rng: every peer replays the same stream
-	specs []replica.FieldSpec
-	spans *obs.SpanCtx
+	cfg  Config
+	self int
+	n    int
+	part *Partitioner
+	band ghostBand // rebuilt whenever part rebalances
+	w    *world.World
+	tr   wire.Transport
+	// onFail, when set, hears every error the peer aborts with before
+	// the mesh comes down (a Cluster records its first failure there).
+	onFail func(error)
+	rng    *rand.Rand // replicated coordinator rng: every peer replays the same stream
+	specs  []replica.FieldSpec
+	spans  *obs.SpanCtx
 
 	nextID entity.ID
-	tick   int64 // game tick, drives ship-policy timestamps exactly like Runtime.tick
+	tick   int64 // game tick, drives ship-policy timestamps
 	seq    int64 // barrier sequence, stamps frames (Sync counts too, game ticks don't reset it)
 
-	recs      map[entity.ID]*ghostRec
+	recs      map[entity.ID]ghostRec
+	freeRecs  []ghostRec // bookkeeping of expired mirrors, reused by new ones
 	specInfos map[*entity.Table]*tableSpecInfo
+	// tickStats backs StepStats.Shards, so a step allocates no slice.
+	tickStats [1]world.TickStats
 
 	// Frame reorder buffer: a fast peer can send its next barrier's
 	// frames before this one finished the current round, so Recv results
@@ -64,22 +66,24 @@ type Peer struct {
 
 	// Outbound barrier staging: per-destination migration/candidate
 	// lists with row copies in one shared value arena (index ranges stay
-	// valid across arena growth), encoded and sent by the pipeline
-	// goroutine while the main thread applies the barrier locally.
+	// valid across arena growth), encoded and sent by sendFn on its own
+	// goroutine while the peer applies the barrier locally.
 	outMigs  [][]stagedMig
 	outCands [][]stagedCand
 	arena    []entity.Value
+	idBuf    []entity.ID
 	pipeEnc  wire.Enc
+	sendFn   func() // p.sendBarrier, bound once
 	sendDone chan error
 
 	// Inbound barrier scratch, reused across barriers.
 	inMigs      []inMig
 	inCands     []inCand
 	rowDecBuf   []entity.Value
+	rowScratch  []entity.Value
 	desired     map[entity.ID]inCand
 	migratedOut map[entity.ID]struct{}
 	outIDs      []entity.ID
-	idsBuf      []entity.ID
 	goneSet     map[entity.ID]bool
 	goneBuf     []entity.ID
 
@@ -93,13 +97,10 @@ type Peer struct {
 	rerunOwn   []world.ForeignInvalidation
 	invalidSet map[world.ForeignKey]struct{}
 	counts     []int64
-
-	lastWire wire.Stats
 }
 
-// NewPeer builds shard `self` of an n-shard wire grid. cfg is the SAME
-// config every peer receives (and the one an equivalent in-process
-// Runtime would receive); tr is this peer's endpoint of an n-way mesh.
+// NewPeer builds shard `self` of an n-shard grid. cfg is the SAME config
+// every peer receives; tr is this peer's endpoint of an n-way mesh.
 func NewPeer(cfg Config, tr wire.Transport) (*Peer, error) {
 	cfg = withDefaults(cfg)
 	if cfg.Shards != tr.N() {
@@ -115,20 +116,18 @@ func NewPeer(cfg Config, tr wire.Transport) (*Peer, error) {
 		pool = sched.Shared()
 	}
 	n := cfg.Shards
-	// The peer's refresh is receiver-evaluated full scan; it never
-	// consumes change feeds, so they record only when the host asks.
-	w := newShardWorld(cfg, self, n, pool, cfg.ChangeFeed)
 	p := &Peer{
 		cfg:         cfg,
 		self:        self,
 		n:           n,
 		part:        part,
-		w:           w,
+		band:        newGhostBand(cfg.GhostBand, part),
+		w:           newShardWorld(cfg, self, n, pool),
 		tr:          tr,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		specs:       cfg.GhostFields,
 		spans:       cfg.Tracer.Context(self),
-		recs:        make(map[entity.ID]*ghostRec),
+		recs:        make(map[entity.ID]ghostRec),
 		specInfos:   make(map[*entity.Table]*tableSpecInfo),
 		roundBuf:    make([][]byte, n),
 		roundGot:    make([]bool, n),
@@ -143,52 +142,58 @@ func NewPeer(cfg Config, tr wire.Transport) (*Peer, error) {
 		interner:    wire.NewInterner(),
 	}
 	p.dec = wire.NewDec(nil, p.interner)
+	p.sendFn = p.sendBarrier
 	return p, nil
 }
-
-// Self returns this peer's shard index; N the grid size.
-func (p *Peer) Self() int { return p.self }
-
-// N returns the grid size.
-func (p *Peer) N() int { return p.n }
-
-// World exposes the peer's world for inspection.
-func (p *Peer) World() *world.World { return p.w }
-
-// Tick returns the barrier tick counter.
-func (p *Peer) Tick() int64 { return p.tick }
 
 // Spawn replays one coordinator spawn: every peer advances the shared
 // id stream, and only the shard owning pos materializes the row. The
 // full stream replays on every peer, which is what keeps ids identical
-// to the in-process coordinator without any id-allocation traffic.
+// for every shard count without any id-allocation traffic.
 func (p *Peer) Spawn(archetype string, pos spatial.Vec2) (entity.ID, error) {
-	p.nextID++
-	id := p.nextID
-	if p.part.Locate(pos) == p.self {
-		if err := p.w.SpawnAt(id, archetype, pos); err != nil {
-			return 0, err
-		}
-	}
-	return id, nil
+	return p.spawnOn(p.part.Locate(pos), archetype, pos)
 }
 
-// SpawnRaw replays one coordinator raw spawn (see Runtime.SpawnRaw).
-func (p *Peer) SpawnRaw(table string, vals map[string]entity.Value) (entity.ID, error) {
-	si := 0
-	if x, okX := vals["x"].AsFloat(); okX {
-		if y, okY := vals["y"].AsFloat(); okY {
-			si = p.part.Locate(spatial.Vec2{X: x, Y: y})
-		}
-	}
+// spawnOn advances the id stream and materializes the entity when shard
+// owner is this peer, taking the id back if that fails.
+func (p *Peer) spawnOn(owner int, archetype string, pos spatial.Vec2) (entity.ID, error) {
 	p.nextID++
-	id := p.nextID
-	if si == p.self {
-		if err := p.w.SpawnRawAt(id, table, vals); err != nil {
+	if owner == p.self {
+		if err := p.w.SpawnAt(p.nextID, archetype, pos); err != nil {
+			p.nextID--
 			return 0, err
 		}
 	}
-	return id, nil
+	return p.nextID, nil
+}
+
+// SpawnRaw replays one coordinator raw spawn (see Spawn).
+func (p *Peer) SpawnRaw(table string, vals map[string]entity.Value) (entity.ID, error) {
+	return p.spawnRawOn(p.rawOwner(vals), table, vals)
+}
+
+// rawOwner is the shard a raw spawn materializes on: the one owning its
+// x/y position, shard 0 when the table is not spatial.
+func (p *Peer) rawOwner(vals map[string]entity.Value) int {
+	if x, okX := vals["x"].AsFloat(); okX {
+		if y, okY := vals["y"].AsFloat(); okY {
+			return p.part.Locate(spatial.Vec2{X: x, Y: y})
+		}
+	}
+	return 0
+}
+
+// spawnRawOn advances the id stream and materializes the row when shard
+// owner is this peer, taking the id back if that fails.
+func (p *Peer) spawnRawOn(owner int, table string, vals map[string]entity.Value) (entity.ID, error) {
+	p.nextID++
+	if owner == p.self {
+		if err := p.w.SpawnRawAt(p.nextID, table, vals); err != nil {
+			p.nextID--
+			return 0, err
+		}
+	}
+	return p.nextID, nil
 }
 
 // Set writes a column when this peer holds the entity; elsewhere it is
@@ -200,8 +205,16 @@ func (p *Peer) Set(id entity.ID, col string, v entity.Value) error {
 	return nil
 }
 
+// CreateTable registers a table in the peer's world.
+func (p *Peer) CreateTable(name string, s *entity.Schema) error {
+	_, err := p.w.CreateTable(name, s)
+	return err
+}
+
 // LoadPack loads a compiled content pack and replays its spawn stream
-// through the replicated coordinator rng, exactly like Runtime.LoadPack.
+// through the replicated coordinator rng, so each entity materializes
+// once, on the shard owning its position, with identical ids and
+// positions for every shard count.
 func (p *Peer) LoadPack(c *content.Compiled) error {
 	if err := p.w.LoadContent(c); err != nil {
 		return err
@@ -212,75 +225,70 @@ func (p *Peer) LoadPack(c *content.Compiled) error {
 	})
 }
 
-// fail tears the mesh down so peers blocked on Recv error out instead
-// of deadlocking when this peer aborts a barrier.
+// fail reports err to the peer's host, if it registered onFail, then
+// tears the mesh down so peers blocked on Recv error out instead of
+// deadlocking when this peer aborts a barrier. Reporting first lets a
+// Cluster name the failing peer's error, not a woken neighbour's.
 func (p *Peer) fail(err error) error {
+	if p.onFail != nil {
+		p.onFail(err)
+	}
 	p.tr.Close()
 	return err
 }
 
 // Step advances the peer one tick in lockstep with the rest of the
-// grid: the local world steps, then the barrier rounds run — effects
-// (A), verdicts (B, gated on the global forwarded count), counts (on
-// rebalance ticks), and the handoff/ghost round (C) with its pipelined
-// outbound encode — mirroring the in-process barrier phase for phase.
+// grid: the local world steps (the parallel phase), then the barrier
+// runs. The returned Shards slice is the peer's own; the next Step
+// overwrites it.
 func (p *Peer) Step() (StepStats, error) {
 	p.tick++
-	p.seq++
-	st := StepStats{Tick: p.tick}
-	w0 := p.tr.Stats()
-
+	st := StepStats{Tick: p.tick, Shards: p.tickStats[:]}
 	t0 := time.Now()
-	st.Shards = []world.TickStats{{}}
 	var err error
-	st.Shards[0], err = p.w.Step()
+	p.tickStats[0], err = p.w.Step()
 	st.ParallelNS = time.Since(t0).Nanoseconds()
+	p.spans.Span(obs.SpanParallel, p.tick, -1, t0)
 	if err != nil {
 		return st, p.fail(fmt.Errorf("shard %d: %w", p.self, err))
 	}
-
-	t1 := time.Now()
-	if err := p.barrier(&st, true); err != nil {
-		return st, p.fail(err)
-	}
-	st.BarrierNS = time.Since(t1).Nanoseconds()
-
-	st.Entities = p.w.LocalEntities()
-	st.Ghosts = p.w.GhostCount()
-	w1 := p.tr.Stats()
-	st.WireBytesOut = w1.BytesOut - w0.BytesOut
-	st.WireBytesIn = w1.BytesIn - w0.BytesIn
-	st.WireFrames = (w1.FramesOut - w0.FramesOut) + (w1.FramesIn - w0.FramesIn)
-	p.lastWire = w1
-	return st, nil
+	return st, p.barrier(&st, true)
 }
 
 // Sync runs the barrier without stepping — the initial ghost
 // materialization after seeding, in lockstep (every peer must call it
 // at the same point).
 func (p *Peer) Sync() error {
-	p.seq++
-	if err := p.barrier(nil, false); err != nil {
-		return p.fail(err)
-	}
-	return nil
+	var st StepStats
+	return p.barrier(&st, false)
 }
 
-// barrier runs rounds A/B/counts/C of one tick barrier. st is nil from
-// Sync; rebalance only runs on stepped ticks.
+// barrier runs one tick barrier into st: the effect exchange (round A,
+// plus the verdict round B when anything crossed anywhere), the counts
+// round on rebalance ticks of a stepped barrier, and the handoff/ghost
+// round C. A failed round tears the mesh down.
 func (p *Peer) barrier(st *StepStats, stepped bool) error {
+	p.seq++
+	w0 := p.tr.Stats()
+	t0 := time.Now()
 	reruns, err := p.roundEffects(st)
+	if err == nil && stepped && p.cfg.RebalanceEvery > 0 && p.tick%p.cfg.RebalanceEvery == 0 {
+		err = p.roundCounts()
+	}
+	if err == nil {
+		err = p.roundBarrier(st, reruns)
+	}
 	if err != nil {
-		return err
+		return p.fail(err)
 	}
-	if stepped && p.cfg.RebalanceEvery > 0 && p.tick%p.cfg.RebalanceEvery == 0 {
-		if err := p.roundCounts(); err != nil {
-			return err
-		}
-	}
-	if err := p.roundBarrier(st, reruns); err != nil {
-		return err
-	}
+	st.BarrierNS = time.Since(t0).Nanoseconds()
+	p.spans.Span(obs.SpanBarrier, p.tick, -1, t0)
+	st.Entities = p.w.LocalEntities()
+	st.Ghosts = p.w.GhostCount()
+	w1 := p.tr.Stats()
+	st.WireBytesOut = w1.BytesOut - w0.BytesOut
+	st.WireBytesIn = w1.BytesIn - w0.BytesIn
+	st.WireFrames = (w1.FramesOut - w0.FramesOut) + (w1.FramesIn - w0.FramesIn)
 	return nil
 }
 
@@ -349,8 +357,10 @@ func (p *Peer) decReset(b []byte) *wire.Dec {
 // roundEffects is barrier round A (+B): forward outbound
 // RemoteEffectBatches to their owners, compute the global forwarded
 // count, and — when anything crossed anywhere — run the verdict round
-// and commit the exchange merge, mirroring Runtime.exchangeEffects.
+// and commit the exchange merge. Validation reads pre-exchange tick
+// state, so every verdict is in before any world applies.
 func (p *Peer) roundEffects(st *StepStats) ([]world.ForeignInvalidation, error) {
+	t0 := time.Now()
 	out := p.w.TakeOutbound()
 	own := 0
 	for di, b := range out {
@@ -374,8 +384,8 @@ func (p *Peer) roundEffects(st *StepStats) ([]world.ForeignInvalidation, error) 
 		return nil, err
 	}
 	global := own
-	// Queue inbound batches in ascending source order — the order the
-	// in-process exchange delivers them.
+	// Queue inbound batches in ascending source order, so every owner
+	// merges foreign records in one order whatever the arrival order.
 	for src := 0; src < p.n; src++ {
 		if src == p.self {
 			continue
@@ -391,17 +401,17 @@ func (p *Peer) roundEffects(st *StepStats) ([]world.ForeignInvalidation, error) 
 		}
 	}
 	p.recycleRound(bufs)
-	if st != nil {
-		st.EffectsForwarded = own
-	}
+	st.EffectsForwarded = own
+	p.spans.Span(obs.SpanForward, p.tick, -1, t0)
 	if global == 0 {
 		return nil, nil
 	}
 
 	// Round B: every peer validates the invocations it owns and shares
-	// the verdicts; the union — deduped in source order, exactly the
-	// in-process iteration — drives both the exchange merge and the
-	// re-runs.
+	// the verdicts; the union — deduped in source order — drives both the
+	// exchange merge and the re-runs (a multi-owner invocation can be
+	// invalidated by several owners).
+	t1 := time.Now()
 	ownVerdicts := p.w.ValidateForeign()
 	p.enc.Reset()
 	world.AppendVerdicts(&p.enc, ownVerdicts)
@@ -443,15 +453,13 @@ func (p *Peer) roundEffects(st *StepStats) ([]world.ForeignInvalidation, error) 
 	if len(reruns) > 0 {
 		invalid = p.invalidSet
 	}
-	merged := p.w.ExchangeApply(invalid)
-	if st != nil {
-		st.EffectsRemoteMerged = merged
-		if p.self == 0 {
-			// Global tallies report once (peer 0), so summing per-peer
-			// stats across the grid matches the in-process StepStats.
-			st.RemoteInvalidations = len(reruns)
-		}
+	st.EffectsRemoteMerged = p.w.ExchangeApply(invalid)
+	if p.self == 0 {
+		// Global tallies report once (peer 0), so summing per-peer stats
+		// across the grid counts each invalidation once.
+		st.RemoteInvalidations = len(reruns)
 	}
+	p.spans.Span(obs.SpanRemoteMerge, p.tick, -1, t1)
 	return reruns, nil
 }
 
@@ -487,17 +495,45 @@ func (p *Peer) roundCounts() error {
 	}
 	p.recycleRound(bufs)
 	p.part.Rebalance(p.counts, p.cfg.RebalanceMaxShift)
+	p.band = newGhostBand(p.cfg.GhostBand, p.part)
 	return nil
 }
 
-// roundBarrier is phase C: stage outbound migrations and full-row ghost
+// roundBarrier is round C: stage outbound migrations and full-row ghost
 // candidates from one walk over the owned rows, launch the pipelined
 // encode+send, and — while those frames are on the wire — collect the
-// inbound round, apply migrations in ascending id order, sweep expired
-// mirrors and refresh the rest, then re-run invalidated border
-// invocations this peer owns.
+// inbound round, apply migrations, sweep expired mirrors and refresh the
+// rest; then re-run the invalidated border invocations this peer owns,
+// against the fresh mirrors.
 func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) error {
 	tRec := time.Now()
+	if err := p.stageBarrier(); err != nil {
+		return err
+	}
+	// The staged copies are immutable from here on, so the sender races
+	// nothing; its wire span lands inside the reconcile window.
+	if p.n > 1 {
+		go p.sendFn()
+	}
+	err := p.applyBarrier(st)
+	if p.n > 1 {
+		if sendErr := <-p.sendDone; err == nil {
+			err = sendErr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	st.ReconcileNS = time.Since(tRec).Nanoseconds()
+	p.spans.Span(obs.SpanReconcile, p.tick, -1, tRec)
+	p.rerunForeign(reruns)
+	return nil
+}
+
+// stageBarrier walks the owned rows once, staging each row that left
+// this shard's region as a migration to its new owner and each row in
+// another shard's ghost band as a mirror candidate for that shard.
+func (p *Peer) stageBarrier() error {
 	p.arena = p.arena[:0]
 	for i := 0; i < p.n; i++ {
 		p.outMigs[i] = p.outMigs[i][:0]
@@ -505,16 +541,16 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 	}
 	clear(p.migratedOut)
 	p.outIDs = p.outIDs[:0]
-	band := newGhostBand(p.cfg.GhostBand, p.part)
 	for _, name := range p.w.TableNames() {
 		t, _ := p.w.Table(name)
-		for _, id := range t.IDs() {
+		p.idBuf = t.AppendIDs(p.idBuf[:0])
+		for _, id := range p.idBuf {
 			if p.w.IsGhost(id) {
 				continue
 			}
 			pos, ok := p.w.Pos(id)
 			if !ok {
-				continue
+				continue // non-spatial entities never migrate or mirror
 			}
 			owner := p.part.Locate(pos)
 			if owner != p.self {
@@ -529,11 +565,11 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 				p.migratedOut[id] = struct{}{}
 				p.outIDs = append(p.outIDs, id)
 			}
-			if !band.on {
+			if !p.band.on {
 				continue
 			}
 			for di := 0; di < p.n; di++ {
-				if band.mirrors(di, owner, pos) {
+				if p.band.mirrors(di, owner, pos) {
 					lo := len(p.arena)
 					arena, err := t.AppendRow(id, p.arena)
 					if err != nil {
@@ -545,32 +581,36 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 			}
 		}
 	}
+	return nil
+}
 
-	// Pipelined exchange: encode+send overlaps the inbound wait and the
-	// local barrier apply below (the staged copies are immutable now, so
-	// the sender races nothing). The wire span this records lands inside
-	// the reconcile window, not after it.
-	tWire := time.Now()
-	go func() {
-		var err error
-		for to := 0; to < p.n; to++ {
-			if to == p.self {
-				continue
-			}
-			p.pipeEnc.Reset()
-			appendBarrierPayload(&p.pipeEnc, p.outMigs[to], p.outCands[to], p.arena)
-			if e := p.tr.Send(to, frameBarrier, p.seq, p.pipeEnc.Bytes()); e != nil && err == nil {
-				err = e
-			}
+// sendBarrier encodes and sends this barrier's staged frame to every
+// other peer, then reports on sendDone. It runs on its own goroutine,
+// overlapping the inbound wait and the local apply.
+func (p *Peer) sendBarrier() {
+	t0 := time.Now()
+	var err error
+	for to := 0; to < p.n; to++ {
+		if to == p.self {
+			continue
 		}
-		p.spans.Span(obs.SpanWire, p.tick, -1, tWire)
-		p.sendDone <- err
-	}()
-	joinSend := func() error { return <-p.sendDone }
+		p.pipeEnc.Reset()
+		appendBarrierPayload(&p.pipeEnc, p.outMigs[to], p.outCands[to], p.arena)
+		if e := p.tr.Send(to, frameBarrier, p.seq, p.pipeEnc.Bytes()); e != nil && err == nil {
+			err = e
+		}
+	}
+	p.spans.Span(obs.SpanWire, p.tick, -1, t0)
+	p.sendDone <- err
+}
 
+// applyBarrier collects and applies the inbound round C: migrations in
+// ascending id order — inbound inserts and outbound despawns interleaved
+// by id, so every shard count lands on the same world — then the change
+// feed's window seal, then the mirror sweep and refresh.
+func (p *Peer) applyBarrier(st *StepStats) error {
 	bufs, err := p.collectRound(frameBarrier)
 	if err != nil {
-		joinSend()
 		return err
 	}
 	p.inMigs = p.inMigs[:0]
@@ -581,33 +621,29 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 			continue
 		}
 		d := p.decReset(bufs[src])
-		p.inMigs, p.inCands, p.rowDecBuf = decodeBarrierPayload(d, src, p.inMigs, p.inCands, p.rowDecBuf)
+		p.inMigs, p.inCands, p.rowDecBuf, p.rowScratch = decodeBarrierPayload(d, src, p.inMigs, p.inCands, p.rowDecBuf, p.rowScratch)
 		if err := d.Err(); err != nil {
-			joinSend()
 			return fmt.Errorf("shard %d: barrier frame from %d: %w", p.self, src, err)
 		}
 	}
 	p.recycleRound(bufs)
 
-	// Apply migrations in ascending id order — inbound inserts and
-	// outbound despawns interleaved exactly as the in-process global
-	// handoff interleaves them on this shard's world.
-	sort.Slice(p.inMigs, func(i, j int) bool { return p.inMigs[i].id < p.inMigs[j].id })
+	slices.SortFunc(p.inMigs, func(a, b inMig) int { return cmp.Compare(a.id, b.id) })
 	slices.Sort(p.outIDs)
-	in, outI := 0, 0
-	for in < len(p.inMigs) || outI < len(p.outIDs) {
-		if outI >= len(p.outIDs) || (in < len(p.inMigs) && p.inMigs[in].id < p.outIDs[outI]) {
+	in, out := 0, 0
+	for in < len(p.inMigs) || out < len(p.outIDs) {
+		if out >= len(p.outIDs) || (in < len(p.inMigs) && p.inMigs[in].id < p.outIDs[out]) {
 			m := &p.inMigs[in]
 			in++
+			// This shard may mirror the arriving entity; the
+			// authoritative row replaces the mirror.
 			if p.w.IsGhost(m.id) {
 				if err := p.w.Despawn(m.id); err != nil {
-					joinSend()
 					return err
 				}
-				delete(p.recs, m.id)
+				p.dropRec(m.id)
 			}
 			if err := p.w.InsertRow(m.id, m.table, m.row); err != nil {
-				joinSend()
 				return err
 			}
 			if m.behavior != "" {
@@ -615,19 +651,15 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 			}
 			continue
 		}
-		if err := p.w.Despawn(p.outIDs[outI]); err != nil {
-			joinSend()
+		if err := p.w.Despawn(p.outIDs[out]); err != nil {
 			return err
 		}
-		outI++
+		out++
 	}
-	if st != nil {
-		st.Handoffs = len(p.inMigs)
-	}
-	// The peer's refresh is receiver-evaluated (it never consumes change
-	// feeds), but an externally-enabled feed still needs its window
-	// sealed once per barrier — same point in the tick the in-process
-	// runtime rotates — or it grows without bound.
+	st.Handoffs = len(p.inMigs)
+	// Seal the change window here, once per barrier: it then holds the
+	// tick's writes, the exchange merge and the handoff, and mirror
+	// maintenance (which FeedPump would skip anyway) lands in the next.
 	if p.w.FeedEnabled() {
 		p.w.RotateFeed()
 	}
@@ -643,27 +675,16 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 		s := &p.outCands[p.self][i]
 		p.desired[s.id] = inCand{id: s.id, owner: s.owner, table: s.table, row: p.arena[s.rowLo:s.rowHi]}
 	}
-
-	var rst recStats
-	if err := p.sweepAndRefresh(&rst); err != nil {
-		joinSend()
-		return err
-	}
-	if st != nil {
-		st.GhostShips, st.GhostSnapshots, st.GhostFieldSkips = rst.ships, rst.snaps, rst.skips
-		st.ReconcileNS = time.Since(tRec).Nanoseconds()
-	}
-	p.spans.Span(obs.SpanReconcile, p.tick, -1, tRec)
-
-	p.rerunForeign(reruns)
-	return joinSend()
+	return p.sweepAndRefresh(st)
 }
 
-// sweepAndRefresh expires mirrors that left the band, then refreshes
-// the desired set in ascending id order — snapshot new mirrors from
-// their candidate rows, re-ship drifted fields per the replica specs —
-// the receiver-side twin of Runtime.sweepGone + refreshFull.
-func (p *Peer) sweepAndRefresh(st *recStats) error {
+// sweepAndRefresh expires mirrors that left the band (or whose owner
+// despawned), then refreshes the desired set in ascending id order:
+// snapshot new mirrors from their candidate rows, re-route every mirror
+// to its owner, and re-ship drifted fields per the replica specs. The
+// sweep covers the world's ghost marks as well as the recs, so mirrors a
+// snapshot Restore resurrected without a rec expire or are adopted too.
+func (p *Peer) sweepAndRefresh(st *StepStats) error {
 	for id := range p.recs {
 		if _, still := p.desired[id]; !still {
 			p.goneSet[id] = true
@@ -688,24 +709,32 @@ func (p *Peer) sweepAndRefresh(st *recStats) error {
 				return err
 			}
 		}
-		delete(p.recs, id)
+		p.dropRec(id)
 	}
 
-	ids := p.idsBuf[:0]
+	ids := p.idBuf[:0]
 	for id := range p.desired {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	p.idsBuf = ids
+	p.idBuf = ids
 	for _, id := range ids {
 		cand := p.desired[id]
 		rec, known := p.recs[id]
 		// Self-heal: a script on this shard can despawn any mirror row
-		// out from under its rec.
+		// out from under its rec (scripts can despawn any id Nearby
+		// returns); the mirror is derived state, so re-snapshot it.
 		if known && !p.w.IsGhost(id) {
-			delete(p.recs, id)
+			p.dropRec(id)
 			known = false
 		}
+		t, ok := p.w.Table(cand.table)
+		if !ok {
+			return fmt.Errorf("shard %d: mirror table %q missing", p.self, cand.table)
+		}
+		// The local schema is the remote schema: content loads
+		// identically on every shard.
+		si := specInfoFor(p.specInfos, p.specs, t)
 		if !known {
 			if p.w.IsGhost(id) {
 				if err := p.w.Despawn(id); err != nil {
@@ -716,60 +745,63 @@ func (p *Peer) sweepAndRefresh(st *recStats) error {
 				return err
 			}
 			p.w.SetGhost(id, true)
-			t, ok := p.w.Table(cand.table)
-			if !ok {
-				return fmt.Errorf("shard %d: mirror table %q missing", p.self, cand.table)
-			}
-			rec = newGhostRecFor(p.specs, specInfoFor(p.specInfos, p.specs, t), cand.row, p.tick)
-			rec.route = replica.Route{Owner: cand.owner}
 			p.w.SetGhostRoute(id, cand.owner)
+			if k := len(p.freeRecs); k > 0 {
+				rec, p.freeRecs = p.freeRecs[k-1], p.freeRecs[:k-1]
+			} else {
+				rec = make(ghostRec, len(p.specs))
+			}
+			resetGhostRec(rec, si, cand.row, p.tick)
 			p.recs[id] = rec
-			st.snaps++
+			st.GhostSnapshots++
 			continue
 		}
-		rec.route = replica.Route{Owner: cand.owner}
+		// Refresh the owner route every barrier: handoff moves ownership,
+		// and a snapshot Restore can leave a route stale.
 		p.w.SetGhostRoute(id, cand.owner)
-		t, ok := p.w.Table(cand.table)
-		if !ok {
-			continue
-		}
-		// The local schema is the remote schema: content loads
-		// identically on every shard, so spec resolution against the
-		// local table mirrors the in-process owner-side resolution.
-		si := specInfoFor(p.specInfos, p.specs, t)
 		for fi := range p.specs {
 			sc := si.cols[fi]
-			if !rec.present[fi] || !sc.present || sc.ci >= len(cand.row) {
+			if !rec[fi].present || !sc.present || sc.ci >= len(cand.row) {
 				continue
 			}
 			raw := cand.row[sc.ci]
-			ship, _, hasDue, skip := fieldShipEval(p.specs[fi], p.tick, fi, sc.numeric, rec, raw)
+			ship, skip := rec.shipField(p.specs[fi], p.tick, fi, sc.numeric, raw)
 			if skip {
-				st.skips++
+				st.GhostFieldSkips++
 				continue
 			}
-			if hasDue || !ship {
+			if !ship {
 				continue
 			}
-			if err := p.w.Set(id, p.specs[fi].Name, raw); err != nil {
+			if err := p.w.SetMirror(id, p.specs[fi].Name, raw); err != nil {
 				return err
 			}
-			markShippedRec(rec, fi, sc.numeric, raw, p.tick)
-			st.ships++
+			rec.markShipped(fi, sc.numeric, raw, p.tick)
+			st.GhostShips++
 		}
 	}
 	return nil
 }
 
+// dropRec forgets id's mirror bookkeeping, keeping it for reuse.
+func (p *Peer) dropRec(id entity.ID) {
+	if rec, ok := p.recs[id]; ok {
+		p.freeRecs = append(p.freeRecs, rec)
+		delete(p.recs, id)
+	}
+}
+
 // rerunForeign re-runs the invalidated border invocations this peer is
 // responsible for: any whose source it now holds as a local, plus its
 // own originals whose source despawned (the re-run aborts there with
-// the same accounting as in-process). An invocation whose source
-// migrated away this barrier re-runs at the new holder, never here.
+// the same accounting as a local OCC re-run of a despawned entity). An
+// invocation whose source migrated away this barrier re-runs at the new
+// holder, never here.
 func (p *Peer) rerunForeign(reruns []world.ForeignInvalidation) {
 	if len(reruns) == 0 {
 		return
 	}
+	t0 := time.Now()
 	own := p.rerunOwn[:0]
 	for _, r := range reruns {
 		if _, ok := p.w.TableOf(r.Key.Src); ok && !p.w.IsGhost(r.Key.Src) {
@@ -785,12 +817,13 @@ func (p *Peer) rerunForeign(reruns []world.ForeignInvalidation) {
 	}
 	p.rerunOwn = own
 	p.w.RerunForeign(own)
+	p.spans.Span(obs.SpanRemoteMerge, p.tick, -1, t0)
 }
 
 // Hash runs the lockstep hash gather: every peer ships its owned rows
-// to peer 0, which digests the global sorted row set with the exact
-// in-process algorithm. Peer 0 returns the hash; everyone else returns
-// zero. All peers must call Hash at the same lockstep point.
+// to peer 0, which digests the global sorted row set. Peer 0 returns
+// the hash; everyone else returns zero. All peers must call Hash at the
+// same lockstep point.
 func (p *Peer) Hash() (uint64, error) {
 	p.seq++
 	rows := appendOwnedRows(p.w, nil)

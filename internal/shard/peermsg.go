@@ -17,7 +17,7 @@ const (
 	frameEffects byte = 1
 	// frameVerdicts carries the sender's owner-side OCC validation
 	// verdicts; the round runs only when the global forwarded count is
-	// nonzero, mirroring the in-process gate.
+	// nonzero.
 	frameVerdicts byte = 2
 	// frameCounts carries the sender's owned-entity count on rebalance
 	// ticks; every peer then runs the identical pure Rebalance step.
@@ -28,14 +28,14 @@ const (
 	// last-shipped bookkeeping).
 	frameBarrier byte = 4
 	// frameRows is the hash gather: every peer ships its owned rows to
-	// peer 0, which sorts and digests them with the exact in-process
-	// Hash algorithm.
+	// peer 0, which sorts and digests them with hashRows, the algorithm
+	// Runtime.Hash runs in-process.
 	frameRows byte = 5
 )
 
 // stagedMig is one row leaving this peer, staged during the barrier
-// walk so the encode+send can run on the pipeline goroutine while the
-// main thread despawns the source rows.
+// walk so the encode+send can run on the sender goroutine while the
+// peer despawns the source rows.
 type stagedMig struct {
 	id           entity.ID
 	table        string
@@ -95,16 +95,15 @@ type inCand struct {
 
 // decodeBarrierPayload appends the frame's migrations and candidates
 // from src onto the peer's inbound lists. Row storage comes from rows,
-// a reusable backing slice: each decoded row is appended onto it and
-// sliced out, so steady-state decode reuses one growing allocation per
-// barrier instead of one per row.
-func decodeBarrierPayload(d *wire.Dec, src int, migs []inMig, cands []inCand, rows []entity.Value) ([]inMig, []inCand, []entity.Value) {
+// a reusable backing slice: each row decodes into the reusable scratch,
+// is appended onto rows and sliced out, so steady-state decode reuses
+// one growing allocation per barrier instead of one per row.
+func decodeBarrierPayload(d *wire.Dec, src int, migs []inMig, cands []inCand, rows, scratch []entity.Value) ([]inMig, []inCand, []entity.Value, []entity.Value) {
 	nm := d.Uvarint()
 	if nm > uint64(d.Remaining()) {
 		d.Fail("migration count")
-		return migs, cands, rows
+		return migs, cands, rows, scratch
 	}
-	var scratch []entity.Value
 	for i := uint64(0); i < nm && d.Err() == nil; i++ {
 		var m inMig
 		m.src = src
@@ -120,7 +119,7 @@ func decodeBarrierPayload(d *wire.Dec, src int, migs []inMig, cands []inCand, ro
 	nc := d.Uvarint()
 	if nc > uint64(d.Remaining()) {
 		d.Fail("candidate count")
-		return migs, cands, rows
+		return migs, cands, rows, scratch
 	}
 	for i := uint64(0); i < nc && d.Err() == nil; i++ {
 		var c inCand
@@ -133,7 +132,7 @@ func decodeBarrierPayload(d *wire.Dec, src int, migs []inMig, cands []inCand, ro
 		c.row = rows[lo:len(rows):len(rows)]
 		cands = append(cands, c)
 	}
-	return migs, cands, rows
+	return migs, cands, rows, scratch
 }
 
 // appendRowsPayload encodes a peer's owned rows for the hash gather.

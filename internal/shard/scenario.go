@@ -81,45 +81,6 @@ fn on_tick(self) { emit("pulse", self, 3); }
   </trigger>
 </contentpack>`
 
-// SeedCascadeCrowd loads CascadePackXML into every shard and spawns
-// `units` drifting pulser entities from a seed-fixed stream (four rng
-// draws per entity: position in [0,side)², velocity in [-speed,speed)),
-// then syncs initial ghosts. Spawns go through the coordinator, so ids,
-// positions and velocities are identical for every shard count.
-func SeedCascadeCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(CascadePackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: cascade pack rejected: %v", errs[0])
-	}
-	if err := rt.LoadPack(c); err != nil {
-		return err
-	}
-	return spawnCascadeCrowd(rt, units, side, seed, speed)
-}
-
-// spawnCascadeCrowd is SeedCascadeCrowd's spawn stream and initial
-// sync, for a runtime whose cascade pack is already loaded.
-func spawnCascadeCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < units; i++ {
-		pos := spatial.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
-		vx := (rng.Float64()*2 - 1) * speed
-		vy := (rng.Float64()*2 - 1) * speed
-		id, err := rt.Spawn("pulser", pos)
-		if err != nil {
-			return err
-		}
-		w := rt.ShardWorld(rt.Partitioner().Locate(pos))
-		if err := w.Set(id, "vx", entity.Float(vx)); err != nil {
-			return err
-		}
-		if err := w.Set(id, "vy", entity.Float(vy)); err != nil {
-			return err
-		}
-	}
-	return rt.Sync()
-}
-
 // MinglePackXML is the apply-heavy behavior scenario (the E14 workload
 // shape): every entity scans its neighborhood, moves toward the local
 // centroid (two position sets per tick via move_toward) and counts
@@ -153,81 +114,6 @@ fn on_tick(self) {
 }
   </script>
 </contentpack>`
-
-// ForEachMingleSpawn draws the seed-fixed mingle spawn stream (four
-// rng draws per entity: position in [0,side)², velocity in
-// [-speed,speed)) and hands each unit to fn — the single stream source
-// shared by the in-process and wire-cluster seeders.
-func ForEachMingleSpawn(units int, side float64, seed int64, speed float64, fn func(pos spatial.Vec2, vx, vy float64) error) error {
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < units; i++ {
-		pos := spatial.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
-		vx := (rng.Float64()*2 - 1) * speed
-		vy := (rng.Float64()*2 - 1) * speed
-		if err := fn(pos, vx, vy); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SeedMingleCrowd loads MinglePackXML into every shard and spawns
-// `units` drifting minglers from a seed-fixed stream (four rng draws
-// per entity: position in [0,side)², velocity in [-speed,speed)), then
-// syncs initial ghosts. Spawns go through the coordinator, so ids,
-// positions and velocities are identical for every shard count.
-func SeedMingleCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(MinglePackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: mingle pack rejected: %v", errs[0])
-	}
-	if err := rt.LoadPack(c); err != nil {
-		return err
-	}
-	err := ForEachMingleSpawn(units, side, seed, speed, func(pos spatial.Vec2, vx, vy float64) error {
-		id, err := rt.Spawn("unit", pos)
-		if err != nil {
-			return err
-		}
-		w := rt.ShardWorld(rt.Partitioner().Locate(pos))
-		if err := w.Set(id, "vx", entity.Float(vx)); err != nil {
-			return err
-		}
-		return w.Set(id, "vy", entity.Float(vy))
-	})
-	if err != nil {
-		return err
-	}
-	return rt.Sync()
-}
-
-// SeedMingleCluster seeds the identical mingle workload onto a wire
-// cluster: the same pack, the same spawn stream, every peer replaying
-// the coordinator calls — so a Cluster run hash-matches a Runtime run
-// of the same config tick for tick.
-func SeedMingleCluster(cl *Cluster, units int, side float64, seed int64, speed float64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(MinglePackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: mingle pack rejected: %v", errs[0])
-	}
-	if err := cl.LoadPack(c); err != nil {
-		return err
-	}
-	err := ForEachMingleSpawn(units, side, seed, speed, func(pos spatial.Vec2, vx, vy float64) error {
-		id, err := cl.Spawn("unit", pos)
-		if err != nil {
-			return err
-		}
-		if err := cl.Set(id, "vx", entity.Float(vx)); err != nil {
-			return err
-		}
-		return cl.Set(id, "vy", entity.Float(vy))
-	})
-	if err != nil {
-		return err
-	}
-	return cl.Sync()
-}
 
 // ConflictPackXML is the write-write-contention scenario behind
 // BenchmarkE17ConflictPolicy and the E17 experiment: drifting claimer
@@ -279,11 +165,8 @@ fn on_tick(self) {
 // BenchmarkE17ConflictPolicy and the E17 experiment both seed through
 // here.
 func SeedConflictWorld(w *world.World, claimers, beacons int, side float64, seed int64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(ConflictPackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: conflict pack rejected: %v", errs[0])
-	}
-	if err := w.LoadPack(c); err != nil {
+	g := worldSeeder{w}
+	if err := loadPack(g, "conflict", ConflictPackXML); err != nil {
 		return err
 	}
 	cols := 1
@@ -299,24 +182,7 @@ func SeedConflictWorld(w *world.World, claimers, beacons int, side float64, seed
 			return err
 		}
 	}
-	rng := rand.New(rand.NewSource(seed))
-	const speed = 30.0
-	for i := 0; i < claimers; i++ {
-		pos := spatial.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
-		vx := (rng.Float64()*2 - 1) * speed
-		vy := (rng.Float64()*2 - 1) * speed
-		id, err := w.Spawn("claimer", pos)
-		if err != nil {
-			return err
-		}
-		if err := w.Set(id, "vx", entity.Float(vx)); err != nil {
-			return err
-		}
-		if err := w.Set(id, "vy", entity.Float(vy)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return spawnMovers(g, "claimer", claimers, side, seed, 30)
 }
 
 // BorderWritePackXML is the adversarial cross-shard-write scenario (the
@@ -397,14 +263,87 @@ func MingleGhostFields() []replica.FieldSpec {
 	}
 }
 
-// ForEachBorderSpawn draws the seed-fixed border-crowd spawn stream and
-// hands each row to fn. Spawns alternate raider/medic and cluster within
-// ±6 of the side/2 gridlines — half along the vertical line x = side/2,
+// seeder is what a crowd seeder drives: every peer of an in-process
+// Cluster at once, one Peer of a multi-process grid replaying the same
+// calls, or a single world. Spawns go through the replicated
+// coordinator stream, so ids, positions and velocities are identical for
+// every shard count, and the trailing Sync materializes the initial
+// ghosts (in lockstep: every peer of a grid calls it together).
+type seeder interface {
+	LoadPack(c *content.Compiled) error
+	CreateTable(name string, s *entity.Schema) error
+	Spawn(archetype string, pos spatial.Vec2) (entity.ID, error)
+	SpawnRaw(table string, vals map[string]entity.Value) (entity.ID, error)
+	Set(id entity.ID, col string, v entity.Value) error
+	Sync() error
+}
+
+// loadPack compiles one of the package's content packs into g.
+func loadPack(g seeder, name, xml string) error {
+	c, errs := content.LoadAndCompile(strings.NewReader(xml))
+	if len(errs) > 0 {
+		return fmt.Errorf("shard: %s pack rejected: %v", name, errs[0])
+	}
+	return g.LoadPack(c)
+}
+
+// spawnMovers spawns `units` archetype entities from a seed-fixed
+// stream — four rng draws per entity: position in [0,side)², velocity
+// in [-speed,speed) — then syncs.
+func spawnMovers(g seeder, archetype string, units int, side float64, seed int64, speed float64) error {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < units; i++ {
+		pos := spatial.Vec2{X: rng.Float64() * side, Y: rng.Float64() * side}
+		vx := (rng.Float64()*2 - 1) * speed
+		vy := (rng.Float64()*2 - 1) * speed
+		if err := spawnMoving(g, archetype, pos, vx, vy); err != nil {
+			return err
+		}
+	}
+	return g.Sync()
+}
+
+// spawnMoving spawns one archetype entity at pos with velocity (vx, vy).
+func spawnMoving(g seeder, archetype string, pos spatial.Vec2, vx, vy float64) error {
+	id, err := g.Spawn(archetype, pos)
+	if err != nil {
+		return err
+	}
+	if err := g.Set(id, "vx", entity.Float(vx)); err != nil {
+		return err
+	}
+	return g.Set(id, "vy", entity.Float(vy))
+}
+
+// seedCascade loads CascadePackXML and spawns `units` drifting pulsers.
+func seedCascade(g seeder, units int, side float64, seed int64, speed float64) error {
+	if err := loadPack(g, "cascade", CascadePackXML); err != nil {
+		return err
+	}
+	return spawnMovers(g, "pulser", units, side, seed, speed)
+}
+
+// seedMingle loads MinglePackXML and spawns `units` drifting minglers.
+func seedMingle(g seeder, units int, side float64, seed int64, speed float64) error {
+	if err := loadPack(g, "mingle", MinglePackXML); err != nil {
+		return err
+	}
+	return spawnMovers(g, "unit", units, side, seed, speed)
+}
+
+// seedBorder loads BorderWritePackXML and spawns `units` entities from a
+// seed-fixed stream. Spawns alternate raider/medic and cluster within ±6
+// of the side/2 gridlines — half along the vertical line x = side/2,
 // half along the horizontal line y = side/2 — so for every shard count
 // whose partition cuts those lines (2, 4, 8 over a square map) a dense
 // mixed crowd straddles the borders. Four rng draws per entity keep the
-// stream identical for every shard count.
-func ForEachBorderSpawn(units int, side float64, seed int64, speed float64, fn func(arch string, pos spatial.Vec2, vx, vy float64) error) error {
+// stream identical for every shard count. Pair with GhostFields:
+// BorderGhostFields() and a GhostBand covering the 9.0 interaction
+// radius for exact cross-shard semantics.
+func seedBorder(g seeder, units int, side float64, seed int64, speed float64) error {
+	if err := loadPack(g, "border", BorderWritePackXML); err != nil {
+		return err
+	}
 	rng := rand.New(rand.NewSource(seed))
 	const jitter = 6.0
 	for i := 0; i < units; i++ {
@@ -420,218 +359,98 @@ func ForEachBorderSpawn(units int, side float64, seed int64, speed float64, fn f
 		}
 		vx := (rng.Float64()*2 - 1) * speed
 		vy := (rng.Float64()*2 - 1) * speed
-		if err := fn(arch, pos, vx, vy); err != nil {
+		if err := spawnMoving(g, arch, pos, vx, vy); err != nil {
 			return err
 		}
 	}
-	return nil
+	return g.Sync()
 }
 
-// SeedBorderCrowd loads BorderWritePackXML into every shard and spawns
-// the ForEachBorderSpawn stream through the coordinator, then syncs
-// initial ghosts (and their owner routes). Pair with
-// GhostFields: BorderGhostFields() and a GhostBand covering the 9.0
-// interaction radius for exact cross-shard semantics.
-func SeedBorderCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(BorderWritePackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: border pack rejected: %v", errs[0])
-	}
-	if err := rt.LoadPack(c); err != nil {
-		return err
-	}
-	return seedBorderSpawns(units, side, seed, speed,
-		func(arch string, pos spatial.Vec2) (entity.ID, *world.World, error) {
-			id, err := rt.Spawn(arch, pos)
-			if err != nil {
-				return 0, nil, err
-			}
-			return id, rt.ShardWorld(rt.Partitioner().Locate(pos)), nil
-		}, rt.Sync)
-}
-
-// SeedBorderCluster seeds the border-writes workload onto a wire
-// cluster from the identical ForEachBorderSpawn stream — the
-// adversarial cross-shard-write scenario the wire barrier must carry
-// without diverging from the in-process exchange.
-func SeedBorderCluster(cl *Cluster, units int, side float64, seed int64, speed float64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(BorderWritePackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: border pack rejected: %v", errs[0])
-	}
-	if err := cl.LoadPack(c); err != nil {
-		return err
-	}
-	err := ForEachBorderSpawn(units, side, seed, speed, func(arch string, pos spatial.Vec2, vx, vy float64) error {
-		id, err := cl.Spawn(arch, pos)
-		if err != nil {
-			return err
-		}
-		if err := cl.Set(id, "vx", entity.Float(vx)); err != nil {
-			return err
-		}
-		return cl.Set(id, "vy", entity.Float(vy))
-	})
+// seedDrifting creates the "units" table and spawns `units` entities
+// from the ForEachCrowdSpawn stream. The stream depends only on the
+// seed, never the shard count, so every shard count simulates the
+// identical world.
+func seedDrifting(g seeder, units int, side float64, seed int64, speed float64) error {
+	s, err := DriftingCrowdSchema()
 	if err != nil {
 		return err
 	}
-	return cl.Sync()
+	if err := g.CreateTable("units", s); err != nil {
+		return err
+	}
+	if err := ForEachCrowdSpawn(units, side, seed, speed, func(vals map[string]entity.Value) error {
+		_, err := g.SpawnRaw("units", vals)
+		return err
+	}); err != nil {
+		return err
+	}
+	return g.Sync()
 }
 
-// SeedMinglePeer seeds one wire peer of a multi-process mingle grid:
-// the peer replays the full coordinator stream (LoadPack content
-// spawns included) and materializes only its own rows; the trailing
-// Sync is lockstep, so every peer process must call this concurrently.
+// worldSeeder lets a seeder drive one plain world: the single-world
+// baseline every sharded run of the same crowd must hash-match.
+type worldSeeder struct{ *world.World }
+
+func (w worldSeeder) CreateTable(name string, s *entity.Schema) error {
+	_, err := w.World.CreateTable(name, s)
+	return err
+}
+
+func (worldSeeder) Sync() error { return nil }
+
+// The seeders' entry points, one per crowd and caller.
+
+// SeedCascadeCrowd seeds the trigger-cascade crowd into rt.
+func SeedCascadeCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
+	return seedCascade(rt, units, side, seed, speed)
+}
+
+// SeedMingleCrowd seeds the mingle crowd into rt.
+func SeedMingleCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
+	return seedMingle(rt, units, side, seed, speed)
+}
+
+// SeedMingleCluster seeds the mingle crowd into cl.
+func SeedMingleCluster(cl *Cluster, units int, side float64, seed int64, speed float64) error {
+	return seedMingle(cl, units, side, seed, speed)
+}
+
+// SeedMinglePeer seeds the mingle crowd into one peer of a grid.
 func SeedMinglePeer(p *Peer, units int, side float64, seed int64, speed float64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(MinglePackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: mingle pack rejected: %v", errs[0])
-	}
-	if err := p.LoadPack(c); err != nil {
-		return err
-	}
-	err := ForEachMingleSpawn(units, side, seed, speed, func(pos spatial.Vec2, vx, vy float64) error {
-		id, err := p.Spawn("unit", pos)
-		if err != nil {
-			return err
-		}
-		if err := p.Set(id, "vx", entity.Float(vx)); err != nil {
-			return err
-		}
-		return p.Set(id, "vy", entity.Float(vy))
-	})
-	if err != nil {
-		return err
-	}
-	return p.Sync()
+	return seedMingle(p, units, side, seed, speed)
 }
 
-// SeedBorderPeer is SeedMinglePeer's border-writes twin.
+// SeedBorderCrowd seeds the border-writes crowd into rt.
+func SeedBorderCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
+	return seedBorder(rt, units, side, seed, speed)
+}
+
+// SeedBorderCluster seeds the border-writes crowd into cl.
+func SeedBorderCluster(cl *Cluster, units int, side float64, seed int64, speed float64) error {
+	return seedBorder(cl, units, side, seed, speed)
+}
+
+// SeedBorderPeer seeds the border-writes crowd into one peer of a grid.
 func SeedBorderPeer(p *Peer, units int, side float64, seed int64, speed float64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(BorderWritePackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: border pack rejected: %v", errs[0])
-	}
-	if err := p.LoadPack(c); err != nil {
-		return err
-	}
-	err := ForEachBorderSpawn(units, side, seed, speed, func(arch string, pos spatial.Vec2, vx, vy float64) error {
-		id, err := p.Spawn(arch, pos)
-		if err != nil {
-			return err
-		}
-		if err := p.Set(id, "vx", entity.Float(vx)); err != nil {
-			return err
-		}
-		return p.Set(id, "vy", entity.Float(vy))
-	})
-	if err != nil {
-		return err
-	}
-	return p.Sync()
+	return seedBorder(p, units, side, seed, speed)
 }
 
-// SeedDriftingPeer is the drifting-crowd peer seeder.
-func SeedDriftingPeer(p *Peer, units int, side float64, seed int64, speed float64) error {
-	s, err := DriftingCrowdSchema()
-	if err != nil {
-		return err
-	}
-	if _, err := p.World().CreateTable("units", s); err != nil {
-		return err
-	}
-	if err := ForEachCrowdSpawn(units, side, seed, speed, func(vals map[string]entity.Value) error {
-		_, err := p.SpawnRaw("units", vals)
-		return err
-	}); err != nil {
-		return err
-	}
-	return p.Sync()
-}
-
-// SeedBorderWorld is the single-world twin of SeedBorderCrowd: the same
-// pack, the same spawn stream, one world.World — the baseline every
-// sharded border run must hash-match, and the worldsim border scenario.
+// SeedBorderWorld seeds the border-writes crowd into a single world.
 func SeedBorderWorld(w *world.World, units int, side float64, seed int64, speed float64) error {
-	c, errs := content.LoadAndCompile(strings.NewReader(BorderWritePackXML))
-	if len(errs) > 0 {
-		return fmt.Errorf("shard: border pack rejected: %v", errs[0])
-	}
-	if err := w.LoadPack(c); err != nil {
-		return err
-	}
-	return seedBorderSpawns(units, side, seed, speed,
-		func(arch string, pos spatial.Vec2) (entity.ID, *world.World, error) {
-			id, err := w.Spawn(arch, pos)
-			return id, w, err
-		}, func() error { return nil })
+	return seedBorder(worldSeeder{w}, units, side, seed, speed)
 }
 
-// seedBorderSpawns routes the ForEachBorderSpawn stream through a spawn
-// hook shared by the sharded and single-world seeders, so both always
-// simulate the identical workload.
-func seedBorderSpawns(units int, side float64, seed int64, speed float64,
-	spawn func(arch string, pos spatial.Vec2) (entity.ID, *world.World, error), sync func() error) error {
-	err := ForEachBorderSpawn(units, side, seed, speed, func(arch string, pos spatial.Vec2, vx, vy float64) error {
-		id, w, err := spawn(arch, pos)
-		if err != nil {
-			return err
-		}
-		if err := w.Set(id, "vx", entity.Float(vx)); err != nil {
-			return err
-		}
-		return w.Set(id, "vy", entity.Float(vy))
-	})
-	if err != nil {
-		return err
-	}
-	return sync()
-}
-
-// SeedDriftingCrowd creates the "units" table on every shard and spawns
-// `units` entities from the ForEachCrowdSpawn stream, then syncs
-// initial ghosts. The stream depends only on the seed, never the shard
-// count, so every shard count simulates the identical world —
-// cmd/shardsim, the E13 benchmarks and examples/mmo-shard all race
-// this one scenario.
-// SeedDriftingCluster seeds the drifting-crowd workload onto a wire
-// cluster from the identical ForEachCrowdSpawn stream: the schema is
-// created on every peer world, raw spawns replay through the
-// replicated coordinator, and the final Sync materializes ghosts.
-func SeedDriftingCluster(cl *Cluster, units int, side float64, seed int64, speed float64) error {
-	s, err := DriftingCrowdSchema()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < cl.Shards(); i++ {
-		if _, err := cl.ShardWorld(i).CreateTable("units", s); err != nil {
-			return err
-		}
-	}
-	if err := ForEachCrowdSpawn(units, side, seed, speed, func(vals map[string]entity.Value) error {
-		_, err := cl.SpawnRaw("units", vals)
-		return err
-	}); err != nil {
-		return err
-	}
-	return cl.Sync()
-}
-
+// SeedDriftingCrowd seeds the drifting crowd into rt.
 func SeedDriftingCrowd(rt *Runtime, units int, side float64, seed int64, speed float64) error {
-	s, err := DriftingCrowdSchema()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < rt.Shards(); i++ {
-		if _, err := rt.ShardWorld(i).CreateTable("units", s); err != nil {
-			return err
-		}
-	}
-	if err := ForEachCrowdSpawn(units, side, seed, speed, func(vals map[string]entity.Value) error {
-		_, err := rt.SpawnRaw("units", vals)
-		return err
-	}); err != nil {
-		return err
-	}
-	return rt.Sync()
+	return seedDrifting(rt, units, side, seed, speed)
+}
+
+// SeedDriftingCluster seeds the drifting crowd into cl.
+func SeedDriftingCluster(cl *Cluster, units int, side float64, seed int64, speed float64) error {
+	return seedDrifting(cl, units, side, seed, speed)
+}
+
+// SeedDriftingPeer seeds the drifting crowd into one peer of a grid.
+func SeedDriftingPeer(p *Peer, units int, side float64, seed int64, speed float64) error {
+	return seedDrifting(p, units, side, seed, speed)
 }

@@ -349,7 +349,7 @@ func TestDeterministicAcrossShardCounts(t *testing.T) {
 // activations.
 func cascadeRun(t *testing.T, shards, workers int, conflict string) (uint64, int) {
 	t.Helper()
-	run := runGoldenCrowd(t, "cascade", shards, workers, conflict)
+	run := runGoldenCrowd(t, "cascade", "inprocess", shards, workers, conflict)
 	return run.final, run.fired
 }
 
@@ -462,6 +462,82 @@ func TestGhostFieldKeepsNativeKind(t *testing.T) {
 	hp, err := w0.Get(b, "hp")
 	if err != nil || hp.Kind() != entity.KindInt || hp.Int() != 55 {
 		t.Fatalf("ghost hp = %v (kind %v), err %v; want int 55", hp, hp.Kind(), err)
+	}
+}
+
+// TestNonNumericGhostFieldShips: a string column under an Exact spec
+// ships by equality instead of being silently skipped, while non-Exact
+// classes on non-numeric columns (no distance to compare against an
+// epsilon) count into GhostFieldSkips rather than wedging or clobbering.
+func TestNonNumericGhostFieldShips(t *testing.T) {
+	// Two shards with the boundary at x = 100, a raw table holding string
+	// columns, an entity just inside the border band, and string fields
+	// in the ghost specs: label as Exact, mood as Coarse (unshippable).
+	rt, err := New(Config{
+		Seed: 3, Shards: 2, World: spatial.NewRect(0, 0, 200, 100),
+		CellSize: 16, TickDT: 0.5, GhostBand: 40,
+		GhostFields: []replica.FieldSpec{
+			{Name: "x", Class: replica.Coarse, Epsilon: 0.1, MaxAge: 5},
+			{Name: "label", Class: replica.Exact},
+			{Name: "mood", Class: replica.Coarse, Epsilon: 1},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if err := rt.CreateTable("npcs", entity.MustSchema(
+		entity.Column{Name: "x", Kind: entity.KindFloat},
+		entity.Column{Name: "y", Kind: entity.KindFloat},
+		entity.Column{Name: "label", Kind: entity.KindString},
+		entity.Column{Name: "mood", Kind: entity.KindString},
+	)); err != nil {
+		t.Fatal(err)
+	}
+	id, err := rt.SpawnRaw("npcs", map[string]entity.Value{
+		"x": entity.Float(95), "y": entity.Float(50),
+		"label": entity.Str("alpha"), "mood": entity.Str("calm"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	w0, w1 := rt.ShardWorld(0), rt.ShardWorld(1)
+	if !w1.IsGhost(id) {
+		t.Fatal("entity at x=95 has no ghost mirror on shard 1")
+	}
+	if got, _ := w1.Get(id, "label"); got != entity.Str("alpha") {
+		t.Fatalf("initial mirror label = %v, want alpha", got)
+	}
+
+	if err := w0.Set(id, "label", entity.Str("beta")); err != nil {
+		t.Fatal(err)
+	}
+	st, err := rt.Step()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := w1.Get(id, "label"); got != entity.Str("beta") {
+		t.Fatalf("Exact string change did not ship: mirror label = %v", got)
+	}
+	if st.GhostFieldSkips == 0 {
+		t.Fatal("Coarse string field evaluated without counting a skip")
+	}
+
+	// A Coarse string change must not ship (and must not error).
+	if err := w0.Set(id, "mood", entity.Str("angry")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := w1.Get(id, "mood"); got != entity.Str("calm") {
+		t.Fatalf("Coarse string field shipped: mirror mood = %v", got)
+	}
+	if rt.GhostFieldSkipTotal.Load() == 0 {
+		t.Fatal("GhostFieldSkipTotal stayed zero")
 	}
 }
 
@@ -582,7 +658,7 @@ func TestScriptIDAllocatorsDisjoint(t *testing.T) {
 // effects.
 func mingleRun(t *testing.T, shards, workers int, conflict string) (uint64, int) {
 	t.Helper()
-	run := runGoldenCrowd(t, "mingle", shards, workers, conflict)
+	run := runGoldenCrowd(t, "mingle", "inprocess", shards, workers, conflict)
 	if run.effects == 0 {
 		t.Fatalf("shards=%d workers=%d: scenario applied no effects", shards, workers)
 	}

@@ -41,7 +41,7 @@ func cascadeTrajectory(t *testing.T, shards, workers int, policy string, interpr
 	if err := rt.LoadPack(c); err != nil {
 		t.Fatal(err)
 	}
-	if err := spawnCascadeCrowd(rt, 200, 1000, 77, 30); err != nil {
+	if err := spawnMovers(rt, "pulser", 200, 1000, 77, 30); err != nil {
 		t.Fatal(err)
 	}
 	var hashes []uint64

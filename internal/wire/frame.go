@@ -46,13 +46,19 @@ func appendFrame(dst []byte, f Frame) []byte {
 }
 
 // readFrame reads one frame from r, reusing buf for the body when it
-// fits. The returned frame's payload aliases the returned buffer.
+// fits. The returned frame's payload is moved to the start of the
+// returned buffer and aliases it, so recycling the payload hands the
+// buffer's whole capacity back.
 func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
+	// The length prefix lands in buf too: a local array handed to the
+	// io.Reader interface would escape and cost an allocation per frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
 		return Frame{}, buf, err
 	}
-	n := binary.LittleEndian.Uint32(lenb[:])
+	n := binary.LittleEndian.Uint32(buf[:4])
 	if n < 1 || n > MaxFramePayload {
 		return Frame{}, buf, fmt.Errorf("wire: frame length %d out of range", n)
 	}
@@ -78,6 +84,6 @@ func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	off += tn
 	f.Src = int(src)
 	f.Tick = tick
-	f.Payload = buf[off:]
+	f.Payload = buf[:copy(buf, buf[off:])]
 	return f, buf, nil
 }

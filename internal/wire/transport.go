@@ -61,16 +61,28 @@ func (s *statCounters) snapshot() Stats {
 	}
 }
 
-// bufPool recycles payload buffers. One pool is shared per mesh so a
-// frame's buffer can be recycled by its receiver.
-type bufPool struct{ p sync.Pool }
+// bufPool recycles payload buffers through a mutex-guarded free list.
+// One pool is shared per mesh so a frame's buffer can be recycled by its
+// receiver. (A sync.Pool would box every slice header it is handed — a
+// slice is three words, not a pointer — so each Put would allocate.)
+type bufPool struct {
+	mu   sync.Mutex
+	free [][]byte
+}
 
+// get returns a buffer of length n, reusing the most recently recycled
+// one when it is large enough (a smaller one is dropped).
 func (bp *bufPool) get(n int) []byte {
-	if v := bp.p.Get(); v != nil {
-		b := v.([]byte)
-		if cap(b) >= n {
-			return b[:n]
-		}
+	bp.mu.Lock()
+	var b []byte
+	if k := len(bp.free); k > 0 {
+		b = bp.free[k-1]
+		bp.free[k-1] = nil
+		bp.free = bp.free[:k-1]
+	}
+	bp.mu.Unlock()
+	if cap(b) >= n {
+		return b[:n]
 	}
 	return make([]byte, n)
 }
@@ -79,7 +91,9 @@ func (bp *bufPool) put(b []byte) {
 	if cap(b) == 0 {
 		return
 	}
-	bp.p.Put(b[:0]) //nolint:staticcheck // slices are pointer-shaped
+	bp.mu.Lock()
+	bp.free = append(bp.free, b[:0])
+	bp.mu.Unlock()
 }
 
 // Pipe is the in-process transport: a channel mesh with pooled payload
@@ -374,9 +388,9 @@ func (m *TCPMesh) Recv() (Frame, error) {
 	}
 }
 
-// Recycle returns a received payload buffer to the pool. The payload
-// slice shares its backing array with the frame header read; capacity
-// is what matters to the pool, so recycling the tail is fine.
+// Recycle returns a received payload buffer to the pool (readFrame left
+// the payload at the start of its buffer, so the whole capacity comes
+// back).
 func (m *TCPMesh) Recycle(payload []byte) { m.pool.put(payload) }
 
 // Stats returns this endpoint's cumulative counters.
@@ -401,8 +415,7 @@ func (m *TCPMesh) Close() error {
 
 // NewTCPLoopbackGroup builds an n-peer mesh over loopback TCP inside
 // one process: real sockets, real serialization, no subprocess
-// orchestration — the configuration the E23 experiment prices TCP
-// transport cost with.
+// orchestration — what shard.NewTCPCluster runs on.
 func NewTCPLoopbackGroup(n int) ([]*TCPMesh, error) {
 	lns := make([]net.Listener, n)
 	addrs := make([]string, n)

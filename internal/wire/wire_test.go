@@ -364,6 +364,39 @@ func TestTCPTransport(t *testing.T) {
 	}
 }
 
+// TestFrameRoundTripAllocs pins the recycled frame path at zero
+// allocations on both transports: once the pool holds a buffer big
+// enough, a Send → Recv → Recycle round trip reuses it (the receiving
+// reader goroutine of the TCP mesh included).
+func TestFrameRoundTripAllocs(t *testing.T) {
+	ms, err := NewTCPLoopbackGroup(2)
+	if err != nil {
+		t.Fatalf("loopback group: %v", err)
+	}
+	ps := NewPipeGroup(2)
+	for _, trs := range [][2]Transport{{ps[0], ps[1]}, {ms[0], ms[1]}} {
+		payload := make([]byte, 700)
+		roundTrip := func() {
+			if err := trs[0].Send(1, 1, 7, payload); err != nil {
+				t.Fatal(err)
+			}
+			f, err := trs[1].Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			trs[1].Recycle(f.Payload)
+		}
+		for i := 0; i < 8; i++ {
+			roundTrip()
+		}
+		if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+			t.Errorf("%T: a recycled round trip allocates %.2f objects, want 0", trs[0], allocs)
+		}
+		trs[0].Close()
+		trs[1].Close()
+	}
+}
+
 // TestEncodeAllocsSteadyState pins the encode hot path at zero
 // allocations once the scratch buffer has grown.
 func TestEncodeAllocsSteadyState(t *testing.T) {

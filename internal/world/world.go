@@ -114,8 +114,8 @@ type Config struct {
 	// The feed is pure observation: recording never touches tables,
 	// effect ordering or RNG streams, so feed-on worlds stay
 	// hash-identical to feed-off worlds (the inertness tests pin this).
-	// The shard runtime's incremental ghost reconcile and the replica
-	// fan-out consume the sealed feed; default off.
+	// The replica fan-out (shard.FeedPump) consumes the sealed feed;
+	// default off.
 	ChangeFeed bool
 }
 
@@ -510,9 +510,9 @@ func (w *World) LoadPack(c *content.Compiled) error {
 // ForEachSpawn iterates a pack's spawn definitions in declaration
 // order, drawing each instance's jittered position from rng (two draws
 // per instance, x then y). It is the single source of the spawn
-// position stream: the single-world LoadPack and the shard runtime's
-// coordinator both route through it, which is what makes pack spawns
-// land at identical positions regardless of shard count.
+// position stream: the single-world LoadPack and every shard peer's
+// replicated coordinator stream route through it, which is what makes
+// pack spawns land at identical positions regardless of shard count.
 func ForEachSpawn(c *content.Compiled, rng *rand.Rand, fn func(archetype string, pos spatial.Vec2) error) error {
 	for _, sp := range c.Spawns {
 		for i := 0; i < sp.Count; i++ {
@@ -817,6 +817,32 @@ func (w *World) Set(id entity.ID, col string, v entity.Value) error {
 		return fmt.Errorf("world: unknown entity %d", id)
 	}
 	return rec.tab.Set(id, col, v)
+}
+
+// SetMirror writes one column of a ghost mirror the way Set does — the
+// table's indexes and the spatial grid follow — but notes nothing in the
+// change feed: a mirror is derived state, and its owner's feed already
+// carries the write.
+func (w *World) SetMirror(id entity.ID, col string, v entity.Value) error {
+	rec := w.dir.find(id)
+	if rec == nil || !rec.ghost {
+		return fmt.Errorf("world: %d is not a ghost mirror", id)
+	}
+	ids, vals := [1]entity.ID{id}, [1]entity.Value{v}
+	skipped, err := rec.tab.SetColumnBatch(col, ids[:], vals[:])
+	if err != nil {
+		return err
+	}
+	if skipped > 0 {
+		return fmt.Errorf("world: mirror %d column %q refuses a %s", id, col, v.Kind())
+	}
+	if rec.slot != noSlot && (col == "x" || col == "y") {
+		if xci, yci, ok := spatialCols(rec.tab.Schema()); ok {
+			r, _ := rec.tab.RowIndex(id)
+			w.index.MoveSlot(rec.slot, posAt(rec.tab, xci, yci, r))
+		}
+	}
+	return nil
 }
 
 // Pos returns an entity's indexed position.
