@@ -4,12 +4,11 @@
 //	gslrun script.gsl              # run top-level statements, then main()
 //	gslrun -restricted script.gsl  # enforce the no-loop/no-recursion regime
 //	gslrun -check script.gsl       # parse + restricted check only
-//	gslrun -plan script.gsl        # print the compiled on_tick query plan
+//	gslrun -plan script.gsl        # print the compiled on_tick plan; exit 1 if it does not compile
 //	gslrun -plan pack.xml          # ... of every script and trigger rule in a content pack
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,26 +21,23 @@ import (
 	"gamedb/internal/script"
 )
 
-// planScript prints a behavior script's on_tick plan, or why it stays
-// on the interpreter. It reports false on an internal compile error.
+// planScript prints a behavior script's on_tick plan. It reports false,
+// naming the line and the construct, when the script does not compile.
 func planScript(name string, prog *script.Program) bool {
 	p, err := gslplan.Compile(name, prog, gslplan.EntryFn, 1)
 	if err != nil {
-		var nc *gslplan.NotCompilable
-		if !errors.As(err, &nc) {
-			fmt.Fprintf(os.Stderr, "gslrun: %v\n", err)
-			return false
-		}
-		fmt.Printf("interpreter fallback: %s (line %d)\n", nc.Construct, nc.Line)
-		return true
+		line, construct := gslplan.Reason(err)
+		fmt.Fprintf(os.Stderr, "gslrun: line %d: not compilable: %s\n", line, construct)
+		return false
 	}
 	fmt.Print(p.Explain())
 	return true
 }
 
-// planPack prints the plan (or the fallback reason) of every behavior
-// script and of both sides of every trigger rule in a content pack —
-// the plans a world loading the pack will run.
+// planPack prints the plan of every behavior script and of both sides of
+// every trigger rule in a content pack — the plans a world loading the
+// pack will run. A pack with a body that does not compile is rejected
+// like any other load error.
 func planPack(src string) bool {
 	c, errs := content.LoadAndCompile(strings.NewReader(src))
 	if len(errs) > 0 {
@@ -53,25 +49,16 @@ func planPack(src string) bool {
 	}
 	names := make([]string, 0, len(c.Scripts))
 	for name, cs := range c.Scripts {
-		if cs.Prog.Fns[gslplan.EntryFn] != nil {
+		if cs.Plan != nil {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fmt.Printf("script %q: ", name)
-		if cs := c.Scripts[name]; cs.Plan != nil {
-			fmt.Print(cs.Plan.Explain())
-		} else {
-			fmt.Printf("interpreter fallback: %s\n", cs.Fallback)
-		}
+		fmt.Printf("script %q: %s", name, c.Scripts[name].Plan.Explain())
 	}
 	for _, ct := range c.Triggers {
-		explain, fallback := ct.ExplainPlans()
-		fmt.Print(explain)
-		if fallback != "" {
-			fmt.Printf("rule %q: interpreter fallback: %s\n", ct.Name, fallback)
-		}
+		fmt.Print(ct.ExplainPlans())
 	}
 	return true
 }
@@ -79,7 +66,7 @@ func planPack(src string) bool {
 func main() {
 	restricted := flag.Bool("restricted", false, "enforce restricted mode (no loops, no recursion)")
 	checkOnly := flag.Bool("check", false, "only parse and run restricted-mode checks")
-	plan := flag.Bool("plan", false, "print the compiled on_tick query plan (or the fallback reason); given a content pack (.xml), of every script and trigger rule in it")
+	plan := flag.Bool("plan", false, "print the compiled on_tick plan (exit 1, naming the line and construct, if it does not compile); given a content pack (.xml), of every script and trigger rule in it")
 	fuel := flag.Int64("fuel", script.DefaultFuel, "fuel budget per run")
 	flag.Parse()
 

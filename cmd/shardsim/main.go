@@ -124,7 +124,6 @@ type raceResult struct {
 	remoteInval    int64
 	stepP99NS      float64
 	scriptCalls    int64
-	compiledCalls  int64
 	wireBytesOut   int64
 	wireBytesIn    int64
 	wireFrames     int64
@@ -199,7 +198,6 @@ func runRace(spec raceSpec, wireMode string, ro raceObs) (raceResult, error) {
 		}
 		for _, ws := range st.Shards {
 			res.scriptCalls += int64(ws.ScriptCalls)
-			res.compiledCalls += int64(ws.CompiledCalls)
 		}
 		res.handoffsPerTik += float64(st.Handoffs)
 		res.ghostShips += int64(st.GhostShips)
@@ -569,7 +567,6 @@ func main() {
 				"workers":               *workers,
 				"wire":                  *wireMode,
 				"conflict_policy":       *conflict,
-				"compiled_calls":        res.compiledCalls,
 				"script_calls":          res.scriptCalls,
 				"ticks_per_sec":         res.ticksPerSec,
 				"handoffs_per_tick":     res.handoffsPerTik,

@@ -24,15 +24,6 @@ import (
 	"gamedb/internal/world"
 )
 
-// coverage is the compiled-plan share of behavior invocations (0 when
-// nothing ran).
-func coverage(compiled, calls int) float64 {
-	if calls == 0 {
-		return 0
-	}
-	return float64(compiled) / float64(calls)
-}
-
 const demoPack = `
 <contentpack name="demo-skirmish">
   <schema table="units">
@@ -181,11 +172,10 @@ func main() {
 	}
 
 	var effects, conflicts, retries, aborts, queryNS, applyNS, triggerNS int64
-	var trigFired, trigRounds, trigEffects, trigConflicts, trigCompiled int64
+	var trigFired, trigRounds, trigEffects, trigConflicts int64
 	var fwd, remoteMerged, remoteInval int64
 	var feedCells int64
 	scriptErrors, scriptSkips := 0, 0
-	scriptCalls, compiledCalls := 0, 0
 	entityTicks := 0
 	lastPrinted := false
 	printTick := func(st world.TickStats) {
@@ -212,7 +202,6 @@ func main() {
 		trigRounds += int64(st.TriggerRounds)
 		trigEffects += int64(st.TriggerEffects)
 		trigConflicts += int64(st.TriggerConflicts)
-		trigCompiled += int64(st.TriggerCompiled)
 		fwd += int64(st.EffectsForwarded)
 		remoteMerged += int64(st.EffectsRemoteMerged)
 		remoteInval += int64(st.RemoteInvalidations)
@@ -223,8 +212,6 @@ func main() {
 		}
 		scriptErrors += st.ScriptErrors
 		scriptSkips += st.ScriptSkips
-		scriptCalls += st.ScriptCalls
-		compiledCalls += st.CompiledCalls
 		entityTicks += st.Entities
 		if reg != nil {
 			liveEntities.Store(int64(st.Entities))
@@ -285,8 +272,6 @@ func main() {
 				"workers":               *workers,
 				"ticks":                 *ticks,
 				"conflict_policy":       *conflict,
-				"compiled_calls":        compiledCalls,
-				"compiled_coverage":     coverage(compiledCalls, scriptCalls),
 				"effects_per_tick":      float64(effects) / float64(*ticks),
 				"change_feed":           *feed,
 				"feed_cells_per_tick":   float64(feedCells) / float64(*ticks),
@@ -302,7 +287,6 @@ func main() {
 				"trigger_rounds":        trigRounds,
 				"trigger_effects":       trigEffects,
 				"trigger_conflicts":     trigConflicts,
-				"trigger_compiled":      trigCompiled,
 				"query_ns_per_op":       float64(queryNS) / float64(*ticks),
 				"apply_ns_per_op":       float64(applyNS) / float64(*ticks),
 				"trigger_ns_per_op":     float64(triggerNS) / float64(*ticks),

@@ -110,7 +110,7 @@ type (
 
 // Tracer records span-based tick traces for Options.Tracer /
 // ShardedOptions.Tracer; export with WriteChromeTrace or
-// WriteSlowestTimeline. Profiler attributes interpreter time, effects,
+// WriteSlowestTimeline. Profiler attributes script time, fuel, effects,
 // reads, conflicts, retries and aborts per behavior / trigger rule for
 // Options.Profile / ShardedOptions.Profile. Both are inert with respect
 // to world state (the grid tests pin it).

@@ -7,8 +7,8 @@
 //
 // Load parses the XML; Compile validates everything a designer could get
 // wrong (unknown kinds, type mismatches, scripts that fail restricted
-// mode) and reports every problem at once, the way production content
-// tools do.
+// mode, GSL the engine cannot compile) and reports every problem at
+// once, the way production content tools do.
 package content
 
 import (
@@ -126,18 +126,14 @@ type Archetype struct {
 }
 
 // CompiledScript is a parsed, checked behavior script. Plan is its
-// on_tick lowered onto a gslplan query plan, compiled once here and
-// shared by every world (every shard) that loads the pack; nil means
-// the script has no on_tick or its body is outside the compilable
-// subset — Fallback then names the first offending construct — and the
-// world runs it on the interpreter.
+// on_tick lowered onto a gslplan plan, compiled once here and shared by
+// every world (every shard) that loads the pack — how the script runs;
+// nil means the script has no on_tick and never runs as a behavior.
 type CompiledScript struct {
 	Name       string
 	Restricted bool
 	Prog       *script.Program
-
-	Plan     *gslplan.Program
-	Fallback string
+	Plan       *gslplan.Program
 }
 
 // CompiledTrigger is a trigger with parsed condition/action programs.
@@ -145,11 +141,9 @@ type CompiledScript struct {
 // function, CondFn and ActFn respectively, taking (self, amount).
 //
 // CondPlan and ActPlan are the same two functions lowered onto gslplan
-// query plans, compiled once here so that every world (every shard)
-// loading the pack shares them and only binds per worker. A nil plan
-// means the body is outside the compilable subset — CondFallback /
-// ActFallback then name the first offending construct — and the world
-// runs that side on the interpreter.
+// plans, compiled once here so that every world (every shard) loading
+// the pack shares them and only binds per worker. CondPlan is nil
+// exactly when Cond is.
 type CompiledTrigger struct {
 	Name     string
 	Event    string
@@ -158,8 +152,7 @@ type CompiledTrigger struct {
 	Cond     *script.Program
 	Act      *script.Program
 
-	CondPlan, ActPlan         *gslplan.Program
-	CondFallback, ActFallback string
+	CondPlan, ActPlan *gslplan.Program
 }
 
 // Entry points of a trigger's two programs, and how many arguments the
@@ -183,9 +176,7 @@ type Compiled struct {
 	// Warnings are non-fatal lint findings (see lint.go): the pack
 	// loads, but something in it is a known hazard — set(x, get(x)…)
 	// accumulation in trigger bodies (last-write-wins under the
-	// effect-aware trigger drain), and behavior scripts or trigger
-	// bodies that cannot lower onto a set-at-a-time query plan (they
-	// stay on the per-invocation interpreter).
+	// effect-aware trigger drain).
 	Warnings []Warning
 }
 
@@ -336,8 +327,12 @@ func Compile(p *Pack) (*Compiled, []error) {
 			}
 		}
 		cs := &CompiledScript{Name: sd.Name, Restricted: restricted, Prog: prog}
+		if prog.Fns[gslplan.EntryFn] != nil {
+			if cs.Plan, err = gslplan.Compile(sd.Name, prog, gslplan.EntryFn, 1); err != nil {
+				fail("content: script %q: %s", sd.Name, planError(err))
+			}
+		}
 		c.Scripts[sd.Name] = cs
-		c.Warnings = append(c.Warnings, planScript(cs)...)
 	}
 
 	for _, td := range p.Triggers {
@@ -371,14 +366,19 @@ func Compile(p *Pack) (*Compiled, []error) {
 		} else {
 			ct.Act = prog
 		}
-		if okTrig {
-			var warns []Warning
-			if ct.Cond != nil {
-				ct.CondPlan, ct.CondFallback, warns = planTrigger(ct.Name, "<when>", ct.Cond, CondFn)
-				c.Warnings = append(c.Warnings, warns...)
+		if okTrig && ct.Cond != nil {
+			if ct.CondPlan, err = gslplan.Compile(ct.Name, ct.Cond, CondFn, TriggerArgs); err != nil {
+				fail("content: trigger %q <when>: %s", td.Name, planError(err))
+				okTrig = false
 			}
-			ct.ActPlan, ct.ActFallback, warns = planTrigger(ct.Name, "<do>", ct.Act, ActFn)
-			c.Warnings = append(c.Warnings, warns...)
+		}
+		if okTrig {
+			if ct.ActPlan, err = gslplan.Compile(ct.Name, ct.Act, ActFn, TriggerArgs); err != nil {
+				fail("content: trigger %q <do>: %s", td.Name, planError(err))
+				okTrig = false
+			}
+		}
+		if okTrig {
 			c.Triggers = append(c.Triggers, ct)
 			c.Warnings = append(c.Warnings, lintTrigger(ct)...)
 		}
@@ -423,4 +423,20 @@ func LoadAndCompile(r io.Reader) (*Compiled, []error) {
 		return nil, []error{err}
 	}
 	return Compile(p)
+}
+
+// planError words a gslplan.Compile failure as a load error: the line
+// and the first construct that does not lower.
+func planError(err error) string {
+	line, construct := gslplan.Reason(err)
+	return fmt.Sprintf("line %d: not compilable: %s", line, construct)
+}
+
+// ExplainPlans renders how the rule executes: the Explain text of its
+// <when> plan, when it has one, followed by its <do> plan's.
+func (ct *CompiledTrigger) ExplainPlans() string {
+	if ct.CondPlan == nil {
+		return ct.ActPlan.Explain()
+	}
+	return ct.CondPlan.Explain() + ct.ActPlan.Explain()
 }

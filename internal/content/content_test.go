@@ -25,22 +25,23 @@ const demoPack = `
     <set column="boss" value="true"/>
   </archetype>
   <script name="wander" restricted="true">
+fn flee(id) { move_toward(id, 0.0, 0.0, 2.0); }
 fn on_tick(self) {
-  if get_hp(self) &lt; 20 { flee(self); }
+  if get(self, "hp") &lt; 20 { flee(self); }
 }
   </script>
   <script name="patrol">
 fn on_tick(self) {
   let i = 0;
-  while i &lt; 4 { step(self); i = i + 1; }
+  while i &lt; 4 { move_toward(self, pos_x(self) + 1.0, pos_y(self), 1.0); i = i + 1; }
 }
   </script>
   <trigger name="boss-death" event="death" priority="10" once="true">
     <when>amount &gt; 0</when>
-    <do>emit_kill(self); grant_loot(self, amount);</do>
+    <do>emit("kill", self); add(self, "hp", amount);</do>
   </trigger>
   <trigger name="any-death" event="death">
-    <do>count_death(self);</do>
+    <do>emit("count", self);</do>
   </trigger>
   <uiframe name="healthbar" x="10" y="20" w="200" h="24" anchor="top"/>
   <spawn archetype="orc" count="10" x="50" y="50" spread="20"/>
@@ -140,6 +141,26 @@ fn f(n) { return f(n); }
 	_, errs = LoadAndCompile(strings.NewReader(src2))
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "recursion") {
 		t.Fatalf("errs = %v", errs)
+	}
+}
+
+// uiModBomb is examples/ui-mod's recursion bomb.
+const uiModBomb = `
+fn deeper(n) { return deeper(n + 1); }
+fn on_tick(self) { deeper(0); }`
+
+// TestRecursionIsALoadErrorWithoutRestrictedMode: restricted mode
+// rejects recursion anywhere; an unrestricted pack still cannot load a
+// behavior that recurses, because it does not compile.
+func TestRecursionIsALoadErrorWithoutRestrictedMode(t *testing.T) {
+	_, errs := LoadAndCompile(strings.NewReader(`
+<contentpack name="freezehud">
+  <script name="bomb">` + uiModBomb + `
+  </script>
+</contentpack>`))
+	want := `content: script "bomb": line 3: not compilable: call to "deeper", which recurses`
+	if len(errs) != 1 || errs[0].Error() != want {
+		t.Fatalf("errs = %v, want [%s]", errs, want)
 	}
 }
 

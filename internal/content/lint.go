@@ -6,27 +6,20 @@ package content
 // drops increments when two activations target the same entity in one
 // cascade round. The additive effect (`add`) combines commutatively and
 // is the correct spelling. The lint flags the pattern at compile time
-// as a non-fatal warning: existing packs still load (direct-trigger
-// hosts depend on the old semantics), but authors get pointed at the
-// migration hazard before it bites.
+// as a non-fatal warning: the pack still loads, but authors get pointed
+// at the hazard before it bites.
 
 import (
 	"fmt"
-	"strings"
 
-	"gamedb/internal/gslplan"
 	"gamedb/internal/script"
 )
 
 // Warning is one non-fatal content-pack lint finding. Compile collects
 // them on Compiled.Warnings; packs with warnings still load.
 type Warning struct {
-	// Trigger names the rule whose body tripped the lint; empty for
-	// script findings.
+	// Trigger names the rule whose body tripped the lint.
 	Trigger string
-	// Script names the behavior script the finding is about; empty for
-	// trigger findings.
-	Script string
 	// Line is the source line inside the offending program.
 	Line int
 	// Msg describes the finding and the fix.
@@ -34,72 +27,7 @@ type Warning struct {
 }
 
 func (w Warning) String() string {
-	if w.Script != "" {
-		return fmt.Sprintf("script %q: line %d: %s", w.Script, w.Line, w.Msg)
-	}
 	return fmt.Sprintf("trigger %q: line %d: %s", w.Trigger, w.Line, w.Msg)
-}
-
-// planScript lowers a behavior script's on_tick onto a set-at-a-time
-// query plan (cs.Plan). When the body is outside the compilable subset
-// it records the first offending construct in cs.Fallback and returns
-// the advisory warning naming it: the script runs on the per-entity
-// interpreter — authors chasing tick time want to know. Scripts without
-// an on_tick never run as behaviors and are left alone.
-func planScript(cs *CompiledScript) []Warning {
-	if cs.Prog.Fns[gslplan.EntryFn] == nil {
-		return nil
-	}
-	p, err := gslplan.Compile(cs.Name, cs.Prog, gslplan.EntryFn, 1)
-	if err == nil {
-		cs.Plan = p
-		return nil
-	}
-	var line int
-	line, cs.Fallback = gslplan.Reason(err)
-	return []Warning{{
-		Script: cs.Name,
-		Line:   line,
-		Msg:    fmt.Sprintf("on_tick stays on the per-entity interpreter: %s", cs.Fallback),
-	}}
-}
-
-// planTrigger lowers one side of a trigger rule (element is "<when>" or
-// "<do>") onto a query plan. When the body is outside the compilable
-// subset it returns the first offending construct instead, plus the
-// advisory warning naming it — the trigger counterpart of planScript.
-func planTrigger(rule, element string, prog *script.Program, entry string) (*gslplan.Program, string, []Warning) {
-	p, err := gslplan.Compile(rule, prog, entry, TriggerArgs)
-	if err == nil {
-		return p, "", nil
-	}
-	line, reason := gslplan.Reason(err)
-	return nil, reason, []Warning{{
-		Trigger: rule,
-		Line:    line,
-		Msg:     fmt.Sprintf("%s stays on the per-invocation interpreter: %s", element, reason),
-	}}
-}
-
-// ExplainPlans renders how the rule will execute. A rule has two sides,
-// so both results can be non-empty: explain joins the Explain text of
-// the sides that compiled (<when> first), fallback names the sides that
-// stay on the interpreter and the first construct that keeps them there.
-func (ct *CompiledTrigger) ExplainPlans() (explain, fallback string) {
-	var fails []string
-	if ct.Cond != nil {
-		if ct.CondPlan != nil {
-			explain += ct.CondPlan.Explain()
-		} else {
-			fails = append(fails, "<when>: "+ct.CondFallback)
-		}
-	}
-	if ct.ActPlan != nil {
-		explain += ct.ActPlan.Explain()
-	} else {
-		fails = append(fails, "<do>: "+ct.ActFallback)
-	}
-	return explain, strings.Join(fails, "; ")
 }
 
 // lintTrigger walks a compiled trigger's action program for

@@ -92,12 +92,15 @@ func TestLintDoesNotRejectThePack(t *testing.T) {
 	}
 }
 
+// TestLintFlagsNonCompilableBehavior: a behavior or trigger body the
+// engine cannot compile is a load error naming the script or rule, the
+// line and the construct — never a warning the pack loads past.
 func TestLintFlagsNonCompilableBehavior(t *testing.T) {
-	c := compilePack(t, lintPackHeader+`
+	_, errs := LoadAndCompile(strings.NewReader(lintPackHeader + `
   <script name="hoarder">
 fn on_tick(self) {
-  let seen = list();
-  push(seen, self);
+  let seen = 0;
+  let l = list();
 }
   </script>
   <script name="leaner">
@@ -106,28 +109,29 @@ fn on_tick(self) {
 }
   </script>
   <script name="helper">
-fn pick(x) { return x; }
+fn pick(x) { return list(x); }
   </script>
-</contentpack>`)
-	if len(c.Warnings) != 1 {
-		t.Fatalf("want 1 warning (hoarder only), got %d: %v", len(c.Warnings), c.Warnings)
+  <trigger name="caller" event="hit">
+    <when>amount &gt; 0</when>
+    <do>frob(self);</do>
+  </trigger>
+</contentpack>`))
+	if len(errs) != 2 {
+		t.Fatalf("want 2 errors (hoarder and caller's <do>), got %d: %v", len(errs), errs)
 	}
-	w := c.Warnings[0]
-	if w.Script != "hoarder" || w.Trigger != "" {
-		t.Fatalf("warning attribution wrong: %+v", w)
-	}
-	if !strings.Contains(w.Msg, "interpreter") || !strings.Contains(w.Msg, `builtin "list"`) {
-		t.Fatalf("warning should name the first non-compilable construct: %s", w.Msg)
-	}
-	if !strings.Contains(w.String(), `script "hoarder"`) {
-		t.Fatalf("String() should carry the script name: %s", w.String())
+	for i, want := range []string{
+		`content: script "hoarder": line 4: not compilable: builtin "list"`,
+		`content: trigger "caller" <do>: line 1: not compilable: unknown function "frob"`,
+	} {
+		if !strings.HasPrefix(errs[i].Error(), want) {
+			t.Errorf("error %d = %q, want it to start %q", i, errs[i], want)
+		}
 	}
 }
 
 func TestTriggersCompileOnceWithThePack(t *testing.T) {
-	// Both sides of a compilable rule carry their plan; a side outside
-	// the compilable subset carries the reason instead and one advisory
-	// warning naming it — the other side keeps its plan.
+	// Every side of every rule carries its plan — a <do> with a while
+	// loop included — and an unconditional rule has no <when> plan.
 	c := compilePack(t, lintPackHeader+`
   <trigger name="lean" event="hit">
     <when>amount &gt; 0</when>
@@ -145,24 +149,20 @@ func TestTriggersCompileOnceWithThePack(t *testing.T) {
 	for _, ct := range c.Triggers {
 		byName[ct.Name] = ct
 	}
-	if ct := byName["lean"]; ct.CondPlan == nil || ct.ActPlan == nil || ct.CondFallback+ct.ActFallback != "" {
-		t.Fatalf("lean: plans %v/%v fallbacks %q/%q", ct.CondPlan != nil, ct.ActPlan != nil, ct.CondFallback, ct.ActFallback)
+	if ct := byName["lean"]; ct.CondPlan == nil || ct.ActPlan == nil {
+		t.Fatalf("lean: plans %v/%v", ct.CondPlan != nil, ct.ActPlan != nil)
 	}
 	if ct := byName["always"]; ct.Cond != nil || ct.CondPlan != nil || ct.ActPlan == nil {
 		t.Fatalf("always: cond %v cond plan %v act plan %v", ct.Cond != nil, ct.CondPlan != nil, ct.ActPlan != nil)
 	}
 	ct := byName["spinner"]
-	if ct.CondPlan == nil || ct.ActPlan != nil || !strings.Contains(ct.ActFallback, "while") {
-		t.Fatalf("spinner: cond plan %v act plan %v act fallback %q", ct.CondPlan != nil, ct.ActPlan != nil, ct.ActFallback)
+	if ct.CondPlan == nil || ct.ActPlan == nil || !strings.Contains(ct.ActPlan.Explain(), "while") {
+		t.Fatalf("spinner: cond plan %v act plan %v", ct.CondPlan != nil, ct.ActPlan != nil)
 	}
 	if !strings.Contains(ct.CondPlan.Explain(), "cond(self, amount)") {
 		t.Fatalf("cond plan explains the wrong entry:\n%s", ct.CondPlan.Explain())
 	}
-	if len(c.Warnings) != 1 {
-		t.Fatalf("want 1 warning (spinner's <do>), got %d: %v", len(c.Warnings), c.Warnings)
-	}
-	w := c.Warnings[0]
-	if w.Trigger != "spinner" || !strings.Contains(w.Msg, "<do>") || !strings.Contains(w.Msg, "while") {
-		t.Fatalf("warning should name the rule, the element and the construct: %+v", w)
+	if len(c.Warnings) != 0 {
+		t.Fatalf("want no warnings, got %v", c.Warnings)
 	}
 }

@@ -21,15 +21,14 @@ import (
 // Options configures an Engine. The zero value is usable: a world with
 // default sizes, no persistence, no replication. The tick has one
 // pipeline and no option selects another: behaviors and trigger rules
-// run on the query plans their content pack compiled (the interpreter
-// takes over per invocation when a plan cannot), effects apply
-// columnar, and triggers drain in effect-aware rounds.
+// run on the plans their content pack compiled, effects apply columnar,
+// and triggers drain in effect-aware rounds.
 type Options struct {
 	// Seed drives all engine randomness.
 	Seed int64
 	// CellSize is the spatial index cell size.
 	CellSize float64
-	// ScriptFuel bounds one behavior invocation's interpretation work
+	// ScriptFuel bounds one behavior invocation's work
 	// (per entity per tick; see world.Config.ScriptFuel).
 	ScriptFuel int64
 	// TickDT is simulated seconds per tick.

@@ -15,9 +15,8 @@ import (
 // world calls once per entity per tick with the entity's id.
 const EntryFn = "on_tick"
 
-// NotCompilable reports the first construct that kept a behavior body
-// off the compiled path. The world falls back to the interpreter for
-// that behavior and the content linter surfaces the construct name.
+// NotCompilable reports the first construct that keeps an entry point
+// from lowering onto a plan. content.Compile turns it into a load error.
 type NotCompilable struct {
 	Line      int
 	Construct string
@@ -27,9 +26,9 @@ func (e *NotCompilable) Error() string {
 	return fmt.Sprintf("gslplan: line %d: not compilable: %s", e.Line, e.Construct)
 }
 
-// Reason splits a Compile error into what a fallback report needs: the
-// source line and first offending construct of a *NotCompilable, or
-// line 0 and the error text for anything else.
+// Reason splits a Compile error into what a load error needs: the source
+// line and first offending construct of a *NotCompilable, or line 0 and
+// the error text for anything else.
 func Reason(err error) (line int, construct string) {
 	var nc *NotCompilable
 	if errors.As(err, &nc) {
@@ -48,27 +47,45 @@ type varRef struct {
 	list bool
 }
 
-type compiler struct {
-	prog     *script.Program
-	scopes   []map[string]varRef
-	slotName []string // scalar slot → unique display name (the query Desc)
-	listName []string // list slot → display name
-	ranging  []int    // list slots the enclosing for-in statements range over
-	exprs    []query.Expr
-	used     map[string]bool
-	ntmp     int
-	exp      strings.Builder
-	depth    int
+// fnInfo is a compiled user function and the longest call chain it
+// starts (1 when it calls no user function).
+type fnInfo struct {
+	fn     *fnPlan
+	height int
 }
 
-// Compile lowers the body of prog's entry function onto a set-at-a-time
-// query plan: a behavior's on_tick(self), or a trigger rule's
-// cond(self, amount) / act(self, amount). nargs is the number of scalar
+// fnScope is the compiler state local to the function body being
+// compiled, saved and restored around each user function.
+type fnScope struct {
+	scopes   []map[string]varRef
+	ranging  []int // list slots the enclosing for-in statements range over
+	loops    int   // enclosing loops, for break / continue
+	exp      *strings.Builder
+	depth    int
+	height   int // longest call chain from this function so far
+	deepLine int // the call that set height
+}
+
+type compiler struct {
+	fnScope
+	prog      *script.Program
+	recursive map[string]bool
+	fns       map[string]*fnInfo
+	slotName  []string // scalar slot → unique display name
+	listName  []string // list slot → display name
+	used      map[string]bool
+	ntmp      int
+	fnExp     strings.Builder
+}
+
+// Compile lowers prog's entry function — a behavior's on_tick(self), or
+// a trigger rule's cond(self, amount) / act(self, amount) — and every
+// user function it reaches onto one plan. nargs is the number of scalar
 // arguments the host passes to every Run; a function declaring a
 // different number could only ever fail its call, so it is rejected
 // here. The returned Program is immutable and safe to Bind from many
 // workers and many worlds. A *NotCompilable error names the first
-// unsupported construct.
+// construct that does not lower.
 func Compile(name string, prog *script.Program, entry string, nargs int) (*Program, error) {
 	fn := prog.Fns[entry]
 	if fn == nil {
@@ -77,26 +94,28 @@ func Compile(name string, prog *script.Program, entry string, nargs int) (*Progr
 	if len(fn.Params) != nargs {
 		return nil, notCompilable(fn.Line(), "%s declares %d parameters, the host passes %d", entry, len(fn.Params), nargs)
 	}
+	var exp strings.Builder
 	c := &compiler{
-		prog:   prog,
-		scopes: []map[string]varRef{{}},
-		used:   map[string]bool{},
+		fnScope:   fnScope{scopes: []map[string]varRef{{}}, exp: &exp, depth: 1, height: 1},
+		prog:      prog,
+		recursive: map[string]bool{},
+		fns:       map[string]*fnInfo{},
+		used:      map[string]bool{},
+	}
+	for _, f := range script.RecursiveFns(prog) {
+		c.recursive[f] = true
 	}
 	// Parameters take scalar slots 0..nargs-1 in declaration order, which
 	// is where Run copies its arguments.
 	for _, p := range fn.Params {
 		c.declare(p, false)
 	}
-	c.depth = 1
 	body, err := c.compileStmts(fn.Body.Stmts)
 	if err != nil {
 		return nil, err
 	}
-	desc := query.MustDesc(c.slotName...)
-	for _, q := range c.exprs {
-		if err := q.Bind(desc); err != nil {
-			return nil, fmt.Errorf("gslplan: internal bind error: %w", err)
-		}
+	if c.height > script.DefaultMaxDepth {
+		return nil, notCompilable(c.deepLine, "call depth %d exceeds the interpreter's %d", c.height, script.DefaultMaxDepth)
 	}
 	kind, driver := "behavior", "set-at-a-time roster scan, one pass per tick chunked across workers"
 	if entry != EntryFn {
@@ -104,15 +123,15 @@ func Compile(name string, prog *script.Program, entry string, nargs int) (*Progr
 	}
 	header := fmt.Sprintf("%s %q: compiled plan for %s(%s)\n"+
 		"  driver: %s\n"+
-		"  frame: %d scalar slots, %d list slots; pure fragments lowered to query exprs\n",
-		kind, name, entry, strings.Join(fn.Params, ", "), driver, len(c.slotName), len(c.listName))
+		"  frame: %d scalar slots, %d list slots, %d user functions\n",
+		kind, name, entry, strings.Join(fn.Params, ", "), driver, len(c.slotName), len(c.listName), len(c.fns))
 	return &Program{
 		name:     name,
 		nParams:  nargs,
 		nScalars: len(c.slotName),
 		nLists:   len(c.listName),
 		body:     body,
-		explain:  header + c.exp.String(),
+		explain:  header + exp.String() + c.fnExp.String(),
 	}, nil
 }
 
@@ -161,23 +180,30 @@ func (c *compiler) newTemp() int {
 	return c.newScalar(fmt.Sprintf("t%d", c.ntmp-1))
 }
 
-// col makes a column reference for a scalar slot and registers it for
-// the final Bind pass.
-func (c *compiler) col(slot int) query.Expr {
-	q := query.Col(c.slotName[slot])
-	c.exprs = append(c.exprs, q)
-	return q
-}
-
-func (c *compiler) keep(q query.Expr) query.Expr {
-	c.exprs = append(c.exprs, q)
-	return q
-}
-
 func (c *compiler) line(format string, a ...any) {
 	c.exp.WriteString(strings.Repeat("  ", c.depth))
-	fmt.Fprintf(&c.exp, format, a...)
+	fmt.Fprintf(c.exp, format, a...)
 	c.exp.WriteByte('\n')
+}
+
+// block compiles a nested statement list in its own scope, one explain
+// level deeper.
+func (c *compiler) block(stmts []script.Stmt) ([]stmtNode, error) {
+	c.push()
+	c.depth++
+	body, err := c.compileStmts(stmts)
+	c.depth--
+	c.pop()
+	return body, err
+}
+
+// loopBody is block for the body of a loop, where break and continue
+// are legal.
+func (c *compiler) loopBody(stmts []script.Stmt) ([]stmtNode, error) {
+	c.loops++
+	body, err := c.block(stmts)
+	c.loops--
+	return body, err
 }
 
 // ---------------------------------------------------------------------------
@@ -204,7 +230,7 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 				return nil, err
 			}
 			c.line("let %s := %s", st.Name, op.text)
-			return &listStmt{op: op}, nil
+			return &listStmt{op: op, line: st.Line()}, nil
 		}
 		v, err := c.compileExpr(st.E) // RHS resolves in the outer scope
 		if err != nil {
@@ -212,7 +238,7 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 		}
 		ref := c.declare(st.Name, false)
 		c.line("let %s := %s", c.slotName[ref.slot], v.render())
-		return &storeStmt{dest: ref.slot, v: v}, nil
+		return &storeStmt{dest: ref.slot, v: v, line: st.Line()}, nil
 
 	case *script.AssignStmt:
 		ref, ok := c.lookup(st.Name)
@@ -229,7 +255,7 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 				return nil, err
 			}
 			c.line("%s := %s", st.Name, op.text)
-			return &listStmt{op: op}, nil
+			return &listStmt{op: op, line: st.Line()}, nil
 		}
 		if isNearby {
 			return nil, notCompilable(st.Line(), "nearby result assigned to scalar variable %q", st.Name)
@@ -239,7 +265,7 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 			return nil, err
 		}
 		c.line("%s := %s", c.slotName[ref.slot], v.render())
-		return &storeStmt{dest: ref.slot, v: v}, nil
+		return &storeStmt{dest: ref.slot, v: v, line: st.Line()}, nil
 
 	case *script.ExprStmt:
 		if call, ok := nearbyCall(st.E); ok {
@@ -248,23 +274,21 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 				return nil, err
 			}
 			c.line("discard %s", op.text)
-			return &listStmt{op: op}, nil
+			return &listStmt{op: op, line: st.Line()}, nil
 		}
 		v, err := c.compileExpr(st.E)
 		if err != nil {
 			return nil, err
 		}
 		c.line("%s", v.render())
-		return &exprStmt{v: v}, nil
+		return &exprStmt{v: v, line: st.Line()}, nil
 
 	case *script.Block:
-		c.push()
-		body, err := c.compileStmts(st.Stmts)
-		c.pop()
+		body, err := c.block(st.Stmts)
 		if err != nil {
 			return nil, err
 		}
-		return &blockStmt{body: body}, nil
+		return &blockStmt{body: body, line: st.Line()}, nil
 
 	case *script.IfStmt:
 		cond, err := c.compileExpr(st.Cond)
@@ -272,30 +296,33 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 			return nil, err
 		}
 		c.line("if %s:", cond.render())
-		c.push()
-		c.depth++
-		then, err := c.compileStmts(st.Then.Stmts)
-		c.depth--
-		c.pop()
+		then, err := c.block(st.Then.Stmts)
 		if err != nil {
 			return nil, err
 		}
 		var els []stmtNode
 		if st.Else != nil {
 			c.line("else:")
-			c.push()
-			c.depth++
-			els, err = c.compileStmts(st.Else.Stmts)
-			c.depth--
-			c.pop()
-			if err != nil {
+			if els, err = c.block(st.Else.Stmts); err != nil {
 				return nil, err
 			}
 		}
-		return &ifStmt{cond: cond, then: then, els: els}, nil
+		return &ifStmt{cond: cond, condLine: st.Cond.Line(), then: then, els: els, line: st.Line()}, nil
+
+	case *script.WhileStmt:
+		cond, err := c.compileExpr(st.Cond)
+		if err != nil {
+			return nil, err
+		}
+		c.line("while %s:  -- fuel-bounded", cond.render())
+		body, err := c.loopBody(st.Body.Stmts)
+		if err != nil {
+			return nil, err
+		}
+		return &whileStmt{cond: cond, condLine: st.Cond.Line(), body: body, line: st.Line()}, nil
 
 	case *script.ForInStmt:
-		f := &forStmt{}
+		f := &forStmt{line: st.Line()}
 		var seqText string
 		switch seq := st.Seq.(type) {
 		case *script.Ident:
@@ -307,7 +334,7 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 				return nil, notCompilable(seq.Line(), "for-in over scalar variable %q", seq.Name)
 			}
 			f.seqSlot = ref.slot
-			f.seqCost = 1 // the ident node
+			f.seqLine = seq.Line()
 			seqText = seq.Name
 		default:
 			call, ok := nearbyCall(st.Seq)
@@ -318,7 +345,7 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			f.seqOps = []opNode{op}
+			f.seqOp = op
 			f.seqSlot = op.dest
 			seqText = op.text
 		}
@@ -326,11 +353,9 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 		loopVar := c.declare(st.Var, false)
 		f.varSlot = loopVar.slot
 		c.line("for %s in %s:  -- scan neighbor list", c.slotName[loopVar.slot], seqText)
-		c.depth++
 		c.ranging = append(c.ranging, f.seqSlot)
-		body, err := c.compileStmts(st.Body.Stmts)
+		body, err := c.loopBody(st.Body.Stmts)
 		c.ranging = c.ranging[:len(c.ranging)-1]
-		c.depth--
 		c.pop()
 		if err != nil {
 			return nil, err
@@ -339,27 +364,35 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 		return f, nil
 
 	case *script.ReturnStmt:
-		var v valPlan
+		ret := &returnStmt{line: st.Line()}
 		if st.E != nil {
-			var err error
-			v, err = c.compileExpr(st.E)
+			v, err := c.compileExpr(st.E)
 			if err != nil {
 				return nil, err
 			}
+			ret.v = v
 			c.line("return %s", v.render())
 		} else {
 			c.line("return")
 		}
-		return &returnStmt{v: v}, nil
+		return ret, nil
 
-	case *script.WhileStmt:
-		return nil, notCompilable(st.Line(), "while loop")
 	case *script.BreakStmt:
-		return nil, notCompilable(st.Line(), "break")
+		return c.jump(ctrlBreak, "break", st.Line())
 	case *script.ContinueStmt:
-		return nil, notCompilable(st.Line(), "continue")
+		return c.jump(ctrlContinue, "continue", st.Line())
 	}
 	return nil, notCompilable(s.Line(), "statement %T", s)
+}
+
+// jump compiles break / continue, which only lower inside a loop of the
+// same function body.
+func (c *compiler) jump(k ctrl, word string, line int) (stmtNode, error) {
+	if c.loops == 0 {
+		return nil, notCompilable(line, "%s outside a loop", word)
+	}
+	c.line("%s", word)
+	return &jumpStmt{c: k, line: line}, nil
 }
 
 // nearbyCall reports whether e is a call to the nearby builtin (which
@@ -398,44 +431,31 @@ func (c *compiler) compileNearby(call *script.CallExpr, name string, dest int) (
 			dest = c.declare(name, true).slot
 		}
 	}
-	op := &nearbyOp{
+	return &nearbyOp{
 		dest:   dest,
 		fresh:  slices.Contains(c.ranging, dest),
 		idArg:  idArg,
 		radArg: radArg,
+		line:   call.Line(),
 		text:   fmt.Sprintf("nearby(%s, %s)  -- spatial-index probe, reads (id.x, id.y)", idArg.render(), radArg.render()),
-	}
-	return op, nil
+	}, nil
 }
 
 // ---------------------------------------------------------------------------
 // expressions
 
-// asPure coerces any fragment to a pure one, hoisting dynamic and/or
-// chains into a temp slot referenced as a column.
-func (c *compiler) asPure(v valPlan) pureVal {
-	if p, ok := v.(pureVal); ok {
-		return p
-	}
-	slot := c.newTemp()
-	return pureVal{
-		ops: []opNode{&hoistOp{dest: slot, v: v, text: fmt.Sprintf("%s := %s", c.slotName[slot], v.render())}},
-		q:   c.col(slot),
-	}
-}
-
 func (c *compiler) compileExpr(e script.Expr) (valPlan, error) {
 	switch ex := e.(type) {
 	case *script.IntLit:
-		return pureVal{q: c.keep(query.ConstInt(ex.V)), cost: 1}, nil
+		return &constVal{v: entity.Int(ex.V), line: ex.Line()}, nil
 	case *script.FloatLit:
-		return pureVal{q: c.keep(query.ConstFloat(ex.V)), cost: 1}, nil
+		return &constVal{v: entity.Float(ex.V), line: ex.Line()}, nil
 	case *script.StrLit:
-		return pureVal{q: c.keep(query.ConstStr(ex.V)), cost: 1}, nil
+		return &constVal{v: entity.Str(ex.V), line: ex.Line()}, nil
 	case *script.BoolLit:
-		return pureVal{q: c.keep(query.ConstBool(ex.V)), cost: 1}, nil
+		return &constVal{v: entity.Bool(ex.V), line: ex.Line()}, nil
 	case *script.NullLit:
-		return pureVal{q: c.keep(query.Const(entity.Null())), cost: 1}, nil
+		return &constVal{v: entity.Null(), line: ex.Line()}, nil
 	case *script.Ident:
 		ref, ok := c.lookup(ex.Name)
 		if !ok {
@@ -444,18 +464,13 @@ func (c *compiler) compileExpr(e script.Expr) (valPlan, error) {
 		if ref.list {
 			return nil, notCompilable(ex.Line(), "list variable %q used as a scalar", ex.Name)
 		}
-		return pureVal{q: c.col(ref.slot), cost: 1}, nil
+		return &slotVal{slot: ref.slot, name: c.slotName[ref.slot], line: ex.Line()}, nil
 	case *script.UnExpr:
 		sub, err := c.compileExpr(ex.E)
 		if err != nil {
 			return nil, err
 		}
-		p := c.asPure(sub)
-		q := query.Not(p.q)
-		if ex.Neg {
-			q = query.Neg(p.q)
-		}
-		return pureVal{ops: p.ops, q: c.keep(q), cost: p.cost + 1}, nil
+		return &unVal{neg: ex.Neg, e: sub, line: ex.Line()}, nil
 	case *script.BinExpr:
 		l, err := c.compileExpr(ex.L)
 		if err != nil {
@@ -466,34 +481,31 @@ func (c *compiler) compileExpr(e script.Expr) (valPlan, error) {
 			return nil, err
 		}
 		if ex.Op == script.OpAnd || ex.Op == script.OpOr {
-			return logicalVal{or: ex.Op == script.OpOr, l: l, r: r}, nil
+			return &logicalVal{or: ex.Op == script.OpOr, l: l, r: r, line: ex.Line(), lLine: ex.L.Line(), rLine: ex.R.Line()}, nil
 		}
-		lp, rp := c.asPure(l), c.asPure(r)
-		mk, ok := binBuilders[ex.Op]
+		op, ok := binOps[ex.Op]
 		if !ok {
 			return nil, notCompilable(ex.Line(), "operator %v", ex.Op)
 		}
-		ops := make([]opNode, 0, len(lp.ops)+len(rp.ops))
-		ops = append(append(ops, lp.ops...), rp.ops...)
-		return pureVal{ops: ops, q: c.keep(mk(lp.q, rp.q)), cost: lp.cost + rp.cost + 1}, nil
+		return &binVal{op: op, gsl: ex.Op, l: l, r: r, line: ex.Line()}, nil
 	case *script.CallExpr:
 		return c.compileCall(ex)
 	}
 	return nil, notCompilable(e.Line(), "expression %T", e)
 }
 
-var binBuilders = map[script.BinOp]func(l, r query.Expr) query.Expr{
-	script.OpAdd: query.Add,
-	script.OpSub: query.Sub,
-	script.OpMul: query.Mul,
-	script.OpDiv: query.Div,
-	script.OpMod: query.Mod,
-	script.OpEq:  query.Eq,
-	script.OpNe:  query.Ne,
-	script.OpLt:  query.Lt,
-	script.OpLe:  query.Le,
-	script.OpGt:  query.Gt,
-	script.OpGe:  query.Ge,
+var binOps = map[script.BinOp]query.BinOp{
+	script.OpAdd: query.OpAdd,
+	script.OpSub: query.OpSub,
+	script.OpMul: query.OpMul,
+	script.OpDiv: query.OpDiv,
+	script.OpMod: query.OpMod,
+	script.OpEq:  query.OpEq,
+	script.OpNe:  query.OpNe,
+	script.OpLt:  query.OpLt,
+	script.OpLe:  query.OpLe,
+	script.OpGt:  query.OpGt,
+	script.OpGe:  query.OpGe,
 }
 
 // builtinSpec describes a compilable builtin's arity and kind.
@@ -513,6 +525,8 @@ var builtinSpecs = map[string]builtinSpec{
 	"add":         {bAdd, 3, 3},
 	"emit":        {bEmit, 2, 3},
 	"move_toward": {bMoveToward, 4, 4},
+	"spawn":       {bSpawn, 3, 3},
+	"despawn":     {bDespawn, 1, 1},
 	"len":         {bLen, 1, 1},
 	"abs":         {bAbs, 1, 1},
 	"min":         {bMin, 2, 2},
@@ -521,52 +535,95 @@ var builtinSpecs = map[string]builtinSpec{
 	"floor":       {bFloor, 1, 1},
 }
 
-func (c *compiler) compileCall(ex *script.CallExpr) (valPlan, error) {
-	if ex.Name == "nearby" {
-		return nil, notCompilable(ex.Line(), "nearby result used as a scalar value")
-	}
-	spec, ok := builtinSpecs[ex.Name]
-	if !ok {
-		if _, isFn := c.prog.Fns[ex.Name]; isFn {
-			return nil, notCompilable(ex.Line(), "call to user function %q", ex.Name)
-		}
-		return nil, notCompilable(ex.Line(), "builtin %q", ex.Name)
-	}
-	if len(ex.Args) < spec.min || len(ex.Args) > spec.max {
-		return nil, notCompilable(ex.Line(), "wrong argument count for %q", ex.Name)
-	}
-	// len over a list variable short-circuits to a frame read.
-	if spec.kind == bLen {
-		if id, ok := ex.Args[0].(*script.Ident); ok {
-			if ref, found := c.lookup(id.Name); found && ref.list {
-				slot := c.newTemp()
-				op := &lenListOp{
-					dest: slot,
-					src:  ref.slot,
-					text: fmt.Sprintf("%s := len(%s)", c.slotName[slot], id.Name),
-				}
-				return pureVal{ops: []opNode{op}, q: c.col(slot)}, nil
-			}
-		}
-	}
-	args := make([]valPlan, len(ex.Args))
-	for i, a := range ex.Args {
+func (c *compiler) compileArgs(args []script.Expr) ([]valPlan, error) {
+	out := make([]valPlan, len(args))
+	for i, a := range args {
 		v, err := c.compileExpr(a)
 		if err != nil {
 			return nil, err
 		}
-		args[i] = v
+		out[i] = v
 	}
-	slot := c.newTemp()
-	rendered := make([]string, len(args))
-	for i, a := range args {
-		rendered[i] = a.render()
+	return out, nil
+}
+
+// compileCall resolves a call the way Interp.call does — builtins shadow
+// user functions of the same name — and lowers it.
+func (c *compiler) compileCall(ex *script.CallExpr) (valPlan, error) {
+	if ex.Name == "nearby" {
+		return nil, notCompilable(ex.Line(), "nearby result used as a scalar value")
 	}
-	op := &callOp{
-		dest: slot,
-		kind: spec.kind,
-		args: args,
-		text: fmt.Sprintf("%s := %s(%s)", c.slotName[slot], ex.Name, strings.Join(rendered, ", ")),
+	if spec, ok := builtinSpecs[ex.Name]; ok {
+		if len(ex.Args) < spec.min || len(ex.Args) > spec.max {
+			return nil, notCompilable(ex.Line(), "wrong argument count for %q", ex.Name)
+		}
+		// len over a list variable is a frame read.
+		if spec.kind == bLen {
+			if id, ok := ex.Args[0].(*script.Ident); ok {
+				if ref, found := c.lookup(id.Name); found && ref.list {
+					return &lenListVal{src: ref.slot, name: id.Name, line: ex.Line(), arg: id.Line()}, nil
+				}
+			}
+		}
+		args, err := c.compileArgs(ex.Args)
+		if err != nil {
+			return nil, err
+		}
+		return &callVal{kind: spec.kind, name: ex.Name, args: args, line: ex.Line()}, nil
 	}
-	return pureVal{ops: []opNode{op}, q: c.col(slot)}, nil
+	if ex.Name == "list" || ex.Name == "push" {
+		return nil, notCompilable(ex.Line(), "builtin %q (the only list values are nearby results)", ex.Name)
+	}
+	fn := c.prog.Fns[ex.Name]
+	if fn == nil {
+		return nil, notCompilable(ex.Line(), "unknown function %q", ex.Name)
+	}
+	if c.recursive[ex.Name] {
+		return nil, notCompilable(ex.Line(), "call to %q, which recurses", ex.Name)
+	}
+	if len(ex.Args) != len(fn.Params) {
+		return nil, notCompilable(ex.Line(), "%s expects %d args, got %d", ex.Name, len(fn.Params), len(ex.Args))
+	}
+	args, err := c.compileArgs(ex.Args)
+	if err != nil {
+		return nil, err
+	}
+	tmps := make([]int, len(args))
+	for i := range tmps {
+		tmps[i] = c.newTemp()
+	}
+	fi, err := c.compileFn(ex.Name, fn)
+	if err != nil {
+		return nil, err
+	}
+	if h := fi.height + 1; h > c.height {
+		c.height, c.deepLine = h, ex.Line()
+	}
+	return &userCallVal{fn: fi.fn, args: args, tmps: tmps, line: ex.Line()}, nil
+}
+
+// compileFn compiles a user function once, in a scope holding only its
+// parameters (Interp.call's fresh scope), into its own frame slots.
+func (c *compiler) compileFn(name string, fn *script.FnDecl) (*fnInfo, error) {
+	if fi := c.fns[name]; fi != nil {
+		return fi, nil
+	}
+	saved := c.fnScope
+	var exp strings.Builder
+	c.fnScope = fnScope{scopes: []map[string]varRef{{}}, exp: &exp, depth: 2, height: 1}
+	fp := &fnPlan{name: name}
+	for _, p := range fn.Params {
+		fp.params = append(fp.params, c.declare(p, false).slot)
+	}
+	body, err := c.compileStmts(fn.Body.Stmts)
+	height := c.height
+	c.fnScope = saved
+	if err != nil {
+		return nil, err
+	}
+	fp.body = body
+	fi := &fnInfo{fn: fp, height: height}
+	c.fns[name] = fi
+	fmt.Fprintf(&c.fnExp, "  fn %s(%s):  -- compiled once, called in place\n%s", name, strings.Join(fn.Params, ", "), exp.String())
+	return fi, nil
 }

@@ -2,6 +2,7 @@ package gslplan
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -18,54 +19,18 @@ func mustParse(t *testing.T, src string) *script.Program {
 	return prog
 }
 
-// interpFuel runs on_tick(7) on a fresh interpreter with the given
-// fuel cap and reports (FuelUsed, err).
-func interpFuel(t *testing.T, prog *script.Program, cap int64) (int64, error) {
-	t.Helper()
-	in := script.NewInterp(prog, script.Options{Fuel: cap})
-	_, err := in.Call("on_tick", script.Int(7))
-	return in.FuelUsed(), err
-}
-
-// checkParity pins the compiled plan against the interpreter for every
-// fuel cap from 0 through full-run+2: identical success/failure at
-// every budget, identical fuel totals on success.
+// checkParity pins a behavior's compiled plan against the interpreter
+// for every fuel cap from 0 through one past the full run: on_tick(7)
+// over the fake host, the same outcome, error text, fuel and trace at
+// every budget.
 func checkParity(t *testing.T, src string) {
 	t.Helper()
 	prog := mustParse(t, src)
-	cp, err := Compile("test", prog, EntryFn, 1)
+	plan, err := Compile("test", prog, EntryFn, 1)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	// Stdlib-only programs never touch the Env.
-	plan := cp.Bind(nil)
-
-	full, ferr := interpFuel(t, prog, 1<<40)
-	if ferr != nil {
-		// The program errors mid-run; the compiled run must error too
-		// (fuel totals are then the interpreter's business on re-run).
-		if _, _, cerr := plan.Run(1<<40, entity.Int(7)); cerr == nil {
-			t.Fatalf("interp errored (%v) but compiled run succeeded", ferr)
-		}
-		return
-	}
-	// Start at 1: Options.Fuel <= 0 means "default cap", not zero.
-	for cap := int64(1); cap <= full+2; cap++ {
-		iFuel, iErr := interpFuel(t, prog, cap)
-		_, cFuel, cErr := plan.Run(cap, entity.Int(7))
-		if (iErr == nil) != (cErr == nil) {
-			t.Fatalf("cap %d: interp err=%v compiled err=%v", cap, iErr, cErr)
-		}
-		if iErr == nil && iFuel != cFuel {
-			t.Fatalf("cap %d: interp fuel %d != compiled fuel %d", cap, iFuel, cFuel)
-		}
-		if iErr != nil && !errors.Is(iErr, script.ErrFuel) {
-			t.Fatalf("cap %d: unexpected interp error %v", cap, iErr)
-		}
-		if cErr != nil && !errors.Is(cErr, ErrFuel) {
-			t.Fatalf("cap %d: unexpected compiled error %v", cap, cErr)
-		}
-	}
+	sweepCaps(t, src, prog, plan, EntryFn, []entity.Value{entity.Int(7)}, 1<<20)
 }
 
 func TestFuelParityStraightLine(t *testing.T) {
@@ -117,8 +82,7 @@ fn on_tick(self) {
 }
 
 func TestFuelParityLogicalInArithmetic(t *testing.T) {
-	// An and/or chain nested inside arithmetic goes through the hoist
-	// path; fuel must still match.
+	// An and/or chain nested inside arithmetic; fuel must still match.
 	checkParity(t, `
 fn on_tick(self) {
   let flag = (self > 1 && self < 100) == true;
@@ -127,22 +91,29 @@ fn on_tick(self) {
 }
 
 func TestRuntimeErrorParity(t *testing.T) {
-	checkParity(t, `
-fn on_tick(self) {
-  let x = 1 / 0;
-}`)
-	checkParity(t, `
-fn on_tick(self) {
-  let x = 1 % 0;
-}`)
-	checkParity(t, `
-fn on_tick(self) {
-  let x = 1 + true;
-}`)
-	checkParity(t, `
-fn on_tick(self) {
-  if self { return; }
-}`)
+	for _, src := range []string{
+		`fn on_tick(self) { let x = 1 / 0; }`,
+		`fn on_tick(self) { let x = 1 % 0; }`,
+		`fn on_tick(self) { let x = 1 + true; }`,
+		`fn on_tick(self) { if self { return; } }`,
+		// The error is the first one in the interpreter's evaluation
+		// order, with the fuel burned up to it, never a later one.
+		`fn on_tick(self) {
+  let y = 2;
+  let x = (1 / 0) + get(self, "boom") + ("a" < 1);
+}`,
+		`fn on_tick(self) { let x = -"s"; }`,
+		`fn on_tick(self) { let x = !3; }`,
+		`fn on_tick(self) { let x = 1 && true; }`,
+		`fn on_tick(self) { let x = true && 2; }`,
+		// Errors and fuel stops name the failing node's own line.
+		"fn on_tick(self) {\n  let x = true &&\n    2;\n}",
+		"fn on_tick(self) {\n  if\n    3 { }\n}",
+		"fn on_tick(self) {\n  let k = 0;\n  while\n    k {\n  }\n}",
+		`fn on_tick(self) { let k = 0; while k < 3 { k = k + 1; if k == 2 { k = k / 0; } } }`,
+	} {
+		checkParity(t, src)
+	}
 }
 
 func TestFloatCoercionParity(t *testing.T) {
@@ -159,6 +130,83 @@ fn on_tick(self) {
   let i = abs(0 - 7);
   if e || f { a = b; }
 }`)
+}
+
+// behaviorPrograms are whole on_tick scripts over loops and calls: while
+// with break and continue, nested user calls (an argument calling the
+// callee itself, a return from inside a loop, a bare return, a function
+// falling off its end), spawn and despawn. The fuzz corpus starts from
+// them.
+var behaviorPrograms = []string{
+	`
+fn clamp(v, lo, hi) { return max(lo, min(v, hi)); }
+fn pair(a, b) { return a * 10 + b; }
+fn score(id) {
+  let s = 0;
+  for n in nearby(id, 6.0) { s = s + clamp(get(n, "boom"), 1, 3); }
+  return s;
+}
+fn on_tick(self) {
+  let k = 0;
+  while k < 4 {
+    k = k + 1;
+    if score(k) > 4 { continue; }
+    set(self, "flag", clamp(k, 0, 2));
+  }
+  if k == 4 { return score(self) + clamp(score(1), 0, 9) + pair(1, pair(2, 3)); }
+}`,
+	`
+fn walk(n) {
+  let i = 0;
+  while true {
+    i = i + 1;
+    if i > n { return i; }
+    if i % 3 == 0 { continue; }
+    emit("step", i, n);
+  }
+}
+fn noop(x) { let y = x; }
+fn gate(x) {
+  if x > 2 { return; }
+  return x;
+}
+fn on_tick(self) {
+  let total = walk(walk(1) + 1);
+  noop(total);
+  emit("gate", self, gate(total));
+  for id in nearby(self, 12.0) {
+    if id == 4 { break; }
+    add(id, "boom", walk(id));
+  }
+  return total;
+}`,
+	`
+fn on_tick(self) {
+  let h = get(self, "boom");
+  if h % 2 == 0 {
+    let kid = spawn("drone", pos_x(self) + rand_float() * 4.0, pos_y(self));
+    set(kid, "hp", rand_float() * 6.0 - 3.0);
+    despawn(kid);
+  }
+  for id in nearby(self, 20.0) {
+    if get(id, "on") { despawn(id); continue; }
+    if id > 4 { break; }
+  }
+  despawn(self);
+}`,
+}
+
+func TestBehaviorFuelSweepParity(t *testing.T) {
+	for _, src := range behaviorPrograms {
+		prog := mustParse(t, src)
+		plan, err := Compile("test", prog, EntryFn, 1)
+		if err != nil {
+			t.Fatalf("compile: %v\n%s", err, src)
+		}
+		for self := int64(1); self <= 3; self++ {
+			sweepCaps(t, src, prog, plan, EntryFn, []entity.Value{entity.Int(self)}, 1<<20)
+		}
+	}
 }
 
 func notCompilableReason(t *testing.T, src string) string {
@@ -180,16 +228,18 @@ func TestNotCompilableReasons(t *testing.T) {
 		src  string
 		want string
 	}{
-		{`fn on_tick(self) { while true { } }`, "while"},
-		{`fn helper(x) { return x; } fn on_tick(self) { let a = helper(1); }`, `user function "helper"`},
+		{`fn helper(x) { return helper(x); } fn on_tick(self) { let a = helper(1); }`, `"helper", which recurses`},
+		{`fn a(x) { return b(x); } fn b(x) { return a(x); } fn on_tick(self) { b(self); }`, `"b", which recurses`},
+		{`fn on_tick(self) { on_tick(self); }`, `"on_tick", which recurses`},
 		{`fn on_tick(self) { let l = list(); }`, `builtin "list"`},
-		{`fn on_tick(self) { spawn("a", 1.0, 2.0); }`, `builtin "spawn"`},
+		{`fn on_tick(self) { let l = nearby(self, 1.0); push(l, 1); }`, `builtin "push"`},
+		{`fn on_tick(self) { explode(self); }`, `unknown function "explode"`},
 		{`fn on_tick(self) { let a = missing + 1; }`, `undefined variable "missing"`},
 		{`fn on_tick(self) { missing = 1; }`, "undeclared variable"},
 		{`fn on_tick(self) { let a = 1; for x in a { } }`, "scalar variable"},
 		{`fn on_tick(self) { let ns = nearby(self, 2.0); let a = ns + 1; }`, "used as a scalar"},
-		{`fn on_tick(self) { for x in nearby(self, 2.0) { break; } }`, "break"},
-		{`fn on_tick(self) { for x in nearby(self, 2.0) { continue; } }`, "continue"},
+		{`fn on_tick(self) { if self > 0 { break; } }`, "break outside a loop"},
+		{`fn on_tick(self) { continue; }`, "continue outside a loop"},
 		{`fn on_tick(self) { let a = get(self); }`, "argument count"},
 		{`fn on_tick(self, other) { }`, "declares 2 parameters, the host passes 1"},
 	}
@@ -201,9 +251,29 @@ func TestNotCompilableReasons(t *testing.T) {
 	}
 }
 
+// TestCallDepthBeyondTheInterpretersIsRejected: a chain of 65 nested
+// calls is one the interpreter would abort with ErrDepth when it ran it;
+// the compiler refuses it up front, and accepts 64.
+func TestCallDepthBeyondTheInterpretersIsRejected(t *testing.T) {
+	chain := func(n int) string {
+		var sb strings.Builder
+		for i := 1; i < n; i++ {
+			sb.WriteString("fn f" + strconv.Itoa(i) + "() { return f" + strconv.Itoa(i+1) + "(); }\n")
+		}
+		sb.WriteString("fn f" + strconv.Itoa(n) + "() { return 1; }\nfn on_tick(self) { return f1(); }")
+		return sb.String()
+	}
+	if _, err := Compile("deep", mustParse(t, chain(script.DefaultMaxDepth-1)), EntryFn, 1); err != nil {
+		t.Fatalf("a %d-deep chain must compile: %v", script.DefaultMaxDepth, err)
+	}
+	if got := notCompilableReason(t, chain(script.DefaultMaxDepth)); !strings.Contains(got, "call depth") {
+		t.Fatalf("construct %q does not name the call depth", got)
+	}
+}
+
 func TestScenarioBodiesCompile(t *testing.T) {
-	// The bundled scenario behaviors must stay on the compiled path —
-	// CI's E21 coverage gate depends on it.
+	// The bundled scenario behaviors compile, and every plan explains
+	// itself.
 	bodies := map[string]string{
 		"mingle": `
 fn on_tick(self) {
@@ -247,18 +317,20 @@ fn on_tick(self) {
 
 func TestExplainRendersPlanShape(t *testing.T) {
 	p, err := Compile("mingle", mustParse(t, `
+fn count(ns) { return ns; }
 fn on_tick(self) {
   let ns = nearby(self, 8.0);
   if len(ns) == 0 { return; }
   for id in ns {
-    add(self, "met", 1);
+    add(self, "met", count(1));
   }
+  while false { break; }
 }`), EntryFn, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	exp := p.Explain()
-	for _, want := range []string{"spatial-index probe", "for id in ns", "if", "return", "add("} {
+	for _, want := range []string{"spatial-index probe", "for id in ns", "if", "return", "add(", "while false", "break", "fn count(ns)", "count(1)"} {
 		if !strings.Contains(exp, want) {
 			t.Errorf("explain missing %q:\n%s", want, exp)
 		}

@@ -1,16 +1,15 @@
-// Package gslplan compiles GSL behavior bodies into set-at-a-time
-// query plans: instead of tree-walking the script AST once per entity
-// with map-based scopes and boxed script values, a behavior compiles
-// once into a slot-addressed program whose pure expression fragments
-// are lowered onto internal/query expression trees (Col/Const/
-// arithmetic/comparison nodes bound against a fixed slot descriptor)
-// and whose stateful calls (get, nearby, set, ...) become direct
-// operator nodes against a host Env. The bound plan then executes once
-// per behavior over the whole roster chunk — the paper's declarative-
-// processing move — while honoring the effect-buffer contract exactly:
-// identical effect records, identical per-invocation read-sets,
-// identical per-entity rand draws, and fuel accounting that matches
-// the interpreter burn-for-burn on every successful invocation.
+// Package gslplan compiles GSL entry functions into slot-addressed
+// plans, and is the only way a world executes GSL: instead of
+// tree-walking the script AST with map-based scopes and boxed script
+// values, a behavior's on_tick or a trigger rule's cond/act compiles
+// once per content pack into operator nodes over a fixed frame of
+// scalar and list slots — variables resolve to slots at compile time,
+// operators apply the query layer's semantics (query.Apply), and the
+// stateful calls (get, nearby, set, spawn, ...) become operator nodes
+// against a host Env. A bound plan then runs once per entity (or per
+// matched event) over the frozen tick-start state while honoring the
+// effect-buffer contract exactly: identical effect records, identical
+// per-invocation read-sets, identical per-entity rand draws.
 //
 // Behaviors are one client; trigger rules are the other. Compile takes
 // the entry function and its argument count, and a run returns the
@@ -19,15 +18,18 @@
 // trigger drain batches them over a cascade round's matches the way the
 // query phase batches on_tick over the roster.
 //
-// The compiler is deliberately conservative: any construct outside the
-// compilable shapes (while loops, break/continue, user function calls,
-// list-valued expressions beyond nearby results, spawn/despawn, ...)
-// returns a NotCompilable error naming the first offending construct,
-// and the world falls back to the interpreter for that behavior. A
-// compiled run that errors at runtime (or would exhaust its fuel
-// budget) is likewise discarded whole — rolled back and re-run on the
-// interpreter, whose outcome is authoritative — so the compiled path
-// can only ever agree with interpretation, never diverge from it.
+// The language a plan runs is GSL as script.Interp runs it: while loops
+// with break and continue, for-in over nearby results, user functions
+// (each compiled once into its own slots; recursion is rejected with
+// the restricted-mode checker's cycle finder), spawn and despawn. A
+// plan run is the interpreter's run at every fuel cap — the same nodes
+// burn in the same order, a run stops at the node that crosses the cap,
+// and runtime errors carry the interpreter's line and message — so the
+// interpreter is this package's test oracle, not a runtime fallback.
+// What cannot lower (list() and push, list variables reassigned to
+// anything but nearby, unknown functions, undefined variables,
+// recursion) is a *NotCompilable error, which content.Compile reports
+// as a load error.
 package gslplan
 
 import "gamedb/internal/entity"
@@ -69,4 +71,9 @@ type Env interface {
 	// entity (logging its x/y read-modify-write cells) and buffers the
 	// two position assignments.
 	MoveToward(id entity.ID, tx, ty, step float64) error
+	// EmitSpawn buffers a spawn of the archetype at (x, y) and returns
+	// the provisional id later effects of the invocation can target.
+	EmitSpawn(archetype string, x, y float64) (entity.ID, error)
+	// EmitDespawn buffers a despawn.
+	EmitDespawn(id entity.ID) error
 }

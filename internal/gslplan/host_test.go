@@ -1,6 +1,7 @@
 package gslplan
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -13,22 +14,25 @@ import (
 
 // fakeHost is a small fixed world that serves both executors: it is the
 // Env a bound plan runs against, and builtins() wraps the very same
-// methods as the script builtins the interpreter runs against (with the
-// argument coercion order of the world's effect-mode builtins). Every
-// observable interaction — reads, effects, posts, rand draws — appends
-// to trace, so "the compiled run equals the interpreter's" is one
-// string comparison plus the returned value and the fuel total.
+// methods as the script builtins the interpreter runs against (checking
+// their arguments in the order and words of the plan's builtin
+// dispatch). Every observable interaction — reads, effects, posts,
+// spawns, rand draws — appends to trace, so "the plan run is the
+// interpreter's run" is one string comparison plus the returned value,
+// the fuel total and the error text.
 type fakeHost struct {
-	cells map[entity.ID]map[string]entity.Value
-	pos   map[entity.ID][2]float64
-	draws int
-	trace []string
+	cells   map[entity.ID]map[string]entity.Value
+	pos     map[entity.ID][2]float64
+	spawned map[entity.ID]bool
+	draws   int
+	trace   []string
 }
 
 func newFakeHost() *fakeHost {
 	h := &fakeHost{
-		cells: map[entity.ID]map[string]entity.Value{},
-		pos:   map[entity.ID][2]float64{},
+		cells:   map[entity.ID]map[string]entity.Value{},
+		pos:     map[entity.ID][2]float64{},
+		spawned: map[entity.ID]bool{},
 	}
 	for i := entity.ID(1); i <= 5; i++ {
 		h.cells[i] = map[string]entity.Value{
@@ -114,6 +118,10 @@ func (h *fakeHost) RandFloat() float64 {
 }
 
 func (h *fakeHost) emit(kind string, id entity.ID, col string, v entity.Value) error {
+	if h.spawned[id] {
+		h.logf("%s %d.%s %s:%s", kind, id, col, v.Kind(), v)
+		return nil
+	}
 	row, ok := h.cells[id]
 	if !ok {
 		return fmt.Errorf("fake: unknown entity %d", id)
@@ -150,18 +158,47 @@ func (h *fakeHost) MoveToward(id entity.ID, tx, ty, step float64) error {
 	return nil
 }
 
+// EmitSpawn knows two archetypes; spawned ids take writes (like the
+// world's provisional ids) but no reads.
+func (h *fakeHost) EmitSpawn(arch string, x, y float64) (entity.ID, error) {
+	if arch != "spark" && arch != "drone" {
+		return 0, fmt.Errorf("fake: unknown archetype %q", arch)
+	}
+	id := entity.ID(1000 + len(h.spawned))
+	h.spawned[id] = true
+	h.logf("spawn %s at (%v, %v) -> %d", arch, x, y, id)
+	return id, nil
+}
+
+func (h *fakeHost) EmitDespawn(id entity.ID) error {
+	if _, ok := h.cells[id]; !ok && !h.spawned[id] {
+		return fmt.Errorf("fake: unknown entity %d", id)
+	}
+	h.logf("despawn %d", id)
+	return nil
+}
+
+// The interpreter-side argument checks, worded like the plan's.
 func scriptID(v script.Value) (entity.ID, error) {
 	i, ok := v.AsInt()
 	if !ok {
-		return 0, fmt.Errorf("fake: entity id must be int, got %s", v.Kind())
+		return 0, fmt.Errorf("gslplan: entity id must be int, got %s", v.Kind())
 	}
 	return entity.ID(i), nil
 }
 
-// builtins exposes the host to the interpreter. Each entry coerces its
-// arguments in the order the world's builtins do and then calls the
-// same method a plan would, so the two executors can only disagree if
-// the plan itself does.
+func scriptCol(v script.Value) (string, error) {
+	col, ok := v.AsStr()
+	if !ok {
+		return "", fmt.Errorf("gslplan: column name must be string, got %s", v.Kind())
+	}
+	return col, nil
+}
+
+// builtins exposes the host to the interpreter. Each entry checks its
+// arguments the way the plan's dispatch does and then calls the same
+// method a plan would, so the two executors can only disagree if the
+// plan itself does.
 func (h *fakeHost) builtins() []script.Builtin {
 	null := script.Null()
 	setLike := func(emit func(entity.ID, string, entity.Value) error) func([]script.Value) (script.Value, error) {
@@ -170,9 +207,9 @@ func (h *fakeHost) builtins() []script.Builtin {
 			if err != nil {
 				return null, err
 			}
-			col, ok := a[1].AsStr()
-			if !ok {
-				return null, fmt.Errorf("fake: column must be string")
+			col, err := scriptCol(a[1])
+			if err != nil {
+				return null, err
 			}
 			v, err := a[2].ToEntity()
 			if err != nil {
@@ -200,9 +237,9 @@ func (h *fakeHost) builtins() []script.Builtin {
 			if err != nil {
 				return null, err
 			}
-			col, ok := a[1].AsStr()
-			if !ok {
-				return null, fmt.Errorf("fake: column must be string")
+			col, err := scriptCol(a[1])
+			if err != nil {
+				return null, err
 			}
 			v, err := h.Get(id, col)
 			if err != nil {
@@ -217,7 +254,7 @@ func (h *fakeHost) builtins() []script.Builtin {
 			}
 			r, ok := a[1].AsFloat()
 			if !ok {
-				return null, fmt.Errorf("fake: radius must be numeric")
+				return null, fmt.Errorf("gslplan: nearby radius must be a number, got %s", a[1].Kind())
 			}
 			ids := h.AppendNearby(nil, id, r)
 			out := make([]script.Value, len(ids))
@@ -250,7 +287,7 @@ func (h *fakeHost) builtins() []script.Builtin {
 		{Name: "emit", MinArgs: 2, MaxArgs: 3, Fn: func(a []script.Value) (script.Value, error) {
 			name, ok := a[0].AsStr()
 			if !ok {
-				return null, fmt.Errorf("fake: event name must be string")
+				return null, fmt.Errorf("gslplan: event name must be string, got %s", a[0].Kind())
 			}
 			id, err := scriptID(a[1])
 			if err != nil {
@@ -274,9 +311,32 @@ func (h *fakeHost) builtins() []script.Builtin {
 			ty, ok2 := a[2].AsFloat()
 			step, ok3 := a[3].AsFloat()
 			if !ok1 || !ok2 || !ok3 {
-				return null, fmt.Errorf("fake: move_toward wants numbers")
+				return null, fmt.Errorf("gslplan: move_toward wants numbers")
 			}
 			return null, h.MoveToward(id, tx, ty, step)
+		}},
+		{Name: "spawn", MinArgs: 3, MaxArgs: 3, Fn: func(a []script.Value) (script.Value, error) {
+			arch, ok := a[0].AsStr()
+			if !ok {
+				return null, fmt.Errorf("gslplan: spawn archetype must be string, got %s", a[0].Kind())
+			}
+			x, okX := a[1].AsFloat()
+			y, okY := a[2].AsFloat()
+			if !okX || !okY {
+				return null, fmt.Errorf("gslplan: spawn position must be numeric")
+			}
+			id, err := h.EmitSpawn(arch, x, y)
+			if err != nil {
+				return null, err
+			}
+			return script.Int(int64(id)), nil
+		}},
+		{Name: "despawn", MinArgs: 1, MaxArgs: 1, Fn: func(a []script.Value) (script.Value, error) {
+			id, err := scriptID(a[0])
+			if err != nil {
+				return null, err
+			}
+			return null, h.EmitDespawn(id)
 		}},
 	}
 }
@@ -309,17 +369,36 @@ func planOutcome(p *Program, fuelCap int64, args []entity.Value) outcome {
 	return outcome{val: script.FromEntity(v), fuel: fuel, trace: strings.Join(h.trace, "\n"), err: err}
 }
 
-// sameRun reports how a clean compiled run differs from the
-// interpreter's, or "" when it is the same run: same returned value
-// (kind included), same reads / effects / posts / draws in the same
-// order, same fuel.
+// class names an outcome the way the world accounts for it.
+func (o outcome) class() string {
+	switch {
+	case o.err == nil:
+		return "ok"
+	case isFuel(o.err):
+		return "fuel skip"
+	default:
+		return "error"
+	}
+}
+
+func isFuel(err error) bool { return errors.Is(err, script.ErrFuel) }
+
+// sameRun reports how the plan's run differs from the interpreter's, or
+// "" when it is the same run: same outcome class and error text (which
+// carries the source line of language and fuel errors), same fuel (the
+// cap+1 of an exhausted run included), and the same reads / effects /
+// posts / spawns / draws in the same order. On success the returned
+// value must match too, kind included.
 func sameRun(interp, plan outcome) string {
-	if interp.err != nil {
-		return fmt.Sprintf("plan succeeded where the interpreter failed: %v", interp.err)
+	if interp.class() != plan.class() {
+		return fmt.Sprintf("outcome: interpreter %s (%v), plan %s (%v)", interp.class(), interp.err, plan.class(), plan.err)
+	}
+	if interp.err != nil && interp.err.Error() != plan.err.Error() {
+		return fmt.Sprintf("error: interpreter %q, plan %q", interp.err, plan.err)
 	}
 	// Kind plus rendering is exact: floats print round-trip, and unlike
 	// script.Equal it tells int 1 from float 1.0 and matches NaN to NaN.
-	if interp.val.Kind() != plan.val.Kind() || interp.val.String() != plan.val.String() {
+	if interp.err == nil && (interp.val.Kind() != plan.val.Kind() || interp.val.String() != plan.val.String()) {
 		return fmt.Sprintf("value: interpreter %s %s, plan %s %s",
 			interp.val.Kind(), interp.val, plan.val.Kind(), plan.val)
 	}
@@ -330,6 +409,25 @@ func sameRun(interp, plan outcome) string {
 		return fmt.Sprintf("trace:\n-- interpreter --\n%s\n-- plan --\n%s", interp.trace, plan.trace)
 	}
 	return ""
+}
+
+// sweepCaps runs prog's entry on both executors at every fuel cap from
+// 0 (the default budget) to one past the interpreter's full run and
+// fails at the first cap where the runs differ. Bodies that do not
+// finish within limit nodes are swept to limit+1 and skip cap 0.
+func sweepCaps(t *testing.T, label string, prog *script.Program, plan *Program, entry string, args []entity.Value, limit int64) {
+	t.Helper()
+	full := interpOutcome(prog, entry, limit, args)
+	last := min(full.fuel, limit)
+	start := int64(0)
+	if isFuel(full.err) {
+		start = 1
+	}
+	for cap := start; cap <= last+1; cap++ {
+		if diff := sameRun(interpOutcome(prog, entry, cap, args), planOutcome(plan, cap, args)); diff != "" {
+			t.Fatalf("%s cap %d: %s", label, cap, diff)
+		}
+	}
 }
 
 // triggerSrc wraps a <when> expression or a <do> statement list the way

@@ -2,6 +2,7 @@ package gslplan
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -20,9 +21,9 @@ var shippedTriggerBodies = []struct{ entry, body string }{
 	{"act", `set(self, "engaged", get(self, "engaged") + 1);`},
 }
 
-// Bodies covering every compilable construct a condition or action can
-// use: reads, the three effect kinds, rand draws, branches, for-in over
-// a spatial probe, short-circuit logic, early return with a value.
+// Bodies covering reads, the three effect kinds, rand draws, branches,
+// for-in over a spatial probe, short-circuit logic, early return with a
+// value.
 var coverageTriggerBodies = []struct{ entry, body string }{
 	{"cond", `amount > 0 && get(self, "on") || rand_float() < 0.5`},
 	{"cond", `get(self, "hp") / amount >= 5.0 && !(get(self, "tag") == "x")`},
@@ -58,51 +59,60 @@ var coverageTriggerBodies = []struct{ entry, body string }{
 		return len(ns);`},
 }
 
-// sweepFuel pins one trigger body against the interpreter at every fuel
-// cap from 1 (0 means "default cap" to the interpreter) to past
-// completion: at every cap the two either both complete — and then as
-// the same run — or both stop, the plan with ErrFuel so the host falls
-// back and the interpreter reproduces the exact exhaustion.
-func sweepFuel(t *testing.T, entry, body string, args []entity.Value) {
-	t.Helper()
-	prog, plan := mustCompileTrigger(t, entry, body)
-	full := interpOutcome(prog, entry, 1<<40, args)
-	if full.err != nil {
-		t.Fatalf("%s %q: interpreter failed uncapped: %v", entry, body, full.err)
-	}
-	for cap := int64(1); cap <= full.fuel+2; cap++ {
-		i, p := interpOutcome(prog, entry, cap, args), planOutcome(plan, cap, args)
-		if (i.err == nil) != (p.err == nil) {
-			t.Fatalf("%s %q cap %d: interpreter err=%v, plan err=%v", entry, body, cap, i.err, p.err)
+// Bodies over loops and calls: while with break and continue, break and
+// continue in a for-in, user functions (declared by closing the
+// wrapper's brace, the way a <do> can), spawn and despawn.
+var loopTriggerBodies = []struct{ entry, body string }{
+	{"act", `
+		let i = 0;
+		while i < amount + 3 {
+			i = i + 1;
+			if i % 2 == 0 { continue; }
+			if get(self, "boom") + i > 6 { break; }
+			add(self, "boom", i);
 		}
-		if p.err != nil {
-			if !errors.Is(i.err, script.ErrFuel) || !errors.Is(p.err, ErrFuel) {
-				t.Fatalf("%s %q cap %d: want fuel exhaustion on both, got interpreter %v, plan %v",
-					entry, body, cap, i.err, p.err)
-			}
-			continue
+		return i;`},
+	{"act", `
+		let kid = spawn("spark", pos_x(self) + rand_float(), pos_y(self));
+		set(kid, "hp", 1.5);
+		for id in nearby(self, 9.0) {
+			if id == amount { despawn(id); continue; }
+			if get(id, "on") { break; }
+			add(id, "boom", 1);
 		}
-		if diff := sameRun(i, p); diff != "" {
-			t.Fatalf("%s %q cap %d: %s", entry, body, cap, diff)
-		}
-	}
+		despawn(kid);
+		return kid;`},
+	{"act", `
+		return twice(amount) + twice(twice(self));
+		} fn twice(x) { let i = 0; let s = 0; while true { s = s + x; i = i + 1; if i == 2 { return s; } }`},
+	{"cond", `near(self) > amount } fn near(id) { let n = 0; for o in nearby(id, 8.0) { n = n + 1; } return n`},
 }
 
+// TestTriggerFuelSweepParity pins every trigger body against the
+// interpreter at every fuel cap from 0 (the default budget) to past
+// completion: the same outcome (completed, fuel skip or error, with the
+// same text and line), the same fuel — cap+1 for an exhausted run — and
+// the same reads, effects and draws.
 func TestTriggerFuelSweepParity(t *testing.T) {
 	argSets := [][]entity.Value{
 		{entity.Int(2), entity.Int(3)},
 		{entity.Int(3), entity.Int(0)},
+		{entity.Int(1), entity.Int(5)},
 	}
-	for _, tb := range append(shippedTriggerBodies, coverageTriggerBodies...) {
+	bodies := append(append(shippedTriggerBodies, coverageTriggerBodies...), loopTriggerBodies...)
+	for _, tb := range bodies {
+		prog, plan := mustCompileTrigger(t, tb.entry, tb.body)
 		for _, args := range argSets {
-			sweepFuel(t, tb.entry, tb.body, args)
+			sweepCaps(t, fmt.Sprintf("%s %q %v", tb.entry, tb.body, args), prog, plan, tb.entry, args, 1<<20)
 		}
 	}
 }
 
-// TestTriggerRuntimeErrorsFallBack: whenever the interpreter fails for a
-// reason other than fuel, the plan must fail too (any error — the host
-// rolls back and lets the interpreter report its own).
+// TestTriggerRuntimeErrorsFallBack: a run that fails for a reason other
+// than fuel fails on the plan exactly as on the interpreter — same
+// error text (and so the same line for a language error), same fuel at
+// the failure, same host interactions before it. There is nothing to
+// fall back to: the plan's error is the outcome.
 func TestTriggerRuntimeErrorsFallBack(t *testing.T) {
 	for _, tb := range []struct {
 		entry, body string
@@ -115,24 +125,34 @@ func TestTriggerRuntimeErrorsFallBack(t *testing.T) {
 		{"act", `set(self, "hp", pos_x(9));`, []entity.Value{entity.Int(2), entity.Int(1)}},
 		{"act", `emit(self, self);`, []entity.Value{entity.Int(2), entity.Int(1)}},
 		{"act", `if amount { return; }`, []entity.Value{entity.Int(2), entity.Int(1)}},
+		{"act", `despawn(77);`, []entity.Value{entity.Int(2), entity.Int(1)}},
+		{"act", `spawn("tree", 1.0, amount);`, []entity.Value{entity.Int(2), entity.Int(1)}},
+		{"act", `let i = 0; while i { i = i + 1; }`, []entity.Value{entity.Int(2), entity.Int(1)}},
+		{"act", `let s = 0; for n in nearby(self, 9.0) { s = s + n / (n - 3); }`, []entity.Value{entity.Int(2), entity.Int(1)}},
+		{"act", `add(self, "boom", -"x");`, []entity.Value{entity.Int(2), entity.Int(1)}},
+		{"act", `add(self, "boom", min(1, "y"));`, []entity.Value{entity.Int(2), entity.Int(1)}},
 	} {
 		prog, plan := mustCompileTrigger(t, tb.entry, tb.body)
-		i := interpOutcome(prog, tb.entry, 1<<20, tb.args)
-		if i.err == nil {
-			t.Fatalf("%s %q: expected the interpreter to fail", tb.entry, tb.body)
+		i, p := interpOutcome(prog, tb.entry, 1<<20, tb.args), planOutcome(plan, 1<<20, tb.args)
+		if i.err == nil || isFuel(i.err) {
+			t.Fatalf("%s %q: expected the interpreter to fail, got %v", tb.entry, tb.body, i.err)
 		}
-		if p := planOutcome(plan, 1<<20, tb.args); p.err == nil {
-			t.Fatalf("%s %q: interpreter failed (%v) but the plan succeeded", tb.entry, tb.body, i.err)
+		if diff := sameRun(i, p); diff != "" {
+			t.Fatalf("%s %q: %s", tb.entry, tb.body, diff)
 		}
 	}
 }
 
 func TestTriggerNotCompilableReasons(t *testing.T) {
 	for _, tc := range []struct{ entry, src, want string }{
-		{"act", triggerSrc("act", `let i = 0; while i < 3 { i = i + 1; }`), "while"},
-		{"act", triggerSrc("act", `spawn("wolf", 1.0, 2.0);`), `builtin "spawn"`},
-		{"act", triggerSrc("act", `despawn(self);`), `builtin "despawn"`},
-		{"act", triggerSrc("act", `helper(1); } fn helper(x) { return x;`), `user function "helper"`},
+		{"act", triggerSrc("act", `let l = list(); push(l, self);`), `builtin "list"`},
+		{"act", triggerSrc("act", `frob(self);`), `unknown function "frob"`},
+		{"act", triggerSrc("act", `helper(1); } fn helper(x) { return helper(x - 1);`), `"helper", which recurses`},
+		{"act", triggerSrc("act", `helper(1, 2); } fn helper(x) { return x;`), "helper expects 1 args, got 2"},
+		{"act", triggerSrc("act", `break;`), "break outside a loop"},
+		{"act", triggerSrc("act", `for id in nearby(self, 3.0) { helper(); } } fn helper() { continue;`), "continue outside a loop"},
+		{"act", triggerSrc("act", `let ns = nearby(self, 2.0); ns = 4;`), "reassigned to a non-nearby expression"},
+		{"act", triggerSrc("act", `add(self, "boom", later);`), `undefined variable "later"`},
 		{"cond", triggerSrc("cond", `len(nearby(self, 3.0)) > 0`), "nearby result used as a scalar"},
 		{"act", `fn act(self) { }`, "declares 1 parameters, the host passes 2"},
 		{"act", `fn cond(self, amount) { return true; }`, `no "act" function`},
@@ -164,47 +184,67 @@ func TestRunRejectsWrongArgumentCount(t *testing.T) {
 	}
 }
 
+// Fuzz input kinds: a <do> body, a <when> expression, or a whole
+// program whose on_tick(self) runs as a behavior.
+const (
+	fuzzAct uint8 = iota
+	fuzzCond
+	fuzzBehavior
+)
+
 // FuzzTriggerCompileParity feeds arbitrary text through the path a
-// content pack's <when> / <do> takes — wrap, lex, parse, restricted
-// check, Compile — and requires a structured error or a result, never a
-// panic. Whenever the body compiles, a clean plan run over the fixed
-// fakeHost must be the interpreter's run; a failing plan run is always
-// acceptable (the host falls back).
+// content pack's <when> / <do> / behavior script takes — wrap, lex,
+// parse, restricted check, Compile — and requires a structured error or
+// a plan, never a panic. Whenever the text compiles, the plan must be
+// the interpreter's run over the fixed fakeHost at every fuel cap from 0
+// up to one past the run's fuel (sweepCaps): same outcome class, error
+// text and line, fuel, value, trace.
 func FuzzTriggerCompileParity(f *testing.F) {
 	for _, tb := range append(shippedTriggerBodies, coverageTriggerBodies...) {
-		f.Add(tb.body, tb.entry == "cond")
+		f.Add(tb.body, fuzzKind(tb.entry))
 	}
-	f.Add(`let i = 0; while i < 9 { i = i + 1; }`, false)
-	f.Add(`helper(1); } fn helper(x) { return x;`, false)
-	f.Add(`"a" + "b" < "c" || null == amount`, true)
-	// Both executors stop within a statement of the cap, which bounds
-	// what a hostile body (say, one that doubles a string per statement)
-	// can allocate before it is cut off.
-	const fuelCap = 64
-	args := []entity.Value{entity.Int(2), entity.Int(3)}
-	f.Fuzz(func(t *testing.T, body string, isCond bool) {
-		if len(body) > 1<<10 {
+	f.Add(`let i = 0; while i < 9 { i = i + 1; }`, fuzzAct)
+	f.Add(`helper(1); } fn helper(x) { return x;`, fuzzAct)
+	f.Add(`"a" + "b" < "c" || null == amount`, fuzzCond)
+	for _, tb := range loopTriggerBodies {
+		f.Add(tb.body, fuzzKind(tb.entry))
+	}
+	for _, src := range behaviorPrograms {
+		f.Add(src, fuzzBehavior)
+	}
+	// A body that doubles a string every statement is cut off by its
+	// budget; a small one bounds what any input can allocate per run.
+	const fuelLimit = 64
+	f.Fuzz(func(t *testing.T, src string, kind uint8) {
+		if len(src) > 1<<10 {
 			t.Skip("parser recursion depth is not what this target bounds")
 		}
-		entry := "act"
-		if isCond {
-			entry = "cond"
+		entry, text, args := "act", triggerSrc("act", src), []entity.Value{entity.Int(2), entity.Int(3)}
+		switch kind % 3 {
+		case fuzzCond:
+			entry, text = "cond", triggerSrc("cond", src)
+		case fuzzBehavior:
+			entry, text, args = EntryFn, src, []entity.Value{entity.Int(2)}
 		}
-		prog, err := script.Parse(triggerSrc(entry, body))
+		prog, err := script.Parse(text)
 		if err != nil {
 			return
 		}
 		script.CheckRestricted(prog)
-		plan, err := Compile("rule", prog, entry, len(args))
+		plan, err := Compile("fuzz", prog, entry, len(args))
 		if err != nil {
+			if _, construct := Reason(err); construct == "" {
+				t.Fatalf("%q: compile error without a construct: %v", src, err)
+			}
 			return
 		}
-		p := planOutcome(plan, fuelCap, args)
-		if p.err != nil {
-			return
-		}
-		if diff := sameRun(interpOutcome(prog, entry, fuelCap, args), p); diff != "" {
-			t.Fatalf("%s %q: %s", entry, body, diff)
-		}
+		sweepCaps(t, fmt.Sprintf("%s %q", entry, src), prog, plan, entry, args, fuelLimit)
 	})
+}
+
+func fuzzKind(entry string) uint8 {
+	if entry == "cond" {
+		return fuzzCond
+	}
+	return fuzzAct
 }

@@ -22,17 +22,13 @@ const sampleMask = 15
 // paths read cleanly when profiling is off.
 type ProfEntry struct {
 	name string
-	// compiled marks the entry as attributing compiled query-plan
-	// execution (CompiledEntry) rather than interpreter execution, so
-	// one behavior's plan and interpreter costs report side by side.
-	compiled bool
 
 	ticket atomic.Int64 // sampling ticket counter (≈ calls, may lead)
 
 	calls   atomic.Int64 // completed invocations (errors and skips included)
 	errors  atomic.Int64 // invocations failed with a script error
 	skips   atomic.Int64 // invocations skipped on fuel exhaustion
-	fuel    atomic.Int64 // interpreter fuel consumed
+	fuel    atomic.Int64 // fuel consumed
 	effects atomic.Int64 // effect records that survived the invocation
 	reads   atomic.Int64 // read-set cells recorded (OCC policy only)
 
@@ -51,10 +47,6 @@ func (e *ProfEntry) Name() string {
 	}
 	return e.name
 }
-
-// Compiled reports whether the entry attributes compiled-plan
-// execution.
-func (e *ProfEntry) Compiled() bool { return e != nil && e.compiled }
 
 // BeginSample claims a sampling ticket: roughly one in sampleMask+1
 // calls returns sampling=true with the start timestamp; the rest pay a
@@ -157,33 +149,9 @@ func (p *Profiler) Entry(name string) *ProfEntry {
 	return e
 }
 
-// CompiledEntry returns the named entry's compiled-execution twin,
-// creating it on first use. It shares the display name but is a
-// distinct accumulator tagged compiled=true, so a behavior that splits
-// between the query-plan path and interpreter fallback reports both
-// costs separately. Nil-safe like Entry.
-func (p *Profiler) CompiledEntry(name string) *ProfEntry {
-	if p == nil {
-		return nil
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	key := "compiled\x00" + name
-	e := p.entries[key]
-	if e == nil {
-		e = &ProfEntry{name: name, compiled: true}
-		p.entries[key] = e
-	}
-	return e
-}
-
 // ProfRow is one entry's consistent snapshot.
 type ProfRow struct {
-	Name string
-	// Compiled marks rows attributing compiled query-plan execution;
-	// the same behavior may also have an interpreter row under the same
-	// name for its fallback share.
-	Compiled  bool
+	Name      string
 	Calls     int64
 	Errors    int64
 	Skips     int64
@@ -194,7 +162,7 @@ type ProfRow struct {
 	Aborts    int64
 	Conflicts int64
 	// Samples and AvgNS describe the timed subsample; EstTotalNS
-	// extrapolates AvgNS × Calls, the estimated total interpreter time.
+	// extrapolates AvgNS × Calls, the estimated total time.
 	Samples    int64
 	AvgNS      float64
 	EstTotalNS float64
@@ -216,7 +184,6 @@ func (p *Profiler) Rows() []ProfRow {
 	for _, e := range entries {
 		r := ProfRow{
 			Name:      e.name,
-			Compiled:  e.compiled,
 			Calls:     e.calls.Load(),
 			Errors:    e.errors.Load(),
 			Skips:     e.skips.Load(),
@@ -238,10 +205,7 @@ func (p *Profiler) Rows() []ProfRow {
 		if rows[i].EstTotalNS != rows[j].EstTotalNS {
 			return rows[i].EstTotalNS > rows[j].EstTotalNS
 		}
-		if rows[i].Name != rows[j].Name {
-			return rows[i].Name < rows[j].Name
-		}
-		return !rows[i].Compiled && rows[j].Compiled
+		return rows[i].Name < rows[j].Name
 	})
 	return rows
 }
@@ -253,11 +217,7 @@ func (p *Profiler) Table() *metrics.Table {
 		"unit", "calls", "avg time", "est total", "effects", "reads", "fuel",
 		"conflicts", "retries", "aborts", "err", "skip")
 	for _, r := range p.Rows() {
-		name := r.Name
-		if r.Compiled {
-			name += " [compiled]"
-		}
-		t.AddRow(name,
+		t.AddRow(r.Name,
 			metrics.Fnum(float64(r.Calls)),
 			metrics.Fdur(r.AvgNS),
 			metrics.Fdur(r.EstTotalNS),

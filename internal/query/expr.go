@@ -59,77 +59,78 @@ func (c constExpr) Bind(*Desc) error                 { return nil }
 func (c constExpr) Eval(Tuple) (entity.Value, error) { return c.v, nil }
 func (c constExpr) String() string                   { return c.v.String() }
 
-// binOp codes.
-type binKind uint8
+// BinOp is a binary operator of the expression language: what the Add …
+// Or builders construct, and what Apply evaluates on its own.
+type BinOp uint8
 
 const (
-	opAdd binKind = iota
-	opSub
-	opMul
-	opDiv
-	opMod
-	opEq
-	opNe
-	opLt
-	opLe
-	opGt
-	opGe
-	opAnd
-	opOr
+	OpAdd BinOp = iota
+	OpSub
+	OpMul
+	OpDiv
+	OpMod
+	OpEq
+	OpNe
+	OpLt
+	OpLe
+	OpGt
+	OpGe
+	OpAnd
+	OpOr
 )
 
-var binNames = map[binKind]string{
-	opAdd: "+", opSub: "-", opMul: "*", opDiv: "/", opMod: "%",
-	opEq: "=", opNe: "!=", opLt: "<", opLe: "<=", opGt: ">", opGe: ">=",
-	opAnd: "and", opOr: "or",
+var binNames = map[BinOp]string{
+	OpAdd: "+", OpSub: "-", OpMul: "*", OpDiv: "/", OpMod: "%",
+	OpEq: "=", OpNe: "!=", OpLt: "<", OpLe: "<=", OpGt: ">", OpGe: ">=",
+	OpAnd: "and", OpOr: "or",
 }
 
 type binExpr struct {
-	kind binKind
+	kind BinOp
 	l, r Expr
 }
 
 // Add returns l + r (int if both int, else float).
-func Add(l, r Expr) Expr { return &binExpr{opAdd, l, r} }
+func Add(l, r Expr) Expr { return &binExpr{OpAdd, l, r} }
 
 // Sub returns l - r.
-func Sub(l, r Expr) Expr { return &binExpr{opSub, l, r} }
+func Sub(l, r Expr) Expr { return &binExpr{OpSub, l, r} }
 
 // Mul returns l * r.
-func Mul(l, r Expr) Expr { return &binExpr{opMul, l, r} }
+func Mul(l, r Expr) Expr { return &binExpr{OpMul, l, r} }
 
 // Div returns l / r; integer division when both operands are ints.
-func Div(l, r Expr) Expr { return &binExpr{opDiv, l, r} }
+func Div(l, r Expr) Expr { return &binExpr{OpDiv, l, r} }
 
 // Mod returns l % r: the integer remainder when both operands are ints,
 // math.Mod otherwise.
-func Mod(l, r Expr) Expr { return &binExpr{opMod, l, r} }
+func Mod(l, r Expr) Expr { return &binExpr{OpMod, l, r} }
 
 // Eq returns l = r.
-func Eq(l, r Expr) Expr { return &binExpr{opEq, l, r} }
+func Eq(l, r Expr) Expr { return &binExpr{OpEq, l, r} }
 
 // Ne returns l != r.
-func Ne(l, r Expr) Expr { return &binExpr{opNe, l, r} }
+func Ne(l, r Expr) Expr { return &binExpr{OpNe, l, r} }
 
 // Lt returns l < r.
-func Lt(l, r Expr) Expr { return &binExpr{opLt, l, r} }
+func Lt(l, r Expr) Expr { return &binExpr{OpLt, l, r} }
 
 // Le returns l <= r.
-func Le(l, r Expr) Expr { return &binExpr{opLe, l, r} }
+func Le(l, r Expr) Expr { return &binExpr{OpLe, l, r} }
 
 // Gt returns l > r.
-func Gt(l, r Expr) Expr { return &binExpr{opGt, l, r} }
+func Gt(l, r Expr) Expr { return &binExpr{OpGt, l, r} }
 
 // Ge returns l >= r.
-func Ge(l, r Expr) Expr { return &binExpr{opGe, l, r} }
+func Ge(l, r Expr) Expr { return &binExpr{OpGe, l, r} }
 
 // And returns l and r. Short-circuits like GSL: r is not evaluated
 // when l is false.
-func And(l, r Expr) Expr { return &binExpr{opAnd, l, r} }
+func And(l, r Expr) Expr { return &binExpr{OpAnd, l, r} }
 
 // Or returns l or r. Short-circuits like GSL: r is not evaluated when
 // l is true.
-func Or(l, r Expr) Expr { return &binExpr{opOr, l, r} }
+func Or(l, r Expr) Expr { return &binExpr{OpOr, l, r} }
 
 func (b *binExpr) Bind(d *Desc) error {
 	if err := b.l.Bind(d); err != nil {
@@ -143,7 +144,7 @@ func (b *binExpr) String() string {
 }
 
 func (b *binExpr) Eval(t Tuple) (entity.Value, error) {
-	if b.kind == opAnd || b.kind == opOr {
+	if b.kind == OpAnd || b.kind == OpOr {
 		// Short-circuit first, exactly like the GSL interpreter: the
 		// right side is never evaluated when the left side decides.
 		lv, err := b.l.Eval(t)
@@ -155,10 +156,10 @@ func (b *binExpr) Eval(t Tuple) (entity.Value, error) {
 			return entity.Null(), fmt.Errorf("query: %s needs bool, got %s",
 				binNames[b.kind], lv.Kind())
 		}
-		if b.kind == opAnd && !lb {
+		if b.kind == OpAnd && !lb {
 			return entity.Bool(false), nil
 		}
-		if b.kind == opOr && lb {
+		if b.kind == OpOr && lb {
 			return entity.Bool(true), nil
 		}
 		rv, err := b.r.Eval(t)
@@ -180,18 +181,26 @@ func (b *binExpr) Eval(t Tuple) (entity.Value, error) {
 	if err != nil {
 		return entity.Null(), err
 	}
-	switch b.kind {
-	case opAdd, opSub, opMul, opDiv, opMod:
-		return evalArith(b.kind, lv, rv)
-	case opEq, opNe, opLt, opLe, opGt, opGe:
-		return evalCompare(b.kind, lv, rv)
+	return Apply(b.kind, lv, rv)
+}
+
+// Apply computes l op r for an arithmetic or comparison operator — what
+// the expression built by Add … Ge yields once both operands are
+// evaluated. The short-circuit operators need their right operand
+// unevaluated and are refused.
+func Apply(op BinOp, l, r entity.Value) (entity.Value, error) {
+	switch op {
+	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+		return evalArith(op, l, r)
+	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+		return evalCompare(op, l, r)
 	default:
-		return entity.Null(), fmt.Errorf("query: bad op %d", b.kind)
+		return entity.Null(), fmt.Errorf("query: bad op %d", op)
 	}
 }
 
-func evalArith(k binKind, l, r entity.Value) (entity.Value, error) {
-	if k == opAdd {
+func evalArith(k BinOp, l, r entity.Value) (entity.Value, error) {
+	if k == OpAdd {
 		// String concatenation, like GSL's +.
 		if ls, ok := l.AsStr(); ok {
 			if rs, ok2 := r.AsStr(); ok2 {
@@ -202,18 +211,18 @@ func evalArith(k binKind, l, r entity.Value) (entity.Value, error) {
 	if li, ok := l.AsInt(); ok {
 		if ri, ok2 := r.AsInt(); ok2 {
 			switch k {
-			case opAdd:
+			case OpAdd:
 				return entity.Int(li + ri), nil
-			case opSub:
+			case OpSub:
 				return entity.Int(li - ri), nil
-			case opMul:
+			case OpMul:
 				return entity.Int(li * ri), nil
-			case opMod:
+			case OpMod:
 				if ri == 0 {
 					return entity.Null(), fmt.Errorf("query: modulo by zero")
 				}
 				return entity.Int(li % ri), nil
-			case opDiv:
+			case OpDiv:
 				if ri == 0 {
 					return entity.Null(), fmt.Errorf("query: integer division by zero")
 				}
@@ -228,13 +237,13 @@ func evalArith(k binKind, l, r entity.Value) (entity.Value, error) {
 			binNames[k], l.Kind(), r.Kind())
 	}
 	switch k {
-	case opAdd:
+	case OpAdd:
 		return entity.Float(lf + rf), nil
-	case opSub:
+	case OpSub:
 		return entity.Float(lf - rf), nil
-	case opMul:
+	case OpMul:
 		return entity.Float(lf * rf), nil
-	case opMod:
+	case OpMod:
 		return entity.Float(math.Mod(lf, rf)), nil
 	default:
 		return entity.Float(lf / rf), nil
@@ -271,21 +280,21 @@ func valueEq(l, r entity.Value) bool {
 // NaN comparison is false, unlike a three-way compare), lexicographic
 // order for string pairs, and errors for anything else (bools and
 // nulls have no order).
-func evalCompare(k binKind, l, r entity.Value) (entity.Value, error) {
+func evalCompare(k BinOp, l, r entity.Value) (entity.Value, error) {
 	switch k {
-	case opEq:
+	case OpEq:
 		return entity.Bool(valueEq(l, r)), nil
-	case opNe:
+	case OpNe:
 		return entity.Bool(!valueEq(l, r)), nil
 	}
 	if li, ok := l.AsInt(); ok {
 		if ri, ok2 := r.AsInt(); ok2 {
 			switch k {
-			case opLt:
+			case OpLt:
 				return entity.Bool(li < ri), nil
-			case opLe:
+			case OpLe:
 				return entity.Bool(li <= ri), nil
-			case opGt:
+			case OpGt:
 				return entity.Bool(li > ri), nil
 			default:
 				return entity.Bool(li >= ri), nil
@@ -295,11 +304,11 @@ func evalCompare(k binKind, l, r entity.Value) (entity.Value, error) {
 	if lf, ok := l.AsFloat(); ok {
 		if rf, ok2 := r.AsFloat(); ok2 {
 			switch k {
-			case opLt:
+			case OpLt:
 				return entity.Bool(lf < rf), nil
-			case opLe:
+			case OpLe:
 				return entity.Bool(lf <= rf), nil
-			case opGt:
+			case OpGt:
 				return entity.Bool(lf > rf), nil
 			default:
 				return entity.Bool(lf >= rf), nil
@@ -309,11 +318,11 @@ func evalCompare(k binKind, l, r entity.Value) (entity.Value, error) {
 	if ls, ok := l.AsStr(); ok {
 		if rs, ok2 := r.AsStr(); ok2 {
 			switch k {
-			case opLt:
+			case OpLt:
 				return entity.Bool(ls < rs), nil
-			case opLe:
+			case OpLe:
 				return entity.Bool(ls <= rs), nil
-			case opGt:
+			case OpGt:
 				return entity.Bool(ls > rs), nil
 			default:
 				return entity.Bool(ls >= rs), nil

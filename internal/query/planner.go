@@ -66,7 +66,7 @@ func colConst(t *entity.Table, l, r Expr) (string, entity.Value, bool, bool) {
 // eqProbe recognizes col = const over a hash-indexed column.
 func eqProbe(t *entity.Table, pred Expr) (string, entity.Value, bool) {
 	b, ok := pred.(*binExpr)
-	if !ok || b.kind != opEq {
+	if !ok || b.kind != OpEq {
 		return "", entity.Null(), false
 	}
 	col, v, _, ok := colConst(t, b.l, b.r)
@@ -114,9 +114,9 @@ func collectBounds(t *entity.Table, e Expr, bounds map[string][2]entity.Value) b
 		return false
 	}
 	switch b.kind {
-	case opAnd:
+	case OpAnd:
 		return collectBounds(t, b.l, bounds) && collectBounds(t, b.r, bounds)
-	case opLt, opLe, opGt, opGe:
+	case OpLt, OpLe, OpGt, OpGe:
 		col, v, swapped, ok := colConst(t, b.l, b.r)
 		if !ok {
 			return false
@@ -125,30 +125,30 @@ func collectBounds(t *entity.Table, e Expr, bounds map[string][2]entity.Value) b
 		kind := b.kind
 		if swapped {
 			switch kind {
-			case opLt:
-				kind = opGt
-			case opLe:
-				kind = opGe
-			case opGt:
-				kind = opLt
-			case opGe:
-				kind = opLe
+			case OpLt:
+				kind = OpGt
+			case OpLe:
+				kind = OpGe
+			case OpGt:
+				kind = OpLt
+			case OpGe:
+				kind = OpLe
 			}
 		}
 		cur := bounds[col]
 		switch kind {
-		case opLt, opLe: // col ≤ v → upper bound
+		case OpLt, OpLe: // col ≤ v → upper bound
 			if cur[1].IsNull() || entity.Compare(v, cur[1]) < 0 {
 				cur[1] = v
 			}
-		case opGt, opGe: // col ≥ v → lower bound
+		case OpGt, OpGe: // col ≥ v → lower bound
 			if cur[0].IsNull() || entity.Compare(v, cur[0]) > 0 {
 				cur[0] = v
 			}
 		}
 		bounds[col] = cur
 		return true
-	case opEq:
+	case OpEq:
 		// Equality folds into a degenerate range.
 		col, v, _, ok := colConst(t, b.l, b.r)
 		if !ok {

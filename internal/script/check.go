@@ -56,9 +56,22 @@ func findLoopsStmt(s Stmt) []Violation {
 	}
 }
 
-// findRecursion builds the call graph among declared functions and
-// reports every function on a cycle.
+// findRecursion reports every function on a call cycle.
 func findRecursion(p *Program) []Violation {
+	var out []Violation
+	for _, name := range RecursiveFns(p) {
+		out = append(out, Violation{
+			Line: p.Fns[name].Line(),
+			Msg:  fmt.Sprintf("function %q participates in recursion, forbidden in restricted mode", name),
+		})
+	}
+	return out
+}
+
+// RecursiveFns builds the call graph among declared functions and
+// returns, in declaration order, every function on a cycle (direct or
+// mutual recursion).
+func RecursiveFns(p *Program) []string {
 	calls := make(map[string][]string, len(p.Fns))
 	for name, fn := range p.Fns {
 		set := map[string]bool{}
@@ -101,13 +114,10 @@ func findRecursion(p *Program) []Violation {
 			visit(name, nil)
 		}
 	}
-	var out []Violation
+	var out []string
 	for _, name := range p.FnOrder {
 		if onCycle[name] {
-			out = append(out, Violation{
-				Line: p.Fns[name].Line(),
-				Msg:  fmt.Sprintf("function %q participates in recursion, forbidden in restricted mode", name),
-			})
+			out = append(out, name)
 		}
 	}
 	return out

@@ -42,8 +42,11 @@ const (
 	DefaultMaxDepth = 64
 )
 
-// Interp executes a parsed Program. One Interp is typically shared by all
-// entities running a behavior; per-call state lives on the stack.
+// Interp executes a parsed Program: the engine behind gslrun and the
+// scripting experiments, and the reference internal/gslplan's plans are
+// tested against. The Program is read-only, so any number of Interps
+// may run one concurrently; an Interp itself is not safe for concurrent
+// use.
 type Interp struct {
 	prog     *Program
 	builtins map[string]Builtin
@@ -127,20 +130,6 @@ func NewInterp(prog *Program, opts Options) *Interp {
 // Program returns the interpreted program.
 func (in *Interp) Program() *Program { return in.prog }
 
-// Clone returns a new interpreter over the same compiled program with
-// its own fuel meter, call stack, global scope and builtin bindings —
-// the shared AST is read-only, so clones may run concurrently. The
-// world's parallel tick clones each behavior script once per worker,
-// binding the worker's effect buffer into the builtins.
-func (in *Interp) Clone(builtins []Builtin) *Interp {
-	return NewInterp(in.prog, Options{
-		Fuel:     in.fuelCap,
-		MaxDepth: in.maxDepth,
-		Builtins: builtins,
-		Log:      in.log,
-	})
-}
-
 // FuelUsed reports fuel consumed by the last Run or Call.
 func (in *Interp) FuelUsed() int64 { return in.fuelCap - in.fuel }
 
@@ -163,17 +152,6 @@ func (in *Interp) Call(name string, args ...Value) (Value, error) {
 	in.depth = 0
 	return in.call(name, args, 0)
 }
-
-// Resume invokes a declared function without resetting fuel, letting a
-// host impose one budget across several calls. (The world tick no
-// longer uses it: behaviors get a fresh per-invocation budget via Call,
-// which keeps an entity's outcome independent of roster partitioning.)
-func (in *Interp) Resume(name string, args ...Value) (Value, error) {
-	return in.call(name, args, 0)
-}
-
-// ResetFuel restores the fuel budget to its configured cap.
-func (in *Interp) ResetFuel() { in.fuel = in.fuelCap }
 
 // control-flow sentinels.
 type breakErr struct{}

@@ -227,29 +227,6 @@ fn bump() { counter = counter + 1; return counter; }
 	}
 }
 
-func TestResumeSharesFuel(t *testing.T) {
-	prog, err := Parse(`fn spin() { let i = 0; while i < 100 { i = i + 1; } return i; }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := NewInterp(prog, Options{Fuel: 2000})
-	in.ResetFuel()
-	var lastErr error
-	n := 0
-	for i := 0; i < 100; i++ {
-		if _, lastErr = in.Resume("spin"); lastErr != nil {
-			break
-		}
-		n++
-	}
-	if !errors.Is(lastErr, ErrFuel) {
-		t.Fatalf("expected shared budget to exhaust, got %v after %d calls", lastErr, n)
-	}
-	if n == 0 || n > 10 {
-		t.Fatalf("resume count = %d, want a few calls before exhaustion", n)
-	}
-}
-
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		`fn main( { }`,
@@ -381,55 +358,16 @@ func TestFuelUsedReporting(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	prog, err := Parse(`
-let hits = 0;
-fn probe() { hits = hits + 1; return host() + hits; }
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := func(base int64) []Builtin {
-		return []Builtin{{Name: "host", MinArgs: 0, MaxArgs: 0,
-			Fn: func([]Value) (Value, error) { return Int(base), nil }}}
-	}
-	in := NewInterp(prog, Options{Fuel: 500, Builtins: mk(100)})
-	if err := in.Run(); err != nil {
-		t.Fatal(err)
-	}
-	clone := in.Clone(mk(200))
-	// The clone shares the program but not globals: its `hits` starts
-	// unset until Run, so pre-seed it by running the top level.
-	if err := clone.Run(); err != nil {
-		t.Fatal(err)
-	}
-	v1, err := in.Call("probe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2, err := clone.Call("probe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(v1, Int(101)) || !Equal(v2, Int(201)) {
-		t.Fatalf("probe = %v / %v, want 101 / 201 (independent builtins + globals)", v1, v2)
-	}
-	// Fuel meters are independent too.
-	if in.FuelUsed() == 0 || clone.FuelUsed() == 0 {
-		t.Fatal("fuel accounting missing on one side")
-	}
-}
-
 func TestClonesRunConcurrently(t *testing.T) {
 	prog, err := Parse(`fn work() { let s = 0; let i = 0; while i < 200 { s = s + i; i = i + 1; } return s; }`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := NewInterp(prog, Options{Fuel: 1 << 20})
+	// One shared Program, one interpreter per goroutine.
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for g := 0; g < 8; g++ {
-		in := base.Clone(nil)
+		in := NewInterp(prog, Options{Fuel: 1 << 20})
 		wg.Add(1)
 		go func(g int, in *Interp) {
 			defer wg.Done()

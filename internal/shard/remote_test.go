@@ -146,10 +146,10 @@ func raceWorld(t *testing.T, conflict string) (*Runtime, entity.ID, entity.ID) {
 		}
 		return id
 	}
-	store := spawn("store", 205)       // shard 1, within band of shard 0
-	spawn("near-bumper", 210)          // shard 1: local read-modify-write, +100
-	spawn("far-bumper", 195)           // shard 0: rmw against the ghost, +10
-	reader := spawn("watcher", 190)    // shard 0: ghost-read-only
+	store := spawn("store", 205)    // shard 1, within band of shard 0
+	spawn("near-bumper", 210)       // shard 1: local read-modify-write, +100
+	spawn("far-bumper", 195)        // shard 0: rmw against the ghost, +10
+	reader := spawn("watcher", 190) // shard 0: ghost-read-only
 	if err := rt.Sync(); err != nil {
 		t.Fatal(err)
 	}

@@ -58,9 +58,8 @@ type Config struct {
 	// EffectRetryCap passes through to world.Config.EffectRetryCap.
 	EffectRetryCap int
 	// CompileBehaviors is inert: nothing reads it. Behaviors always run
-	// plan-first with per-invocation interpreter fallback; the field is
-	// still declared only because bench/workloads.go assigns it and this
-	// change may not edit bench/ (ROADMAP 1(g) deletes both together).
+	// on their compiled plans; the field is still declared only because
+	// bench/workloads.go assigns it (ROADMAP 1(g) deletes both together).
 	CompileBehaviors string
 
 	// GhostBand is the width of the border strip mirrored into

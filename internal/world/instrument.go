@@ -12,24 +12,10 @@ import (
 	"gamedb/internal/obs"
 )
 
-// behaviorRow returns a behavior's profile row: "behavior/<name>", or
-// its compiled twin for the row of plan execution. Callers guarantee
-// w.prof != nil.
-func (w *World) behaviorRow(name string, compiled bool) *obs.ProfEntry {
-	if compiled {
-		return w.prof.CompiledEntry("behavior/" + name)
-	}
-	return w.prof.Entry("behavior/" + name)
-}
-
 // behaviorProf is the behavior-phase apply's source → entry mapping:
-// the row of the executor that ran the source's invocation, or the
-// shared "(physics)" entry for sources running no behavior
-// (pure-physics entities, whose deltas can still drop when another
-// invocation despawns them mid-apply). An invocation whose records
-// reached the apply ran on the behavior's plan when it has one: a plan
-// error is an interpreter error (gslplan's contract), and an errored
-// invocation contributes no records to drop, retry or abort.
+// the source's "behavior/<name>" row, or the shared "(physics)" entry
+// for sources running no behavior (pure-physics entities, whose deltas
+// can still drop when another invocation despawns them mid-apply).
 func (w *World) behaviorProf(src entity.ID) *obs.ProfEntry {
 	if rec := w.dir.find(src); rec != nil && rec.beh != nil {
 		return rec.beh.prof

@@ -2,6 +2,8 @@ package world
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"gamedb/internal/entity"
@@ -309,12 +311,13 @@ fn on_tick(self) { emit("hit", self); }
 </contentpack>`
 
 func TestOCCResolvesTriggerActionConflicts(t *testing.T) {
-	run := func(policy string, ticks int) (int64, int, int) {
+	run := func(policy string, ticks int) (int64, int, int, []string) {
 		w := loadPack(t, Config{Seed: 2, ConflictPolicy: policy}, conflictTriggerPack)
 		if _, err := w.Spawn("u", spatial.Vec2{}); err != nil {
 			t.Fatal(err)
 		}
 		retries, aborts := 0, 0
+		var snaps []string
 		for i := 0; i < ticks; i++ {
 			st, err := w.Step()
 			if err != nil {
@@ -325,43 +328,41 @@ func TestOCCResolvesTriggerActionConflicts(t *testing.T) {
 			}
 			retries += st.EffectRetries
 			aborts += st.EffectAborts
+			snap, err := w.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps = append(snaps, fmt.Sprintf("tick=%d snap=%016x ", st.Tick, snapHash(snap)))
 		}
 		v, err := w.Get(1, "score")
 		if err != nil {
 			t.Fatal(err)
 		}
-		return v.Int(), retries, aborts
+		return v.Int(), retries, aborts, snaps
 	}
 	// Last-write-wins keeps only the later rule's increment per round.
-	if score, _, _ := run(ConflictLastWrite, 3); score != 3*7 {
+	if score, _, _, _ := run(ConflictLastWrite, 3); score != 3*7 {
 		t.Fatalf("lastwrite score = %d, want %d", score, 3*7)
 	}
 	// OCC re-runs the losing action: both increments land, like the
 	// serial direct-execution drain would produce.
-	score, retries, aborts := run(ConflictOCC, 3)
+	score, retries, aborts, snaps := run(ConflictOCC, 3)
 	if score != 3*(5+7) {
 		t.Fatalf("occ score = %d, want %d", score, 3*(5+7))
 	}
 	if retries != 3 || aborts != 0 {
 		t.Fatalf("occ trigger retries=%d aborts=%d, want 3/0", retries, aborts)
 	}
-	// And it matches the engine's serial direct drain exactly.
-	direct := loadPack(t, Config{Seed: 2}, conflictTriggerPack)
-	direct.UseDirectTriggers()
-	if _, err := direct.Spawn("u", spatial.Vec2{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := direct.Step(); err != nil {
-			t.Fatal(err)
+	// And it is the trigger engine's serial direct-write drain, tick by
+	// tick, as recorded when the world could still run that drain.
+	direct := goldenLines(t, "direct")
+	for i, snap := range snaps {
+		if !strings.HasPrefix(direct[i], snap) {
+			t.Fatalf("occ %s, the serial direct drain recorded %s", snap, direct[i])
 		}
 	}
-	dv, err := direct.Get(1, "score")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dv.Int() != score {
-		t.Fatalf("occ score %d != direct serial drain score %d", score, dv.Int())
+	if want := fmt.Sprintf("score=%d", score); direct[len(snaps)] != want {
+		t.Fatalf("occ %s, the serial direct drain recorded %s", want, direct[len(snaps)])
 	}
 }
 

@@ -5,29 +5,26 @@ import (
 	"math"
 	"strings"
 
-	"gamedb/internal/content"
 	"gamedb/internal/entity"
 	"gamedb/internal/gslplan"
 	"gamedb/internal/obs"
-	"gamedb/internal/script"
+	"gamedb/internal/spatial"
 )
 
 // This file hosts the world side of GSL execution. Behaviors and
 // content-pack trigger rules run the same way: content.Compile lowers
-// each entry point once per pack onto a gslplan query plan shared by
-// every world that loads the pack, the world binds it per worker slot
+// each entry point once per pack onto a gslplan plan shared by every
+// world that loads the pack, the world binds it per worker slot
 // (boundFn), and every invocation — query phase, trigger cond and act
-// passes, both OCC re-run paths — goes through invoke: plan first, the
-// interpreter authoritative on any plan error. planEnv is the
-// gslplan.Env that routes a plan's reads and effects through the same
-// frozen-state accessors and EffectBuffer entry points the effect-mode
-// builtins use — same read-set logging, same effect records, same
-// deterministic rand stream.
+// passes, both OCC re-run paths — runs that plan, whose outcome (value,
+// error or fuel skip) is the invocation's. planEnv is the gslplan.Env
+// that routes a plan's reads and effects through the frozen-state
+// accessors and EffectBuffer entry points — read-set logging, effect
+// records and the deterministic rand stream all live there.
 
 // planEnv adapts one worker's (world, effect buffer) pair to
-// gslplan.Env. Each method mirrors the corresponding effect-mode
-// builtin in builtins.go exactly, including noteRead placement relative
-// to errors and probes.
+// gslplan.Env, including noteRead placement relative to errors and
+// probes.
 type planEnv struct {
 	w   *World
 	buf *EffectBuffer
@@ -42,6 +39,10 @@ func (e planEnv) Get(id entity.ID, col string) (entity.Value, error) {
 	return v, nil
 }
 
+// AppendNearby logs the query center's position — the neighbor *set*
+// itself is a predicate read the cell-level tracking deliberately
+// approximates (spatial phantoms are out of the conflict policy's
+// scope).
 func (e planEnv) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID {
 	e.buf.noteRead(id, "x")
 	e.buf.noteRead(id, "y")
@@ -103,9 +104,9 @@ func (e planEnv) EmitPost(name string, id entity.ID, amount entity.Value) {
 	e.buf.emitPost(name, id, amount)
 }
 
+// MoveToward steps from the entity's frozen position — a
+// read-modify-write on its x/y cells.
 func (e planEnv) MoveToward(id entity.ID, tx, ty, step float64) error {
-	// Argument coercion already happened in the plan; replicate
-	// moveTowardStep's geometry and error order from here on.
 	p, ok := e.buf.pos(id)
 	if !ok {
 		return errNoPosition(id)
@@ -119,96 +120,68 @@ func (e planEnv) MoveToward(id entity.ID, tx, ty, step float64) error {
 	return e.buf.emitSet(id, "y", entity.Float(np.Y))
 }
 
+func (e planEnv) EmitSpawn(archetype string, x, y float64) (entity.ID, error) {
+	return e.buf.emitSpawn(archetype, spatial.Vec2{X: x, Y: y})
+}
+
+func (e planEnv) EmitDespawn(id entity.ID) error { return e.buf.emitDespawn(id) }
+
+// stepToward is move_toward's geometry: p moved up to step toward
+// (tx, ty), landing on the target when it is within reach.
+func stepToward(p spatial.Vec2, tx, ty, step float64) spatial.Vec2 {
+	to := spatial.Vec2{X: tx, Y: ty}.Sub(p)
+	d := to.Len()
+	if d <= step {
+		return spatial.Vec2{X: tx, Y: ty}
+	}
+	return p.Add(to.Scale(step / d))
+}
+
 func errNoPosition(id entity.ID) error {
 	return fmt.Errorf("world: entity %d has no position", id)
 }
 
 // boundFn is one GSL entry point as the tick executes it — a behavior's
 // on_tick, or one side (condition or action) of a content-pack rule:
-// the parsed program, the query plan the content pack compiled from it
-// (nil when the body is outside the compilable subset; shared by every
-// world that loaded the pack), and the per-worker-slot executors. Slot
-// wi's plan and interpreter clone emit into workerBufs[wi], so they may
-// only ever run on worker slot wi.
+// the plan the content pack compiled (shared by every world that loaded
+// the pack) and its per-worker-slot bindings. Slot wi's plan emits into
+// workerBufs[wi], so it may only ever run on worker slot wi.
 type boundFn struct {
-	entry string
-	prog  *script.Program
 	plan  *gslplan.Program
-
-	// plans[wi] is bound by grow; ins[wi] is built by slot wi itself the
-	// first time it needs the interpreter — there is no plan, or a plan
-	// invocation fell back — so an entry point that stays on its plan
-	// never builds a clone.
 	plans []*gslplan.Plan
-	ins   []*script.Interp
 }
 
-// grow sizes the per-slot executors to n workers, binding the new
-// slots' plans. Runs on the coordinating goroutine before any fan-out;
-// the worker buffers must already exist (ensureWorkers).
+// grow binds the plan for worker slots up to n. Runs on the
+// coordinating goroutine before any fan-out; the worker buffers must
+// already exist (ensureWorkers).
 func (f *boundFn) grow(w *World, n int) {
-	for len(f.ins) < n {
-		var p *gslplan.Plan
-		if f.plan != nil {
-			p = f.plan.Bind(planEnv{w: w, buf: w.workerBufs[len(f.ins)]})
-		}
-		f.plans = append(f.plans, p)
-		f.ins = append(f.ins, nil)
+	for len(f.plans) < n {
+		f.plans = append(f.plans, f.plan.Bind(planEnv{w: w, buf: w.workerBufs[len(f.plans)]}))
 	}
 }
 
-// invoke executes f once on worker slot wi, inside the invocation the
-// caller opened with workerBufs[wi].begin(src), which returned mark. It
-// runs the slot's bound plan first and on any plan error rolls the
-// invocation back to mark, re-opens it — begin reseeds the rand stream
-// from (seed, tick, src), so the re-run replays identical draws — and
-// runs the slot's interpreter clone instead, whose value, error or fuel
-// exhaustion is authoritative. A clean plan run is, by gslplan's
-// contract, the interpreter's run: same value, effects, read-set, draws
-// and fuel. onPlan reports which of the two produced the result.
-func (w *World) invoke(f *boundFn, wi, mark int, src entity.ID, args ...entity.Value) (v script.Value, fuel int64, onPlan bool, err error) {
-	if p := f.plans[wi]; p != nil {
-		pv, fuel, err := p.Run(w.cfg.ScriptFuel, args...)
-		if err == nil {
-			return script.FromEntity(pv), fuel, true, nil
-		}
-		buf := w.workerBufs[wi]
-		buf.rollback(mark)
-		buf.begin(src)
-	}
-	in := f.ins[wi]
-	if in == nil {
-		in = script.NewInterp(f.prog, script.Options{
-			Fuel:     w.cfg.ScriptFuel,
-			Builtins: w.effectBuiltins(w.workerBufs[wi]),
-		})
-		f.ins[wi] = in
-	}
-	var sargs [content.TriggerArgs]script.Value // the widest entry point
-	for i, a := range args {
-		sargs[i] = script.FromEntity(a)
-	}
-	v, err = in.Call(f.entry, sargs[:len(args)]...)
-	return v, in.FuelUsed(), false, err
+// run executes f once on worker slot wi, inside the invocation the
+// caller opened with workerBufs[wi].begin, and returns the value, the
+// fuel burned and the outcome: nil, an error wrapping gslplan.ErrFuel
+// (a skip), or any other error. On an error the caller rolls the
+// invocation back.
+func (f *boundFn) run(w *World, wi int, args ...entity.Value) (entity.Value, int64, error) {
+	return f.plans[wi].Run(w.cfg.ScriptFuel, args...)
 }
 
 // boundBehavior is a content-pack behavior script as the query phase
-// runs it: its on_tick plus the profile row of the executor that runs
-// it — the compiled twin when the script has a plan, the interpreter
-// row otherwise — resolved by Step before the fan-out (nil with
-// profiling off; every use is nil-safe).
+// runs it: its on_tick plus its profile row, resolved by Step before the
+// fan-out (nil with profiling off; every use is nil-safe).
 type boundBehavior struct {
-	src  *content.CompiledScript
 	fn   boundFn
 	prof *obs.ProfEntry
 }
 
 // rerunBehavior re-executes entity src's behavior on worker slot 0 for
 // the OCC conflict policy, inside the invocation the caller opened with
-// workerBufs[0].begin(src), which returned mark. An entity that lost
-// its behavior mid-apply — despawned by the round just applied —
-// cannot re-run and aborts.
-func (w *World) rerunBehavior(src entity.ID, mark int) (int64, error) {
+// workerBufs[0].begin(src). An entity that lost its behavior mid-apply —
+// despawned by the round just applied — cannot re-run and aborts.
+func (w *World) rerunBehavior(src entity.ID) (int64, error) {
 	rec := w.dir.find(src)
 	if rec == nil || rec.script == "" {
 		return 0, fmt.Errorf("world: entity %d no longer runs a behavior", src)
@@ -219,34 +192,26 @@ func (w *World) rerunBehavior(src entity.ID, mark int) (int64, error) {
 	}
 	w.workerBufs[0].seedSelf(rec)
 	b.fn.grow(w, 1)
-	_, fuel, _, err := w.invoke(&b.fn, 0, mark, src, entity.Int(int64(src)))
+	_, fuel, err := b.fn.run(w, 0, entity.Int(int64(src)))
 	return fuel, err
 }
 
-// PlanFor reports how a loaded script executes: the plan's Explain text
-// when its on_tick compiled, or the first non-compilable construct when
-// it stays on the interpreter. ok is false when no loaded script of
-// that name has an on_tick.
-//
+// PlanFor returns the Explain text of a loaded script's on_tick plan; ok
+// is false when no loaded script of that name has an on_tick.
 // "trigger/<rule>" (the rule's profile-entry name) reports a content
-// pack rule instead, as content.CompiledTrigger.ExplainPlans renders
-// it: a rule has two sides, so both results can be non-empty.
-func (w *World) PlanFor(name string) (explain string, fallback string, ok bool) {
+// pack rule instead: the plans of its <when> (if any) and <do>.
+func (w *World) PlanFor(name string) (explain string, ok bool) {
 	if rule, isRule := strings.CutPrefix(name, "trigger/"); isRule {
 		for _, bt := range w.trigList {
 			if bt.name == rule {
-				explain, fallback = bt.src.ExplainPlans()
-				return explain, fallback, true
+				return bt.src.ExplainPlans(), true
 			}
 		}
-		return "", "", false
+		return "", false
 	}
 	b := w.scripts[name]
 	if b == nil {
-		return "", "", false
+		return "", false
 	}
-	if b.fn.plan != nil {
-		return b.fn.plan.Explain(), "", true
-	}
-	return "", b.src.Fallback, true
+	return b.fn.plan.Explain(), true
 }

@@ -1,18 +1,23 @@
 package world
 
 import (
-	"bytes"
+	"bufio"
 	"fmt"
+	"hash/fnv"
+	"os"
+	"strings"
 	"testing"
 
 	"gamedb/internal/entity"
+	"gamedb/internal/obs"
 	"gamedb/internal/spatial"
 )
 
-// compiledCrowdPack is a fully compilable workload: flocking math over
-// nearby/get/move_toward/add plus a per-entity rand jitter, so the
-// compiled path must reproduce the interpreter's effect records AND its
-// deterministic rand stream bit-for-bit.
+// compiledCrowdPack is a crowd whose scripts cover the language: mingle
+// is flocking math over nearby/get/move_toward/add plus a per-entity
+// rand jitter, so plans must reproduce the effect records and the
+// deterministic rand stream bit-for-bit; chatty counts its neighbors
+// through a user function with a while loop, break and continue.
 const compiledCrowdPack = `
 <contentpack name="compiled-crowd">
   <schema table="units">
@@ -40,67 +45,111 @@ fn on_tick(self) {
 }
   </script>
   <script name="chatty">
+fn bump(n) {
+  let k = 0;
+  while true {
+    k = k + 1;
+    if k >= n { break; }
+    if k % 2 == 0 { continue; }
+  }
+  return k;
+}
 fn on_tick(self) {
-  let seen = list();
-  push(seen, self);
-  add(self, "met", len(seen));
+  let ns = nearby(self, 3.0);
+  add(self, "met", bump(len(ns) + 1));
 }
   </script>
 </contentpack>`
 
-// behaviorStats is a tick's accounting with wall times and the
-// compiled-path counters — the only fields the executors may differ in —
-// cleared.
-func behaviorStats(st TickStats) TickStats {
-	st = plainStats(st)
-	st.CompiledCalls = 0
-	return st
+// goldenLines returns the lines testdata/interpreter_goldens.txt holds
+// for run: what the interpreter did on the same pack, crowd and config.
+func goldenLines(t *testing.T, run string) []string {
+	t.Helper()
+	f, err := os.Open("testdata/interpreter_goldens.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	var out []string
+	sc := bufio.NewScanner(f)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if rest, ok := strings.CutPrefix(sc.Text(), run+" "); ok {
+			out = append(out, rest)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(out) == 0 {
+		t.Fatalf("no goldens recorded for %q", run)
+	}
+	return out
 }
 
-// runCrowd steps w for ticks and returns every tick's snapshot,
-// accounting (wall times kept out), Step error text and LastScriptError
-// text, plus the run's total of CompiledCalls.
-func runCrowd(t *testing.T, w *World, ticks int) ([]mixTick, int) {
+// snapHash is the FNV-1a of a snapshot, as the goldens record it.
+func snapHash(snap []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(snap)
+	return h.Sum64()
+}
+
+// tickLine renders one tick the way the goldens record it: the
+// snapshot's hash, every TickStats counter but the wall times and
+// CompiledCalls, and the error text.
+func tickLine(st TickStats, snap []byte, errText string) string {
+	return fmt.Sprintf("tick=%d snap=%016x ent=%d calls=%d errs=%d skips=%d fuel=%d fired=%d rounds=%d teff=%d tconf=%d terr=%d tskip=%d eff=%d conf=%d retry=%d abort=%d fwd=%d merged=%d inval=%d err=%q",
+		st.Tick, snapHash(snap), st.Entities, st.ScriptCalls, st.ScriptErrors, st.ScriptSkips, st.FuelUsed, st.TriggerFired, st.TriggerRounds,
+		st.TriggerEffects, st.TriggerConflicts, st.TriggerErrors, st.TriggerSkips, st.Effects, st.EffectConflicts,
+		st.EffectRetries, st.EffectAborts, st.EffectsForwarded, st.EffectsRemoteMerged, st.RemoteInvalidations, errText)
+}
+
+func profLine(r obs.ProfRow) string {
+	return fmt.Sprintf("prof %s calls=%d errs=%d skips=%d fuel=%d eff=%d reads=%d retry=%d abort=%d conf=%d",
+		r.Name, r.Calls, r.Errors, r.Skips, r.Fuel, r.Effects, r.Reads, r.Retries, r.Aborts, r.Conflicts)
+}
+
+// runTicks steps w and renders every tick; withLast appends the world's
+// LastScriptError to the Step error.
+func runTicks(t *testing.T, w *World, ticks int, withLast bool) []string {
 	t.Helper()
-	var out []mixTick
-	compiled := 0
+	var out []string
 	for i := 0; i < ticks; i++ {
 		st, err := w.Step()
 		snap, serr := w.Snapshot()
 		if serr != nil {
 			t.Fatal(serr)
 		}
-		compiled += st.CompiledCalls
-		out = append(out, mixTick{snap: snap, stats: behaviorStats(st),
-			err: fmt.Sprint(err, " / ", w.LastScriptError)})
+		errText := fmt.Sprint(err)
+		if withLast {
+			errText = fmt.Sprint(err, " / ", w.LastScriptError)
+		}
+		out = append(out, tickLine(st, snap, errText))
+		if cerr := w.Check(); cerr != nil {
+			t.Fatalf("tick %d: %v", st.Tick, cerr)
+		}
 	}
-	return out, compiled
+	return out
 }
 
-// requireSameRun fails unless got repeats want tick by tick: snapshot,
-// every TickStats counter but the compiled-path ones, and error text.
-func requireSameRun(t *testing.T, label string, got, want []mixTick) {
+// requireGolden fails at the first line where got leaves the recorded
+// interpreter run.
+func requireGolden(t *testing.T, label string, got, want []string) {
 	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d lines, the interpreter recorded %d", label, len(got), len(want))
+	}
 	for i := range want {
-		if !bytes.Equal(got[i].snap, want[i].snap) {
-			t.Fatalf("%s tick %d: world state diverged from the interpreter", label, i+1)
-		}
-		if got[i].stats != want[i].stats {
-			t.Fatalf("%s tick %d: accounting diverged:\ncompiled    %+v\ninterpreted %+v",
-				label, i+1, got[i].stats, want[i].stats)
-		}
-		if got[i].err != want[i].err {
-			t.Fatalf("%s tick %d: error text diverged:\ncompiled    %s\ninterpreted %s",
-				label, i+1, got[i].err, want[i].err)
+		if got[i] != want[i] {
+			t.Fatalf("%s: diverged from the interpreter at line %d:\nplan        %s\ninterpreter %s", label, i+1, got[i], want[i])
 		}
 	}
 }
 
-// compiledCrowd builds the 24-unit crowd, every sixth unit chatty, on
-// plans or — interpret — with the pack's plans stripped.
-func compiledCrowd(t *testing.T, cfg Config, interpret bool) *World {
+// compiledCrowd builds the 24-unit crowd, every sixth unit chatty.
+func compiledCrowd(t *testing.T, cfg Config) *World {
 	t.Helper()
-	w := loadPackInterp(t, cfg, compiledCrowdPack, interpret)
+	w := loadPack(t, cfg, compiledCrowdPack)
 	for i := 0; i < 24; i++ {
 		arch := "unit"
 		if i%6 == 0 {
@@ -114,122 +163,68 @@ func compiledCrowd(t *testing.T, cfg Config, interpret bool) *World {
 }
 
 // TestCompiledMatchesInterpreted pins plan execution to the interpreter
-// tick by tick on a compilable crowd — snapshot, every counter, fuel —
-// across worker counts, and checks the coverage split: mingle runs on
-// its plan, chatty (list/push are not compilable) on the interpreter.
+// tick by tick on the crowd — snapshot, every counter, fuel, error text
+// — across worker counts.
 func TestCompiledMatchesInterpreted(t *testing.T) {
-	const ticks = 12
-	want, wantCompiled := runCrowd(t, compiledCrowd(t, Config{Seed: 11, CellSize: 8, Workers: 1}, true), ticks)
-	if wantCompiled != 0 {
-		t.Fatalf("stripped pack counted %d compiled calls", wantCompiled)
-	}
-	effects, calls := 0, 0
-	for _, tk := range want {
-		effects += tk.stats.Effects
-		calls += tk.stats.ScriptCalls
-		if tk.stats.ScriptErrors > 0 {
-			t.Fatalf("crowd errored: %s", tk.err)
-		}
-	}
-	if effects == 0 {
-		t.Fatal("crowd emitted no effects — workload inert")
-	}
+	want := goldenLines(t, "crowd")
 	for _, workers := range []int{1, 2, 4} {
-		got, compiled := runCrowd(t, compiledCrowd(t, Config{Seed: 11, CellSize: 8, Workers: workers}, false), ticks)
-		requireSameRun(t, fmt.Sprintf("workers=%d", workers), got, want)
-		if compiled == 0 {
-			t.Fatalf("workers=%d: no behavior call completed on a plan", workers)
-		}
-		if compiled >= calls {
-			t.Fatalf("workers=%d: chatty fallback missing (compiled %d of %d calls)", workers, compiled, calls)
-		}
+		got := runTicks(t, compiledCrowd(t, Config{Seed: 11, CellSize: 8, Workers: workers}), len(want), true)
+		requireGolden(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }
 
-// TestCompiledFallbackKeepsChaosIdentical: the chaos pack's scripts all
-// hit non-compilable constructs (spawn, despawn, break), so the pack
-// carries no behavior plan and the world must be the stripped world.
+// TestCompiledFallbackKeepsChaosIdentical: the chaos pack's scripts use
+// spawn, despawn and break, and their plans land on the interpreter's
+// world.
 func TestCompiledFallbackKeepsChaosIdentical(t *testing.T) {
-	cfg := Config{Seed: 9, CellSize: 8, Workers: 4}
-	want, _ := runCrowd(t, loadPackInterp(t, cfg, chaosPack, true), 20)
-	got, compiled := runCrowd(t, loadPack(t, cfg, chaosPack), 20)
-	if compiled != 0 {
-		t.Fatalf("chaos scripts compiled %d calls, want pure fallback", compiled)
-	}
-	requireSameRun(t, "chaos", got, want)
+	want := goldenLines(t, "chaos")
+	got := runTicks(t, loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 4}, chaosPack), len(want), true)
+	requireGolden(t, "chaos", got, want)
 }
 
-// TestCompiledOCCEquivalence: under the OCC policy plans log the same
-// read-sets, so invalidation picks the same losers, and the re-runs —
-// plan-first like every invocation — converge to the same serializable
-// state with identical retry/abort/fuel accounting.
+// TestCompiledOCCEquivalence: under the OCC policy plans log the
+// interpreter's read-sets, so invalidation picks the same losers, and
+// the re-runs converge to the same serializable state with identical
+// retry/abort/fuel accounting.
 func TestCompiledOCCEquivalence(t *testing.T) {
-	run := func(interpret bool) ([]mixTick, int) {
-		w := loadPackInterp(t, Config{Seed: 1, Workers: 2, ConflictPolicy: ConflictOCC}, twoWritersOneReaderPack, interpret)
-		for _, arch := range []string{"store", "wa", "wb", "rd"} {
-			if _, err := w.Spawn(arch, spatial.Vec2{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.Set(1, "v", entity.Int(7)); err != nil {
+	want := goldenLines(t, "quartet")
+	w := loadPack(t, Config{Seed: 1, Workers: 2, ConflictPolicy: ConflictOCC}, twoWritersOneReaderPack)
+	for _, arch := range []string{"store", "wa", "wb", "rd"} {
+		if _, err := w.Spawn(arch, spatial.Vec2{}); err != nil {
 			t.Fatal(err)
 		}
-		return runCrowd(t, w, 5)
 	}
-	want, _ := run(true)
-	retries := 0
-	for _, tk := range want {
-		retries += tk.stats.EffectRetries
+	if err := w.Set(1, "v", entity.Int(7)); err != nil {
+		t.Fatal(err)
 	}
-	if retries == 0 {
-		t.Fatal("quartet produced no retries — conflict machinery not exercised")
-	}
-	got, compiled := run(false)
-	requireSameRun(t, "occ quartet", got, want)
-	if compiled == 0 {
-		t.Fatal("quartet ran zero compiled calls")
-	}
+	requireGolden(t, "occ quartet", runTicks(t, w, len(want), true), want)
 }
 
-// TestCompiledFuelSkipParity: a starved fuel budget must skip the same
-// invocations on either executor — a plan overrun rolls back and the
-// interpreter re-run owns the skip accounting.
+// TestCompiledFuelSkipParity: a starved fuel budget skips the invocations
+// the interpreter skipped, with the fuel it reported (cap+1 each).
 func TestCompiledFuelSkipParity(t *testing.T) {
-	run := func(interpret bool) []mixTick {
-		w := loadPackInterp(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18}, compiledCrowdPack, interpret)
-		for i := 0; i < 16; i++ {
-			if _, err := w.Spawn("unit", spatial.Vec2{X: float64(i % 4), Y: float64(i / 4)}); err != nil {
-				t.Fatal(err)
-			}
+	want := goldenLines(t, "starved")
+	w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18}, compiledCrowdPack)
+	for i := 0; i < 16; i++ {
+		if _, err := w.Spawn("unit", spatial.Vec2{X: float64(i % 4), Y: float64(i / 4)}); err != nil {
+			t.Fatal(err)
 		}
-		out, _ := runCrowd(t, w, 8)
-		return out
 	}
-	want := run(true)
-	skips := 0
-	for _, tk := range want {
-		skips += tk.stats.ScriptSkips
-	}
-	if skips == 0 {
-		t.Fatal("fuel budget did not starve any invocation — parity untested")
-	}
-	requireSameRun(t, "starved", run(false), want)
+	requireGolden(t, "starved", runTicks(t, w, len(want), true), want)
 }
 
 // TestPlanForReportsCompileState checks the introspection hook gslrun's
-// -plan flag rides on: explain text for compiled scripts, the first
-// offending construct for fallbacks, not-found otherwise.
+// -plan flag rides on: explain text for every script with an on_tick,
+// not-found otherwise.
 func TestPlanForReportsCompileState(t *testing.T) {
 	w := loadPack(t, Config{Seed: 1}, compiledCrowdPack)
-	explain, fallback, ok := w.PlanFor("mingle")
-	if !ok || explain == "" || fallback != "" {
-		t.Fatalf("mingle: explain=%q fallback=%q ok=%v", explain, fallback, ok)
+	if explain, ok := w.PlanFor("mingle"); !ok || !strings.Contains(explain, "spatial-index probe") {
+		t.Fatalf("mingle: explain=%q ok=%v", explain, ok)
 	}
-	_, fallback, ok = w.PlanFor("chatty")
-	if !ok || fallback == "" {
-		t.Fatalf("chatty: fallback=%q ok=%v, want non-compilable reason", fallback, ok)
+	if explain, ok := w.PlanFor("chatty"); !ok || !strings.Contains(explain, "fn bump(n)") || !strings.Contains(explain, "while true") {
+		t.Fatalf("chatty: explain=%q ok=%v, want the plan with bump's loop", explain, ok)
 	}
-	if _, _, ok := w.PlanFor("nope"); ok {
+	if _, ok := w.PlanFor("nope"); ok {
 		t.Fatal("unknown script reported a plan")
 	}
 }

@@ -460,7 +460,7 @@ func (w *World) ExchangeApply(invalid map[ForeignKey]struct{}) int {
 // RerunForeign re-executes this world's invalidated border invocations
 // at the barrier, after the owners' merges have been re-shipped into
 // fresh mirrors. Re-runs go serially in (generation, origin, source)
-// order on worker slot 0's executors; an invocation that has
+// order on worker slot 0's plans; an invocation that has
 // exhausted the retry cap — or errors, or whose entity despawned —
 // aborts. Emissions partition again: a re-run's remote records keep the
 // invocation's original generation (so they merge ahead of the next
@@ -485,7 +485,7 @@ func (w *World) RerunForeign(reruns []ForeignInvalidation) {
 		}
 		w.pendRetries++
 		mark := buf.begin(r.Key.Src)
-		fuel, err := w.rerunBehavior(r.Key.Src, mark)
+		fuel, err := w.rerunBehavior(r.Key.Src)
 		w.pendFuel += fuel
 		if err != nil {
 			buf.rollback(mark)

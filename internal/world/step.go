@@ -6,8 +6,8 @@ import (
 	"time"
 
 	"gamedb/internal/entity"
+	"gamedb/internal/gslplan"
 	"gamedb/internal/obs"
-	"gamedb/internal/script"
 )
 
 // physTable is one entry of the tick's physics work list: a spatial
@@ -23,7 +23,6 @@ type physTable struct {
 // so the first error a worker hits is its chunk's lowest.
 type workerStats struct {
 	calls, errors, skips int
-	compiled             int
 	fuel                 int64
 	firstErr             error
 	errID                entity.ID
@@ -64,7 +63,7 @@ func (w *World) Step() (TickStats, error) {
 		}
 		b.fn.grow(w, workers)
 		if w.prof != nil && b.prof == nil {
-			b.prof = w.behaviorRow(name, b.fn.plan != nil)
+			b.prof = w.prof.Entry("behavior/" + name)
 		}
 	}
 
@@ -137,7 +136,6 @@ func (w *World) Step() (TickStats, error) {
 		st.ScriptCalls += stats[i].calls
 		st.ScriptErrors += stats[i].errors
 		st.ScriptSkips += stats[i].skips
-		st.CompiledCalls += stats[i].compiled
 		st.FuelUsed += stats[i].fuel
 		// The tick's reported error is the lowest source entity id's,
 		// not whichever worker finished last — diagnostics stay
@@ -146,6 +144,7 @@ func (w *World) Step() (TickStats, error) {
 			tickErr, tickErrID = stats[i].firstErr, stats[i].errID
 		}
 	}
+	st.CompiledCalls = st.ScriptCalls
 	if tickErr != nil {
 		w.LastScriptError = tickErr
 	}
@@ -197,28 +196,15 @@ func (w *World) runWorker(wi, workers int) {
 		// the subject's table and grid slot for seedSelf.
 		rec := w.dir.find(id)
 		b := rec.beh
-		// A clean, in-budget plan run commits exactly the records and
-		// reads the interpreter would have produced; anything else falls
-		// back inside invoke to the interpreter, whose verdict (effects,
-		// error, skip accounting) is authoritative.
 		reads0 := len(buf.reads)
 		mark := buf.begin(id)
 		buf.seedSelf(rec)
-		start, sampling := b.prof.BeginSample()
-		_, fuel, onPlan, err := w.invoke(&b.fn, wi, mark, id, entity.Int(int64(id)))
 		pe := b.prof
-		if pe != nil && !onPlan && b.fn.plan != nil {
-			// A plan invocation that fell back: its cost belongs on the
-			// behavior's interpreter row, which exists only once this
-			// has happened.
-			pe = w.behaviorRow(rec.script, false)
-		}
+		start, sampling := pe.BeginSample()
+		_, fuel, err := b.fn.run(w, wi, entity.Int(int64(id)))
 		pe.EndSample(start, sampling)
 		ws.calls++
 		ws.fuel += fuel
-		if onPlan {
-			ws.compiled++
-		}
 		if err != nil {
 			buf.rollback(mark)
 			if isFuelErr(err) {
@@ -274,8 +260,7 @@ func chunkRange(n, workers, wi int) (int, int) {
 }
 
 // ensureWorkers sizes the per-worker effect buffers. Buffers persist
-// across ticks: the bound plans and script clones of every worker slot
-// capture theirs.
+// across ticks: the bound plans of every worker slot capture theirs.
 func (w *World) ensureWorkers(n int) {
 	for len(w.workerBufs) < n {
 		w.workerBufs = append(w.workerBufs, newEffectBuffer(w))
@@ -283,7 +268,7 @@ func (w *World) ensureWorkers(n int) {
 }
 
 // isFuelErr reports whether err is (or wraps, including through
-// errors.Join chains) the interpreter's fuel-exhaustion sentinel.
+// errors.Join chains) the fuel-exhaustion sentinel.
 func isFuelErr(err error) bool {
-	return errors.Is(err, script.ErrFuel)
+	return errors.Is(err, gslplan.ErrFuel)
 }

@@ -25,10 +25,9 @@ package world
 // trigger-heavy cascades batch and parallelize exactly like behaviors.
 //
 // They also execute like behaviors: a content-pack rule's condition and
-// action are gslplan query plans (compiled once per pack by
-// content.Compile, bound here per worker slot), and every invocation —
-// cond pass, act pass, OCC re-run — goes through invoke (plan.go),
-// which falls back to the interpreter per invocation.
+// action are gslplan plans (compiled once per pack by content.Compile,
+// bound here per worker slot), and every invocation — cond pass, act
+// pass, OCC re-run — runs its plan (plan.go).
 
 import (
 	"errors"
@@ -85,22 +84,15 @@ func (w *World) ensureTriggerSlots(bt *boundTrigger, n int) {
 
 // runTrigger executes one side of a content rule for one matched event
 // on worker slot wi, inside the invocation the caller opened with
-// workerBufs[wi].begin(src), which returned mark (see invoke).
-func (w *World) runTrigger(f *boundFn, wi, mark int, src entity.ID, ev *trigger.Event) (v script.Value, fuel int64, onPlan bool, err error) {
-	return w.invoke(f, wi, mark, src, entity.Int(int64(ev.Entity)), ev.Field("amount"))
+// workerBufs[wi].begin.
+func (w *World) runTrigger(f *boundFn, wi int, ev *trigger.Event) (entity.Value, int64, error) {
+	return f.run(w, wi, entity.Int(int64(ev.Entity)), ev.Field("amount"))
 }
 
 // drainTriggers runs the tick's trigger phase: effect-mode rounds until
 // the queue is empty or the cascade limit trips (the remaining events
-// are dropped and counted, and the engine stays usable). The
-// directTriggers test reference hands the queue to the engine's own
-// serial drain instead.
+// are dropped and counted, and the engine stays usable).
 func (w *World) drainTriggers(st *TickStats) error {
-	if w.directTriggers {
-		fired, err := w.trig.Drain()
-		st.TriggerFired += fired
-		return err
-	}
 	workers := w.cfg.Workers
 	if workers <= 0 {
 		workers = 1
@@ -143,15 +135,7 @@ func (w *World) drainTriggers(st *TickStats) error {
 // trigTally is one worker slot's share of a round's accounting, so the
 // parallel passes touch no shared counters.
 type trigTally struct {
-	fuel   int64
-	onPlan int // invocations that completed on a compiled plan
-}
-
-func (t *trigTally) add(fuel int64, onPlan bool) {
-	t.fuel += fuel
-	if onPlan {
-		t.onPlan++
-	}
+	fuel int64
 }
 
 // condResult is one match's condition outcome from the parallel pass.
@@ -208,16 +192,15 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 				conds[mi].ok = true
 				continue
 			}
-			src := triggerSrc(round, mi)
-			mark := buf.begin(src)
+			mark := buf.begin(triggerSrc(round, mi))
 			// Conditions contribute sampled wall time to the rule's
 			// profile (they are queries — effects roll back, so the
 			// exact counters come from the act pass alone).
 			tSample, sampling := bt.prof.BeginSample()
-			v, fuel, onPlan, err := w.runTrigger(bt.cond, wi, mark, src, &matches[mi].Ev)
+			v, fuel, err := w.runTrigger(bt.cond, wi, &matches[mi].Ev)
 			bt.prof.EndSample(tSample, sampling)
 			buf.rollback(mark) // conditions are queries: discard any emission
-			tallies[wi].add(fuel, onPlan)
+			tallies[wi].fuel += fuel
 			if err != nil {
 				if isFuelErr(err) {
 					conds[mi].skip = true
@@ -228,7 +211,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 			}
 			b, okB := v.AsBool()
 			if !okB {
-				conds[mi].err = fmt.Errorf("trigger %q condition returned %s", bt.name, v.Kind())
+				conds[mi].err = fmt.Errorf("trigger %q condition returned %s", bt.name, script.FromEntity(v).Kind())
 				continue
 			}
 			conds[mi].ok = b
@@ -314,13 +297,12 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		for fi := lo; fi < hi; fi++ {
 			mi := fires[fi]
 			bt := bound[mi]
-			src := triggerSrc(round, mi)
 			reads0 := len(buf.reads)
-			mark := buf.begin(src)
+			mark := buf.begin(triggerSrc(round, mi))
 			tSample, sampling := bt.prof.BeginSample()
-			_, fuel, onPlan, err := w.runTrigger(bt.act, wi, mark, src, &matches[mi].Ev)
+			_, fuel, err := w.runTrigger(bt.act, wi, &matches[mi].Ev)
 			bt.prof.EndSample(tSample, sampling)
-			tallies[wi].add(fuel, onPlan)
+			tallies[wi].fuel += fuel
 			if err != nil {
 				buf.rollback(mark)
 				if isFuelErr(err) {
@@ -353,7 +335,6 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 	}
 	for _, t := range tallies {
 		st.FuelUsed += t.fuel
-		st.TriggerCompiled += t.onPlan
 	}
 
 	// Apply: one deterministic merge ends the round; the events it
@@ -376,7 +357,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		}
 	}
 	if w.occEnabled() {
-		rerun := func(src entity.ID, mark int) (int64, error) {
+		rerun := func(src entity.ID) (int64, error) {
 			mi := int(src - entity.ID(round+1)*triggerRoundStride)
 			if mi < 0 || mi >= len(matches) {
 				return 0, fmt.Errorf("world: re-run source %d outside trigger round %d", src, round)
@@ -387,10 +368,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 				// effects, so they can never lose a merge; defensive.
 				return 0, fmt.Errorf("world: host rule %q cannot re-run", matches[mi].Rule.Name)
 			}
-			_, fuel, onPlan, err := w.runTrigger(bt.act, 0, mark, src, &matches[mi].Ev)
-			if onPlan {
-				st.TriggerCompiled++
-			}
+			_, fuel, err := w.runTrigger(bt.act, 0, &matches[mi].Ev)
 			return fuel, err
 		}
 		w.applyEffectsOCC(bufs, &st.TriggerEffects, &st.TriggerConflicts, st, rerun)

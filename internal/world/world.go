@@ -15,7 +15,6 @@ import (
 
 	"gamedb/internal/content"
 	"gamedb/internal/entity"
-	"gamedb/internal/gslplan"
 	"gamedb/internal/obs"
 	"gamedb/internal/sched"
 	"gamedb/internal/script"
@@ -38,8 +37,8 @@ const (
 	// every invocation's read-set, the apply merge detects losing
 	// assignments, and losers that read a cell the winning set wrote are
 	// withheld and re-run serially (deterministic source order, worker
-	// slot 0's fuel-metered executors) against the post-apply
-	// state, round by round until a fixpoint or Config.EffectRetryCap.
+	// slot 0's fuel-metered plans) against the post-apply state, round
+	// by round until a fixpoint or Config.EffectRetryCap.
 	// Invocations still conflicting at the cap abort: their effects are
 	// dropped and counted in TickStats.EffectAborts. State remains
 	// hash-invariant across any Shards × Workers combination.
@@ -51,9 +50,9 @@ const (
 const DefaultEffectRetryCap = 8
 
 // CompileOn is inert: it is the value bench/workloads.go still assigns
-// to the one shard.Config field nothing reads. Behaviors always run
-// plan-first with per-invocation interpreter fallback; the constant
-// goes when that field does (ROADMAP 1(g)).
+// to the one shard.Config field nothing reads. Behaviors always run on
+// their compiled plans; the constant goes when that field does
+// (ROADMAP 1(g)).
 const CompileOn = "on"
 
 // Config parameterizes a world.
@@ -139,18 +138,14 @@ type World struct {
 	index *spatial.Grid
 	trig  *trigger.Engine
 
-	// rowApply and directTriggers select the reference bodies the
-	// differential tests compare against (export_test.go sets them):
-	// the row-at-a-time assignment apply instead of the columnar one,
-	// and the trigger engine's own serial direct-write drain instead of
-	// the round drain. Nothing outside the tests sets either.
-	rowApply       bool
-	directTriggers bool
+	// rowApply selects the reference body the differential tests compare
+	// the columnar apply against (export_test.go sets it): the
+	// row-at-a-time assignment apply. Nothing outside the tests sets it.
+	rowApply bool
 
-	// trigBound maps content-pack rules to their GSL programs, compiled
-	// plans and per-worker effect-mode executors. Rules absent from the
-	// map (host-registered Go rules) fall back to direct serial
-	// execution inside the round drain.
+	// trigBound maps content-pack rules to their compiled plans and
+	// per-worker bindings. Rules absent from the map (host-registered Go
+	// rules) run directly and serially inside the round drain.
 	trigBound map[*trigger.Rule]*boundTrigger
 	// trigList holds the same bound rules in load order, for lookups by
 	// name (PlanFor).
@@ -171,9 +166,8 @@ type World struct {
 	pool *sched.Pool
 
 	// Per-worker state for the parallel query phase. Buffers persist
-	// across ticks because each worker's bound plans and script clones
-	// capture theirs. The remaining slices are scratch reused
-	// tick-to-tick.
+	// across ticks because each worker's bound plans capture theirs. The
+	// remaining slices are scratch reused tick-to-tick.
 	workerBufs  []*EffectBuffer
 	workerStats []workerStats
 	rosterBuf   []entity.ID
@@ -285,11 +279,9 @@ type TickStats struct {
 	// stop the shard).
 	ScriptSkips int
 	FuelUsed    int64
-	// CompiledCalls counts behavior invocations that completed on their
-	// compiled query plan this tick (the rest of ScriptCalls ran on the
-	// interpreter: the body is not compilable, or the plan invocation
-	// fell back). CompiledCalls / ScriptCalls is the coverage fraction
-	// the -json extras report.
+	// CompiledCalls equals ScriptCalls: every behavior invocation runs on
+	// its compiled plan. It stays only because bench/measure.go reads it
+	// (world.compiled_frac); ROADMAP 1(g) deletes both.
 	CompiledCalls int
 	TriggerFired  int
 	// TriggerRounds counts trigger cascade rounds drained this tick —
@@ -308,12 +300,6 @@ type TickStats struct {
 	// skipped query rather than an error.
 	TriggerErrors int
 	TriggerSkips  int
-	// TriggerCompiled counts trigger condition and action invocations
-	// that completed on a compiled query plan this tick (OCC re-runs
-	// included); the rest ran on the interpreter, because the body is
-	// not compilable or the plan invocation fell back. CompiledCalls /
-	// ScriptCalls stay behavior counts.
-	TriggerCompiled int
 	// Effects is the number of effect records merged in the apply
 	// phase; EffectConflicts counts records dropped by deterministic
 	// conflict resolution (e.g. a set against an entity another
@@ -550,8 +536,8 @@ func (w *World) LoadContent(c *content.Compiled) error {
 			return fmt.Errorf("world: script %q already loaded", name)
 		}
 		var b *boundBehavior
-		if cs.Prog.Fns[gslplan.EntryFn] != nil {
-			b = &boundBehavior{src: cs, fn: boundFn{entry: gslplan.EntryFn, prog: cs.Prog, plan: cs.Plan}}
+		if cs.Plan != nil {
+			b = &boundBehavior{fn: boundFn{plan: cs.Plan}}
 		}
 		w.scripts[name] = b
 	}
@@ -567,57 +553,31 @@ func (w *World) LoadContent(c *content.Compiled) error {
 	return nil
 }
 
-// bindTrigger wraps a compiled trigger's GSL programs as a trigger.Rule.
-// The rule carries direct-execution interpreter closures (for hosts
-// calling Fire/Drain on the engine directly — the serial semantics the
-// differential tests compare the round drain against), and the programs
-// and their query plans are also recorded in trigBound so the
-// effect-aware drain can run them per worker slot, emitting into effect
-// buffers.
+// bindTrigger registers a compiled trigger as a trigger.Rule and
+// records its plans in trigBound, where the round drain finds them and
+// runs them per worker slot, emitting into effect buffers. The rule's
+// own Action is only the engine's registration requirement: a content
+// rule runs in the world's drain, never through the engine's serial
+// Fire/Drain.
 func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
-	actIn := script.NewInterp(ct.Act, script.Options{
-		Fuel:     w.cfg.ScriptFuel,
-		Builtins: w.builtins(),
-	})
+	if ct.ActPlan == nil {
+		return fmt.Errorf("world: trigger %q has no compiled action", ct.Name)
+	}
 	rule := &trigger.Rule{
 		Name:     ct.Name,
 		Event:    ct.Event,
 		Priority: ct.Priority,
 		Once:     ct.Once,
-		Action: func(ev trigger.Event) error {
-			_, err := actIn.Call(content.ActFn,
-				script.Int(int64(ev.Entity)), script.FromEntity(ev.Field("amount")))
-			return err
+		Action: func(trigger.Event) error {
+			return fmt.Errorf("world: content rule %q runs only in the world's trigger drain", ct.Name)
 		},
-	}
-	if ct.Cond != nil {
-		condIn := script.NewInterp(ct.Cond, script.Options{
-			Fuel:     w.cfg.ScriptFuel,
-			Builtins: w.builtins(),
-		})
-		rule.Cond = func(ev trigger.Event) (bool, error) {
-			v, err := condIn.Call(content.CondFn,
-				script.Int(int64(ev.Entity)), script.FromEntity(ev.Field("amount")))
-			if err != nil {
-				return false, err
-			}
-			b, ok := v.AsBool()
-			if !ok {
-				return false, fmt.Errorf("trigger %q condition returned %s", ct.Name, v.Kind())
-			}
-			return b, nil
-		}
 	}
 	if err := w.trig.Register(rule); err != nil {
 		return err
 	}
-	bt := &boundTrigger{
-		name: ct.Name,
-		src:  ct,
-		act:  &boundFn{entry: content.ActFn, prog: ct.Act, plan: ct.ActPlan},
-	}
-	if ct.Cond != nil {
-		bt.cond = &boundFn{entry: content.CondFn, prog: ct.Cond, plan: ct.CondPlan}
+	bt := &boundTrigger{name: ct.Name, src: ct, act: &boundFn{plan: ct.ActPlan}}
+	if ct.CondPlan != nil {
+		bt.cond = &boundFn{plan: ct.CondPlan}
 	}
 	w.trigBound[rule] = bt
 	w.trigList = append(w.trigList, bt)
