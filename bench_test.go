@@ -149,30 +149,36 @@ func BenchmarkE4ConcurrencyControl(b *testing.B) {
 	}
 }
 
-// BenchmarkE5ConsistencyTiers: one replication flush across 16 clients.
+// BenchmarkE5ConsistencyTiers: one replication tick — 400 entity
+// updates through the hub's tier gates, flushed to 16 clients.
 func BenchmarkE5ConsistencyTiers(b *testing.B) {
-	srv, err := replica.NewServer([]replica.FieldSpec{
-		{Name: "hp", Class: replica.Exact},
-		{Name: "x", Class: replica.Coarse, Epsilon: 2, MaxAge: 100},
-		{Name: "anim", Class: replica.Cosmetic, Period: 8},
-	}, 250)
-	if err != nil {
-		b.Fatal(err)
-	}
+	hub := replica.NewHub(replica.HubConfig{
+		Specs: []replica.FieldSpec{
+			{Name: "hp", Class: replica.Exact},
+			{Name: "x", Class: replica.Coarse, Epsilon: 2, MaxAge: 100},
+			{Name: "anim", Class: replica.Cosmetic, Period: 8},
+		},
+		Cell:       250,
+		ByteBudget: 1 << 30,
+	})
 	rng := rand.New(rand.NewSource(9))
-	for i := spatial.ID(1); i <= 400; i++ {
-		srv.Spawn(i, spatial.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000})
+	pos := make([]spatial.Vec2, 400)
+	vals := make([]float64, 3)
+	for i := range pos {
+		pos[i] = spatial.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
+		hub.SpawnEntity(spatial.ID(i+1), pos[i], vals)
 	}
 	for i := 0; i < 16; i++ {
-		srv.AddClient("c", spatial.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, 400)
+		hub.AddClient(i, spatial.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}, 400, 0)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for id := spatial.ID(1); id <= 400; id++ {
-			srv.Set(id, "x", rng.NormFloat64()*10)
-			srv.Set(id, "anim", float64(i%16))
+		hub.BeginTick(int64(i + 1))
+		for id := range pos {
+			vals[1], vals[2] = rng.NormFloat64()*10, float64(i%16)
+			hub.UpdateEntity(spatial.ID(id+1), pos[id], vals)
 		}
-		srv.FlushTick()
+		hub.FlushTick()
 	}
 }
 

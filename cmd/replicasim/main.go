@@ -61,10 +61,9 @@ func main() {
 	seed := flag.Int64("seed", 2009, "scenario and client-placement seed")
 	aoi := flag.Float64("aoi", 64, "client area-of-interest radius")
 	cell := flag.Float64("cell", 32, "interest cell size")
-	budget := flag.Int("budget", 1500, "per-client per-tick drain budget in modeled bytes")
+	budget := flag.Int("budget", 1500, "per-client per-tick drain budget in wire-encoded bytes")
 	slowFrac := flag.Float64("slow-frac", 0.05, "fraction of clients throttled to budget/8 (induces backpressure and tier degradation)")
 	drift := flag.Float64("drift", 0.02, "fraction of clients whose focus moves each tick")
-	wireSizing := flag.Bool("wire", false, "price fan-out messages by wire-encoding them (internal/wire codec) instead of modeled byte constants")
 	report := flag.Int("report", 0, "print per-tick fan-out stats every N ticks (0 = off)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable benchmark record on stdout")
 	flag.Parse()
@@ -108,7 +107,6 @@ func main() {
 		Specs:      scenarioSpecs(*scenario),
 		Cell:       *cell,
 		ByteBudget: *budget,
-		WireSizing: *wireSizing,
 	})
 	// Client placement and drift draw from their own stream so the
 	// world evolution stays bit-identical to shardsim's at equal seeds.
@@ -181,7 +179,6 @@ func main() {
 			EntitiesPerSec: float64(*clients) * float64(*ticks) / elapsed.Seconds(),
 			Extra: map[string]any{
 				"scenario":          *scenario,
-				"wire_sizing":       *wireSizing,
 				"clients":           *clients,
 				"units":             *units,
 				"shards":            *shards,

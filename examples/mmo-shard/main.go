@@ -7,8 +7,8 @@
 // tick's interaction transactions bubble-parallel — racing the classic
 // lock-based alternatives on the way.
 //
-// Act 2 — across shards: the same map is split into region shards under
-// gamedb.OpenSharded; 1, 2, 4 and 8 shards race the identical
+// Act 2 — across shards: the same map is split into region shards by
+// gamedb.New's Options.Shards; 1, 2, 4 and 8 shards race the identical
 // seed-fixed crowd, with cross-shard handoff and ghost replication
 // keeping the final world hash identical for every shard count.
 package main
@@ -107,7 +107,7 @@ func shardedRuntimeRace() {
 	var firstHash uint64
 	hashesAgree := true
 	for _, n := range []int{1, 2, 4, 8} {
-		eng, err := gamedb.OpenSharded(gamedb.ShardedOptions{
+		eng, err := gamedb.New(gamedb.Options{
 			Seed:           seed,
 			Shards:         n,
 			World:          gamedb.NewRect(0, 0, side, side),
@@ -118,7 +118,7 @@ func shardedRuntimeRace() {
 		if err != nil {
 			panic(err)
 		}
-		rt := eng.Runtime
+		rt := eng.Runtime()
 		// Seed-fixed spawn stream: identical crowd for every shard count.
 		if err := shard.SeedDriftingCrowd(rt, players, side, seed, 40); err != nil {
 			panic(err)

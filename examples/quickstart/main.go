@@ -42,10 +42,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer eng.Close()
 	if err := eng.LoadPackXML(strings.NewReader(pack)); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded %d rabbits\n", eng.World.Entities())
+	fmt.Printf("loaded %d rabbits\n", eng.Entities())
 
 	for i := 0; i < 100; i++ {
 		if _, err := eng.Tick(); err != nil {
@@ -53,8 +54,9 @@ func main() {
 		}
 	}
 
-	// Query game state directly through the table API.
-	units, _ := eng.World.Table("units")
+	// Query game state directly through the table API (one shard holds
+	// the whole world).
+	units, _ := eng.ShardWorld(0).Table("units")
 	crowded := 0
 	units.Scan(func(id gamedb.ID, row []gamedb.Value) bool {
 		if row[units.Schema().MustCol("mood")] == gamedb.Str("crowded") {
@@ -77,5 +79,5 @@ func main() {
 	}
 	fmt.Printf("crash recovered, ticks of progress lost: %d\n", lost)
 	fmt.Printf("world resumed at tick %d with %d entities\n",
-		eng.World.Tick(), eng.World.Entities())
+		eng.Runtime().Tick(), eng.Entities())
 }

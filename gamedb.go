@@ -15,6 +15,14 @@
 // typed effects that merge and apply deterministically — the same seed
 // produces the same world at any parallelism.
 //
+// There is one engine. It partitions the map into Options.Shards region
+// shards (default 1) that tick as lockstep peers; the tick barrier hands
+// entities across region borders and mirrors border bands as read-only
+// ghosts, so the world hash is identical for every shard count. Setting
+// Options.ReplicaFields feeds every tick's changes to the engine's
+// client fan-out hub (Engine.Hub), and Options.Checkpoint snapshots
+// every shard at a barrier.
+//
 // Quick start:
 //
 //	eng, err := gamedb.New(gamedb.Options{Seed: 42})
@@ -39,36 +47,28 @@ import (
 	"gamedb/internal/world"
 )
 
-// Engine is a running game shard; see core.Engine for method docs.
+// Engine is a running game world; see core.Engine for method docs.
 type Engine = core.Engine
 
 // Options configures New.
 type Options = core.Options
 
-// ShardedEngine is a world partitioned into N region shards, ticking
-// in parallel as lockstep peers whose tick barrier performs cross-shard
-// entity handoff and ghost replication; see core.ShardedEngine and
-// internal/shard for method docs.
-type ShardedEngine = core.ShardedEngine
-
-// ShardedOptions configures OpenSharded.
-type ShardedOptions = core.ShardedOptions
-
-// ShardStepStats summarizes one sharded tick (handoffs, ghost traffic,
-// parallel/barrier wall time).
+// ShardStepStats summarizes one Engine.Tick across its shards
+// (handoffs, ghost traffic, parallel/barrier wall time, and each shard
+// world's TickStats).
 type ShardStepStats = shard.StepStats
 
 // Rect is an axis-aligned world-space rectangle (shard regions, the
-// world bounds passed to OpenSharded).
+// world bounds in Options.World).
 type Rect = spatial.Rect
 
 // NewRect builds a rectangle from extreme coordinates.
 func NewRect(x0, y0, x1, y1 float64) Rect { return spatial.NewRect(x0, y0, x1, y1) }
 
-// World is the tick-based simulation a shard runs.
+// World is the tick-based simulation a shard runs (Engine.ShardWorld).
 type World = world.World
 
-// TickStats summarizes one tick.
+// TickStats summarizes one shard world's tick.
 type TickStats = world.TickStats
 
 // Vec2 is a world-space point or vector.
@@ -108,12 +108,11 @@ type (
 	EventKeyed = persist.EventKeyed
 )
 
-// Tracer records span-based tick traces for Options.Tracer /
-// ShardedOptions.Tracer; export with WriteChromeTrace or
-// WriteSlowestTimeline. Profiler attributes script time, fuel, effects,
-// reads, conflicts, retries and aborts per behavior / trigger rule for
-// Options.Profile / ShardedOptions.Profile. Both are inert with respect
-// to world state (the grid tests pin it).
+// Tracer records span-based tick traces for Options.Tracer; export with
+// WriteChromeTrace or WriteSlowestTimeline. Profiler attributes script
+// time, fuel, effects, reads, conflicts, retries and aborts per behavior
+// / trigger rule for Options.Profile. Both are inert with respect to
+// world state (the grid tests pin it).
 type (
 	Tracer   = obs.Tracer
 	Profiler = obs.Profiler
@@ -133,13 +132,10 @@ var (
 // DefaultSpanCap is the per-shard span-ring capacity the sims use.
 const DefaultSpanCap = obs.DefaultSpanCap
 
-// New builds an engine.
+// New builds an engine: opts.Shards region shards (default 1) over
+// opts.World (required for more than one), each an independent world
+// ticked in parallel on the shared worker pool; a tick barrier migrates
+// entities that cross region boundaries and mirrors border-band
+// neighbors as read-only ghosts so boundary-straddling queries stay
+// correct.
 func New(opts Options) (*Engine, error) { return core.New(opts) }
-
-// OpenSharded builds a sharded world runtime: the map is partitioned
-// into opts.Shards spatial regions, each running as an independent
-// world ticked in parallel on the shared worker pool; a tick barrier
-// migrates entities that cross region boundaries and mirrors
-// border-band neighbors as read-only ghosts so boundary-straddling
-// queries stay correct.
-func OpenSharded(opts ShardedOptions) (*ShardedEngine, error) { return core.NewSharded(opts) }

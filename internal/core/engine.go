@@ -1,7 +1,9 @@
-// Package core assembles the paper's full stack into one engine: a
-// tick-based world (entity tables + spatial index + scripts + triggers)
-// with optional checkpoint persistence and optional client replication.
-// It is the implementation behind the public gamedb package.
+// Package core assembles the paper's full stack into one engine: a world
+// (entity tables + spatial index + scripts + triggers) partitioned into
+// region shards that tick as lockstep peers, with optional checkpoint
+// persistence of every shard and optional client replication through
+// the fan-out hub. One shard is the default and is the plain world. It
+// is the implementation behind the public gamedb package.
 package core
 
 import (
@@ -14,18 +16,27 @@ import (
 	"gamedb/internal/persist"
 	"gamedb/internal/replica"
 	"gamedb/internal/sched"
+	"gamedb/internal/shard"
 	"gamedb/internal/spatial"
 	"gamedb/internal/world"
 )
 
-// Options configures an Engine. The zero value is usable: a world with
+// Options configures an Engine. The zero value is usable: one shard with
 // default sizes, no persistence, no replication. The tick has one
 // pipeline and no option selects another: behaviors and trigger rules
 // run on the plans their content pack compiled, effects apply columnar,
-// and triggers drain in effect-aware rounds.
+// triggers drain in effect-aware rounds, and every shard count runs the
+// same barrier.
 type Options struct {
-	// Seed drives all engine randomness.
+	// Seed drives all randomness, reproducibly across shard counts.
 	Seed int64
+	// Shards is the number of region shards (default 1).
+	Shards int
+	// World is the map rectangle partitioned across shards. It is
+	// required when Shards > 1; one shard owns every position, so a
+	// single-shard engine may leave it zero.
+	World spatial.Rect
+
 	// CellSize is the spatial index cell size.
 	CellSize float64
 	// ScriptFuel bounds one behavior invocation's work
@@ -33,12 +44,14 @@ type Options struct {
 	ScriptFuel int64
 	// TickDT is simulated seconds per tick.
 	TickDT float64
-	// Workers fans the tick's query phase (behaviors + physics) and its
-	// trigger rounds across that many goroutines (default 1); world
-	// state is identical for any value.
+	// Workers fans each shard's query phase (behaviors + physics) and its
+	// trigger rounds across that many goroutines (default 1): total
+	// parallelism is Shards × Workers, and the world hash stays identical
+	// for any combination.
 	Workers int
-	// Pool overrides the worker pool tick-parallel phases run on
-	// (default: the process-wide sched.Shared() pool).
+	// Pool overrides the worker pool tick-parallel phases and the
+	// replication fan-out run on (default: the process-wide
+	// sched.Shared() pool).
 	Pool *sched.Pool
 	// ConflictPolicy selects how conflicting assignments resolve in the
 	// apply phase: world.ConflictLastWrite (default) or world.ConflictOCC
@@ -46,62 +59,88 @@ type Options struct {
 	ConflictPolicy string
 	// EffectRetryCap bounds OCC re-run rounds (see world.Config).
 	EffectRetryCap int
-	// Tracer records span-based tick traces (nil = off); the engine's
-	// world records onto the tracer's shard-0 context. Profile is the
-	// per-behavior / per-rule profiler (nil = off). Both are inert with
-	// respect to world state (see world.Config.Trace / Profile).
+	// Tracer records span-based tick traces across all shards and their
+	// barriers (nil = off); Profile is the per-behavior / per-rule
+	// profiler shared by every shard world (nil = off). Both are inert
+	// with respect to world state (see shard.Config.Tracer / Profile).
 	Tracer  *obs.Tracer
 	Profile *obs.Profiler
 
-	// Checkpoint enables snapshot persistence with the given policy
-	// (persist.Periodic or persist.EventKeyed). Nil disables it.
+	// GhostBand is the mirrored border width (≥ the interaction range;
+	// 0 = default 2×CellSize, negative disables ghosts); GhostFields
+	// optionally overrides the consistency specs for ghost refresh
+	// (default: x/y as Coarse).
+	GhostBand   float64
+	GhostFields []replica.FieldSpec
+	// RebalanceEvery enables load-driven boundary rebalancing every
+	// that many ticks (0 = static partition).
+	RebalanceEvery int64
+
+	// Checkpoint enables snapshot persistence of every shard with the
+	// given policy (persist.Periodic or persist.EventKeyed). Nil
+	// disables it.
 	Checkpoint persist.Policy
 
-	// ReplicaFields enables client replication of the named float
-	// columns with per-field consistency classes. Empty disables it.
+	// ReplicaFields enables client replication of the named numeric
+	// columns with per-field consistency classes: the shard worlds record
+	// change feeds, and every tick pumps them into the engine's Hub.
+	// Empty disables it.
 	ReplicaFields []replica.FieldSpec
-	// ReplicaTable is the spatial table whose entities replicate
-	// (default "units").
-	ReplicaTable string
-	// AOICell sizes the interest-management grid (default 4×CellSize).
+	// AOICell sizes the hub's interest cells (default 4×CellSize).
 	AOICell float64
 }
 
-// Engine is a running game shard with persistence and replication
+// Engine is a running game world with persistence and replication
 // attached.
 type Engine struct {
-	World   *world.World
-	Backing *persist.Backing
-	Replica *replica.Server
+	rt   *shard.Runtime
+	hub  *replica.Hub
+	pump *shard.FeedPump
 
-	policy     persist.Policy
-	ckptTick   int64
-	replTable  string
-	replFields []replica.FieldSpec
-	replKnown  map[entity.ID]bool
+	// Backing is the checkpoint store (nil without Options.Checkpoint).
+	Backing  *persist.Backing
+	policy   persist.Policy
+	ckptTick int64
 
 	// Checkpoints counts snapshots taken; LostOnLastCrash reports the
-	// actions... (ticks) rolled back by the most recent CrashAndRecover.
+	// ticks rolled back by the most recent CrashAndRecover.
 	Checkpoints     int64
 	LostOnLastCrash int64
 }
 
 // New builds an engine.
 func New(opts Options) (*Engine, error) {
-	e := &Engine{
-		World: world.New(world.Config{
-			Seed:           opts.Seed,
-			CellSize:       opts.CellSize,
-			ScriptFuel:     opts.ScriptFuel,
-			TickDT:         opts.TickDT,
-			Workers:        opts.Workers,
-			Pool:           opts.Pool,
-			ConflictPolicy: opts.ConflictPolicy,
-			EffectRetryCap: opts.EffectRetryCap,
-			Trace:          opts.Tracer.Context(0),
-			Profile:        opts.Profile,
-		}),
+	if err := replica.CheckSpecs(opts.ReplicaFields); err != nil {
+		return nil, err
 	}
+	rect := opts.World
+	if opts.Shards <= 1 && (rect.Width() <= 0 || rect.Height() <= 0) {
+		// One region owns every position (Locate clamps onto the map), so
+		// its extent decides nothing.
+		rect = spatial.NewRect(0, 0, 1, 1)
+	}
+	rt, err := shard.New(shard.Config{
+		Seed:           opts.Seed,
+		Shards:         opts.Shards,
+		World:          rect,
+		CellSize:       opts.CellSize,
+		ScriptFuel:     opts.ScriptFuel,
+		TickDT:         opts.TickDT,
+		Workers:        opts.Workers,
+		Pool:           opts.Pool,
+		ConflictPolicy: opts.ConflictPolicy,
+		EffectRetryCap: opts.EffectRetryCap,
+		Tracer:         opts.Tracer,
+		Profile:        opts.Profile,
+		GhostBand:      opts.GhostBand,
+		GhostFields:    opts.GhostFields,
+		RebalanceEvery: opts.RebalanceEvery,
+		ChangeFeed:     len(opts.ReplicaFields) > 0,
+	})
+	if err != nil {
+		return nil, err
+	}
+	e := &Engine{rt: rt}
 	if opts.Checkpoint != nil {
 		e.policy = opts.Checkpoint
 		e.Backing = &persist.Backing{}
@@ -109,29 +148,22 @@ func New(opts Options) (*Engine, error) {
 	if len(opts.ReplicaFields) > 0 {
 		cell := opts.AOICell
 		if cell <= 0 {
-			if opts.CellSize > 0 {
-				cell = 4 * opts.CellSize
-			} else {
+			cell = 4 * opts.CellSize
+			if cell <= 0 {
 				cell = 64
 			}
 		}
-		srv, err := replica.NewServer(opts.ReplicaFields, cell)
-		if err != nil {
-			return nil, err
-		}
-		e.Replica = srv
-		e.replFields = opts.ReplicaFields
-		e.replTable = opts.ReplicaTable
-		if e.replTable == "" {
-			e.replTable = "units"
-		}
-		e.replKnown = make(map[entity.ID]bool)
+		e.hub = replica.NewHub(replica.HubConfig{Specs: opts.ReplicaFields, Cell: cell, Pool: opts.Pool})
+		e.pump = shard.NewFeedPump(rt, e.hub)
 	}
 	return e, nil
 }
 
-// LoadPackXML loads a content pack from XML. Compile errors are joined
-// into one error listing every problem.
+// LoadPackXML loads a content pack from XML into every shard; the pack's
+// spawns run once, each entity materializing on the shard owning its
+// position. Compile errors are joined into one error listing every
+// problem. Initial ghost mirrors synchronize, and the hub learns the
+// population, before return.
 func (e *Engine) LoadPackXML(r io.Reader) error {
 	c, errs := content.LoadAndCompile(r)
 	if len(errs) > 0 {
@@ -141,29 +173,40 @@ func (e *Engine) LoadPackXML(r io.Reader) error {
 		}
 		return fmt.Errorf("%s", msg)
 	}
-	return e.World.LoadPack(c)
+	if err := e.rt.LoadPack(c); err != nil {
+		return err
+	}
+	if err := e.rt.Sync(); err != nil {
+		return err
+	}
+	e.replicate()
+	return nil
 }
 
-// Tick advances the world one step, synchronizes replicas, and applies
-// the checkpoint policy (a tick is an unimportant "action"; call
-// NoteImportant for boss kills and loot).
-func (e *Engine) Tick() (world.TickStats, error) {
-	st, err := e.World.Step()
+// Tick advances every shard one step through the tick barrier, ships the
+// tick to replicas, and applies the checkpoint policy (a tick is an
+// unimportant "action"; call NoteImportant for boss kills and loot).
+func (e *Engine) Tick() (shard.StepStats, error) {
+	st, err := e.rt.Step()
 	if err != nil {
 		return st, err
 	}
-	if e.Replica != nil {
-		e.syncReplica()
-		e.Replica.FlushTick()
-	}
-	if e.policy != nil {
-		if e.policy.ShouldCheckpoint(persist.Action{Tick: st.Tick}, st.Tick-e.ckptTick) {
-			if err := e.Checkpoint(); err != nil {
-				return st, err
-			}
+	e.replicate()
+	if e.policy != nil && e.policy.ShouldCheckpoint(persist.Action{Tick: st.Tick}, st.Tick-e.ckptTick) {
+		if err := e.Checkpoint(); err != nil {
+			return st, err
 		}
 	}
 	return st, nil
+}
+
+// replicate pumps the shards' sealed change feeds into the hub and
+// flushes it to the clients.
+func (e *Engine) replicate() {
+	if e.pump != nil {
+		e.pump.Pump()
+		e.hub.FlushTick()
+	}
 }
 
 // NoteImportant reports an important event (boss kill, rare loot) to the
@@ -172,95 +215,77 @@ func (e *Engine) NoteImportant() error {
 	if e.policy == nil {
 		return nil
 	}
-	tick := e.World.Tick()
+	tick := e.rt.Tick()
 	if e.policy.ShouldCheckpoint(persist.Action{Tick: tick, Important: true}, tick-e.ckptTick) {
 		return e.Checkpoint()
 	}
 	return nil
 }
 
-// Checkpoint snapshots the world into the backing store now.
+// Checkpoint snapshots every shard, consistent at the last barrier, into
+// the backing store now.
 func (e *Engine) Checkpoint() error {
 	if e.Backing == nil {
 		return fmt.Errorf("core: persistence not configured")
 	}
-	snap, err := e.World.Snapshot()
+	snap, err := e.rt.Snapshot()
 	if err != nil {
 		return err
 	}
-	tick := e.World.Tick()
+	tick := e.rt.Tick()
 	e.Backing.WriteSnapshot(snap, uint64(tick), tick)
 	e.ckptTick = tick
 	e.Checkpoints++
 	return nil
 }
 
-// CrashAndRecover simulates a server crash and restores the last
-// checkpoint, reporting how many ticks of play were rolled back.
+// CrashAndRecover simulates a server crash and restores every shard from
+// the last checkpoint, reporting how many ticks of play were rolled
+// back. Replicas catch up on the next Tick.
 func (e *Engine) CrashAndRecover() (int64, error) {
 	if e.Backing == nil {
 		return 0, fmt.Errorf("core: persistence not configured")
 	}
-	crashTick := e.World.Tick()
+	crashTick := e.rt.Tick()
 	snap, _, tick, ok := e.Backing.LatestSnapshot()
 	if !ok {
 		return 0, persist.ErrNoState
 	}
-	if err := e.World.Restore(snap); err != nil {
+	if err := e.rt.Restore(snap); err != nil {
 		return 0, err
-	}
-	if e.replKnown != nil {
-		e.replKnown = make(map[entity.ID]bool)
 	}
 	e.ckptTick = tick
 	e.LostOnLastCrash = crashTick - tick
 	return e.LostOnLastCrash, nil
 }
 
-// syncReplica pushes configured columns of the replica table into the
-// replication server.
-func (e *Engine) syncReplica() {
-	tab, ok := e.World.Table(e.replTable)
-	if !ok {
-		return
-	}
-	s := tab.Schema()
-	type fieldCol struct {
-		name string
-		idx  int
-	}
-	var cols []fieldCol
-	for _, f := range e.replFields {
-		if ci, has := s.Col(f.Name); has {
-			cols = append(cols, fieldCol{f.Name, ci})
-		}
-	}
-	seen := make(map[entity.ID]bool, tab.Len())
-	tab.Scan(func(id entity.ID, row []entity.Value) bool {
-		seen[id] = true
-		pos, hasPos := e.World.Pos(id)
-		if !e.replKnown[id] {
-			e.Replica.Spawn(replica.ID(id), pos)
-			e.replKnown[id] = true
-		} else if hasPos {
-			e.Replica.MoveEntity(replica.ID(id), pos)
-		}
-		for _, fc := range cols {
-			if f, okF := row[fc.idx].AsFloat(); okF {
-				e.Replica.Set(replica.ID(id), fc.name, f)
-			}
-		}
-		return true
-	})
-	for id := range e.replKnown {
-		if !seen[id] {
-			e.Replica.Despawn(replica.ID(id))
-			delete(e.replKnown, id)
-		}
-	}
+// Spawn instantiates an archetype on the shard owning pos.
+func (e *Engine) Spawn(archetype string, pos spatial.Vec2) (entity.ID, error) {
+	return e.rt.Spawn(archetype, pos)
 }
 
-// Spawn proxies world.Spawn for API convenience.
-func (e *Engine) Spawn(archetype string, pos spatial.Vec2) (entity.ID, error) {
-	return e.World.Spawn(archetype, pos)
+// Set writes a column of the entity on whichever shard owns it.
+func (e *Engine) Set(id entity.ID, col string, v entity.Value) error {
+	return e.rt.Set(id, col, v)
 }
+
+// Entities returns the owned-entity total across shards.
+func (e *Engine) Entities() int { return e.rt.Entities() }
+
+// Hash returns the deterministic digest of the owned world state; equal
+// seeds yield equal hashes for any shard count.
+func (e *Engine) Hash() uint64 { return e.rt.Hash() }
+
+// ShardWorld returns shard i's world for inspection.
+func (e *Engine) ShardWorld(i int) *world.World { return e.rt.ShardWorld(i) }
+
+// Runtime returns the shard runtime the engine drives, for seeders and
+// tools that work on the cluster directly.
+func (e *Engine) Runtime() *shard.Runtime { return e.rt }
+
+// Hub returns the client fan-out hub (nil without Options.ReplicaFields);
+// connect clients with Hub().AddClient.
+func (e *Engine) Hub() *replica.Hub { return e.hub }
+
+// Close stops the shard peers' goroutines.
+func (e *Engine) Close() { e.rt.Close() }

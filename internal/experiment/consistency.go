@@ -71,7 +71,10 @@ func E4Concurrency(quick bool) *metrics.Table {
 
 // E5ConsistencyTiers sweeps the Coarse tier's epsilon and reports
 // bandwidth against worst-case divergence, alongside the Exact and
-// Cosmetic tiers under the same movement.
+// Cosmetic tiers under the same movement. The clients are the
+// replica.Hub's, priced by wire encoding, with a budget that drains
+// every queue each tick, so each client holds the hub's shipped
+// baseline and Hub.Divergence is the furthest any of them lags.
 func E5ConsistencyTiers(quick bool) *metrics.Table {
 	t := metrics.NewTable("E5/F4 — consistency tiers: bandwidth vs divergence (coarse-ε sweep)",
 		"epsilon", "msgs/tick/client", "bytes/tick/client", "max div (coarse x)", "max div (exact hp)")
@@ -81,46 +84,42 @@ func E5ConsistencyTiers(quick bool) *metrics.Table {
 	nClients := pick(quick, 8, 32)
 	ticks := pick(quick, 150, 400)
 	for _, eps := range []float64{0.5, 2, 8} {
-		srv, err := replica.NewServer([]replica.FieldSpec{
-			{Name: "hp", Class: replica.Exact},
-			{Name: "x", Class: replica.Coarse, Epsilon: eps, MaxAge: 200},
-			{Name: "anim", Class: replica.Cosmetic, Period: 8},
-		}, 250)
-		if err != nil {
-			panic(err)
-		}
+		hub := replica.NewHub(replica.HubConfig{
+			Specs: []replica.FieldSpec{
+				{Name: "hp", Class: replica.Exact},
+				{Name: "x", Class: replica.Coarse, Epsilon: eps, MaxAge: 200},
+				{Name: "anim", Class: replica.Cosmetic, Period: 8},
+			},
+			Cell:       250,
+			ByteBudget: 1 << 30,
+		})
 		rng := newRng(600 + int64(eps*10))
 		world := spatial.NewRect(0, 0, 1000, 1000)
 		move := workload.NewRandomWaypoint(rng, nEnt, world, 15)
+		vals := make([]float64, 3)
 		for _, mv := range move.Movers {
-			srv.Spawn(mv.ID, mv.Pos)
+			hub.SpawnEntity(mv.ID, mv.Pos, vals)
 		}
-		clients := make([]*replica.Client, nClients)
+		clients := make([]*replica.Conn, nClients)
 		for i := range clients {
 			focus := spatial.Vec2{X: rng.Float64() * 1000, Y: rng.Float64() * 1000}
-			clients[i] = srv.AddClient(fmt.Sprintf("c%d", i), focus, 400)
+			clients[i] = hub.AddClient(i, focus, 400, 0)
 		}
 		for tick := 0; tick < ticks; tick++ {
 			move.Step(0.1)
+			hub.BeginTick(int64(tick + 1))
 			for _, mv := range move.Movers {
-				srv.MoveEntity(mv.ID, mv.Pos)
-				srv.Set(mv.ID, "x", mv.Pos.X)
-				srv.Set(mv.ID, "hp", float64(100-tick%50))
-				srv.Set(mv.ID, "anim", float64(tick%16))
+				vals[0], vals[1], vals[2] = float64(100-tick%50), mv.Pos.X, float64(tick%16)
+				hub.UpdateEntity(mv.ID, mv.Pos, vals)
 			}
-			srv.FlushTick()
+			hub.FlushTick()
 		}
+		maxDivX, _ := hub.Divergence("x")
+		maxDivHP, _ := hub.Divergence("hp")
 		var msgs, bytes int64
-		maxDivX, maxDivHP := 0.0, 0.0
 		for _, c := range clients {
 			msgs += c.Msgs
 			bytes += c.Bytes
-			if d, _ := srv.Divergence(c, "x"); d > maxDivX {
-				maxDivX = d
-			}
-			if d, _ := srv.Divergence(c, "hp"); d > maxDivHP {
-				maxDivHP = d
-			}
 		}
 		perTickClient := float64(msgs) / float64(ticks) / float64(nClients)
 		bytesPer := float64(bytes) / float64(ticks) / float64(nClients)

@@ -110,3 +110,19 @@ func TestE11ShapeRestrictedRejectsAllRunaways(t *testing.T) {
 		}
 	}
 }
+
+// TestE5TiersHoldOnTheHub asserts E5's claim on every row: coarse x lags
+// its authoritative value by less than the row's epsilon, and exact hp
+// does not lag at all.
+func TestE5TiersHoldOnTheHub(t *testing.T) {
+	for _, row := range E5ConsistencyTiers(true).Rows {
+		eps, err1 := strconv.ParseFloat(row[0], 64)
+		divX, err2 := strconv.ParseFloat(row[3], 64)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("unparsable row %v", row)
+		}
+		if divX >= eps || row[4] != "0" {
+			t.Fatalf("epsilon %v: coarse divergence %v, exact divergence %s; want < epsilon and 0", eps, divX, row[4])
+		}
+	}
+}

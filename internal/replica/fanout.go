@@ -18,7 +18,7 @@ package replica
 //     sync" tier, applied per client under backpressure.
 //
 // The hub is driven from a shard runtime's sealed change feeds (see
-// shard.Config.ChangeFeed): the feed's dirty sets name exactly the
+// shard.FeedPump): the feed's dirty sets name exactly the
 // (table, column, id) cells that could need shipping, so per-tick cost
 // is O(dirty + due + clients-touched), never O(entities × clients).
 //
@@ -69,9 +69,6 @@ func (t Tier) String() string {
 	}
 }
 
-// removeBytes is the modeled wire size of an entity-removal message.
-const removeBytes = 6
-
 // HubConfig sizes a Hub. Zero values get workable defaults.
 type HubConfig struct {
 	// Specs are the replicated fields, ShouldShip-gated per class.
@@ -79,8 +76,12 @@ type HubConfig struct {
 	// Cell is the interest-cell edge length (default 64); client
 	// windows and entity updates meet at cell granularity.
 	Cell float64
-	// ByteBudget is a client's default per-tick drain budget in modeled
-	// bytes (default 1500, one MTU per tick).
+	// ByteBudget is a client's default per-tick drain budget in bytes
+	// (default 1500, one MTU per tick). Every queued message is priced by
+	// wire-encoding it with the internal/wire codec (the shard barrier's
+	// frame codec, see wiremsg.go): sizes depend only on message content
+	// and queues fill in intake order, so totals, drains that cut
+	// mid-backlog and drops past MaxQueue all repeat exactly.
 	ByteBudget int
 	// DegradeAt / UpgradeAt are the backlog watermarks (in bytes) that
 	// step a client's tier down / back up (defaults 4 × ByteBudget and
@@ -96,13 +97,9 @@ type HubConfig struct {
 	// StalenessSample records 1 in N delivered messages into the
 	// staleness histogram (default 16).
 	StalenessSample int
-	// WireSizing prices every queued message by wire-encoding it with
-	// the internal/wire codec (the shard barrier's frame codec) instead
-	// of the fixed modeled constants: varint-length ids and real float
-	// payloads, so byte budgets and tier watermarks respond to actual
-	// encoded sizes. Sizes depend only on message content and queues
-	// fill in intake order, so totals, drains that cut mid-backlog and
-	// drops past MaxQueue all repeat exactly, as in the modeled sizing.
+	// WireSizing is inert: nothing reads it, and every hub prices its
+	// messages by wire encoding. It is still declared only because
+	// bench/workloads.go assigns it (ROADMAP 1(g) deletes both together).
 	WireSizing bool
 	// Pool runs the per-client flush fan-out (default sched.Shared()).
 	Pool *sched.Pool
@@ -153,8 +150,8 @@ type entState struct {
 }
 
 // update is one shipped field delta, fanned to the cell's subscribers.
-// bytes is its queued size, fixed at creation on the single-threaded
-// intake path: wire-encoded under WireSizing, else the modeled constant.
+// bytes is its wire-encoded size, fixed at creation on the
+// single-threaded intake path.
 type update struct {
 	id    ID
 	fi    int32
@@ -202,7 +199,7 @@ type cell struct {
 	pop     []member
 }
 
-// qmsg is one queued outbound message: modeled size plus the tick whose
+// qmsg is one queued outbound message: encoded size plus the tick whose
 // state it carries (staleness = delivery tick − payload tick).
 type qmsg struct {
 	bytes int32
@@ -304,15 +301,12 @@ type Hub struct {
 	UpgradeTotal  metrics.Counter
 	Staleness     metrics.Histogram
 
-	// sizeEnc is the encoder scratch WireSizing prices messages with.
+	// sizeEnc is the encoder scratch messages are priced with.
 	sizeEnc wire.Enc
 }
 
 // updateSize prices one field-update message.
 func (h *Hub) updateSize(id ID, fi int32, val float64) int32 {
-	if !h.cfg.WireSizing {
-		return msgBytes
-	}
 	h.sizeEnc.Reset()
 	AppendUpdateMsg(&h.sizeEnc, id, fi, val)
 	return int32(h.sizeEnc.Len())
@@ -320,9 +314,6 @@ func (h *Hub) updateSize(id ID, fi int32, val float64) int32 {
 
 // memberFor prices an entity's snapshot and removal messages.
 func (h *Hub) memberFor(id ID, vals []float64) member {
-	if !h.cfg.WireSizing {
-		return member{id: id, snapBytes: int32(len(h.specs) * snapshotBytesPer), removeBytes: removeBytes}
-	}
 	m := member{id: id}
 	h.sizeEnc.Reset()
 	AppendSnapshotMsg(&h.sizeEnc, id, vals)
@@ -353,6 +344,31 @@ func (h *Hub) Clients() int { return len(h.conns) }
 
 // Entities returns the replicated entity count.
 func (h *Hub) Entities() int { return len(h.ents) }
+
+// AppendIDs appends every replicated entity's id to dst, in no
+// particular order.
+func (h *Hub) AppendIDs(dst []ID) []ID {
+	for id := range h.ents {
+		dst = append(dst, id)
+	}
+	return dst
+}
+
+// Divergence returns the largest |current − last shipped| value of the
+// named field over every entity: how far a client at TierExact that has
+// drained its queue lags the authoritative state. It reports false for a
+// field the hub does not replicate.
+func (h *Hub) Divergence(field string) (float64, bool) {
+	fi := slices.IndexFunc(h.specs, func(s FieldSpec) bool { return s.Name == field })
+	if fi < 0 {
+		return 0, false
+	}
+	d := 0.0
+	for _, es := range h.ents {
+		d = max(d, math.Abs(es.cur[fi]-es.sent[fi]))
+	}
+	return d, true
+}
 
 // AddClient connects a client. Its whole window snapshots on the first
 // flush (the cover diff sees every cell as newly entered).

@@ -252,7 +252,7 @@ func TestHubEntityCellTransition(t *testing.T) {
 
 // TestHubFlushDeterministicAcrossWorkers: two runs of one call sequence
 // agree on every client's tallies and on every TickReport, whatever the
-// pool size — under wire sizing, with ids on both sides of a varint
+// pool size — with ids on both sides of a varint
 // boundary (so a cell's snapshots differ in size and the order of its
 // population shows), windows that move, and a budget tight enough that
 // every drain cuts mid-backlog and the queue cap drops messages.
@@ -264,8 +264,7 @@ func TestHubFlushDeterministicAcrossWorkers(t *testing.T) {
 	}
 	run := func(pool *sched.Pool) outcome {
 		h := NewHub(HubConfig{
-			Specs: hubSpecs(), Cell: 32, ByteBudget: 40, MaxQueue: 600,
-			WireSizing: true, Pool: pool,
+			Specs: hubSpecs(), Cell: 32, ByteBudget: 40, MaxQueue: 600, Pool: pool,
 		})
 		var conns []*Conn
 		for i := 0; i < 64; i++ {
@@ -399,7 +398,7 @@ func TestHubStrayPositions(t *testing.T) {
 			if h.Entities() != 0 || h.StrayTotal.Load() != strays+1 {
 				t.Fatalf("update to %v: %d entities, %d strays counted", at, h.Entities(), h.StrayTotal.Load()-strays)
 			}
-			if c.Msgs != msgs+1 || c.Bytes != bytes+removeBytes {
+			if c.Msgs != msgs+1 || c.Bytes != bytes+removeSize(10) {
 				t.Fatalf("update to %v shipped %d messages, %d bytes; want one removal", at, c.Msgs-msgs, c.Bytes-bytes)
 			}
 			// Unknown and still astray: refused again, nothing to remove.

@@ -10,8 +10,8 @@ import (
 
 // benchCrowd is the benchmark's fan-out shape (bench/workloads.go,
 // fanout.border) without a world behind it: 2 000 entities and 10 000
-// client windows of radius 64 on a 2000×2000 map of 32-unit cells, wire
-// sizing, one MTU of budget, 2 % of the windows moving per tick. Every
+// client windows of radius 64 on a 2000×2000 map of 32-unit cells, one
+// MTU of budget, 2 % of the windows moving per tick. Every
 // entity takes a short step every tick and loses a hit point now and
 // then.
 type benchCrowd struct {
@@ -37,8 +37,7 @@ func borderSpecs() []FieldSpec {
 func newBenchCrowd() *benchCrowd {
 	b := &benchCrowd{
 		h: NewHub(HubConfig{
-			Specs: borderSpecs(), Cell: 32, ByteBudget: 1500,
-			WireSizing: true, MaxQueue: 1 << 30,
+			Specs: borderSpecs(), Cell: 32, ByteBudget: 1500, MaxQueue: 1 << 30,
 		}),
 		rng: rand.New(rand.NewSource(2009)),
 		pos: make([]spatial.Vec2, 2000),

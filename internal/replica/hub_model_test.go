@@ -69,9 +69,6 @@ func newRefHub(cfg HubConfig) *refHub {
 }
 
 func (r *refHub) sizes(id ID, vals []float64) (snap, rem int32) {
-	if !r.cfg.WireSizing {
-		return int32(len(r.cfg.Specs) * snapshotBytesPer), removeBytes
-	}
 	r.enc.Reset()
 	AppendSnapshotMsg(&r.enc, id, vals)
 	snap = int32(r.enc.Len())
@@ -81,9 +78,6 @@ func (r *refHub) sizes(id ID, vals []float64) (snap, rem int32) {
 }
 
 func (r *refHub) updateSize(id ID, fi int, v float64) int32 {
-	if !r.cfg.WireSizing {
-		return msgBytes
-	}
 	r.enc.Reset()
 	AppendUpdateMsg(&r.enc, id, int32(fi), v)
 	return int32(r.enc.Len())
@@ -319,7 +313,6 @@ func runHubModel(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	cfg := HubConfig{
 		Specs: hubSpecs(), Cell: 32, ByteBudget: 120, MaxQueue: 1200,
-		WireSizing: seed%2 == 0,
 	}
 	h, ref := NewHub(cfg), newRefHub(cfg)
 	var conns []*Conn

@@ -13,7 +13,8 @@
 //
 // Interest management (area-of-interest filtering) rides on top: a client
 // only receives entities near its focus point, which is how MMOs bound
-// per-client bandwidth.
+// per-client bandwidth. The Hub (fanout.go) ships the tiers to clients;
+// shard ghost refresh decides by the same ShouldShip policy.
 package replica
 
 import (
@@ -128,263 +129,21 @@ func (f FieldSpec) NextDue(tick, sentTick int64) (int64, bool) {
 	}
 }
 
-// Route names the authoritative home of a replicated row: the shard
-// that owns the entity a mirror reflects. Ghost-band replication
-// attaches a Route to every mirror's bookkeeping so writes landing on
-// the read-only copy can be forwarded to the owner instead of silently
-// clobbered by the next re-ship — the routing half of turning replicas
-// from caches into first-class write targets.
-type Route struct {
-	// Owner is the owning shard's index.
-	Owner int
-}
-
 // ID identifies a replicated entity.
 type ID = spatial.ID
 
-// msgBytes is the modeled wire size of one field update
-// (entity id + field index + float64 payload).
-const msgBytes = 14
-
-// snapshotBytesPer is the modeled wire size per field of an entity
-// entering a client's interest set.
-const snapshotBytesPer = 10
-
-// Server is the authoritative state plus per-client replication tracking.
-type Server struct {
-	specs   []FieldSpec
-	byName  map[string]int
-	ents    map[ID][]float64
-	pos     map[ID]spatial.Vec2
-	grid    *spatial.Grid
-	clients []*Client
-	tick    int64
-}
-
-// NewServer builds a server replicating the given fields. aoiCell sizes
-// the interest-management grid and should be on the order of client AOI
-// radii.
-func NewServer(specs []FieldSpec, aoiCell float64) (*Server, error) {
-	s := &Server{
-		specs:  specs,
-		byName: make(map[string]int, len(specs)),
-		ents:   make(map[ID][]float64),
-		pos:    make(map[ID]spatial.Vec2),
-		grid:   spatial.NewGrid(aoiCell),
-	}
+// CheckSpecs rejects a field list a hub cannot address: a field with no
+// name, or two fields of one name.
+func CheckSpecs(specs []FieldSpec) error {
+	seen := make(map[string]bool, len(specs))
 	for i, sp := range specs {
 		if sp.Name == "" {
-			return nil, fmt.Errorf("replica: field %d has no name", i)
+			return fmt.Errorf("replica: field %d has no name", i)
 		}
-		if _, dup := s.byName[sp.Name]; dup {
-			return nil, fmt.Errorf("replica: duplicate field %q", sp.Name)
+		if seen[sp.Name] {
+			return fmt.Errorf("replica: duplicate field %q", sp.Name)
 		}
-		s.byName[sp.Name] = i
+		seen[sp.Name] = true
 	}
-	return s, nil
-}
-
-// Tick returns the current tick counter.
-func (s *Server) Tick() int64 { return s.tick }
-
-// Spawn registers an entity at pos with zeroed fields.
-func (s *Server) Spawn(id ID, pos spatial.Vec2) {
-	s.ents[id] = make([]float64, len(s.specs))
-	s.pos[id] = pos
-	s.grid.Insert(id, pos)
-}
-
-// Despawn removes an entity.
-func (s *Server) Despawn(id ID) {
-	delete(s.ents, id)
-	delete(s.pos, id)
-	s.grid.Remove(id)
-}
-
-// MoveEntity updates the entity's spatial position used for interest
-// management (separate from replicated fields so experiments can
-// replicate x/y as Coarse fields too).
-func (s *Server) MoveEntity(id ID, pos spatial.Vec2) {
-	if _, ok := s.ents[id]; !ok {
-		return
-	}
-	s.pos[id] = pos
-	s.grid.Move(id, pos)
-}
-
-// Set writes one field of one entity.
-func (s *Server) Set(id ID, field string, v float64) error {
-	fi, ok := s.byName[field]
-	if !ok {
-		return fmt.Errorf("replica: unknown field %q", field)
-	}
-	vals, ok := s.ents[id]
-	if !ok {
-		return fmt.Errorf("replica: unknown entity %d", id)
-	}
-	vals[fi] = v
 	return nil
-}
-
-// Get reads one field of one entity from the authoritative state.
-func (s *Server) Get(id ID, field string) (float64, error) {
-	fi, ok := s.byName[field]
-	if !ok {
-		return 0, fmt.Errorf("replica: unknown field %q", field)
-	}
-	vals, ok := s.ents[id]
-	if !ok {
-		return 0, fmt.Errorf("replica: unknown entity %d", id)
-	}
-	return vals[fi], nil
-}
-
-// Client is one connected replica with an area of interest.
-type Client struct {
-	Name      string
-	Focus     spatial.Vec2
-	AOIRadius float64
-
-	state    map[ID][]float64
-	lastSent map[ID][]float64
-	sentTick map[ID][]int64
-
-	// Msgs counts field updates shipped; Bytes models bandwidth;
-	// Snapshots counts entities entering the AOI.
-	Msgs      int64
-	Bytes     int64
-	Snapshots int64
-}
-
-// AddClient connects a client with the given focus and AOI radius.
-func (s *Server) AddClient(name string, focus spatial.Vec2, aoiRadius float64) *Client {
-	c := &Client{
-		Name:      name,
-		Focus:     focus,
-		AOIRadius: aoiRadius,
-		state:     make(map[ID][]float64),
-		lastSent:  make(map[ID][]float64),
-		sentTick:  make(map[ID][]int64),
-	}
-	s.clients = append(s.clients, c)
-	return c
-}
-
-// Has reports whether the client currently replicates the entity.
-func (c *Client) Has(id ID) bool {
-	_, ok := c.state[id]
-	return ok
-}
-
-// Value returns the client's replicated value of a field (by index).
-func (c *Client) value(id ID, fi int) (float64, bool) {
-	vals, ok := c.state[id]
-	if !ok {
-		return 0, false
-	}
-	return vals[fi], true
-}
-
-// FlushTick advances the tick and ships updates to every client
-// according to field classes and interest sets.
-func (s *Server) FlushTick() {
-	s.tick++
-	for _, c := range s.clients {
-		s.flushClient(c)
-	}
-}
-
-func (s *Server) flushClient(c *Client) {
-	// Compute the interest set.
-	interest := make(map[ID]bool)
-	s.grid.QueryCircle(c.Focus, c.AOIRadius, func(id ID, _ spatial.Vec2) bool {
-		interest[id] = true
-		return true
-	})
-	// Drop entities that left the AOI.
-	for id := range c.state {
-		if !interest[id] {
-			delete(c.state, id)
-			delete(c.lastSent, id)
-			delete(c.sentTick, id)
-		}
-	}
-	for id := range interest {
-		src := s.ents[id]
-		if src == nil {
-			continue
-		}
-		repl, known := c.state[id]
-		if !known {
-			// Entering AOI: full snapshot.
-			repl = make([]float64, len(src))
-			copy(repl, src)
-			sent := make([]float64, len(src))
-			copy(sent, src)
-			ticks := make([]int64, len(src))
-			for i := range ticks {
-				ticks[i] = s.tick
-			}
-			c.state[id] = repl
-			c.lastSent[id] = sent
-			c.sentTick[id] = ticks
-			c.Snapshots++
-			c.Bytes += int64(len(src)) * snapshotBytesPer
-			continue
-		}
-		sent := c.lastSent[id]
-		ticks := c.sentTick[id]
-		for fi, spec := range s.specs {
-			cur := src[fi]
-			if spec.ShouldShip(cur, sent[fi], s.tick, ticks[fi]) {
-				repl[fi] = cur
-				sent[fi] = cur
-				ticks[fi] = s.tick
-				c.Msgs++
-				c.Bytes += msgBytes
-			}
-		}
-	}
-}
-
-// Divergence reports the maximum absolute server-vs-client difference
-// for one field across entities the client replicates.
-func (s *Server) Divergence(c *Client, field string) (float64, error) {
-	fi, ok := s.byName[field]
-	if !ok {
-		return 0, fmt.Errorf("replica: unknown field %q", field)
-	}
-	maxDiff := 0.0
-	for id, vals := range s.ents {
-		cv, has := c.value(id, fi)
-		if !has {
-			continue
-		}
-		if d := math.Abs(vals[fi] - cv); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	return maxDiff, nil
-}
-
-// CrossClientDivergence reports the maximum absolute difference of a
-// field between two clients over entities both replicate — the paper's
-// "players may have inconsistent, but very similar game states".
-func (s *Server) CrossClientDivergence(a, b *Client, field string) (float64, error) {
-	fi, ok := s.byName[field]
-	if !ok {
-		return 0, fmt.Errorf("replica: unknown field %q", field)
-	}
-	maxDiff := 0.0
-	for id := range s.ents {
-		av, okA := a.value(id, fi)
-		bv, okB := b.value(id, fi)
-		if !okA || !okB {
-			continue
-		}
-		if d := math.Abs(av - bv); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	return maxDiff, nil
 }

@@ -1,106 +1,148 @@
 package replica
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
 	"gamedb/internal/spatial"
+	"gamedb/internal/wire"
 )
 
-func newTestServer(t *testing.T) *Server {
-	t.Helper()
-	s, err := NewServer([]FieldSpec{
-		{Name: "hp", Class: Exact},
-		{Name: "x", Class: Coarse, Epsilon: 2.0, MaxAge: 10},
-		{Name: "anim", Class: Cosmetic, Period: 4},
-	}, 100)
-	if err != nil {
-		t.Fatal(err)
+// tierHub drives a Hub the way a world does: each entity's current
+// position and values, written into the open tick, and flush ships the
+// tick and opens the next one. The specs carry one field per tier; the
+// budget is one no test outgrows, so every client drains fully.
+type tierHub struct {
+	*Hub
+	tick int64
+	pos  map[ID]spatial.Vec2
+	vals map[ID][]float64
+}
+
+func newTierHub(specs ...FieldSpec) *tierHub {
+	if specs == nil {
+		specs = []FieldSpec{
+			{Name: "hp", Class: Exact},
+			{Name: "x", Class: Coarse, Epsilon: 2.0, MaxAge: 10},
+			{Name: "anim", Class: Cosmetic, Period: 4},
+		}
 	}
-	return s
+	return &tierHub{
+		Hub:  NewHub(HubConfig{Specs: specs, Cell: 100, ByteBudget: 1 << 20}),
+		pos:  make(map[ID]spatial.Vec2),
+		vals: make(map[ID][]float64),
+	}
+}
+
+func (h *tierHub) spawn(id ID, pos spatial.Vec2) {
+	h.pos[id], h.vals[id] = pos, make([]float64, len(h.Specs()))
+	h.SpawnEntity(id, pos, h.vals[id])
+}
+
+func (h *tierHub) set(id ID, fi int, v float64) {
+	h.vals[id][fi] = v
+	h.UpdateEntity(id, h.pos[id], h.vals[id])
+}
+
+func (h *tierHub) move(id ID, pos spatial.Vec2) {
+	h.pos[id] = pos
+	h.UpdateEntity(id, pos, h.vals[id])
+}
+
+func (h *tierHub) flush() {
+	h.FlushTick()
+	h.tick++
+	h.BeginTick(h.tick)
+}
+
+// removeSize and snapshotSize are the encoded sizes of the messages a
+// client receives when an entity leaves or enters its window.
+func removeSize(id ID) int64 {
+	var e wire.Enc
+	AppendRemoveMsg(&e, id)
+	return int64(e.Len())
+}
+
+func snapshotSize(id ID, vals []float64) int64 {
+	var e wire.Enc
+	AppendSnapshotMsg(&e, id, vals)
+	return int64(e.Len())
 }
 
 func TestServerValidation(t *testing.T) {
-	if _, err := NewServer([]FieldSpec{{Name: ""}}, 10); err == nil {
+	if err := CheckSpecs([]FieldSpec{{Name: ""}}); err == nil {
 		t.Fatal("empty field name should fail")
 	}
-	if _, err := NewServer([]FieldSpec{{Name: "a"}, {Name: "a"}}, 10); err == nil {
+	if err := CheckSpecs([]FieldSpec{{Name: "a"}, {Name: "a"}}); err == nil {
 		t.Fatal("duplicate field should fail")
 	}
-	s := newTestServer(t)
-	if err := s.Set(99, "hp", 1); err == nil {
-		t.Fatal("unknown entity should fail")
+	if err := CheckSpecs(hubSpecs()); err != nil {
+		t.Fatal(err)
 	}
-	s.Spawn(1, spatial.Vec2{})
-	if err := s.Set(1, "zzz", 1); err == nil {
-		t.Fatal("unknown field should fail")
-	}
-	if _, err := s.Get(1, "zzz"); err == nil {
-		t.Fatal("unknown field get should fail")
+	if _, ok := newTierHub().Divergence("zzz"); ok {
+		t.Fatal("divergence of an unknown field should report false")
 	}
 }
 
 func TestExactFieldShipsEveryChange(t *testing.T) {
-	s := newTestServer(t)
-	s.Spawn(1, spatial.Vec2{X: 50, Y: 50})
-	c := s.AddClient("c1", spatial.Vec2{X: 50, Y: 50}, 200)
-	s.FlushTick() // snapshot on entry
-	if !c.Has(1) || c.Snapshots != 1 {
-		t.Fatalf("entity not snapshotted: has=%v snaps=%d", c.Has(1), c.Snapshots)
+	h := newTierHub()
+	h.spawn(1, spatial.Vec2{X: 50, Y: 50})
+	c := h.AddClient(1, spatial.Vec2{X: 50, Y: 50}, 200, 0)
+	h.flush() // snapshot on entry
+	if c.Snapshots != 1 {
+		t.Fatalf("entity not snapshotted: snaps=%d", c.Snapshots)
 	}
 	base := c.Msgs
-	s.Set(1, "hp", 90)
-	s.FlushTick()
+	h.set(1, 0, 90)
+	h.flush()
 	if c.Msgs != base+1 {
 		t.Fatalf("exact change shipped %d msgs, want 1", c.Msgs-base)
 	}
-	if v, _ := c.value(1, 0); v != 90 {
-		t.Fatalf("client hp = %v", v)
+	if d, _ := h.Divergence("hp"); d != 0 {
+		t.Fatalf("exact divergence after the ship = %v", d)
 	}
 	// No change → no message.
-	s.FlushTick()
+	h.flush()
 	if c.Msgs != base+1 {
 		t.Fatal("idle tick should ship nothing")
 	}
 }
 
 func TestCoarseFieldEpsilonSuppression(t *testing.T) {
-	s := newTestServer(t)
-	s.Spawn(1, spatial.Vec2{X: 50, Y: 50})
-	c := s.AddClient("c1", spatial.Vec2{X: 50, Y: 50}, 200)
-	s.FlushTick()
+	h := newTierHub()
+	h.spawn(1, spatial.Vec2{X: 50, Y: 50})
+	c := h.AddClient(1, spatial.Vec2{X: 50, Y: 50}, 200, 0)
+	h.flush()
 	base := c.Msgs
 	// Small drifts below epsilon=2: suppressed.
-	s.Set(1, "x", 1.0)
-	s.FlushTick()
+	h.set(1, 1, 1.0)
+	h.flush()
 	if c.Msgs != base {
 		t.Fatal("sub-epsilon drift should not ship")
 	}
-	div, _ := s.Divergence(c, "x")
-	if div != 1.0 {
+	if div, _ := h.Divergence("x"); div != 1.0 {
 		t.Fatalf("divergence = %v", div)
 	}
 	// Cross epsilon: ships.
-	s.Set(1, "x", 3.5)
-	s.FlushTick()
+	h.set(1, 1, 3.5)
+	h.flush()
 	if c.Msgs != base+1 {
 		t.Fatalf("super-epsilon drift should ship, msgs=%d", c.Msgs-base)
 	}
-	if div, _ := s.Divergence(c, "x"); div != 0 {
+	if div, _ := h.Divergence("x"); div != 0 {
 		t.Fatalf("post-ship divergence = %v", div)
 	}
 }
 
 func TestCoarseMaxAgeForcesShip(t *testing.T) {
-	s := newTestServer(t)
-	s.Spawn(1, spatial.Vec2{X: 50, Y: 50})
-	c := s.AddClient("c1", spatial.Vec2{X: 50, Y: 50}, 200)
-	s.FlushTick()
+	h := newTierHub()
+	h.spawn(1, spatial.Vec2{X: 50, Y: 50})
+	c := h.AddClient(1, spatial.Vec2{X: 50, Y: 50}, 200, 0)
+	h.flush()
 	base := c.Msgs
-	s.Set(1, "x", 1.5) // below epsilon, would never ship on drift alone
+	h.set(1, 1, 1.5) // below epsilon, would never ship on drift alone
 	for i := 0; i < 12; i++ {
-		s.FlushTick()
+		h.flush()
 	}
 	if c.Msgs != base+1 {
 		t.Fatalf("MaxAge should force exactly one ship, got %d", c.Msgs-base)
@@ -108,73 +150,60 @@ func TestCoarseMaxAgeForcesShip(t *testing.T) {
 }
 
 func TestCosmeticPeriod(t *testing.T) {
-	s := newTestServer(t)
-	s.Spawn(1, spatial.Vec2{X: 50, Y: 50})
-	c := s.AddClient("c1", spatial.Vec2{X: 50, Y: 50}, 200)
-	s.FlushTick()
-	base := c.Msgs
-	// Change anim every tick for 8 ticks; Period=4 → ships on tick%4==0.
-	ships := int64(0)
+	h := newTierHub()
+	h.spawn(1, spatial.Vec2{X: 50, Y: 50})
+	c := h.AddClient(1, spatial.Vec2{X: 50, Y: 50}, 200, 0)
+	h.flush()
+	// Change anim every tick for 8 ticks; Period=4 → ships only on
+	// ticks divisible by 4, and on each of them.
 	for i := 0; i < 8; i++ {
-		s.Set(1, "anim", float64(i+1))
-		s.FlushTick()
-	}
-	ships = c.Msgs - base
-	if ships != 2 {
-		t.Fatalf("cosmetic shipped %d, want 2 (every 4th tick)", ships)
+		base := c.Msgs
+		h.set(1, 2, float64(i+1))
+		tick := h.tick
+		h.flush()
+		if shipped := c.Msgs > base; shipped != (tick%4 == 0) {
+			t.Fatalf("tick %d: cosmetic shipped=%v, want it on multiples of 4 only", tick, shipped)
+		}
 	}
 }
 
 func TestInterestManagement(t *testing.T) {
-	s := newTestServer(t)
-	s.Spawn(1, spatial.Vec2{X: 0, Y: 0})
-	s.Spawn(2, spatial.Vec2{X: 1000, Y: 1000})
-	c := s.AddClient("c1", spatial.Vec2{X: 0, Y: 0}, 50)
-	s.FlushTick()
-	if !c.Has(1) || c.Has(2) {
-		t.Fatalf("AOI filter wrong: has1=%v has2=%v", c.Has(1), c.Has(2))
+	h := newTierHub()
+	h.spawn(1, spatial.Vec2{X: 0, Y: 0})
+	h.spawn(2, spatial.Vec2{X: 1000, Y: 1000})
+	c := h.AddClient(1, spatial.Vec2{X: 0, Y: 0}, 50, 0)
+	h.flush()
+	if c.Snapshots != 1 {
+		t.Fatalf("AOI filter wrong: %d snapshots, want entity 1's only", c.Snapshots)
 	}
-	// Entity 2 walks into range → snapshot; entity 1 leaves → dropped.
-	s.MoveEntity(2, spatial.Vec2{X: 10, Y: 10})
-	s.MoveEntity(1, spatial.Vec2{X: 2000, Y: 0})
-	s.FlushTick()
-	if c.Has(1) || !c.Has(2) {
-		t.Fatalf("AOI transition wrong: has1=%v has2=%v", c.Has(1), c.Has(2))
-	}
+	// Entity 2 walks into range → snapshot; entity 1 leaves → removal.
+	msgs, bytes := c.Msgs, c.Bytes
+	h.move(2, spatial.Vec2{X: 10, Y: 10})
+	h.move(1, spatial.Vec2{X: 2000, Y: 0})
+	h.flush()
 	if c.Snapshots != 2 {
 		t.Fatalf("snapshots = %d, want 2", c.Snapshots)
+	}
+	if c.Msgs != msgs+2 || c.Bytes != bytes+removeSize(1)+snapshotSize(2, h.vals[2]) {
+		t.Fatalf("AOI transition shipped %d msgs, %d bytes; want entity 1's removal and entity 2's snapshot",
+			c.Msgs-msgs, c.Bytes-bytes)
 	}
 }
 
 func TestDespawnStopsReplication(t *testing.T) {
-	s := newTestServer(t)
-	s.Spawn(1, spatial.Vec2{X: 0, Y: 0})
-	c := s.AddClient("c1", spatial.Vec2{}, 100)
-	s.FlushTick()
-	s.Despawn(1)
-	s.FlushTick()
-	if c.Has(1) {
+	h := newTierHub()
+	h.spawn(1, spatial.Vec2{X: 0, Y: 0})
+	c := h.AddClient(1, spatial.Vec2{}, 100, 0)
+	h.flush()
+	msgs, bytes := c.Msgs, c.Bytes
+	h.DespawnEntity(1)
+	h.flush()
+	if h.Entities() != 0 || c.Msgs != msgs+1 || c.Bytes != bytes+removeSize(1) {
+		t.Fatalf("despawn shipped %d msgs, %d bytes; want one removal", c.Msgs-msgs, c.Bytes-bytes)
+	}
+	h.flush()
+	if c.Msgs != msgs+1 {
 		t.Fatal("despawned entity still replicated")
-	}
-}
-
-func TestCrossClientDivergence(t *testing.T) {
-	s := newTestServer(t)
-	s.Spawn(1, spatial.Vec2{X: 50, Y: 50})
-	// Client B has a tighter view (joins later): create divergence by
-	// changing a coarse field below epsilon after A's snapshot.
-	a := s.AddClient("a", spatial.Vec2{X: 50, Y: 50}, 200)
-	s.FlushTick()
-	s.Set(1, "x", 1.5)
-	_ = a
-	b := s.AddClient("b", spatial.Vec2{X: 50, Y: 50}, 200)
-	s.FlushTick() // b snapshots at x=1.5; a still has 0
-	d, err := s.CrossClientDivergence(a, b, "x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(d-1.5) > 1e-9 {
-		t.Fatalf("cross-client divergence = %v, want 1.5", d)
 	}
 }
 
@@ -182,39 +211,30 @@ func TestCrossClientDivergence(t *testing.T) {
 // the same update stream, exact ships the most messages, coarse fewer,
 // cosmetic fewest — while exact divergence stays zero after each flush.
 func TestTierBandwidthOrdering(t *testing.T) {
-	s, err := NewServer([]FieldSpec{
-		{Name: "exact", Class: Exact},
-		{Name: "coarse", Class: Coarse, Epsilon: 3, MaxAge: 50},
-		{Name: "cosmetic", Class: Cosmetic, Period: 8},
-	}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := newTierHub(
+		FieldSpec{Name: "exact", Class: Exact},
+		FieldSpec{Name: "coarse", Class: Coarse, Epsilon: 3, MaxAge: 50},
+		FieldSpec{Name: "cosmetic", Class: Cosmetic, Period: 8},
+	)
 	rng := rand.New(rand.NewSource(9))
-	for i := spatial.ID(1); i <= 20; i++ {
-		s.Spawn(i, spatial.Vec2{X: 50, Y: 50})
+	for i := ID(1); i <= 20; i++ {
+		h.spawn(i, spatial.Vec2{X: 50, Y: 50})
 	}
-	c := s.AddClient("c", spatial.Vec2{X: 50, Y: 50}, 500)
-	s.FlushTick()
+	c := h.AddClient(1, spatial.Vec2{X: 50, Y: 50}, 500, 0)
+	h.flush()
 	perField := make(map[string]int64)
-	before := map[string]int64{}
 	// Random-walk all three fields identically for 200 ticks.
-	vals := make(map[spatial.ID]float64)
-	msgsAt := func() int64 { return c.Msgs }
-	for _, field := range []string{"exact", "coarse", "cosmetic"} {
-		before[field] = msgsAt()
+	for fi, spec := range h.Specs() {
+		before := c.Msgs
+		walk := make(map[ID]float64)
 		for tick := 0; tick < 200; tick++ {
-			for i := spatial.ID(1); i <= 20; i++ {
-				vals[i] += rng.NormFloat64()
-				s.Set(i, field, vals[i])
+			for i := ID(1); i <= 20; i++ {
+				walk[i] += rng.NormFloat64()
+				h.set(i, fi, walk[i])
 			}
-			s.FlushTick()
+			h.flush()
 		}
-		perField[field] = msgsAt() - before[field]
-		// Reset walk state between fields.
-		for k := range vals {
-			delete(vals, k)
-		}
+		perField[spec.Name] = c.Msgs - before
 	}
 	// The paper's claim: weakened tiers ship (much) less than exact.
 	// Coarse vs cosmetic ordering depends on epsilon/period parameters,
@@ -225,7 +245,7 @@ func TestTierBandwidthOrdering(t *testing.T) {
 	if perField["coarse"] == 0 || perField["cosmetic"] == 0 {
 		t.Fatalf("weak tiers should still ship something: %v", perField)
 	}
-	if d, _ := s.Divergence(c, "exact"); d != 0 {
+	if d, _ := h.Divergence("exact"); d != 0 {
 		t.Fatalf("exact divergence after flush = %v", d)
 	}
 }

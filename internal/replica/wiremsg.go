@@ -5,10 +5,8 @@ import (
 )
 
 // Client-protocol message tags. The hub's fan-out queues model these
-// messages; under HubConfig.WireSizing each queued message is priced
-// by actually encoding it with the internal/wire codec — the same
-// codec the shard tick barrier ships frames with — instead of the
-// fixed modeled constants (msgBytes, removeBytes, snapshotBytesPer).
+// messages and price each one by encoding it with the internal/wire
+// codec — the same codec the shard tick barrier ships frames with.
 const (
 	msgTagUpdate   byte = 1
 	msgTagRemove   byte = 2

@@ -83,13 +83,12 @@ func TestWireMsgCorrupt(t *testing.T) {
 	}
 }
 
-// TestHubWireSizing compares one scenario under modeled and wire-encoded
-// sizing: the same messages ship (counts identical), but wire sizing
-// prices them by real encoded length — different totals, reproducible
-// across runs.
+// TestHubWireSizing: the hub prices every message by its encoded length
+// — a full window of snapshots at tick 1 costs exactly what encoding them
+// costs — and the totals repeat run to run.
 func TestHubWireSizing(t *testing.T) {
-	run := func(wireSizing bool) (int64, int64, int64) {
-		h := NewHub(HubConfig{Specs: hubSpecs(), Cell: 32, WireSizing: wireSizing})
+	run := func() (int64, int64, int64) {
+		h := NewHub(HubConfig{Specs: hubSpecs(), Cell: 32})
 		for i := 0; i < 8; i++ {
 			h.AddClient(i, spatial.Vec2{X: float64(i * 37 % 200), Y: float64(i * 53 % 200)}, 48, 0)
 		}
@@ -104,20 +103,29 @@ func TestHubWireSizing(t *testing.T) {
 		}
 		return h.MsgsTotal.Load(), h.BytesTotal.Load(), h.SnapshotTotal.Load()
 	}
-	mm, mb, ms := run(false)
-	wm, wb, ws := run(true)
-	if mm != wm || ms != ws {
-		t.Fatalf("sizing mode changed message counts: modeled (%d msgs, %d snaps) vs wire (%d, %d)", mm, ms, wm, ws)
-	}
-	if wb == 0 || mb == 0 {
-		t.Fatal("scenario shipped no bytes")
-	}
-	if wb == mb {
-		t.Fatalf("wire sizing priced identically to the model (%d bytes) — sizing not applied", wb)
+	wm, wb, ws := run()
+	if wm == 0 || wb == 0 || ws == 0 {
+		t.Fatalf("scenario shipped %d msgs, %d bytes, %d snapshots", wm, wb, ws)
 	}
 	// Wire sizing must be reproducible run to run.
-	if _, wb2, _ := run(true); wb2 != wb {
-		t.Fatalf("wire-sized totals not reproducible: %d vs %d", wb, wb2)
+	if m2, b2, s2 := run(); m2 != wm || b2 != wb || s2 != ws {
+		t.Fatalf("wire-sized totals not reproducible: (%d, %d, %d) vs (%d, %d, %d)", wm, wb, ws, m2, b2, s2)
+	}
+
+	// One client over one populated cell: its first flush is the cell's
+	// snapshots, each priced at its encoded size.
+	h := NewHub(HubConfig{Specs: hubSpecs(), Cell: 32})
+	c := h.AddClient(1, spatial.Vec2{X: 16, Y: 16}, 8, 0)
+	h.BeginTick(1)
+	var want int64
+	for id := ID(1); id <= 3; id++ {
+		vals := []float64{float64(id), 16, 0}
+		h.SpawnEntity(id<<20, spatial.Vec2{X: 16, Y: 16}, vals)
+		want += snapshotSize(id<<20, vals)
+	}
+	h.FlushTick()
+	if c.Snapshots != 3 || c.Bytes != want {
+		t.Fatalf("3 snapshots priced %d bytes over %d snapshots, encoding them takes %d", c.Bytes, c.Snapshots, want)
 	}
 }
 
@@ -126,7 +134,7 @@ func TestHubWireSizing(t *testing.T) {
 // bigger entity id (longer varint) costs more bytes than a small one.
 func TestHubWireSizingCoverDiff(t *testing.T) {
 	bytesAfterMove := func(id ID) int64 {
-		h := NewHub(HubConfig{Specs: hubSpecs(), Cell: 32, WireSizing: true})
+		h := NewHub(HubConfig{Specs: hubSpecs(), Cell: 32})
 		c := h.AddClient(1, spatial.Vec2{X: 100, Y: 100}, 40, 0)
 		h.BeginTick(1)
 		h.SpawnEntity(id, spatial.Vec2{X: 400, Y: 100}, []float64{1, 1, 1})

@@ -212,9 +212,9 @@ func TestHubFlushAllocBudget(t *testing.T) {
 }
 
 // borderHub is the benchmark's fan-out hub for the border crowd
-// (fanout.border): positions Coarse, hp Exact, kb Cosmetic, wire-sized
-// messages under a 1500-byte budget, client backlogs capped at maxQueue
-// bytes (0 = the hub's default), no client connected yet.
+// (fanout.border): positions Coarse, hp Exact, kb Cosmetic, a 1500-byte
+// budget, client backlogs capped at maxQueue bytes (0 = the hub's
+// default), no client connected yet.
 func borderHub(maxQueue int) *replica.Hub {
 	return replica.NewHub(replica.HubConfig{
 		Specs: []replica.FieldSpec{
@@ -223,6 +223,6 @@ func borderHub(maxQueue int) *replica.Hub {
 			{Name: "hp", Class: replica.Exact},
 			{Name: "kb", Class: replica.Cosmetic, Period: 4},
 		},
-		Cell: 32, ByteBudget: 1500, WireSizing: true, MaxQueue: maxQueue,
+		Cell: 32, ByteBudget: 1500, MaxQueue: maxQueue,
 	})
 }

@@ -28,9 +28,11 @@ type Cluster struct {
 	ops    []chan clusterOp
 	done   sync.WaitGroup
 	served sync.WaitGroup
-	// Per-peer results of the current operation, reused every call.
+	// Per-peer results of the current operation, reused every call; blobs
+	// carries snapshot parts out of opSnapshot and into opRestore.
 	sts    []StepStats
 	hashes []uint64
+	blobs  [][]byte
 
 	// err is the cluster's first failure. It is sticky: once a peer has
 	// failed the mesh is down, and every later operation returns it.
@@ -64,6 +66,8 @@ const (
 	opStep clusterOp = iota
 	opSync
 	opHash
+	opSnapshot
+	opRestore
 )
 
 // errClosed is what operations on a closed cluster return.
@@ -92,6 +96,7 @@ func newCluster(cfg Config, trs []wire.Transport) (*Cluster, error) {
 		ops:        make([]chan clusterOp, n),
 		sts:        make([]StepStats, n),
 		hashes:     make([]uint64, n),
+		blobs:      make([][]byte, n),
 		LocalCount: make([]metrics.Counter, n),
 	}
 	for i, tr := range trs {
@@ -137,6 +142,10 @@ func (c *Cluster) run(i int, op clusterOp) {
 		err = p.barrier(&c.sts[i], false)
 	case opHash:
 		c.hashes[i], err = p.Hash()
+	case opSnapshot:
+		c.blobs[i], err = p.snapshot()
+	case opRestore:
+		err = p.restore(c.blobs[i])
 	}
 	if err != nil {
 		c.fail(err)

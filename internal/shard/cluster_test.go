@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -421,5 +422,78 @@ func TestFeedPumpOverTCPMatchesInProcess(t *testing.T) {
 	}
 	if sum.msgs == 0 || sum.drops == 0 {
 		t.Fatalf("clients received %d messages and dropped %d — the crowd is not exercising the hub", sum.msgs, sum.drops)
+	}
+}
+
+// TestFeedPumpAcrossRestore: a grid restored to an earlier barrier — on
+// either transport — replays the run it interrupted, and the hub it
+// feeds loses what the restore rolled back while its own tick keeps
+// counting: the feed of a restored world is tainted and records no
+// despawns, and the cluster's tick has gone back.
+func TestFeedPumpAcrossRestore(t *testing.T) {
+	for _, transport := range []string{"inprocess", "tcp"} {
+		cfg := clusterCfg(4, world.ConflictLastWrite)
+		cfg.GhostFields = BorderGhostFields()
+		cfg.ChangeFeed = true
+		cl, hash := newGrid(t, cfg, transport)
+		if err := SeedBorderCluster(cl, 200, 400, 7, 6); err != nil {
+			t.Fatal(err)
+		}
+		hub := borderHub(0)
+		hub.AddClient(0, spatial.Vec2{X: 200, Y: 200}, 120, 0)
+		pump := NewFeedPump(cl, hub)
+		step := func() (hubTick int64, h uint64) {
+			t.Helper()
+			if _, err := cl.Step(); err != nil {
+				t.Fatalf("%s: %v", transport, err)
+			}
+			checkWorlds(t, cl, transport)
+			pump.Pump()
+			return hub.FlushTick().Tick, hash()
+		}
+		pump.Pump()
+		hub.FlushTick()
+		var hashes [5]uint64
+		for tick := int64(1); tick <= 3; tick++ {
+			if ht, h := step(); ht != tick {
+				t.Fatalf("%s: hub opened tick %d at cluster tick %d", transport, ht, tick)
+			} else {
+				hashes[tick] = h
+			}
+		}
+		snap, err := cl.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, hashes[4] = step()
+		id, err := cl.Spawn("raider", spatial.Vec2{X: 200, Y: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		step()
+		if hub.Entities() != 201 {
+			t.Fatalf("%s: hub holds %d entities before the restore, want 201", transport, hub.Entities())
+		}
+		if err := cl.Restore(snap); err != nil {
+			t.Fatalf("%s: %v", transport, err)
+		}
+		checkWorlds(t, cl, transport+" restore")
+		if cl.Tick() != 3 || hash() != hashes[3] {
+			t.Fatalf("%s: restored to tick %d, hash %016x; want tick 3, %016x", transport, cl.Tick(), hash(), hashes[3])
+		}
+		hubTick, h := step()
+		if h != hashes[4] {
+			t.Fatalf("%s: replayed tick 4 hashes %016x, the run %016x", transport, h, hashes[4])
+		}
+		if hubTick != 6 {
+			t.Fatalf("%s: hub opened tick %d after tick 5, want 6", transport, hubTick)
+		}
+		if hub.Entities() != cl.Entities() || slices.Contains(hub.AppendIDs(nil), replica.ID(id)) {
+			t.Fatalf("%s: hub holds %d entities, the grid %d; rolled-back %d still there: %v", transport,
+				hub.Entities(), cl.Entities(), id, slices.Contains(hub.AppendIDs(nil), replica.ID(id)))
+		}
+		if err := cl.Restore(snap[:len(snap)-1]); err == nil {
+			t.Fatalf("%s: a truncated snapshot restored", transport)
+		}
 	}
 }

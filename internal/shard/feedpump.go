@@ -23,9 +23,14 @@ type FeedPump struct {
 	cl  *Cluster
 	hub *replica.Hub
 
-	ids  []entity.ID
-	vals []float64
-	seen map[entity.ID]struct{}
+	ids    []entity.ID
+	hubIDs []replica.ID
+	vals   []float64
+	seen   map[entity.ID]struct{}
+	// last is the hub tick Pump opened last (-1 before the first). Hub
+	// ticks only count up: a Restore sends the cluster's back, never the
+	// hub's.
+	last int64
 	// names and cols are per-call scratch: a feed's table names in
 	// sorted order, and the replicated fields' column indices in the
 	// table being pushed.
@@ -42,6 +47,7 @@ func NewFeedPump(g interface{ cluster() *Cluster }, hub *replica.Hub) *FeedPump 
 		hub:  hub,
 		vals: make([]float64, len(hub.Specs())),
 		seen: make(map[entity.ID]struct{}),
+		last: -1,
 	}
 }
 
@@ -64,10 +70,15 @@ func (p *FeedPump) relevant(col string) bool {
 // the sealed windows: despawns first across all shards (skipping ids
 // that merely migrated — still owned somewhere), then per shard the
 // spawned ∪ dirtied rows in sorted id order. A tainted window (post-
-// Restore) falls back to pushing every owned row.
+// Restore) records no despawns and vouches for no row, so Pump instead
+// despawns every hub entity no shard owns and pushes every owned row.
+// After a Restore the cluster's tick runs behind the hub's; the hub tick
+// then keeps counting from its own, since its due index and staleness
+// are keyed by it.
 func (p *FeedPump) Pump() {
 	cl, hub := p.cl, p.hub
-	hub.BeginTick(cl.Tick())
+	p.last = max(cl.Tick(), p.last+1)
+	hub.BeginTick(p.last)
 	n := cl.Shards()
 	tainted := false
 	for i := 0; i < n; i++ {
@@ -84,6 +95,15 @@ func (p *FeedPump) Pump() {
 					continue // handoff: the new owner's spawn mark carries it
 				}
 				hub.DespawnEntity(replica.ID(id))
+			}
+		}
+	}
+	if tainted {
+		p.hubIDs = hub.AppendIDs(p.hubIDs[:0])
+		slices.Sort(p.hubIDs)
+		for _, id := range p.hubIDs {
+			if cl.Owner(entity.ID(id)) < 0 {
+				hub.DespawnEntity(id)
 			}
 		}
 	}
