@@ -391,8 +391,8 @@ fn main() { let s = 0; let i = 0; while i < 1000 { s = s + i; i = i + 1; } retur
 }
 
 // shardBenchRuntime builds an n-shard runtime with `units` drifting
-// units on a side×side map (the shared shard.SeedDriftingCrowd
-// scenario, so bench, shardsim and the example race the same world).
+// units on a side×side map (the registry's drift crowd, so bench,
+// shardsim and the example race the same world).
 func shardBenchRuntime(b *testing.B, n, units int, side, band float64) *shard.Runtime {
 	b.Helper()
 	rt, err := shard.New(shard.Config{
@@ -407,7 +407,7 @@ func shardBenchRuntime(b *testing.B, n, units int, side, band float64) *shard.Ru
 		b.Fatal(err)
 	}
 	b.Cleanup(rt.Close)
-	if err := shard.SeedDriftingCrowd(rt, units, side, 42, 40); err != nil {
+	if err := shard.MustLookup("drift").Seed(rt, shard.Crowd{Units: units, Side: side, Seed: 42}); err != nil {
 		b.Fatal(err)
 	}
 	return rt
@@ -422,17 +422,7 @@ func BenchmarkE13ShardedTick(b *testing.B) {
 	const units, side = 2000, 2000.0
 	b.Run("single-world-baseline", func(b *testing.B) {
 		w := world.New(world.Config{Seed: 42, CellSize: 16, TickDT: 0.5})
-		s, err := shard.DriftingCrowdSchema()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := w.CreateTable("units", s); err != nil {
-			b.Fatal(err)
-		}
-		if err := shard.ForEachCrowdSpawn(units, side, 42, 40, func(vals map[string]entity.Value) error {
-			_, err := w.SpawnRaw("units", vals)
-			return err
-		}); err != nil {
+		if err := shard.MustLookup("drift").Seed(shard.WorldSeeder{World: w}, shard.Crowd{Units: units, Side: side, Seed: 42}); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -561,8 +551,8 @@ func BenchmarkE14ParallelTick(b *testing.B) {
 	}
 }
 
-// conflictBenchWorld builds the E17 scenario: the shared
-// shard.ConflictPackXML crowd — drifting claimers racing to stamp
+// conflictBenchWorld builds the E17 scenario: the registry's conflict
+// crowd — drifting claimers racing to stamp
 // shared beacon rows (one blind write-write race plus one
 // read-modify-write per visible beacon), the workload whose conflicting
 // assignments the OCC policy re-runs.
@@ -572,7 +562,8 @@ func conflictBenchWorld(b *testing.B, claimers, beacons, workers int, conflict s
 		Seed: 42, CellSize: 12, ScriptFuel: 1 << 40, TickDT: 0.5,
 		Workers: workers, ConflictPolicy: conflict,
 	})
-	if err := shard.SeedConflictWorld(w, claimers, beacons, 400, 1); err != nil {
+	crowd := shard.Crowd{Units: claimers, Side: 400, Seed: 1, Beacons: beacons}
+	if err := shard.MustLookup("conflict").Seed(shard.WorldSeeder{World: w}, crowd); err != nil {
 		b.Fatal(err)
 	}
 	return w
@@ -632,17 +623,18 @@ func BenchmarkE17ConflictPolicy(b *testing.B) {
 // fwd/tick and remote-merged/tick size that traffic.
 func BenchmarkE22CrossShardEffects(b *testing.B) {
 	const units, side = 1500, 800.0
+	border := shard.MustLookup("border")
 	run := func(b *testing.B, conflict string, shards int) {
 		rt, err := shard.New(shard.Config{
 			Seed: 42, Shards: shards, World: spatial.NewRect(0, 0, side, side),
 			TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-			GhostFields: shard.BorderGhostFields(), ConflictPolicy: conflict,
+			GhostFields: border.GhostFields, ConflictPolicy: conflict,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(rt.Close)
-		if err := shard.SeedBorderCrowd(rt, units, side, 7, 6); err != nil {
+		if err := border.Seed(rt, shard.Crowd{Units: units, Side: side, Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -671,17 +663,18 @@ func BenchmarkE22CrossShardEffects(b *testing.B) {
 // prices the outward bytes per tick.
 func BenchmarkE19ReplicaFanout(b *testing.B) {
 	const units, side = 1500, 800.0
+	border := shard.MustLookup("border")
 	newRuntime := func(b *testing.B) *shard.Runtime {
 		rt, err := shard.New(shard.Config{
 			Seed: 42, Shards: 4, World: spatial.NewRect(0, 0, side, side),
 			TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-			GhostFields: shard.BorderGhostFields(), ChangeFeed: true,
+			GhostFields: border.GhostFields, ChangeFeed: true,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(rt.Close)
-		if err := shard.SeedBorderCrowd(rt, units, side, 7, 6); err != nil {
+		if err := border.Seed(rt, shard.Crowd{Units: units, Side: side, Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 		return rt

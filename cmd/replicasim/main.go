@@ -21,6 +21,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"gamedb/internal/metrics"
@@ -29,25 +30,14 @@ import (
 	"gamedb/internal/spatial"
 )
 
-// scenarioSpecs picks the replicated fields per scenario: positions as
-// Coarse (epsilon + staleness deadline), one persistent Exact field,
-// one Cosmetic field on a low-rate schedule.
-func scenarioSpecs(scenario string) []replica.FieldSpec {
-	switch scenario {
-	case "mingle":
-		return []replica.FieldSpec{
-			{Name: "x", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
-			{Name: "y", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
-			{Name: "met", Class: replica.Exact},
-		}
-	default: // border
-		return []replica.FieldSpec{
-			{Name: "x", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
-			{Name: "y", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
-			{Name: "hp", Class: replica.Exact},
-			{Name: "kb", Class: replica.Cosmetic, Period: 4},
+// served lists the registry crowds a hub has client fields for.
+func served() (names []string) {
+	for _, name := range shard.ScenarioNames() {
+		if sc, _ := shard.Lookup(name); sc.HubFields != nil {
+			names = append(names, name)
 		}
 	}
+	return names
 }
 
 func main() {
@@ -55,7 +45,7 @@ func main() {
 	ticks := flag.Int("ticks", 200, "ticks to simulate")
 	shards := flag.Int("shards", 4, "region shards")
 	workers := flag.Int("workers", 4, "per-shard query-phase workers")
-	scenario := flag.String("scenario", "border", "workload: border (cross-shard-write crowd) | mingle (flocking crowd)")
+	scenario := flag.String("scenario", "border", "crowd from the scenario registry that a hub serves: "+strings.Join(served(), " | "))
 	units := flag.Int("units", 4000, "entities in the scenario")
 	side := flag.Float64("side", 2000, "world side length")
 	seed := flag.Int64("seed", 2009, "scenario and client-placement seed")
@@ -67,12 +57,13 @@ func main() {
 	report := flag.Int("report", 0, "print per-tick fan-out stats every N ticks (0 = off)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable benchmark record on stdout")
 	flag.Parse()
-	if *scenario != "border" && *scenario != "mingle" {
-		fmt.Fprintf(os.Stderr, "replicasim: unknown -scenario %q (want border or mingle)\n", *scenario)
+	sc, err := shard.Lookup(*scenario)
+	if err != nil || sc.HubFields == nil {
+		fmt.Fprintf(os.Stderr, "replicasim: no hub serves -scenario %q (want %s)\n", *scenario, strings.Join(served(), ", "))
 		os.Exit(2)
 	}
 
-	cfg := shard.Config{
+	cfg := sc.Configure(shard.Config{
 		Seed:      *seed,
 		Shards:    *shards,
 		Workers:   *workers,
@@ -83,33 +74,25 @@ func main() {
 		// The hub consumes the feeds; shard worlds record them only
 		// when asked.
 		ChangeFeed: true,
-	}
-	if *scenario == "border" {
-		cfg.GhostFields = shard.BorderGhostFields()
-	}
+	})
 	rt, err := shard.New(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "replicasim: %v\n", err)
 		os.Exit(1)
 	}
 	defer rt.Close()
-	if *scenario == "border" {
-		err = shard.SeedBorderCrowd(rt, *units, *side, *seed, 6)
-	} else {
-		err = shard.SeedMingleCrowd(rt, *units, *side, *seed, 40)
-	}
-	if err != nil {
+	if err := sc.Seed(rt, shard.Crowd{Units: *units, Side: *side, Seed: *seed}); err != nil {
 		fmt.Fprintf(os.Stderr, "replicasim: %v\n", err)
 		os.Exit(1)
 	}
 
 	hub := replica.NewHub(replica.HubConfig{
-		Specs:      scenarioSpecs(*scenario),
+		Specs:      sc.HubFields,
 		Cell:       *cell,
 		ByteBudget: *budget,
 	})
-	// Client placement and drift draw from their own stream so the
-	// world evolution stays bit-identical to shardsim's at equal seeds.
+	// Client placement and drift draw from their own stream, so the world
+	// evolves exactly as shardsim's does at equal seeds and sizes.
 	crng := rand.New(rand.NewSource(*seed * 7919))
 	conns := make([]*replica.Conn, *clients)
 	slowBudget := *budget / 8

@@ -37,7 +37,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"gamedb/internal/metrics"
@@ -60,54 +59,22 @@ func parseShardList(s string) ([]int, error) {
 	return out, nil
 }
 
-// raceSpec is one race: the shard config it runs under plus the crowd
-// seeded into it (whose map side and seed are the config's World width
-// and Seed). The in-process race, the wire clusters and the -net
-// worker processes all build theirs through newRaceSpec from the same
-// flags, which is what makes their hashes comparable.
+// raceSpec is one race: the shard config it runs under plus the
+// registry crowd seeded into it (whose map side and seed are the
+// config's World width and Seed). The in-process race, the wire clusters
+// and the -net worker processes all build theirs from the same flags
+// through the scenario's Configure, which is what makes their hashes
+// comparable.
 type raceSpec struct {
 	cfg      shard.Config
-	scenario string
+	sc       *shard.Scenario
 	entities int
 	ticks    int
 }
 
-// newRaceSpec completes a flag-built spec with the scenario-forced
-// settings. Applying it to its own result changes nothing, so a -net
-// worker handed the forced band arrives at the same config.
-func newRaceSpec(spec raceSpec) raceSpec {
-	spec.cfg.CellSize = 16
-	spec.cfg.TickDT = 0.5
-	switch spec.scenario {
-	case "border":
-		// Border writes are exact only when the read fields mirror
-		// Exactly and the band covers the 9.0 interaction radius.
-		spec.cfg.GhostFields = shard.BorderGhostFields()
-		if spec.cfg.GhostBand < 9 {
-			spec.cfg.GhostBand = 20
-		}
-	case "mingle":
-		// Mingle reads neighbors' positions through mirrors (8.0
-		// radius), so x/y must ship Exact and the band must cover it.
-		spec.cfg.GhostFields = shard.MingleGhostFields()
-		if spec.cfg.GhostBand < 8 {
-			spec.cfg.GhostBand = 20
-		}
-	}
-	return spec
-}
-
-// scenarioSpeed is each scenario's drift speed (part of the workload
-// identity; parent and -net workers must agree).
-func scenarioSpeed(scenario string) float64 {
-	switch scenario {
-	case "border":
-		return 6
-	case "mingle":
-		return 30
-	default:
-		return 40
-	}
+// crowd is the spec's seeding, at the scenario's own speed.
+func (s raceSpec) crowd() shard.Crowd {
+	return shard.Crowd{Units: s.entities, Side: s.cfg.World.Width(), Seed: s.cfg.Seed}
 }
 
 type raceResult struct {
@@ -137,22 +104,8 @@ type raceResult struct {
 type raceObs struct {
 	tracer *obs.Tracer
 	prof   *obs.Profiler
-	reg    *obs.Registry
-	live   *atomic.Int64 // entity gauge backing
-	report int           // print per-tick stats every N ticks (0 = off)
-}
-
-func seedScenario(cl *shard.Cluster, spec raceSpec) error {
-	scenario, entities, side, seed := spec.scenario, spec.entities, spec.cfg.World.Width(), spec.cfg.Seed
-	speed := scenarioSpeed(scenario)
-	switch scenario {
-	case "border":
-		return shard.SeedBorderCluster(cl, entities, side, seed, speed)
-	case "mingle":
-		return shard.SeedMingleCluster(cl, entities, side, seed, speed)
-	default:
-		return shard.SeedDriftingCluster(cl, entities, side, seed, speed)
-	}
+	rig    *obs.Rig // its live registry, when it serves, is fed every tick
+	report int      // print per-tick stats every N ticks (0 = off)
 }
 
 // newGrid builds the race's cluster: peers on the in-process pipe mesh,
@@ -178,7 +131,7 @@ func runRace(spec raceSpec, wireMode string, ro raceObs) (raceResult, error) {
 	}
 	defer g.Close()
 
-	if err := seedScenario(g, spec); err != nil {
+	if err := spec.sc.Seed(g, spec.crowd()); err != nil {
 		return raceResult{}, err
 	}
 
@@ -210,18 +163,19 @@ func runRace(spec raceSpec, wireMode string, ro raceObs) (raceResult, error) {
 		res.wireBytesIn += st.WireBytesIn
 		res.wireFrames += st.WireFrames
 		res.ghosts = st.Ghosts
-		if ro.reg != nil {
-			ro.live.Store(int64(st.Entities))
-			ro.reg.Counter("shardsim_ticks_total").Inc()
-			ro.reg.Counter("shardsim_handoffs_total").Add(int64(st.Handoffs))
-			ro.reg.Counter("shardsim_ghost_ships_total").Add(int64(st.GhostShips))
-			ro.reg.Counter("shardsim_effects_forwarded_total").Add(int64(st.EffectsForwarded))
-			ro.reg.Counter("shardsim_effects_remote_merged_total").Add(int64(st.EffectsRemoteMerged))
-			ro.reg.Counter("shardsim_remote_invalidations_total").Add(int64(st.RemoteInvalidations))
-			ro.reg.Counter("shardsim_wire_bytes_out_total").Add(st.WireBytesOut)
-			ro.reg.Counter("shardsim_wire_bytes_in_total").Add(st.WireBytesIn)
-			ro.reg.Counter("shardsim_wire_frames_total").Add(st.WireFrames)
-			ro.reg.Histogram("shardsim_tick_ns").Record(float64(time.Since(tickStart).Nanoseconds()))
+		if ro.rig != nil && ro.rig.Registry != nil {
+			reg := ro.rig.Registry
+			ro.rig.SetEntities(st.Entities)
+			reg.Counter("shardsim_ticks_total").Inc()
+			reg.Counter("shardsim_handoffs_total").Add(int64(st.Handoffs))
+			reg.Counter("shardsim_ghost_ships_total").Add(int64(st.GhostShips))
+			reg.Counter("shardsim_effects_forwarded_total").Add(int64(st.EffectsForwarded))
+			reg.Counter("shardsim_effects_remote_merged_total").Add(int64(st.EffectsRemoteMerged))
+			reg.Counter("shardsim_remote_invalidations_total").Add(int64(st.RemoteInvalidations))
+			reg.Counter("shardsim_wire_bytes_out_total").Add(st.WireBytesOut)
+			reg.Counter("shardsim_wire_bytes_in_total").Add(st.WireBytesIn)
+			reg.Counter("shardsim_wire_frames_total").Add(st.WireFrames)
+			reg.Histogram("shardsim_tick_ns").Record(float64(time.Since(tickStart).Nanoseconds()))
 		}
 		lastPrinted = false
 		if ro.report > 0 && int(st.Tick)%ro.report == 0 {
@@ -289,7 +243,6 @@ type netWorkerReport struct {
 // endpoint, seed the shared scenario in lockstep, run the ticks, and
 // (worker 0 only) print the gathered world hash as JSON.
 func runNetWorker(self int, addrs []string, spec raceSpec) error {
-	scenario, entities, ticks, side, seed := spec.scenario, spec.entities, spec.ticks, spec.cfg.World.Width(), spec.cfg.Seed
 	mesh, err := wire.NewTCPMesh(self, addrs)
 	if err != nil {
 		return err
@@ -300,20 +253,11 @@ func runNetWorker(self int, addrs []string, spec raceSpec) error {
 		return err
 	}
 	defer p.Close()
-	speed := scenarioSpeed(scenario)
-	switch scenario {
-	case "border":
-		err = shard.SeedBorderPeer(p, entities, side, seed, speed)
-	case "mingle":
-		err = shard.SeedMinglePeer(p, entities, side, seed, speed)
-	default:
-		err = shard.SeedDriftingPeer(p, entities, side, seed, speed)
-	}
-	if err != nil {
+	if err := spec.sc.Seed(p, spec.crowd()); err != nil {
 		return err
 	}
 	var rep netWorkerReport
-	for i := 0; i < ticks; i++ {
+	for i := 0; i < spec.ticks; i++ {
 		st, err := p.Step()
 		if err != nil {
 			return err
@@ -338,7 +282,7 @@ func runNetWorker(self int, addrs []string, spec raceSpec) error {
 // then launch one OS process per shard meshed over loopback TCP, and
 // compare hashes. Exits the process on mismatch.
 func runNetRace(spec raceSpec, jsonOut bool) {
-	netShards, scenario, ticks, conflict := spec.cfg.Shards, spec.scenario, spec.ticks, spec.cfg.ConflictPolicy
+	netShards, scenario, ticks, conflict := spec.cfg.Shards, spec.sc.Name, spec.ticks, spec.cfg.ConflictPolicy
 	ref, err := runRace(spec, "inprocess", raceObs{})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shardsim: -net reference run: %v\n", err)
@@ -435,7 +379,7 @@ func runNetRace(spec raceSpec, jsonOut bool) {
 
 func main() {
 	shardList := flag.String("shards", "1,2,4,8", "comma-separated shard counts to race")
-	scenario := flag.String("scenario", "drift", "workload: drift (velocity crowd, no cross-shard writes) | border (raiders/medics writing each other across region boundaries through the barrier's effect-forwarding exchange) | mingle (apply-heavy neighborhood crowd, x/y mirrored Exact)")
+	scenario := flag.String("scenario", "drift", "crowd from the scenario registry: "+strings.Join(shard.ScenarioNames(), " | "))
 	entities := flag.Int("entities", 4000, "entities in the scenario")
 	ticks := flag.Int("ticks", 200, "ticks to simulate per race")
 	seed := flag.Int64("seed", 2009, "scenario seed")
@@ -460,8 +404,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "shardsim: unknown -conflict %q (want lastwrite or occ)\n", *conflict)
 		os.Exit(2)
 	}
-	if *scenario != "drift" && *scenario != "border" && *scenario != "mingle" {
-		fmt.Fprintf(os.Stderr, "shardsim: unknown -scenario %q (want drift, border or mingle)\n", *scenario)
+	sc, err := shard.Lookup(*scenario)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shardsim: %v\n", err)
 		os.Exit(2)
 	}
 	if *wireMode != "inprocess" && *wireMode != "tcp" {
@@ -469,17 +414,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	spec := newRaceSpec(raceSpec{
-		scenario: *scenario, entities: *entities, ticks: *ticks,
-		cfg: shard.Config{
+	spec := raceSpec{
+		sc: sc, entities: *entities, ticks: *ticks,
+		cfg: sc.Configure(shard.Config{
 			Seed:           *seed,
 			Workers:        *workers,
 			World:          spatial.NewRect(0, 0, *side, *side),
+			CellSize:       16,
+			TickDT:         0.5,
 			GhostBand:      *band,
 			RebalanceEvery: *rebalance,
 			ConflictPolicy: *conflict,
-		},
-	})
+		}),
+	}
 
 	if *netWorker {
 		addrs := strings.Split(*netAddrs, ",")
@@ -505,27 +452,12 @@ func main() {
 	// Observability rig: the tracer and profiler attach to the LAST
 	// raced shard count only (one runtime's worth of spans/attribution,
 	// not four interleaved); the registry and endpoint span all races.
-	var tracer *obs.Tracer
-	if *tracePath != "" || *listen != "" {
-		tracer = obs.NewTracer(obs.DefaultSpanCap)
+	rig, err := obs.NewRig("shardsim", *tracePath, *profileOn, *listen, *linger)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "shardsim: %v\n", err)
+		os.Exit(1)
 	}
-	var prof *obs.Profiler
-	if *profileOn || *listen != "" {
-		prof = obs.NewProfiler()
-	}
-	var reg *obs.Registry
-	var liveEntities atomic.Int64
-	if *listen != "" {
-		reg = obs.Default()
-		reg.Gauge("shardsim_entities", func() float64 { return float64(liveEntities.Load()) })
-		srv, ln, err := obs.Serve(*listen, obs.NewServeMux(reg, tracer, prof))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shardsim: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "shardsim: serving metrics on http://%s/metrics\n", ln.Addr())
-	}
+	prof := rig.Profiler
 
 	if !*jsonOut {
 		fmt.Printf("shardsim: %d entities on a %.0f×%.0f map, %d ticks, %d workers/shard, %s barrier, %d cores\n\n",
@@ -537,12 +469,12 @@ func main() {
 	var firstHash uint64
 	hashesAgree := true
 	for i, n := range counts {
-		ro := raceObs{reg: reg, live: &liveEntities}
+		ro := raceObs{rig: rig}
 		if !*jsonOut {
 			ro.report = *report
 		}
 		if i == len(counts)-1 {
-			ro.tracer, ro.prof = tracer, prof
+			ro.tracer, ro.prof = rig.Tracer, prof
 		}
 		spec.cfg.Shards = n
 		res, err := runRace(spec, *wireMode, ro)
@@ -609,23 +541,8 @@ func main() {
 	if !*jsonOut {
 		fmt.Println("\nall shard counts produced the identical world hash ✓")
 	}
-	if *tracePath != "" {
-		f, err := os.Create(*tracePath)
-		if err == nil {
-			err = tracer.WriteChromeTrace(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "shardsim: trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "shardsim: wrote trace of the %d-shard race to %s\n", counts[len(counts)-1], *tracePath)
-		tracer.WriteSlowestTimeline(os.Stderr)
-	}
-	if *listen != "" && *linger > 0 {
-		fmt.Fprintf(os.Stderr, "shardsim: lingering %v for scrapers\n", *linger)
-		time.Sleep(*linger)
+	if err := rig.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "shardsim: %v\n", err)
+		os.Exit(1)
 	}
 }

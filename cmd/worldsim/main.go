@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"gamedb/internal/content"
@@ -68,7 +67,8 @@ fn on_tick(self) {
 
 func main() {
 	packPath := flag.String("pack", "", "content pack XML file (empty = embedded demo)")
-	scenario := flag.String("scenario", "pack", "workload: pack (run -pack or the embedded demo) | border (the E22 cross-shard-write crowd on one world — the baseline every sharded border run must hash-match)")
+	scenario := flag.String("scenario", "pack", "workload: pack (run -pack or the embedded demo) | "+strings.Join(shard.ScenarioNames(), " | ")+
+		" (a registry crowd of 240 units on a 400×400 map: the single-world baseline every sharded run of it must hash-match)")
 	ticks := flag.Int("ticks", 50, "ticks to simulate")
 	seed := flag.Int64("seed", 1, "world seed")
 	every := flag.Int("report", 10, "print stats every N ticks")
@@ -86,13 +86,17 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *scenario != "pack" && *scenario != "border" {
-		fmt.Fprintf(os.Stderr, "worldsim: unknown -scenario %q (want pack or border)\n", *scenario)
-		os.Exit(2)
+	var sc *shard.Scenario
+	if *scenario != "pack" {
+		var err error
+		if sc, err = shard.Lookup(*scenario); err != nil {
+			fmt.Fprintf(os.Stderr, "worldsim: %v, or pack\n", err)
+			os.Exit(2)
+		}
 	}
 
 	var c *content.Compiled
-	if *scenario == "pack" {
+	if sc == nil {
 		var src string
 		if *packPath == "" {
 			src = demoPack
@@ -117,32 +121,27 @@ func main() {
 			fmt.Fprintf(os.Stderr, "worldsim: warning: %v\n", warn)
 		}
 	}
-	// Observability: a tracer when anything wants spans, a profiler when
-	// anything wants attribution. Both stay nil (and cost one branch per
-	// hook) unless asked for.
-	var tracer *obs.Tracer
-	if *tracePath != "" || *listen != "" {
-		tracer = obs.NewTracer(obs.DefaultSpanCap)
+	rig, err := obs.NewRig("worldsim", *tracePath, *profileOn, *listen, *linger)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "worldsim: %v\n", err)
+		os.Exit(1)
 	}
-	var prof *obs.Profiler
-	if *profileOn || *listen != "" {
-		prof = obs.NewProfiler()
-	}
+	tracer, prof, reg := rig.Tracer, rig.Profiler, rig.Registry
 
 	w := world.New(world.Config{
 		Seed: *seed, Workers: *workers, ConflictPolicy: *conflict,
 		ChangeFeed: *feed, Trace: tracer.Context(0), Profile: prof,
 	})
-	if *scenario == "border" {
-		// The same pack and spawn stream SeedBorderCrowd drives through
-		// the sharded runtime — one world, so every write is local.
-		if err := shard.SeedBorderWorld(w, 240, 400, *seed, 6); err != nil {
+	if sc != nil {
+		// The same pack and spawn stream the registry seeds into every
+		// shard count — one world, so every write is local.
+		if err := sc.Seed(shard.WorldSeeder{World: w}, shard.Crowd{Units: 240, Side: 400, Seed: *seed}); err != nil {
 			fmt.Fprintf(os.Stderr, "worldsim: %v\n", err)
 			os.Exit(1)
 		}
 		if !*jsonOut {
-			fmt.Printf("seeded border-write crowd: %d entities across %v (%d workers)\n",
-				w.Entities(), w.TableNames(), *workers)
+			fmt.Printf("seeded %s crowd: %d entities across %v (%d workers)\n",
+				sc.Name, w.Entities(), w.TableNames(), *workers)
 		}
 	} else {
 		if err := w.LoadPack(c); err != nil {
@@ -153,22 +152,6 @@ func main() {
 			fmt.Printf("loaded pack %q: %d entities across %v (%d workers)\n",
 				c.Name, w.Entities(), w.TableNames(), *workers)
 		}
-	}
-
-	// Live endpoint: registry instruments fed from the tick loop, served
-	// alongside the tracer, profiler and pprof.
-	var liveEntities atomic.Int64
-	var reg *obs.Registry
-	if *listen != "" {
-		reg = obs.Default()
-		reg.Gauge("worldsim_entities", func() float64 { return float64(liveEntities.Load()) })
-		srv, ln, err := obs.Serve(*listen, obs.NewServeMux(reg, tracer, prof))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "worldsim: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "worldsim: serving metrics on http://%s/metrics\n", ln.Addr())
 	}
 
 	var effects, conflicts, retries, aborts, queryNS, applyNS, triggerNS int64
@@ -214,7 +197,7 @@ func main() {
 		scriptSkips += st.ScriptSkips
 		entityTicks += st.Entities
 		if reg != nil {
-			liveEntities.Store(int64(st.Entities))
+			rig.SetEntities(st.Entities)
 			reg.Counter("worldsim_ticks_total").Inc()
 			reg.Counter("worldsim_effects_total").Add(int64(st.Effects + st.TriggerEffects))
 			reg.Counter("worldsim_conflicts_total").Add(int64(st.EffectConflicts + st.TriggerConflicts))
@@ -238,27 +221,11 @@ func main() {
 	elapsed := time.Since(start)
 
 	// Exit-time observability artifacts, shared by the text and -json
-	// paths: the Chrome trace file (plus a human-readable slowest-tick
-	// timeline on stderr) and the -linger window for scrapers.
+	// paths.
 	finish := func() {
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err == nil {
-				err = tracer.WriteChromeTrace(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "worldsim: trace: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "worldsim: wrote trace to %s (load in chrome://tracing or https://ui.perfetto.dev)\n", *tracePath)
-			tracer.WriteSlowestTimeline(os.Stderr)
-		}
-		if *listen != "" && *linger > 0 {
-			fmt.Fprintf(os.Stderr, "worldsim: lingering %v for scrapers\n", *linger)
-			time.Sleep(*linger)
+		if err := rig.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "worldsim: %v\n", err)
+			os.Exit(1)
 		}
 	}
 

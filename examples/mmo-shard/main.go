@@ -104,6 +104,7 @@ func shardedRuntimeRace() {
 	fmt.Printf("\nsharded world runtime: %d players, %d ticks per shard count\n\n", players, ticks)
 	fmt.Println("shards  ticks/sec  handoffs/tick  ghosts  world-hash")
 
+	drift := shard.MustLookup("drift")
 	var firstHash uint64
 	hashesAgree := true
 	for _, n := range []int{1, 2, 4, 8} {
@@ -120,7 +121,7 @@ func shardedRuntimeRace() {
 		}
 		rt := eng.Runtime()
 		// Seed-fixed spawn stream: identical crowd for every shard count.
-		if err := shard.SeedDriftingCrowd(rt, players, side, seed, 40); err != nil {
+		if err := drift.Seed(rt, shard.Crowd{Units: players, Side: side, Seed: seed}); err != nil {
 			panic(err)
 		}
 		start := time.Now()

@@ -151,9 +151,11 @@ func TestEngineCrashRecoverAcrossShards(t *testing.T) {
 			spawn: "npc",
 		},
 		{
-			name:  "mingle-coarse-ghosts",
-			opts:  Options{Seed: 9, World: spatial.NewRect(0, 0, 240, 240), RebalanceEvery: 5},
-			seed:  func(e *Engine) error { return shard.SeedMingleCrowd(e.Runtime(), 500, 240, 9, 30) },
+			name: "mingle-coarse-ghosts",
+			opts: Options{Seed: 9, World: spatial.NewRect(0, 0, 240, 240), RebalanceEvery: 5},
+			seed: func(e *Engine) error {
+				return shard.MustLookup("mingle").Seed(e.Runtime(), shard.Crowd{Units: 500, Side: 240, Seed: 9})
+			},
 			spawn: "unit",
 		},
 	}

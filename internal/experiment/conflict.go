@@ -10,14 +10,13 @@ import (
 )
 
 // E17ConflictPolicy measures the price of serializable conflict
-// resolution: the beacon-claiming contention scenario
-// (shard.ConflictPackXML — drifting claimers racing blind writes and
-// read-modify-writes onto shared beacon rows) ticked under
-// ConflictLastWrite and ConflictOCC at 1 and 4 workers. Besides
-// throughput it reports the conflict load (re-runs and aborts per tick)
-// and the lost updates last-write-wins silently eats: total beacon heat
-// after the run — under occ every raced increment lands (up to the
-// retry cap), under lastwrite one per beacon per tick survives.
+// resolution: the shard registry's conflict crowd (drifting claimers
+// racing blind writes and read-modify-writes onto shared beacon rows)
+// ticked under ConflictLastWrite and ConflictOCC at 1 and 4 workers.
+// Besides throughput it reports the conflict load (re-runs and aborts
+// per tick) and the lost updates last-write-wins silently eats: total
+// beacon heat after the run — under occ every raced increment lands (up
+// to the retry cap), under lastwrite one per beacon per tick survives.
 func E17ConflictPolicy(quick bool) *metrics.Table {
 	t := metrics.NewTable("E17 — conflict policies: last-write-wins vs serializable OCC re-runs",
 		"policy", "workers", "tick", "entities/sec", "retries/tick", "aborts/tick", "beacon heat")
@@ -32,7 +31,8 @@ func E17ConflictPolicy(quick bool) *metrics.Table {
 				Seed: 42, CellSize: 12, ScriptFuel: 1 << 40, TickDT: 0.5,
 				Workers: workers, ConflictPolicy: policy,
 			})
-			if err := shard.SeedConflictWorld(w, claimers, beacons, side, 1); err != nil {
+			crowd := shard.Crowd{Units: claimers, Side: side, Seed: 1, Beacons: beacons}
+			if err := shard.MustLookup("conflict").Seed(shard.WorldSeeder{World: w}, crowd); err != nil {
 				panic(fmt.Sprintf("E17: %v", err))
 			}
 			retries, aborts := 0, 0

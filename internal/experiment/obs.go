@@ -3,24 +3,17 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"strings"
 
-	"gamedb/internal/content"
-	"gamedb/internal/entity"
 	"gamedb/internal/metrics"
 	"gamedb/internal/obs"
 	"gamedb/internal/shard"
-	"gamedb/internal/spatial"
 	"gamedb/internal/world"
 )
 
-// obsScenario is one workload the observability overhead is priced on:
-// a content pack plus its spawn parameters.
+// obsScenario is one registry crowd the observability overhead is
+// priced on, with its size and world settings.
 type obsScenario struct {
 	name     string
-	packXML  string
-	arch     string
 	units    int
 	side     float64
 	cellSize float64
@@ -28,33 +21,16 @@ type obsScenario struct {
 	workers  int
 }
 
-// buildObsWorld builds the scenario's world (seed-fixed spawn stream: position in [0,side)², velocity in
-// [-speed,speed)) with the observability hooks optionally attached.
+// buildObsWorld seeds the scenario's crowd into one world with the
+// observability hooks optionally attached.
 func buildObsWorld(sc obsScenario, trace *obs.SpanCtx, prof *obs.Profiler) *world.World {
-	c, errs := content.LoadAndCompile(strings.NewReader(sc.packXML))
-	if len(errs) > 0 {
-		panic(fmt.Sprintf("E18: pack rejected: %v", errs[0]))
-	}
 	w := world.New(world.Config{
 		Seed: 42, CellSize: sc.cellSize, ScriptFuel: 1 << 40, TickDT: 0.5,
 		Workers: sc.workers, Trace: trace, Profile: prof,
 	})
-	if err := w.LoadPack(c); err != nil {
+	crowd := shard.Crowd{Units: sc.units, Side: sc.side, Seed: 1, Speed: sc.speed}
+	if err := shard.MustLookup(sc.name).Seed(shard.WorldSeeder{World: w}, crowd); err != nil {
 		panic(fmt.Sprintf("E18: %v", err))
-	}
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < sc.units; i++ {
-		p := spatial.Vec2{X: rng.Float64() * sc.side, Y: rng.Float64() * sc.side}
-		id, err := w.Spawn(sc.arch, p)
-		if err != nil {
-			panic(fmt.Sprintf("E18: %v", err))
-		}
-		if err := w.Set(id, "vx", entity.Float((rng.Float64()*2-1)*sc.speed)); err != nil {
-			panic(fmt.Sprintf("E18: %v", err))
-		}
-		if err := w.Set(id, "vy", entity.Float((rng.Float64()*2-1)*sc.speed)); err != nil {
-			panic(fmt.Sprintf("E18: %v", err))
-		}
 	}
 	return w
 }
@@ -76,11 +52,11 @@ func E18ObservabilityOverhead(quick bool) *metrics.Table {
 	reps := pick(quick, 2, 5)
 	scenarios := []obsScenario{
 		{
-			name: "cascade", packXML: shard.CascadePackXML, arch: "pulser",
+			name:  "cascade",
 			units: pick(quick, 400, 2000), side: 1000, cellSize: 16, speed: 10, workers: 4,
 		},
 		{
-			name: "mingle", packXML: shard.MinglePackXML, arch: "unit",
+			name:  "mingle",
 			units: pick(quick, 500, 2500), side: 160 * math.Sqrt(pick(quick, 500.0, 2500.0)/2000),
 			cellSize: 8, speed: 4, workers: 4,
 		},

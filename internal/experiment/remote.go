@@ -10,9 +10,9 @@ import (
 )
 
 // E22CrossShardEffects measures the cost and exactness of first-class
-// cross-shard writes: the border-write crowd (shard.BorderWritePackXML —
-// raiders and medics clustered along region boundaries, writing each
-// other through ghost mirrors every tick) at 1/2/4 shards under
+// cross-shard writes: the shard registry's border crowd (raiders and
+// medics clustered along region boundaries, writing each other through
+// ghost mirrors every tick) at 1/2/4 shards under
 // lastwrite and occ. Records targeting ghosts seal into per-owner
 // RemoteEffectBatches and merge at the tick barrier, so forwarded/tick
 // and remote-merged/tick size the exchange traffic, and the final world
@@ -29,17 +29,18 @@ func E22CrossShardEffects(quick bool) *metrics.Table {
 	units := pick(quick, 300, 1500)
 	side := pick(quick, 400.0, 800.0)
 	ticks := pick(quick, 10, 40)
+	border := shard.MustLookup("border")
 	for _, policy := range []string{world.ConflictLastWrite, world.ConflictOCC} {
 		for _, shards := range []int{1, 2, 4} {
 			rt, err := shard.New(shard.Config{
 				Seed: 42, Shards: shards, World: spatial.NewRect(0, 0, side, side),
 				TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-				GhostFields: shard.BorderGhostFields(), ConflictPolicy: policy,
+				GhostFields: border.GhostFields, ConflictPolicy: policy,
 			})
 			if err != nil {
 				panic(fmt.Sprintf("E22: %v", err))
 			}
-			if err := shard.SeedBorderCrowd(rt, units, side, 7, 6); err != nil {
+			if err := border.Seed(rt, shard.Crowd{Units: units, Side: side, Seed: 7}); err != nil {
 				panic(fmt.Sprintf("E22: %v", err))
 			}
 			elapsed := timeOp(func() {

@@ -25,26 +25,21 @@ func E19ChangeFeedReplication(quick bool) *metrics.Table {
 	fanUnits := pick(quick, 300, 2000)
 	fanSide := pick(quick, 400.0, 1000.0)
 	fanTicks := pick(quick, 10, 40)
+	border := shard.MustLookup("border")
 	for _, clients := range clientScales {
 		rt, err := shard.New(shard.Config{
 			Seed: 42, Shards: 4, World: spatial.NewRect(0, 0, fanSide, fanSide),
 			TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-			GhostFields: shard.BorderGhostFields(), ChangeFeed: true,
+			GhostFields: border.GhostFields, ChangeFeed: true,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("E19: %v", err))
 		}
-		if err := shard.SeedBorderCrowd(rt, fanUnits, fanSide, 7, 6); err != nil {
+		if err := border.Seed(rt, shard.Crowd{Units: fanUnits, Side: fanSide, Seed: 7}); err != nil {
 			panic(fmt.Sprintf("E19: %v", err))
 		}
 		hub := replica.NewHub(replica.HubConfig{
-			Specs: []replica.FieldSpec{
-				{Name: "x", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
-				{Name: "y", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
-				{Name: "hp", Class: replica.Exact},
-				{Name: "kb", Class: replica.Cosmetic, Period: 4},
-			},
-			Cell: 32, ByteBudget: 1500,
+			Specs: border.HubFields, Cell: 32, ByteBudget: 1500,
 		})
 		rng := rand.New(rand.NewSource(2009))
 		for i := 0; i < clients; i++ {

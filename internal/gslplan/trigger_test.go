@@ -11,7 +11,7 @@ import (
 )
 
 // Trigger bodies as content packs ship them: the cascade crowd's
-// (internal/shard.CascadePackXML) and the worldsim demo pack's. The
+// (internal/shard's cascadePackXML) and the worldsim demo pack's. The
 // fuzz corpus is seeded with the same list.
 var shippedTriggerBodies = []struct{ entry, body string }{
 	{"cond", `amount > 0`},

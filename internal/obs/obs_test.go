@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -308,5 +309,43 @@ func TestWriteTimelineUnknownTick(t *testing.T) {
 	}
 	if want := fmt.Sprintf("tick %d: no spans retained", 99); !strings.Contains(buf.String(), want) {
 		t.Fatalf("got %q", buf.String())
+	}
+}
+
+// TestRig: a rig no flag asked for is nil and inert; a full one serves
+// the command's entity gauge from the default registry and, on Close,
+// writes a loadable Chrome trace.
+func TestRig(t *testing.T) {
+	off, err := NewRig("rigoff", "", false, "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if off.Tracer != nil || off.Profiler != nil || off.Registry != nil || off.Close() != nil {
+		t.Fatalf("a rig with no flags set is not inert: %+v", off)
+	}
+	path := t.TempDir() + "/trace.json"
+	r, err := NewRig("rigtest", path, true, "127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Tracer == nil || r.Profiler == nil || r.Registry != Default() {
+		t.Fatalf("a full rig is missing a piece: %+v", r)
+	}
+	r.SetEntities(7)
+	r.Tracer.Context(0).Span(SpanTick, 1, -1, time.Now())
+	var buf bytes.Buffer
+	if err := r.Registry.WritePrometheus(&buf); err != nil || !strings.Contains(buf.String(), "rigtest_entities 7") {
+		t.Fatalf("registry lacks the entity gauge (%v): %q", err, buf.String())
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct{ TraceEvents []any }
+	if err := json.Unmarshal(raw, &trace); err != nil || len(trace.TraceEvents) == 0 {
+		t.Fatalf("trace file holds no events (%v): %q", err, raw)
 	}
 }

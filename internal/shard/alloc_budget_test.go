@@ -23,14 +23,15 @@ func benchConfig(shards int) Config {
 	}
 }
 
-func checkAllocBudget(t *testing.T, name string, budget float64, cfg Config, seed func(*Runtime) error, ticks int) {
+func checkAllocBudget(t *testing.T, budget float64, cfg Config, sc *Scenario, crowd Crowd, ticks int) {
 	t.Helper()
+	name := sc.Name
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	if err := seed(rt); err != nil {
+	if err := sc.Seed(rt, crowd); err != nil {
 		t.Fatal(err)
 	}
 	step := func(n int) {
@@ -57,9 +58,7 @@ func checkAllocBudget(t *testing.T, name string, budget float64, cfg Config, see
 // behavior another 5 000; with both on plans the tick allocates about
 // 43.
 func TestCascadeAllocBudget(t *testing.T) {
-	checkAllocBudget(t, "cascade", 80, benchConfig(4), func(rt *Runtime) error {
-		return SeedCascadeCrowd(rt, 1000, 2000, 2009, 30)
-	}, 50)
+	checkAllocBudget(t, 80, benchConfig(4), cascadeScenario, Crowd{Units: 1000, Side: 2000, Seed: 2009}, 50)
 }
 
 // TestDriftAllocBudget: 8000 drifting units, 8 shards, a rebalance every
@@ -71,9 +70,7 @@ func TestCascadeAllocBudget(t *testing.T) {
 func TestDriftAllocBudget(t *testing.T) {
 	cfg := benchConfig(8)
 	cfg.RebalanceEvery = 50
-	checkAllocBudget(t, "drift", 130, cfg, func(rt *Runtime) error {
-		return SeedDriftingCrowd(rt, 8000, 2000, 2009, 40)
-	}, 100)
+	checkAllocBudget(t, 130, cfg, driftScenario, Crowd{Units: 8000, Side: 2000, Seed: 2009}, 100)
 }
 
 // TestMingleAllocBudget: 8000 minglers, 4 shards, the world widened
@@ -82,10 +79,8 @@ func TestMingleAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-2000, -2000, 4000, 4000)
 	cfg.GhostBand = 20
-	cfg.GhostFields = MingleGhostFields()
-	checkAllocBudget(t, "mingle", 85, cfg, func(rt *Runtime) error {
-		return SeedMingleCrowd(rt, 8000, 2000, 2009, 30)
-	}, 30)
+	cfg.GhostFields = mingleScenario.GhostFields
+	checkAllocBudget(t, 85, cfg, mingleScenario, Crowd{Units: 8000, Side: 2000, Seed: 2009}, 30)
 }
 
 // TestBorderAllocBudget: the benchmark's border crowd (border.tcp and
@@ -98,11 +93,9 @@ func TestMingleAllocBudget(t *testing.T) {
 func TestBorderAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-400, -400, 2400, 2400)
-	cfg.GhostFields = BorderGhostFields()
+	cfg.GhostFields = borderScenario.GhostFields
 	cfg.ConflictPolicy = world.ConflictOCC
-	checkAllocBudget(t, "border", 230, cfg, func(rt *Runtime) error {
-		return SeedBorderCrowd(rt, 2000, 2000, 2009, 6)
-	}, 50)
+	checkAllocBudget(t, 230, cfg, borderScenario, Crowd{Units: 2000, Side: 2000, Seed: 2009}, 50)
 }
 
 // TestCompileBehaviorsFieldIsInert: Config.CompileBehaviors is declared
@@ -120,7 +113,7 @@ func TestCompileBehaviorsFieldIsInert(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(rt.Close)
-		if err := SeedMingleCrowd(rt, 250, 400, 77, 30); err != nil {
+		if err := mingleScenario.Seed(rt, Crowd{Units: 250, Side: 400, Seed: 77}); err != nil {
 			t.Fatal(err)
 		}
 		compiled := 0
@@ -161,14 +154,14 @@ func TestCompileBehaviorsFieldIsInert(t *testing.T) {
 func TestHubFlushAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-400, -400, 2400, 2400)
-	cfg.GhostFields = BorderGhostFields()
+	cfg.GhostFields = borderScenario.GhostFields
 	cfg.ChangeFeed = true
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	if err := SeedBorderCrowd(rt, 2000, 2000, 2009, 6); err != nil {
+	if err := borderScenario.Seed(rt, Crowd{Units: 2000, Side: 2000, Seed: 2009}); err != nil {
 		t.Fatal(err)
 	}
 	hub := borderHub(1 << 30)
@@ -212,17 +205,11 @@ func TestHubFlushAllocBudget(t *testing.T) {
 }
 
 // borderHub is the benchmark's fan-out hub for the border crowd
-// (fanout.border): positions Coarse, hp Exact, kb Cosmetic, a 1500-byte
-// budget, client backlogs capped at maxQueue bytes (0 = the hub's
-// default), no client connected yet.
+// (fanout.border): the border crowd's hub fields, a 1500-byte budget,
+// client backlogs capped at maxQueue bytes (0 = the hub's default), no
+// client connected yet.
 func borderHub(maxQueue int) *replica.Hub {
 	return replica.NewHub(replica.HubConfig{
-		Specs: []replica.FieldSpec{
-			{Name: "x", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
-			{Name: "y", Class: replica.Coarse, Epsilon: 0.5, MaxAge: 10},
-			{Name: "hp", Class: replica.Exact},
-			{Name: "kb", Class: replica.Cosmetic, Period: 4},
-		},
-		Cell: 32, ByteBudget: 1500, MaxQueue: maxQueue,
+		Specs: borderScenario.HubFields, Cell: 32, ByteBudget: 1500, MaxQueue: maxQueue,
 	})
 }

@@ -15,188 +15,13 @@ import (
 	"gamedb/internal/world"
 )
 
-// clusterCfg is the shared config of the in-process-vs-TCP races in this
-// file; both grids must receive the identical config for their hashes to
-// be comparable.
+// clusterCfg is the shared config of this file's cluster tests: a
+// 400×400 map, two workers per shard.
 func clusterCfg(shards int, conflict string) Config {
 	return Config{
 		Seed: 7, Shards: shards, World: spatial.NewRect(0, 0, 400, 400),
 		TickDT: 0.5, GhostBand: 25, Workers: 2,
 		ScriptFuel: 1 << 20, ConflictPolicy: conflict,
-	}
-}
-
-// shardWorlds is what Runtime and Cluster share for invariant checks.
-type shardWorlds interface {
-	Shards() int
-	ShardWorld(i int) *world.World
-}
-
-// checkWorlds runs every shard world's invariant checker (the entity
-// directory's: rows, grid slots, ghost marks and routes, behaviors).
-func checkWorlds(t *testing.T, sw shardWorlds, when string) {
-	t.Helper()
-	for i := 0; i < sw.Shards(); i++ {
-		if err := sw.ShardWorld(i).Check(); err != nil {
-			t.Fatalf("%s, shard %d: %v", when, i, err)
-		}
-	}
-}
-
-// newGrid builds cfg's grid on the named transport — "inprocess" (New's
-// pipe mesh) or "tcp" (NewTCPCluster) — closed at test end, plus the
-// hash it reports: Runtime.Hash in-process, the lockstep frame gather
-// over TCP.
-func newGrid(t *testing.T, cfg Config, transport string) (*Cluster, func() uint64) {
-	t.Helper()
-	if transport == "tcp" {
-		cl, err := NewTCPCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cl.Close() })
-		return cl, func() uint64 {
-			t.Helper()
-			h, err := cl.Hash()
-			if err != nil {
-				t.Fatalf("tcp hash: %v", err)
-			}
-			return h
-		}
-	}
-	rt, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	return rt.Cluster, rt.Hash
-}
-
-// gridHashes seeds cfg's grid on the named transport and returns its
-// per-tick hash trajectory (a hash after every step, not just the final
-// one, so a divergence pins the exact tick it appeared), checking every
-// shard world's invariants after each step, plus the last step's stats.
-func gridHashes(t *testing.T, cfg Config, transport string, seed func(*Cluster) error, ticks int) ([]uint64, StepStats, *Cluster) {
-	t.Helper()
-	cl, hash := newGrid(t, cfg, transport)
-	if err := seed(cl); err != nil {
-		t.Fatal(err)
-	}
-	var last StepStats
-	hashes := make([]uint64, 0, ticks)
-	for i := 0; i < ticks; i++ {
-		st, err := cl.Step()
-		if err != nil {
-			t.Fatalf("%s tick %d: %v", transport, i+1, err)
-		}
-		last = st
-		checkWorlds(t, cl, fmt.Sprintf("%s tick %d", transport, i+1))
-		hashes = append(hashes, hash())
-	}
-	return hashes, last, cl
-}
-
-// gridRace is one crowd run on both transports: the TCP grid and each
-// grid's last step's stats.
-type gridRace struct {
-	tcp             *Cluster
-	inprocSt, tcpSt StepStats
-}
-
-// raceTransports runs cfg's crowd on the in-process Runtime and on a TCP
-// cluster and fails at the first tick whose hashes differ: the Runtime's
-// directly collected digest against the frame gather over sockets.
-func raceTransports(t *testing.T, name string, cfg Config, seed func(*Cluster) error, ticks int) gridRace {
-	t.Helper()
-	var r gridRace
-	var want, got []uint64
-	want, r.inprocSt, _ = gridHashes(t, cfg, "inprocess", seed, ticks)
-	got, r.tcpSt, r.tcp = gridHashes(t, cfg, "tcp", seed, ticks)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s shards=%d: tcp hash diverged at tick %d: %x vs in-process %x", name, cfg.Shards, i+1, got[i], want[i])
-		}
-	}
-	return r
-}
-
-// TestClusterMatchesRuntimeMingle pins the TCP cluster to the in-process
-// Runtime on the apply-heavy mingle crowd: every tick's global hash must
-// be bit-identical across 1/2/4-shard grids under both conflict
-// policies, and a multi-shard barrier must record its traffic in
-// StepStats on both transports.
-func TestClusterMatchesRuntimeMingle(t *testing.T) {
-	const ticks = 12
-	for _, conflict := range []string{"", "occ"} {
-		for _, shards := range []int{1, 2, 4} {
-			name := "mingle/" + conflict
-			r := raceTransports(t, name, clusterCfg(shards, conflict),
-				func(cl *Cluster) error { return SeedMingleCluster(cl, 250, 400, 77, 30) }, ticks)
-			if shards == 1 {
-				continue
-			}
-			for transport, st := range map[string]StepStats{"inprocess": r.inprocSt, "tcp": r.tcpSt} {
-				if st.WireFrames == 0 || st.WireBytesOut == 0 || st.WireBytesIn == 0 {
-					t.Fatalf("%s %s shards=%d: no wire traffic recorded in StepStats: %+v", name, transport, shards, st)
-				}
-			}
-		}
-	}
-}
-
-// TestClusterMatchesRuntimeBorder races the adversarial cross-shard
-// write scenario — RemoteEffectBatch traffic both directions every
-// tick, OCC re-runs included — on both transports at 2 and 4 shards.
-func TestClusterMatchesRuntimeBorder(t *testing.T) {
-	const ticks = 12
-	for _, conflict := range []string{"", "occ"} {
-		for _, shards := range []int{2, 4} {
-			cfg := clusterCfg(shards, conflict)
-			cfg.GhostBand = 20
-			cfg.GhostFields = BorderGhostFields()
-			name := "border/" + conflict
-			r := raceTransports(t, name, cfg,
-				func(cl *Cluster) error { return SeedBorderCluster(cl, 200, 400, 99, 25) }, ticks)
-			if r.inprocSt.EffectsForwarded == 0 || r.tcpSt.EffectsForwarded != r.inprocSt.EffectsForwarded {
-				t.Fatalf("%s shards=%d: forwarded %d effects in-process, %d over tcp — scenario not exercising the exchange alike",
-					name, shards, r.inprocSt.EffectsForwarded, r.tcpSt.EffectsForwarded)
-			}
-		}
-	}
-}
-
-// TestClusterMatchesRuntimeTCP runs the border race over real loopback
-// sockets: same hashes, every byte through the kernel.
-func TestClusterMatchesRuntimeTCP(t *testing.T) {
-	const ticks = 8
-	cfg := clusterCfg(2, "occ")
-	cfg.GhostBand = 20
-	cfg.GhostFields = BorderGhostFields()
-	r := raceTransports(t, "border/tcp", cfg,
-		func(cl *Cluster) error { return SeedBorderCluster(cl, 150, 400, 99, 25) }, ticks)
-	ws := r.tcp.WireStats()
-	if ws.BytesOut == 0 || ws.BytesIn == 0 {
-		t.Fatalf("tcp cluster moved no bytes: %+v", ws)
-	}
-}
-
-// TestClusterRebalanceAndDrift exercises the counts round over real
-// sockets: a drifting crowd with periodic rebalancing must stay
-// hash-identical to the in-process grid — the lockstep partitioner
-// replicas only stay replicas if every peer feeds Rebalance the
-// identical global counts at the identical ticks.
-func TestClusterRebalanceAndDrift(t *testing.T) {
-	const ticks = 16
-	cfg := clusterCfg(4, "")
-	cfg.RebalanceEvery = 5
-	cfg.RebalanceMaxShift = 8
-	st := raceTransports(t, "drift+rebalance", cfg,
-		func(cl *Cluster) error { return SeedDriftingCluster(cl, 300, 400, 41, 35) }, ticks).tcpSt
-	if st.Entities != 300 {
-		t.Fatalf("cluster lost entities: %d of 300", st.Entities)
-	}
-	if st.WireFrames == 0 || st.WireBytesOut == 0 || st.WireBytesIn == 0 {
-		t.Fatalf("no wire traffic recorded in StepStats: %+v", st)
 	}
 }
 
@@ -209,7 +34,7 @@ func TestExchangeScratchReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	if err := SeedBorderCrowd(rt, 150, 400, 99, 25); err != nil {
+	if err := borderScenario.Seed(rt, Crowd{Units: 150, Side: 400, Seed: 99, Speed: 25}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
@@ -246,7 +71,7 @@ func TestFailedSpawnLeavesIDsAlone(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(rt.Close)
-		if err := loadPack(rt, "mingle", MinglePackXML); err != nil {
+		if err := loadPack(rt, "mingle", minglePackXML); err != nil {
 			t.Fatal(err)
 		}
 		if fail {
@@ -379,10 +204,10 @@ func TestFeedPumpOverTCPMatchesInProcess(t *testing.T) {
 	run := func(transport string) []tally {
 		cfg := benchConfig(4)
 		cfg.World = spatial.NewRect(-400, -400, 2400, 2400)
-		cfg.GhostFields = BorderGhostFields()
+		cfg = borderScenario.Configure(cfg)
 		cfg.ChangeFeed = true
 		cl, _ := newGrid(t, cfg, transport)
-		if err := SeedBorderCluster(cl, 600, 2000, 2009, 6); err != nil {
+		if err := borderScenario.Seed(cl, Crowd{Units: 600, Side: 2000, Seed: 2009}); err != nil {
 			t.Fatal(err)
 		}
 		hub := borderHub(1500)
@@ -433,10 +258,10 @@ func TestFeedPumpOverTCPMatchesInProcess(t *testing.T) {
 func TestFeedPumpAcrossRestore(t *testing.T) {
 	for _, transport := range []string{"inprocess", "tcp"} {
 		cfg := clusterCfg(4, world.ConflictLastWrite)
-		cfg.GhostFields = BorderGhostFields()
+		cfg = borderScenario.Configure(cfg)
 		cfg.ChangeFeed = true
 		cl, hash := newGrid(t, cfg, transport)
-		if err := SeedBorderCluster(cl, 200, 400, 7, 6); err != nil {
+		if err := borderScenario.Seed(cl, Crowd{Units: 200, Side: 400, Seed: 7}); err != nil {
 			t.Fatal(err)
 		}
 		hub := borderHub(0)

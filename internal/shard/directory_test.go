@@ -17,18 +17,19 @@ import (
 // trajectory.
 func TestDirectoryAcrossHandoffAndRestore(t *testing.T) {
 	crowds := []struct {
-		name string
-		cfg  Config
-		seed func(*Runtime) error
+		name  string
+		cfg   Config
+		sc    *Scenario
+		crowd Crowd
 	}{
 		{"drift", Config{
 			Seed: 41, Shards: 8, World: spatial.NewRect(0, 0, 400, 400), TickDT: 0.5,
 			GhostBand: 25, RebalanceEvery: 5, RebalanceMaxShift: 8,
-		}, func(rt *Runtime) error { return SeedDriftingCrowd(rt, 600, 400, 41, 35) }},
+		}, driftScenario, Crowd{Units: 600, Side: 400, Seed: 41, Speed: 35}},
 		{"border", Config{
 			Seed: 99, Shards: 4, World: spatial.NewRect(0, 0, 400, 400), TickDT: 0.5,
-			GhostBand: 20, GhostFields: BorderGhostFields(), ScriptFuel: 1 << 20,
-		}, func(rt *Runtime) error { return SeedBorderCrowd(rt, 200, 400, 99, 25) }},
+			GhostBand: 20, GhostFields: borderScenario.GhostFields, ScriptFuel: 1 << 20,
+		}, borderScenario, Crowd{Units: 200, Side: 400, Seed: 99, Speed: 25}},
 	}
 	const ticks, crashAt = 24, 10
 	for _, c := range crowds {
@@ -38,7 +39,7 @@ func TestDirectoryAcrossHandoffAndRestore(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(rt.Close)
-			if err := c.seed(rt); err != nil {
+			if err := c.sc.Seed(rt, c.crowd); err != nil {
 				t.Fatal(err)
 			}
 			checkWorlds(t, rt, c.name+" seeded")

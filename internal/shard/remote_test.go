@@ -11,63 +11,6 @@ import (
 	"gamedb/internal/world"
 )
 
-// borderRun drives the E22 border-write scenario on an n-shard runtime
-// and returns the final hash plus the runtime's forwarding totals.
-func borderRun(t *testing.T, shards, workers int, conflict string) (uint64, int64, int64) {
-	t.Helper()
-	rt, err := New(Config{
-		Seed: 7, Shards: shards, World: spatial.NewRect(0, 0, 400, 400),
-		TickDT: 0.5, GhostBand: 20, Workers: workers,
-		GhostFields: BorderGhostFields(), ConflictPolicy: conflict,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	if err := SeedBorderCrowd(rt, 240, 400, 77, 6); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		if st, err := rt.Step(); err != nil {
-			t.Fatalf("shards=%d workers=%d tick %d: %v", shards, workers, st.Tick, err)
-		}
-	}
-	return rt.Hash(), rt.ForwardTotal.Load(), rt.RemoteMergeTotal.Load()
-}
-
-// TestCrossShardWritesHashInvariantAcrossGrid pins the effect-forwarding
-// exchange across the whole Shards × Workers grid, under both conflict
-// policies: the border-write crowd (raiders and medics writing *each
-// other* across region boundaries every tick) must land on the exact
-// single-shard hash for 1/2/4/8 shards. Before PR 8 a write targeting a
-// ghost mirror silently mutated derived state and this scenario diverged
-// at every shard count; with ghost writes forwarded to their owner and
-// merged deterministically at the barrier, partitioning is invisible.
-func TestCrossShardWritesHashInvariantAcrossGrid(t *testing.T) {
-	for _, conflict := range []string{"", world.ConflictOCC} {
-		base, _, _ := borderRun(t, 1, 1, conflict)
-		for _, workers := range []int{1, 2, 4, 8} {
-			for _, shards := range []int{1, 2, 4, 8} {
-				if shards == 1 && workers == 1 {
-					continue
-				}
-				h, fwd, merged := borderRun(t, shards, workers, conflict)
-				if h != base {
-					t.Fatalf("conflict=%q: hash diverged at shards=%d workers=%d: %x vs %x",
-						conflict, shards, workers, h, base)
-				}
-				if shards > 1 && fwd == 0 {
-					t.Fatalf("conflict=%q shards=%d: no effects forwarded — scenario not writing across borders", conflict, shards)
-				}
-				if merged != fwd {
-					t.Fatalf("conflict=%q shards=%d workers=%d: forwarded %d records but merged %d",
-						conflict, shards, workers, fwd, merged)
-				}
-			}
-		}
-	}
-}
-
 // raceWorld seeds the cross-shard two-writers-one-reader race on a
 // 2-shard runtime (boundary at x = 200): a store owned by shard 1, a
 // local writer beside it, a foreign writer and a reader across the

@@ -6,20 +6,10 @@ import (
 	"gamedb/internal/entity"
 	"gamedb/internal/replica"
 	"gamedb/internal/spatial"
-	"gamedb/internal/world"
 )
 
-func unitSchema(t *testing.T) *entity.Schema {
-	t.Helper()
-	s, err := DriftingCrowdSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// newRuntime builds an n-shard runtime over a 1000×1000 map with a
-// "units" table on every shard.
+// newRuntime builds an n-shard runtime over a 1000×1000 map with the
+// drift crowd's empty "units" table on every shard.
 func newRuntime(t *testing.T, n int, cfg Config) *Runtime {
 	t.Helper()
 	cfg.Shards = n
@@ -34,10 +24,8 @@ func newRuntime(t *testing.T, n int, cfg Config) *Runtime {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	for i := 0; i < rt.Shards(); i++ {
-		if _, err := rt.ShardWorld(i).CreateTable("units", unitSchema(t)); err != nil {
-			t.Fatal(err)
-		}
+	if err := driftScenario.Seed(rt, Crowd{}); err != nil {
+		t.Fatal(err)
 	}
 	return rt
 }
@@ -291,117 +279,6 @@ func TestHandoffReplacesGhost(t *testing.T) {
 	}
 }
 
-// scenario spawns count drifting units identically for any shard count
-// (the package's canonical ForEachCrowdSpawn stream).
-func scenario(t *testing.T, rt *Runtime, count int, seed int64) {
-	t.Helper()
-	err := ForEachCrowdSpawn(count, 1000, seed, 30, func(vals map[string]entity.Value) error {
-		_, err := rt.SpawnRaw("units", vals)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDeterministicAcrossShardCounts(t *testing.T) {
-	// The hash must be invariant across the whole (shards × workers)
-	// grid: region sharding preserves rows bit-exactly through handoff,
-	// and the world's state-effect tick makes the per-shard step
-	// independent of its worker count.
-	const units, ticks = 300, 60
-	var hashes []uint64
-	for _, workers := range []int{1, 2} {
-		for _, n := range []int{1, 2, 4} {
-			rt := newRuntime(t, n, Config{Seed: 7, TickDT: 0.5, GhostBand: 25,
-				RebalanceEvery: 10, Workers: workers})
-			scenario(t, rt, units, 1234)
-			if err := rt.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < ticks; i++ {
-				if _, err := rt.Step(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if got := rt.Entities(); got != units {
-				t.Fatalf("%d shards: entity total %d, want %d", n, got, units)
-			}
-			hashes = append(hashes, rt.Hash())
-			if n > 1 && rt.HandoffTotal.Load() == 0 {
-				t.Fatalf("%d shards: no handoffs — scenario not exercising boundaries", n)
-			}
-			if n > 1 && rt.GhostSnapshotTotal.Load() == 0 {
-				t.Fatalf("%d shards: no ghosts materialized", n)
-			}
-		}
-	}
-	for i, h := range hashes {
-		if h != hashes[0] {
-			t.Fatalf("world hash diverged across (shards × workers) grid: %x vs %x (case %d)",
-				hashes[0], h, i)
-		}
-	}
-}
-
-// cascadeRun drives the trigger-cascade crowd (runGoldenCrowd's) on an
-// n-shard runtime and returns the final hash plus total trigger
-// activations.
-func cascadeRun(t *testing.T, shards, workers int, conflict string) (uint64, int) {
-	t.Helper()
-	run := runGoldenCrowd(t, "cascade", "inprocess", shards, workers, conflict)
-	return run.final, run.fired
-}
-
-func TestTriggerCascadeHashInvariantAcrossGrid(t *testing.T) {
-	// The effect-aware trigger drain keeps trigger-cascade-heavy state
-	// bit-identical across the whole Shards × Workers grid: cascades
-	// batch per round, actions fan across workers, and the per-round
-	// apply is keyed by (event seq, rule seq) — never by partitioning.
-	baseHash, baseFired := cascadeRun(t, 1, 1, "")
-	if baseFired == 0 {
-		t.Fatal("scenario fired no triggers")
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, shards := range []int{1, 2, 4} {
-			if shards == 1 && workers == 1 {
-				continue
-			}
-			h, fired := cascadeRun(t, shards, workers, "")
-			if h != baseHash {
-				t.Fatalf("hash diverged at shards=%d workers=%d: %x vs %x", shards, workers, h, baseHash)
-			}
-			if fired != baseFired {
-				t.Fatalf("activations diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, fired, baseFired)
-			}
-		}
-	}
-	// The direct-execution drain is the semantic baseline: on a strictly
-	// per-entity cascade it produces the identical world. Its hash and
-	// activation count are the recorded ones (golden_test.go).
-	if baseHash != cascadeGoldenFinal || baseFired != cascadeGoldenFired {
-		t.Fatalf("effect drain diverged from the recorded direct execution: hash %x vs %x, fired %d vs %d",
-			baseHash, uint64(cascadeGoldenFinal), baseFired, cascadeGoldenFired)
-	}
-}
-
-func TestDeterminismSameSeedSameRun(t *testing.T) {
-	run := func() uint64 {
-		rt := newRuntime(t, 4, Config{Seed: 11, TickDT: 0.5, GhostBand: 25})
-		scenario(t, rt, 150, 99)
-		for i := 0; i < 40; i++ {
-			if _, err := rt.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return rt.Hash()
-	}
-	if a, b := run(), run(); a != b {
-		t.Fatalf("same seed diverged: %x vs %x", a, b)
-	}
-}
-
 func TestDespawnedGhostSelfHeals(t *testing.T) {
 	rt := newRuntime(t, 2, Config{TickDT: 1, GhostBand: 30})
 	// Owned by shard 1, drifting so a Coarse ship is due every barrier.
@@ -649,92 +526,6 @@ func TestScriptIDAllocatorsDisjoint(t *testing.T) {
 				t.Fatalf("id %d allocated by shards %d and %d", id, prev, i)
 			}
 			seen[id] = i
-		}
-	}
-}
-
-// mingleRun drives the apply-heavy mingle crowd (runGoldenCrowd's) on an
-// n-shard runtime and returns the final hash plus total applied
-// effects.
-func mingleRun(t *testing.T, shards, workers int, conflict string) (uint64, int) {
-	t.Helper()
-	run := runGoldenCrowd(t, "mingle", "inprocess", shards, workers, conflict)
-	if run.effects == 0 {
-		t.Fatalf("shards=%d workers=%d: scenario applied no effects", shards, workers)
-	}
-	return run.final, run.effects
-}
-
-// TestBatchedApplyHashInvariantAcrossGrid pins the columnar apply to
-// the row-at-a-time apply bit-for-bit across the whole Shards × Workers
-// grid, on both tick-pipeline workloads: the apply-heavy mingle crowd
-// (set + add floods over four columns plus physics deltas) and the
-// trigger cascade (per-round applies inside the trigger drain). The row
-// apply's hashes and counts are the recorded ones (golden_test.go);
-// world's TestBatchedApplyMatchesRowApply still runs it live. Grouping
-// by (table, column) must never show in the world state — only in the
-// profile.
-func TestBatchedApplyHashInvariantAcrossGrid(t *testing.T) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, shards := range []int{1, 2, 4} {
-			bh, be := mingleRun(t, shards, workers, "")
-			if rh, _ := mingleGolden(shards); bh != rh {
-				t.Fatalf("mingle: batched hash diverged from row apply at shards=%d workers=%d: %x vs %x",
-					shards, workers, bh, rh)
-			}
-			if be != mingleGoldenEffects {
-				t.Fatalf("mingle: effect counts diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, be, mingleGoldenEffects)
-			}
-
-			ch, cf := cascadeRun(t, shards, workers, "")
-			if ch != cascadeGoldenFinal {
-				t.Fatalf("cascade: batched hash diverged from row apply at shards=%d workers=%d: %x vs %x",
-					shards, workers, ch, uint64(cascadeGoldenFinal))
-			}
-			if cf != cascadeGoldenFired {
-				t.Fatalf("cascade: activations diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, cf, cascadeGoldenFired)
-			}
-		}
-	}
-}
-
-// TestOCCConflictPolicyHashInvariantAcrossGrid pins ConflictPolicy=occ
-// across the whole Workers × Shards grid on both tick-pipeline
-// workloads. Both scenarios write strictly per-entity, so occ must land
-// on the exact lastwrite hash (PR 4's baseline): the validate pass is
-// pure observation until a conflicting assignment actually appears, and
-// the re-run machinery is a function of the deterministic merge alone.
-// The cascade scenario is additionally shard-count invariant, so its
-// occ hashes are pinned grid-wide to one base; the mingle crowd reads
-// neighbors (whose cross-boundary view is the weakened Coarse ghost
-// mirror, a pre-existing property of the scenario, not of the policy),
-// so its occ hash is pinned to the lastwrite hash at the same grid
-// point instead.
-func TestOCCConflictPolicyHashInvariantAcrossGrid(t *testing.T) {
-	cascadeBase, cascadeFired := cascadeRun(t, 1, 1, "")
-	for _, workers := range []int{1, 2, 4, 8} {
-		for _, shards := range []int{1, 2, 4} {
-			lh, le := mingleRun(t, shards, workers, "")
-			mh, me := mingleRun(t, shards, workers, world.ConflictOCC)
-			if mh != lh {
-				t.Fatalf("mingle: occ hash diverged from lastwrite at shards=%d workers=%d: %x vs %x",
-					shards, workers, mh, lh)
-			}
-			if me != le {
-				t.Fatalf("mingle: occ effect counts diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, me, le)
-			}
-			ch, cf := cascadeRun(t, shards, workers, world.ConflictOCC)
-			if ch != cascadeBase {
-				t.Fatalf("cascade: occ hash diverged from lastwrite baseline at shards=%d workers=%d: %x vs %x",
-					shards, workers, ch, cascadeBase)
-			}
-			if cf != cascadeFired {
-				t.Fatalf("cascade: occ activations diverged at shards=%d workers=%d: %d vs %d",
-					shards, workers, cf, cascadeFired)
-			}
 		}
 	}
 }
