@@ -76,6 +76,8 @@ type compiler struct {
 	used      map[string]bool
 	ntmp      int
 	fnExp     strings.Builder
+	// perEntity is the first construct RunBatch does not evaluate.
+	perEntity string
 }
 
 // Compile lowers prog's entry function — a behavior's on_tick(self), or
@@ -117,21 +119,35 @@ func Compile(name string, prog *script.Program, entry string, nargs int) (*Progr
 	if c.height > script.DefaultMaxDepth {
 		return nil, notCompilable(c.deepLine, "call depth %d exceeds the interpreter's %d", c.height, script.DefaultMaxDepth)
 	}
-	kind, driver := "behavior", "set-at-a-time roster scan, one pass per tick chunked across workers"
-	if entry != EntryFn {
-		kind, driver = "rule", "set-at-a-time scan of one cascade round's matches, chunked across workers"
+	kind, driver := "behavior", "set-at-a-time: one batched run per worker's roster chunk, nearby as one band join over the grid"
+	switch {
+	case entry != EntryFn:
+		// Rules run one match at a time, over one cascade round's matches
+		// chunked across workers; only behaviors batch.
+		kind, driver = "rule", "per-entity: one run per match of a cascade round, chunked across workers"
+		if c.perEntity == "" {
+			c.perEntity = "trigger rule"
+		}
+	case c.perEntity != "":
+		driver = "per-entity: " + c.perEntity + " keeps one run per entity, chunked across workers"
 	}
 	header := fmt.Sprintf("%s %q: compiled plan for %s(%s)\n"+
 		"  driver: %s\n"+
 		"  frame: %d scalar slots, %d list slots, %d user functions\n",
 		kind, name, entry, strings.Join(fn.Params, ", "), driver, len(c.slotName), len(c.listName), len(c.fns))
+	var forms []form
+	if c.perEntity == "" && nargs == 1 { // RunBatch's entry: on_tick(self)
+		forms = slotForms(body, len(c.slotName))
+	}
 	return &Program{
-		name:     name,
-		nParams:  nargs,
-		nScalars: len(c.slotName),
-		nLists:   len(c.listName),
-		body:     body,
-		explain:  header + exp.String() + c.fnExp.String(),
+		forms:     forms,
+		name:      name,
+		nParams:   nargs,
+		nScalars:  len(c.slotName),
+		nLists:    len(c.listName),
+		body:      body,
+		explain:   header + exp.String() + c.fnExp.String(),
+		perEntity: c.perEntity,
 	}, nil
 }
 
@@ -204,6 +220,14 @@ func (c *compiler) loopBody(stmts []script.Stmt) ([]stmtNode, error) {
 	body, err := c.block(stmts)
 	c.loops--
 	return body, err
+}
+
+// keepScalar records the first construct that keeps the program off
+// RunBatch.
+func (c *compiler) keepScalar(line int, construct string) {
+	if c.perEntity == "" {
+		c.perEntity = fmt.Sprintf("%s (line %d)", construct, line)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -314,6 +338,7 @@ func (c *compiler) compileStmt(s script.Stmt) (stmtNode, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.keepScalar(st.Line(), "while loop")
 		c.line("while %s:  -- fuel-bounded", cond.render())
 		body, err := c.loopBody(st.Body.Stmts)
 		if err != nil {
@@ -588,6 +613,7 @@ func (c *compiler) compileCall(ex *script.CallExpr) (valPlan, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.keepScalar(ex.Line(), fmt.Sprintf("call to user function %q", ex.Name))
 	tmps := make([]int, len(args))
 	for i := range tmps {
 		tmps[i] = c.newTemp()

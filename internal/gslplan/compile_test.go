@@ -271,46 +271,19 @@ func TestCallDepthBeyondTheInterpretersIsRejected(t *testing.T) {
 	}
 }
 
+// TestScenarioBodiesCompile: the crowds' behaviors compile, run
+// set-at-a-time, and say so in their explain's driver line.
 func TestScenarioBodiesCompile(t *testing.T) {
-	// The bundled scenario behaviors compile, and every plan explains
-	// itself.
-	bodies := map[string]string{
-		"mingle": `
-fn on_tick(self) {
-  let ns = nearby(self, 8.0);
-  let n = len(ns);
-  if n == 0 { return; }
-  let cx = 0.0;
-  let cy = 0.0;
-  for id in ns {
-    cx = cx + get(id, "x");
-    cy = cy + get(id, "y");
-  }
-  move_toward(self, cx / n, cy / n, 0.5);
-  add(self, "met", n);
-}`,
-		"pulse": `fn on_tick(self) { emit("pulse", self, 3); }`,
-		"claim": `
-fn on_tick(self) {
-  let ns = nearby(self, 12.0);
-  for id in ns {
-    if get(id, "kind") == 1 {
-      set(id, "claim", self);
-      set(id, "heat", get(id, "heat") + 1);
-    }
-  }
-}`,
-	}
-	for name, src := range bodies {
-		p, err := Compile(name, mustParse(t, src), EntryFn, 1)
+	for _, name := range []string{"mingle", "raid", "mend", "pulse", "claim"} {
+		p, err := Compile(name, mustParse(t, scenarioBodies[name]), EntryFn, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if p.Explain() == "" {
-			t.Fatalf("%s: empty explain", name)
+		if !p.SetAtATime() {
+			t.Fatalf("%s: runs per entity (%s)", name, p.PerEntity())
 		}
-		if !strings.Contains(p.Explain(), "set-at-a-time") {
-			t.Fatalf("%s: explain missing driver line:\n%s", name, p.Explain())
+		if !strings.Contains(p.Explain(), "driver: set-at-a-time") {
+			t.Fatalf("%s: explain missing the set-at-a-time driver line:\n%s", name, p.Explain())
 		}
 	}
 }

@@ -6,17 +6,30 @@
 // scalar and list slots — variables resolve to slots at compile time,
 // operators apply the query layer's semantics (query.Apply), and the
 // stateful calls (get, nearby, set, spawn, ...) become operator nodes
-// against a host Env. A bound plan then runs once per entity (or per
-// matched event) over the frozen tick-start state while honoring the
-// effect-buffer contract exactly: identical effect records, identical
-// per-invocation read-sets, identical per-entity rand draws.
+// against a host Env. A bound plan runs over the frozen tick-start state
+// while honoring the effect-buffer contract exactly: identical effect
+// records, identical per-invocation read-sets, identical per-entity rand
+// draws.
+//
+// The same nodes have two evaluation methods. Run executes one
+// invocation. RunBatch (batch.go) executes a behavior over a whole batch
+// of subjects, statement by statement over a selection vector of lanes:
+// control flow becomes masks, for-in runs iteration-major, numbers and
+// bools travel unboxed through typed kernels (vec.go), and nearby is one
+// BatchEnv.NearbyBatch for every lane. Each lane talks to the host
+// through its own Env, so its reads, effects and draws are its scalar
+// run's. A lane that errors or crosses its fuel cap is handed back not
+// OK, and the host re-runs it on Run, which alone decides its outcome;
+// so is every lane of a program with a while loop or a user function
+// call (Program.PerEntity names the first). Trigger rules run only on
+// Run.
 //
 // Behaviors are one client; trigger rules are the other. Compile takes
 // the entry function and its argument count, and a run returns the
 // value of its return statement, so a rule's cond(self, amount) and
-// act(self, amount) lower onto the same Program / Plan / Env and the
-// trigger drain batches them over a cascade round's matches the way the
-// query phase batches on_tick over the roster.
+// act(self, amount) lower onto the same Program / Plan / Env, and the
+// trigger drain runs them over a cascade round's matches, chunked across
+// workers, one Run per match.
 //
 // The language a plan runs is GSL as script.Interp runs it: while loops
 // with break and continue, for-in over nearby results, user functions

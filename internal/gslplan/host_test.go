@@ -35,11 +35,16 @@ func newFakeHost() *fakeHost {
 		spawned: map[entity.ID]bool{},
 	}
 	for i := entity.ID(1); i <= 5; i++ {
+		x, y := float64(i)*3, float64(i%2)*4
 		h.cells[i] = map[string]entity.Value{
 			"boom": entity.Int(int64(i)), "flag": entity.Int(0), "engaged": entity.Int(2),
 			"hp": entity.Float(10 * float64(i)), "tag": entity.Str("u"), "on": entity.Bool(i%2 == 0),
+			// The columns the scenario and world test packs touch.
+			"x": entity.Float(x), "y": entity.Float(y), "met": entity.Int(0), "jit": entity.Float(0),
+			"kind": entity.Int(int64(i % 3)), "claim": entity.Int(0), "heat": entity.Int(int64(i)),
+			"claimed": entity.Int(0), "kb": entity.Int(0), "hits": entity.Int(0), "pings": entity.Int(0),
 		}
-		h.pos[i] = [2]float64{float64(i) * 3, float64(i%2) * 4}
+		h.pos[i] = [2]float64{x, y}
 	}
 	// Entity 9 exists but has no position.
 	h.cells[9] = map[string]entity.Value{"boom": entity.Int(0)}
@@ -211,7 +216,7 @@ func (h *fakeHost) builtins() []script.Builtin {
 			if err != nil {
 				return null, err
 			}
-			v, err := a[2].ToEntity()
+			v, err := toEntity(a[2])
 			if err != nil {
 				return null, err
 			}
@@ -295,7 +300,7 @@ func (h *fakeHost) builtins() []script.Builtin {
 			}
 			amount := entity.Null()
 			if len(a) == 3 {
-				if amount, err = a[2].ToEntity(); err != nil {
+				if amount, err = toEntity(a[2]); err != nil {
 					return null, err
 				}
 			}
@@ -447,4 +452,26 @@ func mustCompileTrigger(t *testing.T, entry, body string) (*script.Program, *Pro
 		t.Fatalf("%s %q: %v", entry, body, err)
 	}
 	return prog, p
+}
+
+// toEntity converts a script value into a store value; lists do not fit
+// in table cells and fail.
+func toEntity(v script.Value) (entity.Value, error) {
+	switch v.Kind() {
+	case script.KInt:
+		i, _ := v.AsInt()
+		return entity.Int(i), nil
+	case script.KFloat:
+		f, _ := v.AsFloat()
+		return entity.Float(f), nil
+	case script.KStr:
+		s, _ := v.AsStr()
+		return entity.Str(s), nil
+	case script.KBool:
+		b, _ := v.AsBool()
+		return entity.Bool(b), nil
+	case script.KNull:
+		return entity.Null(), nil
+	}
+	return entity.Null(), fmt.Errorf("script: cannot store %s in a table cell", v.Kind())
 }

@@ -62,6 +62,11 @@ type Program struct {
 	nLists   int
 	body     []stmtNode
 	explain  string
+	// perEntity names the first construct RunBatch does not evaluate
+	// ("" when the whole program runs set-at-a-time); forms are the
+	// scalar slots' batch forms (slotForms) of a set-at-a-time program.
+	perEntity string
+	forms     []form
 }
 
 // Name returns the behavior or rule name the program was compiled from.
@@ -71,9 +76,11 @@ func (p *Program) Name() string { return p.name }
 // -plan debugging aid for content authors.
 func (p *Program) Explain() string { return p.explain }
 
-// Bind attaches the program to a worker's Env. The returned Plan owns
-// its frames and is not safe for concurrent use.
+// Bind attaches the program to a worker's Env. When the Env is also a
+// BatchEnv, the plan can RunBatch too. The returned Plan owns its frames
+// and is not safe for concurrent use.
 func (p *Program) Bind(env Env) *Plan {
+	be, _ := env.(BatchEnv)
 	return &Plan{
 		prog: p,
 		r: runner{
@@ -81,13 +88,16 @@ func (p *Program) Bind(env Env) *Plan {
 			scalars: make([]entity.Value, p.nScalars),
 			lists:   make([][]entity.ID, p.nLists),
 		},
+		b: batch{env: be},
 	}
 }
 
-// Plan is a Program bound to one worker's Env.
+// Plan is a Program bound to one worker's Env: the scalar frame Run uses
+// and the per-lane state RunBatch uses.
 type Plan struct {
 	prog *Program
 	r    runner
+	b    batch
 }
 
 // Run executes the plan for one invocation and returns the value its
@@ -129,6 +139,10 @@ func (p *Plan) Run(fuelCap int64, args ...entity.Value) (entity.Value, int64, er
 // burn the node, evaluate the operands left to right, then apply it.
 type valPlan interface {
 	eval(r *runner) (entity.Value, error)
+	// evalB evaluates the node for every lane of sel, its cost already
+	// burned (batch.go).
+	evalB(b *batch, sel []int32) vec
+	cost() int64
 	render() string
 }
 
@@ -657,6 +671,8 @@ func dispatch(env Env, kind bkind, name string, args []entity.Value) (entity.Val
 
 type stmtNode interface {
 	exec(r *runner) (ctrl, error)
+	// execB executes the statement for every lane of sel (batch.go).
+	execB(b *batch, sel []int32)
 }
 
 func execList(r *runner, body []stmtNode) (ctrl, error) {

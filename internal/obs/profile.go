@@ -70,6 +70,16 @@ func (e *ProfEntry) EndSample(start time.Time, sampling bool) {
 	e.samples.Add(1)
 }
 
+// AddSamples records n invocations timed together — one batched run
+// of a behavior over n entities that took ns in all.
+func (e *ProfEntry) AddSamples(n, ns int64) {
+	if e == nil || n <= 0 {
+		return
+	}
+	e.sampleNS.Add(ns)
+	e.samples.Add(n)
+}
+
 // AddCall records one completed invocation's exact counters: fuel
 // consumed, surviving effect records, and read-set cells (0 unless the
 // OCC policy tracks reads).

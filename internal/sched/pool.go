@@ -75,7 +75,29 @@ func Shared() *Pool {
 // which index is scheduling-dependent — callers needing determinism
 // must make fn(i) depend only on i (the per-worker effect buffers are
 // indexed this way).
-func (p *Pool) Par(n int, fn func(i int)) {
+func (p *Pool) Par(n int, fn func(i int)) { p.NewJob().Run(n, fn) }
+
+// Job is a reusable parallel region: Run behaves exactly like Par, and a
+// job kept across runs allocates nothing per run — what a tick phase that
+// fans out every tick wants. A job runs one region at a time.
+type Job struct {
+	p    *Pool
+	fn   func(i int)
+	n    int64
+	next atomic.Int64
+	wg   sync.WaitGroup
+	task func() // help, bound once so offering it allocates nothing
+}
+
+// NewJob returns a reusable region on p.
+func (p *Pool) NewJob() *Job {
+	j := &Job{p: p}
+	j.task = j.help
+	return j
+}
+
+// Run runs fn(0) … fn(n-1) as Par does.
+func (j *Job) Run(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
@@ -83,37 +105,39 @@ func (p *Pool) Par(n int, fn func(i int)) {
 		fn(0)
 		return
 	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			i := next.Add(1) - 1
-			if i >= int64(n) {
-				return
-			}
-			fn(int(i))
-		}
-	}
-	var wg sync.WaitGroup
-	task := func() {
-		defer wg.Done()
-		run()
-	}
-	helpers := n - 1
-	if helpers > p.size {
-		helpers = p.size
-	}
+	j.fn, j.n = fn, int64(n)
+	j.next.Store(0)
+	helpers := min(n-1, j.p.size)
 offer:
 	for i := 0; i < helpers; i++ {
-		wg.Add(1)
+		j.wg.Add(1)
 		select {
-		case p.tasks <- task:
+		case j.p.tasks <- j.task:
 		default:
 			// No worker is idle right now; stop offering and let the
 			// caller cover the rest inline.
-			wg.Done()
+			j.wg.Done()
 			break offer
 		}
 	}
-	run()
-	wg.Wait()
+	j.work()
+	j.wg.Wait()
+	j.fn = nil
+}
+
+// help is the task a pool worker runs for the job.
+func (j *Job) help() {
+	defer j.wg.Done()
+	j.work()
+}
+
+// work claims and runs indices until none is left.
+func (j *Job) work() {
+	for {
+		i := j.next.Add(1) - 1
+		if i >= j.n {
+			return
+		}
+		j.fn(int(i))
+	}
 }

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gamedb/internal/entity"
 )
 
 // run parses src and executes fn main() (or top-level statements when no
@@ -335,15 +337,8 @@ func TestValueConversions(t *testing.T) {
 	if s := List(Int(1), Str("a")).String(); s != "[1, a]" {
 		t.Fatalf("list String = %q", s)
 	}
-	ev, err := Float(2.5).ToEntity()
-	if err != nil || ev.Float() != 2.5 {
-		t.Fatalf("ToEntity float = %v, %v", ev, err)
-	}
-	if _, err := List().ToEntity(); err == nil {
-		t.Fatal("list ToEntity should fail")
-	}
-	if !Equal(FromEntity(ev), Float(2.5)) {
-		t.Fatal("FromEntity round-trip failed")
+	if !Equal(FromEntity(entity.Float(2.5)), Float(2.5)) {
+		t.Fatal("FromEntity float failed")
 	}
 }
 

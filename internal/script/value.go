@@ -1,7 +1,6 @@
 package script
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -204,24 +203,5 @@ func FromEntity(v entity.Value) Value {
 		return Bool(v.Bool())
 	default:
 		return Null()
-	}
-}
-
-// ToEntity converts a script value into a store value; lists do not fit
-// in table cells and fail.
-func (v Value) ToEntity() (entity.Value, error) {
-	switch v.kind {
-	case KInt:
-		return entity.Int(v.i), nil
-	case KFloat:
-		return entity.Float(v.f), nil
-	case KStr:
-		return entity.Str(v.s), nil
-	case KBool:
-		return entity.Bool(v.b), nil
-	case KNull:
-		return entity.Null(), nil
-	default:
-		return entity.Null(), fmt.Errorf("script: cannot store %s in a table cell", v.kind)
 	}
 }

@@ -56,7 +56,7 @@ func checkAllocBudget(t *testing.T, budget float64, cfg Config, sc *Scenario, cr
 // TestCascadeAllocBudget: 1000 pulsers, 4 shards. Interpreted triggers
 // cost about 78 000 mallocs per tick here and the interpreted pulse
 // behavior another 5 000; with both on plans the tick allocates about
-// 43.
+// 43, and with the query phase fanned out by a reusable job about 39.
 func TestCascadeAllocBudget(t *testing.T) {
 	checkAllocBudget(t, 80, benchConfig(4), cascadeScenario, Crowd{Units: 1000, Side: 2000, Seed: 2009}, 50)
 }
@@ -65,31 +65,35 @@ func TestCascadeAllocBudget(t *testing.T) {
 // 50 ticks. With a bucket re-created for nearly every move the tick cost
 // about 7 500 mallocs; recycled buckets left the barrier's, about 1 160,
 // and buckets that start with room for a few points (cells a directory
-// period apart share one once the crowd spreads) about 1 090, and with
-// mirror bookkeeping reused and inserts not copying rows, about 66.
+// period apart share one once the crowd spreads) about 1 090, with
+// mirror bookkeeping reused and inserts not copying rows about 66, and
+// with the query phase fanned out by a reusable job about 58.
 func TestDriftAllocBudget(t *testing.T) {
 	cfg := benchConfig(8)
 	cfg.RebalanceEvery = 50
-	checkAllocBudget(t, 130, cfg, driftScenario, Crowd{Units: 8000, Side: 2000, Seed: 2009}, 100)
+	checkAllocBudget(t, 120, cfg, driftScenario, Crowd{Units: 8000, Side: 2000, Seed: 2009}, 100)
 }
 
 // TestMingleAllocBudget: 8000 minglers, 4 shards, the world widened
-// like the benchmark's so no unit leaves it; about 43 mallocs a tick.
+// like the benchmark's so no unit leaves it; about 38 mallocs a tick,
+// none of them in the batched query phase (world's
+// TestQueryPhaseAllocFree).
 func TestMingleAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-2000, -2000, 4000, 4000)
 	cfg.GhostBand = 20
 	cfg.GhostFields = mingleScenario.GhostFields
-	checkAllocBudget(t, 85, cfg, mingleScenario, Crowd{Units: 8000, Side: 2000, Seed: 2009}, 30)
+	checkAllocBudget(t, 80, cfg, mingleScenario, Crowd{Units: 8000, Side: 2000, Seed: 2009}, 30)
 }
 
 // TestBorderAllocBudget: the benchmark's border crowd (border.tcp and
 // fanout.border: 2 000 raiders and medics writing each other across
 // region boundaries) in process, under occ, 4 shards. raid and mend use
-// only nearby / for / if / get / set / add, so on plans — re-runs
-// included — the tick is left with the barrier's allocations, about
-// 120; one of them slipping back onto the interpreter costs tens of
-// thousands and fails here, not in a benchmark three changes later.
+// only nearby / for / if / get / set / add, so on batched plans — re-runs
+// on the scalar plan included — the tick is left with the barrier's
+// allocations, about 114; one of them slipping back onto the interpreter
+// costs tens of thousands and fails here, not in a benchmark three
+// changes later.
 func TestBorderAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-400, -400, 2400, 2400)

@@ -1,8 +1,10 @@
 package world
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/spatial"
@@ -43,12 +45,30 @@ const (
 // directory is the world's entity directory: at maps an id to its
 // record's index in recs, free recycles the indices of despawned
 // records, and ghosts / routes count the marked records.
+//
+// owned lists the entities the world owns (every record but the ghosts)
+// ascending by id, each with its record index, so the tick reads its
+// behavior roster and physics lists off it in order, with no sort and no
+// id probe. It is kept incrementally: a new record and an un-ghosted one
+// queue in pend, a despawn or a ghost mark leaves its entry stale (the
+// record's id or mark no longer matches) and counts in stale, and sync
+// folds both in with one merge pass.
 type directory struct {
 	at     map[entity.ID]int32
 	recs   []entRec
 	free   []int32
 	ghosts int
 	routes int
+
+	owned, spare []ownRef
+	pend         []entity.ID
+	stale        int
+}
+
+// ownRef is one entry of the owned list: an entity and its record index.
+type ownRef struct {
+	id  entity.ID
+	rec int32
 }
 
 func newDirectory() directory {
@@ -77,6 +97,7 @@ func (d *directory) add(id entity.ID, tab *entity.Table, slot int32) *entRec {
 	}
 	d.recs[i] = entRec{id: id, tab: tab, slot: slot, owner: noRoute}
 	d.at[id] = i
+	d.pend = append(d.pend, id)
 	return &d.recs[i]
 }
 
@@ -93,6 +114,7 @@ func (d *directory) remove(id entity.ID) {
 	*r = entRec{slot: noSlot, owner: noRoute}
 	d.free = append(d.free, i)
 	delete(d.at, id)
+	d.stale++
 }
 
 // setGhost marks or unmarks r as a ghost; unmarking drops its route.
@@ -103,10 +125,60 @@ func (d *directory) setGhost(r *entRec, ghost bool) {
 	r.ghost = ghost
 	if ghost {
 		d.ghosts++
+		d.stale++
 		return
 	}
 	d.ghosts--
 	d.setRoute(r, noRoute)
+	d.pend = append(d.pend, r.id)
+}
+
+// owns reports whether entry o still names an owned entity: its record
+// holds the same id and no ghost mark.
+func (d *directory) owns(o ownRef) bool {
+	r := &d.recs[o.rec]
+	return r.tab != nil && r.id == o.id && !r.ghost
+}
+
+// sync folds the queued additions and the stale entries into owned.
+func (d *directory) sync() {
+	if len(d.pend) == 0 && d.stale == 0 {
+		return
+	}
+	d.owned, d.spare = d.merge(d.spare[:0]), d.owned
+	d.pend, d.stale = d.pend[:0], 0
+}
+
+// merge appends to dst the owned list sync would produce: the entries of
+// owned that still hold, merged in id order with the queued ids that name
+// an owned entity and are not already listed. It sorts pend in place.
+func (d *directory) merge(dst []ownRef) []ownRef {
+	slices.Sort(d.pend)
+	i := 0
+	for k, id := range d.pend {
+		if k > 0 && id == d.pend[k-1] {
+			continue
+		}
+		at, ok := d.at[id]
+		if !ok || d.recs[at].ghost {
+			continue
+		}
+		for ; i < len(d.owned) && d.owned[i].id < id; i++ {
+			if d.owns(d.owned[i]) {
+				dst = append(dst, d.owned[i])
+			}
+		}
+		if i < len(d.owned) && d.owned[i].id == id && d.owns(d.owned[i]) {
+			continue // listed already: re-added under its old record
+		}
+		dst = append(dst, ownRef{id: id, rec: at})
+	}
+	for ; i < len(d.owned); i++ {
+		if d.owns(d.owned[i]) {
+			dst = append(dst, d.owned[i])
+		}
+	}
+	return dst
 }
 
 // setRoute installs (or, with noRoute, removes) r's ghost route.
@@ -229,6 +301,41 @@ func (w *World) checkDirectory() error {
 	}
 	if routes > 0 && routes != ghosts {
 		return fmt.Errorf("world: %d of %d ghosts have no route", ghosts-routes, ghosts)
+	}
+	return w.checkOwned()
+}
+
+// checkOwned verifies the owned list against the records: its live
+// entries ascend by id, and folding in what is queued yields exactly the
+// non-ghost records, each under its own record index.
+func (w *World) checkOwned() error {
+	d := &w.dir
+	var last entity.ID
+	seen := false
+	for _, o := range d.owned {
+		if !d.owns(o) {
+			continue
+		}
+		if seen && o.id <= last {
+			return fmt.Errorf("world: owned list out of order at entity %d", o.id)
+		}
+		last, seen = o.id, true
+	}
+	var want []ownRef
+	for i := range d.recs {
+		if r := &d.recs[i]; r.tab != nil && !r.ghost {
+			want = append(want, ownRef{id: r.id, rec: int32(i)})
+		}
+	}
+	slices.SortFunc(want, func(a, b ownRef) int { return cmp.Compare(a.id, b.id) })
+	got := d.merge(nil)
+	if len(got) != len(want) {
+		return fmt.Errorf("world: owned list holds %d entities, the directory %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("world: owned list has entity %d (record %d) where the directory has %d (record %d)", got[i].id, got[i].rec, want[i].id, want[i].rec)
+		}
 	}
 	return nil
 }

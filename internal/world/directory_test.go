@@ -216,3 +216,77 @@ func TestDirectoryRebindsLateScripts(t *testing.T) {
 		t.Fatalf("late-bound behavior: calls %d, err %v", st.ScriptCalls, err)
 	}
 }
+
+// TestOwnedListTracksTheDirectory: the owned list stays the ascending
+// list of non-ghost records through the edits that queue or stale its
+// entries — a despawned id re-inserted under its recycled record, ghost
+// flips back and forth between syncs, an id below the crowd's —
+// the tick's roster is read off it in id order, and Check catches a list
+// out of order, short an entity or pointing at the wrong record.
+func TestOwnedListTracksTheDirectory(t *testing.T) {
+	w := loadArena(t)
+	base := w.Entities()
+	w.SetIDAllocator(1000, 1)
+	var ids []entity.ID
+	for i := 0; i < 12; i++ {
+		id, err := w.Spawn("grunt", spatial.Vec2{X: float64(i), Y: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	step := func(when string) {
+		t.Helper()
+		if _, err := w.Step(); err != nil {
+			t.Fatal(err)
+		}
+		checkDir(t, w, when)
+		for i := 1; i < len(w.rosterBuf); i++ {
+			if w.rosterBuf[i-1].id >= w.rosterBuf[i].id {
+				t.Fatalf("%s: roster out of order: %v", when, w.rosterBuf)
+			}
+		}
+	}
+	step("spawned")
+	units, _ := w.Table("units")
+	vals, err := units.Row(ids[4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Despawn(ids[4]); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.InsertRow(ids[4], "units", vals); err != nil {
+		t.Fatal(err)
+	}
+	w.SetBehavior(ids[4], "hunt")
+	checkDir(t, w, "re-inserted under a recycled record")
+	w.SetGhost(ids[7], true)
+	w.SetGhost(ids[7], false)
+	w.SetGhost(ids[8], true)
+	if err := w.InsertRow(500, "units", vals); err != nil { // below the crowd's ids
+		t.Fatal(err)
+	}
+	checkDir(t, w, "ghost flips and a low id")
+	step("after the edits")
+	if n := len(w.dir.owned); n != base+12 {
+		t.Fatalf("owned list holds %d entities, want %d (one ghost among %d rows)", n, base+12, w.Entities())
+	}
+
+	for _, corrupt := range []struct {
+		name string
+		edit func([]ownRef) []ownRef
+	}{
+		{"swapped", func(o []ownRef) []ownRef { o[2], o[3] = o[3], o[2]; return o }},
+		{"dropped", func(o []ownRef) []ownRef { return append(o[:5:5], o[6:]...) }},
+		{"wrong record", func(o []ownRef) []ownRef { o[1].rec = o[9].rec; return o }},
+	} {
+		saved := append([]ownRef(nil), w.dir.owned...)
+		w.dir.owned = corrupt.edit(append([]ownRef(nil), saved...))
+		if err := w.Check(); err == nil {
+			t.Errorf("%s owned list passed Check", corrupt.name)
+		}
+		w.dir.owned = saved
+	}
+	checkDir(t, w, "restored list")
+}

@@ -115,16 +115,16 @@ type EffectBuffer struct {
 	reads      []readCell
 	invocs     []invocRec
 
-	src      entity.ID
-	seq      int32
-	spawnIdx int32
+	// cur is the invocation open on the buffer, from begin to the next
+	// begin. A batched behavior run keeps one per lane instead (batch.go).
+	cur invoc
+	// env is the buffer's gslplan.Env: the open invocation's, and through
+	// Lane the batch lanes'. Every plan bound to this worker slot holds it.
+	env planEnv
 	// provTable maps provisional spawn ids to their archetype's table so
-	// set/add against a just-spawned entity validate and coerce.
+	// set/add against a just-spawned entity validate and coerce. Provisional
+	// ids embed their source, so one map serves every invocation and lane.
 	provTable map[entity.ID]string
-	// rng is the per-invocation splitmix64 state behind rand_float:
-	// seeded from (world seed, tick, source entity), so the stream is
-	// reproducible for any worker count or partitioning.
-	rng uint64
 
 	// tinfos caches (table → schema, column index, kind) resolution
 	// across emissions: checkCol sits on the emission hot path, and
@@ -135,21 +135,63 @@ type EffectBuffer struct {
 	// emission used.
 	tinfos   map[*entity.Table]*tableInfo
 	lastInfo *tableInfo
-	// memoID/memoTab memoize the last target → table resolution within
-	// the current invocation (behaviors overwhelmingly target self, so
-	// consecutive emissions repeat the same directory lookup). begin
-	// invalidates the memo; within one invocation no effect despawns or
-	// moves rows, so it cannot go stale.
+	// memoID/memoTab memoize the last target → table resolution other
+	// than the subject's own (an invocation with self set knows its
+	// table). begin invalidates the memo; within the query phase, or one
+	// invocation of a later phase, no effect despawns or moves rows, so it
+	// cannot go stale.
 	memoID  entity.ID
 	memoTab *entity.Table
 	memoOK  bool
-	// selfSlot is the grid slot of the behavior subject src when selfOK:
-	// the query phase resolves the subject's directory record once per
-	// invocation (seedSelf), so nearby(self, r), pos_x(self) and
-	// move_toward(self, …) read its position without a second probe.
-	// begin clears it.
-	selfSlot int32
-	selfOK   bool
+
+	batchState
+}
+
+// invoc is one invocation's emission state: its source entity, the next
+// emission order and spawn index, and the splitmix64 state behind
+// rand_float — seeded from (world seed, tick, source entity), so the
+// stream is reproducible for any worker count or partitioning. When self
+// is set, slot and tab are the subject's grid slot and table: the query
+// phase resolves the subject's directory record once (seedSelf, or the
+// roster's record index for a batch lane), so nearby(self, r),
+// pos_x(self), move_toward(self, …) and writes to self need no second
+// probe.
+type invoc struct {
+	src      entity.ID
+	seq      int32
+	spawnIdx int32
+	rng      uint64
+	slot     int32
+	self     bool
+	tab      *entity.Table
+}
+
+// newInvoc opens src's emission state for the current tick.
+func (w *World) newInvoc(src entity.ID) invoc { return w.tickInvoc(w.rngBase(), src) }
+
+// rngBase is the (world seed, tick) half of every rand stream's seed.
+func (w *World) rngBase() uint64 { return mix64(uint64(w.cfg.Seed)) ^ mix64(uint64(w.tick)) }
+
+// tickInvoc opens src's emission state given the tick's rngBase.
+func (w *World) tickInvoc(base uint64, src entity.ID) invoc {
+	return invoc{src: src, rng: base ^ mix64(uint64(src)*0x9e3779b97f4a7c15)}
+}
+
+// rand draws the invocation's next deterministic float in [0,1).
+func (v *invoc) rand() float64 {
+	v.rng += 0x9e3779b97f4a7c15
+	return float64(mix64(v.rng)>>11) / (1 << 53)
+}
+
+// pos returns id's indexed position, reading the subject's from its slot.
+func (v *invoc) pos(w *World, id entity.ID) (spatial.Vec2, bool) {
+	if v.self && id == v.src {
+		if v.slot == noSlot {
+			return spatial.Vec2{}, false
+		}
+		return w.index.PosSlot(v.slot), true
+	}
+	return w.Pos(id)
 }
 
 // tableInfo is one table's cached resolution state in an EffectBuffer.
@@ -166,12 +208,14 @@ type colInfo struct {
 }
 
 func newEffectBuffer(w *World) *EffectBuffer {
-	return &EffectBuffer{
+	b := &EffectBuffer{
 		w:          w,
 		trackReads: w.occEnabled(),
 		provTable:  make(map[entity.ID]string),
 		tinfos:     make(map[*entity.Table]*tableInfo),
 	}
+	b.env = planEnv{w: w, buf: b, lane: noLane}
+	return b
 }
 
 // reset clears the buffer for a new tick.
@@ -184,12 +228,8 @@ func (b *EffectBuffer) reset() {
 
 // begin starts an invocation for src and returns a rollback mark.
 func (b *EffectBuffer) begin(src entity.ID) int {
-	b.src = src
-	b.seq = 0
-	b.spawnIdx = 0
+	b.cur = b.w.newInvoc(src)
 	b.memoOK = false
-	b.selfOK = false
-	b.rng = mix64(uint64(b.w.cfg.Seed)) ^ mix64(uint64(b.w.tick)) ^ mix64(uint64(src)*0x9e3779b97f4a7c15)
 	if b.trackReads {
 		b.closeInvoc()
 		b.invocs = append(b.invocs, invocRec{src: src, readLo: len(b.reads), open: true})
@@ -201,20 +241,7 @@ func (b *EffectBuffer) begin(src entity.ID) int {
 // its directory record: its table for the emission memo and its grid
 // slot for position reads.
 func (b *EffectBuffer) seedSelf(r *entRec) {
-	b.memoID, b.memoTab, b.memoOK = r.id, r.tab, true
-	b.selfSlot, b.selfOK = r.slot, true
-}
-
-// pos returns id's indexed position, reading the subject's from its
-// seeded slot.
-func (b *EffectBuffer) pos(id entity.ID) (spatial.Vec2, bool) {
-	if b.selfOK && id == b.src {
-		if b.selfSlot == noSlot {
-			return spatial.Vec2{}, false
-		}
-		return b.w.index.PosSlot(b.selfSlot), true
-	}
-	return b.w.Pos(id)
+	b.cur.slot, b.cur.tab, b.cur.self = r.slot, r.tab, true
 }
 
 // closeInvoc seals the open invocation record, if any. Idempotent; the
@@ -229,16 +256,6 @@ func (b *EffectBuffer) closeInvoc() {
 		last.readHi = len(b.reads)
 		last.open = false
 	}
-}
-
-// noteRead logs one observed cell of the current invocation. Safe on a
-// nil receiver (direct-execution builtins have no buffer) and free when
-// tracking is off.
-func (b *EffectBuffer) noteRead(id entity.ID, col string) {
-	if b == nil || !b.trackReads {
-		return
-	}
-	b.reads = append(b.reads, readCell{id: id, col: col})
 }
 
 // rollback discards everything emitted since mark — behaviors are
@@ -257,12 +274,6 @@ func (b *EffectBuffer) rollback(mark int) {
 	}
 }
 
-// randFloat draws the next per-invocation deterministic float in [0,1).
-func (b *EffectBuffer) randFloat() float64 {
-	b.rng += 0x9e3779b97f4a7c15
-	return float64(mix64(b.rng)>>11) / (1 << 53)
-}
-
 // mix64 is the splitmix64 finalizer.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -270,17 +281,14 @@ func mix64(z uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-func (b *EffectBuffer) push(e Effect) {
-	e.Src = b.src
-	e.Seq = b.seq
-	b.seq++
-	b.effects = append(b.effects, e)
-}
-
-// tableFor resolves the table holding target, following provisional
-// spawn ids through this invocation's bookkeeping. A one-entry memo
-// short-circuits the repeated-target case (self-targeted effect runs).
-func (b *EffectBuffer) tableFor(target entity.ID) (*entity.Table, error) {
+// tableFor resolves the table holding invocation v's target, following
+// provisional spawn ids through the spawn bookkeeping. The subject's own
+// table comes with v; a one-entry memo short-circuits repeated other
+// targets.
+func (b *EffectBuffer) tableFor(v *invoc, target entity.ID) (*entity.Table, error) {
+	if v.self && target == v.src {
+		return v.tab, nil
+	}
 	if b.memoOK && target == b.memoID {
 		return b.memoTab, nil
 	}
@@ -319,8 +327,8 @@ func (b *EffectBuffer) tableInfo(tab *entity.Table) *tableInfo {
 // call site instead of silently at apply. Resolution runs against the
 // buffer's cache; only the first emission touching a (table, column)
 // pays the schema map lookups.
-func (b *EffectBuffer) checkCol(target entity.ID, col string, v entity.Value) (entity.Value, error) {
-	tab, err := b.tableFor(target)
+func (b *EffectBuffer) checkCol(inv *invoc, target entity.ID, col string, v entity.Value) (entity.Value, error) {
+	tab, err := b.tableFor(inv, target)
 	if err != nil {
 		return v, err
 	}
@@ -345,61 +353,53 @@ func (b *EffectBuffer) checkCol(target entity.ID, col string, v entity.Value) (e
 	return v, nil
 }
 
-func (b *EffectBuffer) emitSet(target entity.ID, col string, v entity.Value) error {
-	v, err := b.checkCol(target, col, v)
+// setRec validates an assignment the way direct-mode Set would and
+// returns its record; the caller's Env stamps and buffers it.
+func (b *EffectBuffer) setRec(inv *invoc, target entity.ID, col string, v entity.Value) (Effect, error) {
+	v, err := b.checkCol(inv, target, col, v)
 	if err != nil {
-		return err
+		return Effect{}, err
 	}
-	b.push(Effect{Kind: EffectSet, Target: target, Col: col, Val: v})
-	return nil
+	return Effect{Kind: EffectSet, Target: target, Col: col, Val: v}, nil
 }
 
-func (b *EffectBuffer) emitAdd(target entity.ID, col string, delta entity.Value) error {
-	delta, err := b.checkCol(target, col, delta)
+func (b *EffectBuffer) addRec(inv *invoc, target entity.ID, col string, delta entity.Value) (Effect, error) {
+	delta, err := b.checkCol(inv, target, col, delta)
 	if err != nil {
-		return err
+		return Effect{}, err
 	}
 	if delta.Kind() != entity.KindInt && delta.Kind() != entity.KindFloat {
-		return fmt.Errorf("world: add delta must be numeric, got %s", delta.Kind())
+		return Effect{}, fmt.Errorf("world: add delta must be numeric, got %s", delta.Kind())
 	}
-	b.push(Effect{Kind: EffectAdd, Target: target, Col: col, Val: delta})
-	return nil
+	return Effect{Kind: EffectAdd, Target: target, Col: col, Val: delta}, nil
 }
 
-// emitSpawn records a spawn and returns the provisional id the script
-// can target with further effects this invocation. The spawned row
-// materializes at apply, so reads of the id stay "unknown entity" until
-// the next tick.
-func (b *EffectBuffer) emitSpawn(archetype string, pos spatial.Vec2) (entity.ID, error) {
+// spawnRec records a spawn for invocation v and returns its record, whose
+// Target is the provisional id the script can target with further
+// effects this invocation. The spawned row materializes at apply, so
+// reads of the id stay "unknown entity" until the next tick.
+func (b *EffectBuffer) spawnRec(v *invoc, archetype string, pos spatial.Vec2) (Effect, error) {
 	a, ok := b.w.archetypes[archetype]
 	if !ok {
-		return 0, fmt.Errorf("world: unknown archetype %q", archetype)
+		return Effect{}, fmt.Errorf("world: unknown archetype %q", archetype)
 	}
-	if b.spawnIdx >= maxSpawnsPerCall {
-		return 0, fmt.Errorf("world: more than %d spawns in one behavior invocation", maxSpawnsPerCall)
+	if v.spawnIdx >= maxSpawnsPerCall {
+		return Effect{}, fmt.Errorf("world: more than %d spawns in one behavior invocation", maxSpawnsPerCall)
 	}
-	if b.src >= maxProvSrc {
-		return 0, fmt.Errorf("world: entity id %d too large to spawn from a behavior", b.src)
+	if v.src >= maxProvSrc {
+		return Effect{}, fmt.Errorf("world: entity id %d too large to spawn from a behavior", v.src)
 	}
-	prov := provBase + b.src*maxSpawnsPerCall + entity.ID(b.spawnIdx)
-	b.spawnIdx++
+	prov := provBase + v.src*maxSpawnsPerCall + entity.ID(v.spawnIdx)
+	v.spawnIdx++
 	b.provTable[prov] = a.Table
-	b.push(Effect{Kind: EffectSpawn, Target: prov, Name: archetype, Pos: pos})
-	return prov, nil
+	return Effect{Kind: EffectSpawn, Target: prov, Name: archetype, Pos: pos}, nil
 }
 
-func (b *EffectBuffer) emitDespawn(target entity.ID) error {
-	if _, err := b.tableFor(target); err != nil {
-		return err
+func (b *EffectBuffer) despawnRec(inv *invoc, target entity.ID) (Effect, error) {
+	if _, err := b.tableFor(inv, target); err != nil {
+		return Effect{}, err
 	}
-	b.push(Effect{Kind: EffectDespawn, Target: target})
-	return nil
-}
-
-func (b *EffectBuffer) emitPost(name string, target entity.ID, amount entity.Value) {
-	// Direct-mode Post accepts any id without validation; so does the
-	// effect (the trigger engine fields events for departed entities).
-	b.push(Effect{Kind: EffectPost, Target: target, Name: name, Val: amount})
+	return Effect{Kind: EffectDespawn, Target: target}, nil
 }
 
 // physDelta appends a physics integration delta, ordered after any

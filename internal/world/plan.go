@@ -22,20 +22,83 @@ import (
 // accessors and EffectBuffer entry points — read-set logging, effect
 // records and the deterministic rand stream all live there.
 
-// planEnv adapts one worker's (world, effect buffer) pair to
-// gslplan.Env, including noteRead placement relative to errors and
-// probes.
+// planEnv adapts one worker's (world, effect buffer) pair to gslplan.Env,
+// including noteRead placement relative to errors and probes. With lane
+// noLane it serves the invocation open on the buffer (begin … rollback),
+// and its records land in the buffer directly; as the Env of batch lane p
+// it serves that lane's invocation, and its records stage on the lane
+// until the worker commits them in roster order (batch.go). It is also
+// the buffer's gslplan.BatchEnv.
 type planEnv struct {
-	w   *World
-	buf *EffectBuffer
+	w    *World
+	buf  *EffectBuffer
+	lane int32
 }
 
-func (e planEnv) Get(id entity.ID, col string) (entity.Value, error) {
+// noLane marks the planEnv of the invocation open on the buffer.
+const noLane = -1
+
+// inv is the invocation the Env serves.
+func (e *planEnv) inv() *invoc {
+	if e.lane == noLane {
+		return &e.buf.cur
+	}
+	return &e.buf.lanes[e.lane].invoc
+}
+
+// noteRead logs one observed cell of the invocation; free when tracking
+// is off.
+func (e *planEnv) noteRead(id entity.ID, col string) {
+	if !e.buf.trackReads {
+		return
+	}
+	if e.lane == noLane {
+		e.buf.reads = append(e.buf.reads, readCell{id: id, col: col})
+		return
+	}
+	e.buf.stageRead(e.lane, readCell{id: id, col: col})
+}
+
+// push stamps a record with the invocation's (source, emission order) and
+// buffers it.
+func (e *planEnv) push(ef Effect) {
+	v := e.inv()
+	ef.Src, ef.Seq = v.src, v.seq
+	v.seq++
+	if e.lane == noLane {
+		e.buf.effects = append(e.buf.effects, ef)
+		return
+	}
+	e.buf.stageEffect(e.lane, ef)
+}
+
+func (e *planEnv) pushRec(ef Effect, err error) error {
+	if err != nil {
+		return err
+	}
+	e.push(ef)
+	return nil
+}
+
+// Get reads x and y of a spatial entity off its grid slot — an
+// index-only read: the grid holds every spatial row's float x and y bit
+// for bit (checkDirectory), so it answers without the table's row and
+// column lookups.
+func (e *planEnv) Get(id entity.ID, col string) (entity.Value, error) {
+	if col == "x" || col == "y" {
+		if p, ok := e.inv().pos(e.w, id); ok {
+			e.noteRead(id, col)
+			if col == "x" {
+				return entity.Float(p.X), nil
+			}
+			return entity.Float(p.Y), nil
+		}
+	}
 	v, err := e.w.Get(id, col)
 	if err != nil {
 		return entity.Null(), err
 	}
-	e.buf.noteRead(id, col)
+	e.noteRead(id, col)
 	return v, nil
 }
 
@@ -43,26 +106,27 @@ func (e planEnv) Get(id entity.ID, col string) (entity.Value, error) {
 // itself is a predicate read the cell-level tracking deliberately
 // approximates (spatial phantoms are out of the conflict policy's
 // scope).
-func (e planEnv) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID {
-	e.buf.noteRead(id, "x")
-	e.buf.noteRead(id, "y")
-	p, ok := e.buf.pos(id)
+func (e *planEnv) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID {
+	e.noteRead(id, "x")
+	e.noteRead(id, "y")
+	p, ok := e.inv().pos(e.w, id)
 	if !ok {
 		return dst
 	}
 	return e.w.appendNearbyAt(dst, id, p, radius)
 }
 
-func (e planEnv) Dist(a, b entity.ID) float64 {
-	pa, okA := e.buf.pos(a)
-	pb, okB := e.buf.pos(b)
+func (e *planEnv) Dist(a, b entity.ID) float64 {
+	v := e.inv()
+	pa, okA := v.pos(e.w, a)
+	pb, okB := v.pos(e.w, b)
 	if okA {
-		e.buf.noteRead(a, "x")
-		e.buf.noteRead(a, "y")
+		e.noteRead(a, "x")
+		e.noteRead(a, "y")
 	}
 	if okB {
-		e.buf.noteRead(b, "x")
-		e.buf.noteRead(b, "y")
+		e.noteRead(b, "x")
+		e.noteRead(b, "y")
 	}
 	if !okA || !okB {
 		return math.Inf(1)
@@ -70,61 +134,69 @@ func (e planEnv) Dist(a, b entity.ID) float64 {
 	return pa.Dist(pb)
 }
 
-func (e planEnv) PosX(id entity.ID) (float64, error) {
-	p, ok := e.buf.pos(id)
+func (e *planEnv) PosX(id entity.ID) (float64, error) {
+	p, ok := e.inv().pos(e.w, id)
 	if !ok {
 		return 0, errNoPosition(id)
 	}
-	e.buf.noteRead(id, "x")
+	e.noteRead(id, "x")
 	return p.X, nil
 }
 
-func (e planEnv) PosY(id entity.ID) (float64, error) {
-	p, ok := e.buf.pos(id)
+func (e *planEnv) PosY(id entity.ID) (float64, error) {
+	p, ok := e.inv().pos(e.w, id)
 	if !ok {
 		return 0, errNoPosition(id)
 	}
-	e.buf.noteRead(id, "y")
+	e.noteRead(id, "y")
 	return p.Y, nil
 }
 
-func (e planEnv) Tick() int64 { return e.w.tick }
+func (e *planEnv) Tick() int64 { return e.w.tick }
 
-func (e planEnv) RandFloat() float64 { return e.buf.randFloat() }
+func (e *planEnv) RandFloat() float64 { return e.inv().rand() }
 
-func (e planEnv) EmitSet(id entity.ID, col string, v entity.Value) error {
-	return e.buf.emitSet(id, col, v)
+func (e *planEnv) EmitSet(id entity.ID, col string, v entity.Value) error {
+	return e.pushRec(e.buf.setRec(e.inv(), id, col, v))
 }
 
-func (e planEnv) EmitAdd(id entity.ID, col string, delta entity.Value) error {
-	return e.buf.emitAdd(id, col, delta)
+func (e *planEnv) EmitAdd(id entity.ID, col string, delta entity.Value) error {
+	return e.pushRec(e.buf.addRec(e.inv(), id, col, delta))
 }
 
-func (e planEnv) EmitPost(name string, id entity.ID, amount entity.Value) {
-	e.buf.emitPost(name, id, amount)
+// EmitPost buffers an event post. Like direct-mode Post it accepts any id
+// without validation: the trigger engine fields events for departed
+// entities.
+func (e *planEnv) EmitPost(name string, id entity.ID, amount entity.Value) {
+	e.push(Effect{Kind: EffectPost, Target: id, Name: name, Val: amount})
 }
 
 // MoveToward steps from the entity's frozen position — a
 // read-modify-write on its x/y cells.
-func (e planEnv) MoveToward(id entity.ID, tx, ty, step float64) error {
-	p, ok := e.buf.pos(id)
+func (e *planEnv) MoveToward(id entity.ID, tx, ty, step float64) error {
+	p, ok := e.inv().pos(e.w, id)
 	if !ok {
 		return errNoPosition(id)
 	}
 	np := stepToward(p, tx, ty, step)
-	e.buf.noteRead(id, "x")
-	e.buf.noteRead(id, "y")
-	if err := e.buf.emitSet(id, "x", entity.Float(np.X)); err != nil {
+	e.noteRead(id, "x")
+	e.noteRead(id, "y")
+	if err := e.pushRec(e.buf.setRec(e.inv(), id, "x", entity.Float(np.X))); err != nil {
 		return err
 	}
-	return e.buf.emitSet(id, "y", entity.Float(np.Y))
+	return e.pushRec(e.buf.setRec(e.inv(), id, "y", entity.Float(np.Y)))
 }
 
-func (e planEnv) EmitSpawn(archetype string, x, y float64) (entity.ID, error) {
-	return e.buf.emitSpawn(archetype, spatial.Vec2{X: x, Y: y})
+func (e *planEnv) EmitSpawn(archetype string, x, y float64) (entity.ID, error) {
+	ef, err := e.buf.spawnRec(e.inv(), archetype, spatial.Vec2{X: x, Y: y})
+	if err != nil {
+		return 0, err
+	}
+	e.push(ef)
+	return ef.Target, nil
 }
 
-func (e planEnv) EmitDespawn(id entity.ID) error { return e.buf.emitDespawn(id) }
+func (e *planEnv) EmitDespawn(id entity.ID) error { return e.pushRec(e.buf.despawnRec(e.inv(), id)) }
 
 // stepToward is move_toward's geometry: p moved up to step toward
 // (tx, ty), landing on the target when it is within reach.
@@ -156,7 +228,7 @@ type boundFn struct {
 // already exist (ensureWorkers).
 func (f *boundFn) grow(w *World, n int) {
 	for len(f.plans) < n {
-		f.plans = append(f.plans, f.plan.Bind(planEnv{w: w, buf: w.workerBufs[len(f.plans)]}))
+		f.plans = append(f.plans, f.plan.Bind(&w.workerBufs[len(f.plans)].env))
 	}
 }
 

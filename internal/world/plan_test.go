@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"os"
 	"strings"
 	"testing"
@@ -113,9 +114,19 @@ func profLine(r obs.ProfRow) string {
 // LastScriptError to the Step error.
 func runTicks(t *testing.T, w *World, ticks int, withLast bool) []string {
 	t.Helper()
+	out, _ := runTicksCounting(t, w, ticks, withLast)
+	return out
+}
+
+// runTicksCounting is runTicks that also returns, per tick, how many
+// behavior invocations fell back to the scalar plan.
+func runTicksCounting(t *testing.T, w *World, ticks int, withLast bool) ([]string, []int) {
+	t.Helper()
 	var out []string
+	var fallbacks []int
 	for i := 0; i < ticks; i++ {
 		st, err := w.Step()
+		fallbacks = append(fallbacks, w.Fallbacks())
 		snap, serr := w.Snapshot()
 		if serr != nil {
 			t.Fatal(serr)
@@ -129,7 +140,7 @@ func runTicks(t *testing.T, w *World, ticks int, withLast bool) []string {
 			t.Fatalf("tick %d: %v", st.Tick, cerr)
 		}
 	}
-	return out
+	return out, fallbacks
 }
 
 // requireGolden fails at the first line where got leaves the recorded
@@ -164,22 +175,82 @@ func compiledCrowd(t *testing.T, cfg Config) *World {
 
 // TestCompiledMatchesInterpreted pins plan execution to the interpreter
 // tick by tick on the crowd — snapshot, every counter, fuel, error text
-// — across worker counts.
+// — across worker counts. mingle runs batched; chatty's while loop and
+// user function keep it per entity, so its four units run on the scalar
+// plan every tick.
 func TestCompiledMatchesInterpreted(t *testing.T) {
 	want := goldenLines(t, "crowd")
 	for _, workers := range []int{1, 2, 4} {
-		got := runTicks(t, compiledCrowd(t, Config{Seed: 11, CellSize: 8, Workers: workers}), len(want), true)
+		got, fallbacks := runTicksCounting(t, compiledCrowd(t, Config{Seed: 11, CellSize: 8, Workers: workers}), len(want), true)
 		requireGolden(t, fmt.Sprintf("workers=%d", workers), got, want)
+		requireFallbacks(t, fmt.Sprintf("workers=%d", workers), fallbacks, 4)
+	}
+}
+
+// requireFallbacks fails unless every tick ran exactly want invocations
+// on the scalar plan.
+func requireFallbacks(t *testing.T, label string, got []int, want int) {
+	t.Helper()
+	for i, n := range got {
+		if n != want {
+			t.Fatalf("%s: tick %d ran %d invocations on the scalar plan, want %d", label, i+1, n, want)
+		}
 	}
 }
 
 // TestCompiledFallbackKeepsChaosIdentical: the chaos pack's scripts use
-// spawn, despawn and break, and their plans land on the interpreter's
-// world.
+// spawn, despawn and break, and their batched plans land on the
+// interpreter's world with no lane falling back.
 func TestCompiledFallbackKeepsChaosIdentical(t *testing.T) {
 	want := goldenLines(t, "chaos")
-	got := runTicks(t, loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 4}, chaosPack), len(want), true)
+	got, fallbacks := runTicksCounting(t, loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 4}, chaosPack), len(want), true)
 	requireGolden(t, "chaos", got, want)
+	requireFallbacks(t, "chaos", fallbacks, 0)
+}
+
+// TestBatchFallsBackOnErrors: the chaos crowd, its walkers made to read
+// the position of an entity that does not exist whenever they see more
+// than two neighbors. Those lanes error inside the batch; they, and only
+// they, re-run on the scalar plan, which reports the error, and the world
+// stays the same for one worker and four.
+func TestBatchFallsBackOnErrors(t *testing.T) {
+	pack := strings.Replace(chaosPack, `move_toward(self, pos_x(first), pos_y(first), 0.5);`,
+		`move_toward(self, pos_x(first), pos_y(first), 0.5);
+    if len(ns) > 2 { let bad = pos_x(self + 1000000); }`, 1)
+	if pack == chaosPack {
+		t.Fatal("the chaos pack changed; the error hook did not apply")
+	}
+	run := func(workers int) []string {
+		w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: workers}, pack)
+		var lines []string
+		errors := 0
+		for i := 0; i < 10; i++ {
+			st, err := w.Step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ScriptErrors != w.Fallbacks() {
+				t.Fatalf("workers=%d tick %d: %d errors but %d scalar re-runs", workers, st.Tick, st.ScriptErrors, w.Fallbacks())
+			}
+			errors += st.ScriptErrors
+			snap, err := w.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines = append(lines, tickLine(st, snap, fmt.Sprint(w.LastScriptError)))
+			if err := w.Check(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if errors == 0 {
+			t.Fatal("no walker errored: the test crowd no longer reaches the error")
+		}
+		if !strings.Contains(lines[len(lines)-1], "has no position") {
+			t.Fatalf("workers=%d: last tick %s, want the scalar run's error", workers, lines[len(lines)-1])
+		}
+		return lines
+	}
+	requireGolden(t, "workers=4", run(4), run(1))
 }
 
 // TestCompiledOCCEquivalence: under the OCC policy plans log the
@@ -201,7 +272,9 @@ func TestCompiledOCCEquivalence(t *testing.T) {
 }
 
 // TestCompiledFuelSkipParity: a starved fuel budget skips the invocations
-// the interpreter skipped, with the fuel it reported (cap+1 each).
+// the interpreter skipped, with the fuel it reported (cap+1 each). Every
+// batched lane crosses the cap, so every one re-runs on the scalar plan,
+// which finds the node that crossed.
 func TestCompiledFuelSkipParity(t *testing.T) {
 	want := goldenLines(t, "starved")
 	w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18}, compiledCrowdPack)
@@ -210,7 +283,9 @@ func TestCompiledFuelSkipParity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	requireGolden(t, "starved", runTicks(t, w, len(want), true), want)
+	got, fallbacks := runTicksCounting(t, w, len(want), true)
+	requireGolden(t, "starved", got, want)
+	requireFallbacks(t, "starved", fallbacks, 16)
 }
 
 // TestPlanForReportsCompileState checks the introspection hook gslrun's
@@ -218,13 +293,78 @@ func TestCompiledFuelSkipParity(t *testing.T) {
 // not-found otherwise.
 func TestPlanForReportsCompileState(t *testing.T) {
 	w := loadPack(t, Config{Seed: 1}, compiledCrowdPack)
-	if explain, ok := w.PlanFor("mingle"); !ok || !strings.Contains(explain, "spatial-index probe") {
-		t.Fatalf("mingle: explain=%q ok=%v", explain, ok)
+	if explain, ok := w.PlanFor("mingle"); !ok || !strings.Contains(explain, "spatial-index probe") || !strings.Contains(explain, "driver: set-at-a-time") {
+		t.Fatalf("mingle: explain=%q ok=%v, want the batched plan", explain, ok)
 	}
-	if explain, ok := w.PlanFor("chatty"); !ok || !strings.Contains(explain, "fn bump(n)") || !strings.Contains(explain, "while true") {
-		t.Fatalf("chatty: explain=%q ok=%v, want the plan with bump's loop", explain, ok)
+	if explain, ok := w.PlanFor("chatty"); !ok || !strings.Contains(explain, "fn bump(n)") || !strings.Contains(explain, "while true") ||
+		!strings.Contains(explain, `driver: per-entity: call to user function "bump"`) {
+		t.Fatalf("chatty: explain=%q ok=%v, want the plan with bump's loop, run per entity for the call to bump", explain, ok)
 	}
 	if _, ok := w.PlanFor("nope"); ok {
 		t.Fatal("unknown script reported a plan")
+	}
+}
+
+// minglePack is the mingle crowd of internal/shard's scenario registry:
+// every unit scans its neighborhood, steps toward the local centroid and
+// counts encounters, while velocity physics moves it.
+const minglePack = `
+<contentpack name="mingle-crowd">
+  <schema table="units">
+    <column name="x" kind="float"/>
+    <column name="y" kind="float"/>
+    <column name="vx" kind="float"/>
+    <column name="vy" kind="float"/>
+    <column name="met" kind="int"/>
+  </schema>
+  <archetype name="unit" table="units" script="mingle"/>
+  <script name="mingle">
+fn on_tick(self) {
+  let ns = nearby(self, 8.0);
+  let n = len(ns);
+  if n == 0 { return; }
+  let cx = 0.0;
+  let cy = 0.0;
+  for id in ns {
+    cx = cx + get(id, "x");
+    cy = cy + get(id, "y");
+  }
+  move_toward(self, cx / n, cy / n, 0.5);
+  add(self, "met", n);
+}
+  </script>
+</contentpack>`
+
+// TestQueryPhaseAllocFree pins the query phase's steady state to zero
+// allocations at one worker and at four: the batched runs, the band
+// join, the staged records and the commit all reuse their buffers.
+func TestQueryPhaseAllocFree(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		w := loadPack(t, Config{Seed: 3, CellSize: 16, Workers: workers}, minglePack)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 1500; i++ {
+			id, err := w.Spawn("unit", spatial.Vec2{X: rng.Float64() * 400, Y: rng.Float64() * 400})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Set(id, "vx", entity.Float(rng.Float64()*2-1))
+			w.Set(id, "vy", entity.Float(rng.Float64()*2-1))
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := w.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var st TickStats
+		query := func() {
+			st = TickStats{}
+			w.queryPhase(&st, workers)
+		}
+		if allocs := testing.AllocsPerRun(20, query); allocs != 0 {
+			t.Fatalf("workers=%d: the query phase allocates %.1f times a tick, want 0", workers, allocs)
+		}
+		if st.ScriptCalls != 1500 || w.Fallbacks() != 0 {
+			t.Fatalf("workers=%d: %d calls, %d on the scalar plan", workers, st.ScriptCalls, w.Fallbacks())
+		}
 	}
 }

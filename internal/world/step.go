@@ -2,7 +2,6 @@ package world
 
 import (
 	"errors"
-	"slices"
 	"time"
 
 	"gamedb/internal/entity"
@@ -23,9 +22,13 @@ type physTable struct {
 // so the first error a worker hits is its chunk's lowest.
 type workerStats struct {
 	calls, errors, skips int
-	fuel                 int64
-	firstErr             error
-	errID                entity.ID
+	// fallbacks counts the invocations that ran on the scalar plan: the
+	// lanes of the batched run that errored or ran out of fuel, and every
+	// entity of a per-entity program.
+	fallbacks int
+	fuel      int64
+	firstErr  error
+	errID     entity.ID
 }
 
 // Step advances one tick through the state-effect pipeline:
@@ -56,98 +59,7 @@ func (w *World) Step() (TickStats, error) {
 	if workers <= 0 {
 		workers = 1
 	}
-	w.ensureWorkers(workers)
-	for name, b := range w.scripts {
-		if b == nil {
-			continue
-		}
-		b.fn.grow(w, workers)
-		if w.prof != nil && b.prof == nil {
-			b.prof = w.prof.Entry("behavior/" + name)
-		}
-	}
-
-	// Physics work list: spatial tables carrying velocity columns.
-	physTabs := w.physTabs[:0]
-	physIDs := w.physIDs[:0]
-	for _, name := range w.tableNames() {
-		t := w.tables[name]
-		s := t.Schema()
-		if !isSpatial(s) {
-			continue
-		}
-		vx, hasVX := s.Col("vx")
-		vy, hasVY := s.Col("vy")
-		if !hasVX || !hasVY {
-			continue
-		}
-		physTabs = append(physTabs, physTable{tab: t, vx: vx, vy: vy})
-		if len(physIDs) < cap(physIDs) {
-			physIDs = physIDs[:len(physIDs)+1]
-		} else {
-			physIDs = append(physIDs, nil)
-		}
-		physIDs[len(physIDs)-1] = physIDs[len(physIDs)-1][:0]
-	}
-
-	// Roster and physics id snapshots, in one directory sweep: behavior
-	// attach/detach and spawns land next tick, entities whose behavior
-	// names no loaded on_tick run nothing, and ghost mirrors run no
-	// behaviors and no physics (they move only when their owner re-ships
-	// them). The snapshots are taken once so every worker chunks the same
-	// view, and sorted so each chunk's effects leave the worker as one
-	// ascending run for sortEffects; the buffers are reused tick-to-tick.
-	roster := w.rosterBuf[:0]
-	for i := range w.dir.recs {
-		rec := &w.dir.recs[i]
-		if rec.tab == nil || rec.ghost {
-			continue
-		}
-		if rec.beh != nil {
-			roster = append(roster, rec.id)
-		}
-		for ti := range physTabs {
-			if physTabs[ti].tab == rec.tab {
-				physIDs[ti] = append(physIDs[ti], rec.id)
-				break
-			}
-		}
-	}
-	slices.Sort(roster)
-	for _, ids := range physIDs {
-		slices.Sort(ids)
-	}
-	w.rosterBuf = roster
-	w.physTabs, w.physIDs = physTabs, physIDs
-
-	stats := w.workerStats[:0]
-	for i := 0; i < workers; i++ {
-		stats = append(stats, workerStats{})
-	}
-	w.workerStats = stats
-
-	// The chunks fan across the shared worker pool — no per-tick
-	// goroutines. Chunk wi always emits into buffer wi, so results are
-	// independent of which pool worker runs which chunk.
-	w.pool.Par(workers, func(wi int) { w.runWorker(wi, workers) })
-	var tickErr error
-	var tickErrID entity.ID
-	for i := range stats {
-		st.ScriptCalls += stats[i].calls
-		st.ScriptErrors += stats[i].errors
-		st.ScriptSkips += stats[i].skips
-		st.FuelUsed += stats[i].fuel
-		// The tick's reported error is the lowest source entity id's,
-		// not whichever worker finished last — diagnostics stay
-		// identical for any Workers value.
-		if stats[i].firstErr != nil && (tickErr == nil || stats[i].errID < tickErrID) {
-			tickErr, tickErrID = stats[i].firstErr, stats[i].errID
-		}
-	}
-	st.CompiledCalls = st.ScriptCalls
-	if tickErr != nil {
-		w.LastScriptError = tickErr
-	}
+	w.queryPhase(&st, workers)
 	st.QueryNS = time.Since(t0).Nanoseconds()
 	w.trace.Span(obs.SpanQuery, w.tick, -1, t0)
 
@@ -183,6 +95,105 @@ func (w *World) Step() (TickStats, error) {
 	return st, nil
 }
 
+// queryPhase runs the tick's behaviors and physics over the frozen state
+// on workers chunks and folds the workers' accounting into st. Once its
+// buffers have grown, it allocates nothing.
+func (w *World) queryPhase(st *TickStats, workers int) {
+	w.ensureWorkers(workers)
+	for name, b := range w.scripts {
+		if b == nil {
+			continue
+		}
+		b.fn.grow(w, workers)
+		if w.prof != nil && b.prof == nil {
+			b.prof = w.prof.Entry("behavior/" + name)
+		}
+	}
+
+	// Physics work list: spatial tables carrying velocity columns.
+	physTabs := w.physTabs[:0]
+	physIDs := w.physIDs[:0]
+	for _, name := range w.tableNames() {
+		t := w.tables[name]
+		s := t.Schema()
+		if !isSpatial(s) {
+			continue
+		}
+		vx, hasVX := s.Col("vx")
+		vy, hasVY := s.Col("vy")
+		if !hasVX || !hasVY {
+			continue
+		}
+		physTabs = append(physTabs, physTable{tab: t, vx: vx, vy: vy})
+		if len(physIDs) < cap(physIDs) {
+			physIDs = physIDs[:len(physIDs)+1]
+		} else {
+			physIDs = append(physIDs, nil)
+		}
+		physIDs[len(physIDs)-1] = physIDs[len(physIDs)-1][:0]
+	}
+
+	// Roster and physics id snapshots, in one sweep of the directory's
+	// owned list: behavior attach/detach and spawns land next tick,
+	// entities whose behavior names no loaded on_tick run nothing, and
+	// ghost mirrors run no behaviors and no physics (they move only when
+	// their owner re-ships them). The snapshots are taken once so every
+	// worker chunks the same view; the owned list is ascending, so each
+	// chunk's effects leave the worker as one ascending run for
+	// sortEffects. The buffers are reused tick-to-tick.
+	w.dir.sync()
+	roster := w.rosterBuf[:0]
+	for _, o := range w.dir.owned {
+		rec := &w.dir.recs[o.rec]
+		if rec.beh != nil {
+			roster = append(roster, o)
+		}
+		for ti := range physTabs {
+			if physTabs[ti].tab == rec.tab {
+				physIDs[ti] = append(physIDs[ti], o.id)
+				break
+			}
+		}
+	}
+	w.rosterBuf = roster
+	w.physTabs, w.physIDs = physTabs, physIDs
+
+	stats := w.workerStats[:0]
+	for i := 0; i < workers; i++ {
+		stats = append(stats, workerStats{})
+	}
+	w.workerStats = stats
+
+	// The chunks fan across the shared worker pool — no per-tick
+	// goroutines. Chunk wi always emits into buffer wi, so results are
+	// independent of which pool worker runs which chunk.
+	w.queryWorkers = workers
+	w.queryJob.Run(workers, w.queryChunkFn)
+	var tickErr error
+	var tickErrID entity.ID
+	w.statFallbacks = 0
+	for i := range stats {
+		w.statFallbacks += stats[i].fallbacks
+		st.ScriptCalls += stats[i].calls
+		st.ScriptErrors += stats[i].errors
+		st.ScriptSkips += stats[i].skips
+		st.FuelUsed += stats[i].fuel
+		// The tick's reported error is the lowest source entity id's,
+		// not whichever worker finished last — diagnostics stay
+		// identical for any Workers value.
+		if stats[i].firstErr != nil && (tickErr == nil || stats[i].errID < tickErrID) {
+			tickErr, tickErrID = stats[i].firstErr, stats[i].errID
+		}
+	}
+	st.CompiledCalls = st.ScriptCalls
+	if tickErr != nil {
+		w.LastScriptError = tickErr
+	}
+}
+
+// queryChunk is worker wi's share of the query phase in flight.
+func (w *World) queryChunk(wi int) { w.runWorker(wi, w.queryWorkers) }
+
 // runWorker executes worker wi's contiguous chunk of the behavior
 // roster and of each physics table, emitting into its own buffer.
 func (w *World) runWorker(wi, workers int) {
@@ -191,37 +202,7 @@ func (w *World) runWorker(wi, workers int) {
 	ws := &w.workerStats[wi]
 
 	lo, hi := chunkRange(len(w.rosterBuf), workers, wi)
-	for _, id := range w.rosterBuf[lo:hi] {
-		// The one directory probe of the invocation: its executor, and
-		// the subject's table and grid slot for seedSelf.
-		rec := w.dir.find(id)
-		b := rec.beh
-		reads0 := len(buf.reads)
-		mark := buf.begin(id)
-		buf.seedSelf(rec)
-		pe := b.prof
-		start, sampling := pe.BeginSample()
-		_, fuel, err := b.fn.run(w, wi, entity.Int(int64(id)))
-		pe.EndSample(start, sampling)
-		ws.calls++
-		ws.fuel += fuel
-		if err != nil {
-			buf.rollback(mark)
-			if isFuelErr(err) {
-				ws.skips++
-				pe.AddSkip()
-			} else {
-				ws.errors++
-				pe.AddError()
-				if ws.firstErr == nil {
-					ws.firstErr, ws.errID = err, id
-				}
-			}
-		}
-		// Counted after rollback handling: an errored invocation is
-		// atomic and contributed no effects or reads.
-		pe.AddCall(fuel, int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
-	}
+	w.runBehaviors(wi, buf, ws, w.rosterBuf[lo:hi])
 
 	dt := w.cfg.TickDT
 	for ti, pt := range w.physTabs {

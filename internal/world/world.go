@@ -162,15 +162,20 @@ type World struct {
 
 	// pool is the worker pool every tick-parallel phase fans across
 	// (the query phase, trigger rounds): cfg.Pool, or the process-wide
-	// shared pool. Worlds never spawn per-tick goroutines.
-	pool *sched.Pool
+	// shared pool. Worlds never spawn per-tick goroutines. queryJob is the
+	// query phase's region on it, fanning queryChunk over queryWorkers
+	// chunks without allocating.
+	pool         *sched.Pool
+	queryJob     *sched.Job
+	queryChunkFn func(int)
+	queryWorkers int
 
 	// Per-worker state for the parallel query phase. Buffers persist
 	// across ticks because each worker's bound plans capture theirs. The
 	// remaining slices are scratch reused tick-to-tick.
 	workerBufs  []*EffectBuffer
 	workerStats []workerStats
-	rosterBuf   []entity.ID
+	rosterBuf   []ownRef
 	physTabs    []physTable
 	physIDs     [][]entity.ID
 	mergeBuf    []Effect
@@ -246,6 +251,9 @@ type World struct {
 	applyRemoteRerun bool
 	inExchange       bool
 	statForwarded    int
+	// statFallbacks is the last query phase's count of invocations that
+	// ran on the scalar plan instead of a batched run (batch.go).
+	statFallbacks    int
 	pendRemoteMerged int
 	pendRemoteInval  int
 	pendEffects      int
@@ -367,6 +375,7 @@ func New(cfg Config) *World {
 		trace:      cfg.Trace,
 		prof:       cfg.Profile,
 	}
+	w.queryJob, w.queryChunkFn = pool.NewJob(), w.queryChunk
 	if w.prof != nil {
 		w.otherProf = w.prof.Entry("(physics)")
 	}
@@ -829,17 +838,12 @@ func (w *World) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []en
 	return w.appendNearbyAt(dst, id, p, radius)
 }
 
-// appendNearbyAt is AppendNearby around id's already-resolved position p.
+// appendNearbyAt is AppendNearby around id's already-resolved position p:
+// the band join of one probe.
 func (w *World) appendNearbyAt(dst []entity.ID, id entity.ID, p spatial.Vec2, radius float64) []entity.ID {
-	base := len(dst)
-	w.index.QueryCircle(p, radius, func(got spatial.ID, _ spatial.Vec2) bool {
-		if entity.ID(got) != id {
-			dst = append(dst, entity.ID(got))
-		}
-		return true
-	})
-	slices.Sort(dst[base:])
-	return dst
+	probe := [1]spatial.Circle{{C: p, R: radius, Skip: spatial.ID(id)}}
+	var span [1]spatial.Span
+	return spatial.QueryCircles(w.index, probe[:], dst, span[:])
 }
 
 // Post queues an event for the tick's trigger drain.
