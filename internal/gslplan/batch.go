@@ -2,6 +2,7 @@ package gslplan
 
 import (
 	"gamedb/internal/entity"
+	"gamedb/internal/query"
 	"gamedb/internal/script"
 )
 
@@ -24,21 +25,16 @@ import (
 // caller re-runs every failed lane on Run, which alone decides its error
 // text, fuel and outcome.
 
-// Span locates one lane's nearby result in a batch's id arena.
-type Span struct{ Off, Len int32 }
-
 // BatchEnv is the host surface of RunBatch. Lane(l) is the Env of lane l
 // of the batch in flight: every read it logs, effect it buffers and rand
 // value it draws belongs to that lane's invocation alone, as if that
-// entity's Run were executing against it. NearbyBatch is nearby over many
-// lanes at once: for each lane l in sel it appends to dst the ids
-// AppendNearby(ids[l], radii[l]) would return on Lane(l) — logging the
-// same reads for that lane — records where they landed in spans[l], and
-// returns the extended dst.
+// entity's Run were executing against it.
 type BatchEnv interface {
 	Lane(l int) Env
-	NearbyBatch(sel []int32, ids []entity.ID, radii []float64, dst []entity.ID, spans []Span) []entity.ID
 }
+
+// span locates one lane's nearby result in a batch's id arena.
+type span struct{ off, len int32 }
 
 // LaneResult is one lane's outcome of RunBatch. OK lanes completed within
 // their fuel cap, and Val and Fuel are exactly what Run returns for that
@@ -73,10 +69,9 @@ func (p *Plan) RunBatch(fuelCap int64, subjects []entity.ID) []LaneResult {
 		return b.res
 	}
 	sel := b.getSel()
-	self := &b.vars[0]
-	b.settle(self, fInt)
+	self := b.vars[0]
 	for l, id := range subjects {
-		self.i[l] = int64(id)
+		self[l] = entity.Int(int64(id))
 		sel = append(sel, int32(l))
 	}
 	execListB(b, p.prog.body, sel)
@@ -112,19 +107,13 @@ type batch struct {
 	ret  []entity.Value
 	res  []LaneResult
 
-	vars  []vec    // scalar slots, each one vec over every lane
-	spans [][]Span // [list slot][lane]
+	vars  [][]entity.Value // [scalar slot][lane]
+	spans [][]span         // [list slot][lane]
 	arena []entity.ID
 
-	ids   []entity.ID // nearby centers, by lane
-	radii []float64   // nearby radii, by lane
-
-	freeI    [][]int64
-	freeF    [][]float64
-	freeB    [][]bool
 	freeV    [][]entity.Value
 	freeSels [][]int32
-	freeSpan [][]Span
+	freeSpan [][]span
 }
 
 func (b *batch) reset(p *Program, n int, fuelCap int64) {
@@ -138,16 +127,14 @@ func (b *batch) reset(p *Program, n int, fuelCap int64) {
 	b.ctl = grow(b.ctl, n)
 	b.ret = grow(b.ret, n)
 	b.res = grow(b.res, n)
-	b.ids = grow(b.ids, n)
-	b.radii = grow(b.radii, n)
 	clear(b.fuel)
 	clear(b.dead)
 	clear(b.ctl)
 	for len(b.vars) < p.nScalars {
-		b.vars = append(b.vars, vec{})
+		b.vars = append(b.vars, nil)
 	}
 	for i := range b.vars {
-		b.vars[i].form = fNone
+		b.vars[i] = grow(b.vars[i], n)
 	}
 	for len(b.spans) < p.nLists {
 		b.spans = append(b.spans, nil)
@@ -235,56 +222,115 @@ func execListB(b *batch, body []stmtNode, sel []int32) {
 }
 
 // ---------------------------------------------------------------------------
+// Lane values
+
+// vec is an expression's lane values, indexed by lane and valid on the
+// selection they were evaluated over: one boxed value per lane, or, when
+// v is nil, the constant c for every lane. A scratch vec goes back to the
+// pool with drop; a variable's own storage is borrowed, never dropped.
+type vec struct {
+	c   entity.Value
+	v   []entity.Value
+	own bool
+}
+
+// at returns lane l's value.
+func (x *vec) at(l int32) entity.Value {
+	if x.v == nil {
+		return x.c
+	}
+	return x.v[l]
+}
+
+// pop takes a slice of at least n elements off a free list, or makes one.
+func pop[T any](free *[][]T, n int) []T {
+	for k := len(*free); k > 0; k = len(*free) {
+		s := (*free)[k-1]
+		*free = (*free)[:k-1]
+		if cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]T, n, roomFor(n))
+}
+
+// scratch returns a vec with pooled storage for every lane.
+func (b *batch) scratch() vec {
+	return vec{v: pop(&b.freeV, b.n), own: true}
+}
+
+func (b *batch) drop(x vec) {
+	if x.own {
+		b.freeV = append(b.freeV, x.v)
+	}
+}
+
+// apply is query.Apply of op over every lane of sel; a lane whose
+// operands it rejects fails. Two floats under +, -, * and / — mingle's
+// centroid sums — skip query.Apply's kind dispatch.
+func (b *batch) apply(op query.BinOp, x, y *vec, sel []int32) vec {
+	out := b.scratch()
+	for _, l := range sel {
+		xv, yv := x.at(l), y.at(l)
+		if xv.Kind() == entity.KindFloat && yv.Kind() == entity.KindFloat && op <= query.OpDiv {
+			out.v[l] = entity.Float(floatArith(op, xv.Float(), yv.Float()))
+			continue
+		}
+		v, err := query.Apply(op, xv, yv)
+		if err != nil {
+			b.fail(l)
+			continue
+		}
+		out.v[l] = v
+	}
+	return out
+}
+
+// floatArith is query.Apply's +, -, * and / of two floats.
+func floatArith(op query.BinOp, a, c float64) float64 {
+	switch op {
+	case query.OpAdd:
+		return a + c
+	case query.OpSub:
+		return a - c
+	case query.OpMul:
+		return a * c
+	}
+	return a / c
+}
+
+// ---------------------------------------------------------------------------
 // Expression nodes
 
 func (c *constVal) evalB(b *batch, sel []int32) vec {
-	return vec{form: fConst, c: c.v}
+	return vec{c: c.v}
 }
 
 func (s *slotVal) evalB(b *batch, sel []int32) vec {
-	x := b.vars[s.slot]
-	x.own = false
-	return x
+	return vec{v: b.vars[s.slot]}
 }
 
 func (u *unVal) evalB(b *batch, sel []int32) vec {
 	in := u.e.evalB(b, sel)
-	defer b.drop(in)
-	switch {
-	case u.neg && in.isInt():
-		out := b.scratch(fInt)
-		for _, l := range sel {
-			out.i[l] = -in.intAt(l)
-		}
-		return out
-	case u.neg && in.isNum():
-		out := b.scratch(fFloat)
-		for _, l := range sel {
-			out.f[l] = -in.floatAt(l)
-		}
-		return out
-	case u.neg:
-		out := b.scratch(fBoxed)
-		for _, l := range sel {
-			switch v := in.at(l); v.Kind() {
-			case entity.KindInt:
-				out.v[l] = entity.Int(-v.Int())
-			case entity.KindFloat:
-				out.v[l] = entity.Float(-v.Float())
-			default:
+	out := b.scratch()
+	for _, l := range sel {
+		v := in.at(l)
+		switch {
+		case !u.neg:
+			x, ok := v.AsBool()
+			if !ok {
 				b.fail(l)
 			}
-		}
-		return out
-	}
-	out := b.scratch(fBool)
-	for _, l := range sel {
-		x, ok := in.boolAt(l)
-		if !ok {
+			out.v[l] = entity.Bool(!x)
+		case v.Kind() == entity.KindInt:
+			out.v[l] = entity.Int(-v.Int())
+		case v.Kind() == entity.KindFloat:
+			out.v[l] = entity.Float(-v.Float())
+		default:
 			b.fail(l)
 		}
-		out.b[l] = !x
 	}
+	b.drop(in)
 	return out
 }
 
@@ -299,15 +345,15 @@ func (k *binVal) evalB(b *batch, sel []int32) vec {
 
 func (v *logicalVal) evalB(b *batch, sel []int32) vec {
 	lv := v.l.evalB(b, sel)
-	out := b.scratch(fBool)
+	out := b.scratch()
 	rest := b.getSel()
 	for _, l := range sel {
-		x, ok := lv.boolAt(l)
+		x, ok := lv.at(l).AsBool()
 		switch {
 		case !ok:
 			b.fail(l)
 		case v.or == x: // and:false / or:true short-circuits
-			out.b[l] = x
+			out.v[l] = entity.Bool(x)
 		default:
 			rest = append(rest, l)
 		}
@@ -317,11 +363,11 @@ func (v *logicalVal) evalB(b *batch, sel []int32) vec {
 		b.burn(rest, v.r.cost())
 		rv := v.r.evalB(b, rest)
 		for _, l := range rest {
-			y, ok := rv.boolAt(l)
+			y, ok := rv.at(l).AsBool()
 			if !ok {
 				b.fail(l)
 			}
-			out.b[l] = y
+			out.v[l] = entity.Bool(y)
 		}
 		b.drop(rv)
 	}
@@ -334,7 +380,7 @@ func (c *callVal) evalB(b *batch, sel []int32) vec {
 	for i, a := range c.args {
 		args[i] = a.evalB(b, sel)
 	}
-	out := b.scratch(fBoxed)
+	out := b.scratch()
 	var av [4]entity.Value
 	for _, l := range sel {
 		if b.dead[l] {
@@ -361,10 +407,10 @@ func (c *callVal) evalB(b *batch, sel []int32) vec {
 }
 
 func (l *lenListVal) evalB(b *batch, sel []int32) vec {
-	out := b.scratch(fInt)
+	out := b.scratch()
 	spans := b.spans[l.src]
 	for _, ln := range sel {
-		out.i[ln] = int64(spans[ln].Len)
+		out.v[ln] = entity.Int(int64(spans[ln].len))
 	}
 	return out
 }
@@ -376,45 +422,32 @@ func (u *userCallVal) evalB(b *batch, sel []int32) vec {
 	for _, l := range sel {
 		b.fail(l)
 	}
-	return vec{form: fConst}
+	return vec{}
 }
 
 // runB is nearby over the batch, its burns (cost) already charged: both
-// arguments, then one NearbyBatch for every lane whose arguments check —
-// the band join the host answers for all of them at once.
+// arguments, then each lane whose arguments check appends its answer to
+// the arena through its own Env, which logs the lane's reads.
 func (o *nearbyOp) runB(b *batch, sel []int32) {
 	idv := o.idArg.evalB(b, sel)
 	radv := o.radArg.evalB(b, sel)
-	q := b.getSel()
-	idInt, radNum := idv.isInt(), radv.isNum()
+	spans := b.spans[o.dest]
 	for _, l := range sel {
 		if b.dead[l] {
 			continue
 		}
-		if idInt {
-			b.ids[l] = entity.ID(idv.intAt(l))
-		} else if id, err := asID(idv.at(l)); err == nil {
-			b.ids[l] = id
-		} else {
+		id, err := asID(idv.at(l))
+		rad, ok := radv.at(l).AsFloat()
+		if err != nil || !ok {
 			b.fail(l)
 			continue
 		}
-		if radNum {
-			b.radii[l] = radv.floatAt(l)
-		} else if rad, ok := radv.at(l).AsFloat(); ok {
-			b.radii[l] = rad
-		} else {
-			b.fail(l)
-			continue
-		}
-		q = append(q, l)
+		off := len(b.arena)
+		b.arena = b.env.Lane(int(l)).AppendNearby(b.arena, id, rad)
+		spans[l] = span{off: int32(off), len: int32(len(b.arena) - off)}
 	}
 	b.drop(idv)
 	b.drop(radv)
-	if len(q) > 0 {
-		b.arena = b.env.NearbyBatch(q, b.ids, b.radii, b.arena, b.spans[o.dest])
-	}
-	b.putSel(q)
 }
 
 // ---------------------------------------------------------------------------
@@ -423,7 +456,10 @@ func (o *nearbyOp) runB(b *batch, sel []int32) {
 func (s *storeStmt) execB(b *batch, sel []int32) {
 	b.burn(sel, 1+s.v.cost())
 	v := s.v.evalB(b, sel)
-	b.store(s.dest, &v, sel)
+	dst := b.vars[s.dest]
+	for _, l := range sel {
+		dst[l] = v.at(l)
+	}
 	b.drop(v)
 }
 
@@ -442,7 +478,7 @@ func (s *ifStmt) execB(b *batch, sel []int32) {
 	cond := s.cond.evalB(b, sel)
 	then, els := b.getSel(), b.getSel()
 	for _, l := range sel {
-		x, ok := cond.boolAt(l)
+		x, ok := cond.at(l).AsBool()
 		switch {
 		case !ok:
 			b.fail(l)
@@ -480,11 +516,11 @@ func (s *forStmt) execB(b *batch, sel []int32) {
 	seq := pop(&b.freeSpan, b.n)
 	copy(seq, b.spans[s.seqSlot])
 	cur := b.live(b.getSel(), sel)
-	loopVar := &b.vars[s.varSlot]
+	loopVar := b.vars[s.varSlot]
 	for k := int32(0); ; k++ {
 		n := 0
 		for _, l := range cur {
-			if k < seq[l].Len {
+			if k < seq[l].len {
 				cur[n] = l
 				n++
 			}
@@ -493,15 +529,8 @@ func (s *forStmt) execB(b *batch, sel []int32) {
 		if n == 0 {
 			break
 		}
-		b.settle(loopVar, fInt)
-		if loopVar.form == fInt {
-			for _, l := range cur {
-				loopVar.i[l] = int64(b.arena[seq[l].Off+k])
-			}
-		} else {
-			for _, l := range cur {
-				loopVar.v[l] = entity.Int(int64(b.arena[seq[l].Off+k]))
-			}
+		for _, l := range cur {
+			loopVar[l] = entity.Int(int64(b.arena[seq[l].off+k]))
 		}
 		execListB(b, s.body, cur)
 		n = 0

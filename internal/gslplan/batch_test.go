@@ -28,15 +28,6 @@ func newBatchHost(n int) *batchHost {
 
 func (h *batchHost) Lane(l int) Env { return h.lanes[l] }
 
-func (h *batchHost) NearbyBatch(sel []int32, ids []entity.ID, radii []float64, dst []entity.ID, spans []Span) []entity.ID {
-	for _, l := range sel {
-		off := len(dst)
-		dst = h.lanes[l].AppendNearby(dst, ids[l], radii[l])
-		spans[l] = Span{Off: int32(off), Len: int32(len(dst) - off)}
-	}
-	return dst
-}
-
 // batchCrowd is the fake crowd a batch runs over: five positioned
 // entities, one without a position and one the host does not know.
 var batchCrowd = []entity.ID{1, 2, 3, 4, 5, 9, 77}

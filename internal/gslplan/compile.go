@@ -119,7 +119,7 @@ func Compile(name string, prog *script.Program, entry string, nargs int) (*Progr
 	if c.height > script.DefaultMaxDepth {
 		return nil, notCompilable(c.deepLine, "call depth %d exceeds the interpreter's %d", c.height, script.DefaultMaxDepth)
 	}
-	kind, driver := "behavior", "set-at-a-time: one batched run per worker's roster chunk, nearby as one band join over the grid"
+	kind, driver := "behavior", "set-at-a-time: one batched run per worker's roster chunk"
 	switch {
 	case entry != EntryFn:
 		// Rules run one match at a time, over one cascade round's matches
@@ -135,12 +135,7 @@ func Compile(name string, prog *script.Program, entry string, nargs int) (*Progr
 		"  driver: %s\n"+
 		"  frame: %d scalar slots, %d list slots, %d user functions\n",
 		kind, name, entry, strings.Join(fn.Params, ", "), driver, len(c.slotName), len(c.listName), len(c.fns))
-	var forms []form
-	if c.perEntity == "" && nargs == 1 { // RunBatch's entry: on_tick(self)
-		forms = slotForms(body, len(c.slotName))
-	}
 	return &Program{
-		forms:     forms,
 		name:      name,
 		nParams:   nargs,
 		nScalars:  len(c.slotName),

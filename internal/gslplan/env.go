@@ -14,11 +14,10 @@
 // The same nodes have two evaluation methods. Run executes one
 // invocation. RunBatch (batch.go) executes a behavior over a whole batch
 // of subjects, statement by statement over a selection vector of lanes:
-// control flow becomes masks, for-in runs iteration-major, numbers and
-// bools travel unboxed through typed kernels (vec.go), and nearby is one
-// BatchEnv.NearbyBatch for every lane. Each lane talks to the host
-// through its own Env, so its reads, effects and draws are its scalar
-// run's. A lane that errors or crosses its fuel cap is handed back not
+// every node is visited once per batch, control flow becomes masks and
+// for-in runs iteration-major. Each lane talks to the host through its
+// own Env (BatchEnv.Lane), so its reads, effects, nearby probes and draws
+// are its scalar run's. A lane that errors or crosses its fuel cap is handed back not
 // OK, and the host re-runs it on Run, which alone decides its outcome;
 // so is every lane of a program with a while loop or a user function
 // call (Program.PerEntity names the first). Trigger rules run only on

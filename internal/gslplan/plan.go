@@ -63,10 +63,8 @@ type Program struct {
 	body     []stmtNode
 	explain  string
 	// perEntity names the first construct RunBatch does not evaluate
-	// ("" when the whole program runs set-at-a-time); forms are the
-	// scalar slots' batch forms (slotForms) of a set-at-a-time program.
+	// ("" when the whole program runs set-at-a-time).
 	perEntity string
-	forms     []form
 }
 
 // Name returns the behavior or rule name the program was compiled from.

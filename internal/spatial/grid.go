@@ -1,6 +1,9 @@
 package spatial
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // Grid is a uniform spatial hash grid, the workhorse index in game
 // engines: O(1) updates and range queries proportional to covered cells.
@@ -378,6 +381,43 @@ func (g *Grid) QueryCircle(c Vec2, radius float64, fn func(id ID, p Vec2) bool) 
 					}
 				}
 			}
+		}
+	}
+}
+
+// AppendCircle appends to dst, in the caller's id type, the ids of the
+// points within radius of c except skip, sorted ascending — QueryCircle's
+// set minus skip (a probe around an entity leaves the entity out), over
+// the same cover and distance test, without a callback per hit or a
+// general sort.
+func AppendCircle[I ~uint64](g *Grid, dst []I, c Vec2, radius float64, skip ID) []I {
+	r2 := radius * radius
+	lo, nx, ny := g.cover(RectAround(c, radius))
+	off := len(dst)
+	for j := 0; j < ny; j++ {
+		cy := lo.Y + int32(j)
+		for i := 0; i < nx; i++ {
+			for _, pt := range g.bucketAt(entry(lo.X+int32(i), cy)).pts {
+				if pt.ID != skip && pt.Pos.Dist2(c) <= r2 {
+					dst = append(dst, I(pt.ID))
+				}
+			}
+		}
+	}
+	sortIDs(dst[off:])
+	return dst
+}
+
+// sortIDs sorts a probe's answer: insertion sort for the handful a probe
+// usually finds.
+func sortIDs[I ~uint64](ids []I) {
+	if len(ids) > 12 {
+		slices.Sort(ids)
+		return
+	}
+	for i := 1; i < len(ids); i++ {
+		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
+			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
 }

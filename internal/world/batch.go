@@ -1,18 +1,18 @@
 package world
 
 import (
+	"slices"
 	"time"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/gslplan"
-	"gamedb/internal/spatial"
 )
 
 // The query phase runs behaviors set-at-a-time. A worker groups its
 // roster chunk by behavior and runs each group's plan once with
 // gslplan.Plan.RunBatch, one lane per entity. A lane's reads and effects
 // stage on the lane, stamped with the (source, order) its scalar run would
-// give them; nearby is one QueryCircles band join for the whole group.
+// give them.
 // The worker then walks its chunk in roster order: an entity whose lane
 // completed commits its staged reads and effects as its invocation, and
 // any other — an error, a fuel skip, a per-entity program — drops what it
@@ -43,7 +43,7 @@ type behaviorGroup struct {
 
 // batchState is an EffectBuffer's batched-run scratch, reused tick to
 // tick: one lane and one lane Env per chunk position, the staged
-// records, the groups, and the band join's probes.
+// records and the groups.
 type batchState struct {
 	lanes    []batchLane
 	laneEnvs []planEnv
@@ -56,10 +56,6 @@ type batchState struct {
 	stReadNext []int32
 
 	groups []behaviorGroup
-
-	probes     []spatial.Circle
-	probeLanes []int32
-	probeSpans []spatial.Span
 }
 
 // stageEffect appends ef to lane p's chain.
@@ -107,56 +103,13 @@ func (e *planEnv) Lane(l int) gslplan.Env {
 	return &e.buf.laneEnvs[e.buf.lanePos[l]]
 }
 
-// NearbyBatch is nearby for every lane of sel: each lane logs its
-// center's x/y cells, as AppendNearby does, and the lanes whose center
-// has a position are answered by one band join over the grid.
-func (e *planEnv) NearbyBatch(sel []int32, ids []entity.ID, radii []float64, dst []entity.ID, spans []gslplan.Span) []entity.ID {
-	b := e.buf
-	probes, lanes := b.probes[:0], b.probeLanes[:0]
-	for _, l := range sel {
-		le := &b.laneEnvs[b.lanePos[l]]
-		id := ids[l]
-		if b.trackReads {
-			le.noteRead(id, "x")
-			le.noteRead(id, "y")
-		}
-		p, ok := le.inv().pos(e.w, id)
-		if !ok {
-			spans[l] = gslplan.Span{Off: int32(len(dst))}
-			continue
-		}
-		probes = append(probes, spatial.Circle{C: p, R: radii[l], Skip: spatial.ID(id)})
-		lanes = append(lanes, l)
-	}
-	b.probes, b.probeLanes = probes, lanes
-	b.probeSpans = grow(b.probeSpans, len(probes))
-	dst = spatial.QueryCircles(e.w.index, probes, dst, b.probeSpans)
-	for k, l := range lanes {
-		spans[l] = gslplan.Span(b.probeSpans[k])
-	}
-	return dst
-}
-
-// grow returns s resliced to n, reallocated only when its capacity is
-// short. A chunk's size drifts by a few entities tick to tick, so a new
-// array leaves room for it to grow.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n, n+n/8+16)
-	}
-	return s[:n]
-}
-
 // runBehaviors runs worker wi's roster chunk: the batched runs, then the
 // commit walk in roster order.
 func (w *World) runBehaviors(wi int, buf *EffectBuffer, ws *workerStats, chunk []ownRef) {
 	n := len(chunk)
-	buf.lanes = grow(buf.lanes, n)
-	if len(buf.laneEnvs) < n {
-		buf.laneEnvs = grow(buf.laneEnvs, n)
-		for p := range buf.laneEnvs {
-			buf.laneEnvs[p] = planEnv{w: w, buf: buf, lane: int32(p)}
-		}
+	buf.lanes = slices.Grow(buf.lanes[:0], n)[:n]
+	for p := len(buf.laneEnvs); p < n; p++ {
+		buf.laneEnvs = append(buf.laneEnvs, planEnv{w: w, buf: buf, lane: int32(p)})
 	}
 	buf.stEffects, buf.stEffNext = buf.stEffects[:0], buf.stEffNext[:0]
 	buf.stReads, buf.stReadNext = buf.stReads[:0], buf.stReadNext[:0]
@@ -204,12 +157,20 @@ func (w *World) runBehaviors(wi int, buf *EffectBuffer, ws *workerStats, chunk [
 			t0 = time.Now()
 		}
 		res := g.beh.fn.plans[wi].RunBatch(w.cfg.ScriptFuel, g.subj)
+		var ns int64
 		if pe != nil {
-			pe.AddSamples(int64(len(res)), time.Since(t0).Nanoseconds())
+			ns = time.Since(t0).Nanoseconds()
 		}
+		ok := int64(0)
 		for l, p := range g.pos {
 			buf.lanes[p].fuel, buf.lanes[p].ok = res[l].Fuel, res[l].OK
+			if res[l].OK {
+				ok++
+			}
 		}
+		// Only the OK lanes are timed here: the rest re-run on the scalar
+		// plan, whose own sampling may time them.
+		pe.AddSamples(ok, ns)
 	}
 
 	for p, o := range chunk {

@@ -274,10 +274,12 @@ func TestCompiledOCCEquivalence(t *testing.T) {
 // TestCompiledFuelSkipParity: a starved fuel budget skips the invocations
 // the interpreter skipped, with the fuel it reported (cap+1 each). Every
 // batched lane crosses the cap, so every one re-runs on the scalar plan,
-// which finds the node that crossed.
+// which finds the node that crossed — and the profiler times each
+// invocation at most once, on the scalar run that decided it.
 func TestCompiledFuelSkipParity(t *testing.T) {
 	want := goldenLines(t, "starved")
-	w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18}, compiledCrowdPack)
+	prof := obs.NewProfiler()
+	w := loadPack(t, Config{Seed: 11, CellSize: 8, Workers: 2, ScriptFuel: 18, Profile: prof}, compiledCrowdPack)
 	for i := 0; i < 16; i++ {
 		if _, err := w.Spawn("unit", spatial.Vec2{X: float64(i % 4), Y: float64(i / 4)}); err != nil {
 			t.Fatal(err)
@@ -286,6 +288,11 @@ func TestCompiledFuelSkipParity(t *testing.T) {
 	got, fallbacks := runTicksCounting(t, w, len(want), true)
 	requireGolden(t, "starved", got, want)
 	requireFallbacks(t, "starved", fallbacks, 16)
+	for _, r := range prof.Rows() {
+		if r.Samples > r.Calls {
+			t.Fatalf("%s: %d timed samples for %d calls", r.Name, r.Samples, r.Calls)
+		}
+	}
 }
 
 // TestPlanForReportsCompileState checks the introspection hook gslrun's

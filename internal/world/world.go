@@ -838,12 +838,9 @@ func (w *World) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []en
 	return w.appendNearbyAt(dst, id, p, radius)
 }
 
-// appendNearbyAt is AppendNearby around id's already-resolved position p:
-// the band join of one probe.
+// appendNearbyAt is AppendNearby around id's already-resolved position p.
 func (w *World) appendNearbyAt(dst []entity.ID, id entity.ID, p spatial.Vec2, radius float64) []entity.ID {
-	probe := [1]spatial.Circle{{C: p, R: radius, Skip: spatial.ID(id)}}
-	var span [1]spatial.Span
-	return spatial.QueryCircles(w.index, probe[:], dst, span[:])
+	return spatial.AppendCircle(w.index, dst, p, radius, spatial.ID(id))
 }
 
 // Post queues an event for the tick's trigger drain.
