@@ -59,6 +59,21 @@ const histCap = 1 << 18
 func (h *Histogram) Record(v float64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	h.record(v)
+}
+
+// RecordAll adds every observation in vs, in order, under one lock: the
+// same histogram as one Record call per value.
+func (h *Histogram) RecordAll(vs []float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, v := range vs {
+		h.record(v)
+	}
+}
+
+// record adds one observation; h.mu is held.
+func (h *Histogram) record(v float64) {
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}

@@ -1,7 +1,9 @@
 package metrics
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -141,6 +143,42 @@ func TestHistogramThinningPreservesTotals(t *testing.T) {
 	}
 	if q1 := h.Quantile(1); q1 < float64(n)-tol {
 		t.Fatalf("q1 = %v, want near %d", q1, n)
+	}
+}
+
+// TestHistogramRecordAllMatchesRecord: batches of every size from one
+// value up, across the reservoir's first two thinnings, leave the same
+// histogram as one Record per value — totals, extremes, the retained
+// sample and its stride, and the quantiles read off it.
+func TestHistogramRecordAllMatchesRecord(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	vs := make([]float64, histCap*2+1000)
+	for i := range vs {
+		vs[i] = math.Round(rng.ExpFloat64() * 10)
+	}
+	var one, all Histogram
+	for _, v := range vs {
+		one.Record(v)
+	}
+	one.Quantile(0.5) // a cached sorted view must not leak into the next batch
+	for rest, size := vs, 1; len(rest) > 0; size = size*3 + 1 {
+		n := min(size, len(rest))
+		all.RecordAll(rest[:n])
+		all.Quantile(0.5)
+		rest = rest[n:]
+	}
+	all.RecordAll(nil)
+	if one.Count() != all.Count() || one.Sum() != all.Sum() || one.Min() != all.Min() || one.Max() != all.Max() {
+		t.Fatalf("RecordAll count/sum/min/max %d/%v/%v/%v, Record %d/%v/%v/%v",
+			all.Count(), all.Sum(), all.Min(), all.Max(), one.Count(), one.Sum(), one.Min(), one.Max())
+	}
+	if one.stride != all.stride || one.stride < 4 || !slices.Equal(one.vals, all.vals) {
+		t.Fatalf("reservoirs differ: stride %d vs %d, %d vs %d values", all.stride, one.stride, len(all.vals), len(one.vals))
+	}
+	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
+		if a, b := all.Quantile(q), one.Quantile(q); a != b {
+			t.Fatalf("Quantile(%v) = %v after RecordAll, %v after Record", q, a, b)
+		}
 	}
 }
 

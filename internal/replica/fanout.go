@@ -19,13 +19,24 @@ package replica
 //
 // The hub is driven from a shard runtime's sealed change feeds (see
 // shard.FeedPump): the feed's dirty sets name exactly the
-// (table, column, id) cells that could need shipping, so per-tick cost
-// is O(dirty + due + clients-touched), never O(entities × clients).
+// (table, column, id) cells that could need shipping, so intake costs
+// O(dirty + due). A flush then runs set-at-a-time: it seals each cell
+// written this tick into runs — byte prefix sums over the cell's events,
+// over its updates under each tier filter, over its population's
+// snapshots and removals — and marks the cells with traffic in a bitmap
+// over the directory. A client then costs O(cover rows + cells with
+// traffic in view + backlog spans touched): a run is delivered, dropped
+// or queued whole by its totals, only the run a budget or the backlog
+// cap cuts is binary-searched, and only what the budget cannot carry is
+// copied into the client's backlog. Nothing is O(entities × clients),
+// nor O(messages) for a client that keeps up.
 //
 // Concurrency contract: BeginTick / Spawn / Update / Despawn /
 // MoveClient / AddClient run single-threaded between flushes; FlushTick
-// fans per-client work across the worker pool, reading the shared cell
-// directory immutably. Per-client streams are independent and every
+// seals on the calling goroutine, then fans per-client work across the
+// worker pool, reading the cell directory and the sealed runs
+// immutably. One FlushTick closes one tick: it delivers the cells
+// written since the last one. Per-client streams are independent and every
 // pass a flush makes is over a slice in intake order (a cell's events,
 // its updates, its population), so two runs of one call sequence agree
 // exactly on every Conn's tallies and on every TickReport, whatever the
@@ -33,6 +44,7 @@ package replica
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"gamedb/internal/metrics"
@@ -192,22 +204,72 @@ type member struct {
 // population. events and updates count only while epoch equals the
 // hub's; BeginTick empties every cell by advancing that, and cellFor
 // truncates a stale cell's lists before the first write of the tick.
+//
+// The runs are what seal derives from those lists for the flush
+// workers when sealed lags the hub's seal count, which cellFor arranges
+// on every write: evs is the events' run, runs[top] the run of the
+// updates whose class is at most top (every class, no Cosmetic, Exact
+// only — the three tier filters), both in the hub's arena and good only
+// while the cell has traffic this tick; snaps and removes are the
+// population's snapshot and removal messages.
 type cell struct {
+	// What a flush worker reads of a cell with traffic, together.
+	events []event
+	evs    run
+	runs   [3]run
+
 	epoch   uint64
-	events  []event
 	updates []update
 	pop     []member
+	sealed  uint64
+	snaps   run
+	removes run
 }
 
-// qmsg is one queued outbound message: encoded size plus the tick whose
-// state it carries (staleness = delivery tick − payload tick).
-type qmsg struct {
-	bytes int32
-	tick  int64
+// run is a sequence of messages as their cumulative sizes behind a base,
+// so messages [i, j) cost sums[j]−sums[i], and their total. A stream
+// delivers, drops and queues whole runs by their totals; only a run the
+// budget or the backlog cap cuts is searched.
+type run struct {
+	sums  []int64
+	bytes int64
+}
+
+// sumsRun makes a run of sums.
+func sumsRun(sums []int64) run { return run{sums, sums[len(sums)-1] - sums[0]} }
+
+// take consumes the front of the run: the fewest messages whose bytes
+// reach x, or the whole run when they cannot. It returns how many
+// messages it took and their bytes; bytes < x means the run ran out
+// first. A budget drain and a backlog cap both cut this way: a message
+// goes while the bytes before it are under the budget, and the oldest go
+// until the overflow is covered.
+func (r *run) take(x int64) (int, int64) {
+	k, b := len(r.sums)-1, r.bytes
+	if k <= 0 {
+		return 0, 0
+	}
+	if b >= x {
+		k, _ = slices.BinarySearch(r.sums, r.sums[0]+x)
+		b = r.sums[k] - r.sums[0]
+	}
+	r.sums, r.bytes = r.sums[k:], r.bytes-b
+	return k, b
+}
+
+// coverRow is one row of a client's cover: cells x0..x1 of row y.
+type coverRow struct{ y, x0, x1 int32 }
+
+// span is a stretch of a client's backlog carrying one tick's state
+// (staleness = delivery tick − tick): the messages below end not in an
+// earlier span.
+type span struct {
+	end  int
+	tick int64
 }
 
 // Conn is one connected client: a spatial subscription window, a tier,
-// and a byte-budgeted FIFO. Fields are owned by the hub; read stats
+// and a byte-budgeted backlog. Fields are owned by the hub; read stats
 // between flushes.
 type Conn struct {
 	ID    int
@@ -217,16 +279,18 @@ type Conn struct {
 	Budget int
 
 	tier       Tier
-	cover      []spatial.CellKey
+	cover      []coverRow
 	coverDirty bool
-	scratch    []spatial.CellKey
-	fresh      []spatial.CellKey
 
-	// queue[qHead:] is the backlog, oldest first. Draining advances
-	// qHead instead of re-slicing, so the backing array and its
-	// capacity survive from tick to tick.
-	queue     []qmsg
-	qHead     int
+	// The backlog is messages head ≤ i < len(sums)−1, oldest first,
+	// message i being sums[i+1]−sums[i] bytes; spans[spanHead:] say
+	// which tick each carries. Delivery and drops advance head, and
+	// compact reuses both arrays, so a backlog costs a flush the spans
+	// it touches, not its length.
+	sums      []int64
+	spans     []span
+	head      int
+	spanHead  int
 	qBytes    int
 	sampleCtr int
 
@@ -282,6 +346,16 @@ type Hub struct {
 	dueAt    map[int64][]ID
 	dueFree  [][]ID
 	dueEvals int
+
+	// touched lists the cells written since the last seal; seals
+	// counts seals. live marks, one bit per directory cell in rows of
+	// liveWords words, the cells with traffic this tick, and arena holds
+	// their runs.
+	touched   []spatial.CellKey
+	seals     uint64
+	live      []uint64
+	liveWords int
+	arena     []int64
 
 	conns   []*Conn
 	tallies []flushTally // per flush worker, reused
@@ -560,6 +634,10 @@ func (h *Hub) cellFor(k spatial.CellKey) *cell {
 		c.events = c.events[:0]
 		c.updates = c.updates[:0]
 	}
+	if c.sealed != h.seals+1 {
+		c.sealed = h.seals + 1
+		h.touched = append(h.touched, k)
+	}
 	return c
 }
 
@@ -617,24 +695,105 @@ func (h *Hub) leave(c *cell, es *entState) member {
 	return m
 }
 
-// subscribed reports whether a client window covers cell k — the exact
-// predicate CellCover uses, so membership tests agree with the cover.
+// subscribed reports whether a client window reaches cell k. It is
+// CellCover's per-cell test, but CellCover only tries the cells its
+// bounding box overlaps, so a cell that touches the window at exactly
+// aoi is subscribed here and still outside the cover.
 func subscribed(focus spatial.Vec2, aoi, cell float64, k spatial.CellKey) bool {
 	return k.Rect(cell).Dist2(focus) <= aoi*aoi
 }
 
-// flushTally is one flush worker's running totals.
+// seal readies the cells written since the last flush for the flush
+// workers. Each gets its population's snapshot and removal runs:
+// populations change only in written cells, so every other cell's still
+// hold. Each with traffic this tick gets its mark in the live map and
+// the runs of its events and of its updates under each tier filter, laid
+// out in the hub's per-tick arena — grown once up front, so every run
+// lands in the one array.
+func (h *Hub) seal() {
+	words := (h.dirW + 63) >> 6
+	if n := words * h.dirH; len(h.live) != n || h.liveWords != words {
+		h.live, h.liveWords = make([]uint64, n), words
+	} else {
+		clear(h.live)
+	}
+	need := 0
+	for _, k := range h.touched {
+		i, _ := h.index(k)
+		c := &h.dir[i]
+		c.snaps, _ = sealRun(c.snaps.sums[:0], c.pop, func(m member) (int32, bool) { return m.snapBytes, true })
+		c.removes, _ = sealRun(c.removes.sums[:0], c.pop, func(m member) (int32, bool) { return m.removeBytes, true })
+		if c.epoch == h.epoch && len(c.events)+len(c.updates) > 0 {
+			x := i % h.dirW
+			h.live[i/h.dirW*words+x>>6] |= 1 << (x & 63)
+			need += len(c.events) + 1 + len(c.runs)*(len(c.updates)+1)
+		}
+	}
+	arena := slices.Grow(h.arena[:0], need)
+	for _, k := range h.touched {
+		i, _ := h.index(k)
+		c := &h.dir[i]
+		if c.epoch != h.epoch || len(c.events)+len(c.updates) == 0 {
+			continue // written on an earlier tick: nothing to deliver now
+		}
+		c.evs, arena = sealRun(arena, c.events, func(e event) (int32, bool) { return e.bytes, true })
+		for top := range c.runs {
+			c.runs[top], arena = sealRun(arena, c.updates, func(u update) (int32, bool) { return u.bytes, u.class <= Class(top) })
+		}
+	}
+	h.arena = arena
+	h.touched = h.touched[:0]
+	h.seals++
+}
+
+// sealRun appends the messages of xs that size passes to buf as a run,
+// returning the run and the extended buffer.
+func sealRun[T any](buf []int64, xs []T, size func(T) (int32, bool)) (run, []int64) {
+	at := len(buf)
+	buf = append(buf, 0)
+	var bytes int64
+	for _, x := range xs {
+		if b, ok := size(x); ok {
+			bytes += int64(b)
+			buf = append(buf, bytes)
+		}
+	}
+	return run{buf[at:], bytes}, buf
+}
+
+// flushTally is one flush worker's running totals and the per-client
+// scratch flushConn rebuilds for every client it runs.
 type flushTally struct {
 	stats   flushStats
 	tiers   [3]int
 	samples []float64
+
+	keys   []spatial.CellKey // the client's new cover, as CellCover lists it
+	cover  []coverRow        // the same, as rows
+	fresh  []spatial.CellKey // cells the cover gained this flush, row-major
+	segs   []run             // this tick's stream in delivery order, from next on
+	next   int               // the first run not yet delivered or dropped
+	msgs   int               // the messages in segs[next:]
+	stream int64             // and their bytes
+
+	_ [64]byte // workers write their tallies all flush long: keep them off each other's cache lines
 }
 
-// FlushTick fans the tick's accumulated traffic to every client (over
-// the worker pool), drains each queue by its byte budget, applies the
-// tier watermarks, and reports totals.
+// push appends run r to the client's stream.
+func (tl *flushTally) push(r run) {
+	if n := len(r.sums) - 1; n > 0 {
+		tl.segs = append(tl.segs, r)
+		tl.msgs += n
+		tl.stream += r.bytes
+	}
+}
+
+// FlushTick seals the tick's traffic, fans it to every client (over the
+// worker pool), drains each client's stream by its byte budget, applies
+// the tier watermarks, and reports totals.
 func (h *Hub) FlushTick() TickReport {
 	rep := TickReport{Tick: h.tick}
+	h.seal()
 	n := len(h.conns)
 	if n == 0 {
 		return rep
@@ -665,9 +824,7 @@ func (h *Hub) FlushTick() TickReport {
 		}
 		h.DegradeTotal.Add(tl.stats.degrades)
 		h.UpgradeTotal.Add(tl.stats.upgrades)
-		for _, s := range tl.samples {
-			h.Staleness.Record(s)
-		}
+		h.Staleness.RecordAll(tl.samples)
 	}
 	h.MsgsTotal.Add(rep.Msgs)
 	h.BytesTotal.Add(rep.Bytes)
@@ -691,8 +848,8 @@ func (a *flushStats) add(b flushStats) {
 	a.upgrades += b.upgrades
 }
 
-// cellLess orders cell keys row-major, matching CellCover's generation
-// order so cover diffs are a merge walk.
+// cellLess orders cell keys row-major, the order a client's stream
+// visits its cells in.
 func cellLess(a, b spatial.CellKey) bool {
 	if a.Y != b.Y {
 		return a.Y < b.Y
@@ -700,143 +857,39 @@ func cellLess(a, b spatial.CellKey) bool {
 	return a.X < b.X
 }
 
-// enqueue appends one message to the client's FIFO, dropping oldest
-// messages past the backlog cap.
-func (h *Hub) enqueue(c *Conn, bytes int32, fs *flushStats) {
-	c.queue = append(c.queue, qmsg{bytes: bytes, tick: h.tick})
-	c.qBytes += int(bytes)
-	for c.qBytes > h.cfg.MaxQueue && c.qHead < len(c.queue) {
-		c.qBytes -= int(c.queue[c.qHead].bytes)
-		c.qHead++
-		fs.drops++
-	}
-}
+// noRow is the empty interval, for a row only one of two covers has.
+var noRow = coverRow{x0: math.MaxInt32, x1: math.MinInt32}
 
-// flushConn runs one client's tick: window maintenance (cover diff →
-// snapshots and removals), traffic collection from covered cells under
-// the tier filter, then a budgeted FIFO drain and the tier watermarks.
+func (r coverRow) has(x int) bool { return int(r.x0) <= x && x <= int(r.x1) }
+
+// flushConn runs one client's tick. It lays the tick's stream out as
+// runs — window maintenance, then each covered cell with traffic — and
+// treats backlog and stream as one sequence: the oldest messages past
+// MaxQueue drop, the budget drains from the front, and only what is left
+// of the stream is copied into the backlog. Whole runs cost O(1); a run
+// the cap or the budget cuts costs a binary search.
 func (h *Hub) flushConn(c *Conn, tl *flushTally) {
 	var fs flushStats
-	cell := h.cfg.Cell
-
-	// fresh lists this flush's newly covered cells: their end-of-tick
-	// population snapshots wholesale below, so their per-tick event and
-	// update lists are already baked in and must not replay.
-	var fresh []spatial.CellKey
+	tl.segs, tl.next, tl.msgs, tl.stream, tl.fresh = tl.segs[:0], 0, 0, 0, tl.fresh[:0]
 	if c.coverDirty {
-		newCover := spatial.CellCover(c.Focus, c.AOI, cell, c.scratch[:0])
-		fresh = c.fresh[:0]
-		// Merge-walk old vs new cover (both row-major): cells only in
-		// the new cover snapshot their population, cells only in the
-		// old one queue removals for theirs. Entities in cells left
-		// behind are still alive — only this client's window moved.
-		i, j := 0, 0
-		for i < len(c.cover) || j < len(newCover) {
-			switch {
-			case j == len(newCover) || (i < len(c.cover) && cellLess(c.cover[i], newCover[j])):
-				for _, m := range h.lookup(c.cover[i]).pop {
-					h.enqueue(c, m.removeBytes, &fs)
-				}
-				i++
-			case i == len(c.cover) || cellLess(newCover[j], c.cover[i]):
-				pop := h.lookup(newCover[j]).pop
-				for _, m := range pop {
-					h.enqueue(c, m.snapBytes, &fs)
-				}
-				fs.snaps += int64(len(pop))
-				fresh = append(fresh, newCover[j])
-				j++
-			default:
-				i++
-				j++
-			}
-		}
-		c.scratch = c.cover
-		c.cover = newCover
-		c.fresh = fresh
-		c.coverDirty = false
+		h.moveWindow(c, tl, &fs)
 	}
+	h.collect(c, tl, &fs)
 
-	thinCoarse := c.tier == TierCosmetic && h.tick%h.cfg.CoarseThinning != 0
-	fn := 0
-	for _, k := range c.cover {
-		if fn < len(fresh) && fresh[fn] == k {
-			// Snapshot this flush: events would double-ship spawns and
-			// entries the population snapshot already carries, and
-			// updates are baked into the snapshot values.
-			fn++
-			continue
-		}
-		ct := h.lookup(k)
-		if ct.epoch != h.epoch {
-			continue // nothing happened here this tick
-		}
-		for _, ev := range ct.events {
-			switch ev.kind {
-			case evSpawn:
-				h.enqueue(c, ev.bytes, &fs)
-				fs.snaps++
-			case evDespawn:
-				h.enqueue(c, ev.bytes, &fs)
-			case evEnter:
-				// Came from a cell this window also covers: already
-				// visible, the deltas carry it.
-				if !subscribed(c.Focus, c.AOI, cell, ev.other) {
-					h.enqueue(c, ev.bytes, &fs)
-					fs.snaps++
-				}
-			case evLeave:
-				if !subscribed(c.Focus, c.AOI, cell, ev.other) {
-					h.enqueue(c, ev.bytes, &fs)
-				}
-			}
-		}
-		for _, u := range ct.updates {
-			switch u.class {
-			case Cosmetic:
-				if c.tier != TierExact {
-					continue
-				}
-			case Coarse:
-				if thinCoarse {
-					continue
-				}
-			}
-			h.enqueue(c, u.bytes, &fs)
-		}
+	if over := int64(c.qBytes) + tl.stream - int64(h.cfg.MaxQueue); over > 0 {
+		k, _ := h.consume(c, tl, over, false)
+		fs.drops = int64(k)
 	}
-
-	// Budgeted drain, oldest first; staleness samples the delivery
-	// delay in ticks.
-	budget := c.Budget
+	budget := int64(c.Budget)
 	if budget <= 0 {
-		budget = h.cfg.ByteBudget
+		budget = int64(h.cfg.ByteBudget)
 	}
-	q, at := c.queue, c.qHead
-	for ; at < len(q) && budget > 0; at++ {
-		m := q[at]
-		c.qBytes -= int(m.bytes)
-		budget -= int(m.bytes)
-		fs.msgs++
-		fs.bytes += int64(m.bytes)
-		if c.sampleCtr++; c.sampleCtr == h.cfg.StalenessSample {
-			c.sampleCtr = 0
-			tl.samples = append(tl.samples, float64(h.tick-m.tick))
-		}
+	k, b := h.consume(c, tl, budget, true)
+	fs.msgs, fs.bytes = int64(k), b
+	c.compact()
+	if tl.next < len(tl.segs) {
+		c.queue(tl.segs[tl.next:], h.tick)
 	}
-	switch live := len(q) - at; {
-	case live == 0:
-		at, c.queue = 0, q[:0]
-		if cap(q) > 1024 {
-			c.queue = nil // a drained backlog gives its array back
-		}
-	case at >= live:
-		// The delivered prefix has outgrown the backlog: slide the
-		// backlog down over it, each message moved at most once per
-		// message delivered.
-		at, c.queue = 0, q[:copy(q, q[at:])]
-	}
-	c.qHead = at
 
 	if c.qBytes > h.cfg.DegradeAt && c.tier < TierCosmetic {
 		c.tier++
@@ -851,4 +904,223 @@ func (h *Hub) flushConn(c *Conn, tl *flushTally) {
 	c.Snapshots += fs.snaps
 	c.Drops += fs.drops
 	tl.stats.add(fs)
+}
+
+// moveWindow recomputes a moved client's cover and streams the
+// difference: a cell only the new cover holds snapshots its population
+// and becomes fresh, a cell only the old one held sends removals for
+// its population. Entities in cells left behind are still alive — only
+// this client's window moved.
+func (h *Hub) moveWindow(c *Conn, tl *flushTally, fs *flushStats) {
+	// One x-interval per row: a row of a disc's cover is contiguous, so
+	// its first and last cells bound it.
+	tl.keys = spatial.CellCover(c.Focus, c.AOI, h.cfg.Cell, tl.keys[:0])
+	rows := tl.cover[:0]
+	for _, k := range tl.keys {
+		if n := len(rows); n > 0 && rows[n-1].y == k.Y {
+			rows[n-1].x1 = k.X
+			continue
+		}
+		rows = append(rows, coverRow{y: k.Y, x0: k.X, x1: k.X})
+	}
+	tl.cover = rows
+	// Merge-walk old vs new cover, row-major.
+	old := c.cover
+	for i, j := 0, 0; i < len(old) || j < len(rows); {
+		o, r := noRow, noRow
+		switch {
+		case j == len(rows) || (i < len(old) && old[i].y < rows[j].y):
+			o, r.y = old[i], old[i].y
+			i++
+		case i == len(old) || rows[j].y < old[i].y:
+			r = rows[j]
+			j++
+		default:
+			o, r = old[i], rows[j]
+			i++
+			j++
+		}
+		for x := int(min(o.x0, r.x0)); x <= int(max(o.x1, r.x1)); x++ {
+			k := spatial.CellKey{X: int32(x), Y: r.y}
+			switch in := r.has(x); {
+			case in && !o.has(x):
+				ct := h.lookup(k)
+				tl.push(ct.snaps)
+				fs.snaps += int64(len(ct.pop))
+				tl.fresh = append(tl.fresh, k)
+			case !in && o.has(x):
+				tl.push(h.lookup(k).removes)
+			}
+		}
+	}
+	c.cover = append(c.cover[:0], rows...)
+	c.coverDirty = false
+}
+
+// collect streams the covered cells with traffic this tick, row-major,
+// found off the live map: each cell's events, then its updates under
+// the client's tier filter. A fresh cell snapshotted this flush: its
+// events would double-ship spawns and entries the population snapshot
+// already carries, and its updates are baked into the snapshot values.
+func (h *Hub) collect(c *Conn, tl *flushTally, fs *flushStats) {
+	top := Cosmetic // the highest class the tier passes
+	switch {
+	case c.tier == TierCosmetic && h.tick%h.cfg.CoarseThinning != 0:
+		top = Exact
+	case c.tier != TierExact:
+		top = Coarse
+	}
+	fresh, fn := tl.fresh, 0
+	for _, r := range c.cover {
+		y := int(r.y) - h.dirY
+		x0, x1 := max(int(r.x0)-h.dirX, 0), min(int(r.x1)-h.dirX, h.dirW-1)
+		if uint(y) >= uint(h.dirH) || x0 > x1 {
+			continue
+		}
+		marks := h.live[y*h.liveWords:]
+		for w := x0 >> 6; w <= x1>>6; w++ {
+			word := marks[w]
+			if w == x0>>6 {
+				word &= ^uint64(0) << (x0 & 63)
+			}
+			if w == x1>>6 {
+				word &= ^uint64(0) >> (63 - x1&63)
+			}
+			for ; word != 0; word &= word - 1 {
+				b := bits.TrailingZeros64(word)
+				k := spatial.CellKey{X: int32(w<<6 + b + h.dirX), Y: r.y}
+				for fn < len(fresh) && cellLess(fresh[fn], k) {
+					fn++
+				}
+				if fn < len(fresh) && fresh[fn] == k {
+					continue
+				}
+				ct := &h.dir[y*h.dirW+w<<6+b]
+				if len(ct.events) > 0 {
+					h.pushEvents(c, ct, tl, fs)
+				}
+				tl.push(ct.runs[top])
+			}
+		}
+	}
+}
+
+// pushEvents streams a live cell's events in intake order, as runs of
+// the ones this window ships: an entity moving between two cells it
+// covers is already visible, the deltas carry it.
+func (h *Hub) pushEvents(c *Conn, ct *cell, tl *flushTally, fs *flushStats) {
+	from := 0
+	for e, ev := range ct.events {
+		ship := true
+		switch ev.kind {
+		case evSpawn:
+			fs.snaps++
+		case evEnter:
+			if ship = !subscribed(c.Focus, c.AOI, h.cfg.Cell, ev.other); ship {
+				fs.snaps++
+			}
+		case evLeave:
+			ship = !subscribed(c.Focus, c.AOI, h.cfg.Cell, ev.other)
+		}
+		if !ship {
+			tl.push(sumsRun(ct.evs.sums[from : e+1]))
+			from = e + 1
+		}
+	}
+	tl.push(sumsRun(ct.evs.sums[from:]))
+}
+
+// consume takes from the front of the client's backlog-then-stream the
+// fewest messages whose bytes reach x, or all of them, and returns how
+// many it took and their bytes. Delivered, they are sampled for
+// staleness; otherwise they were dropped. A message goes while the bytes
+// before it are under a budget x, and the oldest go until an overflow x
+// is covered.
+func (h *Hub) consume(c *Conn, tl *flushTally, x int64, deliver bool) (int, int64) {
+	q := c.backlog()
+	msgs, bytes := q.take(x)
+	c.qBytes -= int(bytes)
+	for n := msgs; n > 0; {
+		sp := c.spans[c.spanHead]
+		m := min(n, sp.end-c.head)
+		if deliver {
+			h.sample(c, m, sp.tick, tl)
+		}
+		if c.head += m; c.head == sp.end {
+			c.spanHead++
+		}
+		n -= m
+	}
+	if x -= bytes; x > tl.stream {
+		// The whole stream goes as one run.
+		msgs, bytes = msgs+tl.msgs, bytes+tl.stream
+		if deliver {
+			h.sample(c, tl.msgs, h.tick, tl)
+		}
+		tl.next, tl.msgs, tl.stream = len(tl.segs), 0, 0
+		return msgs, bytes
+	}
+	for x > 0 && tl.next < len(tl.segs) {
+		r := &tl.segs[tl.next]
+		m, b := r.take(x)
+		if deliver {
+			h.sample(c, m, h.tick, tl)
+		}
+		if len(r.sums) == 1 {
+			tl.next++
+		}
+		x -= b
+		msgs, bytes = msgs+m, bytes+b
+		tl.msgs, tl.stream = tl.msgs-m, tl.stream-b
+	}
+	return msgs, bytes
+}
+
+// sample counts n delivered messages carrying tick's state against the
+// client's 1-in-StalenessSample counter and records the delay of each
+// one it picks.
+func (h *Hub) sample(c *Conn, n int, tick int64, tl *flushTally) {
+	for c.sampleCtr += n; c.sampleCtr >= h.cfg.StalenessSample; c.sampleCtr -= h.cfg.StalenessSample {
+		tl.samples = append(tl.samples, float64(h.tick-tick))
+	}
+}
+
+// backlog is the client's queue as one run.
+func (c *Conn) backlog() run { return run{c.sums[c.head:], int64(c.qBytes)} }
+
+// compact empties a drained backlog in place, or slides a backlog whose
+// delivered prefix has outgrown it down over that prefix, each message
+// moved at most once per message delivered.
+func (c *Conn) compact() {
+	switch live := len(c.sums) - 1 - c.head; {
+	case live <= 0:
+		c.sums, c.spans, c.head, c.spanHead = c.sums[:0], c.spans[:0], 0, 0
+		if cap(c.sums) > 1024 {
+			c.sums, c.spans = nil, nil // a drained backlog gives its arrays back
+		}
+	case c.head >= live:
+		c.sums = c.sums[:copy(c.sums, c.sums[c.head:])]
+		c.spans = c.spans[:copy(c.spans, c.spans[c.spanHead:])]
+		for i := range c.spans {
+			c.spans[i].end -= c.head
+		}
+		c.head, c.spanHead = 0, 0
+	}
+}
+
+// queue appends what the budget left of this tick's stream to the
+// backlog, as a span of tick's messages.
+func (c *Conn) queue(segs []run, tick int64) {
+	if len(c.sums) == 0 {
+		c.sums = append(c.sums, 0)
+	}
+	end := c.sums[len(c.sums)-1]
+	for _, r := range segs {
+		for _, v := range r.sums[1:] {
+			c.sums = append(c.sums, end+v-r.sums[0])
+		}
+		end += r.bytes
+		c.qBytes += int(r.bytes)
+	}
+	c.spans = append(c.spans, span{end: len(c.sums) - 1, tick: tick})
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"gamedb/internal/metrics"
 	"gamedb/internal/sched"
 	"gamedb/internal/spatial"
 )
@@ -251,16 +252,22 @@ func TestHubEntityCellTransition(t *testing.T) {
 }
 
 // TestHubFlushDeterministicAcrossWorkers: two runs of one call sequence
-// agree on every client's tallies and on every TickReport, whatever the
-// pool size — with ids on both sides of a varint
-// boundary (so a cell's snapshots differ in size and the order of its
-// population shows), windows that move, and a budget tight enough that
-// every drain cuts mid-backlog and the queue cap drops messages.
+// agree on every client's tallies, on every TickReport and on the
+// staleness histogram (whose reservoir keeps samples by arrival order),
+// whatever the pool size — with ids on both sides of a varint boundary
+// (so a cell's snapshots differ in size and the order of its population
+// shows), windows that move, and a budget tight enough that every drain
+// cuts mid-backlog and the queue cap drops messages. The totals are the
+// figures a hub that queued and drained message by message recorded for
+// this sequence: its whole-number focuses put cells at exactly aoi from
+// a window, which CellCover leaves out and subscribed lets in, and which
+// TestHubModel's random focuses never reach.
 func TestHubFlushDeterministicAcrossWorkers(t *testing.T) {
 	type connTally struct{ msgs, bytes, snaps, drops int64 }
 	type outcome struct {
 		reports []TickReport
 		conns   []connTally
+		stale   *metrics.Histogram
 	}
 	run := func(pool *sched.Pool) outcome {
 		h := NewHub(HubConfig{
@@ -292,6 +299,7 @@ func TestHubFlushDeterministicAcrossWorkers(t *testing.T) {
 		for _, c := range conns {
 			out.conns = append(out.conns, connTally{c.Msgs, c.Bytes, c.Snapshots, c.Drops})
 		}
+		out.stale = &h.Staleness
 		return out
 	}
 	pool4 := sched.NewPool(4)
@@ -301,6 +309,11 @@ func TestHubFlushDeterministicAcrossWorkers(t *testing.T) {
 		if !slices.Equal(got.reports, base.reports) {
 			t.Errorf("%s: tick reports differ from the first run's", name)
 		}
+		if !sameStaleness(got.stale, base.stale) {
+			t.Errorf("%s: staleness count=%d sum=%v max=%v p99=%v, first run count=%d sum=%v max=%v p99=%v", name,
+				got.stale.Count(), got.stale.Sum(), got.stale.Max(), got.stale.Quantile(0.99),
+				base.stale.Count(), base.stale.Sum(), base.stale.Max(), base.stale.Quantile(0.99))
+		}
 		for i := range got.conns {
 			if got.conns[i] != base.conns[i] {
 				t.Errorf("%s: client %d tallied %+v, first run %+v", name, i, got.conns[i], base.conns[i])
@@ -308,13 +321,19 @@ func TestHubFlushDeterministicAcrossWorkers(t *testing.T) {
 		}
 	}
 	last := base.reports[len(base.reports)-1]
-	var msgs, drops int64
+	var sum TickReport
 	for _, r := range base.reports {
-		msgs += r.Msgs
-		drops += r.Drops
+		sum.Msgs += r.Msgs
+		sum.Bytes += r.Bytes
+		sum.Snapshots += r.Snapshots
+		sum.Drops += r.Drops
 	}
-	if msgs == 0 || drops == 0 || last.Tiers[TierExact] == 64 {
-		t.Fatalf("scenario too gentle: %d msgs, %d drops, tiers %v", msgs, drops, last.Tiers)
+	if sum.Msgs != 5403 || sum.Bytes != 77914 || sum.Snapshots != 5722 || sum.Drops != 13269 {
+		t.Errorf("delivered %d msgs, %d bytes, %d snapshots, %d drops; recorded 5403, 77914, 5722, 13269",
+			sum.Msgs, sum.Bytes, sum.Snapshots, sum.Drops)
+	}
+	if last.Tiers[TierExact] == 64 || base.stale.Count() == 0 {
+		t.Fatalf("scenario too gentle: tiers %v, %d staleness samples", last.Tiers, base.stale.Count())
 	}
 }
 

@@ -11,9 +11,10 @@ import (
 // benchCrowd is the benchmark's fan-out shape (bench/workloads.go,
 // fanout.border) without a world behind it: 2 000 entities and 10 000
 // client windows of radius 64 on a 2000×2000 map of 32-unit cells, one
-// MTU of budget, 2 % of the windows moving per tick. Every
-// entity takes a short step every tick and loses a hit point now and
-// then.
+// MTU of budget but for 5 % of the clients throttled to an eighth of it
+// (they degrade and keep a backlog), 2 % of the windows moving per tick.
+// Every entity takes a short step every tick and loses a hit point now
+// and then.
 type benchCrowd struct {
 	h     *Hub
 	rng   *rand.Rand
@@ -49,7 +50,11 @@ func newBenchCrowd() *benchCrowd {
 	}
 	for i := 0; i < 10000; i++ {
 		focus := spatial.Vec2{X: b.rng.Float64() * benchSide, Y: b.rng.Float64() * benchSide}
-		b.conns = append(b.conns, b.h.AddClient(i, focus, 64, 0))
+		budget := 0
+		if b.rng.Float64() < 0.05 {
+			budget = 1500 / 8
+		}
+		b.conns = append(b.conns, b.h.AddClient(i, focus, 64, budget))
 	}
 	return b
 }

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"gamedb/internal/metrics"
 	"gamedb/internal/spatial"
 	"gamedb/internal/wire"
 )
@@ -23,7 +24,9 @@ import (
 // each log item and of each entity. Entity ids stay in one varint
 // length class, so the messages one cell's population produces on a
 // window move are the same size and the reference need not know the
-// order they sit in.
+// order they sit in. It samples staleness with the hub's rule — every
+// StalenessSample-th message a client is delivered, clients in order — so
+// its histogram, reservoir included, is the hub's.
 
 type refEnt struct {
 	cell      spatial.CellKey
@@ -41,6 +44,13 @@ type refItem struct {
 	bytes  int32
 }
 
+// refMsg is one queued message: its size and the tick whose state it
+// carries.
+type refMsg struct {
+	bytes int32
+	tick  int64
+}
+
 type refConn struct {
 	focus, flushed spatial.Vec2
 	connected      bool // flushed once: flushed is the window clients hold
@@ -48,8 +58,9 @@ type refConn struct {
 	aoi            float64
 	budget         int
 	tier           Tier
-	queue          []qmsg
+	queue          []refMsg
 	qBytes         int
+	sampleCtr      int
 
 	msgs, bytes, snaps, drops int64
 }
@@ -61,6 +72,7 @@ type refHub struct {
 	log   []refItem
 	conns []*refConn
 	enc   wire.Enc
+	stale metrics.Histogram
 }
 
 func newRefHub(cfg HubConfig) *refHub {
@@ -148,7 +160,7 @@ func (r *refHub) despawn(id ID) {
 }
 
 func (r *refHub) push(c *refConn, bytes int32) {
-	c.queue = append(c.queue, qmsg{bytes: bytes, tick: r.tick})
+	c.queue = append(c.queue, refMsg{bytes: bytes, tick: r.tick})
 	c.qBytes += int(bytes)
 	for c.qBytes > r.cfg.MaxQueue && len(c.queue) > 0 {
 		c.qBytes -= int(c.queue[0].bytes)
@@ -260,6 +272,10 @@ func (r *refHub) flushConn(c *refConn) {
 		budget -= int(m.bytes)
 		c.msgs++
 		c.bytes += int64(m.bytes)
+		if c.sampleCtr++; c.sampleCtr == r.cfg.StalenessSample {
+			c.sampleCtr = 0
+			r.stale.Record(float64(r.tick - m.tick))
+		}
 	}
 	if c.qBytes > r.cfg.DegradeAt && c.tier < TierCosmetic {
 		c.tier++
@@ -270,9 +286,38 @@ func (r *refHub) flushConn(c *refConn) {
 
 // checkHubInvariants: the directory is a full box under its cap, every
 // entity sits in exactly one population at the slot its state names,
-// and lookups off every edge of the box answer the empty cell.
+// lookups off every edge of the box answer the empty cell, and every
+// client's backlog is well formed: sizes positive, QueuedBytes their
+// sum, spans in tick order that end exactly at its last message,
+// and no delivered prefix longer than what is still queued.
 func checkHubInvariants(t *testing.T, h *Hub) {
 	t.Helper()
+	for _, c := range h.conns {
+		if len(c.sums) == 0 {
+			if c.qBytes != 0 || c.head != 0 || len(c.spans) != 0 {
+				t.Fatalf("client %d: empty backlog with %d bytes queued, head %d, spans %v", c.ID, c.qBytes, c.head, c.spans)
+			}
+			continue
+		}
+		q := c.sums[c.head:]
+		if len(q) < 2 || int(q[len(q)-1]-q[0]) != c.qBytes || c.head >= len(q)-1 {
+			t.Fatalf("client %d: backlog sums %v from head %d, %d bytes queued", c.ID, c.sums, c.head, c.qBytes)
+		}
+		for i := 1; i < len(q); i++ {
+			if q[i] <= q[i-1] {
+				t.Fatalf("client %d: backlog sums %v not ascending", c.ID, q)
+			}
+		}
+		sp := c.spans[c.spanHead:]
+		if len(sp) == 0 || sp[0].end <= c.head || sp[len(sp)-1].end != len(c.sums)-1 {
+			t.Fatalf("client %d: spans %v from %d for messages [%d, %d)", c.ID, c.spans, c.spanHead, c.head, len(c.sums)-1)
+		}
+		for i := 1; i < len(sp); i++ {
+			if sp[i].end <= sp[i-1].end || sp[i].tick < sp[i-1].tick {
+				t.Fatalf("client %d: spans %v out of order", c.ID, sp)
+			}
+		}
+	}
 	if len(h.dir) != h.dirW*h.dirH || len(h.dir) > maxDirCells {
 		t.Fatalf("directory holds %d cells for a %d×%d box (cap %d)", len(h.dir), h.dirW, h.dirH, maxDirCells)
 	}
@@ -309,11 +354,19 @@ func checkHubInvariants(t *testing.T, h *Hub) {
 	}
 }
 
-func runHubModel(t *testing.T, seed int64) {
+// sameStaleness compares two staleness histograms on everything a
+// report reads: count, sum, max and the tail quantile off the reservoir.
+func sameStaleness(a, b *metrics.Histogram) bool {
+	return a.Count() == b.Count() && a.Sum() == b.Sum() && a.Max() == b.Max() &&
+		a.Quantile(0.99) == b.Quantile(0.99)
+}
+
+// runHubModel drives the hub and refHub through one seeded scenario of
+// the given length and fails at the first tick they disagree. It
+// reports whether the directory grew past each of its four edges.
+func runHubModel(t *testing.T, seed int64, cfg HubConfig, ticks int64) (h *Hub, grewAll bool) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	cfg := HubConfig{
-		Specs: hubSpecs(), Cell: 32, ByteBudget: 120, MaxQueue: 1200,
-	}
 	h, ref := NewHub(cfg), newRefHub(cfg)
 	var conns []*Conn
 
@@ -334,7 +387,7 @@ func runHubModel(t *testing.T, seed int64) {
 	where := map[ID]spatial.Vec2{}
 	grewLeft, grewRight, grewUp, grewDown := false, false, false, false
 
-	for tick := int64(1); tick <= 120; tick++ {
+	for tick := int64(1); tick <= ticks; tick++ {
 		reach += 25
 		h.BeginTick(tick)
 		ref.beginTick(tick)
@@ -422,18 +475,48 @@ func runHubModel(t *testing.T, seed int64) {
 			t.Fatalf("seed %d tick %d: hub totals %d msgs %d bytes, clients sum to %d / %d",
 				seed, tick, h.MsgsTotal.Load(), h.BytesTotal.Load(), msgs, bytes)
 		}
+		if !sameStaleness(&h.Staleness, &ref.stale) {
+			t.Fatalf("seed %d tick %d: hub staleness count=%d sum=%v max=%v p99=%v, reference count=%d sum=%v max=%v p99=%v",
+				seed, tick, h.Staleness.Count(), h.Staleness.Sum(), h.Staleness.Max(), h.Staleness.Quantile(0.99),
+				ref.stale.Count(), ref.stale.Sum(), ref.stale.Max(), ref.stale.Quantile(0.99))
+		}
 	}
-	if !(grewLeft && grewRight && grewUp && grewDown) {
-		t.Fatalf("seed %d: directory grew left=%v right=%v up=%v down=%v, want all four", seed, grewLeft, grewRight, grewUp, grewDown)
-	}
-	if h.StrayTotal.Load() == 0 || h.DropTotal.Load() == 0 || h.DegradeTotal.Load() == 0 || h.SnapshotTotal.Load() == 0 {
-		t.Fatalf("seed %d: scenario too gentle: strays=%d drops=%d degrades=%d snapshots=%d", seed,
-			h.StrayTotal.Load(), h.DropTotal.Load(), h.DegradeTotal.Load(), h.SnapshotTotal.Load())
-	}
+	return h, grewLeft && grewRight && grewUp && grewDown
 }
 
 func TestHubModel(t *testing.T) {
+	cfg := HubConfig{Specs: hubSpecs(), Cell: 32, ByteBudget: 120, MaxQueue: 1200}
 	for seed := int64(1); seed <= 12; seed++ {
-		runHubModel(t, seed)
+		h, grewAll := runHubModel(t, seed, cfg, 120)
+		if !grewAll {
+			t.Fatalf("seed %d: the directory did not grow past all four edges", seed)
+		}
+		if h.StrayTotal.Load() == 0 || h.DropTotal.Load() == 0 || h.DegradeTotal.Load() == 0 ||
+			h.SnapshotTotal.Load() == 0 || h.Staleness.Max() == 0 {
+			t.Fatalf("seed %d: scenario too gentle: strays=%d drops=%d degrades=%d snapshots=%d max staleness=%v", seed,
+				h.StrayTotal.Load(), h.DropTotal.Load(), h.DegradeTotal.Load(), h.SnapshotTotal.Load(), h.Staleness.Max())
+		}
 	}
+}
+
+// FuzzHubModel runs short model scenarios over the hub's delivery knobs:
+// budgets from one byte (every drain cuts after the first message) to
+// two MTUs, backlog caps from one byte up, every sampling rate and
+// thinning period, so budget cuts and drops land at every offset inside
+// a run.
+func FuzzHubModel(f *testing.F) {
+	f.Add(int64(1), uint16(120), uint16(1200), uint8(16), uint8(4))
+	f.Add(int64(2), uint16(1), uint16(0), uint8(1), uint8(1))
+	f.Add(int64(3), uint16(2999), uint16(40), uint8(3), uint8(2))
+	f.Add(int64(4), uint16(37), uint16(301), uint8(7), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, budget, maxQueue uint16, sample, thinning uint8) {
+		cfg := HubConfig{
+			Specs: hubSpecs(), Cell: 32,
+			ByteBudget:      1 + int(budget)%3000,
+			MaxQueue:        int(maxQueue), // 0: the default, 32 budgets
+			StalenessSample: int(sample % 64),
+			CoarseThinning:  int64(thinning % 8),
+		}
+		runHubModel(t, seed, cfg, 30)
+	})
 }

@@ -108,8 +108,10 @@ func (r Rect) Height() float64 { return r.Max.Y - r.Min.Y }
 // Dist2 returns the squared distance from p to the rectangle (zero when p
 // is inside). KNN search uses it to prune subtrees.
 func (r Rect) Dist2(p Vec2) float64 {
-	dx := math.Max(0, math.Max(r.Min.X-p.X, p.X-r.Max.X))
-	dy := math.Max(0, math.Max(r.Min.Y-p.Y, p.Y-r.Max.Y))
+	// The builtin max treats NaN and signed zeros as math.Max does and
+	// compiles inline.
+	dx := max(0, r.Min.X-p.X, p.X-r.Max.X)
+	dy := max(0, r.Min.Y-p.Y, p.Y-r.Max.Y)
 	return dx*dx + dy*dy
 }
 
