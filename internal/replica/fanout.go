@@ -21,22 +21,21 @@ package replica
 // shard.FeedPump): the feed's dirty sets name exactly the
 // (table, column, id) cells that could need shipping, so intake costs
 // O(dirty + due). A flush then runs set-at-a-time: it seals each cell
-// written this tick into runs — byte prefix sums over the cell's events,
-// over its updates under each tier filter, over its population's
-// snapshots and removals — and marks the cells with traffic in a bitmap
-// over the directory. A client then costs O(cover rows + cells with
-// traffic in view + backlog spans touched): a run is delivered, dropped
-// or queued whole by its totals, only the run a budget or the backlog
-// cap cuts is binary-searched, and only what the budget cannot carry is
-// copied into the client's backlog. Nothing is O(entities × clients),
-// nor O(messages) for a client that keeps up.
+// with traffic this tick into runs — byte prefix sums over the cell's
+// events and over its updates under each tier filter — and marks it in
+// a bitmap over the directory. A client then costs O(cover rows + cells
+// with traffic in view + backlog spans touched), plus the populations a
+// moved window gains or loses: a run is delivered, dropped or queued
+// whole by its totals, only the run a budget or the backlog cap cuts is
+// binary-searched, and only what the budget cannot carry is copied into
+// the client's backlog. Nothing is O(entities × clients), nor
+// O(messages) for a client that keeps up.
 //
 // Concurrency contract: BeginTick / Spawn / Update / Despawn /
 // MoveClient / AddClient run single-threaded between flushes; FlushTick
 // seals on the calling goroutine, then fans per-client work across the
 // worker pool, reading the cell directory and the sealed runs
-// immutably. One FlushTick closes one tick: it delivers the cells
-// written since the last one. Per-client streams are independent and every
+// immutably. Per-client streams are independent and every
 // pass a flush makes is over a slice in intake order (a cell's events,
 // its updates, its population), so two runs of one call sequence agree
 // exactly on every Conn's tallies and on every TickReport, whatever the
@@ -204,26 +203,21 @@ type member struct {
 // population. events and updates count only while epoch equals the
 // hub's; BeginTick empties every cell by advancing that, and cellFor
 // truncates a stale cell's lists before the first write of the tick.
-//
-// The runs are what seal derives from those lists for the flush
-// workers when sealed lags the hub's seal count, which cellFor arranges
-// on every write: evs is the events' run, runs[top] the run of the
-// updates whose class is at most top (every class, no Cosmetic, Exact
-// only — the three tier filters), both in the hub's arena and good only
-// while the cell has traffic this tick; snaps and removes are the
-// population's snapshot and removal messages.
 type cell struct {
-	// What a flush worker reads of a cell with traffic, together.
+	epoch   uint64
+	events  []event
+	updates []update
+	pop     []member
+}
+
+// liveCell is a cell with traffic this tick as seal lays it out for the
+// flush workers: its events, their run, and runs[top], the run of its
+// updates whose class is at most top (every class, no Cosmetic, Exact
+// only — the three tier filters).
+type liveCell struct {
 	events []event
 	evs    run
 	runs   [3]run
-
-	epoch   uint64
-	updates []update
-	pop     []member
-	sealed  uint64
-	snaps   run
-	removes run
 }
 
 // run is a sequence of messages as their cumulative sizes behind a base,
@@ -347,14 +341,15 @@ type Hub struct {
 	dueFree  [][]ID
 	dueEvals int
 
-	// touched lists the cells written since the last seal; seals
-	// counts seals. live marks, one bit per directory cell in rows of
-	// liveWords words, the cells with traffic this tick, and arena holds
-	// their runs.
+	// touched lists the cells written this tick. seal marks the ones
+	// with traffic in live, one bit per directory cell in rows of
+	// liveWords words; rank[w] counts the marks before word w, so a
+	// mark's rank is its cell's index in hot, whose runs are in arena.
 	touched   []spatial.CellKey
-	seals     uint64
 	live      []uint64
+	rank      []int32
 	liveWords int
+	hot       []liveCell
 	arena     []int64
 
 	conns   []*Conn
@@ -466,6 +461,7 @@ func (h *Hub) MoveClient(c *Conn, focus spatial.Vec2) {
 func (h *Hub) BeginTick(tick int64) {
 	h.tick = tick
 	h.epoch++
+	h.touched = h.touched[:0]
 	h.dueEvals = 0
 	due, ok := h.dueAt[tick]
 	if !ok {
@@ -633,9 +629,6 @@ func (h *Hub) cellFor(k spatial.CellKey) *cell {
 		c.epoch = h.epoch
 		c.events = c.events[:0]
 		c.updates = c.updates[:0]
-	}
-	if c.sealed != h.seals+1 {
-		c.sealed = h.seals + 1
 		h.touched = append(h.touched, k)
 	}
 	return c
@@ -703,47 +696,54 @@ func subscribed(focus spatial.Vec2, aoi, cell float64, k spatial.CellKey) bool {
 	return k.Rect(cell).Dist2(focus) <= aoi*aoi
 }
 
-// seal readies the cells written since the last flush for the flush
-// workers. Each gets its population's snapshot and removal runs:
-// populations change only in written cells, so every other cell's still
-// hold. Each with traffic this tick gets its mark in the live map and
-// the runs of its events and of its updates under each tier filter, laid
-// out in the hub's per-tick arena — grown once up front, so every run
-// lands in the one array.
+// seal readies the tick's traffic for the flush workers: each cell
+// written this tick that has any gets its mark in the live map and, at
+// the mark's rank, a liveCell in hot whose runs are laid out in the
+// arena — grown once up front, so every run lands in the one array — and
+// the workers read one dense array instead of the directory.
 func (h *Hub) seal() {
 	words := (h.dirW + 63) >> 6
 	if n := words * h.dirH; len(h.live) != n || h.liveWords != words {
-		h.live, h.liveWords = make([]uint64, n), words
+		h.live, h.rank, h.liveWords = make([]uint64, n), make([]int32, n), words
 	} else {
 		clear(h.live)
+	}
+	// mark is where a cell's bit goes.
+	mark := func(i int) (int, uint64) {
+		x := i % h.dirW
+		return i/h.dirW*words + x>>6, 1 << (x & 63)
 	}
 	need := 0
 	for _, k := range h.touched {
 		i, _ := h.index(k)
-		c := &h.dir[i]
-		c.snaps, _ = sealRun(c.snaps.sums[:0], c.pop, func(m member) (int32, bool) { return m.snapBytes, true })
-		c.removes, _ = sealRun(c.removes.sums[:0], c.pop, func(m member) (int32, bool) { return m.removeBytes, true })
-		if c.epoch == h.epoch && len(c.events)+len(c.updates) > 0 {
-			x := i % h.dirW
-			h.live[i/h.dirW*words+x>>6] |= 1 << (x & 63)
-			need += len(c.events) + 1 + len(c.runs)*(len(c.updates)+1)
+		if c := &h.dir[i]; len(c.events)+len(c.updates) > 0 {
+			w, bit := mark(i)
+			h.live[w] |= bit
+			need += len(c.events) + 1 + len(liveCell{}.runs)*(len(c.updates)+1)
 		}
 	}
+	n := int32(0)
+	for w, marks := range h.live {
+		h.rank[w] = n
+		n += int32(bits.OnesCount64(marks))
+	}
+	h.hot = slices.Grow(h.hot[:0], int(n))[:n]
 	arena := slices.Grow(h.arena[:0], need)
 	for _, k := range h.touched {
 		i, _ := h.index(k)
 		c := &h.dir[i]
-		if c.epoch != h.epoch || len(c.events)+len(c.updates) == 0 {
-			continue // written on an earlier tick: nothing to deliver now
+		if len(c.events)+len(c.updates) == 0 {
+			continue
 		}
-		c.evs, arena = sealRun(arena, c.events, func(e event) (int32, bool) { return e.bytes, true })
-		for top := range c.runs {
-			c.runs[top], arena = sealRun(arena, c.updates, func(u update) (int32, bool) { return u.bytes, u.class <= Class(top) })
+		w, bit := mark(i)
+		lc := &h.hot[h.rank[w]+int32(bits.OnesCount64(h.live[w]&(bit-1)))]
+		lc.events = c.events
+		lc.evs, arena = sealRun(arena, c.events, func(e event) (int32, bool) { return e.bytes, true })
+		for top := range lc.runs {
+			lc.runs[top], arena = sealRun(arena, c.updates, func(u update) (int32, bool) { return u.bytes, u.class <= Class(top) })
 		}
 	}
 	h.arena = arena
-	h.touched = h.touched[:0]
-	h.seals++
 }
 
 // sealRun appends the messages of xs that size passes to buf as a run,
@@ -771,6 +771,7 @@ type flushTally struct {
 	keys   []spatial.CellKey // the client's new cover, as CellCover lists it
 	cover  []coverRow        // the same, as rows
 	fresh  []spatial.CellKey // cells the cover gained this flush, row-major
+	pops   []int64           // the runs of the populations it gained and lost
 	segs   []run             // this tick's stream in delivery order, from next on
 	next   int               // the first run not yet delivered or dropped
 	msgs   int               // the messages in segs[next:]
@@ -870,7 +871,8 @@ func (r coverRow) has(x int) bool { return int(r.x0) <= x && x <= int(r.x1) }
 // the cap or the budget cuts costs a binary search.
 func (h *Hub) flushConn(c *Conn, tl *flushTally) {
 	var fs flushStats
-	tl.segs, tl.next, tl.msgs, tl.stream, tl.fresh = tl.segs[:0], 0, 0, 0, tl.fresh[:0]
+	tl.segs, tl.next, tl.msgs, tl.stream = tl.segs[:0], 0, 0, 0
+	tl.fresh, tl.pops = tl.fresh[:0], tl.pops[:0]
 	if c.coverDirty {
 		h.moveWindow(c, tl, &fs)
 	}
@@ -942,15 +944,16 @@ func (h *Hub) moveWindow(c *Conn, tl *flushTally, fs *flushStats) {
 		}
 		for x := int(min(o.x0, r.x0)); x <= int(max(o.x1, r.x1)); x++ {
 			k := spatial.CellKey{X: int32(x), Y: r.y}
+			var pop run
 			switch in := r.has(x); {
 			case in && !o.has(x):
-				ct := h.lookup(k)
-				tl.push(ct.snaps)
-				fs.snaps += int64(len(ct.pop))
+				pop, tl.pops = sealRun(tl.pops, h.lookup(k).pop, func(m member) (int32, bool) { return m.snapBytes, true })
+				fs.snaps += int64(len(pop.sums) - 1)
 				tl.fresh = append(tl.fresh, k)
 			case !in && o.has(x):
-				tl.push(h.lookup(k).removes)
+				pop, tl.pops = sealRun(tl.pops, h.lookup(k).pop, func(m member) (int32, bool) { return m.removeBytes, true })
 			}
+			tl.push(pop)
 		}
 	}
 	c.cover = append(c.cover[:0], rows...)
@@ -977,7 +980,7 @@ func (h *Hub) collect(c *Conn, tl *flushTally, fs *flushStats) {
 		if uint(y) >= uint(h.dirH) || x0 > x1 {
 			continue
 		}
-		marks := h.live[y*h.liveWords:]
+		marks, ranks := h.live[y*h.liveWords:], h.rank[y*h.liveWords:]
 		for w := x0 >> 6; w <= x1>>6; w++ {
 			word := marks[w]
 			if w == x0>>6 {
@@ -995,11 +998,11 @@ func (h *Hub) collect(c *Conn, tl *flushTally, fs *flushStats) {
 				if fn < len(fresh) && fresh[fn] == k {
 					continue
 				}
-				ct := &h.dir[y*h.dirW+w<<6+b]
-				if len(ct.events) > 0 {
-					h.pushEvents(c, ct, tl, fs)
+				lc := &h.hot[ranks[w]+int32(bits.OnesCount64(marks[w]&(1<<b-1)))]
+				if len(lc.events) > 0 {
+					h.pushEvents(c, lc, tl, fs)
 				}
-				tl.push(ct.runs[top])
+				tl.push(lc.runs[top])
 			}
 		}
 	}
@@ -1008,9 +1011,9 @@ func (h *Hub) collect(c *Conn, tl *flushTally, fs *flushStats) {
 // pushEvents streams a live cell's events in intake order, as runs of
 // the ones this window ships: an entity moving between two cells it
 // covers is already visible, the deltas carry it.
-func (h *Hub) pushEvents(c *Conn, ct *cell, tl *flushTally, fs *flushStats) {
+func (h *Hub) pushEvents(c *Conn, lc *liveCell, tl *flushTally, fs *flushStats) {
 	from := 0
-	for e, ev := range ct.events {
+	for e, ev := range lc.events {
 		ship := true
 		switch ev.kind {
 		case evSpawn:
@@ -1023,11 +1026,11 @@ func (h *Hub) pushEvents(c *Conn, ct *cell, tl *flushTally, fs *flushStats) {
 			ship = !subscribed(c.Focus, c.AOI, h.cfg.Cell, ev.other)
 		}
 		if !ship {
-			tl.push(sumsRun(ct.evs.sums[from : e+1]))
+			tl.push(sumsRun(lc.evs.sums[from : e+1]))
 			from = e + 1
 		}
 	}
-	tl.push(sumsRun(ct.evs.sums[from:]))
+	tl.push(sumsRun(lc.evs.sums[from:]))
 }
 
 // consume takes from the front of the client's backlog-then-stream the
