@@ -699,8 +699,8 @@ func subscribed(focus spatial.Vec2, aoi, cell float64, k spatial.CellKey) bool {
 // seal readies the tick's traffic for the flush workers: each cell
 // written this tick that has any gets its mark in the live map and, at
 // the mark's rank, a liveCell in hot whose runs are laid out in the
-// arena — grown once up front, so every run lands in the one array — and
-// the workers read one dense array instead of the directory.
+// arena — grown once up front, so every run lands in the one array. The
+// directory's cells, which maxDirCells bounds, carry none of it.
 func (h *Hub) seal() {
 	words := (h.dirW + 63) >> 6
 	if n := words * h.dirH; len(h.live) != n || h.liveWords != words {
