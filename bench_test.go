@@ -658,7 +658,7 @@ func BenchmarkE22CrossShardEffects(b *testing.B) {
 	}
 }
 
-// BenchmarkE19ReplicaFanout pumps the border crowd's sealed change feeds
+// BenchmarkE19ReplicaFanout pumps the border crowd's owned rows
 // through the replica hub into 1k/10k delta-encoded client windows and
 // prices the outward bytes per tick.
 func BenchmarkE19ReplicaFanout(b *testing.B) {
@@ -668,7 +668,7 @@ func BenchmarkE19ReplicaFanout(b *testing.B) {
 		rt, err := shard.New(shard.Config{
 			Seed: 42, Shards: 4, World: spatial.NewRect(0, 0, side, side),
 			TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-			GhostFields: border.GhostFields, ChangeFeed: true,
+			GhostFields: border.GhostFields,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -1,11 +1,11 @@
 // Command replicasim races a synthetic client crowd against a sharded
-// world: the runtime ticks a scenario, each tick's sealed change feeds
-// pump the dirty rows into a replica fan-out hub, and the hub ships
+// world: the runtime ticks a scenario, a FeedPump offers every owned
+// row to a replica fan-out hub each tick, and the hub ships
 // delta-encoded updates to every client window under per-client byte
 // budgets — reporting fan-out bytes/tick, staleness percentiles and
 // tier degradation. The point is the scaling shape: per-tick fan-out
-// work is O(dirty rows + clients touched), so six-figure client counts
-// ride on the shard worlds' per-tick change feeds.
+// work is O(owned rows + clients touched), so six-figure client counts
+// ride on one pass over the shard worlds' rows.
 //
 //	replicasim                                  # 10k clients, border crowd
 //	replicasim -clients 100000 -ticks 100       # the 100k regime
@@ -71,9 +71,6 @@ func main() {
 		CellSize:  16,
 		TickDT:    0.5,
 		GhostBand: 24,
-		// The hub consumes the feeds; shard worlds record them only
-		// when asked.
-		ChangeFeed: true,
 	})
 	rt, err := shard.New(cfg)
 	if err != nil {

@@ -74,7 +74,6 @@ func main() {
 	every := flag.Int("report", 10, "print stats every N ticks")
 	workers := flag.Int("workers", 1, "query-phase and trigger-round worker goroutines (state is identical for any value)")
 	conflict := flag.String("conflict", world.ConflictLastWrite, "conflict policy for conflicting assignments: lastwrite | occ")
-	feed := flag.Bool("feed", false, "record a per-tick change feed (dirty (table, column, id) cells; state identical either way)")
 	jsonOut := flag.Bool("json", false, "emit a machine-readable benchmark record on stdout")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON of the run's tick spans to this file")
 	profileOn := flag.Bool("profile", false, "collect and print the per-behavior / per-rule profile")
@@ -130,7 +129,7 @@ func main() {
 
 	w := world.New(world.Config{
 		Seed: *seed, Workers: *workers, ConflictPolicy: *conflict,
-		ChangeFeed: *feed, Trace: tracer.Context(0), Profile: prof,
+		Trace: tracer.Context(0), Profile: prof,
 	})
 	if sc != nil {
 		// The same pack and spawn stream the registry seeds into every
@@ -157,7 +156,6 @@ func main() {
 	var effects, conflicts, retries, aborts, queryNS, applyNS, triggerNS int64
 	var trigFired, trigRounds, trigEffects, trigConflicts int64
 	var fwd, remoteMerged, remoteInval int64
-	var feedCells int64
 	scriptErrors, scriptSkips := 0, 0
 	entityTicks := 0
 	lastPrinted := false
@@ -188,11 +186,6 @@ func main() {
 		fwd += int64(st.EffectsForwarded)
 		remoteMerged += int64(st.EffectsRemoteMerged)
 		remoteInval += int64(st.RemoteInvalidations)
-		if *feed {
-			// Rotate after each Step the way the shard barrier does; the
-			// sealed window holds exactly this tick's dirty cells.
-			feedCells += int64(w.RotateFeed().CellCount())
-		}
 		scriptErrors += st.ScriptErrors
 		scriptSkips += st.ScriptSkips
 		entityTicks += st.Entities
@@ -240,8 +233,6 @@ func main() {
 				"ticks":                 *ticks,
 				"conflict_policy":       *conflict,
 				"effects_per_tick":      float64(effects) / float64(*ticks),
-				"change_feed":           *feed,
-				"feed_cells_per_tick":   float64(feedCells) / float64(*ticks),
 				"effect_conflicts":      conflicts,
 				"effect_retries":        retries,
 				"effect_aborts":         aborts,

@@ -82,9 +82,8 @@ type Options struct {
 	Checkpoint persist.Policy
 
 	// ReplicaFields enables client replication of the named numeric
-	// columns with per-field consistency classes: the shard worlds record
-	// change feeds, and every tick pumps them into the engine's Hub.
-	// Empty disables it.
+	// columns with per-field consistency classes: every tick pumps the
+	// rows the shards own into the engine's Hub. Empty disables it.
 	ReplicaFields []replica.FieldSpec
 	// AOICell sizes the hub's interest cells (default 4×CellSize).
 	AOICell float64
@@ -135,7 +134,6 @@ func New(opts Options) (*Engine, error) {
 		GhostBand:      opts.GhostBand,
 		GhostFields:    opts.GhostFields,
 		RebalanceEvery: opts.RebalanceEvery,
-		ChangeFeed:     len(opts.ReplicaFields) > 0,
 	})
 	if err != nil {
 		return nil, err
@@ -200,8 +198,8 @@ func (e *Engine) Tick() (shard.StepStats, error) {
 	return st, nil
 }
 
-// replicate pumps the shards' sealed change feeds into the hub and
-// flushes it to the clients.
+// replicate pumps the shards' owned rows into the hub and flushes it to
+// the clients.
 func (e *Engine) replicate() {
 	if e.pump != nil {
 		e.pump.Pump()

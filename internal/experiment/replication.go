@@ -10,10 +10,10 @@ import (
 	"gamedb/internal/spatial"
 )
 
-// E19ChangeFeedReplication measures the client-facing consumer of the
-// per-tick change feed: the border crowd's sealed feeds pumped into the
-// replica hub and fanned to 1k/10k/100k synthetic clients with
-// per-client interest windows, delta encoding and tier degradation;
+// E19ChangeFeedReplication measures client replication: the border
+// crowd's owned rows pumped into the replica hub every tick and fanned
+// to 1k/10k/100k synthetic clients with per-client interest windows,
+// delta encoding and tier degradation;
 // bytes/tick and staleness percentiles size the outward bandwidth the
 // paper's consistency tiers buy.
 func E19ChangeFeedReplication(quick bool) *metrics.Table {
@@ -30,7 +30,7 @@ func E19ChangeFeedReplication(quick bool) *metrics.Table {
 		rt, err := shard.New(shard.Config{
 			Seed: 42, Shards: 4, World: spatial.NewRect(0, 0, fanSide, fanSide),
 			TickDT: 0.5, GhostBand: 20, Workers: 4, ScriptFuel: 1 << 40,
-			GhostFields: border.GhostFields, ChangeFeed: true,
+			GhostFields: border.GhostFields,
 		})
 		if err != nil {
 			panic(fmt.Sprintf("E19: %v", err))

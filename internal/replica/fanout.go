@@ -1,6 +1,6 @@
 package replica
 
-// The outward-facing half of change-feed replication: a Hub fans one
+// The outward-facing half of replication: a Hub fans one
 // authoritative world's per-tick deltas out to very many clients (the
 // 100k-client regime the paper's MMO discussion targets) with the
 // bandwidth levers games actually use:
@@ -17,19 +17,20 @@ package replica
 //     always ship — the paper's "uncontested activity may be out of
 //     sync" tier, applied per client under backpressure.
 //
-// The hub is driven from a shard runtime's sealed change feeds (see
-// shard.FeedPump): the feed's dirty sets name exactly the
-// (table, column, id) cells that could need shipping, so intake costs
-// O(dirty + due). A flush then runs set-at-a-time: it seals each cell
-// with traffic this tick into runs — byte prefix sums over the cell's
-// events and over its updates under each tier filter — and marks it in
-// a bitmap over the directory. A client then costs O(cover rows + cells
-// with traffic in view + backlog spans touched), plus the populations a
-// moved window gains or loses: a run is delivered, dropped or queued
-// whole by its totals, only the run a budget or the backlog cap cuts is
-// binary-searched, and only what the budget cannot carry is copied into
-// the client's backlog. Nothing is O(entities × clients), nor
-// O(messages) for a client that keeps up.
+// The hub is driven by shard.FeedPump, which offers it every row the
+// shards own each tick. An offer is evaluated against the entity's
+// last-shipped baseline, and the due index re-evaluates declined values
+// at the tick they come due, so an unchanged row ships nothing and
+// intake costs O(owned rows + due). A flush then runs set-at-a-time: it
+// seals each cell with traffic this tick into runs — byte prefix sums
+// over the cell's events and over its updates under each tier filter —
+// and marks it in a bitmap over the directory. A client then costs
+// O(cover rows + cells with traffic in view + backlog spans touched),
+// plus the populations a moved window gains or loses: a run is
+// delivered, dropped or queued whole by its totals, only the run a
+// budget or the backlog cap cuts is binary-searched, and only what the
+// budget cannot carry is copied into the client's backlog. Nothing is
+// O(entities × clients), nor O(messages) for a client that keeps up.
 //
 // Concurrency contract: BeginTick / Spawn / Update / Despawn /
 // MoveClient / AddClient run single-threaded between flushes; FlushTick
@@ -521,10 +522,14 @@ func (h *Hub) DespawnEntity(id ID) {
 	delete(h.ents, id)
 }
 
-// UpdateEntity feeds one dirtied entity's current position and values:
-// cell transitions become enter/leave events, and each field evaluates
-// ShouldShip once against the global baseline (unknown ids spawn). A
-// position the hub cannot place (see StrayTotal) despawns the entity.
+// UpdateEntity offers one entity's current position and values: cell
+// transitions become enter/leave events, and each field evaluates
+// ShouldShip once against the global baseline (unknown ids spawn).
+// Offering an entity that has not changed ships nothing and leaves the
+// due index as it was, so a caller may offer every entity every tick.
+// A position the hub cannot place despawns the entity and counts in
+// StrayTotal once per offer, so a stray offered every tick counts every
+// tick.
 func (h *Hub) UpdateEntity(id ID, pos spatial.Vec2, vals []float64) {
 	es, ok := h.ents[id]
 	if !ok {

@@ -16,6 +16,10 @@ import (
 // UpdateEntity / DespawnEntity / AddClient / MoveClient / FlushTick,
 // checked every tick against refHub — a hub with no cell directory and
 // no due index — and against the directory's structural invariants.
+// Each tick the hub alone is also re-offered a random subset of its
+// entities, unchanged: shard.FeedPump offers every owned row every tick,
+// so an offer that changes nothing must ship nothing and leave the due
+// index as it was, or the hub drifts from the reference.
 //
 // refHub keeps a flat log of the tick's events and updates, scans every
 // entity's every field at every BeginTick (the full per-tick scan that
@@ -385,6 +389,8 @@ func runHubModel(t *testing.T, seed int64, cfg HubConfig, ticks int64) (h *Hub, 
 	strays := []float64{1e12, -1e12, math.NaN(), math.Inf(1), math.Inf(-1)}
 	id := func() ID { return ID(200 + rng.Intn(100)) } // two-byte varints
 	where := map[ID]spatial.Vec2{}
+	held := map[ID][]float64{} // the values last offered for each id in where
+	var live []ID
 	grewLeft, grewRight, grewUp, grewDown := false, false, false, false
 
 	for tick := int64(1); tick <= ticks; tick++ {
@@ -399,6 +405,7 @@ func runHubModel(t *testing.T, seed int64, cfg HubConfig, ticks int64) (h *Hub, 
 				h.DespawnEntity(e)
 				ref.despawn(e)
 				delete(where, e)
+				delete(held, e)
 			case p < 11: // a stray: despawns until a sane position arrives
 				e, at := id(), pos()
 				if rng.Intn(2) == 0 {
@@ -410,6 +417,7 @@ func runHubModel(t *testing.T, seed int64, cfg HubConfig, ticks int64) (h *Hub, 
 				h.UpdateEntity(e, at, vals)
 				ref.update(e, at, vals)
 				delete(where, e)
+				delete(held, e)
 			default:
 				e, at := id(), pos()
 				if old, ok := where[e]; ok && p < 60 {
@@ -426,12 +434,23 @@ func runHubModel(t *testing.T, seed int64, cfg HubConfig, ticks int64) (h *Hub, 
 				}
 				ref.update(e, at, vals)
 				where[e] = at
+				held[e] = vals
 			}
 			if w > 0 {
 				grewLeft = grewLeft || h.dirX < x
 				grewUp = grewUp || h.dirY < y
 				grewRight = grewRight || h.dirX+h.dirW > x+w
 				grewDown = grewDown || h.dirY+h.dirH > y+ht
+			}
+		}
+		live = live[:0]
+		for e := range where {
+			live = append(live, e)
+		}
+		slices.Sort(live)
+		for _, e := range live {
+			if rng.Intn(2) == 0 {
+				h.UpdateEntity(e, where[e], held[e])
 			}
 		}
 		if len(conns) < 24 && rng.Intn(3) == 0 {

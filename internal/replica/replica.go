@@ -90,13 +90,14 @@ func (f FieldSpec) ShouldShip(cur, sent float64, tick, sentTick int64) bool {
 
 // NextDue returns the future tick at which a diverged-but-declined
 // value becomes due to ship with no further writes, and whether such a
-// tick exists. It is the time-driven complement of ShouldShip that
-// makes dirty-set-driven replication exact: if ShouldShip(cur, sent,
-// tick, sentTick) returned false with cur != sent, then for every
-// t' in (tick, due) ShouldShip stays false and at t' == due it turns
-// true — so a consumer that re-evaluates dirty rows immediately and
-// due rows at their due tick ships exactly what a full per-tick scan
-// would.
+// tick exists. It is the time-driven complement of ShouldShip: if
+// ShouldShip(cur, sent, tick, sentTick) returned false with cur != sent,
+// then for every t' in (tick, due) ShouldShip stays false and at
+// t' == due it turns true. A consumer that re-evaluates changed rows
+// immediately and due rows at their due tick therefore ships exactly
+// what a full per-tick scan would — and re-evaluating an unchanged row
+// in between ships nothing, which is what lets shard.FeedPump perform
+// that full scan, offering every owned row every tick.
 //
 //   - Exact fields ship on any divergence, so a declined Exact
 //     evaluation means cur == sent: nothing pends.

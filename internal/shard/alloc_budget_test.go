@@ -159,7 +159,6 @@ func TestHubFlushAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-400, -400, 2400, 2400)
 	cfg.GhostFields = borderScenario.GhostFields
-	cfg.ChangeFeed = true
 	rt, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

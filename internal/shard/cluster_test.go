@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"slices"
 	"strings"
@@ -205,7 +206,6 @@ func TestFeedPumpOverTCPMatchesInProcess(t *testing.T) {
 		cfg := benchConfig(4)
 		cfg.World = spatial.NewRect(-400, -400, 2400, 2400)
 		cfg = borderScenario.Configure(cfg)
-		cfg.ChangeFeed = true
 		cl, _ := newGrid(t, cfg, transport)
 		if err := borderScenario.Seed(cl, Crowd{Units: 600, Side: 2000, Seed: 2009}); err != nil {
 			t.Fatal(err)
@@ -236,30 +236,40 @@ func TestFeedPumpOverTCPMatchesInProcess(t *testing.T) {
 		}
 		return out
 	}
-	want, got := run("inprocess"), run("tcp")
-	var sum tally
-	for i := range want {
-		sum.msgs += want[i].msgs
-		sum.drops += want[i].drops
-		if got[i] != want[i] {
-			t.Fatalf("client %d: tcp delivered %+v, in-process %+v", i, got[i], want[i])
+	// The pinned totals and per-client hash were recorded from the pump
+	// that read per-tick change feeds; pushing every owned row must
+	// deliver exactly what it did.
+	const (
+		wantMsgs, wantBytes, wantDrops = int64(171721), int64(2210121), int64(7840)
+		wantHash                       = uint64(0xef845567a36d4fd1)
+	)
+	for _, transport := range []string{"inprocess", "tcp"} {
+		var sum tally
+		h := fnv.New64a()
+		for _, c := range run(transport) {
+			sum.msgs += c.msgs
+			sum.bytes += c.bytes
+			sum.drops += c.drops
+			fmt.Fprintf(h, "%d/%d/%d;", c.msgs, c.bytes, c.drops)
 		}
-	}
-	if sum.msgs == 0 || sum.drops == 0 {
-		t.Fatalf("clients received %d messages and dropped %d — the crowd is not exercising the hub", sum.msgs, sum.drops)
+		if sum != (tally{wantMsgs, wantBytes, wantDrops}) || h.Sum64() != wantHash {
+			t.Fatalf("%s: clients received %d msgs, %d bytes, %d drops, hash %016x; want %d, %d, %d, %016x", transport,
+				sum.msgs, sum.bytes, sum.drops, h.Sum64(), wantMsgs, wantBytes, wantDrops, wantHash)
+		}
 	}
 }
 
 // TestFeedPumpAcrossRestore: a grid restored to an earlier barrier — on
 // either transport — replays the run it interrupted, and the hub it
 // feeds loses what the restore rolled back while its own tick keeps
-// counting: the feed of a restored world is tainted and records no
-// despawns, and the cluster's tick has gone back.
+// counting: the pump despawns whatever it offered that no shard owns
+// any more, whether a restore rolled it back or a host despawned it,
+// and the cluster's tick has gone back. After every pump the hub holds
+// exactly the grid's owned entities.
 func TestFeedPumpAcrossRestore(t *testing.T) {
 	for _, transport := range []string{"inprocess", "tcp"} {
 		cfg := clusterCfg(4, world.ConflictLastWrite)
 		cfg = borderScenario.Configure(cfg)
-		cfg.ChangeFeed = true
 		cl, hash := newGrid(t, cfg, transport)
 		if err := borderScenario.Seed(cl, Crowd{Units: 200, Side: 400, Seed: 7}); err != nil {
 			t.Fatal(err)
@@ -267,17 +277,23 @@ func TestFeedPumpAcrossRestore(t *testing.T) {
 		hub := borderHub(0)
 		hub.AddClient(0, spatial.Vec2{X: 200, Y: 200}, 120, 0)
 		pump := NewFeedPump(cl, hub)
+		pumpAndFlush := func() int64 {
+			t.Helper()
+			pump.Pump()
+			if hub.Entities() != cl.Entities() {
+				t.Fatalf("%s tick %d: hub holds %d entities, the grid %d", transport, cl.Tick(), hub.Entities(), cl.Entities())
+			}
+			return hub.FlushTick().Tick
+		}
 		step := func() (hubTick int64, h uint64) {
 			t.Helper()
 			if _, err := cl.Step(); err != nil {
 				t.Fatalf("%s: %v", transport, err)
 			}
 			checkWorlds(t, cl, transport)
-			pump.Pump()
-			return hub.FlushTick().Tick, hash()
+			return pumpAndFlush(), hash()
 		}
-		pump.Pump()
-		hub.FlushTick()
+		pumpAndFlush()
 		var hashes [5]uint64
 		for tick := int64(1); tick <= 3; tick++ {
 			if ht, h := step(); ht != tick {
@@ -313,9 +329,20 @@ func TestFeedPumpAcrossRestore(t *testing.T) {
 		if hubTick != 6 {
 			t.Fatalf("%s: hub opened tick %d after tick 5, want 6", transport, hubTick)
 		}
-		if hub.Entities() != cl.Entities() || slices.Contains(hub.AppendIDs(nil), replica.ID(id)) {
-			t.Fatalf("%s: hub holds %d entities, the grid %d; rolled-back %d still there: %v", transport,
-				hub.Entities(), cl.Entities(), id, slices.Contains(hub.AppendIDs(nil), replica.ID(id)))
+		if slices.Contains(hub.AppendIDs(nil), replica.ID(id)) {
+			t.Fatalf("%s: rolled-back %d is still on the hub", transport, id)
+		}
+
+		// A host despawn between ticks: the next pump drops it too.
+		w := cl.ShardWorld(1)
+		units, _ := w.Table("units")
+		gone := w.AppendOwned(nil, units)[0]
+		if err := w.Despawn(gone); err != nil {
+			t.Fatal(err)
+		}
+		step()
+		if slices.Contains(hub.AppendIDs(nil), replica.ID(gone)) || cl.Owner(gone) >= 0 {
+			t.Fatalf("%s: despawned %d is still on the hub (owner %d)", transport, gone, cl.Owner(gone))
 		}
 		if err := cl.Restore(snap[:len(snap)-1]); err == nil {
 			t.Fatalf("%s: a truncated snapshot restored", transport)

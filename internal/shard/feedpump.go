@@ -1,11 +1,14 @@
 package shard
 
-// FeedPump bridges a cluster's sealed change feeds into a replica
-// fan-out hub: the feed's dirty sets name exactly the rows that
-// could need client shipping this tick, so the hub's per-tick input is
-// O(dirty), not O(entities). Ghost mirrors are derived state and are
-// skipped — every entity reaches the hub exactly once, from the shard
-// that owns it.
+// FeedPump bridges a cluster's shards into a replica fan-out hub: every
+// tick it offers the hub every row the shards own, read off each
+// world's ascending owned list. The hub evaluates each offer against
+// the last-shipped baseline (replica.FieldSpec.NextDue's contract), so
+// an unchanged row ships nothing and registers nothing, and the pump
+// needs no record of what changed: spawns, handoffs and the rollbacks
+// of a Restore are rows like any other. Ghost mirrors are derived state
+// and are not owned — every entity reaches the hub exactly once, from
+// the shard that owns it.
 
 import (
 	"slices"
@@ -15,7 +18,7 @@ import (
 	"gamedb/internal/world"
 )
 
-// FeedPump feeds one cluster's change feeds to one Hub. Construct with
+// FeedPump feeds one cluster's owned rows to one Hub. Construct with
 // NewFeedPump, then call Pump after every Step (and once after the
 // initial Sync, to publish the seeded population); FlushTick on the hub
 // remains the caller's, so it can interleave client movement.
@@ -23,150 +26,84 @@ type FeedPump struct {
 	cl  *Cluster
 	hub *replica.Hub
 
-	ids    []entity.ID
-	hubIDs []replica.ID
-	vals   []float64
-	seen   map[entity.ID]struct{}
+	// ids holds this tick's owned ids in push order, one run per
+	// (shard, table) in runs; now is the same ids ascending, and prev
+	// last tick's now, so the ids no shard owns any more are prev \ now.
+	ids       []entity.ID
+	runs      []ownedRun
+	now, prev []entity.ID
+	vals      []float64
 	// last is the hub tick Pump opened last (-1 before the first). Hub
 	// ticks only count up: a Restore sends the cluster's back, never the
 	// hub's.
 	last int64
-	// names and cols are per-call scratch: a feed's table names in
-	// sorted order, and the replicated fields' column indices in the
-	// table being pushed.
-	names []string
-	cols  []int
+	// cols is per-run scratch: the replicated fields' column indices in
+	// the table being pushed.
+	cols []int
+}
+
+// ownedRun is one table's owned ids on one shard: ids[lo:hi].
+type ownedRun struct {
+	w      *world.World
+	t      *entity.Table
+	lo, hi int
 }
 
 // NewFeedPump wires g — a *Cluster, in-process or over TCP, or the
-// *Runtime wrapping one — to hub. Build it with Config.ChangeFeed: shard
-// worlds record change feeds only then.
+// *Runtime wrapping one — to hub.
 func NewFeedPump(g interface{ cluster() *Cluster }, hub *replica.Hub) *FeedPump {
 	return &FeedPump{
 		cl:   g.cluster(),
 		hub:  hub,
 		vals: make([]float64, len(hub.Specs())),
-		seen: make(map[entity.ID]struct{}),
 		last: -1,
 	}
 }
 
-// relevant reports whether a dirty column can change what clients see:
-// a replicated field, or a position column (which moves the entity
-// across interest cells even when position itself is not replicated).
-func (p *FeedPump) relevant(col string) bool {
-	if col == "x" || col == "y" {
-		return true
-	}
-	for _, sp := range p.hub.Specs() {
-		if sp.Name == col {
-			return true
-		}
-	}
-	return false
-}
-
-// Pump opens the hub tick at the cluster's current tick and forwards
-// the sealed windows: despawns first across all shards (skipping ids
-// that merely migrated — still owned somewhere), then per shard the
-// spawned ∪ dirtied rows in sorted id order. A tainted window (post-
-// Restore) records no despawns and vouches for no row, so Pump instead
-// despawns every hub entity no shard owns and pushes every owned row.
-// After a Restore the cluster's tick runs behind the hub's; the hub tick
-// then keeps counting from its own, since its due index and staleness
-// are keyed by it.
+// Pump opens the hub tick at the cluster's current tick, despawns every
+// id it offered last time that no shard owns now (in ascending id
+// order), then offers every owned row: shards in index order, each
+// shard's tables by name, ids ascending. After a Restore the cluster's
+// tick runs behind the hub's; the hub tick then keeps counting from its
+// own, since its due index and staleness are keyed by it.
 func (p *FeedPump) Pump() {
 	cl, hub := p.cl, p.hub
 	p.last = max(cl.Tick(), p.last+1)
 	hub.BeginTick(p.last)
-	n := cl.Shards()
-	tainted := false
-	for i := 0; i < n; i++ {
-		f := cl.ShardWorld(i).SealedFeed()
-		if f == nil {
-			continue
-		}
-		if f.Tainted() {
-			tainted = true
-		}
-		for _, tc := range f.Tables() {
-			for _, id := range tc.Despawned {
-				if cl.Owner(id) >= 0 {
-					continue // handoff: the new owner's spawn mark carries it
-				}
-				hub.DespawnEntity(replica.ID(id))
-			}
-		}
-	}
-	if tainted {
-		p.hubIDs = hub.AppendIDs(p.hubIDs[:0])
-		slices.Sort(p.hubIDs)
-		for _, id := range p.hubIDs {
-			if cl.Owner(entity.ID(id)) < 0 {
-				hub.DespawnEntity(id)
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
+
+	p.ids, p.runs = p.ids[:0], p.runs[:0]
+	for i := 0; i < cl.Shards(); i++ {
 		w := cl.ShardWorld(i)
-		f := w.SealedFeed()
-		if f == nil {
-			continue
-		}
-		p.names = p.names[:0]
-		for name := range f.Tables() {
-			p.names = append(p.names, name)
-		}
-		slices.Sort(p.names)
-		for _, name := range p.names {
-			tc := f.Table(name)
-			ids := p.ids[:0]
-			for _, id := range tc.Spawned {
-				if _, dup := p.seen[id]; dup {
-					continue
-				}
-				p.seen[id] = struct{}{}
-				ids = append(ids, id)
-			}
-			if tainted {
-				// Cannot trust the dirty sets: push the whole table.
-				t, _ := w.Table(name)
-				for _, id := range t.IDs() {
-					if _, dup := p.seen[id]; dup {
-						continue
-					}
-					p.seen[id] = struct{}{}
-					ids = append(ids, id)
-				}
-			} else {
-				for col, set := range tc.Cols {
-					if !p.relevant(col) {
-						continue
-					}
-					for id := range set {
-						if _, dup := p.seen[id]; dup {
-							continue
-						}
-						p.seen[id] = struct{}{}
-						ids = append(ids, id)
-					}
-				}
-			}
-			clear(p.seen)
-			slices.Sort(ids)
-			p.ids = ids
+		for _, name := range w.TableNames() {
 			t, _ := w.Table(name)
-			p.pushRows(t, w, ids)
+			lo := len(p.ids)
+			p.ids = w.AppendOwned(p.ids, t)
+			if len(p.ids) > lo {
+				p.runs = append(p.runs, ownedRun{w: w, t: t, lo: lo, hi: len(p.ids)})
+			}
 		}
+	}
+	p.now = append(p.now[:0], p.ids...)
+	slices.Sort(p.now)
+	j := 0
+	for _, id := range p.prev {
+		for j < len(p.now) && p.now[j] < id {
+			j++
+		}
+		if j == len(p.now) || p.now[j] != id {
+			hub.DespawnEntity(replica.ID(id))
+		}
+	}
+	p.prev, p.now = p.now, p.prev
+
+	for _, r := range p.runs {
+		p.pushRows(r.t, r.w, p.ids[r.lo:r.hi])
 	}
 }
 
 // pushRows reads each owned row's position and replicated fields and
 // hands them to the hub.
 func (p *FeedPump) pushRows(t *entity.Table, w *world.World, ids []entity.ID) {
-	if t == nil {
-		return
-	}
 	specs := p.hub.Specs()
 	s := t.Schema()
 	cols := p.cols[:0]
@@ -179,17 +116,11 @@ func (p *FeedPump) pushRows(t *entity.Table, w *world.World, ids []entity.ID) {
 	}
 	p.cols = cols
 	for _, id := range ids {
-		if w.IsGhost(id) {
-			continue
-		}
-		r, ok := t.RowIndex(id)
-		if !ok {
-			continue // dirtied then despawned within the tick
-		}
 		pos, ok := w.Pos(id)
 		if !ok {
 			continue
 		}
+		r, _ := t.RowIndex(id)
 		for fi, ci := range cols {
 			if ci < 0 {
 				p.vals[fi] = 0

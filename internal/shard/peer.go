@@ -606,8 +606,8 @@ func (p *Peer) sendBarrier() {
 
 // applyBarrier collects and applies the inbound round C: migrations in
 // ascending id order — inbound inserts and outbound despawns interleaved
-// by id, so every shard count lands on the same world — then the change
-// feed's window seal, then the mirror sweep and refresh.
+// by id, so every shard count lands on the same world — then the mirror
+// sweep and refresh.
 func (p *Peer) applyBarrier(st *StepStats) error {
 	bufs, err := p.collectRound(frameBarrier)
 	if err != nil {
@@ -657,12 +657,6 @@ func (p *Peer) applyBarrier(st *StepStats) error {
 		out++
 	}
 	st.Handoffs = len(p.inMigs)
-	// Seal the change window here, once per barrier: it then holds the
-	// tick's writes, the exchange merge and the handoff, and mirror
-	// maintenance (which FeedPump would skip anyway) lands in the next.
-	if p.w.FeedEnabled() {
-		p.w.RotateFeed()
-	}
 
 	// Desired mirror set for this shard: inbound candidates plus the
 	// self-destined ones staged above (rows copied before any despawn).

@@ -72,11 +72,9 @@ type Config struct {
 	// ships. Defaults to x and y as Coarse fields (epsilon = 1% of a
 	// cell, MaxAge 20 ticks). Ghost creation always ships the full row.
 	GhostFields []replica.FieldSpec
-	// ChangeFeed turns on change-feed recording on every shard world:
-	// each barrier seals the window of owned-row writes since the last
-	// one. The replica fan-out layer (FeedPump) consumes the sealed
-	// feeds after each Step, so hosts serving clients set this; nothing
-	// else reads them.
+	// ChangeFeed is inert: nothing reads it. FeedPump reads the rows
+	// the shards own; the field is still declared only because
+	// bench/workloads.go assigns it (ROADMAP 1(g) deletes both together).
 	ChangeFeed bool
 
 	// Tracer records span-based tick traces (nil = tracing off): each
@@ -185,7 +183,6 @@ func newShardWorld(cfg Config, i, n int, pool *sched.Pool) *world.World {
 		EffectRetryCap: cfg.EffectRetryCap,
 		Trace:          cfg.Tracer.Context(i),
 		Profile:        cfg.Profile,
-		ChangeFeed:     cfg.ChangeFeed,
 	})
 	// Script-driven spawns allocate from disjoint residue classes so
 	// ids never collide across shards (or with coordinator ids).

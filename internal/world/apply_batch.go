@@ -136,21 +136,6 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 		}
 	}
 
-	// Batched writes skip change listeners, so the change feed takes
-	// its marks here, one MarkCol per group. Marks are supersets (a
-	// skipped or value-unchanged row still marks); consumers re-check
-	// values, so supersets cost evaluation, not correctness.
-	if w.feed != nil {
-		for i := range w.setBatches {
-			g := &w.setBatches[i]
-			w.feed.MarkCol(g.tab.Name(), g.col, g.ids)
-		}
-		for i := range w.addBatches {
-			g := &w.addBatches[i]
-			w.feed.MarkCol(g.tab.Name(), g.col, g.ids)
-		}
-	}
-
 	// Assignments first, then deltas over the post-assignment values —
 	// the same phase order as the row path. Batch-level skips count in
 	// the aggregate conflict tally only: the batch entry points report

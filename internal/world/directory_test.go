@@ -3,6 +3,7 @@ package world
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -221,8 +222,9 @@ func TestDirectoryRebindsLateScripts(t *testing.T) {
 // list of non-ghost records through the edits that queue or stale its
 // entries — a despawned id re-inserted under its recycled record, ghost
 // flips back and forth between syncs, an id below the crowd's —
-// the tick's roster is read off it in id order, and Check catches a list
-// out of order, short an entity or pointing at the wrong record.
+// the tick's roster is read off it in id order, AppendOwned reads a
+// table's owned ids off it between ticks, and Check catches a list out
+// of order, short an entity or pointing at the wrong record.
 func TestOwnedListTracksTheDirectory(t *testing.T) {
 	w := loadArena(t)
 	base := w.Entities()
@@ -267,10 +269,30 @@ func TestOwnedListTracksTheDirectory(t *testing.T) {
 	if err := w.InsertRow(500, "units", vals); err != nil { // below the crowd's ids
 		t.Fatal(err)
 	}
-	checkDir(t, w, "ghost flips and a low id")
+	props, err := w.CreateTable("props", entity.MustSchema(entity.Column{Name: "n", Kind: entity.KindInt}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.InsertRow(600, "props", []entity.Value{entity.Int(1)}); err != nil {
+		t.Fatal(err)
+	}
+	checkDir(t, w, "ghost flips, a low id and a prop")
+	if got := w.AppendOwned(nil, props); !slices.Equal(got, []entity.ID{600}) {
+		t.Fatalf("AppendOwned(props) = %v, want [600]", got)
+	}
+	var want []entity.ID
+	for _, id := range units.IDs() {
+		if !w.IsGhost(id) {
+			want = append(want, id)
+		}
+	}
+	slices.Sort(want)
+	if got := w.AppendOwned(nil, units); !slices.Equal(got, want) || slices.Contains(got, ids[8]) {
+		t.Fatalf("AppendOwned(units) = %v, want %v", got, want)
+	}
 	step("after the edits")
-	if n := len(w.dir.owned); n != base+12 {
-		t.Fatalf("owned list holds %d entities, want %d (one ghost among %d rows)", n, base+12, w.Entities())
+	if n := len(w.dir.owned); n != base+13 {
+		t.Fatalf("owned list holds %d entities, want %d (one ghost among %d rows)", n, base+13, w.Entities())
 	}
 
 	for _, corrupt := range []struct {

@@ -186,12 +186,6 @@ func (w *World) ResetState() {
 	w.nextID = 0
 	w.trig.Reset()
 	w.resetForwarding()
-	// State was replaced wholesale with no per-row marks: the current
-	// window can no longer vouch for unmarked rows. Consumers observing
-	// a tainted window fall back to full evaluation.
-	if w.feed != nil {
-		w.feed.Taint()
-	}
 	// The per-worker emission caches are keyed by the pre-reset epoch's
 	// table pointers, which no lookup will name again; drop them so the
 	// replaced tables are not pinned.

@@ -105,17 +105,6 @@ type Config struct {
 	// conflicts attributed back to the responsible unit. Like Trace,
 	// profiling is inert with respect to world state.
 	Profile *obs.Profiler
-	// ChangeFeed enables per-tick change-feed recording: every apply
-	// path marks the (table, column, id) cells it touches — row writes
-	// via change listeners, columnar batches via explicit marks, spawns
-	// and despawns via row lifecycle events — into a double-buffered
-	// entity.ChangeFeed the host rotates once per tick (RotateFeed).
-	// The feed is pure observation: recording never touches tables,
-	// effect ordering or RNG streams, so feed-on worlds stay
-	// hash-identical to feed-off worlds (the inertness tests pin this).
-	// The replica fan-out (shard.FeedPump) consumes the sealed feed;
-	// default off.
-	ChangeFeed bool
 }
 
 // World is a running game shard.
@@ -262,13 +251,6 @@ type World struct {
 	pendAborts       int
 	pendFuel         int64
 
-	// Change-feed double buffer (feed.go): feed accumulates the current
-	// window's dirty marks, sealedFeed holds the previous window for
-	// consumers. Both nil when Config.ChangeFeed is off, which keeps
-	// every marking site behind one nil check.
-	feed       *entity.ChangeFeed
-	sealedFeed *entity.ChangeFeed
-
 	// LastScriptError keeps the most recent behavior error for
 	// diagnostics; the tick itself continues (one bad designer script
 	// must not stop the shard).
@@ -379,10 +361,6 @@ func New(cfg Config) *World {
 	if w.prof != nil {
 		w.otherProf = w.prof.Entry("(physics)")
 	}
-	if cfg.ChangeFeed {
-		w.feed = entity.NewChangeFeed()
-		w.sealedFeed = entity.NewChangeFeed()
-	}
 	return w
 }
 
@@ -441,12 +419,6 @@ func (w *World) CreateTable(name string, s *entity.Schema) (*entity.Table, error
 	}
 	w.tableList = nil
 	t := entity.NewTable(name, s)
-	if w.feed != nil {
-		// The closure reads w.feed at notify time, not registration
-		// time, so listeners keep marking the accumulating buffer as
-		// RotateFeed swaps the pair underneath them.
-		t.OnChange(func(c entity.Change) { w.feed.Note(c) })
-	}
 	if isSpatial(s) {
 		t.OnChange(func(c entity.Change) {
 			if c.Kind != entity.ChangeUpdate || (c.Col != "x" && c.Col != "y") {
@@ -788,10 +760,8 @@ func (w *World) Set(id entity.ID, col string, v entity.Value) error {
 	return rec.tab.Set(id, col, v)
 }
 
-// SetMirror writes one column of a ghost mirror the way Set does — the
-// table's indexes and the spatial grid follow — but notes nothing in the
-// change feed: a mirror is derived state, and its owner's feed already
-// carries the write.
+// SetMirror writes one column of a ghost mirror the way Set does: the
+// table's indexes and the spatial grid follow.
 func (w *World) SetMirror(id entity.ID, col string, v entity.Value) error {
 	rec := w.dir.find(id)
 	if rec == nil || !rec.ghost {
@@ -855,31 +825,19 @@ func (w *World) Entities() int { return len(w.dir.at) }
 // minus ghost mirrors).
 func (w *World) LocalEntities() int { return len(w.dir.at) - w.dir.ghosts }
 
-// FeedEnabled reports whether per-tick change-feed recording is on.
-func (w *World) FeedEnabled() bool { return w.feed != nil }
-
-// RotateFeed seals the accumulating change window and starts a fresh
-// one, returning the sealed feed (nil when Config.ChangeFeed is off).
-// The two windows double-buffer: the previous sealed feed is reset and
-// becomes the new accumulator, so steady-state rotation allocates
-// nothing. The caller decides the window boundary — the shard runtime
-// rotates at each tick barrier, just before ghost reconcile, so one
-// window covers exactly the writes since the previous reconcile.
-func (w *World) RotateFeed() *entity.ChangeFeed {
-	if w.feed == nil {
-		return nil
+// AppendOwned appends to dst, in ascending id order, the ids of table
+// t's rows the world owns (every row but the ghost mirrors), and
+// returns the extended slice. It reads the directory's owned list, so
+// it costs one pass over the owned entities and probes no map.
+func (w *World) AppendOwned(dst []entity.ID, t *entity.Table) []entity.ID {
+	w.dir.sync()
+	for _, o := range w.dir.owned {
+		if w.dir.recs[o.rec].tab == t {
+			dst = append(dst, o.id)
+		}
 	}
-	sealed := w.feed
-	w.feed = w.sealedFeed
-	w.feed.Reset()
-	w.sealedFeed = sealed
-	return sealed
+	return dst
 }
-
-// SealedFeed returns the change window most recently sealed by
-// RotateFeed (nil when Config.ChangeFeed is off). The fan-out layer
-// reads it after a Step to encode per-client deltas.
-func (w *World) SealedFeed() *entity.ChangeFeed { return w.sealedFeed }
 
 // AppendGhostIDs appends the ids of all ghost mirrors to dst, unsorted
 // — the allocation-free variant of GhostIDs for per-barrier sweeps
