@@ -2,23 +2,24 @@ package world
 
 // The columnar apply path: the set-oriented execution the declarative
 // model promises (Sowell et al., "From Declarative Languages to
-// Declarative Processing in Computer Games"). Where the reference path
-// (applyAssignRows) walks the merged effect sequence row-at-a-time —
-// each record paying a table lookup, a column lookup, a kind check and
-// a change-notification sweep — the columnar path groups the merged
-// records by (table, column) and writes each group through one batch
-// call that resolves everything once. Position changes are not chased
-// through per-row change notifications either: every entity whose x/y
-// changed is accumulated during the group passes and the spatial grid
-// is re-synced by a single MoveSlots flush.
+// Declarative Processing in Computer Games"). Rather than walk the
+// merged effect sequence row-at-a-time — each record paying a table
+// lookup, a column lookup, a kind check and a change-notification
+// sweep — the apply groups the merged records by (table, column) and
+// writes each group through one batch call that resolves everything
+// once. Position changes are not chased through per-row change
+// notifications either: every entity whose x/y changed is accumulated
+// during the group passes and the spatial grid is re-synced by a single
+// MoveSlots flush.
 //
 // Determinism is inherited, not re-established: groups form in merged
 // (source id, source order) order and preserve it per (entity, column),
 // assignments still apply before deltas, and deltas still sum in merged
-// order — so the columnar result is bit-identical to applyAssignRows
-// for any Shards × Workers combination (the equivalence tests pin
-// this). The one permitted divergence is spatial cell-bucket ordering,
-// which no hashed state observes.
+// order — so the result is bit-identical to a row-at-a-time walk of the
+// same sequence for any Shards × Workers combination (the lines such a
+// walk recorded on the chaos pack are run "rowapply" in
+// testdata/interpreter_goldens.txt). The one permitted divergence is
+// spatial cell-bucket ordering, which no hashed state observes.
 
 import (
 	"slices"
@@ -84,13 +85,12 @@ func batchFor(bs *[]colBatch, tab *entity.Table, col string) *colBatch {
 	return g
 }
 
-// applyAssignColumnar is the batched replacement for the row-at-a-time
-// assignment and delta passes: one grouping sweep over the merged
-// sequence, one SetColumnBatch per written (table, column), one
-// AddColumnBatch per delta'd (table, column), one MoveSlots flush.
-// Conflict accounting matches the row path record-for-record: a record
-// whose target cannot resolve, whose entity is unknown, or whose value
-// is skipped inside the batch counts exactly one conflict.
+// applyAssignColumnar is the assignment and delta apply: one grouping
+// sweep over the merged sequence, one SetColumnBatch per written
+// (table, column), one AddColumnBatch per delta'd (table, column), one
+// MoveSlots flush. Conflicts count per record: a record whose target
+// cannot resolve, whose entity is unknown, or whose value is skipped
+// inside the batch counts exactly one conflict.
 func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (entity.ID, bool), conflicts *int) {
 	posDirty := false
 
@@ -137,7 +137,7 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 	}
 
 	// Assignments first, then deltas over the post-assignment values —
-	// the same phase order as the row path. Batch-level skips count in
+	// the order a row-at-a-time walk would take. Batch-level skips count in
 	// the aggregate conflict tally only: the batch entry points report
 	// how many records skipped, not which, so per-unit profiling
 	// attribution covers the per-record sites above instead.

@@ -3,6 +3,7 @@ package world
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"gamedb/internal/entity"
@@ -10,41 +11,32 @@ import (
 )
 
 // runChaosApply drives the chaos pack (every effect kind: sets, adds,
-// spawns, despawns, posts, trigger writes, physics deltas) under the
-// given apply mode and returns the final snapshot.
-func runChaosApply(t *testing.T, workers int, rowApply bool) (*World, []byte) {
+// spawns, despawns, posts, trigger writes, physics deltas) for 30 ticks
+// and returns the world with each tick rendered as tickLine.
+func runChaosApply(t *testing.T, workers int) (*World, []string) {
 	t.Helper()
 	w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: workers}, chaosPack)
-	if rowApply {
-		w.UseRowApply()
-	}
-	for i := 0; i < 30; i++ {
-		st, err := w.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ScriptErrors > 0 {
-			t.Fatalf("workers=%d tick %d: script error %v", workers, st.Tick, w.LastScriptError)
+	lines := runTicks(t, w, 30, true)
+	for _, l := range lines {
+		if !strings.Contains(l, " errs=0 ") {
+			t.Fatalf("workers=%d: script error: %s", workers, l)
 		}
 	}
-	snap, err := w.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return w, snap
+	return w, lines
 }
 
-// TestBatchedApplyMatchesRowApply pins the columnar apply to the
-// row-at-a-time reference on the chaos workload: same snapshot bytes for
-// every worker count, so grouping effects by (table, column) and
-// flushing the spatial index in one MoveBatch is invisible in state.
+// TestBatchedApplyMatchesRowApply pins the columnar apply to the lines
+// the row-at-a-time reference apply recorded on the chaos workload (run
+// "rowapply" in testdata/interpreter_goldens.txt): the same snapshot
+// hash and the same counters — effects and conflicts, behavior and
+// trigger alike — every tick, for every worker count. Grouping effects
+// by (table, column) and flushing the spatial index in one MoveBatch is
+// invisible in state and in accounting.
 func TestBatchedApplyMatchesRowApply(t *testing.T) {
-	_, base := runChaosApply(t, 1, true)
+	want := goldenLines(t, "rowapply")
 	for _, workers := range []int{1, 2, 4, 8} {
-		_, got := runChaosApply(t, workers, false)
-		if !bytes.Equal(base, got) {
-			t.Fatalf("batched apply (workers=%d) diverged from row apply", workers)
-		}
+		_, got := runChaosApply(t, workers)
+		requireGolden(t, fmt.Sprintf("workers=%d", workers), got, want)
 	}
 }
 
@@ -54,7 +46,7 @@ func TestBatchedApplyMatchesRowApply(t *testing.T) {
 // matches the stored columns bit-for-bit, and no despawned entity
 // lingers in the grid.
 func TestSpatialIndexConsistencyAfterBatchedMoves(t *testing.T) {
-	w, _ := runChaosApply(t, 4, false)
+	w, _ := runChaosApply(t, 4)
 	live := 0
 	for _, name := range w.TableNames() {
 		tab, _ := w.Table(name)
@@ -97,14 +89,14 @@ func TestSpatialIndexConsistencyAfterBatchedMoves(t *testing.T) {
 	}
 }
 
-// TestApplyStatsMatchAcrossModes asserts the two apply paths agree not
-// just on state but on accounting: effects and conflicts per tick.
+// TestApplyStatsMatchAcrossModes checks the apply accounting alone:
+// behavior and trigger effects and conflicts, tick by tick, agree
+// between a serial (Workers 1) and a parallel (Workers 2) run of the
+// chaos workload, and both agree with the counters the row-at-a-time
+// reference apply recorded (run "rowapply").
 func TestApplyStatsMatchAcrossModes(t *testing.T) {
-	run := func(rowApply bool) []TickStats {
-		w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: 2}, chaosPack)
-		if rowApply {
-			w.UseRowApply()
-		}
+	run := func(workers int) []TickStats {
+		w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: workers}, chaosPack)
 		var out []TickStats
 		for i := 0; i < 20; i++ {
 			st, err := w.Step()
@@ -115,15 +107,37 @@ func TestApplyStatsMatchAcrossModes(t *testing.T) {
 		}
 		return out
 	}
-	row := run(true)
-	batch := run(false)
-	for i := range row {
-		if row[i].Effects != batch[i].Effects || row[i].EffectConflicts != batch[i].EffectConflicts {
-			t.Fatalf("tick %d: row apply %d effects/%d conflicts, batched %d/%d",
-				i+1, row[i].Effects, row[i].EffectConflicts, batch[i].Effects, batch[i].EffectConflicts)
+	counters := func(st TickStats) string {
+		return fmt.Sprintf("teff=%d tconf=%d eff=%d conf=%d",
+			st.TriggerEffects, st.TriggerConflicts, st.Effects, st.EffectConflicts)
+	}
+	// goldenCounters extracts the same four fields from a recorded line.
+	goldenCounters := func(line string) string {
+		field := func(key string) string {
+			for _, f := range strings.Fields(line) {
+				if v, ok := strings.CutPrefix(f, key+"="); ok {
+					return v
+				}
+			}
+			t.Fatalf("golden line has no %s: %s", key, line)
+			return ""
 		}
-		if row[i].TriggerEffects != batch[i].TriggerEffects || row[i].TriggerConflicts != batch[i].TriggerConflicts {
-			t.Fatalf("tick %d: trigger accounting diverged between apply modes", i+1)
+		return fmt.Sprintf("teff=%s tconf=%s eff=%s conf=%s",
+			field("teff"), field("tconf"), field("eff"), field("conf"))
+	}
+	row := goldenLines(t, "rowapply")
+	serial := run(1)
+	parallel := run(2)
+	if len(row) < len(serial) {
+		t.Fatalf("rowapply golden has %d ticks, need %d", len(row), len(serial))
+	}
+	for i := range serial {
+		want := goldenCounters(row[i])
+		if got := counters(serial[i]); got != want {
+			t.Fatalf("tick %d: row apply recorded %s, serial batched apply %s", i+1, want, got)
+		}
+		if got := counters(parallel[i]); got != want {
+			t.Fatalf("tick %d: row apply recorded %s, parallel batched apply %s", i+1, want, got)
 		}
 	}
 }

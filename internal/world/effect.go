@@ -426,11 +426,10 @@ func (b *EffectBuffer) physDelta(id entity.ID, seq int32, col string, delta floa
 // The applied-record and conflict tallies land in *effects/*conflicts —
 // the behavior query phase and the trigger rounds account separately.
 //
-// The assignment and delta passes run columnar by default: merged
-// effects group by (table, column) and write through the batch entry
-// points on entity.Table, with one spatial MoveBatch flush for position
-// changes (see apply_batch.go); applyAssignRows is the row-at-a-time
-// reference the tests hold them to.
+// The assignment and delta passes run columnar: merged effects group by
+// (table, column) and write through the batch entry points on
+// entity.Table, with one spatial MoveBatch flush for position changes
+// (see apply_batch.go).
 //
 // This is the ConflictLastWrite path. Config.ConflictPolicy == occ
 // routes applies through applyEffectsOCC (occ.go) instead, which wraps
@@ -597,11 +596,7 @@ func (w *World) applyMerged(merged []Effect, conflicts *int) {
 		return real, ok
 	}
 
-	if w.rowApply {
-		w.applyAssignRows(merged, resolve, conflicts)
-	} else {
-		w.applyAssignColumnar(merged, resolve, conflicts)
-	}
+	w.applyAssignColumnar(merged, resolve, conflicts)
 
 	// Despawns, deduplicated.
 	for i := range merged {
@@ -639,76 +634,5 @@ func (w *World) applyMerged(merged []Effect, conflicts *int) {
 			continue
 		}
 		w.Post(e.Name, id, e.Val)
-	}
-}
-
-// applyAssignRows is the row-at-a-time assignment and delta apply:
-// every record goes through world.Set's table-lookup → column-lookup →
-// change-notification chain. It is the semantic reference the columnar
-// path must match bit-for-bit; only the tests select it (World.rowApply).
-func (w *World) applyAssignRows(merged []Effect, resolve func(entity.ID) (entity.ID, bool), conflicts *int) {
-	// Assignments, in sorted order: last write wins.
-	for i := range merged {
-		e := &merged[i]
-		if e.Kind != EffectSet {
-			continue
-		}
-		id, ok := resolve(e.Target)
-		if !ok {
-			*conflicts++
-			w.noteConflict(e.Src)
-			continue
-		}
-		if err := w.Set(id, e.Col, e.Val); err != nil {
-			*conflicts++
-			w.noteConflict(e.Src)
-		}
-	}
-
-	// Additive deltas, summed over the post-assignment value.
-	for i := range merged {
-		e := &merged[i]
-		if e.Kind != EffectAdd {
-			continue
-		}
-		id, ok := resolve(e.Target)
-		if !ok {
-			*conflicts++
-			w.noteConflict(e.Src)
-			continue
-		}
-		cur, err := w.Get(id, e.Col)
-		if err != nil {
-			*conflicts++
-			w.noteConflict(e.Src)
-			continue
-		}
-		var next entity.Value
-		switch cur.Kind() {
-		case entity.KindInt:
-			d, okI := e.Val.AsInt()
-			if !okI {
-				*conflicts++
-				w.noteConflict(e.Src)
-				continue
-			}
-			next = entity.Int(cur.Int() + d)
-		case entity.KindFloat:
-			d, okF := e.Val.AsFloat()
-			if !okF {
-				*conflicts++
-				w.noteConflict(e.Src)
-				continue
-			}
-			next = entity.Float(cur.Float() + d)
-		default:
-			*conflicts++
-			w.noteConflict(e.Src)
-			continue
-		}
-		if err := w.Set(id, e.Col, next); err != nil {
-			*conflicts++
-			w.noteConflict(e.Src)
-		}
 	}
 }

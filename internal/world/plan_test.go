@@ -144,15 +144,15 @@ func runTicksCounting(t *testing.T, w *World, ticks int, withLast bool) ([]strin
 }
 
 // requireGolden fails at the first line where got leaves the recorded
-// interpreter run.
+// reference run.
 func requireGolden(t *testing.T, label string, got, want []string) {
 	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("%s: %d lines, the interpreter recorded %d", label, len(got), len(want))
+		t.Fatalf("%s: %d lines, the reference recorded %d", label, len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("%s: diverged from the interpreter at line %d:\nplan        %s\ninterpreter %s", label, i+1, got[i], want[i])
+			t.Fatalf("%s: diverged from the reference at line %d:\ngot       %s\nreference %s", label, i+1, got[i], want[i])
 		}
 	}
 }

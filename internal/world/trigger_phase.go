@@ -10,9 +10,8 @@ package world
 //	cond:   conditions evaluate in parallel as read-only queries over
 //	        the round-start state (anything a condition emits is rolled
 //	        back — conditions are queries);
-//	resolve: one serial pass in source order consumes Once rules,
-//	        counts activations, and runs host-registered Go rules
-//	        directly (their actions cannot emit effects);
+//	resolve: one serial pass in source order consumes Once rules and
+//	        counts activations;
 //	act:    the firing GSL actions fan across the Workers pool, each
 //	        invocation atomic in its worker's EffectBuffer, keyed by a
 //	        deterministic per-round source id;
@@ -70,8 +69,7 @@ func triggerSrc(round, mi int) entity.ID {
 
 // ensureTriggerSlots grows one bound rule's per-slot executors to n
 // workers. Creation is demand-driven — only rules actually matched in a
-// round grow, so dead (Once-consumed, unregistered) rules never
-// allocate.
+// round grow, so a rule whose event never fires never allocates.
 func (w *World) ensureTriggerSlots(bt *boundTrigger, n int) {
 	if w.prof != nil && bt.prof == nil {
 		bt.prof = w.prof.Entry("trigger/" + bt.name)
@@ -86,7 +84,7 @@ func (w *World) ensureTriggerSlots(bt *boundTrigger, n int) {
 // on worker slot wi, inside the invocation the caller opened with
 // workerBufs[wi].begin.
 func (w *World) runTrigger(f *boundFn, wi int, ev *trigger.Event) (entity.Value, int64, error) {
-	return f.run(w, wi, entity.Int(int64(ev.Entity)), ev.Field("amount"))
+	return f.run(w, wi, entity.Int(int64(ev.Entity)), ev.Amount)
 }
 
 // drainTriggers runs the tick's trigger phase: effect-mode rounds until
@@ -156,14 +154,12 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 	for _, buf := range bufs {
 		buf.reset()
 	}
-	// bound[mi] is match mi's content rule (nil for a host Go rule),
-	// resolved once here so the passes below index instead of hashing.
+	// bound[mi] is match mi's content rule, resolved once here so the
+	// passes below index instead of hashing.
 	bound := w.boundBuf[:0]
 	for _, m := range matches {
 		bt := w.trigBound[m.Rule]
-		if bt != nil {
-			w.ensureTriggerSlots(bt, workers)
-		}
+		w.ensureTriggerSlots(bt, workers)
 		bound = append(bound, bt)
 	}
 	w.boundBuf = bound
@@ -185,9 +181,6 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		buf := w.workerBufs[wi]
 		for mi := lo; mi < hi; mi++ {
 			bt := bound[mi]
-			if bt == nil {
-				continue // host Go rule: resolved serially below
-			}
 			if bt.cond == nil {
 				conds[mi].ok = true
 				continue
@@ -219,44 +212,14 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 	})
 
 	// Resolve: serial, in source order. Consumes Once rules (first
-	// passing match in source order wins), counts activations, and runs
-	// direct (host Go) rules immediately — their writes land before the
-	// round's effect apply and are visible to later direct rules, the
-	// serial-engine contract they were registered under.
+	// passing match in source order wins) and counts activations.
 	var errs []error
 	fires := w.firesBuf[:0]
 	for mi, m := range matches {
-		bt := bound[mi]
-		if bt == nil {
-			if !w.trig.Alive(m) {
-				continue
-			}
-			if m.Rule.Cond != nil {
-				ok, err := m.Rule.Cond(m.Ev)
-				if err != nil {
-					st.TriggerErrors++
-					errs = append(errs, fmt.Errorf("trigger: rule %q condition: %w", m.Rule.Name, err))
-					continue
-				}
-				if !ok {
-					continue
-				}
-			}
-			if !w.trig.Activate(m) {
-				continue
-			}
-			st.TriggerFired++
-			if err := m.Rule.Action(m.Ev); err != nil {
-				st.TriggerErrors++
-				errs = append(errs, fmt.Errorf("trigger: rule %q action: %w", m.Rule.Name, err))
-			}
-			continue
-		}
-		// A Once rule consumed earlier in this round (or a rule a direct
-		// action just unregistered) is dead: serial execution would
-		// never have evaluated its condition, so its speculative cond
-		// outcome — including an error or fuel skip — is discarded, not
-		// counted.
+		// A Once rule consumed earlier in this round is dead: serial
+		// execution would never have evaluated its condition, so its
+		// speculative cond outcome — including an error or fuel skip —
+		// is discarded, not counted.
 		if !w.trig.Alive(m) {
 			continue
 		}
@@ -347,11 +310,8 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		// abort attribution, by the same arithmetic the OCC re-run uses.
 		base := entity.ID(round+1) * triggerRoundStride
 		w.profOf = func(src entity.ID) *obs.ProfEntry {
-			mi := int(src - base)
-			if mi >= 0 && mi < len(matches) {
-				if bt := bound[mi]; bt != nil {
-					return bt.prof
-				}
+			if mi := int(src - base); mi >= 0 && mi < len(matches) {
+				return bound[mi].prof
 			}
 			return w.otherProf
 		}
@@ -362,13 +322,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 			if mi < 0 || mi >= len(matches) {
 				return 0, fmt.Errorf("world: re-run source %d outside trigger round %d", src, round)
 			}
-			bt := bound[mi]
-			if bt == nil {
-				// Host Go rules run direct — their writes are never
-				// effects, so they can never lose a merge; defensive.
-				return 0, fmt.Errorf("world: host rule %q cannot re-run", matches[mi].Rule.Name)
-			}
-			_, fuel, err := w.runTrigger(bt.act, 0, &matches[mi].Ev)
+			_, fuel, err := w.runTrigger(bound[mi].act, 0, &matches[mi].Ev)
 			return fuel, err
 		}
 		w.applyEffectsOCC(bufs, &st.TriggerEffects, &st.TriggerConflicts, st, rerun)

@@ -127,14 +127,8 @@ type World struct {
 	index *spatial.Grid
 	trig  *trigger.Engine
 
-	// rowApply selects the reference body the differential tests compare
-	// the columnar apply against (export_test.go sets it): the
-	// row-at-a-time assignment apply. Nothing outside the tests sets it.
-	rowApply bool
-
-	// trigBound maps content-pack rules to their compiled plans and
-	// per-worker bindings. Rules absent from the map (host-registered Go
-	// rules) run directly and serially inside the round drain.
+	// trigBound maps every registered rule to its compiled plans and
+	// per-worker bindings; bindTrigger is the only registration path.
 	trigBound map[*trigger.Rule]*boundTrigger
 	// trigList holds the same bound rules in load order, for lookups by
 	// name (PlanFor).
@@ -393,7 +387,8 @@ func (w *World) effectRetryCap() int {
 	return DefaultEffectRetryCap
 }
 
-// Triggers exposes the trigger engine for host-registered rules.
+// Triggers exposes the trigger engine: its live rules, cascade limit
+// and dropped-event tally.
 func (w *World) Triggers() *trigger.Engine { return w.trig }
 
 // Frames returns UI frames loaded from content packs.
@@ -536,10 +531,7 @@ func (w *World) LoadContent(c *content.Compiled) error {
 
 // bindTrigger registers a compiled trigger as a trigger.Rule and
 // records its plans in trigBound, where the round drain finds them and
-// runs them per worker slot, emitting into effect buffers. The rule's
-// own Action is only the engine's registration requirement: a content
-// rule runs in the world's drain, never through the engine's serial
-// Fire/Drain.
+// runs them per worker slot, emitting into effect buffers.
 func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 	if ct.ActPlan == nil {
 		return fmt.Errorf("world: trigger %q has no compiled action", ct.Name)
@@ -549,9 +541,6 @@ func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 		Event:    ct.Event,
 		Priority: ct.Priority,
 		Once:     ct.Once,
-		Action: func(trigger.Event) error {
-			return fmt.Errorf("world: content rule %q runs only in the world's trigger drain", ct.Name)
-		},
 	}
 	if err := w.trig.Register(rule); err != nil {
 		return err
