@@ -56,17 +56,26 @@ func (p *Program) SetAtATime() bool { return p.perEntity == "" }
 func (p *Program) PerEntity() string { return p.perEntity }
 
 // RunBatch runs the plan once over subjects: lane l is the invocation
-// Run(fuelCap, Int(subjects[l])) of a one-parameter entry (fuelCap ≤ 0
-// selects script.DefaultFuel, as in Run). The returned slice has one
-// result per subject and is valid until the next RunBatch. Every lane of
-// a per-entity program, or of a plan whose Env has no batch surface, comes
+// Run(fuelCap, Int(subjects[l]), args[0][l], args[1][l], …) — a
+// behavior's on_tick passes no columns, a rule side its amounts
+// (fuelCap ≤ 0 selects script.DefaultFuel, as in Run). The returned slice
+// has one result per subject and is valid until the next RunBatch. Every
+// lane of a per-entity program, of a plan whose Env has no batch surface,
+// or of a call whose columns do not match the entry's parameters comes
 // back not OK.
-func (p *Plan) RunBatch(fuelCap int64, subjects []entity.ID) []LaneResult {
+func (p *Plan) RunBatch(fuelCap int64, subjects []entity.ID, args ...[]entity.Value) []LaneResult {
 	b := &p.b
 	b.reset(p.prog, len(subjects), fuelCap)
-	if p.prog.perEntity != "" || b.env == nil || p.prog.nParams != 1 {
+	if p.prog.perEntity != "" || b.env == nil || p.prog.nParams != 1+len(args) {
 		clear(b.res)
 		return b.res
+	}
+	for k, col := range args {
+		if len(col) != len(subjects) {
+			clear(b.res)
+			return b.res
+		}
+		copy(b.vars[k+1], col)
 	}
 	sel := b.getSel()
 	self := b.vars[0]
@@ -242,6 +251,14 @@ func (x *vec) at(l int32) entity.Value {
 	return x.v[l]
 }
 
+// ref is at without the copy.
+func (x *vec) ref(l int32) *entity.Value {
+	if x.v == nil {
+		return &x.c
+	}
+	return &x.v[l]
+}
+
 // pop takes a slice of at least n elements off a free list, or makes one.
 func pop[T any](free *[][]T, n int) []T {
 	for k := len(*free); k > 0; k = len(*free) {
@@ -267,16 +284,22 @@ func (b *batch) drop(x vec) {
 
 // apply is query.Apply of op over every lane of sel; a lane whose
 // operands it rejects fails. Two floats under +, -, * and / — mingle's
-// centroid sums — skip query.Apply's kind dispatch.
+// centroid sums — and two ints under anything but / and % — a rule's
+// amount tests and counters — skip query.Apply's kind dispatch. / and %
+// of two ints stay on query.Apply, which rejects a zero divisor.
 func (b *batch) apply(op query.BinOp, x, y *vec, sel []int32) vec {
 	out := b.scratch()
 	for _, l := range sel {
-		xv, yv := x.at(l), y.at(l)
-		if xv.Kind() == entity.KindFloat && yv.Kind() == entity.KindFloat && op <= query.OpDiv {
+		xv, yv := x.ref(l), y.ref(l)
+		switch xk, yk := xv.Kind(), yv.Kind(); {
+		case xk == entity.KindFloat && yk == entity.KindFloat && op <= query.OpDiv:
 			out.v[l] = entity.Float(floatArith(op, xv.Float(), yv.Float()))
 			continue
+		case xk == entity.KindInt && yk == entity.KindInt && op != query.OpDiv && op != query.OpMod:
+			out.v[l] = intOp(op, xv.Int(), yv.Int())
+			continue
 		}
-		v, err := query.Apply(op, xv, yv)
+		v, err := query.Apply(op, *xv, *yv)
 		if err != nil {
 			b.fail(l)
 			continue
@@ -297,6 +320,32 @@ func floatArith(op query.BinOp, a, c float64) float64 {
 		return a * c
 	}
 	return a / c
+}
+
+// intOp is query.Apply of op, anything but / and %, over two ints: +, -
+// and * wrap like int64, the orderings compare exactly, and == and !=
+// compare the ints as floats, as query's equality does for any two
+// numbers — 2^53 and 2^53+1 are equal.
+func intOp(op query.BinOp, a, c int64) entity.Value {
+	switch op {
+	case query.OpAdd:
+		return entity.Int(a + c)
+	case query.OpSub:
+		return entity.Int(a - c)
+	case query.OpMul:
+		return entity.Int(a * c)
+	case query.OpEq:
+		return entity.Bool(float64(a) == float64(c))
+	case query.OpNe:
+		return entity.Bool(float64(a) != float64(c))
+	case query.OpLt:
+		return entity.Bool(a < c)
+	case query.OpLe:
+		return entity.Bool(a <= c)
+	case query.OpGt:
+		return entity.Bool(a > c)
+	}
+	return entity.Bool(a >= c)
 }
 
 // ---------------------------------------------------------------------------

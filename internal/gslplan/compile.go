@@ -119,17 +119,16 @@ func Compile(name string, prog *script.Program, entry string, nargs int) (*Progr
 	if c.height > script.DefaultMaxDepth {
 		return nil, notCompilable(c.deepLine, "call depth %d exceeds the interpreter's %d", c.height, script.DefaultMaxDepth)
 	}
-	kind, driver := "behavior", "set-at-a-time: one batched run per worker's roster chunk"
-	switch {
-	case entry != EntryFn:
-		// Rules run one match at a time, over one cascade round's matches
-		// chunked across workers; only behaviors batch.
-		kind, driver = "rule", "per-entity: one run per match of a cascade round, chunked across workers"
-		if c.perEntity == "" {
-			c.perEntity = "trigger rule"
-		}
-	case c.perEntity != "":
-		driver = "per-entity: " + c.perEntity + " keeps one run per entity, chunked across workers"
+	// A behavior batches over a worker's roster chunk, a rule side over a
+	// worker's share of one cascade round's matches of that rule; while
+	// loops and user calls keep either on one Run per invocation.
+	kind, unit, batched := "behavior", "entity", "one batched run per worker's roster chunk"
+	if entry != EntryFn {
+		kind, unit, batched = "rule", "match of a cascade round", "one batched run per cascade round over a worker's matches of the rule"
+	}
+	driver := "set-at-a-time: " + batched
+	if c.perEntity != "" {
+		driver = "per-entity: " + c.perEntity + " keeps one run per " + unit + ", chunked across workers"
 	}
 	header := fmt.Sprintf("%s %q: compiled plan for %s(%s)\n"+
 		"  driver: %s\n"+

@@ -271,20 +271,68 @@ func TestCallDepthBeyondTheInterpretersIsRejected(t *testing.T) {
 	}
 }
 
-// TestScenarioBodiesCompile: the crowds' behaviors compile, run
-// set-at-a-time, and say so in their explain's driver line.
+// scenarioRules are the trigger rules of the cascade crowd
+// (internal/shard's cascadePackXML) and of the world tests' trigger mix
+// (triggerMixPack): each rule's <when> ("" when it has none) and <do>.
+var scenarioRules = []struct{ name, when, do string }{
+	{"cascade/chain", `amount > 0`, `add(self, "boom", 1); emit("pulse", self, amount - 1);`},
+	{"cascade/flag-final", `amount == 0`, `set(self, "flag", get(self, "flag") + 1);`},
+	{"trigmix/chain", `amount > 0 && get(self, "hp") > 1.0`, `
+      add(self, "boom", 1);
+      set(self, "hp", get(self, "hp") - rand_float());
+      emit("pulse", self, amount - 1);`},
+	{"trigmix/race-a", `amount == 0`, `set(self, "score", get(self, "score") + 5);`},
+	{"trigmix/race-b", `amount == 0`, `set(self, "score", get(self, "score") + 7);`},
+	{"trigmix/crowd", `amount < 2`, `
+      for id in nearby(self, 6.0) {
+        if get(id, "boom") >= 0 || rand_float() < 0.5 { add(self, "seen", 1); }
+      }`},
+	{"trigmix/bad-payload", "", `if amount == 2 { get(self, "no_such_column"); } add(self, "seen", 0);`},
+	{"trigmix/looper", `amount == 1`, `let i = 0; while i < 3 { i = i + 1; } add(self, "laps", i);`},
+	{"trigmix/first-scan", "", `set(self, "first", 1);`},
+}
+
+// TestScenarioBodiesCompile: the crowds' behaviors and both sides of
+// their rules compile as content.Compile compiles them, run
+// set-at-a-time, and say so in their explain's driver line — all but
+// looper's <do>, whose while loop keeps it on one run per match.
 func TestScenarioBodiesCompile(t *testing.T) {
+	requireDriver := func(label string, p *Program, perEntity string) {
+		t.Helper()
+		if perEntity == "" {
+			if !p.SetAtATime() {
+				t.Fatalf("%s: runs per entity (%s)", label, p.PerEntity())
+			}
+			if !strings.Contains(p.Explain(), "driver: set-at-a-time") {
+				t.Fatalf("%s: explain missing the set-at-a-time driver line:\n%s", label, p.Explain())
+			}
+			return
+		}
+		if p.SetAtATime() || !strings.HasPrefix(p.PerEntity(), perEntity) {
+			t.Fatalf("%s: per-entity %q, want %s", label, p.PerEntity(), perEntity)
+		}
+		if !strings.Contains(p.Explain(), "driver: per-entity: "+perEntity) {
+			t.Fatalf("%s: driver line does not name %s:\n%s", label, perEntity, p.Explain())
+		}
+	}
 	for _, name := range []string{"mingle", "raid", "mend", "pulse", "claim"} {
 		p, err := Compile(name, mustParse(t, scenarioBodies[name]), EntryFn, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !p.SetAtATime() {
-			t.Fatalf("%s: runs per entity (%s)", name, p.PerEntity())
+		requireDriver(name, p, "")
+	}
+	for _, r := range scenarioRules {
+		if r.when != "" {
+			_, cond := mustCompileTrigger(t, "cond", r.when)
+			requireDriver(r.name+" <when>", cond, "")
 		}
-		if !strings.Contains(p.Explain(), "driver: set-at-a-time") {
-			t.Fatalf("%s: explain missing the set-at-a-time driver line:\n%s", name, p.Explain())
+		_, act := mustCompileTrigger(t, "act", r.do)
+		want := ""
+		if r.name == "trigmix/looper" {
+			want = "while loop"
 		}
+		requireDriver(r.name+" <do>", act, want)
 	}
 }
 

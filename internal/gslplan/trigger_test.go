@@ -185,11 +185,13 @@ func TestRunRejectsWrongArgumentCount(t *testing.T) {
 }
 
 // Fuzz input kinds: a <do> body, a <when> expression, or a whole
-// program whose on_tick(self) runs as a behavior.
+// program whose on_tick(self) runs as a behavior. FuzzBatchParity adds
+// fuzzRule to a body's kind to batch it as a rule side.
 const (
 	fuzzAct uint8 = iota
 	fuzzCond
 	fuzzBehavior
+	fuzzRule = fuzzBehavior + 1
 )
 
 // FuzzTriggerCompileParity feeds arbitrary text through the path a

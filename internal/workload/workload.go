@@ -237,14 +237,38 @@ func LocalTxns(m *Movement, fanout, work int) []*txn.Txn {
 }
 
 // GroupTxnsByBubble partitions LocalTxns-style transactions (txn i owned
-// by mover i) by bubble for txn.Partitioned. Transactions whose read set
-// crosses bubbles are merged conservatively into the writer's bubble
-// group; soundness holds because bubbles already close over potential
-// interactions.
+// by mover i, key k mover k's) by bubble for txn.Partitioned: group b
+// holds the txns of bubble b in txn order. A txn whose footprint reaches
+// into other bubbles — LocalTxns' nearest neighbors may lie beyond the
+// bubbles' interaction range — links them, and linked bubbles share the
+// group of the lowest-indexed one (the others stay empty), so no key one
+// group touches is touched by another and the groups run in parallel
+// with the serial outcome.
 func GroupTxnsByBubble(p *bubble.Partition, txns []*txn.Txn) [][]*txn.Txn {
+	parent := make([]int, p.NumBubbles())
+	for b := range parent {
+		parent[b] = b
+	}
+	find := func(b int) int {
+		for parent[b] != b {
+			parent[b] = parent[parent[b]]
+			b = parent[b]
+		}
+		return b
+	}
+	for i, t := range txns {
+		bi := find(p.BubbleOf[spatial.ID(i+1)])
+		for _, keys := range [][]txn.Key{t.Reads, t.Writes} {
+			for _, k := range keys {
+				bk := find(p.BubbleOf[spatial.ID(k+1)])
+				bi, bk = min(bi, bk), max(bi, bk)
+				parent[bk] = bi
+			}
+		}
+	}
 	groups := make([][]*txn.Txn, p.NumBubbles())
 	for i, t := range txns {
-		bi := p.BubbleOf[spatial.ID(i+1)]
+		bi := find(p.BubbleOf[spatial.ID(i+1)])
 		groups[bi] = append(groups[bi], t)
 	}
 	return groups

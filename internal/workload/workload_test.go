@@ -123,6 +123,60 @@ func TestGroupTxnsByBubbleIsSound(t *testing.T) {
 	}
 }
 
+// TestGroupTxnsByBubbleGroupsAreKeyDisjoint: on E4's world shape, where
+// nearest neighbors often lie beyond the interaction range and so in
+// another bubble, no key written by one group's txns is read or written
+// by another group's.
+func TestGroupTxnsByBubbleGroupsAreKeyDisjoint(t *testing.T) {
+	rng := rand.New(rand.NewSource(900))
+	m := NewHotspot(rng, 600, spatial.NewRect(0, 0, 400, 400), 20, 6)
+	for i := 0; i < 50; i++ {
+		m.Step(0.1)
+	}
+	p := bubble.Compute(m.BubbleEntities(), bubble.Config{Horizon: 0.5, InteractRange: 15})
+	txns := LocalTxns(m, 4, 10)
+	crossing := 0
+	for i, tx := range txns {
+		for _, k := range tx.Reads {
+			if !p.SameBubble(spatial.ID(i+1), spatial.ID(k+1)) {
+				crossing++
+			}
+		}
+	}
+	if crossing == 0 {
+		t.Fatal("no txn reads across bubbles: the world no longer exercises the merge")
+	}
+	groups := GroupTxnsByBubble(p, txns)
+	if len(groups) != p.NumBubbles() {
+		t.Fatalf("groups = %d, bubbles = %d", len(groups), p.NumBubbles())
+	}
+	writer := map[txn.Key]int{} // written key → its group
+	total := 0
+	for g, txs := range groups {
+		total += len(txs)
+		for _, tx := range txs {
+			for _, k := range tx.Writes {
+				if h, ok := writer[k]; ok && h != g {
+					t.Fatalf("key %d written by groups %d and %d", k, h, g)
+				}
+				writer[k] = g
+			}
+		}
+	}
+	if total != len(txns) {
+		t.Fatalf("grouped %d of %d txns", total, len(txns))
+	}
+	for g, txs := range groups {
+		for _, tx := range txs {
+			for _, k := range tx.Reads {
+				if h, ok := writer[k]; ok && h != g {
+					t.Fatalf("key %d written by group %d and read by group %d", k, h, g)
+				}
+			}
+		}
+	}
+}
+
 func TestRaidRunsToBossKill(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	raid := NewRaid(rng, 10, 200_000)

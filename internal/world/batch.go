@@ -6,39 +6,58 @@ import (
 
 	"gamedb/internal/entity"
 	"gamedb/internal/gslplan"
+	"gamedb/internal/obs"
 )
 
-// The query phase runs behaviors set-at-a-time. A worker groups its
-// roster chunk by behavior and runs each group's plan once with
-// gslplan.Plan.RunBatch, one lane per entity. A lane's reads and effects
-// stage on the lane, stamped with the (source, order) its scalar run would
-// give them.
-// The worker then walks its chunk in roster order: an entity whose lane
-// completed commits its staged reads and effects as its invocation, and
-// any other — an error, a fuel skip, a per-entity program — drops what it
-// staged and runs on the scalar plan, which alone decides its outcome.
-// Either way the buffer ends up holding exactly what one scalar run per
-// entity in roster order would have put there, so the apply phase, the
-// OCC read-sets and the profile rows cannot tell the difference.
+// Behaviors and trigger rules run set-at-a-time, through one driver,
+// runLanes. A worker groups its chunk — its roster slice in the query
+// phase, its share of a cascade round's matches or fires in the trigger
+// phase — by the plan each position runs, and runs each group's plan once
+// with gslplan.Plan.RunBatch, one lane per position; a rule side takes
+// its events' amounts as a second argument column. A lane's reads and
+// effects stage on the lane, stamped with the (source, order) its scalar
+// run would give them.
+// The worker then walks its chunk in order: a position whose lane
+// completed commits its staged reads and effects as its invocation (a
+// condition commits nothing: conditions are queries), and any other — an
+// error, a fuel skip, a per-entity program — drops what it staged and
+// runs on the scalar plan, which alone decides its outcome. Either way the
+// buffer ends up holding exactly what one scalar run per position in
+// chunk order would have put there, so the apply phase, the OCC read-sets
+// and the profile rows cannot tell the difference.
 
-// batchLane is one roster entity's invocation in its worker's batched
-// behavior run: its emission state and the chains of records it staged
-// (indices into the buffer's staging arrays, -1 when empty).
+// batchLane is one chunk position's invocation in its worker's batched
+// run: its emission state and the chains of records it staged (indices
+// into the buffer's staging arrays, -1 when empty).
 type batchLane struct {
 	invoc
 	effHead, effTail   int32
 	readHead, readTail int32
-	// fuel and ok are the lane's RunBatch result.
+	// val, fuel and ok are the lane's RunBatch result.
+	val  entity.Value
 	fuel int64
 	ok   bool
 }
 
-// behaviorGroup is the lanes of a worker's chunk that run one behavior:
-// their chunk positions and subjects, ascending.
-type behaviorGroup struct {
-	beh  *boundBehavior
+// laneSpec is what one chunk position runs in a batched run: the plan
+// (nil when the position runs nothing in this batch) and its profile
+// entry, the subject, and a rule side's amount (nil for a behavior).
+type laneSpec struct {
+	fn     *boundFn
+	prof   *obs.ProfEntry
+	subj   entity.ID
+	amount *entity.Value
+}
+
+// laneGroup is the lanes of a worker's chunk that run one plan: their
+// chunk positions, subjects and — for a rule side — amounts, ascending.
+type laneGroup struct {
+	fn   *boundFn
+	prof *obs.ProfEntry
+	rule bool
 	pos  []int32
 	subj []entity.ID
+	amt  []entity.Value
 }
 
 // batchState is an EffectBuffer's batched-run scratch, reused tick to
@@ -55,7 +74,7 @@ type batchState struct {
 	stReads    []readCell
 	stReadNext []int32
 
-	groups []behaviorGroup
+	groups []laneGroup
 }
 
 // stageEffect appends ef to lane p's chain.
@@ -103,26 +122,38 @@ func (e *planEnv) Lane(l int) gslplan.Env {
 	return &e.buf.laneEnvs[e.buf.lanePos[l]]
 }
 
-// runBehaviors runs worker wi's roster chunk: the batched runs, then the
-// commit walk in roster order.
-func (w *World) runBehaviors(wi int, buf *EffectBuffer, ws *workerStats, chunk []ownRef) {
-	n := len(chunk)
+// runLanes runs n chunk positions on worker slot wi set-at-a-time: open
+// sets position p's invocation — the one its scalar run would open — and
+// describes what it runs, the positions that run one plan form a group,
+// and each set-at-a-time group runs once through RunBatch, a rule side
+// with its amounts as the second argument column. Position p's result
+// lands on buf.lanes[p]; a lane that is not OK (a per-entity group's
+// never is) staged nothing the caller may commit.
+func (w *World) runLanes(wi int, buf *EffectBuffer, n int, open func(p int, v *invoc) laneSpec) {
 	buf.lanes = slices.Grow(buf.lanes[:0], n)[:n]
 	for p := len(buf.laneEnvs); p < n; p++ {
 		buf.laneEnvs = append(buf.laneEnvs, planEnv{w: w, buf: buf, lane: int32(p)})
 	}
 	buf.stEffects, buf.stEffNext = buf.stEffects[:0], buf.stEffNext[:0]
 	buf.stReads, buf.stReadNext = buf.stReads[:0], buf.stReadNext[:0]
+	// The lanes of one batch never share a source, so the emission memo
+	// holds across them; a round's act batch may re-use the provisional
+	// ids its cond batch spawned, so it starts without one.
+	buf.memoOK = false
 
 	groups := buf.groups[:0]
-	var g *behaviorGroup
-	base := w.rngBase()
-	for p, o := range chunk {
-		rec := &w.dir.recs[o.rec]
-		if g == nil || g.beh != rec.beh {
+	var g *laneGroup
+	for p := 0; p < n; p++ {
+		ln := &buf.lanes[p]
+		ln.effHead, ln.effTail, ln.readHead, ln.readTail, ln.ok = -1, -1, -1, -1, false
+		s := open(p, &ln.invoc)
+		if s.fn == nil {
+			continue
+		}
+		if g == nil || g.fn != s.fn {
 			g = nil
 			for k := range groups {
-				if groups[k].beh == rec.beh {
+				if groups[k].fn == s.fn {
 					g = &groups[k]
 					break
 				}
@@ -131,47 +162,67 @@ func (w *World) runBehaviors(wi int, buf *EffectBuffer, ws *workerStats, chunk [
 				if len(groups) < cap(groups) {
 					groups = groups[:len(groups)+1]
 				} else {
-					groups = append(groups, behaviorGroup{})
+					groups = append(groups, laneGroup{})
 				}
 				g = &groups[len(groups)-1]
-				g.beh, g.pos, g.subj = rec.beh, g.pos[:0], g.subj[:0]
+				g.fn, g.prof, g.rule = s.fn, s.prof, s.amount != nil
+				g.pos, g.subj, g.amt = g.pos[:0], g.subj[:0], g.amt[:0]
 			}
 		}
 		g.pos = append(g.pos, int32(p))
-		g.subj = append(g.subj, o.id)
-		v := w.tickInvoc(base, o.id)
-		v.slot, v.tab, v.self = rec.slot, rec.tab, true
-		buf.lanes[p] = batchLane{invoc: v, effHead: -1, effTail: -1, readHead: -1, readTail: -1}
+		g.subj = append(g.subj, s.subj)
+		if g.rule {
+			g.amt = append(g.amt, *s.amount)
+		}
 	}
 	buf.groups = groups
 
 	for k := range groups {
 		g := &groups[k]
-		if !g.beh.fn.plan.SetAtATime() {
+		if !g.fn.plan.SetAtATime() {
 			continue // every lane stays not OK: all of them run scalar
 		}
 		buf.lanePos = g.pos
-		pe := g.beh.prof
 		var t0 time.Time
-		if pe != nil {
+		if g.prof != nil {
 			t0 = time.Now()
 		}
-		res := g.beh.fn.plans[wi].RunBatch(w.cfg.ScriptFuel, g.subj)
+		plan := g.fn.plans[wi]
+		var res []gslplan.LaneResult
+		if g.rule {
+			res = plan.RunBatch(w.cfg.ScriptFuel, g.subj, g.amt)
+		} else {
+			res = plan.RunBatch(w.cfg.ScriptFuel, g.subj)
+		}
 		var ns int64
-		if pe != nil {
+		if g.prof != nil {
 			ns = time.Since(t0).Nanoseconds()
 		}
 		ok := int64(0)
 		for l, p := range g.pos {
-			buf.lanes[p].fuel, buf.lanes[p].ok = res[l].Fuel, res[l].OK
+			ln := &buf.lanes[p]
+			ln.val, ln.fuel, ln.ok = res[l].Val, res[l].Fuel, res[l].OK
 			if res[l].OK {
 				ok++
 			}
 		}
 		// Only the OK lanes are timed here: the rest re-run on the scalar
 		// plan, whose own sampling may time them.
-		pe.AddSamples(ok, ns)
+		g.prof.AddSamples(ok, ns)
 	}
+}
+
+// runBehaviors runs worker wi's roster chunk: the batched runs, then the
+// commit walk in roster order.
+func (w *World) runBehaviors(wi int, buf *EffectBuffer, ws *workerStats, chunk []ownRef) {
+	base := w.rngBase()
+	w.runLanes(wi, buf, len(chunk), func(p int, v *invoc) laneSpec {
+		o := chunk[p]
+		rec := &w.dir.recs[o.rec]
+		*v = w.tickInvoc(base, o.id)
+		v.slot, v.tab, v.self = rec.slot, rec.tab, true
+		return laneSpec{fn: &rec.beh.fn, prof: rec.beh.prof, subj: o.id}
+	})
 
 	for p, o := range chunk {
 		rec := &w.dir.recs[o.rec]

@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -119,7 +120,7 @@ func runTicks(t *testing.T, w *World, ticks int, withLast bool) []string {
 }
 
 // runTicksCounting is runTicks that also returns, per tick, how many
-// behavior invocations fell back to the scalar plan.
+// invocations fell back to the scalar plan.
 func runTicksCounting(t *testing.T, w *World, ticks int, withLast bool) ([]string, []int) {
 	t.Helper()
 	var out []string
@@ -372,6 +373,84 @@ func TestQueryPhaseAllocFree(t *testing.T) {
 		}
 		if st.ScriptCalls != 1500 || w.Fallbacks() != 0 {
 			t.Fatalf("workers=%d: %d calls, %d on the scalar plan", workers, st.ScriptCalls, w.Fallbacks())
+		}
+	}
+}
+
+// cascadePack is the cascade crowd of internal/shard's scenario
+// registry: every unit pulses itself each tick, chain re-emits the pulse
+// with a decremented amount, and flag-final fires on amount 0 — four
+// cascade rounds a tick, two rules matched per event.
+const cascadePack = `
+<contentpack name="cascade-crowd">
+  <schema table="units">
+    <column name="x" kind="float"/>
+    <column name="y" kind="float"/>
+    <column name="vx" kind="float"/>
+    <column name="vy" kind="float"/>
+    <column name="boom" kind="int"/>
+    <column name="flag" kind="int"/>
+  </schema>
+  <archetype name="pulser" table="units" script="pulse"/>
+  <script name="pulse">
+fn on_tick(self) { emit("pulse", self, 3); }
+  </script>
+  <trigger name="chain" event="pulse" priority="5">
+    <when>amount &gt; 0</when>
+    <do>add(self, "boom", 1); emit("pulse", self, amount - 1);</do>
+  </trigger>
+  <trigger name="flag-final" event="pulse">
+    <when>amount == 0</when>
+    <do>set(self, "flag", get(self, "flag") + 1);</do>
+  </trigger>
+</contentpack>`
+
+// TestTriggerPhaseAllocFree pins the trigger phase's steady state to
+// zero allocations at one worker and at four: the rounds' batched
+// condition and action runs, the lanes' staging, the commits and the
+// applies all reuse their buffers, and the passes fan out through a
+// reusable sched.Job.
+func TestTriggerPhaseAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, workers := range []int{1, 4} {
+		w := loadPack(t, Config{Seed: 3, CellSize: 16, Workers: workers}, cascadePack)
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 1000; i++ {
+			id, err := w.Spawn("pulser", spatial.Vec2{X: rng.Float64() * 400, Y: rng.Float64() * 400})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Set(id, "vx", entity.Float(rng.Float64()*2-1))
+			w.Set(id, "vy", entity.Float(rng.Float64()*2-1))
+		}
+		for i := 0; i < 5; i++ {
+			if _, err := w.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const ticks = 20
+		var mallocs uint64
+		for i := 0; i < ticks; i++ {
+			// The tick up to its trigger phase, as Step runs it, queues
+			// the pulses; only the drain is counted.
+			var st TickStats
+			w.tick++
+			w.queryPhase(&st, workers)
+			w.applyEffects(w.workerBufs[:workers], &st.Effects, &st.EffectConflicts)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := w.drainTriggers(&st)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mallocs += after.Mallocs - before.Mallocs
+			if st.TriggerFired != 4000 || w.Fallbacks() != 0 {
+				t.Fatalf("workers=%d: %d firings, %d on the scalar plan; want 4000 and 0", workers, st.TriggerFired, w.Fallbacks())
+			}
+		}
+		if perTick := float64(mallocs) / ticks; perTick != 0 {
+			t.Fatalf("workers=%d: the trigger phase allocates %.1f times a tick, want 0", workers, perTick)
 		}
 	}
 }

@@ -7,14 +7,14 @@ package world
 //	match:  the engine pairs the round's queued events with registered
 //	        rules in deterministic (event order, firing order) source
 //	        order, executing nothing;
-//	cond:   conditions evaluate in parallel as read-only queries over
-//	        the round-start state (anything a condition emits is rolled
-//	        back — conditions are queries);
+//	cond:   the conditions run as read-only queries over the round-start
+//	        state, the matches chunked across the Workers pool (anything
+//	        a condition emits is dropped — conditions are queries);
 //	resolve: one serial pass in source order consumes Once rules and
 //	        counts activations;
-//	act:    the firing GSL actions fan across the Workers pool, each
-//	        invocation atomic in its worker's EffectBuffer, keyed by a
-//	        deterministic per-round source id;
+//	act:    the firing actions run over the fires chunked the same way,
+//	        each invocation atomic in its worker's EffectBuffer, keyed by
+//	        a deterministic per-round source id;
 //	apply:  one deterministic merge applies the round's effects and
 //	        queues the events they posted, which form the next round.
 //
@@ -25,12 +25,17 @@ package world
 //
 // They also execute like behaviors: a content-pack rule's condition and
 // action are gslplan plans (compiled once per pack by content.Compile,
-// bound here per worker slot), and every invocation — cond pass, act
-// pass, OCC re-run — runs its plan (plan.go).
+// bound here per worker slot), and the cond and act passes run them
+// set-at-a-time — each worker runs each rule's side once over its
+// matches of that rule, the events' amounts a per-lane argument
+// (runLanes, batch.go). A lane that errors, runs out of fuel or belongs
+// to a per-entity plan re-runs on Plan.Run, which alone decides its
+// outcome; the OCC re-run path runs its invocations on Run too.
 
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"gamedb/internal/content"
@@ -131,9 +136,11 @@ func (w *World) drainTriggers(st *TickStats) error {
 }
 
 // trigTally is one worker slot's share of a round's accounting, so the
-// parallel passes touch no shared counters.
+// parallel passes touch no shared counters: fuel burned and invocations
+// re-run on the scalar plan.
 type trigTally struct {
-	fuel int64
+	fuel      int64
+	fallbacks int
 }
 
 // condResult is one match's condition outcome from the parallel pass.
@@ -141,6 +148,33 @@ type condResult struct {
 	ok   bool
 	skip bool // fuel exhaustion: a skipped query, not an error
 	err  error
+}
+
+// trigRound is the cascade round in flight: what every worker's cond and
+// act chunk reads, and the per-match, per-fire and per-worker results
+// they write, each slot by exactly one worker. Its slices are World
+// scratch reused round to round, so a round allocates nothing in steady
+// state.
+type trigRound struct {
+	round, workers int
+	base           uint64 // the tick's rngBase
+	matches        []trigger.Match
+	// bound[mi] is match mi's content rule, resolved once per round so
+	// the passes index instead of hashing.
+	bound   []*boundTrigger
+	conds   []condResult
+	fires   []int
+	actErrs []error
+	actSkip []bool
+	tallies []trigTally
+}
+
+// lane opens match mi's invocation of fn, one side of its rule, as
+// buf.begin would open it.
+func (r *trigRound) lane(w *World, mi int, fn *boundFn, v *invoc) laneSpec {
+	*v = w.tickInvoc(r.base, triggerSrc(r.round, mi))
+	ev := &r.matches[mi].Ev
+	return laneSpec{fn: fn, prof: r.bound[mi].prof, subj: ev.Entity, amount: &ev.Amount}
 }
 
 // runTriggerRound executes one cascade round's matches through the
@@ -154,76 +188,36 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 	for _, buf := range bufs {
 		buf.reset()
 	}
-	// bound[mi] is match mi's content rule, resolved once here so the
-	// passes below index instead of hashing.
-	bound := w.boundBuf[:0]
-	for _, m := range matches {
-		bt := w.trigBound[m.Rule]
+	r := &w.trigRnd
+	r.round, r.workers, r.base, r.matches = round, workers, w.rngBase(), matches
+	r.bound = r.bound[:0]
+	for mi := range matches {
+		bt := w.trigBound[matches[mi].Rule]
 		w.ensureTriggerSlots(bt, workers)
-		bound = append(bound, bt)
+		r.bound = append(r.bound, bt)
 	}
-	w.boundBuf = bound
+	r.conds = slices.Grow(r.conds[:0], len(matches))[:len(matches)]
+	clear(r.conds)
+	r.tallies = slices.Grow(r.tallies[:0], workers)[:workers]
+	clear(r.tallies)
 
-	// Cond: parallel read-only queries over the round-start state.
-	// Each match index is written by exactly one worker. The result and
-	// tally buffers are World scratch reused across rounds.
-	conds := w.condsBuf[:0]
-	for range matches {
-		conds = append(conds, condResult{})
-	}
-	w.condsBuf = conds
-	tallies := w.tallyBuf[:0]
-	for i := 0; i < workers; i++ {
-		tallies = append(tallies, trigTally{})
-	}
-	w.tallyBuf = tallies
-	w.fanOut(workers, len(matches), func(wi, lo, hi int) {
-		buf := w.workerBufs[wi]
-		for mi := lo; mi < hi; mi++ {
-			bt := bound[mi]
-			if bt.cond == nil {
-				conds[mi].ok = true
-				continue
-			}
-			mark := buf.begin(triggerSrc(round, mi))
-			// Conditions contribute sampled wall time to the rule's
-			// profile (they are queries — effects roll back, so the
-			// exact counters come from the act pass alone).
-			tSample, sampling := bt.prof.BeginSample()
-			v, fuel, err := w.runTrigger(bt.cond, wi, &matches[mi].Ev)
-			bt.prof.EndSample(tSample, sampling)
-			buf.rollback(mark) // conditions are queries: discard any emission
-			tallies[wi].fuel += fuel
-			if err != nil {
-				if isFuelErr(err) {
-					conds[mi].skip = true
-				} else {
-					conds[mi].err = fmt.Errorf("trigger: rule %q condition: %w", bt.name, err)
-				}
-				continue
-			}
-			b, okB := v.AsBool()
-			if !okB {
-				conds[mi].err = fmt.Errorf("trigger %q condition returned %s", bt.name, script.FromEntity(v).Kind())
-				continue
-			}
-			conds[mi].ok = b
-		}
-	})
+	// Cond: read-only queries over the round-start state.
+	w.trigJob.Run(workers, w.condChunkFn)
 
 	// Resolve: serial, in source order. Consumes Once rules (first
 	// passing match in source order wins) and counts activations.
 	var errs []error
-	fires := w.firesBuf[:0]
-	for mi, m := range matches {
+	r.fires = r.fires[:0]
+	for mi := range matches {
+		m := &matches[mi]
 		// A Once rule consumed earlier in this round is dead: serial
 		// execution would never have evaluated its condition, so its
 		// speculative cond outcome — including an error or fuel skip —
 		// is discarded, not counted.
-		if !w.trig.Alive(m) {
+		if !w.trig.Alive(*m) {
 			continue
 		}
-		res := conds[mi]
+		res := r.conds[mi]
 		if res.skip {
 			st.TriggerSkips++
 			continue
@@ -236,68 +230,36 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		if !res.ok {
 			continue
 		}
-		if !w.trig.Activate(m) {
+		if !w.trig.Activate(*m) {
 			continue
 		}
 		st.TriggerFired++
-		fires = append(fires, mi)
+		r.fires = append(r.fires, mi)
 	}
 
-	w.firesBuf = fires
-
-	// Act: the firing GSL actions fan across the workers, each
-	// invocation atomic in its worker's buffer, keyed by the match's
-	// deterministic source id — the partitioning never shows.
-	actErrs := w.actErrBuf[:0]
-	actSkip := w.actSkipBuf[:0]
-	for range fires {
-		actErrs = append(actErrs, nil)
-		actSkip = append(actSkip, false)
+	// Act: the firing actions, each invocation atomic in its worker's
+	// buffer, keyed by the match's deterministic source id — the
+	// partitioning never shows.
+	fires := r.fires
+	r.actErrs = slices.Grow(r.actErrs[:0], len(fires))[:len(fires)]
+	clear(r.actErrs)
+	r.actSkip = slices.Grow(r.actSkip[:0], len(fires))[:len(fires)]
+	clear(r.actSkip)
+	if len(fires) > 0 {
+		w.trigJob.Run(workers, w.actChunkFn)
 	}
-	w.actErrBuf, w.actSkipBuf = actErrs, actSkip
-	w.fanOut(workers, len(fires), func(wi, lo, hi int) {
-		buf := w.workerBufs[wi]
-		for fi := lo; fi < hi; fi++ {
-			mi := fires[fi]
-			bt := bound[mi]
-			reads0 := len(buf.reads)
-			mark := buf.begin(triggerSrc(round, mi))
-			tSample, sampling := bt.prof.BeginSample()
-			_, fuel, err := w.runTrigger(bt.act, wi, &matches[mi].Ev)
-			bt.prof.EndSample(tSample, sampling)
-			tallies[wi].fuel += fuel
-			if err != nil {
-				buf.rollback(mark)
-				if isFuelErr(err) {
-					actSkip[fi] = true
-				} else {
-					actErrs[fi] = fmt.Errorf("trigger: rule %q action: %w", bt.name, err)
-				}
-			}
-			if bt.prof != nil {
-				// Counted after rollback handling, like runWorker.
-				bt.prof.AddCall(fuel, int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
-				if err != nil {
-					if isFuelErr(err) {
-						bt.prof.AddSkip()
-					} else {
-						bt.prof.AddError()
-					}
-				}
-			}
-		}
-	})
 	for fi := range fires {
-		if actSkip[fi] {
+		if r.actSkip[fi] {
 			st.TriggerSkips++
 		}
-		if actErrs[fi] != nil {
+		if r.actErrs[fi] != nil {
 			st.TriggerErrors++
-			errs = append(errs, actErrs[fi])
+			errs = append(errs, r.actErrs[fi])
 		}
 	}
-	for _, t := range tallies {
+	for _, t := range r.tallies {
 		st.FuelUsed += t.fuel
+		w.statFallbacks += t.fallbacks
 	}
 
 	// Apply: one deterministic merge ends the round; the events it
@@ -311,7 +273,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 		base := entity.ID(round+1) * triggerRoundStride
 		w.profOf = func(src entity.ID) *obs.ProfEntry {
 			if mi := int(src - base); mi >= 0 && mi < len(matches) {
-				return bound[mi].prof
+				return r.bound[mi].prof
 			}
 			return w.otherProf
 		}
@@ -322,7 +284,7 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 			if mi < 0 || mi >= len(matches) {
 				return 0, fmt.Errorf("world: re-run source %d outside trigger round %d", src, round)
 			}
-			_, fuel, err := w.runTrigger(bound[mi].act, 0, &matches[mi].Ev)
+			_, fuel, err := w.runTrigger(r.bound[mi].act, 0, &matches[mi].Ev)
 			return fuel, err
 		}
 		w.applyEffectsOCC(bufs, &st.TriggerEffects, &st.TriggerConflicts, st, rerun)
@@ -334,24 +296,107 @@ func (w *World) runTriggerRound(round int, matches []trigger.Match, workers int,
 	return errs
 }
 
-// fanOut chunks n items contiguously across the shared worker pool and
-// runs fn per worker slot, inline when workers is 1 (the same
-// partitioning idiom as the query phase, so a match's worker-slot
-// assignment is stable for a given worker count — though nothing
-// downstream depends on it). Slot wi always owns chunk wi regardless of
-// which pool goroutine executes it, so per-slot buffers stay exclusive.
-func (w *World) fanOut(workers, n int, fn func(wi, lo, hi int)) {
-	if n == 0 {
+// condChunk is worker wi's share of the round's conditions: its
+// contiguous chunk of the matches, run set-at-a-time, then walked in
+// source order. A completed lane that returned a bool decides its match
+// and commits nothing — conditions are queries; any other re-runs on the
+// scalar plan, which alone decides the error text, the fuel and whether
+// the match is skipped.
+func (w *World) condChunk(wi int) {
+	r := &w.trigRnd
+	lo, hi := chunkRange(len(r.matches), r.workers, wi)
+	if lo >= hi {
 		return
 	}
-	if workers == 1 {
-		fn(0, 0, n)
-		return
-	}
-	w.pool.Par(workers, func(wi int) {
-		lo, hi := chunkRange(n, workers, wi)
-		if lo < hi {
-			fn(wi, lo, hi)
-		}
+	buf := w.workerBufs[wi]
+	tally := &r.tallies[wi]
+	w.runLanes(wi, buf, hi-lo, func(p int, v *invoc) laneSpec {
+		return r.lane(w, lo+p, r.bound[lo+p].cond, v)
 	})
+	for mi := lo; mi < hi; mi++ {
+		bt := r.bound[mi]
+		res := &r.conds[mi]
+		if bt.cond == nil {
+			res.ok = true
+			continue
+		}
+		if ln := &buf.lanes[mi-lo]; ln.ok {
+			if b, isBool := ln.val.AsBool(); isBool {
+				res.ok = b
+				tally.fuel += ln.fuel
+				continue
+			}
+		}
+		tally.fallbacks++
+		mark := buf.begin(triggerSrc(r.round, mi))
+		// Conditions contribute sampled wall time to the rule's profile
+		// (they are queries — effects roll back, so the exact counters
+		// come from the act pass alone).
+		tSample, sampling := bt.prof.BeginSample()
+		v, fuel, err := w.runTrigger(bt.cond, wi, &r.matches[mi].Ev)
+		bt.prof.EndSample(tSample, sampling)
+		buf.rollback(mark) // conditions are queries: discard any emission
+		tally.fuel += fuel
+		if err != nil {
+			if isFuelErr(err) {
+				res.skip = true
+			} else {
+				res.err = fmt.Errorf("trigger: rule %q condition: %w", bt.name, err)
+			}
+			continue
+		}
+		b, okB := v.AsBool()
+		if !okB {
+			res.err = fmt.Errorf("trigger %q condition returned %s", bt.name, script.FromEntity(v).Kind())
+			continue
+		}
+		res.ok = b
+	}
+}
+
+// actChunk is worker wi's share of the round's firing actions: its
+// contiguous chunk of the fires, run set-at-a-time, then committed in
+// source order. A completed lane commits what it staged as its
+// invocation; any other re-runs on the scalar plan.
+func (w *World) actChunk(wi int) {
+	r := &w.trigRnd
+	lo, hi := chunkRange(len(r.fires), r.workers, wi)
+	if lo >= hi {
+		return
+	}
+	buf := w.workerBufs[wi]
+	tally := &r.tallies[wi]
+	w.runLanes(wi, buf, hi-lo, func(p int, v *invoc) laneSpec {
+		mi := r.fires[lo+p]
+		return r.lane(w, mi, r.bound[mi].act, v)
+	})
+	for fi := lo; fi < hi; fi++ {
+		mi := r.fires[fi]
+		bt := r.bound[mi]
+		reads0 := len(buf.reads)
+		mark := buf.begin(triggerSrc(r.round, mi))
+		if ln := &buf.lanes[fi-lo]; ln.ok {
+			tally.fuel += ln.fuel
+			buf.commitLane(int32(fi - lo))
+			bt.prof.AddCall(ln.fuel, int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
+			continue
+		}
+		tally.fallbacks++
+		tSample, sampling := bt.prof.BeginSample()
+		_, fuel, err := w.runTrigger(bt.act, wi, &r.matches[mi].Ev)
+		bt.prof.EndSample(tSample, sampling)
+		tally.fuel += fuel
+		if err != nil {
+			buf.rollback(mark)
+			if isFuelErr(err) {
+				r.actSkip[fi] = true
+				bt.prof.AddSkip()
+			} else {
+				r.actErrs[fi] = fmt.Errorf("trigger: rule %q action: %w", bt.name, err)
+				bt.prof.AddError()
+			}
+		}
+		// Counted after rollback handling, like runBehaviors.
+		bt.prof.AddCall(fuel, int64(len(buf.effects)-mark), int64(len(buf.reads)-reads0))
+	}
 }

@@ -74,6 +74,20 @@ fn on_tick(self) { emit("pulse", self, 2); emit("scan", self, self % 3); }
 func runTriggerMix(t *testing.T, workers int, policy string, ticks int) []string {
 	t.Helper()
 	prof := obs.NewProfiler()
+	out := runTicks(t, triggerMixWorld(t, workers, policy, prof), ticks, false)
+	var rows []string
+	for _, r := range prof.Rows() {
+		if strings.HasPrefix(r.Name, "trigger/") {
+			rows = append(rows, profLine(r))
+		}
+	}
+	slices.Sort(rows)
+	return append(out, rows...)
+}
+
+// triggerMixWorld is the mix crowd: 60 units, profiled by prof.
+func triggerMixWorld(t *testing.T, workers int, policy string, prof *obs.Profiler) *World {
+	t.Helper()
 	// 450 fuel lets crowd's for-in finish for a handful of neighbors and
 	// exhausts it in the dense middle of the spawn grid.
 	w := loadPack(t, Config{Seed: 9, CellSize: 8, Workers: workers, ConflictPolicy: policy, ScriptFuel: 450, Profile: prof}, triggerMixPack)
@@ -84,15 +98,39 @@ func runTriggerMix(t *testing.T, workers int, policy string, ticks int) []string
 			t.Fatal(err)
 		}
 	}
-	out := runTicks(t, w, ticks, false)
-	var rows []string
-	for _, r := range prof.Rows() {
-		if strings.HasPrefix(r.Name, "trigger/") {
-			rows = append(rows, profLine(r))
+	return w
+}
+
+// TestTriggerLanesFallBack: on the trigger mix every rule side runs
+// set-at-a-time but looper's <do>, whose while loop keeps it per match,
+// and each tick exactly these invocations re-run on the scalar plan:
+// every looper action, every bad-payload action that errors, and every
+// invocation a fuel skip ends. The pulse behavior never falls back.
+func TestTriggerLanesFallBack(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		prof := obs.NewProfiler()
+		w := triggerMixWorld(t, workers, ConflictLastWrite, prof)
+		var prev map[string]obs.ProfRow
+		var loops, errs, skips int
+		for tick := 1; tick <= 10; tick++ {
+			st, _ := w.Step() // bad-payload's errors come out of Step
+			rows := map[string]obs.ProfRow{}
+			for _, r := range prof.Rows() {
+				rows[r.Name] = r
+			}
+			looper := int(rows["trigger/looper"].Calls - prev["trigger/looper"].Calls)
+			bad := int(rows["trigger/bad-payload"].Errors - prev["trigger/bad-payload"].Errors)
+			if want := looper + bad + st.TriggerSkips; w.Fallbacks() != want {
+				t.Fatalf("workers=%d tick %d: %d invocations on the scalar plan, want %d looper actions + %d bad-payload errors + %d fuel skips",
+					workers, tick, w.Fallbacks(), looper, bad, st.TriggerSkips)
+			}
+			loops, errs, skips = loops+looper, errs+bad, skips+st.TriggerSkips
+			prev = rows
+		}
+		if loops == 0 || errs == 0 || skips == 0 {
+			t.Fatalf("workers=%d: %d looper actions, %d bad-payload errors, %d fuel skips; the mix no longer reaches every fallback", workers, loops, errs, skips)
 		}
 	}
-	slices.Sort(rows)
-	return append(out, rows...)
 }
 
 // TestCompiledTriggersMatchInterpreted pins trigger plans to the

@@ -174,17 +174,15 @@ type World struct {
 	moveStamps []rowStamps
 	moveEpoch  uint64
 
-	// Trigger-round scratch (trigger_phase.go), reused round-to-round
-	// so cascade draining stops allocating per round. trigEvBuf and
-	// trigMatchBuf are the caller-owned round buffers the engine's
-	// TakeRound/MatchRound fill, so popping and matching a cascade
-	// round allocates nothing in steady state.
-	condsBuf     []condResult
-	tallyBuf     []trigTally
-	boundBuf     []*boundTrigger
-	firesBuf     []int
-	actErrBuf    []error
-	actSkipBuf   []bool
+	// Trigger-round state (trigger_phase.go), reused round-to-round so
+	// cascade draining allocates nothing per round: trigRnd is the round
+	// in flight, trigJob its region on the pool, fanning condChunk and
+	// actChunk over the workers. trigEvBuf and trigMatchBuf are the
+	// caller-owned round buffers the engine's TakeRound/MatchRound fill.
+	trigRnd      trigRound
+	trigJob      *sched.Job
+	condChunkFn  func(int)
+	actChunkFn   func(int)
 	trigEvBuf    []trigger.Event
 	trigMatchBuf []trigger.Match
 
@@ -234,8 +232,9 @@ type World struct {
 	applyRemoteRerun bool
 	inExchange       bool
 	statForwarded    int
-	// statFallbacks is the last query phase's count of invocations that
-	// ran on the scalar plan instead of a batched run (batch.go).
+	// statFallbacks is the last tick's count of invocations that ran on
+	// the scalar plan instead of a batched run (batch.go): behaviors and
+	// trigger conditions and actions.
 	statFallbacks    int
 	pendRemoteMerged int
 	pendRemoteInval  int
@@ -352,6 +351,7 @@ func New(cfg Config) *World {
 		prof:       cfg.Profile,
 	}
 	w.queryJob, w.queryChunkFn = pool.NewJob(), w.queryChunk
+	w.trigJob, w.condChunkFn, w.actChunkFn = pool.NewJob(), w.condChunk, w.actChunk
 	if w.prof != nil {
 		w.otherProf = w.prof.Entry("(physics)")
 	}
