@@ -1,20 +1,23 @@
 package entity
 
 // HashIndex is a secondary equality index from column value to the set of
-// entity IDs holding that value. It is maintained by the owning Table.
+// entity IDs holding that value, keyed on Value.Key so lookups follow
+// Value.Equal. It is maintained by the owning Table.
 type HashIndex struct {
-	m map[Value][]ID
+	m map[ValueKey][]ID
 }
 
 // NewHashIndex returns an empty hash index.
-func NewHashIndex() *HashIndex { return &HashIndex{m: make(map[Value][]ID)} }
+func NewHashIndex() *HashIndex { return &HashIndex{m: make(map[ValueKey][]ID)} }
 
 func (ix *HashIndex) insert(v Value, id ID) {
-	ix.m[v] = append(ix.m[v], id)
+	k := v.Key()
+	ix.m[k] = append(ix.m[k], id)
 }
 
 func (ix *HashIndex) remove(v Value, id ID) {
-	ids := ix.m[v]
+	k := v.Key()
+	ids := ix.m[k]
 	for i, got := range ids {
 		if got == id {
 			ids[i] = ids[len(ids)-1]
@@ -23,15 +26,15 @@ func (ix *HashIndex) remove(v Value, id ID) {
 		}
 	}
 	if len(ids) == 0 {
-		delete(ix.m, v)
+		delete(ix.m, k)
 	} else {
-		ix.m[v] = ids
+		ix.m[k] = ids
 	}
 }
 
 // Lookup returns a copy of the IDs whose indexed column equals v.
 func (ix *HashIndex) Lookup(v Value) []ID {
-	ids := ix.m[v]
+	ids := ix.m[v.Key()]
 	if len(ids) == 0 {
 		return nil
 	}

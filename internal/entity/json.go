@@ -14,13 +14,13 @@ func (v Value) MarshalJSON() ([]byte, error) {
 	case KindInvalid:
 		pair = [2]string{"n", ""}
 	case KindInt:
-		pair = [2]string{"i", strconv.FormatInt(v.i, 10)}
+		pair = [2]string{"i", strconv.FormatInt(v.ival(), 10)}
 	case KindFloat:
-		pair = [2]string{"f", strconv.FormatFloat(v.f, 'g', -1, 64)}
+		pair = [2]string{"f", strconv.FormatFloat(v.fval(), 'g', -1, 64)}
 	case KindString:
 		pair = [2]string{"s", v.s}
 	case KindBool:
-		pair = [2]string{"b", strconv.FormatBool(v.b)}
+		pair = [2]string{"b", strconv.FormatBool(v.bval())}
 	default:
 		return nil, fmt.Errorf("entity: cannot marshal kind %d", v.kind)
 	}

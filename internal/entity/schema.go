@@ -154,7 +154,7 @@ func (s *Schema) Equal(o *Schema) bool {
 	}
 	for i := range s.cols {
 		a, b := s.cols[i], o.cols[i]
-		if a.Name != b.Name || a.Kind != b.Kind || a.Default != b.Default {
+		if a.Name != b.Name || a.Kind != b.Kind || !a.Default.Equal(b.Default) {
 			return false
 		}
 	}

@@ -64,7 +64,7 @@ func (ix *OrderedIndex) Insert(v Value, id ID) bool {
 		}
 		update[i] = x
 	}
-	if n := x.next[0]; n != nil && n.key == v && n.id == id {
+	if n := x.next[0]; n != nil && n.key.Equal(v) && n.id == id {
 		return false
 	}
 	lvl := ix.randLevel()
@@ -94,7 +94,7 @@ func (ix *OrderedIndex) Delete(v Value, id ID) bool {
 		update[i] = x
 	}
 	n := x.next[0]
-	if n == nil || n.key != v || n.id != id {
+	if n == nil || !n.key.Equal(v) || n.id != id {
 		return false
 	}
 	for i := 0; i < ix.level; i++ {

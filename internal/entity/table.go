@@ -237,7 +237,7 @@ func (t *Table) Set(id ID, col string, v Value) error {
 			ErrKind, col, t.schema.ColAt(ci).Kind, v.Kind())
 	}
 	old := t.cols[ci][r]
-	if old == v {
+	if old.Equal(v) {
 		return nil
 	}
 	t.cols[ci][r] = v
@@ -315,7 +315,7 @@ func (t *Table) setColumnBatch(col string, ids []ID, vals []Value, rows []int, t
 			rows = append(rows, r)
 		}
 		old := column[r]
-		if old == v {
+		if old.Equal(v) {
 			continue
 		}
 		column[r] = v
@@ -388,7 +388,7 @@ func (t *Table) addColumnBatch(col string, ids []ID, deltas []Value, rows []int,
 			rows = append(rows, r)
 		}
 		old := column[r]
-		if old == v {
+		if old.Equal(v) {
 			continue
 		}
 		column[r] = v
@@ -558,7 +558,7 @@ func (t *Table) LookupEq(col string, v Value) ([]ID, error) {
 	}
 	var out []ID
 	for r, id := range t.ids {
-		if t.cols[ci][r] == v {
+		if t.cols[ci][r].Equal(v) {
 			out = append(out, id)
 		}
 	}

@@ -16,6 +16,7 @@ package entity
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -66,32 +67,80 @@ func KindByName(name string) (Kind, bool) {
 	}
 }
 
-// Value is a dynamically typed cell value. Values are comparable with ==
-// (they contain no slices or maps) and therefore usable as map keys, which
-// the hash index relies on. The zero Value is the null value.
+// Value is a dynamically typed cell value. The zero Value is the null
+// value.
+//
+// Value is 32 bytes: every scalar payload shares one word, n, which holds
+// an int's bits, a float's IEEE-754 bits or 0/1 for a bool. Columns, lanes,
+// effect records and barrier rows all copy Values, so the width is a
+// hot-path property (TestHotRecordSizes pins it).
+//
+// Compare Values with Equal, not ==. Equal compares floats as floats
+// (-0 equals +0, NaN equals nothing); == compares the payload's bits and
+// gets both of those wrong. The hash index and the query hash join key on
+// Key, which keeps Equal's semantics.
 type Value struct {
 	kind Kind
-	i    int64
-	f    float64
+	n    uint64
 	s    string
-	b    bool
 }
 
 // Int returns an integer value.
-func Int(v int64) Value { return Value{kind: KindInt, i: v} }
+func Int(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // Float returns a floating-point value.
-func Float(v float64) Value { return Value{kind: KindFloat, f: v} }
+func Float(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // Str returns a string value. Strings may hold arbitrary bytes, which the
 // blob storage mode exploits.
 func Str(v string) Value { return Value{kind: KindString, s: v} }
 
 // Bool returns a boolean value.
-func Bool(v bool) Value { return Value{kind: KindBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Null returns the null value (kind KindInvalid).
 func Null() Value { return Value{} }
+
+// ival, fval and bval read n as an int's, a float's or a bool's payload.
+func (v Value) ival() int64   { return int64(v.n) }
+func (v Value) fval() float64 { return math.Float64frombits(v.n) }
+func (v Value) bval() bool    { return v.n != 0 }
+
+// Equal reports whether v and w are the same value: kinds equal, floats
+// compared as floats (-0 equals +0, and NaN equals nothing, itself
+// included), every other kind by payload.
+func (v Value) Equal(w Value) bool {
+	if v.kind != w.kind {
+		return false
+	}
+	if v.kind == KindFloat {
+		return v.fval() == w.fval()
+	}
+	return v.n == w.n && v.s == w.s
+}
+
+// ValueKey is a Value's map-key form: two keys are == exactly when their
+// Values are Equal, because a float keeps its payload in a float64 field.
+// A map keyed on it finds a -0 key under +0 and never finds a NaN.
+type ValueKey struct {
+	kind Kind
+	n    uint64
+	f    float64
+	s    string
+}
+
+// Key returns v's map-key form.
+func (v Value) Key() ValueKey {
+	if v.kind == KindFloat {
+		return ValueKey{kind: KindFloat, f: v.fval()}
+	}
+	return ValueKey{kind: v.kind, n: v.n, s: v.s}
+}
 
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -105,7 +154,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt {
 		panic(fmt.Sprintf("entity: Int() on %s value", v.kind))
 	}
-	return v.i
+	return v.ival()
 }
 
 // Float returns the float64 payload. It panics if the value is not
@@ -114,7 +163,7 @@ func (v Value) Float() float64 {
 	if v.kind != KindFloat {
 		panic(fmt.Sprintf("entity: Float() on %s value", v.kind))
 	}
-	return v.f
+	return v.fval()
 }
 
 // Str returns the string payload. It panics if the value is not KindString.
@@ -130,13 +179,13 @@ func (v Value) Bool() bool {
 	if v.kind != KindBool {
 		panic(fmt.Sprintf("entity: Bool() on %s value", v.kind))
 	}
-	return v.b
+	return v.bval()
 }
 
 // AsInt returns the value as an int64 if it is an int.
 func (v Value) AsInt() (int64, bool) {
 	if v.kind == KindInt {
-		return v.i, true
+		return v.ival(), true
 	}
 	return 0, false
 }
@@ -146,9 +195,9 @@ func (v Value) AsInt() (int64, bool) {
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {
 	case KindFloat:
-		return v.f, true
+		return v.fval(), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.ival()), true
 	default:
 		return 0, false
 	}
@@ -157,7 +206,7 @@ func (v Value) AsFloat() (float64, bool) {
 // AsBool returns the value as a bool if it is a bool.
 func (v Value) AsBool() (bool, bool) {
 	if v.kind == KindBool {
-		return v.b, true
+		return v.bval(), true
 	}
 	return false, false
 }
@@ -176,13 +225,13 @@ func (v Value) String() string {
 	case KindInvalid:
 		return "null"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.ival(), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.fval(), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.bval())
 	default:
 		return "?"
 	}
@@ -205,17 +254,17 @@ func Compare(a, b Value) int {
 		return 0
 	case KindInt:
 		switch {
-		case a.i < b.i:
+		case a.ival() < b.ival():
 			return -1
-		case a.i > b.i:
+		case a.ival() > b.ival():
 			return 1
 		}
 		return 0
 	case KindFloat:
 		switch {
-		case a.f < b.f:
+		case a.fval() < b.fval():
 			return -1
-		case a.f > b.f:
+		case a.fval() > b.fval():
 			return 1
 		}
 		return 0
@@ -229,9 +278,9 @@ func Compare(a, b Value) int {
 		return 0
 	case KindBool:
 		switch {
-		case !a.b && b.b:
+		case !a.bval() && b.bval():
 			return -1
-		case a.b && !b.b:
+		case a.bval() && !b.bval():
 			return 1
 		}
 		return 0

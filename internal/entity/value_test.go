@@ -1,6 +1,7 @@
 package entity
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -132,12 +133,122 @@ func TestCompareProperties(t *testing.T) {
 		t.Errorf("transitivity: %v", err)
 	}
 	eqConsistent := func(a, b quickValue) bool {
-		if a.V == b.V {
+		if a.V.Equal(b.V) {
 			return Compare(a.V, b.V) == 0
 		}
 		return true
 	}
 	if err := quick.Check(eqConsistent, nil); err != nil {
 		t.Errorf("==/Compare consistency: %v", err)
+	}
+}
+
+// TestValueEqualKeepsFloatSemantics pins the equality the store uses for
+// no-op writes and equality lookups: floats compare as floats, so -0 is
+// +0 and NaN equals nothing. Value's == compares payload bits and would
+// get both wrong — a -0 written over +0 would land and move the world
+// hash, and a NaN probe would find the NaN rows.
+func TestValueEqualKeepsFloatSemantics(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	nan := Float(math.NaN())
+	for _, c := range []struct {
+		a, b Value
+		want bool
+	}{
+		{Float(0), negZero, true},
+		{nan, nan, false},
+		{Float(1.5), Float(1.5), true},
+		{Int(1), Float(1), false},
+		{Int(-7), Int(-7), true},
+		{Str("a"), Str("a"), true},
+		{Str("a"), Str("b"), false},
+		{Bool(true), Bool(true), true},
+		{Bool(true), Bool(false), false},
+		{Null(), Null(), true},
+	} {
+		if got := c.a.Equal(c.b); got != c.want {
+			t.Errorf("%v.Equal(%v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+		if got := c.a.Key() == c.b.Key(); got != c.want {
+			t.Errorf("%v.Key() == %v.Key() is %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+
+	// newTab holds id 1 at x = stored, hash-indexed on x.
+	newTab := func(stored Value) *Table {
+		tab := NewTable("p", MustSchema(Column{Name: "x", Kind: KindFloat}))
+		if err := tab.InsertRow(1, []Value{stored}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.CreateHashIndex("x"); err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	writes := []struct {
+		name string
+		do   func(tab *Table, v Value) error
+	}{
+		{"Set", func(tab *Table, v Value) error { return tab.Set(1, "x", v) }},
+		{"SetColumnBatch", func(tab *Table, v Value) error {
+			_, err := tab.SetColumnBatch("x", []ID{1}, []Value{v})
+			return err
+		}},
+	}
+	for _, w := range writes {
+		// A write Equal to the stored value is a no-op: +0 stays +0.
+		tab := newTab(Float(0))
+		if err := w.do(tab, negZero); err != nil {
+			t.Fatal(err)
+		}
+		if math.Signbit(tab.MustGet(1, "x").Float()) {
+			t.Errorf("%s of -0 over +0 stored -0", w.name)
+		}
+		// NaN equals nothing, so NaN over NaN is a write: the row re-keys
+		// its index entry, and the old NaN key, matching nothing, stays.
+		tab = newTab(nan)
+		if err := w.do(tab, nan); err != nil {
+			t.Fatal(err)
+		}
+		if n := tab.hash["x"].Len(); n != 2 {
+			t.Errorf("%s of NaN over NaN: %d index keys, want 2 (a write)", w.name, n)
+		}
+	}
+	// An add whose sum is Equal to the stored value is a no-op too:
+	// -0 + +0 is +0, which is -0, so -0 stays.
+	tab := newTab(negZero)
+	if _, err := tab.AddColumnBatch("x", []ID{1}, []Value{Float(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if !math.Signbit(tab.MustGet(1, "x").Float()) {
+		t.Error("AddColumnBatch of +0 to -0 stored +0")
+	}
+	tab = newTab(nan)
+	if _, err := tab.AddColumnBatch("x", []ID{1}, []Value{Float(0)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := tab.hash["x"].Len(); n != 2 {
+		t.Errorf("AddColumnBatch to NaN: %d index keys, want 2 (a write)", n)
+	}
+
+	// Equality lookups, through the hash index and through a scan.
+	for _, indexed := range []bool{true, false} {
+		tab := NewTable("p", MustSchema(Column{Name: "x", Kind: KindFloat}))
+		for id, v := range []Value{Float(0), nan, Float(2)} {
+			if err := tab.InsertRow(ID(id+1), []Value{v}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if indexed {
+			if err := tab.CreateHashIndex("x"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ids, _ := tab.LookupEq("x", negZero); len(ids) != 1 || ids[0] != 1 {
+			t.Errorf("indexed=%v: LookupEq(-0) = %v, want [1]", indexed, ids)
+		}
+		if ids, _ := tab.LookupEq("x", nan); len(ids) != 0 {
+			t.Errorf("indexed=%v: LookupEq(NaN) = %v, want none", indexed, ids)
+		}
 	}
 }

@@ -49,7 +49,9 @@ type AggSpec struct {
 // attributes (faction, zone) at most.
 const maxGroupCols = 4
 
-type groupKey [maxGroupCols]entity.Value
+// groupKey is a group's map key: its group-by values in Value.Key form,
+// so groups follow Value.Equal.
+type groupKey [maxGroupCols]entity.ValueKey
 
 // Aggregate computes grouped aggregates over its input — the paper's
 // example of database technology games need ("Aggregates" is literally in
@@ -63,13 +65,14 @@ type Aggregate struct {
 
 	keyIdx []int
 	groups map[groupKey]*aggState
-	order  []groupKey
+	order  []*aggState
 	cursor int
 	done   bool
 	buf    []Tuple
 }
 
 type aggState struct {
+	key   [maxGroupCols]entity.Value // group-by values of the group's first row
 	count []int64
 	sumI  []int64
 	sumF  []float64
@@ -152,7 +155,7 @@ func (a *Aggregate) Open() error {
 func (a *Aggregate) absorb(t Tuple) error {
 	var key groupKey
 	for i, ki := range a.keyIdx {
-		key[i] = t[ki]
+		key[i] = t[ki].Key()
 	}
 	st, ok := a.groups[key]
 	if !ok {
@@ -168,8 +171,11 @@ func (a *Aggregate) absorb(t Tuple) error {
 		for i := range st.isInt {
 			st.isInt[i] = true
 		}
+		for i, ki := range a.keyIdx {
+			st.key[i] = t[ki]
+		}
 		a.groups[key] = st
-		a.order = append(a.order, key)
+		a.order = append(a.order, st)
 	}
 	for i, s := range a.specs {
 		if s.Expr == nil { // count(*)
@@ -233,11 +239,10 @@ func (a *Aggregate) Next() ([]Tuple, error) {
 		end = len(a.order)
 	}
 	a.buf = a.buf[:0]
-	for _, key := range a.order[a.cursor:end] {
-		st := a.groups[key]
+	for _, st := range a.order[a.cursor:end] {
 		t := make(Tuple, 0, len(a.groupBy)+len(a.specs))
 		for i := range a.groupBy {
-			t = append(t, key[i])
+			t = append(t, st.key[i])
 		}
 		for i, s := range a.specs {
 			t = append(t, finishAgg(s.Func, st, i))

@@ -119,7 +119,7 @@ type HashJoin struct {
 	left, right       Op
 	leftKey, rightKey string
 	desc              *Desc
-	table             map[entity.Value][]Tuple
+	table             map[entity.ValueKey][]Tuple
 	leftKeyIdx        int
 	buf               []Tuple
 }
@@ -151,9 +151,9 @@ func (j *HashJoin) Open() error {
 	if err != nil {
 		return err
 	}
-	j.table = make(map[entity.Value][]Tuple, len(rows))
+	j.table = make(map[entity.ValueKey][]Tuple, len(rows))
 	for _, t := range rows {
-		k := t[rki]
+		k := t[rki].Key()
 		j.table[k] = append(j.table[k], t)
 	}
 	return j.left.Open()
@@ -168,7 +168,7 @@ func (j *HashJoin) Next() ([]Tuple, error) {
 		}
 		j.buf = j.buf[:0]
 		for _, lt := range batch {
-			for _, rt := range j.table[lt[j.leftKeyIdx]] {
+			for _, rt := range j.table[lt[j.leftKeyIdx].Key()] {
 				combined := make(Tuple, 0, len(lt)+len(rt))
 				combined = append(combined, lt...)
 				combined = append(combined, rt...)

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -292,6 +293,60 @@ func TestHashJoin(t *testing.T) {
 	j2, _ := NewHashJoin(NewScan(units), NewScan(bonus), "units.zzz", "bonus.faction")
 	if err := j2.Open(); err == nil {
 		t.Fatal("unknown left key should fail")
+	}
+}
+
+// TestFloatKeysFollowValueEqual: the hash join and group-by key on
+// entity.Value.Key, so float keys compare as floats — a -0 key meets +0,
+// and a NaN key meets nothing, not even another NaN.
+func TestFloatKeysFollowValueEqual(t *testing.T) {
+	negZero := entity.Float(math.Copysign(0, -1))
+	nan := entity.Float(math.NaN())
+	side := func(name string, keys ...entity.Value) *entity.Table {
+		tab := entity.NewTable(name, entity.MustSchema(entity.Column{Name: "k", Kind: entity.KindFloat}))
+		for i, k := range keys {
+			if err := tab.InsertRow(entity.ID(i+1), []entity.Value{k}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return tab
+	}
+	left := side("l", negZero, nan, entity.Float(1))
+	right := side("r", entity.Float(0), nan, entity.Float(2))
+	j, err := NewHashJoin(NewScan(left), NewScan(right), "l.k", "r.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, d, err := Run(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, _ := d.Col("l.k")
+	rk, _ := d.Col("r.k")
+	if len(rows) != 1 || !math.Signbit(rows[0][lk].Float()) || math.Signbit(rows[0][rk].Float()) {
+		t.Fatalf("hash join = %v, want the one row (-0, +0)", rows)
+	}
+
+	agg, err := NewAggregate(NewScan(side("g", entity.Float(0), negZero, entity.Float(3))),
+		[]string{"g.k"}, []AggSpec{{Func: AggCount, As: "n"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, d, err = Run(agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ni, _ := d.Col("n")
+	if len(rows) != 2 || rows[0][ni].Int() != 2 {
+		t.Fatalf("group by {+0, -0, 3} = %v, want +0 and -0 in one group of 2", rows)
+	}
+	// Each NaN row is a group of its own.
+	if agg, err = NewAggregate(NewScan(side("h", nan, nan)), []string{"h.k"},
+		[]AggSpec{{Func: AggCount, As: "n"}}); err != nil {
+		t.Fatal(err)
+	}
+	if rows, _, err = Run(agg); err != nil || len(rows) != 2 {
+		t.Fatalf("group by {NaN, NaN} = %v (%v), want two groups", rows, err)
 	}
 }
 

@@ -110,7 +110,7 @@ func (rec ghostRec) shipField(spec replica.FieldSpec, tick int64, fi int, numeri
 		return spec.ShouldShip(cur, f.sent, tick, f.sentTick), false
 	}
 	if spec.Class == replica.Exact {
-		return raw != f.sentVal, false
+		return !raw.Equal(f.sentVal), false
 	}
 	return false, true
 }

@@ -62,17 +62,22 @@ const (
 // deterministic total order independent of which worker emitted it:
 // each entity is processed by exactly one worker, so (Src, Seq) is the
 // same for any partitioning.
+//
+// Effect is 88 bytes: Kind shares Seq's word, and a record's one string
+// lives in Col. Every emission, merge and barrier row copies records, so
+// the width is a hot-path property (TestHotRecordSizes pins it).
 type Effect struct {
-	Kind EffectKind
 	Src  entity.ID // emitting entity (self for physics deltas)
 	Seq  int32     // emission order within Src's invocation
+	Kind EffectKind
 	// Target is the affected entity for Set/Add/Despawn/Post; it may be
 	// a provisional id from a same-invocation spawn.
 	Target entity.ID
-	Col    string       // Set/Add column
-	Val    entity.Value // Set value, Add delta, Post amount
-	Name   string       // Spawn archetype, Post event name
-	Pos    spatial.Vec2 // Spawn position
+	// Col is the record's one name: the column of a Set or Add, the
+	// archetype of a Spawn, the event name of a Post (empty for Despawn).
+	Col string
+	Val entity.Value // Set value, Add delta, Post amount
+	Pos spatial.Vec2 // Spawn position
 }
 
 // readCell identifies one read (or written) cell for conflict tracking:
@@ -392,7 +397,7 @@ func (b *EffectBuffer) spawnRec(v *invoc, archetype string, pos spatial.Vec2) (E
 	prov := provBase + v.src*maxSpawnsPerCall + entity.ID(v.spawnIdx)
 	v.spawnIdx++
 	b.provTable[prov] = a.Table
-	return Effect{Kind: EffectSpawn, Target: prov, Name: archetype, Pos: pos}, nil
+	return Effect{Kind: EffectSpawn, Target: prov, Col: archetype, Pos: pos}, nil
 }
 
 func (b *EffectBuffer) despawnRec(inv *invoc, target entity.ID) (Effect, error) {
@@ -470,7 +475,7 @@ func (w *World) collectMerge(bufs []*EffectBuffer) []Effect {
 
 // effKey is one record's place in the merge order — its (source id,
 // source order) plus its index in the unordered sequence — so ordering
-// moves 16-byte keys, not 128-byte records.
+// moves 16-byte keys, not 88-byte records.
 type effKey struct {
 	src entity.ID
 	seq int32
@@ -577,7 +582,7 @@ func (w *World) applyMerged(merged []Effect, conflicts *int) {
 		if e.Kind != EffectSpawn {
 			continue
 		}
-		id, err := w.Spawn(e.Name, e.Pos)
+		id, err := w.Spawn(e.Col, e.Pos)
 		if err != nil {
 			*conflicts++
 			w.noteConflict(e.Src)
@@ -633,6 +638,6 @@ func (w *World) applyMerged(merged []Effect, conflicts *int) {
 			w.noteConflict(e.Src)
 			continue
 		}
-		w.Post(e.Name, id, e.Val)
+		w.Post(e.Col, id, e.Val)
 	}
 }

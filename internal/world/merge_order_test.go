@@ -38,9 +38,9 @@ func ascendingRun(rng *rand.Rand, dst []Effect, n int, physics bool) []Effect {
 				dst = append(dst, e)
 			}
 		case rng.Intn(8) == 0: // a spawn and a write to its provisional id
-			e.Kind, e.Name, e.Target = EffectSpawn, "unit", provBase+src*maxSpawnsPerCall
+			e.Kind, e.Col, e.Target = EffectSpawn, "unit", provBase+src*maxSpawnsPerCall
 			dst = append(dst, e)
-			e.Kind, e.Seq = EffectSet, 1
+			e.Kind, e.Col, e.Seq = EffectSet, "x", 1
 			dst = append(dst, e)
 		default:
 			for s := int32(0); s < int32(1+rng.Intn(3)); s++ {

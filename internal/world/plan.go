@@ -168,7 +168,7 @@ func (e *planEnv) EmitAdd(id entity.ID, col string, delta entity.Value) error {
 // without validation: the trigger engine fields events for departed
 // entities.
 func (e *planEnv) EmitPost(name string, id entity.ID, amount entity.Value) {
-	e.push(Effect{Kind: EffectPost, Target: id, Name: name, Val: amount})
+	e.push(Effect{Kind: EffectPost, Target: id, Col: name, Val: amount})
 }
 
 // MoveToward steps from the entity's frozen position — a

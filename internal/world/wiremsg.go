@@ -11,30 +11,46 @@ import (
 // their read-sets) is unexported: the wire layer moves bytes, this file
 // owns what the bytes mean.
 
-// AppendEffect encodes one effect onto e.
+// AppendEffect encodes one effect onto e as (kind, src, seq, target,
+// column, value, name, pos). Col travels in the slot its kind names: the
+// name slot for a Spawn's archetype and a Post's event, the column slot
+// otherwise; the other slot is empty.
 func AppendEffect(e *wire.Enc, ef *Effect) {
+	col, name := ef.Col, ""
+	if ef.colIsName() {
+		col, name = "", ef.Col
+	}
 	e.U8(byte(ef.Kind))
 	e.Uvarint(uint64(ef.Src))
 	e.Varint(int64(ef.Seq))
 	e.Uvarint(uint64(ef.Target))
-	e.Str(ef.Col)
+	e.Str(col)
 	e.Value(ef.Val)
-	e.Str(ef.Name)
+	e.Str(name)
 	e.F64(ef.Pos.X)
 	e.F64(ef.Pos.Y)
 }
 
-// DecodeEffect decodes one effect from d into ef.
+// DecodeEffect decodes one effect from d into ef, folding the slot its
+// kind names into Col.
 func DecodeEffect(d *wire.Dec, ef *Effect) {
 	ef.Kind = EffectKind(d.U8())
 	ef.Src = entity.ID(d.Uvarint())
 	ef.Seq = int32(d.Varint())
 	ef.Target = entity.ID(d.Uvarint())
-	ef.Col = d.Str()
+	col := d.Str()
 	ef.Val = d.Value()
-	ef.Name = d.Str()
+	name := d.Str()
+	ef.Col = col
+	if ef.colIsName() {
+		ef.Col = name
+	}
 	ef.Pos = spatial.Vec2{X: d.F64(), Y: d.F64()}
 }
+
+// colIsName reports whether ef's Col holds a name (a Spawn's archetype or a
+// Post's event) rather than a column.
+func (ef *Effect) colIsName() bool { return ef.Kind == EffectSpawn || ef.Kind == EffectPost }
 
 // AppendRemoteBatch encodes one outbound RemoteEffectBatch: the remote
 // records in order, then the OCC invocation metadata (empty under
