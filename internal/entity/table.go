@@ -59,13 +59,17 @@ var (
 // Table stores one component type: a dense column-major collection of
 // typed rows keyed by entity ID, with optional secondary indexes.
 // Column-major storage makes AddColumn/DropColumn O(1)/O(1) slice edits
-// plus backfill, which the schema-migration experiments rely on.
+// plus backfill, which the schema-migration experiments rely on. An id
+// finds its row through rowOf, an IDIndex: two array reads for the
+// dense ids a world assigns, a map probe only for far ids. Delete
+// swaps the last row into the hole and re-points its id; Check
+// verifies the index against the rows.
 type Table struct {
 	name      string
 	schema    *Schema
 	ids       []ID
 	cols      [][]Value // cols[c][row]
-	rowOf     map[ID]int
+	rowOf     IDIndex
 	hash      map[string]*HashIndex
 	ordered   map[string]*OrderedIndex
 	listeners []ChangeListener
@@ -76,7 +80,6 @@ func NewTable(name string, schema *Schema) *Table {
 	t := &Table{
 		name:    name,
 		schema:  schema,
-		rowOf:   make(map[ID]int),
 		hash:    make(map[string]*HashIndex),
 		ordered: make(map[string]*OrderedIndex),
 	}
@@ -95,7 +98,7 @@ func (t *Table) Len() int { return len(t.ids) }
 
 // Has reports whether the entity exists.
 func (t *Table) Has(id ID) bool {
-	_, ok := t.rowOf[id]
+	_, ok := t.rowOf.Get(id)
 	return ok
 }
 
@@ -112,7 +115,7 @@ func (t *Table) notify(c Change) {
 // columns take their defaults. It fails if the id exists, a column is
 // unknown, or a value kind mismatches.
 func (t *Table) Insert(id ID, vals map[string]Value) error {
-	if _, exists := t.rowOf[id]; exists {
+	if _, exists := t.rowOf.Get(id); exists {
 		return fmt.Errorf("%w: %d in %q", ErrDupID, id, t.name)
 	}
 	row := make([]Value, t.schema.Len())
@@ -136,7 +139,7 @@ func (t *Table) Insert(id ID, vals map[string]Value) error {
 // InsertRow adds a positional row matching the schema exactly. It is the
 // fast path used by bulk loaders and migrations.
 func (t *Table) InsertRow(id ID, row []Value) error {
-	if _, exists := t.rowOf[id]; exists {
+	if _, exists := t.rowOf.Get(id); exists {
 		return fmt.Errorf("%w: %d in %q", ErrDupID, id, t.name)
 	}
 	if len(row) != t.schema.Len() {
@@ -158,7 +161,7 @@ func (t *Table) insertRow(id ID, row []Value) error {
 	for c := range t.cols {
 		t.cols[c] = append(t.cols[c], row[c])
 	}
-	t.rowOf[id] = r
+	t.rowOf.Put(id, int32(r))
 	for name, ix := range t.hash {
 		ix.insert(row[t.schema.MustCol(name)], id)
 	}
@@ -172,7 +175,7 @@ func (t *Table) insertRow(id ID, row []Value) error {
 // Delete removes the entity's row using swap-with-last, keeping storage
 // dense.
 func (t *Table) Delete(id ID) error {
-	r, ok := t.rowOf[id]
+	r, ok := t.rowOf.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %d in %q", ErrNoRow, id, t.name)
 	}
@@ -190,9 +193,9 @@ func (t *Table) Delete(id ID) error {
 		t.cols[c][r] = t.cols[c][last]
 		t.cols[c] = t.cols[c][:last]
 	}
-	delete(t.rowOf, id)
+	t.rowOf.Delete(id)
 	if movedID != id {
-		t.rowOf[movedID] = r
+		t.rowOf.Put(movedID, int32(r))
 	}
 	t.notify(Change{Kind: ChangeDelete, Table: t.name, ID: id})
 	return nil
@@ -200,7 +203,7 @@ func (t *Table) Delete(id ID) error {
 
 // Get returns the value of one column for the entity.
 func (t *Table) Get(id ID, col string) (Value, error) {
-	r, ok := t.rowOf[id]
+	r, ok := t.rowOf.Get(id)
 	if !ok {
 		return Null(), fmt.Errorf("%w: %d in %q", ErrNoRow, id, t.name)
 	}
@@ -224,7 +227,7 @@ func (t *Table) MustGet(id ID, col string) Value {
 // Set updates one column of the entity's row, maintaining indexes and
 // notifying listeners.
 func (t *Table) Set(id ID, col string, v Value) error {
-	r, ok := t.rowOf[id]
+	r, ok := t.rowOf.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %d in %q", ErrNoRow, id, t.name)
 	}
@@ -295,7 +298,7 @@ func (t *Table) setColumnBatch(col string, ids []ID, vals []Value, rows []int, t
 	orderedIx := t.ordered[col]
 	skipped := 0
 	for i, id := range ids {
-		r, has := t.rowOf[id]
+		r, has := t.rowOf.Get(id)
 		if !has {
 			skipped++
 			if trackRows {
@@ -312,7 +315,7 @@ func (t *Table) setColumnBatch(col string, ids []ID, vals []Value, rows []int, t
 			continue
 		}
 		if trackRows {
-			rows = append(rows, r)
+			rows = append(rows, int(r))
 		}
 		old := column[r]
 		if old.Equal(v) {
@@ -372,7 +375,7 @@ func (t *Table) addColumnBatch(col string, ids []ID, deltas []Value, rows []int,
 	orderedIx := t.ordered[col]
 	skipped := 0
 	for i, id := range ids {
-		r, has := t.rowOf[id]
+		r, has := t.rowOf.Get(id)
 		var v Value
 		if has {
 			v, has = addDelta(kind, column[r], deltas[i])
@@ -385,7 +388,7 @@ func (t *Table) addColumnBatch(col string, ids []ID, deltas []Value, rows []int,
 			continue
 		}
 		if trackRows {
-			rows = append(rows, r)
+			rows = append(rows, int(r))
 		}
 		old := column[r]
 		if old.Equal(v) {
@@ -417,7 +420,7 @@ func addDelta(kind Kind, old, d Value) (Value, bool) {
 
 // Row returns a copy of the entity's row in schema column order.
 func (t *Table) Row(id ID) ([]Value, error) {
-	r, ok := t.rowOf[id]
+	r, ok := t.rowOf.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %d in %q", ErrNoRow, id, t.name)
 	}
@@ -432,7 +435,7 @@ func (t *Table) Row(id ID) ([]Value, error) {
 // returns the extended slice — the allocation-free variant of Row for
 // callers that snapshot rows in a loop and reuse their buffers.
 func (t *Table) AppendRow(id ID, dst []Value) ([]Value, error) {
-	r, ok := t.rowOf[id]
+	r, ok := t.rowOf.Get(id)
 	if !ok {
 		return dst, fmt.Errorf("%w: %d in %q", ErrNoRow, id, t.name)
 	}
@@ -479,8 +482,23 @@ func (t *Table) IDAt(r int) ID { return t.ids[r] }
 // access via ValueAt. Any insert or delete may invalidate the index
 // (deletes swap the last row in).
 func (t *Table) RowIndex(id ID) (int, bool) {
-	r, ok := t.rowOf[id]
-	return r, ok
+	r, ok := t.rowOf.Get(id)
+	return int(r), ok
+}
+
+// Check verifies the table's id index: it holds exactly Len() ids and
+// maps every row's id back to that row. It returns the first violation;
+// a test and debugging aid, like the world's Check it serves.
+func (t *Table) Check() error {
+	if n := t.rowOf.Len(); n != len(t.ids) {
+		return fmt.Errorf("entity: %q indexes %d ids for %d rows", t.name, n, len(t.ids))
+	}
+	for r, id := range t.ids {
+		if got, ok := t.rowOf.Get(id); !ok || int(got) != r {
+			return fmt.Errorf("entity: %q row %d holds id %d, the index maps it to %d (%v)", t.name, r, id, got, ok)
+		}
+	}
+	return nil
 }
 
 // ValueAt returns the value at column index c, storage row r, both
@@ -644,32 +662,4 @@ func (t *Table) RenameColumn(old, new string) error {
 		t.ordered[new] = ix
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the table's data (schema, rows, indexes
-// rebuilt). Listeners are not copied. Checkpointing uses Clone to snapshot
-// state off the simulation path.
-func (t *Table) Clone() *Table {
-	nt := NewTable(t.name, t.schema)
-	nt.ids = make([]ID, len(t.ids))
-	copy(nt.ids, t.ids)
-	for c := range t.cols {
-		col := make([]Value, len(t.cols[c]))
-		copy(col, t.cols[c])
-		nt.cols[c] = col
-	}
-	for id, r := range t.rowOf {
-		nt.rowOf[id] = r
-	}
-	for name := range t.hash {
-		if err := nt.CreateHashIndex(name); err != nil {
-			panic(err)
-		}
-	}
-	for name := range t.ordered {
-		if err := nt.CreateOrderedIndex(name); err != nil {
-			panic(err)
-		}
-	}
-	return nt
 }

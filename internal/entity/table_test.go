@@ -334,25 +334,6 @@ func TestDDLKeepsIndexesWorking(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	tab := NewTable("p", playerSchema(t))
-	tab.CreateOrderedIndex("hp")
-	tab.Insert(1, map[string]Value{"hp": Int(10)})
-	cp := tab.Clone()
-	tab.Set(1, "hp", Int(99))
-	tab.Insert(2, nil)
-	if got := cp.MustGet(1, "hp"); got != Int(10) {
-		t.Fatalf("clone saw original's mutation: %v", got)
-	}
-	if cp.Len() != 1 {
-		t.Fatalf("clone len = %d", cp.Len())
-	}
-	ids, err := cp.LookupRange("hp", Int(5), Int(15))
-	if err != nil || len(ids) != 1 {
-		t.Fatalf("clone index = %v, %v", ids, err)
-	}
-}
-
 func TestColValues(t *testing.T) {
 	tab := NewTable("p", playerSchema(t))
 	tab.Insert(1, map[string]Value{"hp": Int(7)})

@@ -10,7 +10,7 @@ import (
 	"gamedb/internal/spatial"
 )
 
-// The entity directory: one id → record map for everything the world
+// The entity directory: one id → record index for everything the world
 // knows per entity. A record names the entity's table, its slot in the
 // world's spatial grid, its behavior and its ghost mark and route, so
 // the paths that used to probe four maps (table, behavior, ghost, ghost
@@ -43,8 +43,9 @@ const (
 )
 
 // directory is the world's entity directory: at maps an id to its
-// record's index in recs, free recycles the indices of despawned
-// records, and ghosts / routes count the marked records.
+// record's index in recs (two array reads for any id a world or a shard
+// coordinator assigns; see entity.IDIndex), free recycles the indices
+// of despawned records, and ghosts / routes count the marked records.
 //
 // owned lists the entities the world owns (every record but the ghosts)
 // ascending by id, each with its record index, so the tick reads its
@@ -54,7 +55,7 @@ const (
 // record's id or mark no longer matches) and counts in stale, and sync
 // folds both in with one merge pass.
 type directory struct {
-	at     map[entity.ID]int32
+	at     entity.IDIndex
 	recs   []entRec
 	free   []int32
 	ghosts int
@@ -71,14 +72,10 @@ type ownRef struct {
 	rec int32
 }
 
-func newDirectory() directory {
-	return directory{at: make(map[entity.ID]int32)}
-}
-
 // find returns id's record, nil when the world holds no such entity.
 // The pointer is valid until the next add.
 func (d *directory) find(id entity.ID) *entRec {
-	i, ok := d.at[id]
+	i, ok := d.at.Get(id)
 	if !ok {
 		return nil
 	}
@@ -96,15 +93,16 @@ func (d *directory) add(id entity.ID, tab *entity.Table, slot int32) *entRec {
 		d.recs = append(d.recs, entRec{})
 	}
 	d.recs[i] = entRec{id: id, tab: tab, slot: slot, owner: noRoute}
-	d.at[id] = i
+	d.at.Put(id, i)
 	d.pend = append(d.pend, id)
 	return &d.recs[i]
 }
 
-// remove drops id's record and its marks.
-func (d *directory) remove(id entity.ID) {
-	i := d.at[id]
+// remove drops record i, a live record find or at resolved, and its
+// marks.
+func (d *directory) remove(i int32) {
 	r := &d.recs[i]
+	d.at.Delete(r.id)
 	if r.ghost {
 		d.ghosts--
 	}
@@ -113,7 +111,6 @@ func (d *directory) remove(id entity.ID) {
 	}
 	*r = entRec{slot: noSlot, owner: noRoute}
 	d.free = append(d.free, i)
-	delete(d.at, id)
 	d.stale++
 }
 
@@ -159,7 +156,7 @@ func (d *directory) merge(dst []ownRef) []ownRef {
 		if k > 0 && id == d.pend[k-1] {
 			continue
 		}
-		at, ok := d.at[id]
+		at, ok := d.at.Get(id)
 		if !ok || d.recs[at].ghost {
 			continue
 		}
@@ -227,8 +224,10 @@ func (w *World) bindBehaviors() {
 // checkDirectory verifies the entity directory against the tables, the
 // grid and the loaded scripts, returning the first broken invariant:
 //
+//   - every table's id index maps each row's id back to its row and
+//     holds nothing else (entity.Table.Check);
 //   - every record names exactly one table row, and every row has a
-//     record naming its table; the id map and the record list agree;
+//     record naming its table; the id index and the record list agree;
 //   - a record of a spatial table holds a grid slot whose position is
 //     the row's x/y (bit for bit), and the grid holds nothing else; a
 //     record of any other table holds none;
@@ -241,6 +240,9 @@ func (w *World) checkDirectory() error {
 	rows, slots := 0, 0
 	for _, name := range w.tableNames() {
 		t := w.tables[name]
+		if err := t.Check(); err != nil {
+			return fmt.Errorf("world: %w", err)
+		}
 		xci, yci, spatialTab := spatialCols(t.Schema())
 		for r := 0; r < t.Len(); r++ {
 			id := t.IDAt(r)
@@ -268,8 +270,8 @@ func (w *World) checkDirectory() error {
 			}
 		}
 	}
-	if rows != len(d.at) {
-		return fmt.Errorf("world: %d directory records, %d table rows", len(d.at), rows)
+	if rows != d.at.Len() {
+		return fmt.Errorf("world: %d directory records, %d table rows", d.at.Len(), rows)
 	}
 	if w.index.Len() != slots {
 		return fmt.Errorf("world: grid holds %d points, %d spatial records", w.index.Len(), slots)
@@ -280,7 +282,7 @@ func (w *World) checkDirectory() error {
 		if rec.tab == nil {
 			continue
 		}
-		if j, ok := d.at[rec.id]; !ok || j != int32(i) {
+		if j, ok := d.at.Get(rec.id); !ok || j != int32(i) {
 			return fmt.Errorf("world: record %d of entity %d is not the one its id maps to", i, rec.id)
 		}
 		if rec.ghost {
@@ -341,7 +343,8 @@ func (w *World) checkOwned() error {
 }
 
 // Check verifies the world's internal invariants — today the entity
-// directory's (see checkDirectory) — and returns the first violation.
+// directory's and the tables' id indexes (see checkDirectory) — and
+// returns the first violation.
 // It walks every row, so it is a test and debugging aid, not a
 // per-tick production call.
 func (w *World) Check() error { return w.checkDirectory() }

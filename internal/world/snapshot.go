@@ -179,7 +179,7 @@ func sortedKeys[V any](m map[entity.ID]V) []entity.ID {
 // pre-crash state must not drain into whatever state comes next.
 func (w *World) ResetState() {
 	w.tables = make(map[string]*entity.Table)
-	w.dir = newDirectory()
+	w.dir = directory{}
 	w.index = spatial.NewGrid(w.cfg.CellSize)
 	w.tableList = nil
 	w.tick = 0

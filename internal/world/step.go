@@ -51,7 +51,7 @@ type workerStats struct {
 // identical world for any Workers value.
 func (w *World) Step() (TickStats, error) {
 	w.tick++
-	st := TickStats{Tick: w.tick, Entities: len(w.dir.at)}
+	st := TickStats{Tick: w.tick, Entities: w.dir.at.Len()}
 	w.foldPending(&st)
 
 	t0 := time.Now()

@@ -340,7 +340,6 @@ func New(cfg Config) *World {
 		pool:       pool,
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		tables:     make(map[string]*entity.Table),
-		dir:        newDirectory(),
 		archetypes: make(map[string]*content.Archetype),
 		scripts:    make(map[string]*boundBehavior),
 		index:      spatial.NewGrid(cfg.CellSize),
@@ -651,17 +650,18 @@ func (w *World) InsertRow(id entity.ID, table string, row []entity.Value) error 
 // Despawn removes an entity from its table and the spatial index, and
 // drops its behavior, ghost mark and ghost route.
 func (w *World) Despawn(id entity.ID) error {
-	rec := w.dir.find(id)
-	if rec == nil {
+	i, ok := w.dir.at.Get(id)
+	if !ok {
 		return fmt.Errorf("world: unknown entity %d", id)
 	}
+	rec := &w.dir.recs[i]
 	if err := rec.tab.Delete(id); err != nil {
 		return err
 	}
 	if rec.slot != noSlot {
 		w.index.RemoveSlot(rec.slot)
 	}
-	w.dir.remove(id)
+	w.dir.remove(i)
 	return nil
 }
 
@@ -808,11 +808,11 @@ func (w *World) Post(name string, id entity.ID, amount entity.Value) {
 }
 
 // Entities returns the total entity count, ghosts included.
-func (w *World) Entities() int { return len(w.dir.at) }
+func (w *World) Entities() int { return w.dir.at.Len() }
 
 // LocalEntities returns the count of entities this world owns (total
 // minus ghost mirrors).
-func (w *World) LocalEntities() int { return len(w.dir.at) - w.dir.ghosts }
+func (w *World) LocalEntities() int { return w.dir.at.Len() - w.dir.ghosts }
 
 // AppendOwned appends to dst, in ascending id order, the ids of table
 // t's rows the world owns (every row but the ghost mirrors), and
@@ -841,29 +841,4 @@ func (w *World) AppendGhostIDs(dst []entity.ID) []entity.ID {
 		}
 	}
 	return dst
-}
-
-// ReindexPositionsRows re-syncs the spatial index for ids whose x/y were
-// written through a batch entry point (which skips change listeners),
-// reading each id's final position from t at the row index
-// entity.Table.SetColumnBatchRows returned for it. rows[i] < 0 marks an
-// id whose batch write was skipped; it is skipped here too. The indices
-// must still be valid: no insert or delete may land between the batch
-// write and this call. It is the ghost-reconcile counterpart of the
-// apply phase's flushMoves.
-func (w *World) ReindexPositionsRows(t *entity.Table, ids []entity.ID, rows []int) {
-	xci, yci, ok := spatialCols(t.Schema())
-	if len(ids) == 0 || len(ids) != len(rows) || !ok {
-		return
-	}
-	moves := w.moveBuf[:0]
-	for i, id := range ids {
-		if r := rows[i]; r >= 0 {
-			if rec := w.dir.find(id); rec != nil && rec.slot != noSlot {
-				moves = append(moves, spatial.SlotMove{Slot: rec.slot, Pos: posAt(t, xci, yci, r)})
-			}
-		}
-	}
-	w.moveBuf = moves
-	w.index.MoveSlots(moves)
 }
