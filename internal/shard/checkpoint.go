@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"gamedb/internal/entity"
@@ -83,8 +84,9 @@ func (p *Peer) snapshot() ([]byte, error) {
 }
 
 // restore decodes one peer part of a cluster snapshot and installs it.
-// Everything decodes before anything changes, so a corrupt part leaves
-// the peer as it was.
+// Everything decodes, and the partition bounds are checked to be a
+// partition of this grid's world (*PartitionBoundsError otherwise),
+// before anything changes, so a corrupt part leaves the peer as it was.
 func (p *Peer) restore(b []byte) error {
 	d := wire.NewDec(b, nil)
 	tick := d.Varint()
@@ -119,13 +121,59 @@ func (p *Peer) restore(b []byte) error {
 	if err := d.Err(); err != nil {
 		return fmt.Errorf("shard %d: corrupt snapshot: %w", p.self, err)
 	}
+	if err := p.part.checkBounds(xs, ys); err != nil {
+		err.Shard = p.self
+		return err
+	}
 	if err := p.w.Restore([]byte(ws)); err != nil {
 		return fmt.Errorf("shard %d: %w", p.self, err)
 	}
 	p.tick, p.nextID = tick, nextID
 	p.part.xs, p.part.ys = xs, ys
-	p.band = newGhostBand(p.cfg.GhostBand, p.part)
 	p.recs = recs
 	clear(p.specInfos)
+	return nil
+}
+
+// PartitionBoundsError reports a snapshot whose partition bounds are no
+// partition of the grid's world: a bound that is not finite, bounds
+// that do not ascend, or an end bound off the world's edge (Rebalance
+// moves interior bounds only). Ownership and the ghost band's shortcut
+// both rest on finite ascending bounds.
+type PartitionBoundsError struct {
+	Shard  int
+	Axis   string // "x" (column bounds) or "y" (row bounds)
+	Index  int
+	Value  float64
+	Reason string // "not finite", "not ascending" or "moved end bound"
+}
+
+func (e *PartitionBoundsError) Error() string {
+	return fmt.Sprintf("shard %d: corrupt snapshot: partition bounds: %s[%d] = %v is %s", e.Shard, e.Axis, e.Index, e.Value, e.Reason)
+}
+
+// checkBounds returns the first way xs and ys fail to partition p's
+// world with p's shape, nil when they do.
+func (p *Partitioner) checkBounds(xs, ys []float64) *PartitionBoundsError {
+	for _, ax := range []struct {
+		name      string
+		got, have []float64
+	}{{"x", xs, p.xs}, {"y", ys, p.ys}} {
+		last := len(ax.got) - 1
+		for i, v := range ax.got {
+			reason := ""
+			switch {
+			case math.IsNaN(v) || math.IsInf(v, 0):
+				reason = "not finite"
+			case i > 0 && !(ax.got[i-1] < v):
+				reason = "not ascending"
+			case (i == 0 || i == last) && v != ax.have[i]:
+				reason = "moved end bound"
+			}
+			if reason != "" {
+				return &PartitionBoundsError{Axis: ax.name, Index: i, Value: v, Reason: reason}
+			}
+		}
+	}
 	return nil
 }

@@ -335,8 +335,13 @@ func TestFeedPumpAcrossRestore(t *testing.T) {
 
 		// A host despawn between ticks: the next pump drops it too.
 		w := cl.ShardWorld(1)
-		units, _ := w.Table("units")
-		gone := w.AppendOwned(nil, units)[0]
+		var gone entity.ID
+		for _, o := range w.AppendOwnedPos(nil) {
+			if o.Table.Name() == "units" {
+				gone = o.ID
+				break
+			}
+		}
 		if err := w.Despawn(gone); err != nil {
 			t.Fatal(err)
 		}

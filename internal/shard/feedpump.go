@@ -12,6 +12,7 @@ package shard
 
 import (
 	"slices"
+	"strings"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/replica"
@@ -26,13 +27,16 @@ type FeedPump struct {
 	cl  *Cluster
 	hub *replica.Hub
 
-	// ids holds this tick's owned ids in push order, one run per
-	// (shard, table) in runs; now is the same ids ascending, and prev
-	// last tick's now, so the ids no shard owns any more are prev \ now.
-	ids       []entity.ID
-	runs      []ownedRun
-	now, prev []entity.ID
-	vals      []float64
+	// offers holds this tick's owned entities in push order, one run
+	// per (shard, table) in runs; walk and tabs are one shard's owned
+	// walk and its tables by name. now is the offered ids ascending, and
+	// prev last tick's now, so the ids no shard owns any more are
+	// prev \ now.
+	offers, walk []world.OwnedPos
+	runs         []ownedRun
+	tabs         []*entity.Table
+	now, prev    []entity.ID
+	vals         []float64
 	// last is the hub tick Pump opened last (-1 before the first). Hub
 	// ticks only count up: a Restore sends the cluster's back, never the
 	// hub's.
@@ -42,9 +46,8 @@ type FeedPump struct {
 	cols []int
 }
 
-// ownedRun is one table's owned ids on one shard: ids[lo:hi].
+// ownedRun is one table's owned entities on one shard: offers[lo:hi].
 type ownedRun struct {
-	w      *world.World
 	t      *entity.Table
 	lo, hi int
 }
@@ -71,19 +74,27 @@ func (p *FeedPump) Pump() {
 	p.last = max(cl.Tick(), p.last+1)
 	hub.BeginTick(p.last)
 
-	p.ids, p.runs = p.ids[:0], p.runs[:0]
+	p.offers, p.runs, p.now = p.offers[:0], p.runs[:0], p.now[:0]
 	for i := 0; i < cl.Shards(); i++ {
-		w := cl.ShardWorld(i)
-		for _, name := range w.TableNames() {
-			t, _ := w.Table(name)
-			lo := len(p.ids)
-			p.ids = w.AppendOwned(p.ids, t)
-			if len(p.ids) > lo {
-				p.runs = append(p.runs, ownedRun{w: w, t: t, lo: lo, hi: len(p.ids)})
+		p.walk = cl.ShardWorld(i).AppendOwnedPos(p.walk[:0])
+		p.tabs = p.tabs[:0]
+		for k := range p.walk {
+			if t := p.walk[k].Table; !slices.Contains(p.tabs, t) {
+				p.tabs = append(p.tabs, t)
 			}
 		}
+		slices.SortFunc(p.tabs, func(a, b *entity.Table) int { return strings.Compare(a.Name(), b.Name()) })
+		for _, t := range p.tabs {
+			lo := len(p.offers)
+			for k := range p.walk {
+				if p.walk[k].Table == t {
+					p.offers = append(p.offers, p.walk[k])
+					p.now = append(p.now, p.walk[k].ID)
+				}
+			}
+			p.runs = append(p.runs, ownedRun{t: t, lo: lo, hi: len(p.offers)})
+		}
 	}
-	p.now = append(p.now[:0], p.ids...)
 	slices.Sort(p.now)
 	j := 0
 	for _, id := range p.prev {
@@ -97,13 +108,13 @@ func (p *FeedPump) Pump() {
 	p.prev, p.now = p.now, p.prev
 
 	for _, r := range p.runs {
-		p.pushRows(r.t, r.w, p.ids[r.lo:r.hi])
+		p.pushRows(r.t, p.offers[r.lo:r.hi])
 	}
 }
 
-// pushRows reads each owned row's position and replicated fields and
-// hands them to the hub.
-func (p *FeedPump) pushRows(t *entity.Table, w *world.World, ids []entity.ID) {
+// pushRows reads each owned spatial row's replicated fields and hands
+// them, with its position, to the hub.
+func (p *FeedPump) pushRows(t *entity.Table, offers []world.OwnedPos) {
 	specs := p.hub.Specs()
 	s := t.Schema()
 	cols := p.cols[:0]
@@ -115,12 +126,12 @@ func (p *FeedPump) pushRows(t *entity.Table, w *world.World, ids []entity.ID) {
 		cols = append(cols, ci)
 	}
 	p.cols = cols
-	for _, id := range ids {
-		pos, ok := w.Pos(id)
-		if !ok {
+	for k := range offers {
+		o := &offers[k]
+		if !o.Spatial {
 			continue
 		}
-		r, _ := t.RowIndex(id)
+		r, _ := t.RowIndex(o.ID)
 		for fi, ci := range cols {
 			if ci < 0 {
 				p.vals[fi] = 0
@@ -129,6 +140,6 @@ func (p *FeedPump) pushRows(t *entity.Table, w *world.World, ids []entity.ID) {
 			v, _ := t.ValueAt(ci, r).AsFloat()
 			p.vals[fi] = v
 		}
-		p.hub.UpdateEntity(replica.ID(id), pos, p.vals)
+		p.hub.UpdateEntity(replica.ID(o.ID), o.Pos, p.vals)
 	}
 }

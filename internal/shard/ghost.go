@@ -8,26 +8,53 @@ import (
 
 // ghostBand is the rule deciding which shards mirror an entity: every
 // shard other than its owner whose region rectangle lies within
-// GhostBand of the entity's position.
+// GhostBand of the entity's position. It reads the peer's partitioner,
+// so it follows every rebalance and restore.
 type ghostBand struct {
-	regions []spatial.Rect
-	band2   float64
-	on      bool // false: ghosts disabled or a single shard
+	part  *Partitioner
+	band2 float64
+	on    bool // false: ghosts disabled or a single shard
 }
 
 func newGhostBand(width float64, part *Partitioner) ghostBand {
 	return ghostBand{
-		regions: part.Regions(),
-		band2:   width * width,
-		on:      width > 0 && part.N() > 1,
+		part:  part,
+		band2: width * width,
+		on:    width > 0 && part.N() > 1,
 	}
 }
 
 // mirrors reports whether shard di mirrors an entity at pos owned by
 // shard owner.
 func (b ghostBand) mirrors(di, owner int, pos spatial.Vec2) bool {
-	return di != owner && b.regions[di].Dist2(pos) <= b.band2
+	return di != owner && b.part.Region(di).Dist2(pos) <= b.band2
 }
+
+// clear reports that mirrors is false for every shard: pos lies farther
+// than the band, on owner's side, from each boundary line that owner's
+// column and row share with another region. It is exact, not an
+// estimate: bounds ascend, so every other region lies past one of those
+// lines and its Dist2 is at least that side's d*d (float subtraction,
+// squaring and adding a non-negative term are monotone, fused or not).
+// A NaN coordinate fails every comparison it meets; on an axis with no
+// shared line it meets none, but then every Dist2 is NaN and mirrors is
+// false as well.
+//
+// clear and mirrors change together: FuzzGhostBandClear holds clear to
+// mirrors' verdict, so a band predicate changed without its shortcut
+// fails there.
+func (b ghostBand) clear(owner int, pos spatial.Vec2) bool {
+	p := b.part
+	c, r := owner%p.cols, owner/p.cols
+	return (c == 0 || b.far(pos.X-p.xs[c])) &&
+		(c == p.cols-1 || b.far(p.xs[c+1]-pos.X)) &&
+		(r == 0 || b.far(pos.Y-p.ys[r])) &&
+		(r == p.rows-1 || b.far(p.ys[r+1]-pos.Y))
+}
+
+// far reports that a point d in front of a boundary line (d > 0 on the
+// owner's side) lies outside the band.
+func (b ghostBand) far(d float64) bool { return d > 0 && d*d > b.band2 }
 
 // ghostField is one GhostField's last-shipped state on a mirror — the
 // bookkeeping the mirror host evaluates ship policy against.

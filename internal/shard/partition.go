@@ -83,15 +83,6 @@ func (p *Partitioner) Region(i int) spatial.Rect {
 	}
 }
 
-// Regions returns all region rectangles in shard order.
-func (p *Partitioner) Regions() []spatial.Rect {
-	out := make([]spatial.Rect, p.N())
-	for i := range out {
-		out[i] = p.Region(i)
-	}
-	return out
-}
-
 // Locate returns the shard owning pos. Positions outside the world
 // rectangle are clamped, so every position maps to exactly one shard;
 // interior boundaries belong to the region on their right/top

@@ -37,7 +37,7 @@ type Peer struct {
 	self int
 	n    int
 	part *Partitioner
-	band ghostBand // rebuilt whenever part rebalances
+	band ghostBand // over part
 	w    *world.World
 	tr   wire.Transport
 	// onFail, when set, hears every error the peer aborts with before
@@ -71,6 +71,7 @@ type Peer struct {
 	outMigs  [][]stagedMig
 	outCands [][]stagedCand
 	arena    []entity.Value
+	owned    []world.OwnedPos // the owned walk staging reads, reused
 	idBuf    []entity.ID
 	pipeEnc  wire.Enc
 	sendFn   func() // p.sendBarrier, bound once
@@ -495,7 +496,6 @@ func (p *Peer) roundCounts() error {
 	}
 	p.recycleRound(bufs)
 	p.part.Rebalance(p.counts, p.cfg.RebalanceMaxShift)
-	p.band = newGhostBand(p.cfg.GhostBand, p.part)
 	return nil
 }
 
@@ -530,9 +530,11 @@ func (p *Peer) roundBarrier(st *StepStats, reruns []world.ForeignInvalidation) e
 	return nil
 }
 
-// stageBarrier walks the owned rows once, staging each row that left
-// this shard's region as a migration to its new owner and each row in
-// another shard's ghost band as a mirror candidate for that shard.
+// stageBarrier walks the owned list once, in ascending id order,
+// staging each row that left this shard's region as a migration to its
+// new owner and each row in another shard's ghost band as a mirror
+// candidate for that shard. Rows clear of every band skip the per-shard
+// band test.
 func (p *Peer) stageBarrier() error {
 	p.arena = p.arena[:0]
 	for i := 0; i < p.n; i++ {
@@ -541,43 +543,38 @@ func (p *Peer) stageBarrier() error {
 	}
 	clear(p.migratedOut)
 	p.outIDs = p.outIDs[:0]
-	for _, name := range p.w.TableNames() {
-		t, _ := p.w.Table(name)
-		p.idBuf = t.AppendIDs(p.idBuf[:0])
-		for _, id := range p.idBuf {
-			if p.w.IsGhost(id) {
-				continue
+	p.owned = p.w.AppendOwnedPos(p.owned[:0])
+	for i := range p.owned {
+		o := &p.owned[i]
+		if !o.Spatial {
+			continue // non-spatial entities never migrate or mirror
+		}
+		id, t, pos := o.ID, o.Table, o.Pos
+		owner := p.part.Locate(pos)
+		if owner != p.self {
+			lo := len(p.arena)
+			arena, err := t.AppendRow(id, p.arena)
+			if err != nil {
+				return err
 			}
-			pos, ok := p.w.Pos(id)
-			if !ok {
-				continue // non-spatial entities never migrate or mirror
-			}
-			owner := p.part.Locate(pos)
-			if owner != p.self {
+			p.arena = arena
+			beh, _ := p.w.Behavior(id)
+			p.outMigs[owner] = append(p.outMigs[owner], stagedMig{id: id, table: t.Name(), behavior: beh, rowLo: lo, rowHi: len(p.arena)})
+			p.migratedOut[id] = struct{}{}
+			p.outIDs = append(p.outIDs, id)
+		}
+		if !p.band.on || p.band.clear(owner, pos) {
+			continue
+		}
+		for di := 0; di < p.n; di++ {
+			if p.band.mirrors(di, owner, pos) {
 				lo := len(p.arena)
 				arena, err := t.AppendRow(id, p.arena)
 				if err != nil {
 					return err
 				}
 				p.arena = arena
-				beh, _ := p.w.Behavior(id)
-				p.outMigs[owner] = append(p.outMigs[owner], stagedMig{id: id, table: name, behavior: beh, rowLo: lo, rowHi: len(p.arena)})
-				p.migratedOut[id] = struct{}{}
-				p.outIDs = append(p.outIDs, id)
-			}
-			if !p.band.on {
-				continue
-			}
-			for di := 0; di < p.n; di++ {
-				if p.band.mirrors(di, owner, pos) {
-					lo := len(p.arena)
-					arena, err := t.AppendRow(id, p.arena)
-					if err != nil {
-						return err
-					}
-					p.arena = arena
-					p.outCands[di] = append(p.outCands[di], stagedCand{id: id, owner: owner, table: name, rowLo: lo, rowHi: len(p.arena)})
-				}
+				p.outCands[di] = append(p.outCands[di], stagedCand{id: id, owner: owner, table: t.Name(), rowLo: lo, rowHi: len(p.arena)})
 			}
 		}
 	}

@@ -71,8 +71,8 @@ func TestPartitionerShapeAndLocate(t *testing.T) {
 		}
 	}
 	// Every region's center locates back to itself.
-	for i, r := range p.Regions() {
-		if got := p.Locate(r.Center()); got != i {
+	for i := 0; i < p.N(); i++ {
+		if got := p.Locate(p.Region(i).Center()); got != i {
 			t.Errorf("Locate(center of region %d) = %d", i, got)
 		}
 	}

@@ -115,11 +115,16 @@ func (r Rect) Dist2(p Vec2) float64 {
 	return dx*dx + dy*dy
 }
 
-// Clamp returns p moved to the nearest point inside the rectangle.
+// Clamp returns p moved to the nearest point inside the rectangle; a NaN
+// coordinate stays NaN. The builtin min and max compile inline and give
+// math.Min and math.Max's results on any rectangle whose bounds are not
+// NaN, whose Min is not +Inf and whose Max is not −Inf (every rectangle
+// of positive area): only past those bounds do math's infinity rules
+// outrank a NaN argument where the builtins return NaN.
 func (r Rect) Clamp(p Vec2) Vec2 {
 	return Vec2{
-		X: math.Min(math.Max(p.X, r.Min.X), r.Max.X),
-		Y: math.Min(math.Max(p.Y, r.Min.Y), r.Max.Y),
+		X: min(max(p.X, r.Min.X), r.Max.X),
+		Y: min(max(p.Y, r.Min.Y), r.Max.Y),
 	}
 }
 

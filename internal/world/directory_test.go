@@ -222,8 +222,8 @@ func TestDirectoryRebindsLateScripts(t *testing.T) {
 // list of non-ghost records through the edits that queue or stale its
 // entries — a despawned id re-inserted under its recycled record, ghost
 // flips back and forth between syncs, an id below the crowd's —
-// the tick's roster is read off it in id order, AppendOwned reads a
-// table's owned ids off it between ticks, and Check catches a list out
+// the tick's roster is read off it in id order, AppendOwnedPos walks
+// it with tables and positions between ticks, and Check catches a list out
 // of order, short an entity or pointing at the wrong record.
 func TestOwnedListTracksTheDirectory(t *testing.T) {
 	w := loadArena(t)
@@ -277,8 +277,18 @@ func TestOwnedListTracksTheDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkDir(t, w, "ghost flips, a low id and a prop")
-	if got := w.AppendOwned(nil, props); !slices.Equal(got, []entity.ID{600}) {
-		t.Fatalf("AppendOwned(props) = %v, want [600]", got)
+	walk := w.AppendOwnedPos(nil)
+	owned := func(tab *entity.Table) []entity.ID {
+		var got []entity.ID
+		for _, o := range walk {
+			if o.Table == tab {
+				got = append(got, o.ID)
+			}
+		}
+		return got
+	}
+	if got := owned(props); !slices.Equal(got, []entity.ID{600}) {
+		t.Fatalf("owned walk of props = %v, want [600]", got)
 	}
 	var want []entity.ID
 	for _, id := range units.IDs() {
@@ -287,8 +297,20 @@ func TestOwnedListTracksTheDirectory(t *testing.T) {
 		}
 	}
 	slices.Sort(want)
-	if got := w.AppendOwned(nil, units); !slices.Equal(got, want) || slices.Contains(got, ids[8]) {
-		t.Fatalf("AppendOwned(units) = %v, want %v", got, want)
+	if got := owned(units); !slices.Equal(got, want) || slices.Contains(got, ids[8]) {
+		t.Fatalf("owned walk of units = %v, want %v", got, want)
+	}
+	for i, o := range walk {
+		if i > 0 && walk[i-1].ID >= o.ID {
+			t.Fatalf("owned walk out of order at %d: %d after %d", i, o.ID, walk[i-1].ID)
+		}
+		pos, ok := w.Pos(o.ID)
+		if o.Spatial != ok || !samePos(o.Pos, pos) {
+			t.Fatalf("owned walk: entity %d at %v (spatial %v), Pos says %v (%v)", o.ID, o.Pos, o.Spatial, pos, ok)
+		}
+	}
+	if len(walk) != w.LocalEntities() {
+		t.Fatalf("owned walk yields %d entities, the world owns %d", len(walk), w.LocalEntities())
 	}
 	step("after the edits")
 	if n := len(w.dir.owned); n != base+13 {

@@ -775,10 +775,19 @@ func (w *World) SetMirror(id entity.ID, col string, v entity.Value) error {
 
 // Pos returns an entity's indexed position.
 func (w *World) Pos(id entity.ID) (spatial.Vec2, bool) {
-	if rec := w.dir.find(id); rec != nil && rec.slot != noSlot {
-		return w.index.PosSlot(rec.slot), true
+	if rec := w.dir.find(id); rec != nil {
+		return w.slotPos(rec)
 	}
 	return spatial.Vec2{}, false
+}
+
+// slotPos returns the indexed position of rec's grid slot, false for a
+// record of a non-spatial table.
+func (w *World) slotPos(rec *entRec) (spatial.Vec2, bool) {
+	if rec.slot == noSlot {
+		return spatial.Vec2{}, false
+	}
+	return w.index.PosSlot(rec.slot), true
 }
 
 // Nearby returns ids within radius of the entity, excluding it, sorted
@@ -814,16 +823,27 @@ func (w *World) Entities() int { return w.dir.at.Len() }
 // minus ghost mirrors).
 func (w *World) LocalEntities() int { return w.dir.at.Len() - w.dir.ghosts }
 
-// AppendOwned appends to dst, in ascending id order, the ids of table
-// t's rows the world owns (every row but the ghost mirrors), and
-// returns the extended slice. It reads the directory's owned list, so
-// it costs one pass over the owned entities and probes no map.
-func (w *World) AppendOwned(dst []entity.ID, t *entity.Table) []entity.ID {
+// OwnedPos is one entry of the owned walk: an entity the world owns,
+// its table, and — when the table is spatial — its indexed position.
+type OwnedPos struct {
+	ID      entity.ID
+	Table   *entity.Table
+	Pos     spatial.Vec2 // zero when !Spatial
+	Spatial bool
+}
+
+// AppendOwnedPos appends to dst every entity the world owns (every
+// record but the ghost mirrors) in ascending id order, with its table
+// and indexed position, and returns the extended slice. It reads the
+// directory's owned list, so it costs one pass over the owned entities
+// and probes no map; the position is read as Pos reads it.
+func (w *World) AppendOwnedPos(dst []OwnedPos) []OwnedPos {
 	w.dir.sync()
 	for _, o := range w.dir.owned {
-		if w.dir.recs[o.rec].tab == t {
-			dst = append(dst, o.id)
-		}
+		rec := &w.dir.recs[o.rec]
+		e := OwnedPos{ID: o.id, Table: rec.tab}
+		e.Pos, e.Spatial = w.slotPos(rec)
+		dst = append(dst, e)
 	}
 	return dst
 }
