@@ -2,9 +2,9 @@
 // in "Database Research in Computer Games" (Demers, Gehrke, Koch, Sowell,
 // White — SIGMOD 2009) built as one coherent Go library.
 //
-// The engine stores game state in typed component tables with secondary
-// and spatial indexes, runs designer-authored content (XML packs with GSL
-// behavior scripts and event triggers, optionally in the loop-free
+// The engine stores game state in typed component tables with a spatial
+// index, runs designer-authored content (XML packs with GSL behavior
+// scripts and event triggers, optionally in the loop-free
 // "restricted mode" studios use to bound script cost), processes
 // interactions as set-at-a-time queries instead of Ω(n²) script loops,
 // partitions load with causality bubbles, replicates state to clients

@@ -126,9 +126,6 @@ func (t *ThreatTable) Target(switchFactor float64) (ID, bool) {
 	return t.current, true
 }
 
-// Current returns the current target without applying the switch rule.
-func (t *ThreatTable) Current() (ID, bool) { return t.current, t.hasCur }
-
 // NearestPolicy is the exact-spatial baseline: always target the closest
 // enemy. It carries its own switch counter for symmetric measurement.
 type NearestPolicy struct {

@@ -114,9 +114,6 @@ func Load(r io.Reader) (*Pack, error) {
 	return &p, nil
 }
 
-// LoadString is Load over a string.
-func LoadString(s string) (*Pack, error) { return Load(strings.NewReader(s)) }
-
 // Archetype is a compiled entity template.
 type Archetype struct {
 	Name   string

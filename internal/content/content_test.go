@@ -199,7 +199,7 @@ func TestDuplicateDefinitions(t *testing.T) {
 }
 
 func TestMalformedXML(t *testing.T) {
-	if _, err := LoadString("<contentpack"); err == nil {
+	if _, err := Load(strings.NewReader("<contentpack")); err == nil {
 		t.Fatal("malformed XML should fail")
 	}
 	if _, errs := LoadAndCompile(strings.NewReader("not xml at all")); len(errs) == 0 {

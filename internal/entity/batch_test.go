@@ -67,36 +67,6 @@ func TestSetColumnBatchSkipsAndErrors(t *testing.T) {
 	}
 }
 
-func TestSetColumnBatchMaintainsIndexes(t *testing.T) {
-	tab := batchTable(t)
-	if err := tab.CreateHashIndex("hp"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.CreateOrderedIndex("x"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tab.SetColumnBatch("hp", []ID{1, 2}, []Value{Int(42), Int(42)}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tab.LookupEq("hp", Int(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("hash index stale after batch: %v", got)
-	}
-	if _, err := tab.SetColumnBatch("x", []ID{5}, []Value{Float(-1)}); err != nil {
-		t.Fatal(err)
-	}
-	lo, err := tab.LookupRange("x", Null(), Float(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lo) != 1 || lo[0] != 5 {
-		t.Fatalf("ordered index stale after batch: %v", lo)
-	}
-}
-
 func TestSetColumnBatchDoesNotNotifyListeners(t *testing.T) {
 	// The batch entry points are the apply side of the effect pipeline:
 	// derived state reconciles after the batch (spatial MoveBatch), so
@@ -107,7 +77,7 @@ func TestSetColumnBatchDoesNotNotifyListeners(t *testing.T) {
 	if _, err := tab.SetColumnBatch("hp", []ID{1, 2}, []Value{Int(1), Int(2)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tab.AddColumnBatch("hp", []ID{1}, []Value{Int(1)}); err != nil {
+	if _, _, err := tab.AddColumnBatchRows("hp", []ID{1}, []Value{Int(1)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if calls != 0 {
@@ -119,7 +89,7 @@ func TestAddColumnBatchSemantics(t *testing.T) {
 	tab := batchTable(t)
 	// Deltas apply in slice order, coercing to the column kind; missing
 	// ids and uncoercible deltas skip.
-	skipped, err := tab.AddColumnBatch("hp", []ID{1, 1, 99, 2}, []Value{Int(5), Int(-2), Int(1), Str("x")})
+	skipped, _, err := tab.AddColumnBatchRows("hp", []ID{1, 1, 99, 2}, []Value{Int(5), Int(-2), Int(1), Str("x")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,14 +100,14 @@ func TestAddColumnBatchSemantics(t *testing.T) {
 		t.Fatalf("summed adds: want 13, got %d", got)
 	}
 	// Int deltas coerce onto float columns.
-	if _, err := tab.AddColumnBatch("x", []ID{3}, []Value{Int(2)}); err != nil {
+	if _, _, err := tab.AddColumnBatchRows("x", []ID{3}, []Value{Int(2)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := tab.MustGet(3, "x").Float(); got != 5 {
 		t.Fatalf("float add: want 5, got %v", got)
 	}
 	// A non-numeric column skips every row.
-	skipped, err = tab.AddColumnBatch("tag", []ID{1, 2}, []Value{Int(1), Int(1)})
+	skipped, _, err = tab.AddColumnBatchRows("tag", []ID{1, 2}, []Value{Int(1), Int(1)}, nil)
 	if err != nil || skipped != 2 {
 		t.Fatalf("non-numeric column: skipped=%d err=%v", skipped, err)
 	}

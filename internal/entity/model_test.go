@@ -16,8 +16,6 @@ func TestTableAgainstModel(t *testing.T) {
 			Column{Name: "a", Kind: KindInt},
 			Column{Name: "b", Kind: KindString},
 		))
-		tab.CreateHashIndex("b")
-		tab.CreateOrderedIndex("a")
 		type row struct {
 			a int64
 			b string
@@ -79,25 +77,8 @@ func TestTableAgainstModel(t *testing.T) {
 		if !agree || seen != len(model) {
 			return false
 		}
-		// Index agreement on a sample predicate.
-		wantEq := 0
-		for _, r := range model {
-			if r.b == "a" {
-				wantEq++
-			}
-		}
-		gotEq, err := tab.LookupEq("b", Str("a"))
-		if err != nil || len(gotEq) != wantEq {
-			return false
-		}
-		wantRange := 0
-		for _, r := range model {
-			if r.a >= 10 && r.a <= 30 {
-				wantRange++
-			}
-		}
-		gotRange, err := tab.LookupRange("a", Int(10), Int(30))
-		return err == nil && len(gotRange) == wantRange
+		// The id index holds exactly the rows.
+		return tab.Check() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

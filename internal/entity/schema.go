@@ -146,17 +146,3 @@ func (s *Schema) Renamed(old, new string) (*Schema, error) {
 	cols[idx].Name = new
 	return NewSchema(cols...)
 }
-
-// Equal reports whether two schemas have identical columns in order.
-func (s *Schema) Equal(o *Schema) bool {
-	if s.Len() != o.Len() {
-		return false
-	}
-	for i := range s.cols {
-		a, b := s.cols[i], o.cols[i]
-		if a.Name != b.Name || a.Kind != b.Kind || !a.Default.Equal(b.Default) {
-			return false
-		}
-	}
-	return true
-}

@@ -44,20 +44,19 @@ type Change struct {
 	New   Value
 }
 
-// ChangeListener receives table mutations; replication dirty-tracking and
-// the write-ahead log both subscribe.
+// ChangeListener receives table mutations; the world's spatial grid
+// subscribes to keep entity positions current.
 type ChangeListener func(Change)
 
 // Errors returned by table operations.
 var (
-	ErrDupID   = errors.New("entity: duplicate entity id")
-	ErrNoRow   = errors.New("entity: no such entity")
-	ErrKind    = errors.New("entity: value kind mismatch")
-	ErrNoIndex = errors.New("entity: no such index")
+	ErrDupID = errors.New("entity: duplicate entity id")
+	ErrNoRow = errors.New("entity: no such entity")
+	ErrKind  = errors.New("entity: value kind mismatch")
 )
 
 // Table stores one component type: a dense column-major collection of
-// typed rows keyed by entity ID, with optional secondary indexes.
+// typed rows keyed by entity ID.
 // Column-major storage makes AddColumn/DropColumn O(1)/O(1) slice edits
 // plus backfill, which the schema-migration experiments rely on. An id
 // finds its row through rowOf, an IDIndex: two array reads for the
@@ -70,21 +69,12 @@ type Table struct {
 	ids       []ID
 	cols      [][]Value // cols[c][row]
 	rowOf     IDIndex
-	hash      map[string]*HashIndex
-	ordered   map[string]*OrderedIndex
 	listeners []ChangeListener
 }
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema *Schema) *Table {
-	t := &Table{
-		name:    name,
-		schema:  schema,
-		hash:    make(map[string]*HashIndex),
-		ordered: make(map[string]*OrderedIndex),
-	}
-	t.cols = make([][]Value, schema.Len())
-	return t
+	return &Table{name: name, schema: schema, cols: make([][]Value, schema.Len())}
 }
 
 // Name returns the table name.
@@ -95,12 +85,6 @@ func (t *Table) Schema() *Schema { return t.schema }
 
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.ids) }
-
-// Has reports whether the entity exists.
-func (t *Table) Has(id ID) bool {
-	_, ok := t.rowOf.Get(id)
-	return ok
-}
 
 // OnChange registers a listener invoked synchronously after each mutation.
 func (t *Table) OnChange(fn ChangeListener) { t.listeners = append(t.listeners, fn) }
@@ -162,12 +146,6 @@ func (t *Table) insertRow(id ID, row []Value) error {
 		t.cols[c] = append(t.cols[c], row[c])
 	}
 	t.rowOf.Put(id, int32(r))
-	for name, ix := range t.hash {
-		ix.insert(row[t.schema.MustCol(name)], id)
-	}
-	for name, ix := range t.ordered {
-		ix.Insert(row[t.schema.MustCol(name)], id)
-	}
 	t.notify(Change{Kind: ChangeInsert, Table: t.name, ID: id})
 	return nil
 }
@@ -178,12 +156,6 @@ func (t *Table) Delete(id ID) error {
 	r, ok := t.rowOf.Get(id)
 	if !ok {
 		return fmt.Errorf("%w: %d in %q", ErrNoRow, id, t.name)
-	}
-	for name, ix := range t.hash {
-		ix.remove(t.cols[t.schema.MustCol(name)][r], id)
-	}
-	for name, ix := range t.ordered {
-		ix.Delete(t.cols[t.schema.MustCol(name)][r], id)
 	}
 	last := len(t.ids) - 1
 	movedID := t.ids[last]
@@ -224,8 +196,7 @@ func (t *Table) MustGet(id ID, col string) Value {
 	return v
 }
 
-// Set updates one column of the entity's row, maintaining indexes and
-// notifying listeners.
+// Set updates one column of the entity's row and notifies listeners.
 func (t *Table) Set(id ID, col string, v Value) error {
 	r, ok := t.rowOf.Get(id)
 	if !ok {
@@ -244,30 +215,22 @@ func (t *Table) Set(id ID, col string, v Value) error {
 		return nil
 	}
 	t.cols[ci][r] = v
-	if ix, has := t.hash[col]; has {
-		ix.remove(old, id)
-		ix.insert(v, id)
-	}
-	if ix, has := t.ordered[col]; has {
-		ix.Delete(old, id)
-		ix.Insert(v, id)
-	}
 	t.notify(Change{Kind: ChangeUpdate, Table: t.name, ID: id, Col: col, Old: old, New: v})
 	return nil
 }
 
 // SetColumnBatch assigns vals[i] to column col of entity ids[i] in one
-// columnar pass: the column index, kind, and any indexes on the column
-// resolve once for the whole batch instead of once per row. Rows whose
-// id is missing or whose value kind mismatches are skipped and counted,
-// not failed — the batch is the apply side of the state-effect
-// pipeline, where per-row races resolve as conflicts. Writes that leave
-// the stored value unchanged are no-ops, exactly like Set.
+// columnar pass: the column index and kind resolve once for the whole
+// batch instead of once per row. Rows whose id is missing or whose
+// value kind mismatches are skipped and counted, not failed — the batch
+// is the apply side of the state-effect pipeline, where per-row races
+// resolve as conflicts. Writes that leave the stored value unchanged
+// are no-ops, exactly like Set.
 //
 // Unlike Set, the batch does NOT invoke change listeners per row:
 // callers maintaining derived state (the world's spatial index) must
-// reconcile after the batch — see world.applyEffects, which flushes
-// position changes through spatial.Grid.MoveBatch. It returns the
+// reconcile after the batch — see World.flushMoves, which re-syncs
+// positions through spatial.Grid.MoveSlots. It returns the
 // number of skipped rows, or an error when the column itself is unknown
 // or the slice lengths differ.
 func (t *Table) SetColumnBatch(col string, ids []ID, vals []Value) (int, error) {
@@ -294,8 +257,6 @@ func (t *Table) setColumnBatch(col string, ids []ID, vals []Value, rows []int, t
 	}
 	kind := t.schema.ColAt(ci).Kind
 	column := t.cols[ci]
-	hashIx := t.hash[col]
-	orderedIx := t.ordered[col]
 	skipped := 0
 	for i, id := range ids {
 		r, has := t.rowOf.Get(id)
@@ -322,38 +283,20 @@ func (t *Table) setColumnBatch(col string, ids []ID, vals []Value, rows []int, t
 			continue
 		}
 		column[r] = v
-		if hashIx != nil {
-			hashIx.remove(old, id)
-			hashIx.insert(v, id)
-		}
-		if orderedIx != nil {
-			orderedIx.Delete(old, id)
-			orderedIx.Insert(v, id)
-		}
 	}
 	return skipped, rows, nil
 }
 
-// AddColumnBatch adds deltas[i] to column col of entity ids[i] in one
-// columnar pass over a numeric column. Deltas apply in slice order, so
-// float accumulation is bit-reproducible for a deterministically
-// ordered batch. Rows whose id is missing or whose delta cannot coerce
-// to the column kind are skipped and counted; a non-numeric column
-// skips every row. Like SetColumnBatch, change listeners are not
-// invoked — callers reconcile derived state after the batch.
-func (t *Table) AddColumnBatch(col string, ids []ID, deltas []Value) (int, error) {
-	skipped, _, err := t.addColumnBatch(col, ids, deltas, nil, false)
-	return skipped, err
-}
-
-// AddColumnBatchRows is AddColumnBatch that additionally appends each
-// id's row index to rows (-1 when the delta was skipped), under the same
-// contract as SetColumnBatchRows.
+// AddColumnBatchRows adds deltas[i] to column col of entity ids[i] in
+// one columnar pass over a numeric column, appending each id's row
+// index to rows (-1 when the delta was skipped) under the same contract
+// as SetColumnBatchRows. Deltas apply in slice order, so float
+// accumulation is bit-reproducible for a deterministically ordered
+// batch. Rows whose id is missing or whose delta cannot coerce to the
+// column kind are skipped and counted; a non-numeric column skips every
+// row. Like SetColumnBatch, change listeners are not invoked — callers
+// reconcile derived state after the batch.
 func (t *Table) AddColumnBatchRows(col string, ids []ID, deltas []Value, rows []int) (int, []int, error) {
-	return t.addColumnBatch(col, ids, deltas, rows, true)
-}
-
-func (t *Table) addColumnBatch(col string, ids []ID, deltas []Value, rows []int, trackRows bool) (int, []int, error) {
 	if len(ids) != len(deltas) {
 		return 0, rows, fmt.Errorf("entity: batch length mismatch: %d ids, %d deltas", len(ids), len(deltas))
 	}
@@ -363,16 +306,12 @@ func (t *Table) addColumnBatch(col string, ids []ID, deltas []Value, rows []int,
 	}
 	kind := t.schema.ColAt(ci).Kind
 	if kind != KindInt && kind != KindFloat {
-		if trackRows {
-			for range ids {
-				rows = append(rows, -1)
-			}
+		for range ids {
+			rows = append(rows, -1)
 		}
 		return len(ids), rows, nil
 	}
 	column := t.cols[ci]
-	hashIx := t.hash[col]
-	orderedIx := t.ordered[col]
 	skipped := 0
 	for i, id := range ids {
 		r, has := t.rowOf.Get(id)
@@ -382,27 +321,15 @@ func (t *Table) addColumnBatch(col string, ids []ID, deltas []Value, rows []int,
 		}
 		if !has {
 			skipped++
-			if trackRows {
-				rows = append(rows, -1)
-			}
+			rows = append(rows, -1)
 			continue
 		}
-		if trackRows {
-			rows = append(rows, int(r))
-		}
+		rows = append(rows, int(r))
 		old := column[r]
 		if old.Equal(v) {
 			continue
 		}
 		column[r] = v
-		if hashIx != nil {
-			hashIx.remove(old, id)
-			hashIx.insert(v, id)
-		}
-		if orderedIx != nil {
-			orderedIx.Delete(old, id)
-			orderedIx.Insert(v, id)
-		}
 	}
 	return skipped, rows, nil
 }
@@ -418,22 +345,8 @@ func addDelta(kind Kind, old, d Value) (Value, bool) {
 	return Float(old.Float() + df), ok
 }
 
-// Row returns a copy of the entity's row in schema column order.
-func (t *Table) Row(id ID) ([]Value, error) {
-	r, ok := t.rowOf.Get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %d in %q", ErrNoRow, id, t.name)
-	}
-	out := make([]Value, t.schema.Len())
-	for c := range t.cols {
-		out[c] = t.cols[c][r]
-	}
-	return out, nil
-}
-
 // AppendRow appends the entity's row (schema column order) to dst and
-// returns the extended slice — the allocation-free variant of Row for
-// callers that snapshot rows in a loop and reuse their buffers.
+// returns the extended slice.
 func (t *Table) AppendRow(id ID, dst []Value) ([]Value, error) {
 	r, ok := t.rowOf.Get(id)
 	if !ok {
@@ -450,13 +363,6 @@ func (t *Table) IDs() []ID {
 	out := make([]ID, len(t.ids))
 	copy(out, t.ids)
 	return out
-}
-
-// AppendIDs appends all entity IDs in storage order to dst and returns
-// it — the allocation-free variant of IDs for per-tick snapshots that
-// reuse their buffers.
-func (t *Table) AppendIDs(dst []ID) []ID {
-	return append(dst, t.ids...)
 }
 
 // Scan visits every row in storage order. The row slice is reused between
@@ -516,103 +422,6 @@ func (t *Table) ColValues(col string) ([]Value, error) {
 	return t.cols[ci], nil
 }
 
-// CreateHashIndex builds an equality index on col, backfilling existing
-// rows. Creating an index that already exists is a no-op.
-func (t *Table) CreateHashIndex(col string) error {
-	ci, ok := t.schema.Col(col)
-	if !ok {
-		return fmt.Errorf("%w: %q in %q", ErrNoColumn, col, t.name)
-	}
-	if _, exists := t.hash[col]; exists {
-		return nil
-	}
-	ix := NewHashIndex()
-	for r, id := range t.ids {
-		ix.insert(t.cols[ci][r], id)
-	}
-	t.hash[col] = ix
-	return nil
-}
-
-// CreateOrderedIndex builds an ordered index on col, backfilling existing
-// rows. Creating an index that already exists is a no-op.
-func (t *Table) CreateOrderedIndex(col string) error {
-	ci, ok := t.schema.Col(col)
-	if !ok {
-		return fmt.Errorf("%w: %q in %q", ErrNoColumn, col, t.name)
-	}
-	if _, exists := t.ordered[col]; exists {
-		return nil
-	}
-	ix := NewOrderedIndex()
-	for r, id := range t.ids {
-		ix.Insert(t.cols[ci][r], id)
-	}
-	t.ordered[col] = ix
-	return nil
-}
-
-// HasHashIndex reports whether col has an equality index.
-func (t *Table) HasHashIndex(col string) bool {
-	_, ok := t.hash[col]
-	return ok
-}
-
-// HasOrderedIndex reports whether col has an ordered index.
-func (t *Table) HasOrderedIndex(col string) bool {
-	_, ok := t.ordered[col]
-	return ok
-}
-
-// LookupEq returns the IDs whose col equals v, via the hash index when
-// present and a scan otherwise.
-func (t *Table) LookupEq(col string, v Value) ([]ID, error) {
-	ci, ok := t.schema.Col(col)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q in %q", ErrNoColumn, col, t.name)
-	}
-	if ix, has := t.hash[col]; has {
-		return ix.Lookup(v), nil
-	}
-	var out []ID
-	for r, id := range t.ids {
-		if t.cols[ci][r].Equal(v) {
-			out = append(out, id)
-		}
-	}
-	return out, nil
-}
-
-// LookupRange returns the IDs with lo ≤ col ≤ hi (null bounds are open),
-// via the ordered index when present and a scan otherwise. With an
-// ordered index results arrive in key order.
-func (t *Table) LookupRange(col string, lo, hi Value) ([]ID, error) {
-	ci, ok := t.schema.Col(col)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q in %q", ErrNoColumn, col, t.name)
-	}
-	if ix, has := t.ordered[col]; has {
-		var out []ID
-		ix.Range(lo, hi, func(_ Value, id ID) bool {
-			out = append(out, id)
-			return true
-		})
-		return out, nil
-	}
-	var out []ID
-	for r, id := range t.ids {
-		v := t.cols[ci][r]
-		if !lo.IsNull() && Compare(v, lo) < 0 {
-			continue
-		}
-		if !hi.IsNull() && Compare(v, hi) > 0 {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
 // AddColumn appends a column, backfilling existing rows with its default.
 func (t *Table) AddColumn(c Column) error {
 	ns, err := t.schema.WithColumn(c)
@@ -629,7 +438,7 @@ func (t *Table) AddColumn(c Column) error {
 	return nil
 }
 
-// DropColumn removes a column and any indexes on it.
+// DropColumn removes a column.
 func (t *Table) DropColumn(name string) error {
 	idx, ok := t.schema.Col(name)
 	if !ok {
@@ -641,25 +450,15 @@ func (t *Table) DropColumn(name string) error {
 	}
 	t.schema = ns
 	t.cols = append(t.cols[:idx], t.cols[idx+1:]...)
-	delete(t.hash, name)
-	delete(t.ordered, name)
 	return nil
 }
 
-// RenameColumn renames a column in place; indexes follow the new name.
+// RenameColumn renames a column in place.
 func (t *Table) RenameColumn(old, new string) error {
 	ns, err := t.schema.Renamed(old, new)
 	if err != nil {
 		return err
 	}
 	t.schema = ns
-	if ix, had := t.hash[old]; had {
-		delete(t.hash, old)
-		t.hash[new] = ix
-	}
-	if ix, had := t.ordered[old]; had {
-		delete(t.ordered, old)
-		t.ordered[new] = ix
-	}
 	return nil
 }

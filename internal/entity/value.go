@@ -1,7 +1,7 @@
 // Package entity implements the in-memory game-state store: typed
-// component tables with primary and secondary indexes, change
-// notification, and the DDL operations (add/drop/rename column) that the
-// schema-evolution subsystem builds on.
+// component tables keyed by entity id, change notification, and the DDL
+// operations (add/drop/rename column) that the schema-evolution
+// subsystem builds on.
 //
 // The paper's "in-memory database layer that processes all actions"
 // (Engineering Challenges) is exactly this package; every other subsystem
@@ -77,8 +77,8 @@ func KindByName(name string) (Kind, bool) {
 //
 // Compare Values with Equal, not ==. Equal compares floats as floats
 // (-0 equals +0, NaN equals nothing); == compares the payload's bits and
-// gets both of those wrong. The hash index and the query hash join key on
-// Key, which keeps Equal's semantics.
+// gets both of those wrong. The query hash join and group-by key on Key,
+// which keeps Equal's semantics.
 type Value struct {
 	kind Kind
 	n    uint64

@@ -144,10 +144,10 @@ func TestCompareProperties(t *testing.T) {
 }
 
 // TestValueEqualKeepsFloatSemantics pins the equality the store uses for
-// no-op writes and equality lookups: floats compare as floats, so -0 is
-// +0 and NaN equals nothing. Value's == compares payload bits and would
-// get both wrong — a -0 written over +0 would land and move the world
-// hash, and a NaN probe would find the NaN rows.
+// no-op writes: floats compare as floats, so -0 is +0 and NaN equals
+// nothing. Value's == compares payload bits and would get -0 wrong (a
+// -0 written over +0 would land and move the world hash); a check that
+// took any two NaNs as equal would drop a NaN written over a NaN.
 func TestValueEqualKeepsFloatSemantics(t *testing.T) {
 	negZero := Float(math.Copysign(0, -1))
 	nan := Float(math.NaN())
@@ -174,17 +174,17 @@ func TestValueEqualKeepsFloatSemantics(t *testing.T) {
 		}
 	}
 
-	// newTab holds id 1 at x = stored, hash-indexed on x.
+	// newTab holds id 1 at x = stored.
 	newTab := func(stored Value) *Table {
 		tab := NewTable("p", MustSchema(Column{Name: "x", Kind: KindFloat}))
 		if err := tab.InsertRow(1, []Value{stored}); err != nil {
 			t.Fatal(err)
 		}
-		if err := tab.CreateHashIndex("x"); err != nil {
-			t.Fatal(err)
-		}
 		return tab
 	}
+	// storedNaN and otherNaN are NaNs with different payloads.
+	storedNaN := Float(math.Float64frombits(0x7ff8000000000002))
+	otherNaN := Float(math.Float64frombits(0x7ff8000000000001))
 	writes := []struct {
 		name string
 		do   func(tab *Table, v Value) error
@@ -204,51 +204,26 @@ func TestValueEqualKeepsFloatSemantics(t *testing.T) {
 		if math.Signbit(tab.MustGet(1, "x").Float()) {
 			t.Errorf("%s of -0 over +0 stored -0", w.name)
 		}
-		// NaN equals nothing, so NaN over NaN is a write: the row re-keys
-		// its index entry, and the old NaN key, matching nothing, stays.
-		tab = newTab(nan)
-		if err := w.do(tab, nan); err != nil {
+		// NaN equals nothing, so NaN over NaN is a write: the new
+		// payload lands.
+		tab = newTab(storedNaN)
+		if err := w.do(tab, otherNaN); err != nil {
 			t.Fatal(err)
 		}
-		if n := tab.hash["x"].Len(); n != 2 {
-			t.Errorf("%s of NaN over NaN: %d index keys, want 2 (a write)", w.name, n)
+		if got, want := math.Float64bits(tab.MustGet(1, "x").Float()), math.Float64bits(otherNaN.Float()); got != want {
+			t.Errorf("%s of NaN over NaN stored %#x, want %#x (a write)", w.name, got, want)
 		}
 	}
 	// An add whose sum is Equal to the stored value is a no-op too:
 	// -0 + +0 is +0, which is -0, so -0 stays.
 	tab := newTab(negZero)
-	if _, err := tab.AddColumnBatch("x", []ID{1}, []Value{Float(0)}); err != nil {
+	if _, _, err := tab.AddColumnBatchRows("x", []ID{1}, []Value{Float(0)}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !math.Signbit(tab.MustGet(1, "x").Float()) {
-		t.Error("AddColumnBatch of +0 to -0 stored +0")
+		t.Error("AddColumnBatchRows of +0 to -0 stored +0")
 	}
-	tab = newTab(nan)
-	if _, err := tab.AddColumnBatch("x", []ID{1}, []Value{Float(0)}); err != nil {
-		t.Fatal(err)
-	}
-	if n := tab.hash["x"].Len(); n != 2 {
-		t.Errorf("AddColumnBatch to NaN: %d index keys, want 2 (a write)", n)
-	}
-
-	// Equality lookups, through the hash index and through a scan.
-	for _, indexed := range []bool{true, false} {
-		tab := NewTable("p", MustSchema(Column{Name: "x", Kind: KindFloat}))
-		for id, v := range []Value{Float(0), nan, Float(2)} {
-			if err := tab.InsertRow(ID(id+1), []Value{v}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if indexed {
-			if err := tab.CreateHashIndex("x"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if ids, _ := tab.LookupEq("x", negZero); len(ids) != 1 || ids[0] != 1 {
-			t.Errorf("indexed=%v: LookupEq(-0) = %v, want [1]", indexed, ids)
-		}
-		if ids, _ := tab.LookupEq("x", nan); len(ids) != 0 {
-			t.Errorf("indexed=%v: LookupEq(NaN) = %v, want none", indexed, ids)
-		}
-	}
+	// A NaN sum is a write too, but one no test can see: a NaN plus
+	// anything keeps the stored NaN's payload on amd64, so the write
+	// leaves the same bits.
 }

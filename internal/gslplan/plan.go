@@ -67,9 +67,6 @@ type Program struct {
 	perEntity string
 }
 
-// Name returns the behavior or rule name the program was compiled from.
-func (p *Program) Name() string { return p.name }
-
 // Explain renders the compiled operator plan as indented text — the
 // -plan debugging aid for content authors.
 func (p *Program) Explain() string { return p.explain }

@@ -98,7 +98,7 @@ func TestSpanRingWraps(t *testing.T) {
 func TestSlowestTickTimeline(t *testing.T) {
 	tr := NewTracer(16)
 	c := tr.Context(0)
-	base := tr.Epoch()
+	base := time.Now()
 	// Hand-build spans with controlled durations via explicit starts.
 	c.Span(SpanTick, 1, -1, base)
 	slow := time.Now()

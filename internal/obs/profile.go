@@ -40,14 +40,6 @@ type ProfEntry struct {
 	samples  atomic.Int64 // number of timed invocations
 }
 
-// Name returns the entry's attribution key.
-func (e *ProfEntry) Name() string {
-	if e == nil {
-		return ""
-	}
-	return e.name
-}
-
 // BeginSample claims a sampling ticket: roughly one in sampleMask+1
 // calls returns sampling=true with the start timestamp; the rest pay a
 // single atomic add.

@@ -39,10 +39,8 @@ const (
 	// cross-shard OCC re-runs the verdicts request).
 	SpanForward     = "forward"
 	SpanRemoteMerge = "remote-merge"
-	// SpanReconcile is the barrier's ghost-refresh phase; SpanFanout is
-	// the replica hub's per-tick client fan-out (outside the barrier).
+	// SpanReconcile is the barrier's ghost-refresh phase.
 	SpanReconcile = "reconcile"
-	SpanFanout    = "fanout"
 	// Wire-transport phases of a peer barrier: SpanWire is the pipelined
 	// encode+send of outbound barrier frames, launched concurrently so it
 	// lands inside (not after) SpanReconcile; SpanWireRecv is the
@@ -95,9 +93,6 @@ func NewTracer(spanCap int) *Tracer {
 	}
 	return &Tracer{epoch: time.Now(), cap: spanCap}
 }
-
-// Epoch returns the tracer's time origin.
-func (t *Tracer) Epoch() time.Time { return t.epoch }
 
 // Context returns shard's span context, creating it on first use.
 // Contexts are stable: the same shard index always yields the same

@@ -172,9 +172,6 @@ func NewManager(src StateSource, backing *Backing, policy Policy) *Manager {
 	return &Manager{src: src, backing: backing, policy: policy}
 }
 
-// LSN returns the last assigned log sequence number.
-func (m *Manager) LSN() uint64 { return m.lsn }
-
 // Apply assigns the next LSN, applies the action to the in-memory state,
 // logs it (if WAL is enabled), and checkpoints when the policy says so.
 func (m *Manager) Apply(tick int64, kind string, important bool, payload int64) (Action, error) {
@@ -222,7 +219,6 @@ func (m *Manager) Checkpoint() error {
 // RecoveryReport quantifies a crash: what survived and what players lost.
 type RecoveryReport struct {
 	SnapshotLSN   uint64
-	Replayed      int
 	LostActions   int
 	LostImportant int
 	// LostTicks is the span of game time rolled back.
@@ -265,8 +261,8 @@ func (m *Manager) Crash() RecoveryReport {
 }
 
 // Recover restores the in-memory state from the durable snapshot and
-// replays the durable log tail. The returned report's Replayed field
-// counts replayed actions; loss fields come from the preceding Crash.
+// replays the durable log tail. It returns the number of actions
+// replayed; what was lost is the preceding Crash's report.
 func (m *Manager) Recover() (int, error) {
 	snap, lsn, tick, ok := m.backing.LatestSnapshot()
 	replayFrom := uint64(0)

@@ -88,110 +88,6 @@ func (s *Scan) Close() error {
 	return nil
 }
 
-// IndexScan produces the rows matched by an index lookup: an equality
-// probe (hash or scan fallback) or a range probe (ordered index or scan
-// fallback).
-type IndexScan struct {
-	table  *entity.Table
-	alias  string
-	cols   []string
-	desc   *Desc
-	colIdx []int
-
-	eq     bool
-	col    string
-	val    entity.Value
-	lo, hi entity.Value
-	ids    []entity.ID
-	cursor int
-	closed bool
-	buf    []Tuple
-}
-
-// NewIndexScanEq scans rows where col = val.
-func NewIndexScanEq(t *entity.Table, col string, val entity.Value) *IndexScan {
-	is := newIndexScan(t)
-	is.eq = true
-	is.col = col
-	is.val = val
-	return is
-}
-
-// NewIndexScanRange scans rows where lo ≤ col ≤ hi (null bounds open).
-func NewIndexScanRange(t *entity.Table, col string, lo, hi entity.Value) *IndexScan {
-	is := newIndexScan(t)
-	is.col = col
-	is.lo, is.hi = lo, hi
-	return is
-}
-
-func newIndexScan(t *entity.Table) *IndexScan {
-	var cols []string
-	for _, c := range t.Schema().Cols() {
-		cols = append(cols, c.Name)
-	}
-	names := []string{t.Name() + ".id"}
-	for _, c := range cols {
-		names = append(names, t.Name()+"."+c)
-	}
-	return &IndexScan{table: t, alias: t.Name(), cols: cols, desc: MustDesc(names...)}
-}
-
-// Desc implements Op.
-func (s *IndexScan) Desc() *Desc { return s.desc }
-
-// Open implements Op.
-func (s *IndexScan) Open() error {
-	s.cursor = 0
-	s.closed = false
-	s.colIdx = s.colIdx[:0]
-	for _, c := range s.cols {
-		i, _ := s.table.Schema().Col(c)
-		s.colIdx = append(s.colIdx, i)
-	}
-	var err error
-	if s.eq {
-		s.ids, err = s.table.LookupEq(s.col, s.val)
-	} else {
-		s.ids, err = s.table.LookupRange(s.col, s.lo, s.hi)
-	}
-	return err
-}
-
-// Next implements Op.
-func (s *IndexScan) Next() ([]Tuple, error) {
-	if s.closed {
-		return nil, ErrClosed
-	}
-	if s.cursor >= len(s.ids) {
-		return nil, nil
-	}
-	end := s.cursor + batchSize
-	if end > len(s.ids) {
-		end = len(s.ids)
-	}
-	s.buf = s.buf[:0]
-	for _, id := range s.ids[s.cursor:end] {
-		row, err := s.table.Row(id)
-		if err != nil {
-			return nil, err
-		}
-		t := make(Tuple, 0, len(row)+1)
-		t = append(t, entity.Int(int64(id)))
-		t = append(t, row...)
-		s.buf = append(s.buf, t)
-	}
-	s.cursor = end
-	return s.buf, nil
-}
-
-// Close implements Op.
-func (s *IndexScan) Close() error {
-	s.closed = true
-	s.ids = nil
-	return nil
-}
-
 // Filter passes through tuples satisfying a boolean expression.
 type Filter struct {
 	in   Op

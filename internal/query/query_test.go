@@ -226,34 +226,6 @@ func TestLimitAndOrderBy(t *testing.T) {
 	}
 }
 
-func TestIndexScan(t *testing.T) {
-	tab := makeUnits(t, 400, 5)
-	tab.CreateHashIndex("faction")
-	tab.CreateOrderedIndex("hp")
-	rows, _, err := Run(NewIndexScanEq(tab, "faction", entity.Str("red")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := tab.LookupEq("faction", entity.Str("red"))
-	if len(rows) != len(want) {
-		t.Fatalf("eq scan = %d rows, want %d", len(rows), len(want))
-	}
-	rows, d, err := Run(NewIndexScanRange(tab, "hp", entity.Int(10), entity.Int(20)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hpIdx, _ := d.Col("units.hp")
-	for _, r := range rows {
-		if hp := r[hpIdx].Int(); hp < 10 || hp > 20 {
-			t.Fatalf("range scan leaked hp=%d", hp)
-		}
-	}
-	wantIDs, _ := tab.LookupRange("hp", entity.Int(10), entity.Int(20))
-	if len(rows) != len(wantIDs) {
-		t.Fatalf("range scan = %d rows, want %d", len(rows), len(wantIDs))
-	}
-}
-
 func TestHashJoin(t *testing.T) {
 	units := makeUnits(t, 100, 6)
 	// A second table keyed by faction.
@@ -373,6 +345,36 @@ func TestNLJoinMatchesHashJoin(t *testing.T) {
 	}
 	if len(nlRows) != len(hjRows) {
 		t.Fatalf("NL join %d rows, hash join %d", len(nlRows), len(hjRows))
+	}
+}
+
+// TestJoinEquivalenceRandomized: hash join must agree with NL join on
+// random equi-join instances — the cross-operator correctness property.
+func TestJoinEquivalenceRandomized(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		a := makeUnits(t, 30+trial*7, int64(500+trial))
+		bTab := makeUnits(t, 20+trial*5, int64(600+trial))
+		nl, err := NewNLJoin(NewScanAs(a, "a", nil), NewScanAs(bTab, "b", nil),
+			Eq(Col("a.faction"), Col("b.faction")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nlN, err := Count(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hj, err := NewHashJoin(NewScanAs(a, "a", nil), NewScanAs(bTab, "b", nil),
+			"a.faction", "b.faction")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hjN, err := Count(hj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nlN != hjN {
+			t.Fatalf("trial %d: NL %d rows, hash %d rows", trial, nlN, hjN)
+		}
 	}
 }
 

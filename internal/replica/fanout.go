@@ -409,9 +409,6 @@ func NewHub(cfg HubConfig) *Hub {
 // Specs returns the replicated field specs.
 func (h *Hub) Specs() []FieldSpec { return h.specs }
 
-// Clients returns the connected client count.
-func (h *Hub) Clients() int { return len(h.conns) }
-
 // Entities returns the replicated entity count.
 func (h *Hub) Entities() int { return len(h.ents) }
 

@@ -127,9 +127,6 @@ func NewInterp(prog *Program, opts Options) *Interp {
 	return in
 }
 
-// Program returns the interpreted program.
-func (in *Interp) Program() *Program { return in.prog }
-
 // FuelUsed reports fuel consumed by the last Run or Call.
 func (in *Interp) FuelUsed() int64 { return in.fuelCap - in.fuel }
 

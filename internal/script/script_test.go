@@ -190,7 +190,8 @@ func TestHostBuiltinsAndLog(t *testing.T) {
 			Name: "spawn", MinArgs: 1, MaxArgs: 1,
 			Fn: func(args []Value) (Value, error) {
 				calls++
-				return Int(args[0].AsIntOr(0) * 2), nil
+				n, _ := args[0].AsInt()
+				return Int(n * 2), nil
 			},
 		}},
 	}

@@ -83,15 +83,6 @@ func (v Value) AsInt() (int64, bool) {
 	return 0, false
 }
 
-// AsIntOr returns the int payload, or def when the value is not an int.
-// Builtin implementations use it for optional numeric arguments.
-func (v Value) AsIntOr(def int64) int64 {
-	if v.kind == KInt {
-		return v.i
-	}
-	return def
-}
-
 // AsFloat returns the value as float64, coercing ints.
 func (v Value) AsFloat() (float64, bool) {
 	switch v.kind {

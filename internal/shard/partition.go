@@ -46,13 +46,21 @@ func gridShape(n int) (cols, rows int) {
 	return n / rows, rows
 }
 
-// NewPartitioner splits world into n regions. n must be ≥ 1 and the
-// world rectangle must have positive area.
+// NewPartitioner splits world into n regions. n must be ≥ 1, and the
+// world rectangle must have finite corners and a finite, positive width
+// and height: a NaN or infinite bound would make every region bound NaN
+// and send every position to one shard.
 func NewPartitioner(world spatial.Rect, n int) (*Partitioner, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("shard: need at least 1 shard, got %d", n)
 	}
-	if world.Width() <= 0 || world.Height() <= 0 {
+	w, h := world.Width(), world.Height()
+	for _, v := range [...]float64{world.Min.X, world.Min.Y, world.Max.X, world.Max.Y, w, h} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("shard: world rect %v must have finite corners, width and height", world)
+		}
+	}
+	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("shard: world rect must have positive area")
 	}
 	cols, rows := gridShape(n)
@@ -70,9 +78,6 @@ func NewPartitioner(world spatial.Rect, n int) (*Partitioner, error) {
 
 // N returns the number of regions.
 func (p *Partitioner) N() int { return p.cols * p.rows }
-
-// World returns the full world rectangle.
-func (p *Partitioner) World() spatial.Rect { return p.world }
 
 // Region returns shard i's current rectangle (row-major).
 func (p *Partitioner) Region(i int) spatial.Rect {

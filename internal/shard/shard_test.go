@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"math"
 	"testing"
 
 	"gamedb/internal/entity"
@@ -93,6 +94,50 @@ func TestPartitionerShapes(t *testing.T) {
 	}
 }
 
+// TestPartitionerRefusesNonFiniteWorlds: a world rect with a NaN or
+// infinite corner, or whose width or height overflows to +Inf, is
+// refused at every shard count, while the shapes the CLIs, experiments
+// and benchmark build (a side×side square, the same square widened by a
+// margin, the 1-shard engine's unit square) are accepted.
+func TestPartitionerRefusesNonFiniteWorlds(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := []spatial.Rect{
+		{Min: spatial.Vec2{X: 0, Y: 0}, Max: spatial.Vec2{X: inf, Y: 100}},
+		{Min: spatial.Vec2{X: -inf, Y: 0}, Max: spatial.Vec2{X: 100, Y: 100}},
+		{Min: spatial.Vec2{X: 0, Y: -inf}, Max: spatial.Vec2{X: 100, Y: inf}},
+		{Min: spatial.Vec2{X: nan, Y: 0}, Max: spatial.Vec2{X: 100, Y: 100}},
+		{Min: spatial.Vec2{X: 0, Y: 0}, Max: spatial.Vec2{X: 100, Y: nan}},
+		{Min: spatial.Vec2{X: -1e308, Y: 0}, Max: spatial.Vec2{X: 1e308, Y: 100}},
+		{Min: spatial.Vec2{X: 0, Y: -1e308}, Max: spatial.Vec2{X: 100, Y: 1e308}},
+	}
+	good := []spatial.Rect{
+		spatial.NewRect(0, 0, 1, 1),
+		spatial.NewRect(0, 0, 400, 400),
+		spatial.NewRect(0, 0, 2000, 2000),
+		spatial.NewRect(-2000, -2000, 4000, 4000),
+		spatial.NewRect(-1e307, -1e307, 1e307, 1e307),
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		for _, r := range bad {
+			if p, err := NewPartitioner(r, n); err == nil {
+				t.Errorf("NewPartitioner(%v, %d) accepted it: xs %v ys %v", r, n, p.xs, p.ys)
+			}
+		}
+		for _, r := range good {
+			p, err := NewPartitioner(r, n)
+			if err != nil {
+				t.Errorf("NewPartitioner(%v, %d): %v", r, n, err)
+				continue
+			}
+			for i := 0; i < p.N(); i++ {
+				if got := p.Locate(p.Region(i).Center()); got != i {
+					t.Errorf("%v at %d shards: Locate(center of region %d) = %d", r, n, i, got)
+				}
+			}
+		}
+	}
+}
+
 func TestRebalanceShiftsBoundaryTowardLoad(t *testing.T) {
 	p, err := NewPartitioner(spatial.NewRect(0, 0, 1000, 1000), 2)
 	if err != nil {
@@ -180,7 +225,7 @@ func TestGhostReplication(t *testing.T) {
 	}
 	// Boundary-straddling spatial query: a sees b through the ghost.
 	found := false
-	for _, id := range w0.Nearby(a, 25) {
+	for _, id := range w0.AppendNearby(nil, a, 25) {
 		if id == b {
 			found = true
 		}

@@ -40,7 +40,7 @@ func stageReference(t *testing.T, p *Peer) staging {
 			if !ok {
 				continue
 			}
-			row, err := tab.Row(id)
+			row, err := tab.AppendRow(id, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -88,12 +88,6 @@ func (r Rect) Intersects(o Rect) bool {
 		r.Min.Y <= o.Max.Y && r.Max.Y >= o.Min.Y
 }
 
-// ContainsRect reports whether o lies entirely inside r.
-func (r Rect) ContainsRect(o Rect) bool {
-	return o.Min.X >= r.Min.X && o.Max.X <= r.Max.X &&
-		o.Min.Y >= r.Min.Y && o.Max.Y <= r.Max.Y
-}
-
 // Center returns the rectangle's center point.
 func (r Rect) Center() Vec2 {
 	return Vec2{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}

@@ -149,9 +149,6 @@ func NewGrid(cellSize float64) *Grid {
 	}
 }
 
-// CellSize returns the configured cell size.
-func (g *Grid) CellSize() float64 { return g.cell }
-
 func (g *Grid) keyFor(p Vec2) CellKey { return CellAt(p, g.cell) }
 
 // CellOf returns the key of the cell containing p under this grid's

@@ -33,9 +33,6 @@ func NewQuadTree(bounds Rect) *QuadTree {
 	}
 }
 
-// Bounds returns the world bound the tree was built with.
-func (q *QuadTree) Bounds() Rect { return q.bounds }
-
 // Insert implements Index.
 func (q *QuadTree) Insert(id ID, p Vec2) {
 	if _, ok := q.pos[id]; ok {

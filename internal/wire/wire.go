@@ -43,9 +43,6 @@ func (e *Enc) Len() int { return len(e.b) }
 // U8 appends one byte.
 func (e *Enc) U8(v byte) { e.b = append(e.b, v) }
 
-// U32 appends a fixed-width little-endian uint32.
-func (e *Enc) U32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-
 // U64 appends a fixed-width little-endian uint64.
 func (e *Enc) U64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
 
@@ -163,17 +160,6 @@ func (d *Dec) U8() byte {
 	}
 	v := d.b[d.off]
 	d.off++
-	return v
-}
-
-// U32 reads a fixed-width little-endian uint32.
-func (d *Dec) U32() uint32 {
-	if d.err != nil || d.off+4 > len(d.b) {
-		d.fail("u32")
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
 	return v
 }
 

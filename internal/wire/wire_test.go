@@ -60,7 +60,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 	for iter := 0; iter < 200; iter++ {
 		e.Reset()
 		u8 := byte(rng.Intn(256))
-		u32 := rng.Uint32()
 		u64 := rng.Uint64()
 		uv := []uint64{0, 1, 127, 128, math.MaxUint64, rng.Uint64()}[iter%6]
 		vv := []int64{0, -1, 1, math.MinInt64, math.MaxInt64, rng.Int63() - rng.Int63()}[iter%6]
@@ -68,7 +67,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 		s := fmt.Sprintf("col_%d", rng.Intn(1000))
 		bl := rng.Intn(2) == 0
 		e.U8(u8)
-		e.U32(u32)
 		e.U64(u64)
 		e.Uvarint(uv)
 		e.Varint(vv)
@@ -79,9 +77,6 @@ func TestPrimitiveRoundTrip(t *testing.T) {
 		d := NewDec(e.Bytes(), nil)
 		if got := d.U8(); got != u8 {
 			t.Fatalf("u8: got %d want %d", got, u8)
-		}
-		if got := d.U32(); got != u32 {
-			t.Fatalf("u32: got %d want %d", got, u32)
 		}
 		if got := d.U64(); got != u64 {
 			t.Fatalf("u64: got %d want %d", got, u64)

@@ -86,8 +86,8 @@ func batchFor(bs *[]colBatch, tab *entity.Table, col string) *colBatch {
 }
 
 // applyAssignColumnar is the assignment and delta apply: one grouping
-// sweep over the merged sequence, one SetColumnBatch per written
-// (table, column), one AddColumnBatch per delta'd (table, column), one
+// sweep over the merged sequence, one SetColumnBatchRows per written
+// (table, column), one AddColumnBatchRows per delta'd (table, column), one
 // MoveSlots flush. Conflicts count per record: a record whose target
 // cannot resolve, whose entity is unknown, or whose value is skipped
 // inside the batch counts exactly one conflict.

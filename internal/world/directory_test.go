@@ -251,7 +251,7 @@ func TestOwnedListTracksTheDirectory(t *testing.T) {
 	}
 	step("spawned")
 	units, _ := w.Table("units")
-	vals, err := units.Row(ids[4])
+	vals, err := units.AppendRow(ids[4], nil)
 	if err != nil {
 		t.Fatal(err)
 	}

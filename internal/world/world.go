@@ -790,14 +790,9 @@ func (w *World) slotPos(rec *entRec) (spatial.Vec2, bool) {
 	return w.index.PosSlot(rec.slot), true
 }
 
-// Nearby returns ids within radius of the entity, excluding it, sorted
-// by id for determinism.
-func (w *World) Nearby(id entity.ID, radius float64) []entity.ID {
-	return w.AppendNearby(nil, id, radius)
-}
-
-// AppendNearby appends Nearby's result to dst and returns the extended
-// slice — the allocation-free form for callers that refill a buffer.
+// AppendNearby appends the ids within radius of the entity, excluding
+// it, sorted by id for determinism, to dst and returns the extended
+// slice.
 func (w *World) AppendNearby(dst []entity.ID, id entity.ID, radius float64) []entity.ID {
 	p, ok := w.Pos(id)
 	if !ok {

@@ -88,11 +88,11 @@ func TestNearbyIsSortedAndExcludesSelf(t *testing.T) {
 	b, _ := w.Spawn("dummy", spatial.Vec2{X: 3, Y: 0})
 	c, _ := w.Spawn("dummy", spatial.Vec2{X: 0, Y: 4})
 	_, _ = b, c
-	got := w.Nearby(a, 10)
+	got := w.AppendNearby(nil, a, 10)
 	if len(got) != 2 || got[0] != b || got[1] != c {
 		t.Fatalf("nearby = %v", got)
 	}
-	if ids := w.Nearby(a, 1); len(ids) != 0 {
+	if ids := w.AppendNearby(nil, a, 1); len(ids) != 0 {
 		t.Fatalf("tight radius = %v", ids)
 	}
 }
@@ -324,4 +324,96 @@ func TestSpawnFromPackSpawns(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestEndToEndShard exercises every world subsystem together for many
+// ticks: scripted behavior mutating state, triggers cascading, a
+// table scan between ticks, snapshot/restore mid-run.
+func TestEndToEndShard(t *testing.T) {
+	const pack = `
+<contentpack name="stress">
+  <schema table="units">
+    <column name="hp" kind="int" default="100"/>
+    <column name="x" kind="float"/>
+    <column name="y" kind="float"/>
+    <column name="stress" kind="int"/>
+  </schema>
+  <archetype name="mob" table="units" script="mill">
+    <set column="hp" value="60"/>
+  </archetype>
+  <script name="mill">
+fn on_tick(self) {
+  move_toward(self, 50.0, 50.0, 0.8);
+  let crowd = nearby(self, 6.0);
+  if len(crowd) > 4 {
+    emit("crowded", self, len(crowd));
+  }
+}
+  </script>
+  <trigger name="stress-up" event="crowded">
+    <when>amount &gt; 4</when>
+    <do>set(self, "stress", get(self, "stress") + 1);</do>
+  </trigger>
+</contentpack>`
+	c, errs := content.LoadAndCompile(strings.NewReader(pack))
+	if len(errs) > 0 {
+		t.Fatal(errs)
+	}
+	w := New(Config{Seed: 5, CellSize: 8})
+	if err := w.LoadPack(c); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 60; i++ {
+		if _, err := w.Spawn("mob", spatial.Vec2{X: float64(i * 3 % 100), Y: float64(i * 7 % 100)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap []byte
+	for tick := 0; tick < 120; tick++ {
+		st, err := w.Step()
+		if err != nil {
+			t.Fatalf("tick %d: %v", tick, err)
+		}
+		if st.ScriptErrors > 0 {
+			t.Fatalf("tick %d: script error: %v", tick, w.LastScriptError)
+		}
+		if tick == 60 {
+			snap, err = w.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Everyone converged on the rally point; crowding must have fired.
+	units, _ := w.Table("units")
+	stressCol := units.Schema().MustCol("stress")
+	stressed := 0
+	units.Scan(func(_ entity.ID, row []entity.Value) bool {
+		if row[stressCol].Int() > 0 {
+			stressed++
+		}
+		return true
+	})
+	if stressed == 0 {
+		t.Fatal("no entity ever got crowded; simulation shape wrong")
+	}
+	// Restore mid-run snapshot and keep simulating without errors.
+	if err := w.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	if w.Tick() != 61 {
+		t.Fatalf("restored tick = %d", w.Tick())
+	}
+	for tick := 0; tick < 30; tick++ {
+		st, err := w.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ScriptCalls != 60 {
+			t.Fatalf("post-restore script calls = %d, want 60", st.ScriptCalls)
+		}
+	}
+	if w.Entities() != 60 {
+		t.Fatalf("entities = %d", w.Entities())
+	}
 }
