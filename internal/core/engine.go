@@ -44,7 +44,7 @@ type Options struct {
 	ScriptFuel int64
 	// TickDT is simulated seconds per tick.
 	TickDT float64
-	// Workers fans each shard's query phase (behaviors + physics) and its
+	// Workers fans each shard's query phase (its behaviors) and its
 	// trigger rounds across that many goroutines (default 1): total
 	// parallelism is Shards × Workers, and the world hash stays identical
 	// for any combination.

@@ -69,7 +69,7 @@ func TestSetColumnBatchSkipsAndErrors(t *testing.T) {
 
 func TestSetColumnBatchDoesNotNotifyListeners(t *testing.T) {
 	// The batch entry points are the apply side of the effect pipeline:
-	// derived state reconciles after the batch (spatial MoveBatch), so
+	// derived state reconciles after the batch (spatial MoveSlots), so
 	// per-row update notifications are deliberately skipped.
 	tab := batchTable(t)
 	calls := 0

@@ -52,9 +52,6 @@ type LaneResult struct {
 // entity ("" when none does).
 func (p *Program) SetAtATime() bool { return p.perEntity == "" }
 
-// PerEntity names the first construct that keeps the program per entity.
-func (p *Program) PerEntity() string { return p.perEntity }
-
 // RunBatch runs the plan once over subjects: lane l is the invocation
 // Run(fuelCap, Int(subjects[l]), args[0][l], args[1][l], …) — a
 // behavior's on_tick passes no columns, a rule side its amounts

@@ -67,6 +67,16 @@ var stayDeleted = []struct {
 		pattern: `applyAssignRows|rowApply|UseRowApply|\.Fire\(|\.Drain\(|\.Unregister\(|FiredCount|Rule\.Cond|Rule\.Action|ev\.Fields|host-registered`,
 		specs:   []string{"*.go", ":!bench"},
 	},
+	{
+		name:    "One physics path (velocity integrates as a column run in the apply; its effect records and their ordering carve-outs stay deleted)",
+		pattern: `physicsSeq|physDelta`,
+		specs:   []string{"internal"},
+	},
+	{
+		name:    "One batched grid move (the world flushes through MoveSlots; the id-addressed batch entry stays deleted)",
+		pattern: `MoveBatch`,
+		specs:   []string{"internal"},
+	},
 }
 
 // self is this file, relative to the repository root.

@@ -296,12 +296,6 @@ type Conn struct {
 	Drops     int64
 }
 
-// CurrentTier returns the client's current service level.
-func (c *Conn) CurrentTier() Tier { return c.tier }
-
-// QueuedBytes returns the client's current backlog.
-func (c *Conn) QueuedBytes() int { return c.qBytes }
-
 // TickReport summarizes one FlushTick.
 type TickReport struct {
 	Tick      int64

@@ -19,15 +19,19 @@ import (
 // hash. The cascade crowd's pair is cascadeGoldenFinal/Fold
 // (trigger_plan_test.go), recorded one PR earlier from the same crowd.
 // The mingle crowd reads neighbours through default Coarse mirrors, so
-// its state depends on whether there are mirrors at all.
+// its state depends on whether there are mirrors at all. The effect
+// counts are the recorded totals less the physics records (one per
+// moving axis) the pipeline emitted until velocity integration left the
+// record stream: 12 500 on mingle, 16 000 on cascade, 4 800 on the claim
+// world below.
 const (
 	mingleGoldenFinal1  = 0x7d5f32b06591ee6d // 1 shard
 	mingleGoldenFold1   = 0xea4beb42990438bc
 	mingleGoldenFinalN  = 0x5fd6f35a9795d230 // 2 and 4 shards
 	mingleGoldenFoldN   = 0xae0968381b2e7a33
-	mingleGoldenEffects = 15398
+	mingleGoldenEffects = 2898
 
-	cascadeGoldenEffects = 24000
+	cascadeGoldenEffects = 8000
 	cascadeGoldenFired   = 32000
 
 	borderGoldenFinal = 0xd4738eff8078730e
@@ -49,7 +53,7 @@ const (
 	conflictGoldenCalls   = 2400
 	conflictGoldenFuel    = 35777
 	conflictGoldenRetries = 141
-	conflictGoldenEffects = 5422
+	conflictGoldenEffects = 622
 )
 
 // TestConflictWorldOCCMatchesInterpreterGolden runs the contended claim

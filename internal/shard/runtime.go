@@ -35,7 +35,7 @@ type Config struct {
 	CellSize   float64
 	ScriptFuel int64
 	TickDT     float64
-	// Workers fans each shard world's query phase (behaviors + physics)
+	// Workers fans each shard world's query phase (its behaviors)
 	// and its trigger rounds across that many goroutines per tick
 	// (default 1), so total parallelism is Shards × Workers. The world's
 	// state-effect pipeline keeps the hash identical for any

@@ -151,10 +151,6 @@ func NewGrid(cellSize float64) *Grid {
 
 func (g *Grid) keyFor(p Vec2) CellKey { return CellAt(p, g.cell) }
 
-// CellOf returns the key of the cell containing p under this grid's
-// cell size.
-func (g *Grid) CellOf(p Vec2) CellKey { return g.keyFor(p) }
-
 // entry returns the directory index of cell (x, y): its coordinates
 // wrapped to one period. Two's-complement wrapping keeps the residue
 // exact across int32 overflow, since dirW divides 2³².
@@ -166,20 +162,6 @@ func entry(x, y int32) uint32 {
 // sentinel when none).
 func (g *Grid) bucketAt(e uint32) *gridBucket {
 	return &g.buckets[g.dir[e&(dirW*dirW-1)]]
-}
-
-// ForEachInCell visits every point stored in cell k (unspecified
-// order). Iteration stops early if fn returns false.
-func (g *Grid) ForEachInCell(k CellKey, fn func(id ID, p Vec2) bool) {
-	bk := g.bucketAt(entry(k.X, k.Y))
-	for i, s := range bk.slots {
-		if g.slots[s].key != k {
-			continue // an aliased cell sharing the bucket
-		}
-		if pt := bk.pts[i]; !fn(pt.ID, pt.Pos) {
-			return
-		}
-	}
 }
 
 // link appends slot s (holding id) to the bucket of p's cell, taking a
@@ -313,15 +295,6 @@ func (g *Grid) Remove(id ID) bool {
 
 // Move implements Index; like Insert, it inserts an absent id.
 func (g *Grid) Move(id ID, p Vec2) { g.Insert(id, p) }
-
-// MoveBatch applies a batch of id-addressed moves in slice order with
-// Move semantics, so a batch containing duplicate ids lands on the last
-// entry.
-func (g *Grid) MoveBatch(pts []Point) {
-	for i := range pts {
-		g.Insert(pts[i].ID, pts[i].Pos)
-	}
-}
 
 // Pos implements Index.
 func (g *Grid) Pos(id ID) (Vec2, bool) {

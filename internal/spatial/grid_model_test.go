@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// The grid model test: random Insert / Move / MoveBatch / Remove /
+// The grid model test: random Insert / Move / MoveSlots / Remove /
 // re-Insert sequences decoded from bytes, checked after every operation
 // against a brute-force map[ID]Vec2 oracle and against the structural
 // invariants Grid's doc comment states. Positions reach the directory's
@@ -105,7 +105,7 @@ func checkGridOps(t *testing.T, data []byte) {
 	f := &byteFeed{data: data}
 	g := NewGrid(modelCell)
 	want := map[ID]Vec2{}
-	var batch []Point
+	var batch []SlotMove
 	for step := 0; !f.done(); step++ {
 		switch op := f.b() % 10; op {
 		case 0, 1: // Move (inserts when absent), anywhere on the map
@@ -143,14 +143,17 @@ func checkGridOps(t *testing.T, data []byte) {
 			id, p := f.id(), f.special()
 			g.Move(id, p)
 			want[id] = p
-		default: // MoveBatch, duplicates included: the last entry wins
+		default: // MoveSlots, duplicates included: the last entry wins
 			batch = batch[:0]
 			for n := int(f.b()%6) + 1; n > 0; n-- {
-				pt := Point{ID: f.id(), Pos: f.anywhere()}
-				batch = append(batch, pt)
-				want[pt.ID] = pt.Pos
+				id, p := f.id(), f.anywhere()
+				if _, ok := want[id]; !ok {
+					g.Insert(id, Vec2{}) // MoveSlots moves live slots only
+				}
+				batch = append(batch, SlotMove{Slot: g.slotOf[id], Pos: p})
+				want[id] = p
 			}
-			g.MoveBatch(batch)
+			g.MoveSlots(batch)
 		}
 		checkGridInvariants(t, step, g, want)
 		c := f.pos()

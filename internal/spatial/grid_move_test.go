@@ -16,22 +16,23 @@ func queryAll(g *Grid, r Rect) []ID {
 	return out
 }
 
-// TestMoveBatchMatchesSequentialMoves drives the same random walk
-// through per-entity Move calls and through one MoveBatch per step and
+// TestMoveSlotsMatchesSequentialMoves drives the same random walk
+// through per-entity Move calls and through one MoveSlots per step and
 // checks positions and query results agree at every step.
-func TestMoveBatchMatchesSequentialMoves(t *testing.T) {
+func TestMoveSlotsMatchesSequentialMoves(t *testing.T) {
 	const n = 200
 	seqG := NewGrid(10)
 	batG := NewGrid(10)
 	rng := rand.New(rand.NewSource(3))
 	pos := make([]Vec2, n)
+	slots := make([]int32, n)
 	for i := 0; i < n; i++ {
 		pos[i] = Vec2{X: rng.Float64() * 300, Y: rng.Float64() * 300}
 		seqG.Insert(ID(i+1), pos[i])
-		batG.Insert(ID(i+1), pos[i])
+		slots[i] = batG.InsertSlot(ID(i+1), pos[i])
 	}
 	for step := 0; step < 20; step++ {
-		batch := make([]Point, 0, n)
+		batch := make([]SlotMove, 0, n)
 		for i := 0; i < n; i++ {
 			// Mix small in-cell jitters with cross-cell jumps.
 			d := 2.0
@@ -41,13 +42,12 @@ func TestMoveBatchMatchesSequentialMoves(t *testing.T) {
 			pos[i].X += (rng.Float64()*2 - 1) * d
 			pos[i].Y += (rng.Float64()*2 - 1) * d
 			seqG.Move(ID(i+1), pos[i])
-			batch = append(batch, Point{ID: ID(i + 1), Pos: pos[i]})
+			batch = append(batch, SlotMove{Slot: slots[i], Pos: pos[i]})
 		}
-		batG.MoveBatch(batch)
+		batG.MoveSlots(batch)
 		for i := 0; i < n; i++ {
 			sp, _ := seqG.Pos(ID(i + 1))
-			bp, ok := batG.Pos(ID(i + 1))
-			if !ok || sp != bp {
+			if bp := batG.PosSlot(slots[i]); sp != bp {
 				t.Fatalf("step %d id %d: batch pos %v, sequential %v", step, i+1, bp, sp)
 			}
 		}
@@ -67,50 +67,12 @@ func TestMoveBatchMatchesSequentialMoves(t *testing.T) {
 	}
 }
 
-func TestMoveBatchInsertsUnknownIDs(t *testing.T) {
-	g := NewGrid(8)
-	g.MoveBatch([]Point{{ID: 7, Pos: Vec2{X: 3, Y: 4}}})
-	p, ok := g.Pos(7)
-	if !ok || p != (Vec2{X: 3, Y: 4}) {
-		t.Fatalf("unknown id should insert: %v %v", p, ok)
-	}
-	found := false
-	g.QueryCircle(Vec2{X: 3, Y: 4}, 1, func(id ID, _ Vec2) bool {
-		found = found || id == 7
-		return true
-	})
-	if !found {
-		t.Fatal("inserted id not queryable")
-	}
-}
-
-func TestMoveBatchDuplicateIDsLastWins(t *testing.T) {
-	g := NewGrid(8)
-	g.Insert(1, Vec2{X: 0, Y: 0})
-	g.MoveBatch([]Point{
-		{ID: 1, Pos: Vec2{X: 100, Y: 100}},
-		{ID: 1, Pos: Vec2{X: 50, Y: 50}},
-	})
-	p, _ := g.Pos(1)
-	if p != (Vec2{X: 50, Y: 50}) {
-		t.Fatalf("last entry should win, got %v", p)
-	}
-	count := 0
-	g.QueryRect(NewRect(-200, -200, 200, 200), func(ID, Vec2) bool {
-		count++
-		return true
-	})
-	if count != 1 {
-		t.Fatalf("duplicate moves left %d grid entries, want 1", count)
-	}
-}
-
-// BenchmarkGridMoveBatch moves 8000 points per batch: "same-cell" jitters
+// BenchmarkGridMoveSlots moves 8000 points per batch: "same-cell" jitters
 // each inside its cell (one lookup and two stores per move), "cross-cell"
 // sends each to a neighboring cell and back (unlink, directory lookup,
 // link — on a sparse grid, where most cells empty and refill), "mixed"
 // crosses with one point in eight.
-func BenchmarkGridMoveBatch(b *testing.B) {
+func BenchmarkGridMoveSlots(b *testing.B) {
 	const n, cell = 8000, 16.0
 	for _, bc := range []struct {
 		name  string
@@ -119,30 +81,30 @@ func BenchmarkGridMoveBatch(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(5))
 			g := NewGrid(cell)
-			home := make([]Point, n)
-			away := make([]Point, n)
+			home := make([]SlotMove, n)
+			away := make([]SlotMove, n)
 			for i := range home {
 				p := Vec2{X: rng.Float64() * 2000, Y: rng.Float64() * 2000}
-				home[i] = Point{ID: ID(i + 1), Pos: p}
-				away[i] = Point{ID: ID(i + 1), Pos: Vec2{X: p.X + 0.01, Y: p.Y}}
+				s := g.InsertSlot(ID(i+1), p)
+				home[i] = SlotMove{Slot: s, Pos: p}
+				away[i] = SlotMove{Slot: s, Pos: Vec2{X: p.X + 0.01, Y: p.Y}}
 				if bc.cross > 0 && i%bc.cross == 0 {
 					away[i].Pos.X = p.X + cell
 				}
-				g.Insert(home[i].ID, p)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				g.MoveBatch(away)
-				g.MoveBatch(home)
+				g.MoveSlots(away)
+				g.MoveSlots(home)
 			}
 		})
 	}
 }
 
 // TestGridSteadyStateAllocs: a crowd drifting one cell a tick leaves
-// every bucket and enters another each tick, through MoveBatch and
-// through MoveSlots. Whole-cell steps keep the crowd's occupancy pattern
+// every bucket and enters another each tick, through Move and through
+// MoveSlots. Whole-cell steps keep the crowd's occupancy pattern
 // (wrapped included), so once warm-up has sized the recycled buckets a
 // tick allocates nothing.
 func TestGridSteadyStateAllocs(t *testing.T) {
@@ -154,7 +116,6 @@ func TestGridSteadyStateAllocs(t *testing.T) {
 		home[i] = Vec2{X: float64(rng.Intn(2000*64)) / 64, Y: float64(rng.Intn(2000*64)) / 64}
 	}
 	byID, bySlot := NewGrid(cell), NewGrid(cell)
-	pts := make([]Point, n)
 	moves := make([]SlotMove, n)
 	for i, p := range home {
 		byID.Insert(ID(i+1), p)
@@ -165,10 +126,9 @@ func TestGridSteadyStateAllocs(t *testing.T) {
 		tick++
 		d := Vec2{X: cell * float64(tick), Y: cell * float64(tick%3)}
 		for i, p := range home {
-			pts[i] = Point{ID: ID(i + 1), Pos: p.Add(d)}
-			moves[i].Pos = pts[i].Pos
+			moves[i].Pos = p.Add(d)
+			byID.Move(ID(i+1), moves[i].Pos)
 		}
-		byID.MoveBatch(pts)
 		bySlot.MoveSlots(moves)
 	}
 	for i := 0; i < 2*dirW; i++ { // two full trips round the directory

@@ -22,6 +22,7 @@ package world
 // spatial cell-bucket ordering, which no hashed state observes.
 
 import (
+	"math"
 	"slices"
 
 	"gamedb/internal/entity"
@@ -86,14 +87,13 @@ func batchFor(bs *[]colBatch, tab *entity.Table, col string) *colBatch {
 }
 
 // applyAssignColumnar is the assignment and delta apply: one grouping
-// sweep over the merged sequence, one SetColumnBatchRows per written
-// (table, column), one AddColumnBatchRows per delta'd (table, column), one
-// MoveSlots flush. Conflicts count per record: a record whose target
-// cannot resolve, whose entity is unknown, or whose value is skipped
-// inside the batch counts exactly one conflict.
+// sweep over the merged sequence that also integrates the physics list,
+// one SetColumnBatchRows per written (table, column), one
+// AddColumnBatchRows per delta'd (table, column), one MoveSlots flush.
+// Conflicts count per record: a record whose target cannot resolve,
+// whose entity is unknown, or whose value is skipped inside the batch
+// counts exactly one conflict.
 func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (entity.ID, bool), conflicts *int) {
-	posDirty := false
-
 	// One-entry target → directory record memo: the merged sequence
 	// sorts by source entity and behaviors overwhelmingly target self,
 	// so consecutive records repeat the same lookup. The record yields
@@ -107,6 +107,7 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 		if e.Kind != EffectSet && e.Kind != EffectAdd {
 			continue
 		}
+		w.integrate(e.Src)
 		id, ok := resolve(e.Target)
 		if !ok {
 			*conflicts++
@@ -132,9 +133,9 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 		g.vals = append(g.vals, e.Val)
 		if g.pos {
 			g.slots = append(g.slots, memoSlot)
-			posDirty = true
 		}
 	}
+	w.integrate(math.MaxUint64)
 
 	// Assignments first, then deltas over the post-assignment values —
 	// the order a row-at-a-time walk would take. Batch-level skips count in
@@ -143,12 +144,45 @@ func (w *World) applyAssignColumnar(merged []Effect, resolve func(entity.ID) (en
 	// attribution covers the per-record sites above instead.
 	w.writeBatches(w.setBatches, (*entity.Table).SetColumnBatchRows, conflicts)
 	w.writeBatches(w.addBatches, (*entity.Table).AddColumnBatchRows, conflicts)
-
-	if posDirty {
-		w.flushMoves()
-	}
+	w.flushMoves()
 	w.setBatches = resetBatches(w.setBatches)
 	w.addBatches = resetBatches(w.addBatches)
+}
+
+// integrate appends the velocity step of every physics-list entity
+// below id to its table's x and y add groups, advancing the cursor. The
+// grouping sweep calls it before each record of source id and once at
+// the end, so an entity's step lands after every write from a lower
+// source and after its own invocation's, and before any from a higher
+// source: deltas sum per (entity, column) in exactly that order.
+// Velocities are read before any assignment is written, so a behavior
+// setting its own vx integrates the tick-start one. Only an axis whose
+// velocity is != 0 moves (a NaN does), and the step is rounded to
+// float64 on its own so no target fuses it into the add. The first
+// apply after the query phase, the behavior phase's, consumes the list;
+// every later apply finds the cursor at its end.
+func (w *World) integrate(below entity.ID) {
+	dt := w.cfg.TickDT
+	for ; w.physNext < len(w.physList) && w.physList[w.physNext].id < below; w.physNext++ {
+		p := w.physList[w.physNext]
+		pt := &w.physTabs[p.tab]
+		r, _ := pt.tab.RowIndex(p.id)
+		vx := pt.tab.ValueAt(pt.vx, r).Float()
+		vy := pt.tab.ValueAt(pt.vy, r).Float()
+		if vx != 0 {
+			addStep(batchFor(&w.addBatches, pt.tab, "x"), p, float64(vx*dt))
+		}
+		if vy != 0 {
+			addStep(batchFor(&w.addBatches, pt.tab, "y"), p, float64(vy*dt))
+		}
+	}
+}
+
+// addStep appends one entity's velocity step to a position add group.
+func addStep(g *colBatch, p physRef, d float64) {
+	g.ids = append(g.ids, p.id)
+	g.vals = append(g.vals, entity.Float(d))
+	g.slots = append(g.slots, p.slot)
 }
 
 // writeBatches writes every group through one batch entry point, keeping

@@ -11,7 +11,7 @@ import (
 )
 
 // runChaosApply drives the chaos pack (every effect kind: sets, adds,
-// spawns, despawns, posts, trigger writes, physics deltas) for 30 ticks
+// spawns, despawns, posts, trigger writes, and velocity physics) for 30 ticks
 // and returns the world with each tick rendered as tickLine.
 func runChaosApply(t *testing.T, workers int) (*World, []string) {
 	t.Helper()
@@ -30,8 +30,10 @@ func runChaosApply(t *testing.T, workers int) (*World, []string) {
 // "rowapply" in testdata/interpreter_goldens.txt): the same snapshot
 // hash and the same counters — effects and conflicts, behavior and
 // trigger alike — every tick, for every worker count. Grouping effects
-// by (table, column) and flushing the spatial index in one MoveBatch is
-// invisible in state and in accounting.
+// by (table, column), integrating physics as a column run and flushing
+// the spatial index in one MoveSlots is invisible in state; the effect
+// counts differ from the reference only by the physics records it
+// counted (see the goldens' header).
 func TestBatchedApplyMatchesRowApply(t *testing.T) {
 	want := goldenLines(t, "rowapply")
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -40,7 +42,7 @@ func TestBatchedApplyMatchesRowApply(t *testing.T) {
 	}
 }
 
-// TestSpatialIndexConsistencyAfterBatchedMoves checks the MoveBatch
+// TestSpatialIndexConsistencyAfterBatchedMoves checks the MoveSlots
 // flush leaves the index exactly mirroring the tables: every live
 // spatial row is queryable at its current (x, y), the indexed position
 // matches the stored columns bit-for-bit, and no despawned entity

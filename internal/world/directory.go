@@ -49,7 +49,7 @@ const (
 //
 // owned lists the entities the world owns (every record but the ghosts)
 // ascending by id, each with its record index, so the tick reads its
-// behavior roster and physics lists off it in order, with no sort and no
+// behavior roster and physics list off it in order, with no sort and no
 // id probe. It is kept incrementally: a new record and an un-ghosted one
 // queue in pend, a despawn or a ghost mark leaves its entry stale (the
 // record's id or mark no longer matches) and counts in stale, and sync

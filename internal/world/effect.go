@@ -27,7 +27,8 @@ const (
 	EffectSet EffectKind = iota
 	// EffectAdd adds a numeric delta to a column. Deltas are
 	// commutative and combine additively with whatever the assignment
-	// pass produced (physics velocity integration is an EffectAdd).
+	// pass produced (velocity physics joins the same pass as column runs,
+	// not records; see integrate).
 	EffectAdd
 	// EffectSpawn materializes an archetype instance. Final entity ids
 	// are allocated at apply time in (source id, source order), so they
@@ -52,10 +53,6 @@ const (
 	maxSpawnsPerCall = 1 << 12
 	// maxProvSrc keeps the provisional id arithmetic below 1<<63.
 	maxProvSrc entity.ID = 1 << 49
-	// physicsSeq orders physics deltas after any behavior effect of the
-	// same source entity (behavior emission counts are fuel-bounded and
-	// cannot reach it in practice).
-	physicsSeq = 1 << 30
 )
 
 // Effect is one typed change record. Src/Seq give every record a
@@ -67,7 +64,7 @@ const (
 // lives in Col. Every emission, merge and barrier row copies records, so
 // the width is a hot-path property (TestHotRecordSizes pins it).
 type Effect struct {
-	Src  entity.ID // emitting entity (self for physics deltas)
+	Src  entity.ID // emitting entity
 	Seq  int32     // emission order within Src's invocation
 	Kind EffectKind
 	// Target is the affected entity for Set/Add/Despawn/Post; it may be
@@ -249,9 +246,7 @@ func (b *EffectBuffer) seedSelf(r *entRec) {
 	b.cur.slot, b.cur.tab, b.cur.self = r.slot, r.tab, true
 }
 
-// closeInvoc seals the open invocation record, if any. Idempotent; the
-// physics pass calls it before appending raw deltas so the last
-// behavior invocation's record never swallows them.
+// closeInvoc seals the open invocation record, if any. Idempotent.
 func (b *EffectBuffer) closeInvoc() {
 	if !b.trackReads || len(b.invocs) == 0 {
 		return
@@ -407,18 +402,6 @@ func (b *EffectBuffer) despawnRec(inv *invoc, target entity.ID) (Effect, error) 
 	return Effect{Kind: EffectDespawn, Target: target}, nil
 }
 
-// physDelta appends a physics integration delta, ordered after any
-// behavior effect of the same entity. Deltas are not invocations (they
-// commute and are never re-run), so any open invocation record is
-// sealed first to keep it from swallowing them.
-func (b *EffectBuffer) physDelta(id entity.ID, seq int32, col string, delta float64) {
-	b.closeInvoc()
-	b.effects = append(b.effects, Effect{
-		Kind: EffectAdd, Src: id, Seq: physicsSeq + seq,
-		Target: id, Col: col, Val: entity.Float(delta),
-	})
-}
-
 // applyEffects merges the workers' buffers into one deterministic
 // sequence and applies it set-at-a-time: one global sort by (source id,
 // source order), then five passes — spawns (allocating real ids in
@@ -433,8 +416,10 @@ func (b *EffectBuffer) physDelta(id entity.ID, seq int32, col string, delta floa
 //
 // The assignment and delta passes run columnar: merged effects group by
 // (table, column) and write through the batch entry points on
-// entity.Table, with one spatial MoveBatch flush for position changes
-// (see apply_batch.go).
+// entity.Table, with one spatial MoveSlots flush for position changes
+// (see apply_batch.go). The behavior phase's apply also integrates the
+// tick's physics list into the delta groups, so it runs even when no
+// behavior emitted anything.
 //
 // This is the ConflictLastWrite path. Config.ConflictPolicy == occ
 // routes applies through applyEffectsOCC (occ.go) instead, which wraps
@@ -445,7 +430,7 @@ func (w *World) applyEffects(bufs []*EffectBuffer, effects, conflicts *int) {
 	if w.forwardingOn() {
 		merged = w.partitionRemote(merged)
 	}
-	if len(merged) == 0 {
+	if len(merged) == 0 && w.physNext == len(w.physList) {
 		return
 	}
 	*effects += len(merged)
@@ -488,15 +473,15 @@ func (a effKey) before(b effKey) bool {
 
 // sortEffects orders records by (source id, source order) — the one
 // total order every apply pass consumes — as a natural merge sort.
-// Producers walk their sources ascending (the sorted roster, each
-// physics table's sorted ids, a trigger round's match indices, serial
-// re-runs), so a sequence is a few ascending runs per worker: one pass
-// builds the keys and finds the runs, a single run returns at once,
-// otherwise adjacent runs merge pairwise through the world's key scratch
-// and one permutation pass moves each record to its place. (Src, Seq) is
-// unique within a behavior phase and within a trigger round; barrier
-// re-runs of one source at two generations can tie, and ties keep their
-// input order (runs are non-descending, the merge prefers the left run).
+// Producers walk their sources ascending (the sorted roster, a trigger
+// round's match indices, serial re-runs), so a sequence is one
+// ascending run per worker: one pass builds the keys and finds the
+// runs, a single run returns at once, otherwise adjacent runs merge
+// pairwise through the world's key scratch and one permutation pass
+// moves each record to its place. (Src, Seq) is unique within a
+// behavior phase and within a trigger round; barrier re-runs of one
+// source at two generations can tie, and ties keep their input order
+// (runs are non-descending, the merge prefers the left run).
 func (w *World) sortEffects(merged []Effect) {
 	keys, runs := w.sortKeys[:0], w.sortRuns[:0]
 	for i := range merged {

@@ -13,9 +13,9 @@ import (
 )
 
 // behaviorProf is the behavior-phase apply's source → entry mapping:
-// the source's "behavior/<name>" row, or the shared "(physics)" entry
-// for sources running no behavior (pure-physics entities, whose deltas
-// can still drop when another invocation despawns them mid-apply).
+// the source's "behavior/<name>" row, or the shared "(unattributed)"
+// entry for a source with no behavior row — one despawned during the
+// apply. Trigger rounds map sources outside the round to it too.
 func (w *World) behaviorProf(src entity.ID) *obs.ProfEntry {
 	if rec := w.dir.find(src); rec != nil && rec.beh != nil {
 		return rec.beh.prof

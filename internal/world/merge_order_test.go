@@ -23,20 +23,14 @@ func stableOrder(in []Effect) []Effect {
 }
 
 // ascendingRun appends one producer's output: n sources ascending from
-// a random start, each emitting a few behavior records (Seq 0..), or —
-// physics — its two deltas at Seq physicsSeq, physicsSeq+1. Every
-// record's Target is unique, so a misplaced record cannot hide.
-func ascendingRun(rng *rand.Rand, dst []Effect, n int, physics bool) []Effect {
+// a random start, each emitting a few records (Seq 0..). Every record's
+// Target is unique, so a misplaced record cannot hide.
+func ascendingRun(rng *rand.Rand, dst []Effect, n int) []Effect {
 	src := entity.ID(rng.Intn(50))
 	for i := 0; i < n; i++ {
 		src += entity.ID(1 + rng.Intn(3))
 		e := Effect{Kind: EffectAdd, Src: src, Col: "x", Val: entity.Float(rng.Float64())}
 		switch {
-		case physics:
-			for s := int32(0); s < 2; s++ {
-				e.Seq, e.Target = physicsSeq+s, entity.ID(len(dst))
-				dst = append(dst, e)
-			}
 		case rng.Intn(8) == 0: // a spawn and a write to its provisional id
 			e.Kind, e.Col, e.Target = EffectSpawn, "unit", provBase+src*maxSpawnsPerCall
 			dst = append(dst, e)
@@ -53,8 +47,7 @@ func ascendingRun(rng *rand.Rand, dst []Effect, n int, physics bool) []Effect {
 }
 
 // TestSortEffectsMatchesStableSort: for buffers of 0, 1, 2 and many
-// ascending runs (behavior runs interleaved with physics runs, as the
-// workers emit them), reversed and shuffled input, and input with tied
+// ascending runs (one per worker, as the workers emit them), reversed and shuffled input, and input with tied
 // (Src, Seq) keys, sortEffects yields exactly sort.SliceStable's
 // sequence.
 func TestSortEffectsMatchesStableSort(t *testing.T) {
@@ -79,7 +72,7 @@ func TestSortEffectsMatchesStableSort(t *testing.T) {
 		for rep := 0; rep < 20; rep++ {
 			var in []Effect
 			for r := 0; r < runs; r++ {
-				in = ascendingRun(rng, in, rng.Intn(40), r%2 == 1)
+				in = ascendingRun(rng, in, rng.Intn(40))
 			}
 			check("runs", in)
 			if runs == 1 {
@@ -105,7 +98,7 @@ func TestSortEffectsReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	var in []Effect
 	for r := 0; r < 4; r++ {
-		in = ascendingRun(rng, in, 200, r%2 == 1)
+		in = ascendingRun(rng, in, 200)
 	}
 	w := &World{}
 	buf := make([]Effect, len(in))
@@ -120,8 +113,7 @@ func TestSortEffectsReusesScratch(t *testing.T) {
 }
 
 // BenchmarkCollectMerge merges what one tick's workers emit for 4000
-// entities — per worker a behavior run, then a physics run — at 1 worker
-// (two runs) and 4 workers (eight).
+// entities — one ascending run per worker — at 1 worker and 4.
 func BenchmarkCollectMerge(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -130,8 +122,7 @@ func BenchmarkCollectMerge(b *testing.B) {
 			var bufs []*EffectBuffer
 			for wi := 0; wi < workers; wi++ {
 				buf := &EffectBuffer{}
-				buf.effects = ascendingRun(rng, buf.effects, 4000/workers, false)
-				buf.effects = ascendingRun(rng, buf.effects, 4000/workers, true)
+				buf.effects = ascendingRun(rng, buf.effects, 4000/workers)
 				bufs = append(bufs, buf)
 			}
 			b.ReportAllocs()

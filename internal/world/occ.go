@@ -74,7 +74,7 @@ func (w *World) applyEffectsOCC(bufs []*EffectBuffer, effects, conflicts *int, s
 		merged = w.partitionRemoteInvocs(merged, bufs, w.applyRemoteRerun,
 			func(entity.ID) (int64, int) { return w.tick, 0 })
 	}
-	if len(merged) == 0 {
+	if len(merged) == 0 && w.physNext == len(w.physList) {
 		return
 	}
 	invalid := w.occInvalidate(merged, bufs)
@@ -221,16 +221,12 @@ func (w *World) buildReadIndex(bufs []*EffectBuffer) {
 }
 
 // filterExcluding compacts merged into the world's filter scratch,
-// dropping every *invocation* effect whose source is in exclude. An
-// entity's physics deltas share its source id but are not part of the
-// behavior invocation (Seq >= physicsSeq marks them): they commute, a
-// re-run never re-emits them, and withholding them would silently lose
-// the entity's velocity integration for the tick — so they always stay.
-// For a re-run that rewrites x/y the order flips versus lastwrite
-// (physics integrates in the main apply, the re-run's assignment lands
-// after), which is exactly the serial story: physics first, then the
-// re-run behavior computing from the integrated position. The result
-// aliases w.occFilterBuf and is valid until the next call.
+// dropping every effect whose source is in exclude. Velocity physics is
+// no record, so no withhold reaches it: it integrates in the first
+// apply, and a re-run that rewrites x/y lands after it — the serial
+// story, physics first, then the re-run behavior computing from the
+// integrated position. The result aliases w.occFilterBuf and is valid
+// until the next call.
 func (w *World) filterExcluding(merged []Effect, exclude []entity.ID) []Effect {
 	if w.occExclude == nil {
 		w.occExclude = make(map[entity.ID]struct{})
@@ -242,7 +238,7 @@ func (w *World) filterExcluding(merged []Effect, exclude []entity.ID) []Effect {
 	out := w.occFilterBuf[:0]
 	for i := range merged {
 		e := &merged[i]
-		if _, drop := w.occExclude[e.Src]; drop && e.Seq < physicsSeq {
+		if _, drop := w.occExclude[e.Src]; drop {
 			continue
 		}
 		out = append(out, *e)

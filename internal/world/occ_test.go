@@ -368,9 +368,9 @@ func TestOCCResolvesTriggerActionConflicts(t *testing.T) {
 
 // movingWritersPack: two drifting entities (velocity physics) whose
 // behaviors read-modify-write store cell 1's "v". The losing writer is
-// invalidated and re-runs — but its physics x/y deltas are NOT part of
-// the invocation and must still integrate (the withhold covers the
-// behavior's effects only).
+// invalidated and re-runs — but velocity integration is not part of
+// its invocation: the withhold covers the behavior's records only, and
+// the entity still moves in the first apply.
 const movingWritersPack = `
 <contentpack name="moving-writers">
   <schema table="cells">
@@ -417,8 +417,8 @@ func TestOCCKeepsInvalidatedEntitiesPhysics(t *testing.T) {
 	if v.Int() != 2 {
 		t.Fatalf("v = %d, want 2 (serial)", v.Int())
 	}
-	// BOTH movers advanced by vx*dt — the invalidated loser's physics
-	// delta must not be withheld with its behavior invocation.
+	// BOTH movers advanced by vx*dt — the invalidated loser's step must
+	// not be withheld with its behavior invocation.
 	for i, id := range ids {
 		p, ok := w.Pos(id)
 		if !ok {
@@ -426,7 +426,7 @@ func TestOCCKeepsInvalidatedEntitiesPhysics(t *testing.T) {
 		}
 		want := float64(10*(i+1)) + 4*0.5
 		if p.X != want {
-			t.Fatalf("mover %d x = %v, want %v (physics delta withheld with the invocation?)", id, p.X, want)
+			t.Fatalf("mover %d x = %v, want %v (physics withheld with the invocation?)", id, p.X, want)
 		}
 	}
 }

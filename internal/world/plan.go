@@ -3,7 +3,6 @@ package world
 import (
 	"fmt"
 	"math"
-	"strings"
 
 	"gamedb/internal/entity"
 	"gamedb/internal/gslplan"
@@ -266,24 +265,4 @@ func (w *World) rerunBehavior(src entity.ID) (int64, error) {
 	b.fn.grow(w, 1)
 	_, fuel, err := b.fn.run(w, 0, entity.Int(int64(src)))
 	return fuel, err
-}
-
-// PlanFor returns the Explain text of a loaded script's on_tick plan; ok
-// is false when no loaded script of that name has an on_tick.
-// "trigger/<rule>" (the rule's profile-entry name) reports a content
-// pack rule instead: the plans of its <when> (if any) and <do>.
-func (w *World) PlanFor(name string) (explain string, ok bool) {
-	if rule, isRule := strings.CutPrefix(name, "trigger/"); isRule {
-		for _, bt := range w.trigList {
-			if bt.name == rule {
-				return bt.src.ExplainPlans(), true
-			}
-		}
-		return "", false
-	}
-	b := w.scripts[name]
-	if b == nil {
-		return "", false
-	}
-	return b.fn.plan.Explain(), true
 }

@@ -174,8 +174,8 @@ type routeMemo struct {
 
 // remoteOwner resolves the owning shard of a record's target. Spawns
 // always materialize locally, and provisional targets name entities
-// this invocation is spawning here; an owned source — physics deltas
-// included — is never a routed ghost.
+// this invocation is spawning here; an owned source is never a routed
+// ghost.
 func (m *routeMemo) remoteOwner(e *Effect) (int, bool) {
 	if e.Kind == EffectSpawn || e.Target >= provBase || (m.ownSrc && e.Target == e.Src) {
 		return 0, false
@@ -228,10 +228,8 @@ func (w *World) partitionRemote(merged []Effect) []Effect {
 // and owner-filtered read-set to each touched batch so the owner can
 // validate and request a re-run (the behavior phase and barrier re-runs
 // pass true; trigger rounds have no cross-barrier re-run context and
-// forward without metadata). Physics deltas sharing a border source's
-// id are not part of the invocation and stay in the local sequence.
-// tag supplies the (generation, retries) stamp per source. The returned
-// slice aliases merged's prefix.
+// forward without metadata). tag supplies the (generation, retries)
+// stamp per source. The returned slice aliases merged's prefix.
 func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, withMeta bool, tag func(entity.ID) (int64, int)) []Effect {
 	// The withMeta callers are exactly those whose sources are owned
 	// entities (trigger rounds key theirs by round and match).
@@ -260,9 +258,6 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 		}
 		border := false
 		for k := i; k < j; k++ {
-			if merged[k].Seq >= physicsSeq {
-				continue
-			}
 			if _, ok := routes.remoteOwner(&merged[k]); ok {
 				border = true
 				break
@@ -279,10 +274,6 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 		var local []Effect
 		for k := i; k < j; k++ {
 			e := &merged[k]
-			if e.Seq >= physicsSeq {
-				out = append(out, *e)
-				continue
-			}
 			if owner, ok := routes.remoteOwner(e); ok {
 				b := w.outboundFor(owner)
 				b.Recs = append(b.Recs, RemoteEffect{E: *e, Gen: gen})

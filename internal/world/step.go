@@ -16,6 +16,13 @@ type physTable struct {
 	vx, vy int
 }
 
+// physRef is one entity of the tick's physics snapshot: its id, its
+// grid slot and its table's index in physTabs.
+type physRef struct {
+	id        entity.ID
+	slot, tab int32
+}
+
 // workerStats accumulates one worker's share of the tick accounting so
 // the parallel phase touches no shared counters. firstErr/errID record
 // the chunk's lowest-entity-id behavior error: the roster is ascending,
@@ -33,14 +40,15 @@ type workerStats struct {
 
 // Step advances one tick through the state-effect pipeline:
 //
-//   - query phase: behaviors and velocity physics run as read-only
-//     queries over the frozen tick-start state, partitioned across
-//     cfg.Workers goroutines; every write lands as a typed record in
-//     the worker's EffectBuffer. Behavior invocations are atomic — an
-//     invocation that errors or exhausts its fuel budget contributes
-//     no effects.
+//   - query phase: behaviors run as read-only queries over the frozen
+//     tick-start state, partitioned across cfg.Workers goroutines;
+//     every write lands as a typed record in the worker's EffectBuffer.
+//     Behavior invocations are atomic — an invocation that errors or
+//     exhausts its fuel budget contributes no effects. The phase also
+//     snapshots which owned entities velocity physics integrates.
 //   - apply phase: the buffers merge deterministically (see
-//     applyEffects) and write the tables set-at-a-time.
+//     applyEffects) and write the tables set-at-a-time; physics joins
+//     the additive pass as one ascending column run (integrate).
 //   - trigger phase: queued events drain in cascade rounds, each round
 //     its own mini tick — parallel read-only condition queries, actions
 //     fanned across the same worker pool into effect buffers, one
@@ -95,9 +103,10 @@ func (w *World) Step() (TickStats, error) {
 	return st, nil
 }
 
-// queryPhase runs the tick's behaviors and physics over the frozen state
-// on workers chunks and folds the workers' accounting into st. Once its
-// buffers have grown, it allocates nothing.
+// queryPhase runs the tick's behaviors over the frozen state on workers
+// chunks, folds the workers' accounting into st and snapshots the
+// physics list the apply integrates. Once its buffers have grown, it
+// allocates nothing.
 func (w *World) queryPhase(st *TickStats, workers int) {
 	w.ensureWorkers(workers)
 	for name, b := range w.scripts {
@@ -112,7 +121,6 @@ func (w *World) queryPhase(st *TickStats, workers int) {
 
 	// Physics work list: spatial tables carrying velocity columns.
 	physTabs := w.physTabs[:0]
-	physIDs := w.physIDs[:0]
 	for _, name := range w.tableNames() {
 		t := w.tables[name]
 		s := t.Schema()
@@ -125,24 +133,19 @@ func (w *World) queryPhase(st *TickStats, workers int) {
 			continue
 		}
 		physTabs = append(physTabs, physTable{tab: t, vx: vx, vy: vy})
-		if len(physIDs) < cap(physIDs) {
-			physIDs = physIDs[:len(physIDs)+1]
-		} else {
-			physIDs = append(physIDs, nil)
-		}
-		physIDs[len(physIDs)-1] = physIDs[len(physIDs)-1][:0]
 	}
 
-	// Roster and physics id snapshots, in one sweep of the directory's
+	// Roster and physics snapshots, in one sweep of the directory's
 	// owned list: behavior attach/detach and spawns land next tick,
 	// entities whose behavior names no loaded on_tick run nothing, and
 	// ghost mirrors run no behaviors and no physics (they move only when
 	// their owner re-ships them). The snapshots are taken once so every
 	// worker chunks the same view; the owned list is ascending, so each
 	// chunk's effects leave the worker as one ascending run for
-	// sortEffects. The buffers are reused tick-to-tick.
+	// sortEffects, and the physics list is the one ascending run the
+	// apply integrates. The buffers are reused tick-to-tick.
 	w.dir.sync()
-	roster := w.rosterBuf[:0]
+	roster, phys := w.rosterBuf[:0], w.physList[:0]
 	for _, o := range w.dir.owned {
 		rec := &w.dir.recs[o.rec]
 		if rec.beh != nil {
@@ -150,13 +153,13 @@ func (w *World) queryPhase(st *TickStats, workers int) {
 		}
 		for ti := range physTabs {
 			if physTabs[ti].tab == rec.tab {
-				physIDs[ti] = append(physIDs[ti], o.id)
+				phys = append(phys, physRef{id: o.id, slot: rec.slot, tab: int32(ti)})
 				break
 			}
 		}
 	}
-	w.rosterBuf = roster
-	w.physTabs, w.physIDs = physTabs, physIDs
+	w.rosterBuf, w.physTabs = roster, physTabs
+	w.physList, w.physNext = phys, 0
 
 	stats := w.workerStats[:0]
 	for i := 0; i < workers; i++ {
@@ -195,34 +198,12 @@ func (w *World) queryPhase(st *TickStats, workers int) {
 func (w *World) queryChunk(wi int) { w.runWorker(wi, w.queryWorkers) }
 
 // runWorker executes worker wi's contiguous chunk of the behavior
-// roster and of each physics table, emitting into its own buffer.
+// roster, emitting into its own buffer.
 func (w *World) runWorker(wi, workers int) {
 	buf := w.workerBufs[wi]
 	buf.reset()
-	ws := &w.workerStats[wi]
-
 	lo, hi := chunkRange(len(w.rosterBuf), workers, wi)
-	w.runBehaviors(wi, buf, ws, w.rosterBuf[lo:hi])
-
-	dt := w.cfg.TickDT
-	for ti, pt := range w.physTabs {
-		ids := w.physIDs[ti]
-		lo, hi := chunkRange(len(ids), workers, wi)
-		for _, id := range ids[lo:hi] {
-			r, _ := pt.tab.RowIndex(id)
-			vx := pt.tab.ValueAt(pt.vx, r).Float()
-			vy := pt.tab.ValueAt(pt.vy, r).Float()
-			if vx == 0 && vy == 0 {
-				continue
-			}
-			if vx != 0 {
-				buf.physDelta(id, 0, "x", vx*dt)
-			}
-			if vy != 0 {
-				buf.physDelta(id, 1, "y", vy*dt)
-			}
-		}
-	}
+	w.runBehaviors(wi, buf, &w.workerStats[wi], w.rosterBuf[lo:hi])
 }
 
 // chunkRange splits n items into contiguous per-worker ranges (the

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -932,5 +933,114 @@ func TestTableNamesCacheInvalidation(t *testing.T) {
 	names[0] = "corrupted"
 	if again := w.TableNames(); again[0] != "alpha" {
 		t.Fatalf("TableNames cache aliased caller slice: %v", again)
+	}
+}
+
+// physicsOrderPack: movers in one table, and the writes physics must
+// interleave with. setv sets its own vx, setx its own x, selfadd adds
+// to its own x; lo and hi add to the selfadd mover (id 3) from below
+// and above its id, at magnitudes near 2^53 where any other summation
+// order changes the bits; idle runs and emits nothing.
+const physicsOrderPack = `
+<contentpack name="physics-order">
+  <schema table="u">
+    <column name="x" kind="float"/>
+    <column name="y" kind="float"/>
+    <column name="vx" kind="float"/>
+    <column name="vy" kind="float"/>
+  </schema>
+  <archetype name="lo" table="u" script="lo"/>
+  <archetype name="setv" table="u" script="setv"/>
+  <archetype name="plain" table="u"/>
+  <archetype name="selfadd" table="u" script="selfadd"/>
+  <archetype name="setx" table="u" script="setx"/>
+  <archetype name="hi" table="u" script="hi"/>
+  <archetype name="idle" table="u" script="idle"/>
+  <script name="lo">fn on_tick(self) { add(3, "x", 9007199254740992); }</script>
+  <script name="setv">fn on_tick(self) { set(self, "vx", 100.0); }</script>
+  <script name="setx">fn on_tick(self) { set(self, "x", 7.0); }</script>
+  <script name="selfadd">fn on_tick(self) { add(self, "x", 2.0); }</script>
+  <script name="hi">fn on_tick(self) { add(3, "x", -9007199254740992); }</script>
+  <script name="idle">fn on_tick(self) { let a = 1; }</script>
+</contentpack>`
+
+// TestPhysicsKeepsMergeOrder pins where velocity integration lands in
+// the apply: after every write from a lower source id and after the
+// entity's own behavior writes, before any write from a higher source
+// id, with the velocity the tick started with — at any worker count and
+// under both conflict policies.
+func TestPhysicsKeepsMergeOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, policy := range []string{ConflictLastWrite, ConflictOCC} {
+		for _, workers := range []int{1, 4} {
+			label := fmt.Sprintf("%s workers=%d", policy, workers)
+			cfg := Config{Seed: 1, TickDT: 0.5, Workers: workers, ConflictPolicy: policy}
+			spawn := func(w *World, arch string, x, y, vx, vy float64) entity.ID {
+				t.Helper()
+				id, err := w.Spawn(arch, spatial.Vec2{X: x, Y: y})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Set(id, "vx", entity.Float(vx)); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Set(id, "vy", entity.Float(vy)); err != nil {
+					t.Fatal(err)
+				}
+				return id
+			}
+			check := func(w *World, id entity.ID, col string, want float64) {
+				t.Helper()
+				v, err := w.Get(id, col)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := v.Float(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s: entity %d %s = %v, want %v", label, id, col, got, want)
+				}
+				if col == "x" {
+					if p, ok := w.Pos(id); !ok || math.Float64bits(p.X) != math.Float64bits(want) {
+						t.Fatalf("%s: entity %d indexed at %v, want x %v", label, id, p, want)
+					}
+				}
+			}
+
+			w := loadPack(t, cfg, physicsOrderPack)
+			lo := spawn(w, "lo", 0, 0, 0, 0)
+			setv := spawn(w, "setv", 10, 0, 2, 0)
+			mover := spawn(w, "selfadd", 1, 0, 6, 0)
+			setx := spawn(w, "setx", 20, 0, 2, 0)
+			spawn(w, "hi", 0, 0, 0, 0)
+			if lo != 1 || mover != 3 {
+				t.Fatalf("%s: ids %d, %d; the pack's scripts target id 3", label, lo, mover)
+			}
+			if _, err := w.Step(); err != nil {
+				t.Fatal(err)
+			}
+			// (a) the tick-start vx integrates, not the one set this tick.
+			check(w, setv, "x", 11)
+			check(w, setv, "vx", 100)
+			// (b) the assignment lands first, then vx*dt.
+			check(w, setx, "x", 8)
+			// (c) 1 + 2^53 rounds to 2^53, its own + 2 is exact, the step
+			// + 3 rounds to 2^53 + 4, and - 2^53 leaves 4. Integrating
+			// before its own add, or first, gives 6; last gives 5; hi's
+			// add before lo's gives 6.
+			check(w, mover, "x", 4)
+
+			// (d) and (e): a tick whose behaviors emit nothing still
+			// integrates, and only the axes with a velocity.
+			w = loadPack(t, cfg, physicsOrderPack)
+			spawn(w, "idle", 0, 0, 0, 0)
+			still := spawn(w, "plain", 3, 0, 2, 0)
+			zero := spawn(w, "plain", negZero, 5, 0, -4)
+			if _, err := w.Step(); err != nil {
+				t.Fatal(err)
+			}
+			check(w, still, "x", 4)
+			check(w, still, "y", 0)
+			check(w, zero, "x", negZero)
+			check(w, zero, "y", 3)
+		}
 	}
 }

@@ -71,7 +71,7 @@ type Config struct {
 	// TickDT is simulated seconds per tick (default 0.1).
 	TickDT float64
 	// Workers is the number of goroutines the tick's read-only query
-	// phase (behaviors + physics) fans across (default 1). The
+	// phase (its behaviors) fans across (default 1). The
 	// state-effect pipeline makes the resulting world state identical
 	// for any value, so Workers is purely a throughput knob.
 	Workers int
@@ -130,17 +130,14 @@ type World struct {
 	// trigBound maps every registered rule to its compiled plans and
 	// per-worker bindings; bindTrigger is the only registration path.
 	trigBound map[*trigger.Rule]*boundTrigger
-	// trigList holds the same bound rules in load order, for lookups by
-	// name (PlanFor).
-	trigList []*boundTrigger
 
 	nextID   entity.ID
 	idStride entity.ID
 	tick     int64
 
-	// tableList caches the sorted table names (TableNames used to sort
-	// and allocate every tick in the physics scan); CreateTable and
-	// ResetState invalidate it.
+	// tableList caches the sorted table names, which the query phase's
+	// physics table scan reads every tick; CreateTable and ResetState
+	// invalidate it.
 	tableList []string
 
 	// pool is the worker pool every tick-parallel phase fans across
@@ -160,8 +157,11 @@ type World struct {
 	workerStats []workerStats
 	rosterBuf   []ownRef
 	physTabs    []physTable
-	physIDs     [][]entity.ID
-	mergeBuf    []Effect
+	// physList is the tick's physics snapshot, ascending by id; physNext
+	// is the cursor of the one apply that integrates it (integrate).
+	physList []physRef
+	physNext int
+	mergeBuf []Effect
 	// sortEffects' key scratch (effect.go): the keys, the buffer they
 	// merge through, and the run boundaries.
 	sortKeys, sortSpare []effKey
@@ -189,11 +189,11 @@ type World struct {
 	// Observability (instrument.go). trace/prof mirror Config.Trace /
 	// Config.Profile; nil means off, and every hook no-ops behind one
 	// nil check. Behaviors and rules cache their profile rows on their
-	// bound executors; otherProf attributes records whose source runs no
-	// behavior (pure-physics entities); profOf is the source-id → entry
-	// mapping of the apply currently in flight (set by the owning phase
-	// so conflict / retry / abort attribution knows whose record
-	// dropped).
+	// bound executors; otherProf, the "(unattributed)" row, takes
+	// records whose source maps to no behavior or rule row; profOf is the
+	// source-id → entry mapping of the apply currently in flight (set by
+	// the owning phase so conflict / retry / abort attribution knows
+	// whose record dropped).
 	trace     *obs.SpanCtx
 	prof      *obs.Profiler
 	otherProf *obs.ProfEntry
@@ -352,7 +352,7 @@ func New(cfg Config) *World {
 	w.queryJob, w.queryChunkFn = pool.NewJob(), w.queryChunk
 	w.trigJob, w.condChunkFn, w.actChunkFn = pool.NewJob(), w.condChunk, w.actChunk
 	if w.prof != nil {
-		w.otherProf = w.prof.Entry("(physics)")
+		w.otherProf = w.prof.Entry("(unattributed)")
 	}
 	return w
 }
@@ -386,17 +386,8 @@ func (w *World) effectRetryCap() int {
 	return DefaultEffectRetryCap
 }
 
-// Triggers exposes the trigger engine: its live rules, cascade limit
-// and dropped-event tally.
-func (w *World) Triggers() *trigger.Engine { return w.trig }
-
 // Frames returns UI frames loaded from content packs.
 func (w *World) Frames() []content.UIFrame { return w.frames }
-
-// Index exposes the spatial index for queries. The world addresses its
-// points by slot, so the grid's id methods (Pos, Move, Remove) know
-// none of them: read positions through World.Pos.
-func (w *World) Index() *spatial.Grid { return w.index }
 
 // isSpatial reports whether a schema carries float x and y columns.
 func isSpatial(s *entity.Schema) bool {
@@ -549,7 +540,6 @@ func (w *World) bindTrigger(ct *content.CompiledTrigger) error {
 		bt.cond = &boundFn{plan: ct.CondPlan}
 	}
 	w.trigBound[rule] = bt
-	w.trigList = append(w.trigList, bt)
 	return nil
 }
 
