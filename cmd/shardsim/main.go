@@ -39,11 +39,12 @@ import (
 	"strings"
 	"time"
 
+	"gamedb/internal/mesh"
 	"gamedb/internal/metrics"
 	"gamedb/internal/obs"
+	"gamedb/internal/obshttp"
 	"gamedb/internal/shard"
 	"gamedb/internal/spatial"
-	"gamedb/internal/wire"
 	"gamedb/internal/world"
 )
 
@@ -104,8 +105,8 @@ type raceResult struct {
 type raceObs struct {
 	tracer *obs.Tracer
 	prof   *obs.Profiler
-	rig    *obs.Rig // its live registry, when it serves, is fed every tick
-	report int      // print per-tick stats every N ticks (0 = off)
+	rig    *obshttp.Rig // its live registry, when it serves, is fed every tick
+	report int          // print per-tick stats every N ticks (0 = off)
 }
 
 // newGrid builds the race's cluster: peers on the in-process pipe mesh,
@@ -243,13 +244,13 @@ type netWorkerReport struct {
 // endpoint, seed the shared scenario in lockstep, run the ticks, and
 // (worker 0 only) print the gathered world hash as JSON.
 func runNetWorker(self int, addrs []string, spec raceSpec) error {
-	mesh, err := wire.NewTCPMesh(self, addrs)
+	tr, err := mesh.NewTCPMesh(self, addrs)
 	if err != nil {
 		return err
 	}
-	p, err := shard.NewPeer(spec.cfg, mesh)
+	p, err := shard.NewPeer(spec.cfg, tr)
 	if err != nil {
-		mesh.Close()
+		tr.Close()
 		return err
 	}
 	defer p.Close()
@@ -452,7 +453,7 @@ func main() {
 	// Observability rig: the tracer and profiler attach to the LAST
 	// raced shard count only (one runtime's worth of spans/attribution,
 	// not four interleaved); the registry and endpoint span all races.
-	rig, err := obs.NewRig("shardsim", *tracePath, *profileOn, *listen, *linger)
+	rig, err := obshttp.NewRig("shardsim", *tracePath, *profileOn, *listen, *linger)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "shardsim: %v\n", err)
 		os.Exit(1)

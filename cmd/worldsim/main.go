@@ -18,7 +18,7 @@ import (
 
 	"gamedb/internal/content"
 	"gamedb/internal/metrics"
-	"gamedb/internal/obs"
+	"gamedb/internal/obshttp"
 	"gamedb/internal/shard"
 	"gamedb/internal/world"
 )
@@ -120,7 +120,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "worldsim: warning: %v\n", warn)
 		}
 	}
-	rig, err := obs.NewRig("worldsim", *tracePath, *profileOn, *listen, *linger)
+	rig, err := obshttp.NewRig("worldsim", *tracePath, *profileOn, *listen, *linger)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "worldsim: %v\n", err)
 		os.Exit(1)

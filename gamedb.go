@@ -40,6 +40,7 @@ import (
 	"gamedb/internal/core"
 	"gamedb/internal/entity"
 	"gamedb/internal/obs"
+	"gamedb/internal/obshttp"
 	"gamedb/internal/persist"
 	"gamedb/internal/replica"
 	"gamedb/internal/shard"
@@ -125,8 +126,8 @@ type (
 var (
 	NewTracer   = obs.NewTracer
 	NewProfiler = obs.NewProfiler
-	NewServeMux = obs.NewServeMux
-	Serve       = obs.Serve
+	NewServeMux = obshttp.NewServeMux
+	Serve       = obshttp.Serve
 )
 
 // DefaultSpanCap is the per-shard span-ring capacity the sims use.

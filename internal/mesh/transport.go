@@ -1,4 +1,11 @@
-package wire
+// Package mesh holds the point-to-point transports that carry the tick
+// barrier's frames between shard peers: Pipe, an in-process channel
+// mesh, and TCPMesh, real sockets between processes or over loopback.
+// Both move wire.Frames and copy payloads into pooled buffers, so a
+// sender reuses its encoder scratch at once and steady-state traffic
+// stops allocating. The codec the payloads are written in is package
+// wire, which links no network stack.
+package mesh
 
 import (
 	"fmt"
@@ -7,15 +14,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// Stats is one transport's cumulative traffic tally. Bytes count frame
-// payloads plus headers on stream transports and payloads alone on the
-// in-process pipe (there is no header to pay for).
-type Stats struct {
-	BytesOut, BytesIn   int64
-	FramesOut, FramesIn int64
-}
+	"gamedb/internal/wire"
+)
 
 // Transport is a point-to-point frame mesh between N peers. One
 // transport instance is one peer's endpoint.
@@ -37,12 +38,12 @@ type Transport interface {
 	Send(to int, kind byte, tick int64, payload []byte) error
 	// Recv returns the next inbound frame, blocking until one arrives.
 	// It returns io.EOF after Close.
-	Recv() (Frame, error)
+	Recv() (wire.Frame, error)
 	// Recycle returns a received frame's payload buffer to the
 	// transport's pool.
 	Recycle(payload []byte)
 	// Stats returns the cumulative traffic counters.
-	Stats() Stats
+	Stats() wire.Stats
 	Close() error
 }
 
@@ -52,8 +53,8 @@ type statCounters struct {
 	framesOut, framesIn atomic.Int64
 }
 
-func (s *statCounters) snapshot() Stats {
-	return Stats{
+func (s *statCounters) snapshot() wire.Stats {
+	return wire.Stats{
 		BytesOut:  s.bytesOut.Load(),
 		BytesIn:   s.bytesIn.Load(),
 		FramesOut: s.framesOut.Load(),
@@ -102,7 +103,7 @@ func (bp *bufPool) put(b []byte) {
 // with bit-for-bit.
 type Pipe struct {
 	self, n int
-	inboxes []chan Frame
+	inboxes []chan wire.Frame
 	pool    *bufPool
 	stats   statCounters
 	shut    *pipeShutdown
@@ -118,12 +119,12 @@ type pipeShutdown struct {
 // NewPipeGroup builds an n-peer in-process mesh and returns one
 // endpoint per peer.
 func NewPipeGroup(n int) []*Pipe {
-	inboxes := make([]chan Frame, n)
+	inboxes := make([]chan wire.Frame, n)
 	for i := range inboxes {
 		// A peer sends at most n-1 frames per phase and runs at most one
 		// phase ahead of the slowest receiver, so a couple of phases'
 		// worth of slack means lockstep senders never block.
-		inboxes[i] = make(chan Frame, 8*n+32)
+		inboxes[i] = make(chan wire.Frame, 8*n+32)
 	}
 	pool := &bufPool{}
 	shut := &pipeShutdown{closed: make(chan struct{})}
@@ -143,11 +144,11 @@ func (p *Pipe) Self() int { return p.self }
 // Send copies payload into a pooled buffer and delivers it to peer to.
 func (p *Pipe) Send(to int, kind byte, tick int64, payload []byte) error {
 	if to < 0 || to >= p.n || to == p.self {
-		return fmt.Errorf("wire: pipe send to bad peer %d (self %d of %d)", to, p.self, p.n)
+		return fmt.Errorf("mesh: pipe send to bad peer %d (self %d of %d)", to, p.self, p.n)
 	}
 	buf := p.pool.get(len(payload))
 	copy(buf, payload)
-	f := Frame{Kind: kind, Src: p.self, Tick: tick, Payload: buf}
+	f := wire.Frame{Kind: kind, Src: p.self, Tick: tick, Payload: buf}
 	select {
 	case p.inboxes[to] <- f:
 	case <-p.shut.closed:
@@ -159,7 +160,7 @@ func (p *Pipe) Send(to int, kind byte, tick int64, payload []byte) error {
 }
 
 // Recv blocks for the next inbound frame.
-func (p *Pipe) Recv() (Frame, error) {
+func (p *Pipe) Recv() (wire.Frame, error) {
 	select {
 	case f := <-p.inboxes[p.self]:
 		p.stats.bytesIn.Add(int64(len(f.Payload)))
@@ -174,7 +175,7 @@ func (p *Pipe) Recv() (Frame, error) {
 			p.stats.framesIn.Add(1)
 			return f, nil
 		default:
-			return Frame{}, io.EOF
+			return wire.Frame{}, io.EOF
 		}
 	}
 }
@@ -183,7 +184,7 @@ func (p *Pipe) Recv() (Frame, error) {
 func (p *Pipe) Recycle(payload []byte) { p.pool.put(payload) }
 
 // Stats returns this endpoint's cumulative counters.
-func (p *Pipe) Stats() Stats { return p.stats.snapshot() }
+func (p *Pipe) Stats() wire.Stats { return p.stats.snapshot() }
 
 // Close tears the whole mesh down (all endpoints share the signal).
 func (p *Pipe) Close() error {
@@ -207,7 +208,7 @@ type TCPMesh struct {
 	conns   []net.Conn // by peer, nil at self
 	sendMu  []sync.Mutex
 	sendBuf [][]byte
-	inbox   chan Frame
+	inbox   chan wire.Frame
 	pool    *bufPool
 	stats   statCounters
 	closed  chan struct{}
@@ -224,7 +225,7 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 			return c, nil
 		}
 		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("wire: dial %s: %w", addr, err)
+			return nil, fmt.Errorf("mesh: dial %s: %w", addr, err)
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
@@ -236,7 +237,7 @@ func dialRetry(addr string, deadline time.Time) (net.Conn, error) {
 func NewTCPMesh(self int, addrs []string) (*TCPMesh, error) {
 	ln, err := net.Listen("tcp", addrs[self])
 	if err != nil {
-		return nil, fmt.Errorf("wire: listen %s: %w", addrs[self], err)
+		return nil, fmt.Errorf("mesh: listen %s: %w", addrs[self], err)
 	}
 	return newTCPMesh(self, addrs, ln)
 }
@@ -250,7 +251,7 @@ func newTCPMesh(self int, addrs []string, ln net.Listener) (*TCPMesh, error) {
 		conns:   make([]net.Conn, n),
 		sendMu:  make([]sync.Mutex, n),
 		sendBuf: make([][]byte, n),
-		inbox:   make(chan Frame, 8*n+32),
+		inbox:   make(chan wire.Frame, 8*n+32),
 		pool:    &bufPool{},
 		closed:  make(chan struct{}),
 	}
@@ -275,10 +276,10 @@ func newTCPMesh(self int, addrs []string, ln net.Listener) (*TCPMesh, error) {
 					return
 				}
 				// The dialer identifies itself with one hello frame.
-				f, _, err := readFrame(c, nil)
+				f, _, err := wire.ReadFrame(c, nil)
 				if err != nil || f.Kind != helloKind {
 					c.Close()
-					accCh <- accepted{err: fmt.Errorf("wire: bad hello: %v", err)}
+					accCh <- accepted{err: fmt.Errorf("mesh: bad hello: %v", err)}
 					return
 				}
 				accCh <- accepted{peer: f.Src, conn: c}
@@ -291,11 +292,11 @@ func newTCPMesh(self int, addrs []string, ln net.Listener) (*TCPMesh, error) {
 			m.Close()
 			return nil, err
 		}
-		hello := appendFrame(nil, Frame{Kind: helloKind, Src: self})
+		hello := wire.AppendFrame(nil, wire.Frame{Kind: helloKind, Src: self})
 		if _, err := c.Write(hello); err != nil {
 			c.Close()
 			m.Close()
-			return nil, fmt.Errorf("wire: hello to %d: %w", j, err)
+			return nil, fmt.Errorf("mesh: hello to %d: %w", j, err)
 		}
 		m.conns[j] = c
 	}
@@ -308,7 +309,7 @@ func newTCPMesh(self int, addrs []string, ln net.Listener) (*TCPMesh, error) {
 		if a.peer <= self || a.peer >= n || m.conns[a.peer] != nil {
 			a.conn.Close()
 			m.Close()
-			return nil, fmt.Errorf("wire: unexpected hello from peer %d", a.peer)
+			return nil, fmt.Errorf("mesh: unexpected hello from peer %d", a.peer)
 		}
 		m.conns[a.peer] = a.conn
 	}
@@ -327,7 +328,7 @@ func (m *TCPMesh) readLoop(peer int, c net.Conn) {
 	defer m.readers.Done()
 	for {
 		buf := m.pool.get(0)
-		f, buf, err := readFrame(c, buf[:cap(buf)])
+		f, buf, err := wire.ReadFrame(c, buf[:cap(buf)])
 		if err != nil {
 			m.pool.put(buf)
 			return
@@ -358,15 +359,15 @@ func (m *TCPMesh) Self() int { return m.self }
 // buffer and writes it in one call.
 func (m *TCPMesh) Send(to int, kind byte, tick int64, payload []byte) error {
 	if to < 0 || to >= m.n || to == m.self || m.conns[to] == nil {
-		return fmt.Errorf("wire: tcp send to bad peer %d (self %d of %d)", to, m.self, m.n)
+		return fmt.Errorf("mesh: tcp send to bad peer %d (self %d of %d)", to, m.self, m.n)
 	}
 	m.sendMu[to].Lock()
-	buf := appendFrame(m.sendBuf[to][:0], Frame{Kind: kind, Src: m.self, Tick: tick, Payload: payload})
+	buf := wire.AppendFrame(m.sendBuf[to][:0], wire.Frame{Kind: kind, Src: m.self, Tick: tick, Payload: payload})
 	m.sendBuf[to] = buf
 	_, err := m.conns[to].Write(buf)
 	m.sendMu[to].Unlock()
 	if err != nil {
-		return fmt.Errorf("wire: send to %d: %w", to, err)
+		return fmt.Errorf("mesh: send to %d: %w", to, err)
 	}
 	m.stats.bytesOut.Add(int64(len(buf)))
 	m.stats.framesOut.Add(1)
@@ -374,7 +375,7 @@ func (m *TCPMesh) Send(to int, kind byte, tick int64, payload []byte) error {
 }
 
 // Recv blocks for the next inbound frame from any peer.
-func (m *TCPMesh) Recv() (Frame, error) {
+func (m *TCPMesh) Recv() (wire.Frame, error) {
 	select {
 	case f := <-m.inbox:
 		return f, nil
@@ -383,18 +384,18 @@ func (m *TCPMesh) Recv() (Frame, error) {
 		case f := <-m.inbox:
 			return f, nil
 		default:
-			return Frame{}, io.EOF
+			return wire.Frame{}, io.EOF
 		}
 	}
 }
 
-// Recycle returns a received payload buffer to the pool (readFrame left
+// Recycle returns a received payload buffer to the pool (wire.ReadFrame left
 // the payload at the start of its buffer, so the whole capacity comes
 // back).
 func (m *TCPMesh) Recycle(payload []byte) { m.pool.put(payload) }
 
 // Stats returns this endpoint's cumulative counters.
-func (m *TCPMesh) Stats() Stats { return m.stats.snapshot() }
+func (m *TCPMesh) Stats() wire.Stats { return m.stats.snapshot() }
 
 // Close shuts the endpoint down: listener, connections, readers.
 func (m *TCPMesh) Close() error {

@@ -1,4 +1,9 @@
-package obs
+// Package obshttp is the network side of observability: the live
+// /metrics, /trace, /profile and pprof endpoint, and the rig the CLIs
+// build behind their -trace, -profile, -listen and -linger flags. It is
+// kept apart from package obs, whose tracer and profiler the
+// deterministic kernel links, so the kernel links no network stack.
+package obshttp
 
 import (
 	"fmt"
@@ -6,6 +11,8 @@ import (
 	"os"
 	"sync/atomic"
 	"time"
+
+	"gamedb/internal/obs"
 )
 
 // Rig is a command's observability rig behind its -trace, -profile,
@@ -15,11 +22,11 @@ import (
 // flag asked for stays nil, and a nil tracer or profiler costs one
 // branch per hook.
 type Rig struct {
-	Tracer   *Tracer
-	Profiler *Profiler
-	// Registry is Default() while the endpoint serves, nil otherwise; the
-	// command feeds its per-tick counters into it.
-	Registry *Registry
+	Tracer   *obs.Tracer
+	Profiler *obs.Profiler
+	// Registry is obs.Default() while the endpoint serves, nil otherwise;
+	// the command feeds its per-tick counters into it.
+	Registry *obs.Registry
 
 	cmd       string
 	tracePath string
@@ -34,15 +41,15 @@ type Rig struct {
 func NewRig(cmd, tracePath string, profile bool, listen string, linger time.Duration) (*Rig, error) {
 	r := &Rig{cmd: cmd, tracePath: tracePath, linger: linger}
 	if tracePath != "" || listen != "" {
-		r.Tracer = NewTracer(DefaultSpanCap)
+		r.Tracer = obs.NewTracer(obs.DefaultSpanCap)
 	}
 	if profile || listen != "" {
-		r.Profiler = NewProfiler()
+		r.Profiler = obs.NewProfiler()
 	}
 	if listen == "" {
 		return r, nil
 	}
-	r.Registry = Default()
+	r.Registry = obs.Default()
 	r.Registry.Gauge(cmd+"_entities", func() float64 { return float64(r.entities.Load()) })
 	srv, ln, err := Serve(listen, NewServeMux(r.Registry, r.Tracer, r.Profiler))
 	if err != nil {

@@ -1,10 +1,12 @@
-package obs
+package obshttp
 
 import (
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"time"
+
+	"gamedb/internal/obs"
 )
 
 // NewServeMux builds the observability HTTP mux:
@@ -19,7 +21,7 @@ import (
 // contents, CPU profiles) and must only ever bind a trusted interface
 // (localhost, or a private network behind auth) — see the README's
 // Observability section.
-func NewServeMux(reg *Registry, tracer *Tracer, prof *Profiler) *http.ServeMux {
+func NewServeMux(reg *obs.Registry, tracer *obs.Tracer, prof *obs.Profiler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

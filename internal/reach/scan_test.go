@@ -32,6 +32,7 @@ type listedPackage struct {
 	CgoFiles   []string
 	Export     string
 	Standard   bool
+	Deps       []string
 	ImportMap  map[string]string
 	Module     *struct {
 		Path string

@@ -90,16 +90,20 @@ func TestMingleAllocBudget(t *testing.T) {
 // fanout.border: 2 000 raiders and medics writing each other across
 // region boundaries) in process, under occ, 4 shards. raid and mend use
 // only nearby / for / if / get / set / add, so on batched plans — re-runs
-// on the scalar plan included — the tick is left with the barrier's
-// allocations, about 114; one of them slipping back onto the interpreter
-// costs tens of thousands and fails here, not in a benchmark three
-// changes later.
+// on the scalar plan included — the tick allocates about 11 objects: a
+// grid bucket regrowing on a dense cell (spatial.Grid.link, about 10) and
+// the cluster's per-tick stats (1). The cross-shard forward path reuses
+// its batches, held local halves, read sets and exchange (about 100 a
+// tick when each tick built them afresh; world's
+// TestRemoteForwardCycleAllocFree holds it at 0), and one behavior
+// slipping back onto the interpreter costs tens of thousands; either
+// fails here, not in a benchmark three changes later.
 func TestBorderAllocBudget(t *testing.T) {
 	cfg := benchConfig(4)
 	cfg.World = spatial.NewRect(-400, -400, 2400, 2400)
 	cfg.GhostFields = borderScenario.GhostFields
 	cfg.ConflictPolicy = world.ConflictOCC
-	checkAllocBudget(t, 230, cfg, borderScenario, Crowd{Units: 2000, Side: 2000, Seed: 2009}, 50)
+	checkAllocBudget(t, 25, cfg, borderScenario, Crowd{Units: 2000, Side: 2000, Seed: 2009}, 50)
 }
 
 // TestCompileBehaviorsFieldIsInert: Config.CompileBehaviors is declared

@@ -7,6 +7,7 @@ import (
 
 	"gamedb/internal/content"
 	"gamedb/internal/entity"
+	"gamedb/internal/mesh"
 	"gamedb/internal/metrics"
 	"gamedb/internal/spatial"
 	"gamedb/internal/wire"
@@ -78,18 +79,18 @@ var errClosed = errors.New("shard: cluster closed")
 // path while staying a one-process test subject.
 func NewTCPCluster(cfg Config) (*Cluster, error) {
 	cfg = withDefaults(cfg)
-	meshes, err := wire.NewTCPLoopbackGroup(cfg.Shards)
+	meshes, err := mesh.NewTCPLoopbackGroup(cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
-	trs := make([]wire.Transport, len(meshes))
+	trs := make([]mesh.Transport, len(meshes))
 	for i, m := range meshes {
 		trs[i] = m
 	}
 	return newCluster(cfg, trs)
 }
 
-func newCluster(cfg Config, trs []wire.Transport) (*Cluster, error) {
+func newCluster(cfg Config, trs []mesh.Transport) (*Cluster, error) {
 	n := len(trs)
 	c := &Cluster{
 		peers:      make([]*Peer, n),

@@ -9,6 +9,7 @@ import (
 
 	"gamedb/internal/content"
 	"gamedb/internal/entity"
+	"gamedb/internal/mesh"
 	"gamedb/internal/obs"
 	"gamedb/internal/replica"
 	"gamedb/internal/sched"
@@ -18,7 +19,7 @@ import (
 )
 
 // Peer is one shard of the grid: it owns exactly one world and talks to
-// every other shard through frames on a wire.Transport, so the grid can
+// every other shard through frames on a mesh.Transport, so the grid can
 // live in one process (a Cluster over the pipe or loopback TCP), across
 // processes, or across hosts — with bit-identical results on the same
 // seed.
@@ -39,7 +40,7 @@ type Peer struct {
 	part *Partitioner
 	band ghostBand // over part
 	w    *world.World
-	tr   wire.Transport
+	tr   mesh.Transport
 	// onFail, when set, hears every error the peer aborts with before
 	// the mesh comes down (a Cluster records its first failure there).
 	onFail func(error)
@@ -102,7 +103,7 @@ type Peer struct {
 
 // NewPeer builds shard `self` of an n-shard grid. cfg is the SAME config
 // every peer receives; tr is this peer's endpoint of an n-way mesh.
-func NewPeer(cfg Config, tr wire.Transport) (*Peer, error) {
+func NewPeer(cfg Config, tr mesh.Transport) (*Peer, error) {
 	cfg = withDefaults(cfg)
 	if cfg.Shards != tr.N() {
 		return nil, fmt.Errorf("shard: config wants %d shards but transport mesh has %d", cfg.Shards, tr.N())

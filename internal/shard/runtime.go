@@ -7,11 +7,11 @@ import (
 	"sort"
 
 	"gamedb/internal/entity"
+	"gamedb/internal/mesh"
 	"gamedb/internal/obs"
 	"gamedb/internal/replica"
 	"gamedb/internal/sched"
 	"gamedb/internal/spatial"
-	"gamedb/internal/wire"
 	"gamedb/internal/world"
 )
 
@@ -201,8 +201,8 @@ type Runtime struct{ *Cluster }
 // New builds an in-process sharded runtime.
 func New(cfg Config) (*Runtime, error) {
 	cfg = withDefaults(cfg)
-	pipes := wire.NewPipeGroup(cfg.Shards)
-	trs := make([]wire.Transport, len(pipes))
+	pipes := mesh.NewPipeGroup(cfg.Shards)
+	trs := make([]mesh.Transport, len(pipes))
 	for i, p := range pipes {
 		trs[i] = p
 	}

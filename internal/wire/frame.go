@@ -12,6 +12,15 @@ import (
 // instead of asking the allocator for terabytes.
 const MaxFramePayload = 256 << 20
 
+// Stats is one transport's cumulative traffic tally (package mesh's
+// transports keep it). Bytes count frame payloads plus headers on
+// stream transports and payloads alone on the in-process pipe (there is
+// no header to pay for).
+type Stats struct {
+	BytesOut, BytesIn   int64
+	FramesOut, FramesIn int64
+}
+
 // Frame is one coalesced message between two peers: everything one
 // sender has for one receiver in one barrier phase of one tick. Kind
 // is protocol-defined (the shard peer runtime names its phases); Src
@@ -32,8 +41,8 @@ type Frame struct {
 // frame the stream without understanding any kind.
 const frameHeadMax = 4 + 1 + binary.MaxVarintLen64 + binary.MaxVarintLen64
 
-// appendFrame encodes f (header + payload) onto dst and returns it.
-func appendFrame(dst []byte, f Frame) []byte {
+// AppendFrame encodes f (header + payload) onto dst and returns it.
+func AppendFrame(dst []byte, f Frame) []byte {
 	var head [frameHeadMax]byte
 	n := 4 // length backfilled below
 	head[4] = f.Kind
@@ -45,11 +54,11 @@ func appendFrame(dst []byte, f Frame) []byte {
 	return append(dst, f.Payload...)
 }
 
-// readFrame reads one frame from r, reusing buf for the body when it
+// ReadFrame reads one frame from r, reusing buf for the body when it
 // fits. The returned frame's payload is moved to the start of the
 // returned buffer and aliases it, so recycling the payload hands the
 // buffer's whole capacity back.
-func readFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
+func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	// The length prefix lands in buf too: a local array handed to the
 	// io.Reader interface would escape and cost an allocation per frame.
 	if cap(buf) < 4 {

@@ -1,18 +1,18 @@
-// Package wire is the tick-barrier wire protocol: a length-prefixed
-// binary codec plus point-to-point transports that carry every
-// cross-shard exchange — effect forwarding, handoff rows, ghost-refresh
-// ships, foreign invalidations — as per-peer coalesced frames, so
-// shards can live in one process (pipe transport) or in separate
-// processes/hosts (TCP transport) behind one interface.
+// Package wire is the tick-barrier wire protocol's codec: a
+// length-prefixed binary encoding for every cross-shard exchange —
+// effect forwarding, handoff rows, ghost-refresh ships, foreign
+// invalidations — plus the frame that carries one sender's payload for
+// one receiver, its stream header and the traffic tally a transport
+// keeps. The transports that move frames between shards live in package
+// mesh; wire links no network stack, so the deterministic kernel that
+// encodes and decodes through it links none either.
 //
 // The codec is allocation-free on the encode hot path: an Enc is a
-// reusable byte buffer, values append as fixed-width little-endian or
-// varint primitives, and the transports copy payloads into pooled
-// buffers so the encoder's scratch can be reused immediately. Decoding
-// is zero-copy for primitives and interns repeated strings (column
-// names, table names, archetype names recur every tick), so steady-
-// state decode allocates only for genuinely new strings and the value
-// slices handed to the runtime.
+// reusable byte buffer and values append as fixed-width little-endian or
+// varint primitives. Decoding is zero-copy for primitives and interns
+// repeated strings (column names, table names, archetype names recur
+// every tick), so steady-state decode allocates only for genuinely new
+// strings and the value slices handed to the runtime.
 package wire
 
 import (

@@ -26,6 +26,17 @@ package world
 // their originating shard against freshly re-shipped mirrors, bounded
 // by Config.EffectRetryCap.
 //
+// Batch lifetime: a world keeps one RemoteEffectBatch per owner, and its
+// capacity, for its whole life. TakeOutbound hands the batches to the
+// runtime, which encodes them before the world next forwards (a barrier
+// re-run or the next tick's apply); that first forward empties them. The
+// runtime decodes every source's batch into one reused batch, so
+// QueueForeign copies records and read-sets into the world's inbound
+// arrays. Held local halves, per-owner read-sets and the barrier's
+// sorted exchange (built once, read by ValidateForeign and
+// ExchangeApply) are arenas and ranges too: in steady state the path
+// allocates nothing.
+//
 // Forwarding is inert until the shard runtime installs ghost routes
 // (SetGhostRoute): with no routes every apply path is bit-identical to
 // the pre-forwarding pipeline, so single worlds and manual SetGhost
@@ -75,20 +86,23 @@ type ForeignInvalidation struct {
 }
 
 // foreignInvoc is the OCC metadata riding along with a border
-// invocation's remote records: its identity and the slice of its
-// recorded read-set that names cells the receiving owner owns.
+// invocation's remote records: its identity and the part of its
+// recorded read-set that names cells the receiving owner owns, as a
+// range of its batch's reads (of World.inReads once queued).
 type foreignInvoc struct {
-	key     ForeignKey
-	retries int
-	reads   []readCell
+	key            ForeignKey
+	retries        int
+	readLo, readHi int
 }
 
 // RemoteEffectBatch is everything one world forwards to one owning
 // shard at a barrier: the remote records in deterministic source order,
-// plus (under ConflictOCC) the per-invocation validation metadata.
+// plus (under ConflictOCC) the per-invocation validation metadata, whose
+// read-sets share one arena.
 type RemoteEffectBatch struct {
 	Recs   []RemoteEffect
 	invocs []foreignInvoc
+	reads  []readCell
 }
 
 // foreignRec is one inbound record tagged with its origin, the unit the
@@ -102,12 +116,13 @@ type foreignRec struct {
 // heldInvoc is the local half of a border invocation under ConflictOCC:
 // records targeting entities this world owns, withheld from the tick
 // apply so the invocation commits atomically at the barrier (or not at
-// all, when the owner invalidates it).
+// all, when the owner invalidates it). The records are a range of
+// World.heldRecs.
 type heldInvoc struct {
 	src     entity.ID
 	gen     int64
 	retries int
-	recs    []Effect
+	lo, hi  int
 }
 
 // fwdOwner identifies one invocation in the barrier merge's write-set:
@@ -188,9 +203,17 @@ func (m *routeMemo) remoteOwner(e *Effect) (int, bool) {
 }
 
 // outboundFor returns (creating on first use) the batch bound for owner.
+// The first forward after a TakeOutbound empties every batch: the
+// runtime has encoded what it took by then.
 func (w *World) outboundFor(owner int) *RemoteEffectBatch {
 	if w.outbound == nil {
 		w.outbound = make(map[int]*RemoteEffectBatch)
+	}
+	if !w.outLive {
+		for _, b := range w.outbound {
+			b.Recs, b.invocs, b.reads = b.Recs[:0], b.invocs[:0], b.reads[:0]
+		}
+		w.outLive = true
 	}
 	b := w.outbound[owner]
 	if b == nil {
@@ -247,9 +270,6 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 	if withMeta {
 		w.buildReadIndex(bufs)
 	}
-	if w.fwdOwnerSet == nil {
-		w.fwdOwnerSet = make(map[int]struct{})
-	}
 	out := merged[:0]
 	for i := 0; i < len(merged); {
 		j := i + 1
@@ -270,41 +290,42 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 		}
 		src := merged[i].Src
 		gen, retries := tag(src)
-		clear(w.fwdOwnerSet)
-		var local []Effect
+		owners := w.fwdOwners[:0]
+		lo := len(w.heldRecs)
 		for k := i; k < j; k++ {
 			e := &merged[k]
 			if owner, ok := routes.remoteOwner(e); ok {
 				b := w.outboundFor(owner)
 				b.Recs = append(b.Recs, RemoteEffect{E: *e, Gen: gen})
-				w.fwdOwnerSet[owner] = struct{}{}
+				if !slices.Contains(owners, owner) {
+					owners = append(owners, owner)
+				}
 				w.statForwarded++
 				continue
 			}
-			local = append(local, *e)
+			w.heldRecs = append(w.heldRecs, *e)
 		}
-		if len(local) > 0 {
-			w.heldLocal = append(w.heldLocal, heldInvoc{src: src, gen: gen, retries: retries, recs: local})
+		w.fwdOwners = owners
+		if hi := len(w.heldRecs); hi > lo {
+			w.heldLocal = append(w.heldLocal, heldInvoc{src: src, gen: gen, retries: retries, lo: lo, hi: hi})
+			w.exReady = false
 		}
 		if withMeta {
-			owners := make([]int, 0, len(w.fwdOwnerSet))
-			for o := range w.fwdOwnerSet {
-				owners = append(owners, o)
-			}
 			slices.Sort(owners)
 			reads := w.occReadIdx[src]
 			for _, owner := range owners {
-				var fr []readCell
+				b := w.outboundFor(owner)
+				rlo := len(b.reads)
 				for _, c := range reads {
 					if o, ok := w.GhostRoute(c.id); ok && o == owner {
-						fr = append(fr, c)
+						b.reads = append(b.reads, c)
 					}
 				}
-				b := w.outboundFor(owner)
 				b.invocs = append(b.invocs, foreignInvoc{
 					key:     ForeignKey{Shard: w.shardIdx, Src: src, Gen: gen},
 					retries: retries,
-					reads:   fr,
+					readLo:  rlo,
+					readHi:  len(b.reads),
 				})
 			}
 		}
@@ -313,20 +334,21 @@ func (w *World) partitionRemoteInvocs(merged []Effect, bufs []*EffectBuffer, wit
 	return out
 }
 
-// TakeOutbound hands the accumulated per-owner batches to the shard
-// runtime and resets the world's outbound state. Nil when nothing was
-// forwarded this tick.
+// TakeOutbound hands the per-owner batches accumulated since the last
+// take to the shard runtime. Nil when nothing was forwarded since. The
+// batches are the world's own and stay valid until it next forwards
+// (a barrier re-run or the next tick's apply), which empties them.
 func (w *World) TakeOutbound() map[int]*RemoteEffectBatch {
-	if len(w.outbound) == 0 {
+	if !w.outLive {
 		return nil
 	}
-	out := w.outbound
-	w.outbound = nil
-	return out
+	w.outLive = false
+	return w.outbound
 }
 
 // QueueForeign enqueues one source shard's batch for this barrier's
-// validate/merge. srcShard is authoritative for the records' origin
+// validate/merge, copying it: the caller may decode the next source's
+// batch into b. srcShard is authoritative for the records' origin
 // ordering (and overwrites whatever the sender stamped).
 func (w *World) QueueForeign(srcShard int, b *RemoteEffectBatch) {
 	for i := range b.Recs {
@@ -336,8 +358,12 @@ func (w *World) QueueForeign(srcShard int, b *RemoteEffectBatch) {
 	for i := range b.invocs {
 		inv := b.invocs[i]
 		inv.key.Shard = srcShard
+		lo := len(w.inReads)
+		w.inReads = append(w.inReads, b.reads[inv.readLo:inv.readHi]...)
+		inv.readLo, inv.readHi = lo, len(w.inReads)
 		w.inInvocs = append(w.inInvocs, inv)
 	}
+	w.exReady = false
 }
 
 // sortForeignRecs orders barrier records by (generation, source shard,
@@ -355,18 +381,23 @@ func sortForeignRecs(recs []foreignRec) {
 
 // buildExchangeRecs combines this barrier's foreign records with the
 // world's own held border-invocation records into the exchange order.
-// The result aliases w.exRecs and is valid until the next call.
+// The result aliases w.exRecs; it is built once a barrier (validation
+// and the exchange merge share it) and rebuilt after either input
+// changes.
 func (w *World) buildExchangeRecs() []foreignRec {
+	if w.exReady {
+		return w.exRecs
+	}
 	recs := w.exRecs[:0]
 	for i := range w.heldLocal {
 		h := &w.heldLocal[i]
-		for _, e := range h.recs {
+		for _, e := range w.heldRecs[h.lo:h.hi] {
 			recs = append(recs, foreignRec{e: e, gen: h.gen, shard: w.shardIdx})
 		}
 	}
 	recs = append(recs, w.inRecs...)
 	sortForeignRecs(recs)
-	w.exRecs = recs
+	w.exRecs, w.exReady = recs, true
 	return recs
 }
 
@@ -379,7 +410,8 @@ func (w *World) buildExchangeRecs() []foreignRec {
 // includes the world's own held border writes). Verdicts are returned
 // for the runtime to union across owners and route back to the
 // originating shards; the caller must collect every world's verdicts
-// before any ExchangeApply runs.
+// before any ExchangeApply runs. The slice is the world's scratch, valid
+// until the next ValidateForeign.
 func (w *World) ValidateForeign() []ForeignInvalidation {
 	if len(w.inInvocs) == 0 {
 		return nil
@@ -394,15 +426,17 @@ func (w *World) ValidateForeign() []ForeignInvalidation {
 		}
 	}
 	slices.SortFunc(w.inInvocs, func(a, b foreignInvoc) int { return a.key.compare(b.key) })
-	var out []ForeignInvalidation
+	out := w.verdicts[:0]
 	for i := range w.inInvocs {
 		inv := &w.inInvocs[i]
 		self := fwdOwner{shard: inv.key.Shard, src: inv.key.Src}
-		if txn.InvalidatedByCommits(inv.reads, w.tickWrites) ||
-			txn.Invalidated(self, inv.reads, ws) {
+		reads := w.inReads[inv.readLo:inv.readHi]
+		if txn.InvalidatedByCommits(reads, w.tickWrites) ||
+			txn.Invalidated(self, reads, ws) {
 			out = append(out, ForeignInvalidation{Key: inv.key, Retries: inv.retries})
 		}
 	}
+	w.verdicts = out
 	w.pendRemoteInval += len(out)
 	return out
 }
@@ -416,7 +450,7 @@ func (w *World) ValidateForeign() []ForeignInvalidation {
 // Consumes the inbound and held state.
 func (w *World) ExchangeApply(invalid map[ForeignKey]struct{}) int {
 	if len(w.inRecs) == 0 && len(w.heldLocal) == 0 {
-		w.inInvocs = w.inInvocs[:0]
+		w.inInvocs, w.inReads = w.inInvocs[:0], w.inReads[:0]
 		return 0
 	}
 	recs := w.buildExchangeRecs()
@@ -442,9 +476,9 @@ func (w *World) ExchangeApply(invalid map[ForeignKey]struct{}) int {
 	w.pendConflicts += conflicts
 	w.pendRemoteMerged += foreign
 	w.pendEffects += len(effs)
-	w.inRecs = w.inRecs[:0]
-	w.inInvocs = w.inInvocs[:0]
-	w.heldLocal = w.heldLocal[:0]
+	w.inRecs, w.inInvocs, w.inReads = w.inRecs[:0], w.inInvocs[:0], w.inReads[:0]
+	w.heldLocal, w.heldRecs = w.heldLocal[:0], w.heldRecs[:0]
+	w.exReady = false
 	return foreign
 }
 
@@ -467,7 +501,11 @@ func (w *World) RerunForeign(reruns []ForeignInvalidation) {
 	buf := w.workerBufs[0]
 	buf.reset()
 	rcap := w.effectRetryCap()
-	tags := make(map[entity.ID]invocTag, len(reruns))
+	if w.rerunTags == nil {
+		w.rerunTags = make(map[entity.ID]invocTag)
+	}
+	tags := w.rerunTags
+	clear(tags)
 	for i := range reruns {
 		r := &reruns[i]
 		if r.Retries >= rcap {
@@ -552,14 +590,17 @@ func (w *World) foldPending(st *TickStats) {
 // go with the directory); ResetState (and through it snapshot Restore)
 // uses it — in-flight barrier records are not part of a snapshot.
 func (w *World) resetForwarding() {
-	w.outbound = nil
+	w.outbound, w.outLive = nil, false
 	w.inRecs = nil
 	w.inInvocs = nil
+	w.inReads = nil
 	w.heldLocal = nil
+	w.heldRecs = nil
 	w.tickWrites = nil
 	w.pendWrites = nil
-	w.exRecs = nil
+	w.exRecs, w.exReady = nil, false
 	w.exEffects = nil
+	w.verdicts = nil
 	w.statForwarded = 0
 	w.pendRemoteMerged, w.pendRemoteInval, w.pendEffects = 0, 0, 0
 	w.pendConflicts, w.pendRetries, w.pendAborts = 0, 0, 0

@@ -75,8 +75,9 @@ func AppendRemoteBatch(e *wire.Enc, b *RemoteEffectBatch) {
 		e.Uvarint(uint64(inv.key.Src))
 		e.Varint(inv.key.Gen)
 		e.Varint(int64(inv.retries))
-		e.Uvarint(uint64(len(inv.reads)))
-		for _, rc := range inv.reads {
+		reads := b.reads[inv.readLo:inv.readHi]
+		e.Uvarint(uint64(len(reads)))
+		for _, rc := range reads {
 			e.Uvarint(uint64(rc.id))
 			e.Str(rc.col)
 		}
@@ -84,8 +85,9 @@ func AppendRemoteBatch(e *wire.Enc, b *RemoteEffectBatch) {
 }
 
 // DecodeRemoteBatch decodes a RemoteEffectBatch from d into b, reusing
-// b's slices. Check d.Err() after: on error b is partially filled and
-// must not be queued.
+// b's slices (the read-sets' arena included), so b holds one decode at
+// a time. Check d.Err() after: on error b is partially filled and must
+// not be queued.
 func DecodeRemoteBatch(d *wire.Dec, b *RemoteEffectBatch) {
 	nr := d.Uvarint()
 	if nr > uint64(d.Remaining()) {
@@ -106,7 +108,7 @@ func DecodeRemoteBatch(d *wire.Dec, b *RemoteEffectBatch) {
 		d.Fail("count")
 		return
 	}
-	b.invocs = b.invocs[:0]
+	b.invocs, b.reads = b.invocs[:0], b.reads[:0]
 	for i := uint64(0); i < ni && d.Err() == nil; i++ {
 		var inv foreignInvoc
 		inv.key.Src = entity.ID(d.Uvarint())
@@ -117,9 +119,11 @@ func DecodeRemoteBatch(d *wire.Dec, b *RemoteEffectBatch) {
 			d.Fail("count")
 			return
 		}
+		inv.readLo = len(b.reads)
 		for j := uint64(0); j < nread && d.Err() == nil; j++ {
-			inv.reads = append(inv.reads, readCell{id: entity.ID(d.Uvarint()), col: d.Str()})
+			b.reads = append(b.reads, readCell{id: entity.ID(d.Uvarint()), col: d.Str()})
 		}
+		inv.readHi = len(b.reads)
 		b.invocs = append(b.invocs, inv)
 	}
 }

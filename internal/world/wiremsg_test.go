@@ -70,14 +70,10 @@ func batchesEqual(t *testing.T, a, b *RemoteEffectBatch) {
 	}
 	for i := range a.invocs {
 		ia, ib := a.invocs[i], b.invocs[i]
+		ra, rb := a.reads[ia.readLo:ia.readHi], b.reads[ib.readLo:ib.readHi]
 		if ia.key.Src != ib.key.Src || ia.key.Gen != ib.key.Gen || ia.retries != ib.retries ||
-			len(ia.reads) != len(ib.reads) {
-			t.Fatalf("invoc %d mismatch: got %+v want %+v", i, ib, ia)
-		}
-		for j := range ia.reads {
-			if ia.reads[j] != ib.reads[j] {
-				t.Fatalf("invoc %d read %d mismatch", i, j)
-			}
+			!slices.Equal(ra, rb) {
+			t.Fatalf("invoc %d mismatch: got %+v reads %v, want %+v reads %v", i, ib, rb, ia, ra)
 		}
 	}
 }
@@ -92,10 +88,12 @@ func randBatch(rng *rand.Rand) RemoteEffectBatch {
 		inv := foreignInvoc{
 			key:     ForeignKey{Src: entity.ID(rng.Uint64() >> 1), Gen: rng.Int63()},
 			retries: rng.Intn(4),
+			readLo:  len(b.reads),
 		}
 		for j := 0; j < rng.Intn(4); j++ {
-			inv.reads = append(inv.reads, readCell{id: entity.ID(rng.Uint64() >> 1), col: "hp"})
+			b.reads = append(b.reads, readCell{id: entity.ID(rng.Uint64() >> 1), col: "hp"})
 		}
+		inv.readHi = len(b.reads)
 		b.invocs = append(b.invocs, inv)
 	}
 	return b
@@ -126,9 +124,8 @@ func TestRemoteBatchRoundTrip(t *testing.T) {
 		e.Reset()
 		AppendRemoteBatch(&e, &b)
 		d := wire.NewDec(e.Bytes(), in)
-		got.Recs = got.Recs[:0]
-		got.invocs = got.invocs[:0]
-		DecodeRemoteBatch(d, &got)
+		DecodeRemoteBatch(d, &got) // into the last iteration's batch
+
 		if d.Err() != nil {
 			t.Fatalf("iter %d: decode: %v", iter, d.Err())
 		}
@@ -175,11 +172,9 @@ func TestVerdictsRoundTrip(t *testing.T) {
 func TestRemoteBatchCorrupt(t *testing.T) {
 	var e wire.Enc
 	b := RemoteEffectBatch{
-		Recs: []RemoteEffect{{E: Effect{Kind: EffectSet, Src: 5, Target: 5, Col: "x", Val: entity.Float(1)}, Gen: 9}},
-		invocs: []foreignInvoc{{
-			key: ForeignKey{Src: 5, Gen: 9}, retries: 1,
-			reads: []readCell{{id: 7, col: "x"}},
-		}},
+		Recs:   []RemoteEffect{{E: Effect{Kind: EffectSet, Src: 5, Target: 5, Col: "x", Val: entity.Float(1)}, Gen: 9}},
+		invocs: []foreignInvoc{{key: ForeignKey{Src: 5, Gen: 9}, retries: 1, readLo: 0, readHi: 1}},
+		reads:  []readCell{{id: 7, col: "x"}},
 	}
 	AppendRemoteBatch(&e, &b)
 	full := e.Bytes()
@@ -223,11 +218,8 @@ func TestEffectWireBytesUnchanged(t *testing.T) {
 			{Gen: 8, E: Effect{Kind: EffectDespawn, Src: 4, Seq: 1, Target: 11}},
 			{Gen: 9, E: Effect{Kind: EffectPost, Src: 5, Seq: -3, Target: 12, Col: "ping", Val: entity.Float(0.125)}},
 		},
-		invocs: []foreignInvoc{{
-			key:     ForeignKey{Src: 3, Gen: 7},
-			retries: 2,
-			reads:   []readCell{{id: 9, col: "hp"}, {id: 10, col: "mood"}},
-		}},
+		invocs: []foreignInvoc{{key: ForeignKey{Src: 3, Gen: 7}, retries: 2, readLo: 0, readHi: 2}},
+		reads:  []readCell{{id: 9, col: "hp"}, {id: 10, col: "mood"}},
 	}
 	var e wire.Enc
 	AppendRemoteBatch(&e, &b)
@@ -246,7 +238,9 @@ func TestEffectWireBytesUnchanged(t *testing.T) {
 // DecodeVerdicts. A decode either latches an error or yields a value whose
 // encoding decodes back to the same value, bit for bit; it never panics,
 // and no decoded slice outgrows the payload (every element costs at least
-// one byte, so a bigger slice was sized from an unchecked count).
+// one byte, so a bigger slice was sized from an unchecked count). Decoding
+// into a batch that holds an earlier decode — as the barrier reuses one
+// batch for every source — yields what a fresh batch does.
 func FuzzRemoteBatchCodec(f *testing.F) {
 	rng := rand.New(rand.NewSource(35))
 	var e wire.Enc
@@ -256,6 +250,16 @@ func FuzzRemoteBatchCodec(f *testing.F) {
 		AppendRemoteBatch(&e, &b)
 		f.Add(slices.Clone(e.Bytes()))
 	}
+	// The earlier decode the reused batch holds: records, invocations and
+	// reads, so stale entries past the new decode's would show.
+	erng := rand.New(rand.NewSource(36))
+	earlier := randBatch(erng)
+	for len(earlier.reads) < 4 {
+		earlier = randBatch(erng)
+	}
+	e.Reset()
+	AppendRemoteBatch(&e, &earlier)
+	earlierBytes := slices.Clone(e.Bytes())
 	e.Reset()
 	AppendVerdicts(&e, []ForeignInvalidation{{Key: ForeignKey{Shard: 2, Src: 9, Gen: 4}, Retries: 1}})
 	f.Add(slices.Clone(e.Bytes()))
@@ -264,15 +268,22 @@ func FuzzRemoteBatchCodec(f *testing.F) {
 		var b RemoteEffectBatch
 		d := wire.NewDec(data, in)
 		DecodeRemoteBatch(d, &b)
-		reads := 0
-		for _, inv := range b.invocs {
-			reads += cap(inv.reads)
-		}
-		if cap(b.Recs) > len(data) || cap(b.invocs) > len(data) || reads > len(data) {
+		if cap(b.Recs) > len(data) || cap(b.invocs) > len(data) || cap(b.reads) > len(data) {
 			t.Fatalf("%d-byte payload decoded into caps %d recs, %d invocs, %d reads",
-				len(data), cap(b.Recs), cap(b.invocs), reads)
+				len(data), cap(b.Recs), cap(b.invocs), cap(b.reads))
+		}
+		var reused RemoteEffectBatch
+		if DecodeRemoteBatch(wire.NewDec(earlierBytes, in), &reused); len(reused.reads) == 0 {
+			t.Fatal("the earlier decode holds no reads")
+		}
+		dr := wire.NewDec(data, in)
+		DecodeRemoteBatch(dr, &reused)
+		if (dr.Err() == nil) != (d.Err() == nil) || dr.Remaining() != d.Remaining() {
+			t.Fatalf("decode into a used batch: err %v, %d bytes left; into a fresh one: err %v, %d left",
+				dr.Err(), dr.Remaining(), d.Err(), d.Remaining())
 		}
 		if d.Err() == nil {
+			batchesEqual(t, &b, &reused)
 			e.Reset()
 			AppendRemoteBatch(&e, &b)
 			var again RemoteEffectBatch

@@ -209,10 +209,14 @@ type World struct {
 
 	// Cross-shard effect-forwarding state (remote.go). Ghost routes live
 	// on the directory records (SetGhostRoute); with none installed every
-	// forwarding hook is inert. outbound accumulates the per-owner
-	// batches of one tick; inRecs/inInvocs queue the foreign records and
-	// OCC metadata delivered for the current barrier; heldLocal withholds
-	// the local halves of border invocations until the barrier commit.
+	// forwarding hook is inert. outbound holds the per-owner batches,
+	// kept with their capacity from barrier to barrier (outLive: they
+	// hold what was forwarded since the last TakeOutbound);
+	// inRecs/inInvocs/inReads queue the foreign records and OCC metadata
+	// delivered for the current barrier; heldLocal withholds the local
+	// halves of border invocations (their records in heldRecs) until the
+	// barrier commit. exRecs is the barrier's sorted exchange, current
+	// while exReady.
 	// tickWrites is the owner-side committed-write set validation reads
 	// (maintained only under occ with routes installed); pendWrites
 	// carries barrier re-run writes into the next tick's set. The pend*
@@ -220,15 +224,21 @@ type World struct {
 	// TickStats; statForwarded tallies records sealed outbound.
 	shardIdx         int
 	outbound         map[int]*RemoteEffectBatch
+	outLive          bool
 	inRecs           []foreignRec
 	inInvocs         []foreignInvoc
+	inReads          []readCell
 	heldLocal        []heldInvoc
+	heldRecs         []Effect
 	tickWrites       map[readCell]struct{}
 	pendWrites       []readCell
 	fwdWrites        txn.WriteSet[readCell, fwdOwner]
-	fwdOwnerSet      map[int]struct{}
+	fwdOwners        []int
 	exRecs           []foreignRec
+	exReady          bool
 	exEffects        []Effect
+	verdicts         []ForeignInvalidation
+	rerunTags        map[entity.ID]invocTag
 	applyRemoteRerun bool
 	inExchange       bool
 	statForwarded    int
