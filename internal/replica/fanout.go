@@ -21,10 +21,13 @@ package replica
 // shards own each tick. An offer is evaluated against the entity's
 // last-shipped baseline, and the due index re-evaluates declined values
 // at the tick they come due, so an unchanged row ships nothing and
-// intake costs O(owned rows + due). A flush then runs set-at-a-time: it
-// seals each cell with traffic this tick into runs — byte prefix sums
-// over the cell's events and over its updates under each tier filter —
-// and marks it in a bitmap over the directory. A client then costs
+// intake costs O(owned rows + due). Intake appends the tick's traffic,
+// each record tagged with its cell, to two hub-wide lists: membership
+// events and field updates. A flush then runs set-at-a-time: it marks
+// every cell with traffic in a bitmap over the directory, groups both
+// lists by cell with one stable counting sort each, and seals each
+// cell's group into runs — byte prefix sums over the cell's events and
+// over its updates under each tier filter. A client then costs
 // O(cover rows + cells with traffic in view + backlog spans touched),
 // plus the populations a moved window gains or loses: a run is
 // delivered, dropped or queued whole by its totals, only the run a
@@ -36,11 +39,11 @@ package replica
 // MoveClient / AddClient run single-threaded between flushes; FlushTick
 // seals on the calling goroutine, then fans per-client work across the
 // worker pool, reading the cell directory and the sealed runs
-// immutably. Per-client streams are independent and every
-// pass a flush makes is over a slice in intake order (a cell's events,
-// its updates, its population), so two runs of one call sequence agree
-// exactly on every Conn's tallies and on every TickReport, whatever the
-// pool size.
+// immutably. Per-client streams are independent, the grouping is stable
+// and every pass a flush makes is over a slice in intake order (a cell's
+// group of events, its group of updates, its population), so two runs of
+// one call sequence agree exactly on every Conn's tallies and on every
+// TickReport, whatever the pool size.
 
 import (
 	"math"
@@ -161,10 +164,12 @@ type entState struct {
 	due int64
 }
 
-// update is one shipped field delta, fanned to the cell's subscribers.
-// bytes is its wire-encoded size, fixed at creation on the
-// single-threaded intake path.
+// update is one shipped field delta, fanned to the subscribers of cell
+// at. bytes is its wire-encoded size, fixed at creation on the
+// single-threaded intake path. A record names its cell by key, not by
+// directory slot: the directory may grow between intake and seal.
 type update struct {
+	at    spatial.CellKey
 	id    ID
 	fi    int32
 	class Class
@@ -180,9 +185,9 @@ const (
 	evLeave // entity moved out of this cell; other = the cell it entered
 )
 
-// event is one membership change in a cell's per-tick list. bytes as
-// in update.
+// event is one membership change in cell at. at and bytes as in update.
 type event struct {
+	at    spatial.CellKey
 	kind  eventKind
 	id    ID
 	other spatial.CellKey
@@ -200,15 +205,9 @@ type member struct {
 	removeBytes int32
 }
 
-// cell is one interest cell: this tick's traffic and the resident
-// population. events and updates count only while epoch equals the
-// hub's; BeginTick empties every cell by advancing that, and cellFor
-// truncates a stale cell's lists before the first write of the tick.
+// cell is one interest cell: its resident population.
 type cell struct {
-	epoch   uint64
-	events  []event
-	updates []update
-	pop     []member
+	pop []member
 }
 
 // liveCell is a cell with traffic this tick as seal lays it out for the
@@ -316,13 +315,12 @@ type Hub struct {
 	cfg   HubConfig
 	specs []FieldSpec
 	tick  int64
-	epoch uint64 // advanced by BeginTick; see cell
 
 	ents map[ID]*entState
 
 	// dir is the dense cell directory: row-major over the box of cells
 	// [dirX, dirX+dirW) × [dirY, dirY+dirH), which holds every cell an
-	// entity has occupied. Only the intake path (cellFor) grows it; the
+	// entity has occupied. Only the intake path (place) grows it; the
 	// parallel flush reads it through lookup, which answers none — the
 	// empty cell, never written — for any key outside the box.
 	dir                    []cell
@@ -336,15 +334,21 @@ type Hub struct {
 	dueFree  [][]ID
 	dueEvals int
 
-	// touched lists the cells written this tick. seal marks the ones
-	// with traffic in live, one bit per directory cell in rows of
-	// liveWords words; rank[w] counts the marks before word w, so a
-	// mark's rank is its cell's index in hot, whose runs are in arena.
-	touched   []spatial.CellKey
+	// evs and ups are this tick's events and updates in intake order.
+	// seal marks their cells in live, one bit per directory cell in rows
+	// of liveWords words; rank[w] counts the marks before word w, so a
+	// mark's rank is its cell's index in hot. It groups the lists by that
+	// rank into evGroups and upGroups, whose runs are in arena; groupEnd
+	// is the counting sort's scratch.
+	evs       []event
+	ups       []update
 	live      []uint64
 	rank      []int32
 	liveWords int
 	hot       []liveCell
+	evGroups  []event
+	upGroups  []update
+	groupEnd  []int32
 	arena     []int64
 
 	conns   []*Conn
@@ -394,7 +398,6 @@ func NewHub(cfg HubConfig) *Hub {
 	return &Hub{
 		cfg:   cfg,
 		specs: cfg.Specs,
-		epoch: 1, // none.epoch stays 0: the empty cell is stale forever
 		ents:  make(map[ID]*entState),
 		dueAt: make(map[int64][]ID),
 	}
@@ -446,14 +449,13 @@ func (h *Hub) MoveClient(c *Conn, focus spatial.Vec2) {
 	c.coverDirty = true
 }
 
-// BeginTick opens a tick: per-cell lists reset and the due index for
+// BeginTick opens a tick: the tick lists empty and the due index for
 // this tick re-evaluates (time-driven Coarse/Cosmetic ships surface
 // here without any dirty mark, mirroring the shard reconcile's due
 // index).
 func (h *Hub) BeginTick(tick int64) {
 	h.tick = tick
-	h.epoch++
-	h.touched = h.touched[:0]
+	h.evs, h.ups = h.evs[:0], h.ups[:0]
 	h.dueEvals = 0
 	due, ok := h.dueAt[tick]
 	if !ok {
@@ -467,7 +469,7 @@ func (h *Hub) BeginTick(tick int64) {
 		}
 		if es, ok := h.ents[id]; ok {
 			h.dueEvals++
-			h.evalFields(id, es, h.cellFor(es.cell))
+			h.evalFields(id, es)
 		}
 	}
 	h.dueFree = append(h.dueFree, due[:0])
@@ -498,7 +500,7 @@ func (h *Hub) SpawnEntity(id ID, pos spatial.Vec2, vals []float64) {
 	h.ents[id] = es
 	m := h.memberFor(id, vals)
 	join(c, es, m)
-	c.events = append(c.events, event{kind: evSpawn, id: id, bytes: m.snapBytes})
+	h.evs = append(h.evs, event{at: k, kind: evSpawn, id: id, bytes: m.snapBytes})
 }
 
 // DespawnEntity removes an entity; subscribed clients get a removal.
@@ -507,9 +509,8 @@ func (h *Hub) DespawnEntity(id ID) {
 	if !ok {
 		return
 	}
-	c := h.cellFor(es.cell)
-	m := h.leave(c, es)
-	c.events = append(c.events, event{kind: evDespawn, id: id, bytes: m.removeBytes})
+	m := h.leave(h.cellFor(es.cell), es)
+	h.evs = append(h.evs, event{at: es.cell, kind: evDespawn, id: id, bytes: m.removeBytes})
 	delete(h.ents, id)
 }
 
@@ -534,33 +535,33 @@ func (h *Hub) UpdateEntity(id ID, pos spatial.Vec2, vals []float64) {
 		return
 	}
 	if k != es.cell {
-		src := h.cellFor(es.cell) // after place: growing moves every cell
-		m := h.leave(src, es)
-		src.events = append(src.events, event{kind: evLeave, id: id, other: k, bytes: m.removeBytes})
-		dst.events = append(dst.events, event{kind: evEnter, id: id, other: es.cell, bytes: m.snapBytes})
+		m := h.leave(h.cellFor(es.cell), es) // after place: growing moves every cell
+		h.evs = append(h.evs,
+			event{at: es.cell, kind: evLeave, id: id, other: k, bytes: m.removeBytes},
+			event{at: k, kind: evEnter, id: id, other: es.cell, bytes: m.snapBytes})
 		join(dst, es, m)
 		es.cell = k
 	}
 	es.pos = pos
 	copy(es.cur, vals)
-	h.evalFields(id, es, dst)
+	h.evalFields(id, es)
 }
 
 // evalFields runs the delta gate for every field of one entity,
-// emitting ships into ct, the entity's cell, and registering the entity
+// emitting ships as updates in the entity's cell, and registering the entity
 // for the earliest tick a declined-but-diverged value comes due. One
 // registration serves every pending field: the evaluation it triggers
 // registers whatever still pends then, so an entity sits in dueAt once
 // per due tick however often it is evaluated in between.
-func (h *Hub) evalFields(id ID, es *entState, ct *cell) {
+func (h *Hub) evalFields(id ID, es *entState) {
 	next, pending := int64(0), false
 	for fi, spec := range h.specs {
 		cur := es.cur[fi]
 		if spec.ShouldShip(cur, es.sent[fi], h.tick, es.sentTick[fi]) {
 			es.sent[fi] = cur
 			es.sentTick[fi] = h.tick
-			ct.updates = append(ct.updates,
-				update{id: id, fi: int32(fi), class: spec.Class, bytes: h.updateSize(id, int32(fi), cur)})
+			h.ups = append(h.ups,
+				update{at: es.cell, id: id, fi: int32(fi), class: spec.Class, bytes: h.updateSize(id, int32(fi), cur)})
 			continue
 		}
 		if cur != es.sent[fi] {
@@ -616,18 +617,11 @@ func (h *Hub) lookup(k spatial.CellKey) *cell {
 	return &h.none
 }
 
-// cellFor returns cell k, which is inside the box, ready for this
-// tick's traffic. The pointer is good until the directory next grows.
+// cellFor returns cell k, which is inside the box. The pointer is good
+// until the directory next grows.
 func (h *Hub) cellFor(k spatial.CellKey) *cell {
 	i, _ := h.index(k)
-	c := &h.dir[i]
-	if c.epoch != h.epoch {
-		c.epoch = h.epoch
-		c.events = c.events[:0]
-		c.updates = c.updates[:0]
-		h.touched = append(h.touched, k)
-	}
-	return c
+	return &h.dir[i]
 }
 
 // grow re-lays the directory over the smallest box holding the old one
@@ -692,11 +686,12 @@ func subscribed(focus spatial.Vec2, aoi, cell float64, k spatial.CellKey) bool {
 	return k.Rect(cell).Dist2(focus) <= aoi*aoi
 }
 
-// seal readies the tick's traffic for the flush workers: each cell
-// written this tick that has any gets its mark in the live map and, at
-// the mark's rank, a liveCell in hot whose runs are laid out in the
-// arena — grown once up front, so every run lands in the one array. The
-// directory's cells, which maxDirCells bounds, carry none of it.
+// seal readies the tick's traffic for the flush workers: each cell with
+// a record in the tick lists gets its mark in the live map and, at the
+// mark's rank, a liveCell in hot. Both lists are grouped by that rank
+// and each group's runs are laid out in the arena — grown once up front,
+// so every run lands in the one array. The directory's cells, which
+// maxDirCells bounds, carry none of it.
 func (h *Hub) seal() {
 	words := (h.dirW + 63) >> 6
 	if n := words * h.dirH; len(h.live) != n || h.liveWords != words {
@@ -704,19 +699,13 @@ func (h *Hub) seal() {
 	} else {
 		clear(h.live)
 	}
-	// mark is where a cell's bit goes.
-	mark := func(i int) (int, uint64) {
-		x := i % h.dirW
-		return i/h.dirW*words + x>>6, 1 << (x & 63)
+	for _, e := range h.evs {
+		w, bit := h.mark(e.at)
+		h.live[w] |= bit
 	}
-	need := 0
-	for _, k := range h.touched {
-		i, _ := h.index(k)
-		if c := &h.dir[i]; len(c.events)+len(c.updates) > 0 {
-			w, bit := mark(i)
-			h.live[w] |= bit
-			need += len(c.events) + 1 + len(liveCell{}.runs)*(len(c.updates)+1)
-		}
+	for _, u := range h.ups {
+		w, bit := h.mark(u.at)
+		h.live[w] |= bit
 	}
 	n := int32(0)
 	for w, marks := range h.live {
@@ -724,22 +713,58 @@ func (h *Hub) seal() {
 		n += int32(bits.OnesCount64(marks))
 	}
 	h.hot = slices.Grow(h.hot[:0], int(n))[:n]
-	arena := slices.Grow(h.arena[:0], need)
-	for _, k := range h.touched {
-		i, _ := h.index(k)
-		c := &h.dir[i]
-		if len(c.events)+len(c.updates) == 0 {
-			continue
+	arena := slices.Grow(h.arena[:0], len(h.evs)+len(h.ups)*len(liveCell{}.runs)+int(n)*(1+len(liveCell{}.runs)))
+	h.evGroups = groupByCell(h, h.evs, h.evGroups, func(e *event) spatial.CellKey { return e.at }, func(r int, evs []event) {
+		lc := &h.hot[r]
+		lc.events = evs
+		lc.evs, arena = sealRun(arena, evs, func(e event) (int32, bool) { return e.bytes, true })
+	})
+	h.upGroups = groupByCell(h, h.ups, h.upGroups, func(u *update) spatial.CellKey { return u.at }, func(r int, ups []update) {
+		for top := range h.hot[r].runs {
+			h.hot[r].runs[top], arena = sealRun(arena, ups, func(u update) (int32, bool) { return u.bytes, u.class <= Class(top) })
 		}
-		w, bit := mark(i)
-		lc := &h.hot[h.rank[w]+int32(bits.OnesCount64(h.live[w]&(bit-1)))]
-		lc.events = c.events
-		lc.evs, arena = sealRun(arena, c.events, func(e event) (int32, bool) { return e.bytes, true })
-		for top := range lc.runs {
-			lc.runs[top], arena = sealRun(arena, c.updates, func(u update) (int32, bool) { return u.bytes, u.class <= Class(top) })
-		}
-	}
+	})
 	h.arena = arena
+}
+
+// mark is where cell k's bit goes in the live map: its word and bit. k
+// must be inside the box.
+func (h *Hub) mark(k spatial.CellKey) (int, uint64) {
+	x, y := int(k.X)-h.dirX, int(k.Y)-h.dirY
+	return y*h.liveWords + x>>6, 1 << (x & 63)
+}
+
+// groupByCell sorts xs by the rank of their marked cells into dst with
+// one stable counting sort, keeping intake order inside a cell, and
+// hands each live cell's group to each in rank order. It returns dst.
+func groupByCell[T any](h *Hub, xs, dst []T, cell func(*T) spatial.CellKey, each func(r int, group []T)) []T {
+	rank := func(k spatial.CellKey) int32 {
+		w, bit := h.mark(k)
+		return h.rank[w] + int32(bits.OnesCount64(h.live[w]&(bit-1)))
+	}
+	end := slices.Grow(h.groupEnd[:0], len(h.hot)+1)[:len(h.hot)+1]
+	clear(end)
+	for i := range xs {
+		end[rank(cell(&xs[i]))+1]++
+	}
+	for r := 1; r < len(end); r++ {
+		end[r] += end[r-1]
+	}
+	// end[r] is where group r starts; placing a record advances it, so
+	// once every record is placed it is where group r ends.
+	dst = slices.Grow(dst[:0], len(xs))[:len(xs)]
+	for i := range xs {
+		r := rank(cell(&xs[i]))
+		dst[end[r]] = xs[i]
+		end[r]++
+	}
+	from := int32(0)
+	for r, to := range end[:len(h.hot)] {
+		each(r, dst[from:to])
+		from = to
+	}
+	h.groupEnd = end
+	return dst
 }
 
 // sealRun appends the messages of xs that size passes to buf as a run,
@@ -1087,16 +1112,14 @@ func (h *Hub) sample(c *Conn, n int, tick int64, tl *flushTally) {
 // backlog is the client's queue as one run.
 func (c *Conn) backlog() run { return run{c.sums[c.head:], int64(c.qBytes)} }
 
-// compact empties a drained backlog in place, or slides a backlog whose
-// delivered prefix has outgrown it down over that prefix, each message
-// moved at most once per message delivered.
+// compact empties a drained backlog in place, keeping its arrays for the
+// next one, or slides a backlog whose delivered prefix has outgrown it
+// down over that prefix, each message moved at most once per message
+// delivered.
 func (c *Conn) compact() {
 	switch live := len(c.sums) - 1 - c.head; {
 	case live <= 0:
 		c.sums, c.spans, c.head, c.spanHead = c.sums[:0], c.spans[:0], 0, 0
-		if cap(c.sums) > 1024 {
-			c.sums, c.spans = nil, nil // a drained backlog gives its arrays back
-		}
 	case c.head >= live:
 		c.sums = c.sums[:copy(c.sums, c.sums[c.head:])]
 		c.spans = c.spans[:copy(c.spans, c.spans[c.spanHead:])]

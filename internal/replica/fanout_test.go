@@ -184,6 +184,51 @@ func TestHubOverflowDrops(t *testing.T) {
 	}
 }
 
+// TestDrainedBacklogKeepsArrays: a throttled client's backlog passes
+// 1 024 messages, drains to empty on quiet ticks and fills again. The
+// drain keeps both arrays, and the refill writes into the same ones
+// rather than regrowing them from nothing. It compares backing arrays,
+// not allocation counts, so it holds under -race too.
+func TestDrainedBacklogKeepsArrays(t *testing.T) {
+	h := NewHub(HubConfig{Specs: hubSpecs(), Cell: 32, ByteBudget: 1500, MaxQueue: 1 << 30})
+	c := h.AddClient(1, spatial.Vec2{X: 100, Y: 100}, 50, 1000)
+	const ents = 2000
+	pos := spatial.Vec2{X: 110, Y: 100}
+	hp := func(v float64, n ID) func() {
+		return func() {
+			for id := ID(1); id <= n; id++ {
+				h.UpdateEntity(id, pos, []float64{v, 1, 1})
+			}
+		}
+	}
+	tick := int64(1)
+	for ; tick <= 3; tick++ {
+		flush(h, tick, hp(float64(tick), ents))
+	}
+	if queued := len(c.sums) - 1 - c.head; queued <= 1024 {
+		t.Fatalf("flood left %d messages queued, want over 1 024", queued)
+	}
+	sums, spans := &c.sums[0], &c.spans[0]
+	capSums, capSpans := cap(c.sums), cap(c.spans)
+	for ; c.qBytes > 0; tick++ {
+		if tick > 1000 {
+			t.Fatalf("backlog still holds %d bytes at tick %d", c.qBytes, tick)
+		}
+		flush(h, tick, nil)
+	}
+	if len(c.sums) != 0 || cap(c.sums) != capSums || cap(c.spans) != capSpans {
+		t.Fatalf("drained backlog: %d sums of capacity %d (was %d), spans capacity %d (was %d)",
+			len(c.sums), cap(c.sums), capSums, cap(c.spans), capSpans)
+	}
+	flush(h, tick, hp(float64(tick), ents/2))
+	if len(c.sums) == 0 || len(c.spans) == 0 {
+		t.Fatal("the refill queued nothing")
+	}
+	if &c.sums[0] != sums || &c.spans[0] != spans {
+		t.Fatal("the refill regrew the backlog's arrays instead of reusing them")
+	}
+}
+
 // TestHubClientMoveCoverDiff: moving a client's focus snapshots the
 // newly covered population and removes the departed one — and only the
 // difference, not the whole window.
@@ -338,15 +383,7 @@ func TestHubFlushDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // tickUpdates counts the field updates the hub shipped this tick.
-func tickUpdates(h *Hub) int {
-	n := 0
-	for i := range h.dir {
-		if c := &h.dir[i]; c.epoch == h.epoch {
-			n += len(c.updates)
-		}
-	}
-	return n
-}
+func tickUpdates(h *Hub) int { return len(h.ups) }
 
 // TestHubDueIndexStaysBounded: 2 000 entities drift under epsilon for
 // 300 ticks, written on two ticks in three, so nearly every evaluation
