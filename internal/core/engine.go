@@ -270,8 +270,9 @@ func (e *Engine) Set(id entity.ID, col string, v entity.Value) error {
 // Entities returns the owned-entity total across shards.
 func (e *Engine) Entities() int { return e.rt.Entities() }
 
-// Hash returns the deterministic digest of the owned world state; equal
-// seeds yield equal hashes for any shard count.
+// Hash returns the deterministic digest of the owned world state, the
+// sum of every shard world's world.Digest; equal seeds yield equal
+// hashes for any shard count.
 func (e *Engine) Hash() uint64 { return e.rt.Hash() }
 
 // ShardWorld returns shard i's world for inspection.

@@ -145,6 +145,10 @@ func (v Value) Key() ValueKey {
 // Kind reports the value's kind.
 func (v Value) Kind() Kind { return v.kind }
 
+// Bits returns the scalar payload word: an int's bits, a float's
+// IEEE-754 bits, 1 or 0 for a bool, and 0 for a string or null.
+func (v Value) Bits() uint64 { return v.n }
+
 // IsNull reports whether the value is null.
 func (v Value) IsNull() bool { return v.kind == KindInvalid }
 

@@ -73,6 +73,11 @@ var stayDeleted = []struct {
 		specs:   []string{"internal"},
 	},
 	{
+		name:    "One state digest (each world folds its owned rows into world.Digest and the grid adds them; the sorted row hash and its row codec stay deleted)",
+		pattern: `hashRow|appendOwnedRows|hashRows|hashValue|appendRowsPayload|decodeRowsPayload`,
+		specs:   []string{"internal/shard/*.go", "cmd"},
+	},
+	{
 		name:    "One batched grid move (the world flushes through MoveSlots; the id-addressed batch entry stays deleted)",
 		pattern: `MoveBatch`,
 		specs:   []string{"internal"},

@@ -11,6 +11,7 @@ import (
 
 	"gamedb/internal/content"
 	"gamedb/internal/entity"
+	"gamedb/internal/mesh"
 	"gamedb/internal/replica"
 	"gamedb/internal/spatial"
 	"gamedb/internal/world"
@@ -194,6 +195,27 @@ func TestStepFailureStopsTheGrid(t *testing.T) {
 				t.Fatalf("%s: call %d after the failure hung", transport, i)
 			}
 		}
+	}
+}
+
+// TestHashRefusesMalformedDigestFrame: peer 0 takes exactly 8 bytes per
+// peer in the hash gather. A shorter or longer payload is refused with
+// an error that names the sending peer, never a panic or a sum.
+func TestHashRefusesMalformedDigestFrame(t *testing.T) {
+	for _, n := range []int{3, 9} {
+		pipes := mesh.NewPipeGroup(2)
+		p0, err := NewPeer(Config{Shards: 2, World: spatial.NewRect(0, 0, 400, 400)}, pipes[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pipes[1].Send(0, frameRows, p0.seq+1, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		h, err := p0.Hash()
+		if err == nil || !strings.HasPrefix(err.Error(), "shard 0: rows frame from 1: ") {
+			t.Fatalf("%d-byte digest frame: hash %#x, error %v; want a refusal naming peer 1", n, h, err)
+		}
+		pipes[1].Close()
 	}
 }
 

@@ -7,17 +7,22 @@ import (
 	"gamedb/internal/world"
 )
 
-// Hashes the legacy executions produced at commit 17685d7, the last one
-// where they could be selected from a shard.Config: behaviors on the
-// tree-walking interpreter (CompileBehaviors off), the row-at-a-time
-// apply (RowApply), the direct trigger drain (DirectTriggers) and the
-// full-scan ghost reconcile. All four arms — and the compiled, columnar,
-// round-drained, incremental pipeline beside them — recorded the same
-// trajectory at every Shards {1,2,4} × Workers {1,4} × {lastwrite, occ}
-// cell, so one pair of constants per crowd pins the lot: final is the
-// hash after the last tick, fold an FNV-style fold of every per-tick
-// hash. The cascade crowd's pair is cascadeGoldenFinal/Fold
-// (trigger_plan_test.go), recorded one PR earlier from the same crowd.
+// Trajectories the legacy executions produced at commit 17685d7, the
+// last one where they could be selected from a shard.Config: behaviors
+// on the tree-walking interpreter (CompileBehaviors off), the
+// row-at-a-time apply (RowApply), the direct trigger drain
+// (DirectTriggers) and the full-scan ghost reconcile. All four arms —
+// and the compiled, columnar, round-drained, incremental pipeline beside
+// them — recorded the same trajectory at every Shards {1,2,4} × Workers
+// {1,4} × {lastwrite, occ} cell, so one pair of constants per crowd pins
+// the lot: final is the state digest (world.Digest summed over the
+// shards) after the last tick, fold an FNV-style fold of every per-tick
+// digest. 17685d7 recorded the trajectories under the sorted FNV-64a
+// row hash the digest replaced; the pairs below were re-recorded at the
+// commit before the digest, each from a run whose old-hash final and
+// fold equalled the 17685d7 pins. The cascade crowd's pair is
+// cascadeGoldenFinal/Fold (trigger_plan_test.go), recorded one PR
+// earlier from the same crowd.
 // The mingle crowd reads neighbours through default Coarse mirrors, so
 // its state depends on whether there are mirrors at all. The effect
 // counts are the recorded totals less the physics records (one per
@@ -25,17 +30,17 @@ import (
 // record stream: 12 500 on mingle, 16 000 on cascade, 4 800 on the claim
 // world below.
 const (
-	mingleGoldenFinal1  = 0x7d5f32b06591ee6d // 1 shard
-	mingleGoldenFold1   = 0xea4beb42990438bc
-	mingleGoldenFinalN  = 0x5fd6f35a9795d230 // 2 and 4 shards
-	mingleGoldenFoldN   = 0xae0968381b2e7a33
+	mingleGoldenFinal1  = 0x10cf2863f30740ad // 1 shard
+	mingleGoldenFold1   = 0x8276adc6f55891b1
+	mingleGoldenFinalN  = 0xf2cddafafb28d077 // 2 and 4 shards
+	mingleGoldenFoldN   = 0x24952fa8ab61aa0f
 	mingleGoldenEffects = 2898
 
 	cascadeGoldenEffects = 8000
 	cascadeGoldenFired   = 32000
 
-	borderGoldenFinal = 0xd4738eff8078730e
-	borderGoldenFold  = 0x7ae3ea39843c3942
+	borderGoldenFinal = 0x080b8a337375e18d
+	borderGoldenFold  = 0xc7960ae646043ade
 )
 
 func mingleGolden(shards int) (final, fold uint64) {

@@ -812,16 +812,16 @@ func (p *Peer) rerunForeign(reruns []world.ForeignInvalidation) {
 	p.spans.Span(obs.SpanRemoteMerge, p.tick, -1, t0)
 }
 
-// Hash runs the lockstep hash gather: every peer ships its owned rows
-// to peer 0, which digests the global sorted row set. Peer 0 returns
-// the hash; everyone else returns zero. All peers must call Hash at the
-// same lockstep point.
+// Hash runs the lockstep hash gather: every peer other than 0 ships its
+// world's 8-byte Digest to peer 0, which adds them to its own — the sum
+// Runtime.Hash takes in-process. Peer 0 returns the hash; everyone else
+// returns zero. All peers must call Hash at the same lockstep point.
 func (p *Peer) Hash() (uint64, error) {
 	p.seq++
-	rows := appendOwnedRows(p.w, nil)
+	sum := p.w.Digest()
 	if p.self != 0 {
 		p.enc.Reset()
-		appendRowsPayload(&p.enc, rows)
+		p.enc.U64(sum)
 		if err := p.tr.Send(0, frameRows, p.seq, p.enc.Bytes()); err != nil {
 			return 0, p.fail(err)
 		}
@@ -833,13 +833,16 @@ func (p *Peer) Hash() (uint64, error) {
 	}
 	for src := 1; src < p.n; src++ {
 		d := p.decReset(bufs[src])
-		rows = decodeRowsPayload(d, rows)
+		sum += d.U64()
+		if d.Err() == nil && d.Remaining() != 0 {
+			d.Fail("trailing bytes")
+		}
 		if err := d.Err(); err != nil {
 			return 0, p.fail(fmt.Errorf("shard 0: rows frame from %d: %w", src, err))
 		}
 	}
 	p.recycleRound(bufs)
-	return hashRows(rows), nil
+	return sum, nil
 }
 
 // WireStats returns the transport's cumulative traffic counters.

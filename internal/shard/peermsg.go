@@ -27,9 +27,9 @@ const (
 	// band (the receiver evaluates ship policy itself against its own
 	// last-shipped bookkeeping).
 	frameBarrier byte = 4
-	// frameRows is the hash gather: every peer ships its owned rows to
-	// peer 0, which sorts and digests them with hashRows, the algorithm
-	// Runtime.Hash runs in-process.
+	// frameRows is the hash gather: every peer other than 0 ships its
+	// world's Digest to peer 0 as 8 little-endian bytes, and peer 0 adds
+	// them, the sum Runtime.Hash takes in-process.
 	frameRows byte = 5
 )
 
@@ -133,31 +133,4 @@ func decodeBarrierPayload(d *wire.Dec, src int, migs []inMig, cands []inCand, ro
 		cands = append(cands, c)
 	}
 	return migs, cands, rows, scratch
-}
-
-// appendRowsPayload encodes a peer's owned rows for the hash gather.
-func appendRowsPayload(e *wire.Enc, rows []hashRow) {
-	e.Uvarint(uint64(len(rows)))
-	for i := range rows {
-		e.Str(rows[i].table)
-		e.Uvarint(uint64(rows[i].id))
-		e.Row(rows[i].row)
-	}
-}
-
-// decodeRowsPayload appends the frame's rows onto dst.
-func decodeRowsPayload(d *wire.Dec, dst []hashRow) []hashRow {
-	n := d.Uvarint()
-	if n > uint64(d.Remaining()) {
-		d.Fail("row count")
-		return dst
-	}
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		var r hashRow
-		r.table = d.Str()
-		r.id = entity.ID(d.Uvarint())
-		r.row = d.Row(nil)
-		dst = append(dst, r)
-	}
-	return dst
 }

@@ -1,11 +1,6 @@
 package shard
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"math"
-	"sort"
-
 	"gamedb/internal/entity"
 	"gamedb/internal/mesh"
 	"gamedb/internal/obs"
@@ -213,13 +208,14 @@ func New(cfg Config) (*Runtime, error) {
 	return &Runtime{cl}, nil
 }
 
-// Hash returns a deterministic FNV-64a digest of the owned world state
-// (every non-ghost row, globally sorted by entity id), read straight
-// from the in-process shard worlds. The same seed yields the same hash
-// on every run, and for state driven by per-entity physics and
-// coordinator spawns the hash is also identical for any shard count —
-// handoff preserves rows bit-exactly and ghosts are excluded as derived
-// state. Cross-shard writes are first-class: a record targeting a ghost
+// Hash returns the grid's state digest: the sum of every shard world's
+// world.Digest, a multiset hash over the owned rows (ghosts are
+// excluded as derived state), read straight from the in-process shard
+// worlds. It is the value Peer.Hash's lockstep gather computes over a
+// mesh. The same seed yields the same hash on every run, and for state
+// driven by per-entity physics and coordinator spawns the hash is also
+// identical for any shard count — handoff preserves rows bit-exactly.
+// Cross-shard writes are first-class: a record targeting a ghost
 // mirror forwards to its owner and merges deterministically at the
 // barrier (exactly one tick late), so neighbor-writing behaviors stay
 // shard-count-invariant too, provided the fields they *read* are
@@ -228,83 +224,12 @@ func New(cfg Config) (*Runtime, error) {
 // see the weakened view — the paper's "inconsistent, but very similar"
 // tier, traded for bandwidth.
 func (rt *Runtime) Hash() uint64 {
-	var rows []hashRow
+	var sum uint64
 	for _, p := range rt.peers {
-		rows = appendOwnedRows(p.w, rows)
+		sum += p.w.Digest()
 	}
-	return hashRows(rows)
+	return sum
 }
 
 // Close stops the cluster's peer goroutines and tears the mesh down.
 func (rt *Runtime) Close() { rt.Cluster.Close() }
-
-// hashRow is one owned row in the global digest: the unit Runtime.Hash
-// collects in-process and the wire frameRows gather ships to peer 0.
-type hashRow struct {
-	id    entity.ID
-	table string
-	row   []entity.Value
-}
-
-// appendOwnedRows copies every non-ghost row of w onto rows.
-func appendOwnedRows(w *world.World, rows []hashRow) []hashRow {
-	for _, name := range w.TableNames() {
-		t, _ := w.Table(name)
-		t.Scan(func(id entity.ID, row []entity.Value) bool {
-			if w.IsGhost(id) {
-				return true
-			}
-			cp := make([]entity.Value, len(row))
-			copy(cp, row)
-			rows = append(rows, hashRow{id: id, table: name, row: cp})
-			return true
-		})
-	}
-	return rows
-}
-
-// hashRows sorts rows by (id, table) and folds them into the FNV-64a
-// digest — the single hash algorithm every topology (one process or
-// many) must agree on bit-for-bit.
-func hashRows(rows []hashRow) uint64 {
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].id != rows[j].id {
-			return rows[i].id < rows[j].id
-		}
-		return rows[i].table < rows[j].table
-	})
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, r := range rows {
-		h.Write([]byte(r.table))
-		binary.LittleEndian.PutUint64(buf[:], uint64(r.id))
-		h.Write(buf[:])
-		for _, v := range r.row {
-			hashValue(h, v, buf[:])
-		}
-	}
-	return h.Sum64()
-}
-
-// hashValue folds one cell into the digest, bit-exactly for floats.
-func hashValue(h interface{ Write([]byte) (int, error) }, v entity.Value, buf []byte) {
-	buf[0] = byte(v.Kind())
-	h.Write(buf[:1])
-	switch v.Kind() {
-	case entity.KindInt:
-		binary.LittleEndian.PutUint64(buf, uint64(v.Int()))
-		h.Write(buf[:8])
-	case entity.KindFloat:
-		binary.LittleEndian.PutUint64(buf, math.Float64bits(v.Float()))
-		h.Write(buf[:8])
-	case entity.KindString:
-		h.Write([]byte(v.Str()))
-	case entity.KindBool:
-		if v.Bool() {
-			buf[0] = 1
-		} else {
-			buf[0] = 0
-		}
-		h.Write(buf[:1])
-	}
-}
